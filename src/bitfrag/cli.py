@@ -38,6 +38,19 @@ _SUFFIX = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be ``low`` or more."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitfrag",
@@ -50,20 +63,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", type=Path, help="design file to optimize")
     parser.add_argument(
         "--latency",
-        type=int,
+        type=_int_at_least(1),
         required=True,
         metavar="N",
         help="schedule length in cycles",
     )
     parser.add_argument(
         "--nbits",
-        type=int,
+        type=_int_at_least(1),
         metavar="K",
         help="bits of chaining per cycle (default: critical time / latency)",
     )
     parser.add_argument(
         "--core-delay",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="D",
         help="multiplier core delay in adder-bit units (default 0)",
@@ -140,10 +153,10 @@ def _report(design, lam, n_bits, crit, sched, cost, equiv) -> dict:
         ]
         for parent, parts in sched.fragments.items()
     }
+    position = {op.id: k for k, op in enumerate(sched.graph.ops)}
     cycles = {
         str(c): sorted(
-            (u for u, uc in sched.cycle_of.items() if uc == c),
-            key=lambda u: [op.id for op in sched.graph.ops].index(u),
+            (u for u, uc in sched.cycle_of.items() if uc == c), key=position.__getitem__
         )
         for c in range(1, lam + 1)
     }
@@ -226,7 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         design = parse(text)
         kernel, _trace = extract_kernel(design)
         crit = critical_path(kernel, args.core_delay)
-        n_bits = args.nbits or estimate_cycle(kernel, args.latency, args.core_delay)
+        if args.nbits is not None:
+            n_bits = args.nbits
+        else:
+            n_bits = estimate_cycle(kernel, args.latency, args.core_delay)
         mobility = analyze(kernel, n_bits, args.latency)
         tile = bucket_fragment if args.bucket_fill else fragment
         fragments, transformed = tile(kernel, mobility)

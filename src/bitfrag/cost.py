@@ -21,13 +21,11 @@ from dataclasses import dataclass
 
 from .dfg import (
     CarryBit,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
-    InputBit,
     OpBit,
     OpKind,
-    bit_deps,
+    bit_key,
 )
 from .scheduler import Schedule
 
@@ -91,36 +89,12 @@ def _bit_name(ref) -> str:
 def _base_consumers(graph: DataFlowGraph) -> dict:
     """Consumption map from producer bits to consuming unit ids.
 
-    Keys are OpBit/CarryBit of non-glue ops; glue is traversed
-    transparently, and only add/core consumers register a read.
+    Keys are OpBit/CarryBit of non-glue ops, read through glue.
     """
-    deps = bit_deps(graph)
-    glue_src: dict[tuple[str, int], frozenset] = {}
-
-    def expand(ref) -> frozenset:
-        if isinstance(ref, (InputBit, ConstBit)):
-            return frozenset()
-        if isinstance(ref, CarryBit):
-            return frozenset({ref})
-        if graph.op(ref.op).kind in GLUE_KINDS:
-            return glue_src[(ref.op, ref.bit)]
-        return frozenset({ref})
-
     consumers: dict = {}
-    for op in graph.ops:
-        if op.kind in GLUE_KINDS:
-            for i in range(op.width):
-                merged = frozenset()
-                for r in deps[(op.id, i)]:
-                    merged |= expand(r)
-                glue_src[(op.id, i)] = merged
-            continue
-        for i in range(op.width):
-            for r in deps[(op.id, i)]:
-                for base in expand(r):
-                    if isinstance(base, OpBit) and base.op == op.id:
-                        continue  # internal ripple, not a stored read
-                    consumers.setdefault(base, set()).add(op.id)
+    for (unit, _), refs in graph.bit_view.reads.items():
+        for ref in refs:
+            consumers.setdefault(ref, set()).add(unit)
     return consumers
 
 
@@ -130,16 +104,9 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.
     """
     graph = sched.graph
-    consumers = _base_consumers(graph)
-
-    def produced(ref) -> int:
-        if isinstance(ref, CarryBit):
-            return sched.realized[(ref.op, graph.op(ref.op).width - 1)].cycle
-        return sched.realized[(ref.op, ref.bit)].cycle
-
     live: dict = {}
-    for ref, users in consumers.items():
-        start = produced(ref)
+    for ref, users in _base_consumers(graph).items():
+        start = sched.realized[bit_key(graph, ref)].cycle
         stop = max(sched.cycle_of[u] for u in users)
         if stop > start:
             live[ref] = (start, stop)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterator, Union
+from functools import cached_property
+from typing import Union
 
 
 class OpKind(Enum):
@@ -222,6 +223,11 @@ class DataFlowGraph:
             return self._input_map[name].width
         return self._op_map[name].width
 
+    @cached_property
+    def bit_view(self) -> "BitView":
+        """The graph's bit-level view, built on first use and then shared."""
+        return _build_bit_view(self)
+
 
 def source_width(graph: DataFlowGraph, source: Source) -> int:
     if isinstance(source, InputRef):
@@ -262,15 +268,6 @@ def _resolve_source_bit(graph: DataFlowGraph, source: Source, k: int) -> BitRef:
             return resolve_operand_bit(graph, part, k)
         k -= part.width
     return ZERO_BIT
-
-
-def iter_source_refs(source: Source) -> Iterator[Source]:
-    """Leaf references (inputs, results, carries, consts) under a source."""
-    if isinstance(source, Concat):
-        for part in source.parts:
-            yield from iter_source_refs(part.source)
-    else:
-        yield source
 
 
 def validate(graph: DataFlowGraph) -> list[Diagnostic]:
@@ -373,9 +370,22 @@ def topo_order(graph: DataFlowGraph) -> tuple[str, ...]:
     return tuple(op.id for op in graph.ops)
 
 
-def operand_bit_producers(
-    graph: DataFlowGraph, op: Operation, operand: Operand, k: int
-) -> list[BitRef]:
+class Namer:
+    """Hands out names not yet taken, suffixing ``_2``, ``_3``... on clashes."""
+
+    def __init__(self, taken: set[str]):
+        self.taken = set(taken)
+
+    def fresh(self, base: str) -> str:
+        name, k = base, 2
+        while name in self.taken:
+            name = f"{base}_{k}"
+            k += 1
+        self.taken.add(name)
+        return name
+
+
+def operand_bit_producers(graph: DataFlowGraph, operand: Operand, k: int) -> list[BitRef]:
     ref = resolve_operand_bit(graph, operand, k)
     return [] if isinstance(ref, ConstBit) else [ref]
 
@@ -393,7 +403,7 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
             for i in range(op.width):
                 prods: list[BitRef] = []
                 for opnd in op.operands:
-                    prods += operand_bit_producers(graph, op, opnd, i)
+                    prods += operand_bit_producers(graph, opnd, i)
                 if i > 0:
                     prods.append(OpBit(op.id, i - 1))
                 elif isinstance(op.carry_in, CarryRef):
@@ -402,21 +412,87 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
         elif op.kind is OpKind.NOT:
             for i in range(op.width):
                 deps[(op.id, i)] = frozenset(
-                    operand_bit_producers(graph, op, op.operands[0], i)
+                    operand_bit_producers(graph, op.operands[0], i)
                 )
         elif op.kind is OpKind.SELECT:
             cond = op.operands[0]
             for i in range(op.width):
-                prods = operand_bit_producers(graph, op, cond, 0)
+                prods = operand_bit_producers(graph, cond, 0)
                 for opnd in op.operands[1:]:
-                    prods += operand_bit_producers(graph, op, opnd, i)
+                    prods += operand_bit_producers(graph, opnd, i)
                 deps[(op.id, i)] = frozenset(prods)
         else:
             prods = []
             for opnd in op.operands:
                 for k in range(opnd.width):
-                    prods += operand_bit_producers(graph, op, opnd, k)
+                    prods += operand_bit_producers(graph, opnd, k)
             whole = frozenset(prods)
             for i in range(op.width):
                 deps[(op.id, i)] = whole
     return deps
+
+
+BitKey = tuple[str, int]  # (op id, result bit)
+
+
+def bit_key(graph: DataFlowGraph, ref: OpBit | CarryBit) -> BitKey:
+    """Table key of an op-produced bit; a carry emerges with its op's MSB."""
+    if isinstance(ref, CarryBit):
+        return (ref.op, graph.op(ref.op).width - 1)
+    return (ref.op, ref.bit)
+
+
+@dataclass(frozen=True)
+class BitView:
+    """Bit-level view of one graph, shared read-only by every pass.
+
+    ``deps`` is ``bit_deps(graph)``.  ``producers`` maps each result bit
+    to the keys of the op bits it waits on: inputs and constants drop
+    out, a carry becomes its op's MSB.  ``consumers`` is the inverse of
+    ``producers``.  ``reads`` maps each bit of a non-glue op to the
+    OpBit/CarryBit refs of non-glue ops it reads once glue is looked
+    through, less the op's own ripple.
+    """
+
+    deps: dict[BitKey, frozenset[BitRef]]
+    producers: dict[BitKey, tuple[BitKey, ...]]
+    consumers: dict[BitKey, tuple[BitKey, ...]]
+    reads: dict[BitKey, tuple[BitRef, ...]]
+
+
+def _build_bit_view(graph: DataFlowGraph) -> BitView:
+    """Passes reach the view through ``graph.bit_view``, built once."""
+    deps = bit_deps(graph)
+    # The view lives as long as its graph: tuples rather than sets, and
+    # one shared key object per bit, keep it about the size of ``deps``.
+    keys = {key: key for key in deps}
+    producers: dict[BitKey, tuple[BitKey, ...]] = {}
+    consumers: dict[BitKey, list[BitKey]] = {key: [] for key in deps}
+    glue_reads: dict[BitKey, set[BitRef]] = {}
+    reads: dict[BitKey, tuple[BitRef, ...]] = {}
+    for op in graph.ops:
+        glue = op.kind in GLUE_KINDS
+        for i in range(op.width):
+            key = keys[(op.id, i)]
+            refs = [r for r in deps[key] if isinstance(r, (OpBit, CarryBit))]
+            producers[key] = tuple({keys[bit_key(graph, r)] for r in refs})
+            for p in producers[key]:
+                consumers[p].append(key)
+            read: set[BitRef] = set()
+            for r in refs:
+                if isinstance(r, CarryBit):
+                    read.add(r)
+                elif (r.op, r.bit) in glue_reads:
+                    read |= glue_reads[(r.op, r.bit)]
+                elif r.op != op.id:  # a ripple is not a read
+                    read.add(r)
+            if glue:
+                glue_reads[key] = read
+            else:
+                reads[key] = tuple(read)
+    return BitView(
+        deps,
+        producers,
+        {key: tuple(users) for key, users in consumers.items()},
+        reads,
+    )

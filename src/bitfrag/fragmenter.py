@@ -24,12 +24,12 @@ from .dfg import (
     GLUE_KINDS,
     InputBit,
     InputRef,
+    Namer,
     OpBit,
     OpKind,
     Operand,
     Operation,
     ResultRef,
-    bit_deps,
     check,
     resolve_operand_bit,
 )
@@ -72,39 +72,25 @@ class Mobility:
     alap: dict[tuple[str, int], Slot]
 
 
-def _producer_slot(graph: DataFlowGraph, table: dict, ref) -> Slot | None:
-    if isinstance(ref, OpBit):
-        return table[(ref.op, ref.bit)]
-    if isinstance(ref, CarryBit):
-        return table[(ref.op, graph.op(ref.op).width - 1)]
-    return None  # inputs and constants carry no slot
-
-
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     """Earliest slot per bit; inputs sit at (0, 0)."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
-    deps = bit_deps(graph)
+    producers = graph.bit_view.producers
     table: dict[tuple[str, int], Slot] = {}
     for op in graph.ops:
         if op.kind is OpKind.MULT_CORE:
-            latest = 0
-            for i in range(op.width):
-                for ref in deps[(op.id, i)]:
-                    slot = _producer_slot(graph, table, ref)
-                    if slot is not None:
-                        latest = max(latest, slot.cycle)
+            latest = max(
+                (table[p].cycle for i in range(op.width) for p in producers[(op.id, i)]),
+                default=0,
+            )
             # Core inputs must be complete in a prior cycle; results
             # fill their cycle so consumers spill to the next one.
             for i in range(op.width):
                 table[(op.id, i)] = Slot(max(1, latest + 1), n_bits)
             continue
         for i in range(op.width):
-            slots = [
-                s
-                for ref in deps[(op.id, i)]
-                if (s := _producer_slot(graph, table, ref)) is not None
-            ]
+            slots = [table[p] for p in producers[(op.id, i)]]
             cycle = max((s.cycle for s in slots), default=0)
             cycle = max(1, cycle)
             depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
@@ -119,23 +105,6 @@ def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     return table
 
 
-def _consumer_map(graph: DataFlowGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
-    deps = bit_deps(graph)
-    consumers: dict[tuple[str, int], list[tuple[str, int]]] = {
-        (op.id, i): [] for op in graph.ops for i in range(op.width)
-    }
-    for (op_id, i), refs in deps.items():
-        for ref in refs:
-            # Ripple chaining makes bit i+1 a consumer of bit i of the
-            # same op; it must constrain the backward pass like any
-            # external consumer.
-            if isinstance(ref, OpBit):
-                consumers[(ref.op, ref.bit)].append((op_id, i))
-            elif isinstance(ref, CarryBit):
-                consumers[(ref.op, graph.op(ref.op).width - 1)].append((op_id, i))
-    return consumers
-
-
 def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
     """Latest slot per bit for a ``lam``-cycle schedule.
 
@@ -147,7 +116,9 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
         raise ValueError(f"latency must be at least 1 cycle, got {lam}")
-    consumers = _consumer_map(graph)
+    # Ripple chaining makes bit i+1 a consumer of bit i of the same op;
+    # it constrains the backward pass like any external consumer.
+    consumers = graph.bit_view.consumers
     due = Slot(lam + 1, 1)
     table: dict[tuple[str, int], Slot] = {}
     for op in reversed(graph.ops):
@@ -205,34 +176,25 @@ def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[in
     for op in graph.ops:
         if op.kind is not OpKind.ADD:
             continue
-        windows = [
+        runs[op.id] = _split_runs([
             (
                 mobility.asap[(op.id, i)].cycle,
                 _clamp(mobility.alap[(op.id, i)], mobility.lam).cycle,
             )
             for i in range(op.width)
-        ]
-        out: list[tuple[int, int, int, int]] = []
-        lo = 0
-        for i in range(1, op.width + 1):
-            if i == op.width or windows[i] != windows[lo]:
-                out.append((lo, i - 1, windows[lo][0], windows[lo][1]))
-                lo = i
-        runs[op.id] = out
+        ])
     return runs
 
 
-class _Namer:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-
-    def claim(self, base: str) -> str:
-        name, k = base, 2
-        while name in self.taken:
-            name = f"{base}_{k}"
-            k += 1
-        self.taken.add(name)
-        return name
+def _split_runs(windows: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """Maximal runs of equal per-bit windows as (lo, hi, asap, alap), LSB first."""
+    out: list[tuple[int, int, int, int]] = []
+    lo = 0
+    for i in range(1, len(windows) + 1):
+        if i == len(windows) or windows[i] != windows[lo]:
+            out.append((lo, i - 1, windows[lo][0], windows[lo][1]))
+            lo = i
+    return out
 
 
 def _regroup(bits: list) -> Operand:
@@ -309,7 +271,7 @@ def apply_runs(
     runs: dict[str, list[tuple[int, int, int, int]]],
 ) -> tuple[dict[str, list[Fragment]], DataFlowGraph]:
     """Split adds along ``runs`` and rewire the rest of the design."""
-    namer = _Namer(
+    namer = Namer(
         {op.id for op in graph.ops} | {p.name for p in graph.inputs}
     )
     fragments: dict[str, list[Fragment]] = {}
@@ -327,7 +289,7 @@ def apply_runs(
             continue
         parts = []
         for k, (lo, hi, a, l) in enumerate(split):
-            frag_id = namer.claim(f"{op.id}{k}")
+            frag_id = namer.fresh(f"{op.id}{k}")
             parts.append(Fragment(op.id, k, frag_id, lo, hi, a, l))
             for i in range(lo, hi + 1):
                 bit_map[(op.id, i)] = (frag_id, i - lo)
@@ -450,14 +412,7 @@ def bucket_runs(
             backward.append(cycle)
             used += 1
         backward.reverse()
-        windows = list(zip(forward, backward))
-        out: list[tuple[int, int, int, int]] = []
-        lo = 0
-        for i in range(1, op.width + 1):
-            if i == op.width or windows[i] != windows[lo]:
-                out.append((lo, i - 1, windows[lo][0], windows[lo][1]))
-                lo = i
-        runs[op.id] = out
+        runs[op.id] = _split_runs(list(zip(forward, backward)))
     return runs
 
 

@@ -18,6 +18,7 @@ from .dfg import (
     Diagnostic,
     GLUE_KINDS,
     InputRef,
+    Namer,
     OpKind,
     Operand,
     Operation,
@@ -46,20 +47,6 @@ class LoweringTrace:
         self.replacements[original] = tuple(op.id for op in new_ops)
 
 
-class _Namer:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-
-    def fresh(self, base: str) -> str:
-        name = base
-        k = 2
-        while name in self.taken:
-            name = f"{base}_{k}"
-            k += 1
-        self.taken.add(name)
-        return name
-
-
 def _result(op: Operation, hi: int | None = None, lo: int = 0) -> Operand:
     if hi is None:
         hi = op.width - 1
@@ -79,7 +66,7 @@ def _sub_slice(opnd: Operand, hi: int, lo: int) -> Operand:
     return Operand(opnd.source, opnd.lo + hi, opnd.lo + lo)
 
 
-def _sliceable(opnd: Operand, base: str, namer: _Namer, ops: list[Operation]) -> Operand:
+def _sliceable(opnd: Operand, base: str, namer: Namer, ops: list[Operation]) -> Operand:
     """Concat operands cannot be sub-sliced in the surface syntax, so
     route them through a pass-through select first."""
     if not isinstance(opnd.source, Concat):
@@ -91,7 +78,7 @@ def _sliceable(opnd: Operand, base: str, namer: _Namer, ops: list[Operation]) ->
     return _result(keep)
 
 
-def lower_sub(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Operation]:
+def lower_sub(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
     """a - b as a + ~b + 1, exact modulo 2**width for either signedness."""
     a, b = op.operands
     inv = Operation(namer.fresh(f"{op.id}_not"), OpKind.NOT, op.width, False, (b,))
@@ -100,7 +87,7 @@ def lower_sub(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Operat
 
 
 def _compare_machinery(
-    op: Operation, namer: _Namer
+    op: Operation, namer: Namer
 ) -> tuple[list[Operation], Operand]:
     """Shared core of LT/MAX/MIN lowering.
 
@@ -139,7 +126,7 @@ def _compare_machinery(
     return ops, _result(total, cw, cw)
 
 
-def lower_compare(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Operation]:
+def lower_compare(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
     """LT via a + ~b + 1; the discarded carry is the not-less-than bit."""
     ops, ge = _compare_machinery(op, namer)
     if op.width == 1:
@@ -151,7 +138,7 @@ def lower_compare(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Op
     return ops + [final]
 
 
-def lower_minmax(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Operation]:
+def lower_minmax(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
     """MAX/MIN as the lowered comparison steering a SELECT."""
     ops, ge = _compare_machinery(op, namer)
     a, b = op.operands
@@ -160,7 +147,7 @@ def lower_minmax(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Ope
     return ops + [final]
 
 
-def lower_signed_mult(graph: DataFlowGraph, op: Operation, namer: _Namer) -> list[Operation]:
+def lower_signed_mult(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
     """Two's-complement m x n multiply decomposed into an unsigned
     (m-1) x (n-1) core plus adds of m and n+1 bits.
 
@@ -247,7 +234,7 @@ def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
     the subtract carry trick.
     """
     trace = LoweringTrace()
-    namer = _Namer({p.name for p in graph.inputs} | {o.id for o in graph.ops})
+    namer = Namer({p.name for p in graph.inputs} | {o.id for o in graph.ops})
     new_ops: list[Operation] = []
 
     for op in graph.ops:

@@ -15,13 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dfg import (
-    CarryBit,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
-    OpBit,
     OpKind,
-    bit_deps,
 )
 from .fragmenter import Fragment, Mobility, Slot, analyze
 
@@ -91,23 +87,13 @@ def realized_slots(
     before they exist, chains deeper than the cycle holds, or core
     inputs not complete in a prior cycle.
     """
-    deps = bit_deps(graph)
+    producers = graph.bit_view.producers
     table: dict[tuple[str, int], Slot] = {}
     problems: list[str] = []
-
-    def slot(ref) -> Slot:
-        if isinstance(ref, OpBit):
-            return table[(ref.op, ref.bit)]
-        if isinstance(ref, CarryBit):
-            return table[(ref.op, graph.op(ref.op).width - 1)]
-        return Slot(0, 0)
-
     for op in graph.ops:
         if op.kind in GLUE_KINDS:
             for i in range(op.width):
-                slots = [
-                    slot(r) for r in deps[(op.id, i)] if not isinstance(r, ConstBit)
-                ]
+                slots = [table[p] for p in producers[(op.id, i)]]
                 cycle = max((s.cycle for s in slots), default=0)
                 depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
                 table[(op.id, i)] = Slot(cycle, depth)
@@ -115,12 +101,7 @@ def realized_slots(
         cycle = cycle_of[op.id]
         if op.kind is OpKind.MULT_CORE:
             ready = max(
-                (
-                    slot(r).cycle
-                    for i in range(op.width)
-                    for r in deps[(op.id, i)]
-                    if not isinstance(r, ConstBit)
-                ),
+                (table[p].cycle for i in range(op.width) for p in producers[(op.id, i)]),
                 default=0,
             )
             if ready >= cycle:
@@ -131,9 +112,7 @@ def realized_slots(
                 table[(op.id, i)] = Slot(cycle, n_bits)
             continue
         for i in range(op.width):
-            slots = [
-                slot(r) for r in deps[(op.id, i)] if not isinstance(r, ConstBit)
-            ]
+            slots = [table[p] for p in producers[(op.id, i)]]
             late = max((s.cycle for s in slots), default=0)
             if late > cycle:
                 problems.append(
@@ -157,7 +136,7 @@ class _Plan:
         self.lam = lam
         self.n_bits = n_bits
         self.windows = windows
-        self.deps = bit_deps(graph)
+        self.producers = graph.bit_view.producers
 
     def completes(self, partial: dict[str, int]) -> bool:
         """A greedy earliest completion of ``partial`` fits the budget.
@@ -167,24 +146,12 @@ class _Plan:
         topo order, so deferring a unit never invalidates one already
         placed.  Pinned units are checked as-is.
         """
-        graph, deps = self.graph, self.deps
+        producers = self.producers
         table: dict[tuple[str, int], Slot] = {}
-
-        def slot(ref) -> Slot:
-            if isinstance(ref, OpBit):
-                return table[(ref.op, ref.bit)]
-            if isinstance(ref, CarryBit):
-                return table[(ref.op, graph.op(ref.op).width - 1)]
-            return Slot(0, 0)
-
-        for op in graph.ops:
+        for op in self.graph.ops:
             if op.kind in GLUE_KINDS:
                 for i in range(op.width):
-                    slots = [
-                        slot(r)
-                        for r in deps[(op.id, i)]
-                        if not isinstance(r, ConstBit)
-                    ]
+                    slots = [table[p] for p in producers[(op.id, i)]]
                     cycle = max((s.cycle for s in slots), default=0)
                     depth = max(
                         (s.depth for s in slots if s.cycle == cycle), default=0
@@ -193,11 +160,10 @@ class _Plan:
                 continue
             ready = max(
                 (
-                    slot(r).cycle
+                    table[p].cycle
                     for i in range(op.width)
-                    for r in deps[(op.id, i)]
-                    if not isinstance(r, ConstBit)
-                    and not (isinstance(r, OpBit) and r.op == op.id)
+                    for p in producers[(op.id, i)]
+                    if p[0] != op.id
                 ),
                 default=0,
             )
@@ -215,11 +181,7 @@ class _Plan:
                     return False
                 fits = True
                 for i in range(op.width):
-                    slots = [
-                        slot(r)
-                        for r in deps[(op.id, i)]
-                        if not isinstance(r, ConstBit)
-                    ]
+                    slots = [table[p] for p in producers[(op.id, i)]]
                     depth = 1 + max(
                         (s.depth for s in slots if s.cycle == c), default=0
                     )

@@ -16,19 +16,15 @@ from dataclasses import dataclass
 from .dfg import (
     CarryBit,
     CarryRef,
-    Concat,
     Const,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
-    InputBit,
     InputRef,
-    OpBit,
     OpKind,
     Operand,
     Operation,
     ResultRef,
-    bit_deps,
+    bit_key,
 )
 from .cost import stored_bits
 from .scheduler import Schedule
@@ -146,33 +142,9 @@ def eval_schedule(
     """
     graph = sched.graph
     env = _Env(graph, inputs)
-    deps = bit_deps(graph)
+    reads = graph.bit_view.reads
     held = stored_bits(sched)
     held_sets = {b: set(refs) for b, refs in held.items()}
-
-    glue_src: dict[tuple[str, int], frozenset] = {}
-
-    def expand(ref) -> frozenset:
-        if isinstance(ref, (InputBit, ConstBit)):
-            return frozenset()
-        if isinstance(ref, CarryBit):
-            return frozenset({ref})
-        if graph.op(ref.op).kind in GLUE_KINDS:
-            return glue_src[(ref.op, ref.bit)]
-        return frozenset({ref})
-
-    for op in graph.ops:
-        if op.kind in GLUE_KINDS:
-            for i in range(op.width):
-                merged = frozenset()
-                for r in deps[(op.id, i)]:
-                    merged |= expand(r)
-                glue_src[(op.id, i)] = merged
-
-    def produced_cycle(ref) -> int:
-        if isinstance(ref, CarryBit):
-            return sched.realized[(ref.op, graph.op(ref.op).width - 1)].cycle
-        return sched.realized[(ref.op, ref.bit)].cycle
 
     trace: list[CycleTrace] = []
     seen: set[str] = set()
@@ -182,17 +154,13 @@ def eval_schedule(
             if op.kind in GLUE_KINDS or sched.cycle_of.get(op.id) != cycle:
                 continue
             for i in range(op.width):
-                for r in deps[(op.id, i)]:
-                    for base in expand(r):
-                        if isinstance(base, OpBit) and base.op == op.id:
-                            continue
-                        if produced_cycle(base) < cycle and base not in held_sets.get(
-                            cycle - 1, set()
-                        ):
-                            raise SimulationError(
-                                f"cycle {cycle}: {op.id} reads unlatched "
-                                f"bit {base} across boundary {cycle - 1}"
-                            )
+                for base in reads[(op.id, i)]:
+                    produced = sched.realized[bit_key(graph, base)].cycle
+                    if produced < cycle and base not in held_sets.get(cycle - 1, set()):
+                        raise SimulationError(
+                            f"cycle {cycle}: {op.id} reads unlatched "
+                            f"bit {base} across boundary {cycle - 1}"
+                        )
             executed.append(op.id)
             seen.add(op.id)
         latched = held.get(cycle, [])

@@ -24,7 +24,7 @@ from .dfg import (
     OpKind,
     Operand,
     ResultRef,
-    bit_deps,
+    bit_key,
 )
 
 KERNEL_ONLY = "timing runs on kernel-extracted designs, found {kind} op {id}"
@@ -49,20 +49,14 @@ def _check_kernel(graph: DataFlowGraph) -> None:
 def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, int], int]:
     """Arrival time of every result bit, inputs and constants at 0."""
     _check_kernel(graph)
-    deps = bit_deps(graph)
+    if core_delay < 0:
+        raise TimingError(f"core delay must not be negative, got {core_delay}")
+    producers = graph.bit_view.producers
     arrival: dict[tuple[str, int], int] = {}
-
-    def of(ref) -> int:
-        if isinstance(ref, OpBit):
-            return arrival[(ref.op, ref.bit)]
-        if isinstance(ref, CarryBit):
-            return arrival[(ref.op, graph.op(ref.op).width - 1)]
-        return 0  # input or constant
-
     for op in graph.ops:
         if op.kind is OpKind.MULT_CORE:
             worst = max(
-                (of(r) for i in range(op.width) for r in deps[(op.id, i)]),
+                (arrival[p] for i in range(op.width) for p in producers[(op.id, i)]),
                 default=0,
             )
             for i in range(op.width):
@@ -71,7 +65,7 @@ def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, i
         cost = 1 if op.kind is OpKind.ADD else 0
         for i in range(op.width):
             arrival[(op.id, i)] = cost + max(
-                (of(r) for r in deps[(op.id, i)]), default=0
+                (arrival[p] for p in producers[(op.id, i)]), default=0
             )
     return arrival
 
@@ -83,12 +77,11 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
     through glue transparently and stopping at inputs or at the opaque
     multiplier core.
     """
-    _check_kernel(graph)
-    deps = bit_deps(graph)
     arrival = bit_arrivals(graph, core_delay)
     if not arrival:
         return CriticalPath((), 0)
 
+    deps = graph.bit_view.deps
     order = {op.id: k for k, op in enumerate(graph.ops)}
 
     def rank(ref) -> tuple:
@@ -100,11 +93,7 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
         return (2, 0, 0)
 
     def of(ref) -> int:
-        if isinstance(ref, OpBit):
-            return arrival[(ref.op, ref.bit)]
-        if isinstance(ref, CarryBit):
-            return arrival[(ref.op, graph.op(ref.op).width - 1)]
-        return 0
+        return arrival[bit_key(graph, ref)]
 
     time = max(arrival.values())
     start = min(
@@ -126,10 +115,7 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
         best = min(producers, key=lambda r: (-of(r), rank(r)))
         if of(best) == 0 and op.kind is OpKind.ADD:
             break  # remaining chain is input-fed
-        if isinstance(best, CarryBit):
-            cur = (best.op, graph.op(best.op).width - 1)
-        else:
-            cur = (best.op, best.bit)
+        cur = bit_key(graph, best)
     return CriticalPath(tuple(path), time)
 
 
@@ -184,5 +170,5 @@ def estimate_cycle(graph: DataFlowGraph, lam: int, core_delay: int = 0) -> int:
     """Clock cycle in delta units for a schedule of ``lam`` cycles."""
     if lam < 1:
         raise TimingError(f"latency must be at least 1 cycle, got {lam}")
-    worst = critical_path(graph, core_delay).time
+    worst = max(bit_arrivals(graph, core_delay).values(), default=0)
     return max(1, ceil(worst / lam))

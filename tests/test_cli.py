@@ -106,6 +106,17 @@ def test_latency_is_required():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["--latency", "0"], ["--nbits", "0"], ["--nbits", "-3"], ["--core-delay", "-5"]],
+)
+def test_out_of_range_option_is_a_usage_error(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([SEC2, "--latency", "3", *option])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_counterexample_exits_three(capsys, monkeypatch):
     broken = EquivResult(
         "random",

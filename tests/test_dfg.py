@@ -9,6 +9,7 @@ from bitfrag.dfg import (
     Const,
     ConstBit,
     DataFlowGraph,
+    GLUE_KINDS,
     InputBit,
     InputPort,
     InputRef,
@@ -25,6 +26,7 @@ from bitfrag.dfg import (
     topo_order,
     validate,
 )
+from conftest import feasible_pipeline, load_design, random_full_design
 
 
 def _tiny() -> DataFlowGraph:
@@ -152,6 +154,59 @@ def test_bit_deps_glue_and_opaque():
     )
     assert deps[("M", 0)] == whole
     assert deps[("M", 3)] == whole
+
+
+def _view_graphs(case: str) -> list[DataFlowGraph]:
+    """A design, its kernel, and its fragmented kernel."""
+    if case.startswith("seed"):
+        graph = random_full_design(int(case[4:]))
+    else:
+        graph = load_design(case)
+    pipe = feasible_pipeline(graph, 3)
+    return [graph, pipe.kernel, pipe.transformed]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["sec2", "fig3", "elliptic", "diffeq"] + [f"seed{s}" for s in range(0, 200, 10)],
+)
+def test_bit_view_is_built_once_and_matches_bit_deps(case):
+    for g in _view_graphs(case):
+        view = g.bit_view
+        assert g.bit_view is view
+        deps = bit_deps(g)
+        assert view.deps == deps
+
+        # Producers: op bits only, a carry standing for its op's MSB.
+        for key, refs in deps.items():
+            assert len(set(view.producers[key])) == len(view.producers[key])
+            assert set(view.producers[key]) == {
+                (r.op, g.op(r.op).width - 1) if isinstance(r, CarryBit) else (r.op, r.bit)
+                for r in refs
+                if isinstance(r, (OpBit, CarryBit))
+            }
+        inverse = {key: [] for key in deps}
+        for key, producers in view.producers.items():
+            for p in producers:
+                inverse[p].append(key)
+        assert {k: sorted(v) for k, v in view.consumers.items()} == {
+            k: sorted(v) for k, v in inverse.items()
+        }
+
+        def through_glue(ref) -> set:
+            if isinstance(ref, OpBit) and g.op(ref.op).kind in GLUE_KINDS:
+                return set().union(*(through_glue(r) for r in deps[(ref.op, ref.bit)]))
+            return {ref} if isinstance(ref, (OpBit, CarryBit)) else set()
+
+        units = [op for op in g.ops if op.kind not in GLUE_KINDS]
+        assert set(view.reads) == {(op.id, i) for op in units for i in range(op.width)}
+        for (op_id, i), refs in view.reads.items():
+            assert len(set(refs)) == len(refs)
+            for r in refs:
+                assert isinstance(r, (OpBit, CarryBit))
+                assert g.op(r.op).kind not in GLUE_KINDS
+            ripple = {OpBit(op_id, b) for b in range(g.op(op_id).width)}
+            assert set(refs) == set().union(*(through_glue(r) for r in deps[(op_id, i)])) - ripple
 
 
 def test_topo_order_is_definition_order():

@@ -104,6 +104,8 @@ def test_core_delay_is_opaque():
     assert arr5[("M", 7)] == 5
     assert arr5[("Y", 7)] == arr0[("Y", 7)] + 5
     assert estimate_cycle(g, 2, core_delay=5) == estimate_cycle(g, 2) + 3
+    with pytest.raises(TimingError, match="core delay"):
+        bit_arrivals(g, core_delay=-1)
 
 
 def test_path_time_rejects_non_adjacent_ops(sec2):
