@@ -5,19 +5,26 @@ unit with a cycle window recomputed from per-bit mobility on the
 fragmented graph.  Zero-mobility units are pinned; the rest are placed
 in increasing mobility order into the legal cycle that keeps the worst
 per-cycle adder-bit load smallest, earliest on ties.  A placement is
-legal when the whole design can still finish by the latency bound:
-candidates are vetted by greedily completing the remaining units at
-their earliest legal cycles and checking realized chain depths.
+legal when the whole design can still finish by the latency bound: a
+greedy completion places the remaining units at their earliest legal
+cycles and checks realized chain depths.  The completion of the
+placements made so far is kept as a base slot table.  A candidate
+re-settles only the region it changes, the ops downstream of its unit
+whose slots differ from the base, and a winner's changes update the
+base in place: the time-frame update of force-directed scheduling
+(Paulin & Knight, IEEE TCAD 1989).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .dfg import (
     DataFlowGraph,
     GLUE_KINDS,
     OpKind,
+    Operation,
 )
 from .fragmenter import Fragment, Mobility, Slot, analyze
 
@@ -129,72 +136,145 @@ def realized_slots(
     return table, problems
 
 
+class _Overlay(dict):
+    """Slots one candidate changes, read through to the base elsewhere."""
+
+    def __init__(self, base: dict[tuple[str, int], Slot]):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, key: tuple[str, int]) -> Slot:
+        return self.base[key]
+
+
 class _Plan:
+    """Greedy completions of the placements made so far.
+
+    ``cycle_of`` holds the placed units and ``base`` the slot table of
+    its greedy completion, or None while that completion fails, which
+    can only happen before the first placement.  A candidate re-settles
+    its unit and then, in graph order, only the ops that read a slot it
+    changed: an op's slots are a pure function of its producer slots,
+    its placement and its window, so an op whose slots come out as in
+    the base stops the change there, and every op outside the region
+    settles as it did in the base, which succeeded.
+    """
+
     def __init__(self, graph: DataFlowGraph, lam: int, n_bits: int,
-                 windows: dict[str, tuple[int, int]]):
+                 windows: dict[str, tuple[int, int]], cycle_of: dict[str, int]):
         self.graph = graph
         self.lam = lam
         self.n_bits = n_bits
         self.windows = windows
-        self.producers = graph.bit_view.producers
+        self.cycle_of = cycle_of
+        view = graph.bit_view
+        self.producers = view.producers
+        self.position = {op.id: k for k, op in enumerate(graph.ops)}
+        self.successors = [
+            {
+                self.position[q[0]]
+                for i in range(op.width)
+                for q in view.consumers[(op.id, i)]
+            }
+            - {k}
+            for k, op in enumerate(graph.ops)
+        ]
+        self.base = self._complete(None, 0)
 
-    def completes(self, partial: dict[str, int]) -> bool:
-        """A greedy earliest completion of ``partial`` fits the budget.
+    def settle(self, op: Operation, pin: int | None,
+               table: dict[tuple[str, int], Slot]) -> bool:
+        """Write the slots of ``op``'s bits; False if it cannot fit.
 
-        Unassigned units start at their window floor and move later only
-        while their chain overflows the cycle; producers come first in
-        topo order, so deferring a unit never invalidates one already
-        placed.  Pinned units are checked as-is.
+        An unplaced unit (``pin`` None) starts at its window floor and
+        moves later only while its chain overflows the cycle; producers
+        come first in topo order, so deferring a unit never invalidates
+        one already settled.  A placed unit is checked as-is.
         """
         producers = self.producers
+        if op.kind in GLUE_KINDS:
+            for i in range(op.width):
+                slots = [table[p] for p in producers[(op.id, i)]]
+                cycle = max((s.cycle for s in slots), default=0)
+                depth = max(
+                    (s.depth for s in slots if s.cycle == cycle), default=0
+                )
+                table[(op.id, i)] = Slot(cycle, depth)
+            return True
+        ready = max(
+            (
+                table[p].cycle
+                for i in range(op.width)
+                for p in producers[(op.id, i)]
+                if p[0] != op.id
+            ),
+            default=0,
+        )
+        if op.kind is OpKind.MULT_CORE:
+            c = pin if pin is not None else max(self.windows[op.id][0], ready + 1)
+            if c <= ready or c > self.lam:
+                return False
+            for i in range(op.width):
+                table[(op.id, i)] = Slot(c, self.n_bits)
+            return True
+        c = pin if pin is not None else max(self.windows[op.id][0], ready)
+        while True:
+            if c > self.lam or c < ready:
+                return False
+            fits = True
+            for i in range(op.width):
+                slots = [table[p] for p in producers[(op.id, i)]]
+                depth = 1 + max(
+                    (s.depth for s in slots if s.cycle == c), default=0
+                )
+                if depth > self.n_bits:
+                    fits = False
+                    break
+                table[(op.id, i)] = Slot(c, depth)
+            if fits:
+                return True
+            if pin is not None:
+                return False
+            c += 1
+
+    def _complete(self, uid: str | None, c: int) -> dict[tuple[str, int], Slot] | None:
+        """The whole completion table with ``uid`` at ``c``, or None."""
         table: dict[tuple[str, int], Slot] = {}
         for op in self.graph.ops:
-            if op.kind in GLUE_KINDS:
-                for i in range(op.width):
-                    slots = [table[p] for p in producers[(op.id, i)]]
-                    cycle = max((s.cycle for s in slots), default=0)
-                    depth = max(
-                        (s.depth for s in slots if s.cycle == cycle), default=0
-                    )
-                    table[(op.id, i)] = Slot(cycle, depth)
-                continue
-            ready = max(
-                (
-                    table[p].cycle
-                    for i in range(op.width)
-                    for p in producers[(op.id, i)]
-                    if p[0] != op.id
-                ),
-                default=0,
-            )
-            if op.kind is OpKind.MULT_CORE:
-                c = partial.get(op.id, max(self.windows[op.id][0], ready + 1))
-                if c <= ready or c > self.lam:
-                    return False
-                for i in range(op.width):
-                    table[(op.id, i)] = Slot(c, self.n_bits)
-                continue
-            pinned = op.id in partial
-            c = partial[op.id] if pinned else max(self.windows[op.id][0], ready)
-            while True:
-                if c > self.lam or c < ready:
-                    return False
-                fits = True
-                for i in range(op.width):
-                    slots = [table[p] for p in producers[(op.id, i)]]
-                    depth = 1 + max(
-                        (s.depth for s in slots if s.cycle == c), default=0
-                    )
-                    if depth > self.n_bits:
-                        fits = False
-                        break
-                    table[(op.id, i)] = Slot(c, depth)
-                if fits:
-                    break
-                if pinned:
-                    return False
-                c += 1
-        return True
+            pin = c if op.id == uid else self.cycle_of.get(op.id)
+            if not self.settle(op, pin, table):
+                return None
+        return table
+
+    def vet(self, uid: str, c: int) -> dict[tuple[str, int], Slot] | None:
+        """The slots that change with ``uid`` at ``c``, or None if the
+        completion no longer fits the budget."""
+        base = self.base
+        if base is None:
+            return self._complete(uid, c)
+        ops = self.graph.ops
+        table = _Overlay(base)
+        heap = [self.position[uid]]
+        queued = set(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            op = ops[k]
+            pin = c if op.id == uid else self.cycle_of.get(op.id)
+            if not self.settle(op, pin, table):
+                return None
+            if any(table[(op.id, i)] != base[(op.id, i)] for i in range(op.width)):
+                for s in self.successors[k]:
+                    if s not in queued:
+                        queued.add(s)
+                        heapq.heappush(heap, s)
+        return table
+
+    def place(self, uid: str, c: int, table: dict[tuple[str, int], Slot]) -> None:
+        """Commit a candidate that ``vet`` passed, with its table."""
+        self.cycle_of[uid] = c
+        if self.base is None:
+            self.base = table
+        else:
+            self.base.update(table)
 
 
 def schedule(
@@ -208,7 +288,6 @@ def schedule(
     if mobility is None:
         mobility = analyze(graph, n_bits, lam)
     windows = unit_windows(graph, mobility, fragments)
-    plan = _Plan(graph, lam, n_bits, windows)
 
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     prev_sib: dict[str, str] = {}
@@ -224,18 +303,18 @@ def schedule(
             raise ScheduleError(f"{uid}: empty cycle window [{early}, {late}]")
         if early == late and graph.op(uid).kind is OpKind.ADD:
             cycle_of[uid] = early
+    plan = _Plan(graph, lam, n_bits, windows, cycle_of)
 
     for op in graph.ops:
         if op.kind is not OpKind.MULT_CORE:
             continue
         early, late = windows[op.id]
-        placed = False
         for c in range(early, late + 1):
-            if plan.completes({**cycle_of, op.id: c}):
-                cycle_of[op.id] = c
-                placed = True
+            table = plan.vet(op.id, c)
+            if table is not None:
+                plan.place(op.id, c, table)
                 break
-        if not placed:
+        else:
             raise ScheduleError(f"no feasible cycle for core {op.id}")
 
     def order_key(uid: str) -> tuple:
@@ -268,17 +347,21 @@ def schedule(
             hi_c = min(hi_c, cycle_of[next_sib[uid]])
         width = graph.op(uid).width
         best: tuple[int, int] | None = None
+        best_table = None
         for c in range(lo_c, hi_c + 1):
-            if not plan.completes({**cycle_of, uid: c}):
-                continue
             peak = max(
                 loads[k] + (width if k == c else 0) for k in loads
             )
-            if best is None or (peak, c) < best:
-                best = (peak, c)
+            # Cycles rise, so a later cycle wins only on a strictly
+            # smaller peak; vet only those.
+            if best is not None and peak >= best[0]:
+                continue
+            table = plan.vet(uid, c)
+            if table is not None:
+                best, best_table = (peak, c), table
         if best is None:
             raise ScheduleError(f"no feasible cycle for {uid}")
-        cycle_of[uid] = best[1]
+        plan.place(uid, best[1], best_table)
         loads[best[1]] += width
 
     realized, problems = realized_slots(graph, n_bits, cycle_of)

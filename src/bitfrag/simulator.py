@@ -2,9 +2,11 @@
 
 Values are plain ints holding the unsigned bit pattern of each signal;
 signedness only changes how MULT/LT/MAX/MIN interpret their operands.
-``eval_dfg`` evaluates any validated design directly; ``eval_schedule``
-replays a scheduled design cycle by cycle and insists that every value
-crossing a cycle boundary sits in a latch the cost model pays for.
+``eval_dfg`` evaluates any validated design directly.  The latch check
+walks a scheduled design cycle by cycle and insists that every value
+crossing a cycle boundary sits in a latch the cost model pays for; it
+reads no input values, so ``check_equiv`` runs it once per schedule,
+while ``eval_schedule`` runs it with every evaluation.
 """
 
 from __future__ import annotations
@@ -131,17 +133,15 @@ class CycleTrace:
     latched: tuple[str, ...]
 
 
-def eval_schedule(
-    sched: Schedule, inputs: dict[str, int]
-) -> tuple[dict[str, int], list[CycleTrace]]:
-    """Replay a schedule cycle by cycle.
+def _latch_check(sched: Schedule) -> list[CycleTrace]:
+    """Check a schedule's cycle boundaries and trace its cycles.
 
     Raises SimulationError if any operand bit produced in an earlier
     cycle is missing from the latch set the cost model charges for at
-    the intervening boundary.
+    the intervening boundary, or if a unit has no cycle.  Nothing here
+    depends on input values, so one check covers every vector.
     """
     graph = sched.graph
-    env = _Env(graph, inputs)
     reads = graph.bit_view.reads
     held = stored_bits(sched)
     held_sets = {b: set(refs) for b, refs in held.items()}
@@ -181,14 +181,23 @@ def eval_schedule(
     ]
     if missing:
         raise SimulationError(f"unscheduled operations: {', '.join(missing)}")
+    return trace
+
+
+def eval_schedule(
+    sched: Schedule, inputs: dict[str, int]
+) -> tuple[dict[str, int], list[CycleTrace]]:
+    """Replay a schedule: one evaluation and its latch check.
+
+    Raises SimulationError for missing inputs, then as ``_latch_check``
+    does.
+    """
     # A consumer may chain off the low fragments of a glue source whose
     # high fragments land in a later cycle, so whole-op values cannot be
-    # settled strictly per cycle; with the latch check done the
+    # settled strictly per cycle; once the latch check passes the
     # arithmetic is order independent and definition order suffices.
-    for op in graph.ops:
-        _eval_op(env, op)
-    outputs = {name: env.values[name] for name in graph.outputs}
-    return outputs, trace
+    outputs = eval_dfg(sched.graph, inputs)
+    return outputs, _latch_check(sched)
 
 
 @dataclass(frozen=True)
@@ -216,8 +225,9 @@ def check_equiv(
 
     Exhausts every input combination when the design has at most
     EXHAUSTIVE_LIMIT total input bits, otherwise draws ``samples``
-    seeded random vectors.  A Schedule candidate is replayed cycle by
-    cycle, so latch completeness is exercised along the way.
+    seeded random vectors.  A Schedule candidate has its latch check
+    run once, before any vector, and its graph is then evaluated per
+    vector.
     """
     cand_graph = candidate.graph if isinstance(candidate, Schedule) else candidate
     ref_sig = [(p.name, p.width) for p in reference.inputs]
@@ -233,17 +243,15 @@ def check_equiv(
             f"output signatures differ: {ref_out} vs {cand_out}"
         )
 
-    def run_candidate(inputs: dict[str, int]) -> dict[str, int]:
-        if isinstance(candidate, Schedule):
-            return eval_schedule(candidate, inputs)[0]
-        return eval_dfg(candidate, inputs)
+    if isinstance(candidate, Schedule):
+        _latch_check(candidate)
 
     ports = list(reference.inputs)
     total_bits = sum(p.width for p in ports)
 
     def compare(inputs: dict[str, int], checked: int, strategy: str) -> EquivResult | None:
         want = eval_dfg(reference, inputs)
-        got = run_candidate(inputs)
+        got = eval_dfg(cand_graph, inputs)
         for name in reference.outputs:
             if got[name] != want[name]:
                 return EquivResult(

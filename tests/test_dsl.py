@@ -16,8 +16,10 @@ from bitfrag.dfg import (
     Operation,
     OpKind,
     ResultRef,
+    ValidationError,
 )
 from conftest import (
+    DESIGN_DIR,
     MIXED_SOURCE,
     SAT_SOURCE,
     load_design,
@@ -162,3 +164,34 @@ def test_dot_export_marks_carry_edges():
         "Y: add u4 carry(X) = A + A;\noutput Y;"
     )
     assert '"X" -> "Y" [label="carry", style=dashed];' in emit_dot(g)
+
+
+_BUNDLED_TEXTS = [
+    (DESIGN_DIR / f"{name}.dfg").read_text()
+    for name in ("sec2", "fig3", "elliptic", "diffeq")
+]
+
+
+@st.composite
+def _mutated_design_text(draw) -> str:
+    """A bundled design with characters inserted, deleted or duplicated."""
+    text = draw(st.sampled_from(_BUNDLED_TEXTS + [SAT_SOURCE, MIXED_SOURCE]))
+    for _ in range(draw(st.integers(1, 8))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.text(min_size=1, max_size=3)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 6)):]
+        else:
+            text = text[:at] + text[at:at + draw(st.integers(1, 12))] + text[at:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_design_text())
+def test_mutated_text_parses_or_raises_a_typed_error(text):
+    try:
+        parse(text)
+    except (ParseError, ValidationError):
+        pass

@@ -3,8 +3,14 @@
 import pytest
 
 from bitfrag import extract_kernel, parse
-from bitfrag.dfg import OpKind
-from bitfrag.fragmenter import Slot, analyze, bucket_fragment, fragment
+from bitfrag.dfg import GLUE_KINDS, OpKind
+from bitfrag.fragmenter import (
+    InfeasibleError,
+    Slot,
+    analyze,
+    bucket_fragment,
+    fragment,
+)
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
@@ -13,7 +19,8 @@ from bitfrag.scheduler import (
     unit_windows,
     verify_schedule,
 )
-from conftest import run_pipeline
+from bitfrag.timing import estimate_cycle
+from conftest import load_design, random_add_design, random_full_design, run_pipeline
 
 
 def test_prescheduled_fragments_are_pinned(sec2):
@@ -172,3 +179,160 @@ def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
                 for i in range(op.width):
                     slot = p.sched.realized[(op.id, i)]
                     assert 1 <= slot.depth <= p.n_bits
+
+
+def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
+    """Whole-graph vetting: a greedy earliest completion of ``partial``."""
+    producers = graph.bit_view.producers
+    table = {}
+    for op in graph.ops:
+        if op.kind in GLUE_KINDS:
+            for i in range(op.width):
+                slots = [table[p] for p in producers[(op.id, i)]]
+                cycle = max((s.cycle for s in slots), default=0)
+                depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
+                table[(op.id, i)] = Slot(cycle, depth)
+            continue
+        ready = max(
+            (
+                table[p].cycle
+                for i in range(op.width)
+                for p in producers[(op.id, i)]
+                if p[0] != op.id
+            ),
+            default=0,
+        )
+        if op.kind is OpKind.MULT_CORE:
+            c = partial.get(op.id, max(windows[op.id][0], ready + 1))
+            if c <= ready or c > lam:
+                return False
+            for i in range(op.width):
+                table[(op.id, i)] = Slot(c, n_bits)
+            continue
+        pinned = op.id in partial
+        c = partial[op.id] if pinned else max(windows[op.id][0], ready)
+        while True:
+            if c > lam or c < ready:
+                return False
+            fits = True
+            for i in range(op.width):
+                slots = [table[p] for p in producers[(op.id, i)]]
+                depth = 1 + max((s.depth for s in slots if s.cycle == c), default=0)
+                if depth > n_bits:
+                    fits = False
+                    break
+                table[(op.id, i)] = Slot(c, depth)
+            if fits:
+                break
+            if pinned:
+                return False
+            c += 1
+    return True
+
+
+def _reference_schedule(graph, fragments, lam, n_bits):
+    """The scheduler as it was before incremental vetting: every
+    candidate re-completes the whole graph from a fresh partial map."""
+    windows = unit_windows(graph, analyze(graph, n_bits, lam), fragments)
+
+    def completes(partial):
+        return _reference_completes(graph, lam, n_bits, windows, partial)
+
+    frag_of = {f.id: f for parts in fragments.values() for f in parts}
+    prev_sib, next_sib = {}, {}
+    for parts in fragments.values():
+        for a, b in zip(parts, parts[1:]):
+            prev_sib[b.id] = a.id
+            next_sib[a.id] = b.id
+
+    cycle_of = {}
+    for uid, (early, late) in windows.items():
+        if early > late:
+            raise ScheduleError(f"{uid}: empty cycle window [{early}, {late}]")
+        if early == late and graph.op(uid).kind is OpKind.ADD:
+            cycle_of[uid] = early
+
+    for op in graph.ops:
+        if op.kind is not OpKind.MULT_CORE:
+            continue
+        early, late = windows[op.id]
+        for c in range(early, late + 1):
+            if completes({**cycle_of, op.id: c}):
+                cycle_of[op.id] = c
+                break
+        else:
+            raise ScheduleError(f"no feasible cycle for core {op.id}")
+
+    def order_key(uid):
+        early, late = windows[uid]
+        frag = frag_of.get(uid)
+        return (late - early, early, frag.parent if frag else uid, frag.lo if frag else 0)
+
+    movable = sorted(
+        (op.id for op in graph.ops if op.kind is OpKind.ADD and op.id not in cycle_of),
+        key=order_key,
+    )
+    loads = {c: 0 for c in range(1, lam + 1)}
+    for op in graph.ops:
+        if op.kind is OpKind.ADD and op.id in cycle_of:
+            loads[cycle_of[op.id]] += op.width
+
+    for uid in movable:
+        lo_c, hi_c = windows[uid]
+        if uid in prev_sib and prev_sib[uid] in cycle_of:
+            lo_c = max(lo_c, cycle_of[prev_sib[uid]])
+        if uid in next_sib and next_sib[uid] in cycle_of:
+            hi_c = min(hi_c, cycle_of[next_sib[uid]])
+        width = graph.op(uid).width
+        best = None
+        for c in range(lo_c, hi_c + 1):
+            if not completes({**cycle_of, uid: c}):
+                continue
+            peak = max(loads[k] + (width if k == c else 0) for k in loads)
+            if best is None or (peak, c) < best:
+                best = (peak, c)
+        if best is None:
+            raise ScheduleError(f"no feasible cycle for {uid}")
+        cycle_of[uid] = best[1]
+        loads[best[1]] += width
+
+    realized, problems = realized_slots(graph, n_bits, cycle_of)
+    if problems:
+        raise ScheduleError("; ".join(problems))
+    return Schedule(graph, lam, n_bits, cycle_of, realized, fragments)
+
+
+def _outcome(scheduler, transformed, fragments, lam, n_bits):
+    """``cycle_of`` and realized slots, or the typed error raised."""
+    try:
+        sched = scheduler(transformed, fragments, lam, n_bits)
+    except ScheduleError as err:
+        return str(err)
+    return sched.cycle_of, sched.realized
+
+
+_ORACLE_CASES = [
+    pytest.param(lambda name=name: load_design(name), lam, id=f"{name}@{lam}")
+    for name in ("sec2", "fig3", "elliptic", "diffeq")
+    for lam in range(2, 7)
+] + [
+    pytest.param(
+        lambda kind=kind, seed=seed: kind(seed), lam, id=f"{kind.__name__}({seed})@{lam}"
+    )
+    for kind in (random_add_design, random_full_design)
+    for seed in range(0, 200, 25)
+    for lam in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
+@pytest.mark.parametrize("make,lam", _ORACLE_CASES)
+def test_incremental_vetting_matches_whole_graph_vetting(make, lam, tile):
+    kernel, _ = extract_kernel(make())
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+    except InfeasibleError:
+        return
+    args = (transformed, fragments, lam, n_bits)
+    assert _outcome(schedule, *args) == _outcome(_reference_schedule, *args)

@@ -165,6 +165,44 @@ def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
         eval_schedule(sched, {p.name: 0xFFFF for p in sec2.inputs})
 
 
+def test_check_equiv_rejects_missing_unit():
+    g = parse("design d;\ninput a : u4; input b : u4;\nX: add u4 = a + b;\noutput X;")
+    p = run_pipeline(g, 2, n_bits=4)
+    from bitfrag.scheduler import Schedule
+
+    broken = Schedule(
+        p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.realized,
+        p.sched.fragments,
+    )
+    with pytest.raises(SimulationError, match="unscheduled operations"):
+        check_equiv(g, broken)
+
+
+def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
+    # The latch check reads no input values: check_equiv runs it once
+    # per schedule, and a dropped stored bit still stops the proof.
+    sched = run_pipeline(sec2, 3).sched
+    real = simulator.stored_bits
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(simulator, "stored_bits", counted)
+    assert check_equiv(sec2, sched, samples=20).equivalent
+    assert len(calls) == 1
+
+    def leaky(s):
+        held = {b: list(refs) for b, refs in real(s).items()}
+        held[1] = [r for r in held[1] if r != OpBit("C0", 5)]
+        return held
+
+    monkeypatch.setattr(simulator, "stored_bits", leaky)
+    with pytest.raises(SimulationError, match="reads unlatched bit"):
+        check_equiv(sec2, sched, samples=20)
+
+
 def test_glue_between_fragmented_adds_replays(mixed):
     # The multiply lowering leaves a select between fragmented adds; a
     # consumer may chain off its low fragments in the same cycle.
