@@ -12,7 +12,8 @@ placements made so far is kept as a base slot table.  A candidate
 re-settles only the region it changes, the ops downstream of its unit
 whose slots differ from the base, and a winner's changes update the
 base in place: the time-frame update of force-directed scheduling
-(Paulin & Knight, IEEE TCAD 1989).
+(Paulin & Knight, IEEE TCAD 1989).  Once every unit is placed, the base
+is the schedule's realized slot table.
 """
 
 from __future__ import annotations
@@ -364,6 +365,12 @@ def schedule(
         plan.place(uid, best[1], best_table)
         loads[best[1]] += width
 
+    if plan.base is not None:
+        # Every unit is placed, so the base is the completion of
+        # cycle_of itself: each op settled at its own cycle under the
+        # checks realized_slots makes, and the table is the same.
+        return Schedule(graph, lam, n_bits, cycle_of, dict(plan.base), fragments)
+    # Nothing was placed and the completion of the pins failed.
     realized, problems = realized_slots(graph, n_bits, cycle_of)
     if problems:
         raise ScheduleError("; ".join(problems))

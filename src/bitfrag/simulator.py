@@ -2,11 +2,15 @@
 
 Values are plain ints holding the unsigned bit pattern of each signal;
 signedness only changes how MULT/LT/MAX/MIN interpret their operands.
-``eval_dfg`` evaluates any validated design directly.  The latch check
-walks a scheduled design cycle by cycle and insists that every value
-crossing a cycle boundary sits in a latch the cost model pays for; it
-reads no input values, so ``check_equiv`` runs it once per schedule,
-while ``eval_schedule`` runs it with every evaluation.
+``eval_dfg`` evaluates any validated design directly, one vector at a
+time; it is the reference oracle.  ``check_equiv`` evaluates blocks of
+vectors instead: ``_eval_block`` decodes each op once per block and
+computes it with one comprehension over the block's values, in the
+manner of parallel-pattern fault simulators.  The latch check walks a
+scheduled design cycle by cycle and insists that every value crossing a
+cycle boundary sits in a latch the cost model pays for; it reads no
+input values, so ``check_equiv`` runs it once per schedule, while
+``eval_schedule`` runs it with every evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from .dfg import (
     Operand,
     Operation,
     ResultRef,
+    Source,
     bit_key,
+    source_width,
 )
 from .cost import stored_bits
 from .scheduler import Schedule
@@ -124,6 +130,105 @@ def eval_dfg(graph: DataFlowGraph, inputs: dict[str, int]) -> dict[str, int]:
     for op in graph.ops:
         _eval_op(env, op)
     return {name: env.values[name] for name in graph.outputs}
+
+
+# Vectors per block in check_equiv.  Each op is decoded once per block,
+# and every column of a block lives until the block ends: over the
+# benchmark's equiv designs, 64 vectors ran twice as fast as 16 at a
+# tracemalloc peak of 1.2 MB, while 256 were 20% faster again at 2.9 MB.
+_BLOCK = 64
+
+
+def _signed_column(column: list[int], width: int) -> list[int]:
+    half, full = 1 << (width - 1), 1 << width
+    return [x - full if x & half else x for x in column]
+
+
+def _eval_block(
+    graph: DataFlowGraph, columns: dict[str, list[int]], n: int
+) -> dict[str, list[int]]:
+    """``eval_dfg`` on ``n`` vectors at once.
+
+    ``columns`` maps every input name to its ``n`` values, one per
+    vector; the result maps every output name to its ``n`` unsigned bit
+    patterns.  Each op is decoded once, with its slices, carries,
+    constants and concatenations resolved, and computed with one
+    comprehension over the block.  Takes a validated graph, on which
+    every source value already fits its source width.
+    """
+    values = {
+        p.name: [v & _mask(p.width) for v in columns[p.name]] for p in graph.inputs
+    }
+    carries: dict[str, list[int]] = {}
+
+    def source(src: Source) -> list[int]:
+        if isinstance(src, InputRef):
+            return values[src.name]
+        if isinstance(src, ResultRef):
+            return values[src.op]
+        if isinstance(src, CarryRef):
+            return carries[src.op]
+        if isinstance(src, Const):
+            return [int(src.bits, 2)] * n
+        first, *rest = src.parts  # Concat, MSB first
+        column = operand(first)
+        for part in rest:
+            w = part.width
+            column = [(x << w) | y for x, y in zip(column, operand(part))]
+        return column
+
+    def operand(o: Operand, width: int | None = None) -> list[int]:
+        """``o``'s values at its own width, cut to ``width`` if narrower."""
+        w = o.width if width is None else min(o.width, width)
+        column, lo = source(o.source), o.lo
+        if lo:
+            m = _mask(w)
+            return [(x >> lo) & m for x in column]
+        if source_width(graph, o.source) > w:
+            m = _mask(w)
+            return [x & m for x in column]
+        return column
+
+    for op in graph.ops:
+        w, kind, opnds = op.width, op.kind, op.operands
+        m = _mask(w)
+        if kind is OpKind.ADD:
+            a, b = operand(opnds[0], w), operand(opnds[1], w)
+            carry_in = op.carry_in
+            if isinstance(carry_in, CarryRef):
+                total = [x + y + c for x, y, c in zip(a, b, carries[carry_in.op])]
+            else:
+                c = carry_in or 0
+                total = [x + y + c for x, y in zip(a, b)]
+            values[op.id] = [t & m for t in total]
+            carries[op.id] = [t >> w for t in total]
+        elif kind is OpKind.SUB:
+            a, b = operand(opnds[0], w), operand(opnds[1], w)
+            values[op.id] = [(x - y) & m for x, y in zip(a, b)]
+        elif kind is OpKind.NOT:
+            values[op.id] = [~x & m for x in operand(opnds[0])]
+        elif kind is OpKind.SELECT:
+            s, a, b = (operand(o) for o in opnds)
+            values[op.id] = [(y if x else z) & m for x, y, z in zip(s, a, b)]
+        else:  # MULT_CORE, MULT, LT, MAX, MIN
+            a, b = operand(opnds[0]), operand(opnds[1])
+            ka, kb = a, b
+            if op.signed and kind is not OpKind.MULT_CORE:
+                ka = _signed_column(a, opnds[0].width)
+                kb = _signed_column(b, opnds[1].width)
+            if kind is OpKind.LT:
+                values[op.id] = [(x < y) & m for x, y in zip(ka, kb)]
+            elif kind is OpKind.MAX:
+                values[op.id] = [
+                    (p if x >= y else q) & m for p, q, x, y in zip(a, b, ka, kb)
+                ]
+            elif kind is OpKind.MIN:
+                values[op.id] = [
+                    (q if x >= y else p) & m for p, q, x, y in zip(a, b, ka, kb)
+                ]
+            else:
+                values[op.id] = [(x * y) & m for x, y in zip(ka, kb)]
+    return {name: values[name] for name in graph.outputs}
 
 
 @dataclass(frozen=True)
@@ -225,9 +330,13 @@ def check_equiv(
 
     Exhausts every input combination when the design has at most
     EXHAUSTIVE_LIMIT total input bits, otherwise draws ``samples``
-    seeded random vectors.  A Schedule candidate has its latch check
-    run once, before any vector, and its graph is then evaluated per
-    vector.
+    seeded random vectors; fewer than one sample raises
+    SimulationError rather than proving nothing.  A Schedule candidate
+    has its latch check run once, before any vector, and its graph is
+    then evaluated.  Both designs are evaluated one block of vectors at
+    a time, and the result names the first mismatching vector in
+    drawing order and its first mismatching output in the reference's
+    order, exactly as a vector-by-vector comparison would.
     """
     cand_graph = candidate.graph if isinstance(candidate, Schedule) else candidate
     ref_sig = [(p.name, p.width) for p in reference.inputs]
@@ -243,37 +352,42 @@ def check_equiv(
             f"output signatures differ: {ref_out} vs {cand_out}"
         )
 
+    ports = list(reference.inputs)
+    names = [p.name for p in ports]
+    if sum(p.width for p in ports) <= EXHAUSTIVE_LIMIT:
+        strategy = "exhaustive"
+        vectors = itertools.product(*(range(1 << p.width) for p in ports))
+    else:
+        if samples < 1:
+            raise SimulationError(
+                f"random equivalence needs at least 1 sample, got {samples}"
+            )
+        strategy = "random"
+        rng = random.Random(seed)
+        vectors = (
+            tuple(rng.randrange(1 << p.width) for p in ports)
+            for _ in range(samples)
+        )
+
     if isinstance(candidate, Schedule):
         _latch_check(candidate)
 
-    ports = list(reference.inputs)
-    total_bits = sum(p.width for p in ports)
-
-    def compare(inputs: dict[str, int], checked: int, strategy: str) -> EquivResult | None:
-        want = eval_dfg(reference, inputs)
-        got = eval_dfg(cand_graph, inputs)
-        for name in reference.outputs:
-            if got[name] != want[name]:
-                return EquivResult(
-                    strategy, checked, False, dict(inputs), (name, got[name], want[name])
-                )
-        return None
-
-    if total_bits <= EXHAUSTIVE_LIMIT:
-        checked = 0
-        for combo in itertools.product(*(range(1 << p.width) for p in ports)):
-            inputs = {p.name: v for p, v in zip(ports, combo)}
-            checked += 1
-            failed = compare(inputs, checked, "exhaustive")
-            # A mismatch result is falsy by design; test against None.
-            if failed is not None:
-                return failed
-        return EquivResult("exhaustive", checked, True)
-
-    rng = random.Random(seed)
-    for k in range(samples):
-        inputs = {p.name: rng.randrange(1 << p.width) for p in ports}
-        failed = compare(inputs, k + 1, "random")
-        if failed is not None:
-            return failed
-    return EquivResult("random", samples, True)
+    checked = 0
+    while block := list(itertools.islice(vectors, _BLOCK)):
+        n = len(block)
+        columns = dict(zip(names, map(list, zip(*block))))
+        want = _eval_block(reference, columns, n)
+        got = _eval_block(cand_graph, columns, n)
+        if got != want:
+            # The first mismatching vector, then the first output in
+            # the reference's order, as a vector-by-vector scan finds it.
+            for j, vector in enumerate(block):
+                for name in reference.outputs:
+                    if got[name][j] != want[name][j]:
+                        return EquivResult(
+                            strategy, checked + j + 1, False,
+                            dict(zip(names, vector)),
+                            (name, got[name][j], want[name][j]),
+                        )
+        checked += n
+    return EquivResult(strategy, checked, True)

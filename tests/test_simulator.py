@@ -1,18 +1,39 @@
 """Bit-accurate evaluation and equivalence checking."""
 
-import pytest
+import dataclasses
+import itertools
+import random
 
-from bitfrag import parse
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bitfrag import check, extract_kernel, parse
 from bitfrag import simulator
-from bitfrag.dfg import OpBit
+from bitfrag.dfg import (
+    CarryRef,
+    Concat,
+    Const,
+    DataFlowGraph,
+    InputPort,
+    InputRef,
+    OpBit,
+    Operand,
+    Operation,
+    OpKind,
+    ResultRef,
+)
+from bitfrag.fragmenter import InfeasibleError
+from bitfrag.scheduler import Schedule, ScheduleError
 from bitfrag.simulator import (
     EXHAUSTIVE_LIMIT,
+    EquivResult,
     SimulationError,
     check_equiv,
     eval_dfg,
     eval_schedule,
 )
-from conftest import run_pipeline
+from conftest import load_design, random_add_design, random_full_design, run_pipeline
 
 
 def _eval(source: str, **inputs):
@@ -247,3 +268,319 @@ def test_check_equiv_rejects_signature_mismatches():
         check_equiv(ref, renamed)
     with pytest.raises(SimulationError, match="output signatures differ"):
         check_equiv(ref, wider)
+
+
+def test_check_equiv_rejects_a_vacuous_random_proof(sec2):
+    # Zero random vectors prove nothing; the exhaustive strategy ignores
+    # the sample count.
+    for samples in (0, -3):
+        with pytest.raises(SimulationError, match="at least 1 sample"):
+            check_equiv(sec2, sec2, samples=samples)
+    small = parse("design d;\ninput a : u3;\nX: add u3 = a + a;\noutput X;")
+    assert check_equiv(small, small, samples=0) == EquivResult("exhaustive", 8, True)
+
+
+# Block evaluation against the per-vector oracle.
+
+
+def _assert_block_matches_oracle(graph: DataFlowGraph, vectors: list[dict]) -> None:
+    columns = {p.name: [v[p.name] for v in vectors] for p in graph.inputs}
+    block = simulator._eval_block(graph, columns, len(vectors))
+    assert list(block) == list(dict.fromkeys(graph.outputs))
+    for j, inputs in enumerate(vectors):
+        assert {name: column[j] for name, column in block.items()} == eval_dfg(
+            graph, inputs
+        )
+
+
+def _vectors(rng: random.Random, graph: DataFlowGraph, n: int) -> list[dict]:
+    """Values up to three bits wider than their port, so masking counts."""
+    return [
+        {p.name: rng.randrange(1 << (p.width + rng.randint(0, 3))) for p in graph.inputs}
+        for _ in range(n)
+    ]
+
+
+def _random_graph(rng: random.Random) -> DataFlowGraph:
+    """A valid design over every op kind and source kind, sliced anywhere."""
+    inputs = [
+        InputPort(f"i{k}", rng.randint(1, 10), rng.random() < 0.5)
+        for k in range(rng.randint(1, 4))
+    ]
+    widths = {p.name: p.width for p in inputs}
+    ports = set(widths)
+    adds: list[str] = []
+
+    def source():
+        r = rng.random()
+        if adds and r < 0.15:
+            return CarryRef(rng.choice(adds)), 1
+        if r < 0.3:
+            bits = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
+            return Const(bits), len(bits)
+        if r < 0.4:
+            parts = tuple(term() for _ in range(rng.randint(1, 3)))
+            return Concat(parts), sum(p.width for p in parts)
+        name = rng.choice(list(widths))
+        ref = InputRef(name) if name in ports else ResultRef(name)
+        return ref, widths[name]
+
+    def term(one_bit: bool = False) -> Operand:
+        src, w = source()
+        lo = rng.randrange(w)
+        return Operand(src, lo if one_bit else rng.randint(lo, w - 1), lo)
+
+    ops = []
+    for k in range(rng.randint(1, 10)):
+        kind = rng.choice(list(OpKind))
+        width = rng.randint(1, 10)
+        carry_in = None
+        if kind is OpKind.SELECT:
+            operands = (term(one_bit=True), term(), term())
+        elif kind is OpKind.NOT:
+            operands = (term(),)
+        else:
+            operands = (term(), term())
+        if kind is OpKind.ADD:
+            carry_in = rng.choice([None, 0, 1] + [CarryRef(a) for a in adds[-2:]])
+        op = Operation(f"n{k}", kind, width, rng.random() < 0.5, operands, carry_in)
+        ops.append(op)
+        widths[op.id] = width
+        if kind is OpKind.ADD:
+            adds.append(op.id)
+    names = list(widths)
+    outputs = tuple(rng.sample(names, rng.randint(1, min(3, len(names)))))
+    return check(DataFlowGraph("blocks", tuple(inputs), tuple(ops), outputs))
+
+
+def _constructs(graph: DataFlowGraph) -> set:
+    found = set()
+
+    def walk(o: Operand) -> None:
+        found.add(type(o.source).__name__)
+        if isinstance(o.source, Concat):
+            for part in o.source.parts:
+                walk(part)
+
+    for op in graph.ops:
+        found.add((op.kind, op.signed))
+        if isinstance(op.carry_in, CarryRef):
+            found.add("carry-in")
+        for o in op.operands:
+            walk(o)
+    return found
+
+
+def test_random_graphs_cover_every_construct():
+    found = set().union(*(_constructs(_random_graph(random.Random(s))) for s in range(200)))
+    assert {(kind, signed) for kind in OpKind for signed in (False, True)} <= found
+    assert {"Concat", "Const", "CarryRef", "carry-in", "InputRef", "ResultRef"} <= found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, simulator._BLOCK))
+def test_block_evaluation_matches_the_oracle(seed, n):
+    rng = random.Random(seed)
+    graph = _random_graph(rng)
+    _assert_block_matches_oracle(graph, _vectors(rng, graph, n))
+
+
+def _pipeline_graphs(graph: DataFlowGraph) -> list[DataFlowGraph]:
+    """The design, its kernel and, where it schedules, its fragmented graph."""
+    kernel, _ = extract_kernel(graph)
+    try:
+        transformed = run_pipeline(graph, 3).transformed
+    except (InfeasibleError, ScheduleError):
+        return [graph, kernel]
+    return [graph, kernel, transformed]
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(random_add_design, s) for s in range(0, 200, 10)]
+    + [(random_full_design, s) for s in range(0, 200, 10)]
+    + [(lambda name: load_design(name), n) for n in ("sec2", "fig3", "elliptic", "diffeq")],
+)
+def test_block_evaluation_matches_the_oracle_through_the_pipeline(make, seed):
+    rng = random.Random(str(seed))
+    for graph in _pipeline_graphs(make(seed)):
+        for n in (1, 7, simulator._BLOCK):
+            _assert_block_matches_oracle(graph, _vectors(rng, graph, n))
+
+
+# check_equiv against the per-vector comparison it replaced.
+
+
+def _per_vector_check_equiv(
+    reference: DataFlowGraph,
+    candidate: DataFlowGraph | Schedule,
+    samples: int = 1000,
+    seed: int = 0,
+) -> EquivResult:
+    """check_equiv as it was before block evaluation: one vector at a time."""
+    cand_graph = candidate.graph if isinstance(candidate, Schedule) else candidate
+    ref_sig = [(p.name, p.width) for p in reference.inputs]
+    cand_sig = [(p.name, p.width) for p in cand_graph.inputs]
+    if sorted(ref_sig) != sorted(cand_sig):
+        raise SimulationError(
+            f"input signatures differ: {ref_sig} vs {cand_sig}"
+        )
+    ref_out = [(n, reference.ref_width(n)) for n in reference.outputs]
+    cand_out = [(n, cand_graph.ref_width(n)) for n in cand_graph.outputs]
+    if sorted(ref_out) != sorted(cand_out):
+        raise SimulationError(
+            f"output signatures differ: {ref_out} vs {cand_out}"
+        )
+
+    if isinstance(candidate, Schedule):
+        simulator._latch_check(candidate)
+
+    ports = list(reference.inputs)
+    total_bits = sum(p.width for p in ports)
+
+    def compare(inputs: dict[str, int], checked: int, strategy: str) -> EquivResult | None:
+        want = eval_dfg(reference, inputs)
+        got = eval_dfg(cand_graph, inputs)
+        for name in reference.outputs:
+            if got[name] != want[name]:
+                return EquivResult(
+                    strategy, checked, False, dict(inputs), (name, got[name], want[name])
+                )
+        return None
+
+    if total_bits <= EXHAUSTIVE_LIMIT:
+        checked = 0
+        for combo in itertools.product(*(range(1 << p.width) for p in ports)):
+            inputs = {p.name: v for p, v in zip(ports, combo)}
+            checked += 1
+            failed = compare(inputs, checked, "exhaustive")
+            if failed is not None:
+                return failed
+        return EquivResult("exhaustive", checked, True)
+
+    rng = random.Random(seed)
+    for k in range(samples):
+        inputs = {p.name: rng.randrange(1 << p.width) for p in ports}
+        failed = compare(inputs, k + 1, "random")
+        if failed is not None:
+            return failed
+    return EquivResult("random", samples, True)
+
+
+def _trigger_pair(width: int, trigger: int) -> tuple[DataFlowGraph, DataFlowGraph]:
+    """A reference and an add-to-sub flipped candidate that differ only
+    where the concatenation {a, b} of two ``width``-bit inputs equals
+    ``trigger``; their outputs are listed in opposite orders."""
+    bits = format(trigger, f"0{2 * width}b")
+
+    def design(op: str, sign: str, outputs: str) -> DataFlowGraph:
+        return parse(
+            f"design d;\ninput a : u{width}; input b : u{width};\n"
+            f"B: lt u1 = {{a, b}} < const({bits});\n"
+            f"A: lt u1 = const({bits}) < {{a, b}};\n"
+            "R: select u4 = A, const(0000), const(0001);\n"
+            "Q: select u4 = B, const(0000), R;\n"
+            f"Y: {op} u4 = a[3:0] {sign} Q;\n"
+            f"Z: {op} u4 = b[3:0] {sign} Q;\n" + outputs
+        )
+
+    ref = design("add", "+", "output Z; output Y;")
+    cand = design("sub", "-", "output Y; output Z;")
+    return ref, cand
+
+
+_BLOCK = simulator._BLOCK
+# First vector, inside the first block, its last vector, the first of
+# the second block, and inside later blocks.
+_MISMATCH_AT = (0, 5, _BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2, 3 * _BLOCK + 7)
+
+
+@pytest.mark.parametrize("index", _MISMATCH_AT)
+def test_exhaustive_mismatch_lands_where_the_vector_scan_finds_it(index):
+    ref, cand = _trigger_pair(6, index)  # 12 input bits, {a, b} == vector index
+    got = check_equiv(ref, cand)
+    assert got == _per_vector_check_equiv(ref, cand)
+    assert got.strategy == "exhaustive" and got.checked == index + 1
+    assert got.counterexample == {"a": index >> 6, "b": index & 63}
+    assert got.mismatch[0] == "Z"  # the reference's order
+
+
+@pytest.mark.parametrize("index", _MISMATCH_AT)
+def test_random_mismatch_lands_where_the_vector_scan_finds_it(index):
+    seed = 3
+    rng = random.Random(seed)
+    drawn = [(rng.randrange(1 << 12), rng.randrange(1 << 12)) for _ in range(index + 1)]
+    a, b = drawn[index]
+    assert drawn.index((a, b)) == index
+    ref, cand = _trigger_pair(12, (a << 12) | b)
+    got = check_equiv(ref, cand, samples=400, seed=seed)
+    assert got == _per_vector_check_equiv(ref, cand, samples=400, seed=seed)
+    assert got.strategy == "random" and got.checked == index + 1
+    assert got.counterexample == {"a": a, "b": b}
+    assert got.mismatch[0] == "Z"
+
+
+def test_equal_designs_match_the_vector_scan():
+    # 1024 exhaustive vectors fill whole blocks; 150 random ones end in
+    # a short block.
+    ref, _ = _trigger_pair(5, 0)
+    assert check_equiv(ref, ref) == _per_vector_check_equiv(ref, ref)
+    assert check_equiv(ref, ref).checked == 1024
+    ref, _ = _trigger_pair(12, 0)
+    got = check_equiv(ref, ref, samples=150, seed=2)
+    assert got == _per_vector_check_equiv(ref, ref, samples=150, seed=2)
+    assert got == EquivResult("random", 150, True)
+
+
+def _flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
+    """``graph`` with ``op_id`` flipped between add and sub."""
+    ops = []
+    for op in graph.ops:
+        if op.id == op_id:
+            kind = OpKind.SUB if op.kind is OpKind.ADD else OpKind.ADD
+            op = dataclasses.replace(op, kind=kind, carry_in=None)
+        ops.append(op)
+    return check(dataclasses.replace(graph, ops=tuple(ops)))
+
+
+def _flippable(graph: DataFlowGraph) -> list[str]:
+    carried = {
+        src.op
+        for op in graph.ops
+        for src in [op.carry_in] + [o.source for o in op.operands]
+        if isinstance(src, CarryRef)
+    }
+    return [
+        op.id
+        for op in graph.ops
+        if op.kind in (OpKind.ADD, OpKind.SUB) and op.id not in carried
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(random_add_design, s) for s in range(0, 120, 6)]
+    + [(random_full_design, s) for s in range(0, 120, 6)],
+)
+def test_check_equiv_matches_the_vector_scan_on_flipped_candidates(make, seed):
+    graph = make(seed)
+    for op_id in _flippable(graph):
+        cand = _flipped(graph, op_id)
+        for samples in (1, 100, 300):
+            assert check_equiv(graph, cand, samples=samples, seed=seed) == (
+                _per_vector_check_equiv(graph, cand, samples=samples, seed=seed)
+            )
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_check_equiv_matches_the_vector_scan_on_schedules(name):
+    graph = load_design(name)
+    sched = run_pipeline(graph, 3).sched
+    assert check_equiv(graph, sched, samples=150, seed=5) == _per_vector_check_equiv(
+        graph, sched, samples=150, seed=5
+    )
+    for op_id in _flippable(graph):
+        cand = _flipped(graph, op_id)
+        assert check_equiv(cand, sched, samples=150, seed=5) == (
+            _per_vector_check_equiv(cand, sched, samples=150, seed=5)
+        )
