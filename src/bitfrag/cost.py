@@ -134,6 +134,19 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     return out
 
 
+def _bind_slots(boundaries) -> list[list]:
+    """Slot j lists, first seen first, every signal held j-th at some
+    boundary; each slot is one physical register."""
+    slots: list[list] = []
+    for signals in boundaries:
+        for j, signal in enumerate(signals):
+            if j == len(slots):
+                slots.append([])
+            if signal not in slots[j]:
+                slots[j].append(signal)
+    return slots
+
+
 def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBinding, ...]:
     """One physical register per boundary slot.
 
@@ -149,22 +162,13 @@ def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBind
         frag = frag_of.get(ref.op)
         return frag.parent if frag else ref.op
 
-    data_slots: list[list] = []
-    carry_slots: list[list] = []
-    for b in sorted(held):
-        data = [r for r in held[b] if isinstance(r, OpBit)]
-        carry = [r for r in held[b] if isinstance(r, CarryBit)]
-        for j, ref in enumerate(data):
-            if j == len(data_slots):
-                data_slots.append([])
-            if ref not in data_slots[j]:
-                data_slots[j].append(ref)
-        for j, ref in enumerate(carry):
-            if j == len(carry_slots):
-                carry_slots.append([])
-            lane = carry_lane(ref)
-            if lane not in carry_slots[j]:
-                carry_slots[j].append(lane)
+    boundaries = [held[b] for b in sorted(held)]
+    data_slots = _bind_slots(
+        [r for r in refs if isinstance(r, OpBit)] for refs in boundaries
+    )
+    carry_slots = _bind_slots(
+        [carry_lane(r) for r in refs if isinstance(r, CarryBit)] for refs in boundaries
+    )
     registers = []
     for j, signals in enumerate(data_slots):
         registers.append(
@@ -285,13 +289,7 @@ def original_costs(graph: DataFlowGraph) -> OriginalCosts:
             (o for o, (start, stop) in live.items() if start <= b < stop),
             key=lambda o: index[o],
         )
-    slots: list[list[str]] = []
-    for b in sorted(held):
-        for j, name in enumerate(held[b]):
-            if j == len(slots):
-                slots.append([])
-            if name not in slots[j]:
-                slots[j].append(name)
+    slots = _bind_slots(held[b] for b in sorted(held))
     registers = tuple(
         RegisterBinding(
             j,

@@ -239,10 +239,6 @@ def source_width(graph: DataFlowGraph, source: Source) -> int:
     return source.width  # Const, Concat
 
 
-def full_operand(graph: DataFlowGraph, source: Source) -> Operand:
-    return Operand(source, source_width(graph, source) - 1, 0)
-
-
 def resolve_operand_bit(graph: DataFlowGraph, operand: Operand, k: int) -> BitRef:
     """The bit feeding position ``k`` of a consumer, after slice and
     zero-extension.  Constant and out-of-range bits come back as
@@ -359,15 +355,6 @@ def check(graph: DataFlowGraph) -> DataFlowGraph:
     if diags:
         raise ValidationError(diags)
     return graph
-
-
-def topo_order(graph: DataFlowGraph) -> tuple[str, ...]:
-    """Operation ids such that every op follows all ops it references.
-
-    Definition order already has this property on validated graphs; it
-    is returned as-is so downstream passes share one canonical order.
-    """
-    return tuple(op.id for op in graph.ops)
 
 
 class Namer:

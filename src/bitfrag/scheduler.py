@@ -2,18 +2,26 @@
 
 Every add (fragment or whole) and every multiplier core is a schedulable
 unit with a cycle window recomputed from per-bit mobility on the
-fragmented graph.  Zero-mobility units are pinned; the rest are placed
+fragmented graph.  Zero-mobility adds are pinned; the rest are placed
 in increasing mobility order into the legal cycle that keeps the worst
 per-cycle adder-bit load smallest, earliest on ties.  A placement is
 legal when the whole design can still finish by the latency bound: a
 greedy completion places the remaining units at their earliest legal
-cycles and checks realized chain depths.  The completion of the
-placements made so far is kept as a base slot table.  A candidate
-re-settles only the region it changes, the ops downstream of its unit
-whose slots differ from the base, and a winner's changes update the
-base in place: the time-frame update of force-directed scheduling
-(Paulin & Knight, IEEE TCAD 1989).  Once every unit is placed, the base
-is the schedule's realized slot table.
+cycles and checks realized chain depths.
+
+The completion is monotone: an op's slots move later only when its
+producers' slots do, and so do its failures.  So the completion of the
+pins is the earliest schedule any placement allows.  If it fails, no
+placement can succeed and scheduling stops at once.  Otherwise each
+core takes its cycle in that completion, since a later cycle only
+delays its consumers.
+
+The completion of the placements made so far is kept as a base slot
+table.  A candidate re-settles only the region it changes, the ops
+downstream of its unit whose slots differ from the base, and a winner's
+changes update the base in place: the time-frame update of
+force-directed scheduling (Paulin & Knight, IEEE TCAD 1989).  Once every
+unit is placed, the base is the schedule's realized slot table.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ class Schedule:
 def unit_windows(
     graph: DataFlowGraph,
     mobility: Mobility,
-    fragments: dict[str, list[Fragment]] | None = None,
+    fragments: dict[str, list[Fragment]],
 ) -> dict[str, tuple[int, int]]:
     """Cycle window per schedulable unit (adds and multiplier cores).
 
@@ -64,9 +72,7 @@ def unit_windows(
     authoritative.  Cores and uncovered adds fall back to the per-bit
     tables.
     """
-    frag_of = {}
-    if fragments:
-        frag_of = {f.id: f for parts in fragments.values() for f in parts}
+    frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
     for op in graph.ops:
         if op.kind in GLUE_KINDS:
@@ -152,8 +158,9 @@ class _Plan:
     """Greedy completions of the placements made so far.
 
     ``cycle_of`` holds the placed units and ``base`` the slot table of
-    its greedy completion, or None while that completion fails, which
-    can only happen before the first placement.  A candidate re-settles
+    its greedy completion.  ``base`` is None when the completion of the
+    pins fails; ``schedule`` then stops before placing anything, so a
+    placement always starts from a base that fits.  A candidate re-settles
     its unit and then, in graph order, only the ops that read a slot it
     changed: an op's slots are a pure function of its producer slots,
     its placement and its window, so an op whose slots come out as in
@@ -180,7 +187,7 @@ class _Plan:
             - {k}
             for k, op in enumerate(graph.ops)
         ]
-        self.base = self._complete(None, 0)
+        self.base = self._complete()
 
     def settle(self, op: Operation, pin: int | None,
                table: dict[tuple[str, int], Slot]) -> bool:
@@ -237,12 +244,11 @@ class _Plan:
                 return False
             c += 1
 
-    def _complete(self, uid: str | None, c: int) -> dict[tuple[str, int], Slot] | None:
-        """The whole completion table with ``uid`` at ``c``, or None."""
+    def _complete(self) -> dict[tuple[str, int], Slot] | None:
+        """The whole completion table of ``cycle_of``, or None."""
         table: dict[tuple[str, int], Slot] = {}
         for op in self.graph.ops:
-            pin = c if op.id == uid else self.cycle_of.get(op.id)
-            if not self.settle(op, pin, table):
+            if not self.settle(op, self.cycle_of.get(op.id), table):
                 return None
         return table
 
@@ -250,8 +256,6 @@ class _Plan:
         """The slots that change with ``uid`` at ``c``, or None if the
         completion no longer fits the budget."""
         base = self.base
-        if base is None:
-            return self._complete(uid, c)
         ops = self.graph.ops
         table = _Overlay(base)
         heap = [self.position[uid]]
@@ -272,10 +276,7 @@ class _Plan:
     def place(self, uid: str, c: int, table: dict[tuple[str, int], Slot]) -> None:
         """Commit a candidate that ``vet`` passed, with its table."""
         self.cycle_of[uid] = c
-        if self.base is None:
-            self.base = table
-        else:
-            self.base.update(table)
+        self.base.update(table)
 
 
 def schedule(
@@ -283,20 +284,10 @@ def schedule(
     fragments: dict[str, list[Fragment]],
     lam: int,
     n_bits: int,
-    mobility: Mobility | None = None,
 ) -> Schedule:
     """Assign a cycle to every add fragment and multiplier core."""
-    if mobility is None:
-        mobility = analyze(graph, n_bits, lam)
-    windows = unit_windows(graph, mobility, fragments)
-
+    windows = unit_windows(graph, analyze(graph, n_bits, lam), fragments)
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
-    prev_sib: dict[str, str] = {}
-    next_sib: dict[str, str] = {}
-    for parts in fragments.values():
-        for a, b in zip(parts, parts[1:]):
-            prev_sib[b.id] = a.id
-            next_sib[a.id] = b.id
 
     cycle_of: dict[str, int] = {}
     for uid, (early, late) in windows.items():
@@ -304,19 +295,6 @@ def schedule(
             raise ScheduleError(f"{uid}: empty cycle window [{early}, {late}]")
         if early == late and graph.op(uid).kind is OpKind.ADD:
             cycle_of[uid] = early
-    plan = _Plan(graph, lam, n_bits, windows, cycle_of)
-
-    for op in graph.ops:
-        if op.kind is not OpKind.MULT_CORE:
-            continue
-        early, late = windows[op.id]
-        for c in range(early, late + 1):
-            table = plan.vet(op.id, c)
-            if table is not None:
-                plan.place(op.id, c, table)
-                break
-        else:
-            raise ScheduleError(f"no feasible cycle for core {op.id}")
 
     def order_key(uid: str) -> tuple:
         early, late = windows[uid]
@@ -333,6 +311,19 @@ def schedule(
         ),
         key=order_key,
     )
+    cores = [op.id for op in graph.ops if op.kind is OpKind.MULT_CORE]
+
+    plan = _Plan(graph, lam, n_bits, windows, cycle_of)
+    if plan.base is None:
+        # The completion of the pins is the earliest any placement
+        # allows, so no unit has a cycle that fits.
+        if cores:
+            raise ScheduleError(f"no feasible cycle for core {cores[0]}")
+        if movable:
+            raise ScheduleError(f"no feasible cycle for {movable[0]}")
+        raise ScheduleError("; ".join(realized_slots(graph, n_bits, cycle_of)[1]))
+    for core in cores:
+        cycle_of[core] = plan.base[(core, 0)].cycle
 
     loads = {c: 0 for c in range(1, lam + 1)}
     for op in graph.ops:
@@ -341,15 +332,10 @@ def schedule(
 
     for uid in movable:
         early, late = windows[uid]
-        lo_c, hi_c = early, late
-        if uid in prev_sib and prev_sib[uid] in cycle_of:
-            lo_c = max(lo_c, cycle_of[prev_sib[uid]])
-        if uid in next_sib and next_sib[uid] in cycle_of:
-            hi_c = min(hi_c, cycle_of[next_sib[uid]])
         width = graph.op(uid).width
         best: tuple[int, int] | None = None
         best_table = None
-        for c in range(lo_c, hi_c + 1):
+        for c in range(early, late + 1):
             peak = max(
                 loads[k] + (width if k == c else 0) for k in loads
             )
@@ -365,16 +351,10 @@ def schedule(
         plan.place(uid, best[1], best_table)
         loads[best[1]] += width
 
-    if plan.base is not None:
-        # Every unit is placed, so the base is the completion of
-        # cycle_of itself: each op settled at its own cycle under the
-        # checks realized_slots makes, and the table is the same.
-        return Schedule(graph, lam, n_bits, cycle_of, dict(plan.base), fragments)
-    # Nothing was placed and the completion of the pins failed.
-    realized, problems = realized_slots(graph, n_bits, cycle_of)
-    if problems:
-        raise ScheduleError("; ".join(problems))
-    return Schedule(graph, lam, n_bits, cycle_of, realized, fragments)
+    # Every unit is placed, so the base is the completion of cycle_of
+    # itself: each op settled at its own cycle under the checks
+    # realized_slots makes, and the table is the same.
+    return Schedule(graph, lam, n_bits, cycle_of, dict(plan.base), fragments)
 
 
 def verify_schedule(sched: Schedule) -> list[str]:

@@ -23,7 +23,6 @@ from bitfrag.dfg import (
     check,
     resolve_operand_bit,
     source_width,
-    topo_order,
     validate,
 )
 from conftest import feasible_pipeline, load_design, random_full_design
@@ -207,11 +206,6 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
                 assert g.op(r.op).kind not in GLUE_KINDS
             ripple = {OpBit(op_id, b) for b in range(g.op(op_id).width)}
             assert set(refs) == set().union(*(through_glue(r) for r in deps[(op_id, i)])) - ripple
-
-
-def test_topo_order_is_definition_order():
-    g = _tiny()
-    assert topo_order(g) == ("C", "D")
 
 
 def _diag_messages(graph) -> str:

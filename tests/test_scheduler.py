@@ -14,6 +14,7 @@ from bitfrag.fragmenter import (
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
+    _Plan,
     realized_slots,
     schedule,
     unit_windows,
@@ -322,6 +323,10 @@ _ORACLE_CASES = [
     for kind in (random_add_design, random_full_design)
     for seed in range(0, 200, 25)
     for lam in (2, 3, 4)
+] + [
+    # Bucket-tiled, its pins alone do not complete and it has a core:
+    # scheduling stops on the core before any add is tried.
+    pytest.param(lambda: random_full_design(15), 4, id="random_full_design(15)@4"),
 ]
 
 
@@ -336,3 +341,39 @@ def test_incremental_vetting_matches_whole_graph_vetting(make, lam, tile):
         return
     args = (transformed, fragments, lam, n_bits)
     assert _outcome(schedule, *args) == _outcome(_reference_schedule, *args)
+
+
+@pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
+@pytest.mark.parametrize("make,lam", _ORACLE_CASES)
+def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, tile):
+    """What lets ``schedule`` take each core's cycle from the completion
+    of the pins, and stop at once when that completion fails."""
+    kernel, _ = extract_kernel(make())
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+    except InfeasibleError:
+        return
+    windows = unit_windows(transformed, analyze(transformed, n_bits, lam), fragments)
+    if any(early > late for early, late in windows.values()):
+        return
+    pins = {
+        uid: early
+        for uid, (early, late) in windows.items()
+        if early == late and transformed.op(uid).kind is OpKind.ADD
+    }
+    base = _Plan(transformed, lam, n_bits, windows, pins).base
+
+    def accepted(uid):
+        early, late = windows[uid]
+        return [
+            c for c in range(early, late + 1)
+            if _reference_completes(transformed, lam, n_bits, windows, {**pins, uid: c})
+        ]
+
+    if base is None:
+        assert all(accepted(uid) == [] for uid in windows)
+        return
+    for op in transformed.ops:
+        if op.kind is OpKind.MULT_CORE:
+            assert accepted(op.id)[:1] == [base[(op.id, 0)].cycle]
