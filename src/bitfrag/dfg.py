@@ -433,15 +433,16 @@ def bit_key(graph: DataFlowGraph, ref: OpBit | CarryBit) -> BitKey:
 class BitView:
     """Bit-level view of one graph, shared read-only by every pass.
 
-    ``deps`` is ``bit_deps(graph)``.  ``producers`` maps each result bit
-    to the keys of the op bits it waits on: inputs and constants drop
-    out, a carry becomes its op's MSB.  ``consumers`` is the inverse of
-    ``producers``.  ``reads`` maps each bit of a non-glue op to the
-    OpBit/CarryBit refs of non-glue ops it reads once glue is looked
-    through, less the op's own ripple.
+    ``producers`` maps each result bit to the keys of the op bits it
+    waits on: inputs and constants drop out, a carry becomes its op's
+    MSB.  ``consumers`` is the inverse of ``producers``.  ``reads`` maps
+    each bit of a non-glue op to the OpBit/CarryBit refs of non-glue ops
+    it reads once glue is looked through, less the op's own ripple.
+    ``producers`` and ``reads`` list data bits before carries, each in
+    definition order and then by bit, without duplicates; that order is
+    the tie rule of ``critical_path``.
     """
 
-    deps: dict[BitKey, frozenset[BitRef]]
     producers: dict[BitKey, tuple[BitKey, ...]]
     consumers: dict[BitKey, tuple[BitKey, ...]]
     reads: dict[BitKey, tuple[BitRef, ...]]
@@ -450,8 +451,15 @@ class BitView:
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
     """Passes reach the view through ``graph.bit_view``, built once."""
     deps = bit_deps(graph)
+    order = {op.id: k for k, op in enumerate(graph.ops)}
+
+    def rank(ref: OpBit | CarryBit) -> tuple[int, int, int]:
+        if isinstance(ref, OpBit):
+            return (0, order[ref.op], ref.bit)
+        return (1, order[ref.op], 0)
+
     # The view lives as long as its graph: tuples rather than sets, and
-    # one shared key object per bit, keep it about the size of ``deps``.
+    # one shared key object per bit, keep it small.
     keys = {key: key for key in deps}
     producers: dict[BitKey, tuple[BitKey, ...]] = {}
     consumers: dict[BitKey, list[BitKey]] = {key: [] for key in deps}
@@ -461,8 +469,10 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         glue = op.kind in GLUE_KINDS
         for i in range(op.width):
             key = keys[(op.id, i)]
-            refs = [r for r in deps[key] if isinstance(r, (OpBit, CarryBit))]
-            producers[key] = tuple({keys[bit_key(graph, r)] for r in refs})
+            refs = sorted(
+                (r for r in deps[key] if isinstance(r, (OpBit, CarryBit))), key=rank
+            )
+            producers[key] = tuple(dict.fromkeys(keys[bit_key(graph, r)] for r in refs))
             for p in producers[key]:
                 consumers[p].append(key)
             read: set[BitRef] = set()
@@ -476,9 +486,8 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
             if glue:
                 glue_reads[key] = read
             else:
-                reads[key] = tuple(read)
+                reads[key] = tuple(sorted(read, key=rank))
     return BitView(
-        deps,
         producers,
         {key: tuple(users) for key, users in consumers.items()},
         reads,

@@ -13,6 +13,7 @@ outputs are reassembled under their original name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dfg import (
     CarryBit,
@@ -39,8 +40,13 @@ class InfeasibleError(ValueError):
     """The latency budget cannot hold the design's critical chain."""
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
+    """Where a bit is ready: a cycle and the adder depth chained in it.
+
+    Slots order by cycle, then depth, so the latest of several
+    producers is their ``max`` and the earliest consumer their ``min``.
+    """
+
     cycle: int
     depth: int
 
@@ -80,28 +86,25 @@ def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     table: dict[tuple[str, int], Slot] = {}
     for op in graph.ops:
         if op.kind is OpKind.MULT_CORE:
+            # Every bit of a core waits on the same producers.
             latest = max(
-                (table[p].cycle for i in range(op.width) for p in producers[(op.id, i)]),
-                default=0,
-            )
+                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
+            ).cycle
             # Core inputs must be complete in a prior cycle; results
             # fill their cycle so consumers spill to the next one.
             for i in range(op.width):
                 table[(op.id, i)] = Slot(max(1, latest + 1), n_bits)
             continue
         for i in range(op.width):
-            slots = [table[p] for p in producers[(op.id, i)]]
-            cycle = max((s.cycle for s in slots), default=0)
-            cycle = max(1, cycle)
-            depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
+            cycle, depth = max(
+                (table[p] for p in producers[(op.id, i)]), default=Slot(1, 0)
+            )
             if op.kind in GLUE_KINDS:
                 table[(op.id, i)] = Slot(cycle, depth)
-                continue
-            depth += 1
-            if depth > n_bits:
-                table[(op.id, i)] = Slot(cycle + 1, 1)
+            elif depth < n_bits:
+                table[(op.id, i)] = Slot(cycle, depth + 1)
             else:
-                table[(op.id, i)] = Slot(cycle, depth)
+                table[(op.id, i)] = Slot(cycle + 1, 1)
     return table
 
 
@@ -123,11 +126,10 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     table: dict[tuple[str, int], Slot] = {}
     for op in reversed(graph.ops):
         if op.kind is OpKind.MULT_CORE:
-            earliest = lam + 1
-            for i in range(op.width):
-                for c in consumers[(op.id, i)]:
-                    earliest = min(earliest, table[c].cycle)
-            cycle = earliest - 1
+            cycle = min(
+                (table[c] for i in range(op.width) for c in consumers[(op.id, i)]),
+                default=due,
+            ).cycle - 1
             if cycle < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
@@ -137,11 +139,9 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
                 table[(op.id, i)] = Slot(cycle, 1)
             continue
         for i in range(op.width - 1, -1, -1):
-            slots = [table[c] for c in consumers[(op.id, i)]]
-            if not slots:
-                slots = [due]
-            cycle = min(s.cycle for s in slots)
-            depth = min(s.depth for s in slots if s.cycle == cycle)
+            cycle, depth = min(
+                (table[c] for c in consumers[(op.id, i)]), default=due
+            )
             if op.kind in GLUE_KINDS:
                 # Transparent: finishes exactly where its consumer reads.
                 table[(op.id, i)] = Slot(cycle, depth)

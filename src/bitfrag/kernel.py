@@ -78,7 +78,7 @@ def _sliceable(opnd: Operand, base: str, namer: Namer, ops: list[Operation]) -> 
     return _result(keep)
 
 
-def lower_sub(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
+def lower_sub(op: Operation, namer: Namer) -> list[Operation]:
     """a - b as a + ~b + 1, exact modulo 2**width for either signedness."""
     a, b = op.operands
     inv = Operation(namer.fresh(f"{op.id}_not"), OpKind.NOT, op.width, False, (b,))
@@ -126,7 +126,7 @@ def _compare_machinery(
     return ops, _result(total, cw, cw)
 
 
-def lower_compare(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
+def lower_compare(op: Operation, namer: Namer) -> list[Operation]:
     """LT via a + ~b + 1; the discarded carry is the not-less-than bit."""
     ops, ge = _compare_machinery(op, namer)
     if op.width == 1:
@@ -138,7 +138,7 @@ def lower_compare(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Ope
     return ops + [final]
 
 
-def lower_minmax(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
+def lower_minmax(op: Operation, namer: Namer) -> list[Operation]:
     """MAX/MIN as the lowered comparison steering a SELECT."""
     ops, ge = _compare_machinery(op, namer)
     a, b = op.operands
@@ -147,7 +147,7 @@ def lower_minmax(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Oper
     return ops + [final]
 
 
-def lower_signed_mult(graph: DataFlowGraph, op: Operation, namer: Namer) -> list[Operation]:
+def lower_signed_mult(op: Operation, namer: Namer) -> list[Operation]:
     """Two's-complement m x n multiply decomposed into an unsigned
     (m-1) x (n-1) core plus adds of m and n+1 bits.
 
@@ -239,13 +239,13 @@ def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
 
     for op in graph.ops:
         if op.kind is OpKind.SUB:
-            lowered = lower_sub(graph, op, namer)
+            lowered = lower_sub(op, namer)
         elif op.kind is OpKind.MULT:
-            lowered = lower_signed_mult(graph, op, namer)
+            lowered = lower_signed_mult(op, namer)
         elif op.kind is OpKind.LT:
-            lowered = lower_compare(graph, op, namer)
+            lowered = lower_compare(op, namer)
         elif op.kind in (OpKind.MAX, OpKind.MIN):
-            lowered = lower_minmax(graph, op, namer)
+            lowered = lower_minmax(op, namer)
         elif op.signed:
             lowered = [
                 Operation(op.id, op.kind, op.width, False, op.operands, op.carry_in)

@@ -107,17 +107,15 @@ def realized_slots(
     for op in graph.ops:
         if op.kind in GLUE_KINDS:
             for i in range(op.width):
-                slots = [table[p] for p in producers[(op.id, i)]]
-                cycle = max((s.cycle for s in slots), default=0)
-                depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
-                table[(op.id, i)] = Slot(cycle, depth)
+                table[(op.id, i)] = max(
+                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
+                )
             continue
         cycle = cycle_of[op.id]
         if op.kind is OpKind.MULT_CORE:
             ready = max(
-                (table[p].cycle for i in range(op.width) for p in producers[(op.id, i)]),
-                default=0,
-            )
+                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
+            ).cycle
             if ready >= cycle:
                 problems.append(
                     f"{op.id}: core inputs not complete before cycle {cycle}"
@@ -127,14 +125,14 @@ def realized_slots(
             continue
         for i in range(op.width):
             slots = [table[p] for p in producers[(op.id, i)]]
-            late = max((s.cycle for s in slots), default=0)
-            if late > cycle:
+            latest = max(slots, default=Slot(0, 0))
+            if latest.cycle > cycle:
                 problems.append(
-                    f"{op.id}[{i}]: operand ready in cycle {late}, read in {cycle}"
+                    f"{op.id}[{i}]: operand ready in cycle {latest.cycle}, read in {cycle}"
                 )
-            depth = 1 + max(
-                (s.depth for s in slots if s.cycle == cycle), default=0
-            )
+                # Chain on what is ready by then.
+                latest = max((s for s in slots if s.cycle <= cycle), default=Slot(0, 0))
+            depth = 1 + latest.depth if latest.cycle == cycle else 1
             if depth > n_bits:
                 problems.append(
                     f"{op.id}[{i}]: chain depth {depth} exceeds {n_bits} bits per cycle"
@@ -201,44 +199,44 @@ class _Plan:
         producers = self.producers
         if op.kind in GLUE_KINDS:
             for i in range(op.width):
-                slots = [table[p] for p in producers[(op.id, i)]]
-                cycle = max((s.cycle for s in slots), default=0)
-                depth = max(
-                    (s.depth for s in slots if s.cycle == cycle), default=0
+                table[(op.id, i)] = max(
+                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
                 )
-                table[(op.id, i)] = Slot(cycle, depth)
             return True
-        ready = max(
-            (
-                table[p].cycle
-                for i in range(op.width)
-                for p in producers[(op.id, i)]
-                if p[0] != op.id
-            ),
-            default=0,
-        )
         if op.kind is OpKind.MULT_CORE:
+            ready = max(
+                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
+            ).cycle
             c = pin if pin is not None else max(self.windows[op.id][0], ready + 1)
             if c <= ready or c > self.lam:
                 return False
             for i in range(op.width):
                 table[(op.id, i)] = Slot(c, self.n_bits)
             return True
+        ready = max(
+            (
+                table[p]
+                for i in range(op.width)
+                for p in producers[(op.id, i)]
+                if p[0] != op.id
+            ),
+            default=Slot(0, 0),
+        ).cycle
         c = pin if pin is not None else max(self.windows[op.id][0], ready)
         while True:
             if c > self.lam or c < ready:
                 return False
-            fits = True
+            # Every operand is ready by cycle c, so a bit chains on its
+            # latest producer only if that one finishes in c.
             for i in range(op.width):
-                slots = [table[p] for p in producers[(op.id, i)]]
-                depth = 1 + max(
-                    (s.depth for s in slots if s.cycle == c), default=0
+                latest = max(
+                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
                 )
+                depth = 1 + latest.depth if latest.cycle == c else 1
                 if depth > self.n_bits:
-                    fits = False
                     break
                 table[(op.id, i)] = Slot(c, depth)
-            if fits:
+            else:
                 return True
             if pin is not None:
                 return False

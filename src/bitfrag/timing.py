@@ -13,18 +13,13 @@ from dataclasses import dataclass
 from math import ceil
 
 from .dfg import (
-    CarryBit,
     CarryRef,
     Concat,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
-    InputBit,
-    OpBit,
     OpKind,
     Operand,
     ResultRef,
-    bit_key,
 )
 
 KERNEL_ONLY = "timing runs on kernel-extracted designs, found {kind} op {id}"
@@ -55,10 +50,8 @@ def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, i
     arrival: dict[tuple[str, int], int] = {}
     for op in graph.ops:
         if op.kind is OpKind.MULT_CORE:
-            worst = max(
-                (arrival[p] for i in range(op.width) for p in producers[(op.id, i)]),
-                default=0,
-            )
+            # Every bit of a core waits on the same producers.
+            worst = max((arrival[p] for p in producers[(op.id, 0)]), default=0)
             for i in range(op.width):
                 arrival[(op.id, i)] = worst + core_delay
             continue
@@ -75,47 +68,30 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
 
     Backtracks the arrival recurrence from the worst bit, walking
     through glue transparently and stopping at inputs or at the opaque
-    multiplier core.
+    multiplier core.  Ties go to the earliest bit in definition order,
+    and among producers to the first in ``bit_view.producers`` order.
     """
     arrival = bit_arrivals(graph, core_delay)
     if not arrival:
         return CriticalPath((), 0)
 
-    deps = graph.bit_view.deps
-    order = {op.id: k for k, op in enumerate(graph.ops)}
-
-    def rank(ref) -> tuple:
-        # Deterministic choice among equally late producers.
-        if isinstance(ref, OpBit):
-            return (0, order[ref.op], ref.bit)
-        if isinstance(ref, CarryBit):
-            return (1, order[ref.op], 0)
-        return (2, 0, 0)
-
-    def of(ref) -> int:
-        return arrival[bit_key(graph, ref)]
-
+    producers = graph.bit_view.producers
     time = max(arrival.values())
-    start = min(
-        (key for key, t in arrival.items() if t == time),
-        key=lambda key: (order[key[0]], key[1]),
-    )
-
+    # The arrival table is filled in definition order, then by bit.
+    cur = next(key for key, t in arrival.items() if t == time)
     path: list[str] = []
-    cur: tuple[str, int] | None = start
-    while cur is not None:
+    while True:
         op = graph.op(cur[0])
         if op.kind is OpKind.MULT_CORE:
             break
         if op.kind is OpKind.ADD and (not path or path[0] != op.id):
             path.insert(0, op.id)
-        producers = [r for r in deps[cur] if not isinstance(r, (InputBit, ConstBit))]
-        if not producers:
+        if not producers[cur]:
             break
-        best = min(producers, key=lambda r: (-of(r), rank(r)))
-        if of(best) == 0 and op.kind is OpKind.ADD:
+        best = max(producers[cur], key=arrival.__getitem__)
+        if arrival[best] == 0 and op.kind is OpKind.ADD:
             break  # remaining chain is input-fed
-        cur = bit_key(graph, best)
+        cur = best
     return CriticalPath(tuple(path), time)
 
 

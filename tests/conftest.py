@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +28,8 @@ from bitfrag.scheduler import Schedule, ScheduleError, schedule
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
 from bitfrag.timing import estimate_cycle
 
-DESIGN_DIR = Path(__file__).resolve().parents[1] / "src" / "bitfrag" / "designs"
+TESTS_DIR = Path(__file__).resolve().parent
+DESIGN_DIR = TESTS_DIR.parent / "src" / "bitfrag" / "designs"
 
 SAT_SOURCE = """
 design sat;
@@ -53,6 +57,34 @@ output R;
 output L;
 output M;
 """
+
+# Z[0] waits on X[3] and on the carry of Y, both at time 4: the data bit
+# wins the tie although Y is defined first.
+TIE_SOURCE = """
+design tie;
+input a : u4;
+input b : u4;
+Y: add u4 = a + b;
+X: add u4 = b + a;
+Z: add u4 carry(Y) = X[3:3] + a;
+output Z;
+"""
+
+
+def under_hash_seeds(args: list[str]) -> list[subprocess.CompletedProcess]:
+    """Run ``python args...`` once under PYTHONHASHSEED=0 and once under 1,
+    with this checkout's ``src`` and ``tests`` on the path."""
+    path = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
+    return [
+        subprocess.run(
+            [sys.executable, *args],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        for seed in ("0", "1")
+    ]
 
 
 def load_design(name: str) -> DataFlowGraph:

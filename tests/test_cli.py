@@ -10,7 +10,7 @@ from bitfrag.cli import _SUFFIX, main
 from bitfrag.dsl import parse
 from bitfrag.simulator import EquivResult, check_equiv
 
-from conftest import DESIGN_DIR, SAT_SOURCE
+from conftest import DESIGN_DIR, SAT_SOURCE, TIE_SOURCE, under_hash_seeds
 
 SEC2 = str(DESIGN_DIR / "sec2.dfg")
 
@@ -63,6 +63,21 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     for suffix in _SUFFIX.values():
         first, second = (out / f"sec2{suffix}" for out in outs)
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "source", [(DESIGN_DIR / "sec2.dfg").read_text(), TIE_SOURCE], ids=["sec2", "tie"]
+)
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path, source):
+    # One process per seed, so set iteration order really differs; all
+    # five artifacts go to stdout, one after another.
+    src = tmp_path / "design.dfg"
+    src.write_text(source)
+    args = [str(src), "--latency", "3", "--check-equiv", "--seed", "7"]
+    runs = under_hash_seeds(["-m", "bitfrag.cli", *_all_emissions(args)])
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr == ""
 
 
 def test_check_equiv_reports_random_strategy(capsys):

@@ -33,7 +33,13 @@ from bitfrag.simulator import (
     eval_dfg,
     eval_schedule,
 )
-from conftest import load_design, random_add_design, random_full_design, run_pipeline
+from conftest import (
+    load_design,
+    random_add_design,
+    random_full_design,
+    run_pipeline,
+    under_hash_seeds,
+)
 
 
 def _eval(source: str, **inputs):
@@ -184,6 +190,29 @@ def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
     monkeypatch.setattr(simulator, "stored_bits", leaky)
     with pytest.raises(SimulationError, match="reads unlatched bit"):
         eval_schedule(sched, {p.name: 0xFFFF for p in sec2.inputs})
+
+
+_UNLATCHED_PROBE = """
+from bitfrag import simulator
+from conftest import load_design, run_pipeline
+
+simulator.stored_bits = lambda sched: {}
+elliptic = load_design("elliptic")
+try:
+    simulator.check_equiv(elliptic, run_pipeline(elliptic, 2).sched)
+except simulator.SimulationError as exc:
+    print(exc)
+"""
+
+
+def test_unlatched_read_is_named_the_same_under_any_hash_seed():
+    # With nothing latched, b12 reads several unlatched bits; the check
+    # names the first in the view's fixed order, not in set order.
+    runs = under_hash_seeds(["-c", _UNLATCHED_PROBE])
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert {r.stdout for r in runs} == {
+        "cycle 2: b12 reads unlatched bit OpBit(op='a11', bit=0) across boundary 1\n"
+    }
 
 
 def test_check_equiv_rejects_missing_unit():

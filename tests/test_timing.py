@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
 from bitfrag.timing import (
+    CriticalPath,
     TimingError,
     bit_arrivals,
     critical_path,
     estimate_cycle,
     path_time,
 )
-from conftest import op_paths, random_add_design
+from conftest import TIE_SOURCE, op_paths, random_add_design
 
 
 def test_chained_adds_ripple_arrivals(sec2):
@@ -39,6 +40,12 @@ def test_critical_path_balanced_tree(fig3):
     assert crit.ops == ("F", "H")
     # The twin branch carries the same time.
     assert path_time(fig3, ("G", "H")) == 9
+
+
+def test_critical_path_prefers_data_bits_to_carries_on_ties():
+    # Definition order alone would walk from Z into Y's carry.
+    kernel, _ = extract_kernel(parse(TIE_SOURCE))
+    assert critical_path(kernel) == CriticalPath(("X", "Z"), 8)
 
 
 def test_estimate_cycle_fixture_values(sec2, fig3):
