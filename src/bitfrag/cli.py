@@ -266,10 +266,14 @@ def main(argv: list[str] | None = None) -> int:
             artifacts[what] = _arrivals_text(kernel, args.core_delay)
 
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        for what, content in artifacts.items():
-            path = args.out / f"{design.name}{_SUFFIX[what]}"
-            path.write_text(content)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            for what, content in artifacts.items():
+                path = args.out / f"{design.name}{_SUFFIX[what]}"
+                path.write_text(content)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         for what in emissions:
             sys.stdout.write(artifacts[what])

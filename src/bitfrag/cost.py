@@ -25,7 +25,6 @@ from .dfg import (
     GLUE_KINDS,
     OpBit,
     OpKind,
-    bit_key,
 )
 from .scheduler import Schedule
 
@@ -104,9 +103,10 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.
     """
     graph = sched.graph
+    slot = graph.bit_view.slot
     live: dict = {}
     for ref, users in _base_consumers(graph).items():
-        start = sched.realized[bit_key(graph, ref)].cycle
+        start = sched.realized[slot[ref]].cycle
         stop = max(sched.cycle_of[u] for u in users)
         if stop > start:
             live[ref] = (start, stop)

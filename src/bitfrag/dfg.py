@@ -440,12 +440,15 @@ class BitView:
     it reads once glue is looked through, less the op's own ripple.
     ``producers`` and ``reads`` list data bits before carries, each in
     definition order and then by bit, without duplicates; that order is
-    the tie rule of ``critical_path``.
+    the tie rule of ``critical_path``.  ``slot`` maps each ref in
+    ``reads`` to its key, resolved here once so that no pass resolves a
+    carry itself.
     """
 
     producers: dict[BitKey, tuple[BitKey, ...]]
     consumers: dict[BitKey, tuple[BitKey, ...]]
     reads: dict[BitKey, tuple[BitRef, ...]]
+    slot: dict[BitRef, BitKey]
 
 
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
@@ -463,7 +466,8 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     keys = {key: key for key in deps}
     producers: dict[BitKey, tuple[BitKey, ...]] = {}
     consumers: dict[BitKey, list[BitKey]] = {key: [] for key in deps}
-    glue_reads: dict[BitKey, set[BitRef]] = {}
+    slot: dict[BitRef, BitKey] = {}
+    glue_reads: dict[BitKey, dict[BitRef, BitKey]] = {}
     reads: dict[BitKey, tuple[BitRef, ...]] = {}
     for op in graph.ops:
         glue = op.kind in GLUE_KINDS
@@ -472,23 +476,26 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
             refs = sorted(
                 (r for r in deps[key] if isinstance(r, (OpBit, CarryBit))), key=rank
             )
-            producers[key] = tuple(dict.fromkeys(keys[bit_key(graph, r)] for r in refs))
+            slots = [keys[bit_key(graph, r)] for r in refs]
+            producers[key] = tuple(dict.fromkeys(slots))
             for p in producers[key]:
                 consumers[p].append(key)
-            read: set[BitRef] = set()
-            for r in refs:
+            read: dict[BitRef, BitKey] = {}  # each read with its slot
+            for r, at in zip(refs, slots):
                 if isinstance(r, CarryBit):
-                    read.add(r)
-                elif (r.op, r.bit) in glue_reads:
-                    read |= glue_reads[(r.op, r.bit)]
+                    read[r] = at
+                elif at in glue_reads:
+                    read.update(glue_reads[at])
                 elif r.op != op.id:  # a ripple is not a read
-                    read.add(r)
+                    read[r] = at
             if glue:
                 glue_reads[key] = read
             else:
                 reads[key] = tuple(sorted(read, key=rank))
+                slot.update(read)
     return BitView(
         producers,
         {key: tuple(users) for key, users in consumers.items()},
         reads,
+        slot,
     )

@@ -333,10 +333,9 @@ def schedule(
         width = graph.op(uid).width
         best: tuple[int, int] | None = None
         best_table = None
+        top = max(loads.values())
         for c in range(early, late + 1):
-            peak = max(
-                loads[k] + (width if k == c else 0) for k in loads
-            )
+            peak = max(top, loads[c] + width)
             # Cycles rise, so a later cycle wins only on a strictly
             # smaller peak; vet only those.
             if best is not None and peak >= best[0]:

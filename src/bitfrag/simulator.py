@@ -4,13 +4,14 @@ Values are plain ints holding the unsigned bit pattern of each signal;
 signedness only changes how MULT/LT/MAX/MIN interpret their operands.
 ``eval_dfg`` evaluates any validated design directly, one vector at a
 time; it is the reference oracle.  ``check_equiv`` evaluates blocks of
-vectors instead: ``_eval_block`` decodes each op once per block and
-computes it with one comprehension over the block's values, in the
-manner of parallel-pattern fault simulators.  The latch check walks a
-scheduled design cycle by cycle and insists that every value crossing a
-cycle boundary sits in a latch the cost model pays for; it reads no
-input values, so ``check_equiv`` runs it once per schedule, while
-``eval_schedule`` runs it with every evaluation.
+vectors instead, in the manner of parallel-pattern fault simulators:
+``_eval_block`` holds each signal's values for the whole block as the
+fixed-stride fields of one int and computes each op with a few big-int
+operations on those ints, unpacking fields only to multiply.  The latch
+check walks a scheduled design cycle by cycle and insists that every
+value crossing a cycle boundary sits in a latch the cost model pays
+for; it reads no input values, so ``check_equiv`` runs it once per
+schedule, while ``eval_schedule`` runs it with every evaluation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from .dfg import (
     CarryBit,
     CarryRef,
+    Concat,
     Const,
     DataFlowGraph,
     GLUE_KINDS,
@@ -31,7 +33,6 @@ from .dfg import (
     Operation,
     ResultRef,
     Source,
-    bit_key,
     source_width,
 )
 from .cost import stored_bits
@@ -132,102 +133,163 @@ def eval_dfg(graph: DataFlowGraph, inputs: dict[str, int]) -> dict[str, int]:
     return {name: env.values[name] for name in graph.outputs}
 
 
-# Vectors per block in check_equiv.  Each op is decoded once per block,
-# and every column of a block lives until the block ends: over the
-# benchmark's equiv designs, 64 vectors ran twice as fast as 16 at a
-# tracemalloc peak of 1.2 MB, while 256 were 20% faster again at 2.9 MB.
-_BLOCK = 64
+# Vectors per block in check_equiv.  Each op is decoded once per block
+# and costs a few big-int operations whose size grows with the block,
+# and a block's values live until it ends.  Over the benchmark's equiv
+# designs, 256 vectors ran about 1.5x as fast as 64 and 1024 about 1.2x
+# as fast again, while a 1000-vector proof of elliptic's latency-3
+# schedule peaked under tracemalloc at 0.11, 0.26 and 0.94 MB.
+_BLOCK = 256
 
 
-def _signed_column(column: list[int], width: int) -> list[int]:
-    half, full = 1 << (width - 1), 1 << width
-    return [x - full if x & half else x for x in column]
+def _widest(source: Source) -> int:
+    """Widest constant or concatenation in ``source``, else 1."""
+    if isinstance(source, Concat):
+        return max(source.width, *(_widest(p.source) for p in source.parts))
+    return source.width if isinstance(source, Const) else 1
+
+
+def _stride(*graphs: DataFlowGraph) -> int:
+    """Bits per vector in a packed value of any of ``graphs``.
+
+    Room for the widest input, op, constant or concatenation plus two
+    guard bits, in whole bytes.  A sum, an offset difference or an
+    offset comparison needs one bit above its operands; the guard keeps
+    it inside its own field.
+    """
+    widest = max(
+        w
+        for g in graphs
+        for w in itertools.chain(
+            (p.width for p in g.inputs),
+            (op.width for op in g.ops),
+            (_widest(o.source) for op in g.ops for o in op.operands),
+        )
+    )
+    return -(-(widest + 2) // 8) * 8
+
+
+def _pack(values, width: int, stride: int) -> int:
+    """One int whose ``j``-th ``stride``-bit field is ``values[j]`` cut
+    to ``width`` bits."""
+    m, size = _mask(width), stride // 8
+    return int.from_bytes(
+        b"".join((v & m).to_bytes(size, "little") for v in values), "little"
+    )
+
+
+def _unpack(packed: int, n: int, stride: int) -> list[int]:
+    """The ``n`` fields of a packed value, first vector first."""
+    size = stride // 8
+    raw = packed.to_bytes(size * n, "little")
+    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, size * n, size)]
+
+
+class _Block:
+    """Packed signal values while ``_eval_block`` walks one graph.
+
+    A class rather than nested functions: closures that call each other
+    form a reference cycle, which would keep every block's values alive
+    until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, graph: DataFlowGraph, inputs: dict[str, int], ones: int):
+        self.graph, self.ones = graph, ones
+        self.values = {p.name: inputs[p.name] for p in graph.inputs}
+        self.carries: dict[str, int] = {}
+
+    def source(self, src: Source) -> int:
+        if isinstance(src, InputRef):
+            return self.values[src.name]
+        if isinstance(src, ResultRef):
+            return self.values[src.op]
+        if isinstance(src, CarryRef):
+            return self.carries[src.op]
+        if isinstance(src, Const):
+            return int(src.bits, 2) * self.ones
+        first, *rest = src.parts  # Concat, MSB first
+        packed = self.operand(first)
+        for part in rest:
+            packed = (packed << part.width) | self.operand(part)
+        return packed
+
+    def operand(self, o: Operand, width: int | None = None) -> int:
+        """``o``'s values at its own width, cut to ``width`` if narrower."""
+        w = o.width if width is None else min(o.width, width)
+        packed, lo = self.source(o.source), o.lo
+        if lo:
+            return (packed >> lo) & (_mask(w) * self.ones)
+        if source_width(self.graph, o.source) > w:
+            return packed & (_mask(w) * self.ones)
+        return packed
 
 
 def _eval_block(
-    graph: DataFlowGraph, columns: dict[str, list[int]], n: int
-) -> dict[str, list[int]]:
+    graph: DataFlowGraph, inputs: dict[str, int], n: int, stride: int
+) -> dict[str, int]:
     """``eval_dfg`` on ``n`` vectors at once.
 
-    ``columns`` maps every input name to its ``n`` values, one per
-    vector; the result maps every output name to its ``n`` unsigned bit
-    patterns.  Each op is decoded once, with its slices, carries,
-    constants and concatenations resolved, and computed with one
-    comprehension over the block.  Takes a validated graph, on which
-    every source value already fits its source width.
+    Every signal is one int holding its ``n`` values as ``stride``-bit
+    fields (see ``_pack``); ``inputs`` maps each input name to its
+    packed values, already cut to the port width, and the result maps
+    each output name to its packed unsigned bit patterns.  Each op is a
+    few big-int operations on whole blocks: a field is always below
+    ``1 << (stride - 2)``, so a sum, a difference offset by ``1 << w``
+    or a compare offset by ``1 << top`` stays inside its own field.
+    Only MULT and MULT_CORE unpack and multiply per vector.  ``stride``
+    must be at least ``_stride(graph)``, and the graph validated.
     """
-    values = {
-        p.name: [v & _mask(p.width) for v in columns[p.name]] for p in graph.inputs
-    }
-    carries: dict[str, list[int]] = {}
+    ones = ((1 << stride * n) - 1) // ((1 << stride) - 1)  # 1 in every field
+    block = _Block(graph, inputs, ones)
+    values, carries, operand = block.values, block.carries, block.operand
 
-    def source(src: Source) -> list[int]:
-        if isinstance(src, InputRef):
-            return values[src.name]
-        if isinstance(src, ResultRef):
-            return values[src.op]
-        if isinstance(src, CarryRef):
-            return carries[src.op]
-        if isinstance(src, Const):
-            return [int(src.bits, 2)] * n
-        first, *rest = src.parts  # Concat, MSB first
-        column = operand(first)
-        for part in rest:
-            w = part.width
-            column = [(x << w) | y for x, y in zip(column, operand(part))]
-        return column
-
-    def operand(o: Operand, width: int | None = None) -> list[int]:
-        """``o``'s values at its own width, cut to ``width`` if narrower."""
-        w = o.width if width is None else min(o.width, width)
-        column, lo = source(o.source), o.lo
-        if lo:
-            m = _mask(w)
-            return [(x >> lo) & m for x in column]
-        if source_width(graph, o.source) > w:
-            m = _mask(w)
-            return [x & m for x in column]
-        return column
+    def offset(packed: int, width: int, top: int) -> int:
+        """Two's complement ``width``-bit fields as ``top``-bit offset
+        binary (value plus ``1 << (top - 1)``), which orders unsigned."""
+        half = 1 << (width - 1)
+        return (packed ^ (half * ones)) + ((1 << (top - 1)) - half) * ones
 
     for op in graph.ops:
         w, kind, opnds = op.width, op.kind, op.operands
-        m = _mask(w)
+        m = _mask(w) * ones
         if kind is OpKind.ADD:
-            a, b = operand(opnds[0], w), operand(opnds[1], w)
+            total = operand(opnds[0], w) + operand(opnds[1], w)
             carry_in = op.carry_in
             if isinstance(carry_in, CarryRef):
-                total = [x + y + c for x, y, c in zip(a, b, carries[carry_in.op])]
-            else:
-                c = carry_in or 0
-                total = [x + y + c for x, y in zip(a, b)]
-            values[op.id] = [t & m for t in total]
-            carries[op.id] = [t >> w for t in total]
+                total += carries[carry_in.op]
+            elif carry_in:
+                total += ones
+            values[op.id] = total & m
+            carries[op.id] = (total >> w) & ones
         elif kind is OpKind.SUB:
             a, b = operand(opnds[0], w), operand(opnds[1], w)
-            values[op.id] = [(x - y) & m for x, y in zip(a, b)]
+            values[op.id] = ((ones << w) + a - b) & m
         elif kind is OpKind.NOT:
-            values[op.id] = [~x & m for x in operand(opnds[0])]
+            values[op.id] = operand(opnds[0], w) ^ m
         elif kind is OpKind.SELECT:
             s, a, b = (operand(o) for o in opnds)
-            values[op.id] = [(y if x else z) & m for x, y, z in zip(s, a, b)]
-        else:  # MULT_CORE, MULT, LT, MAX, MIN
+            picked = s * _mask(w)
+            values[op.id] = (a & picked) | (b & (m ^ picked))
+        elif kind in (OpKind.MULT, OpKind.MULT_CORE):
+            a, b = (_unpack(operand(o), n, stride) for o in opnds)
+            if op.signed and kind is OpKind.MULT:
+                a = [_signed(x, opnds[0].width) for x in a]
+                b = [_signed(x, opnds[1].width) for x in b]
+            values[op.id] = _pack([x * y for x, y in zip(a, b)], w, stride)
+        else:  # LT, MAX, MIN
             a, b = operand(opnds[0]), operand(opnds[1])
             ka, kb = a, b
-            if op.signed and kind is not OpKind.MULT_CORE:
-                ka = _signed_column(a, opnds[0].width)
-                kb = _signed_column(b, opnds[1].width)
+            top = max(opnds[0].width, opnds[1].width)
+            if op.signed:
+                ka = offset(a, opnds[0].width, top)
+                kb = offset(b, opnds[1].width, top)
+            ge = (((ones << top) + ka - kb) >> top) & ones  # 1 where ka >= kb
             if kind is OpKind.LT:
-                values[op.id] = [(x < y) & m for x, y in zip(ka, kb)]
-            elif kind is OpKind.MAX:
-                values[op.id] = [
-                    (p if x >= y else q) & m for p, q, x, y in zip(a, b, ka, kb)
-                ]
-            elif kind is OpKind.MIN:
-                values[op.id] = [
-                    (q if x >= y else p) & m for p, q, x, y in zip(a, b, ka, kb)
-                ]
+                values[op.id] = ge ^ ones
             else:
-                values[op.id] = [(x * y) & m for x, y in zip(ka, kb)]
+                picked = ge * _mask(w)
+                x, y = (a, b) if kind is OpKind.MAX else (b, a)
+                values[op.id] = (x & picked) | (y & (m ^ picked))
     return {name: values[name] for name in graph.outputs}
 
 
@@ -247,7 +309,7 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
     depends on input values, so one check covers every vector.
     """
     graph = sched.graph
-    reads = graph.bit_view.reads
+    reads, slot = graph.bit_view.reads, graph.bit_view.slot
     held = stored_bits(sched)
     held_sets = {b: set(refs) for b, refs in held.items()}
 
@@ -260,7 +322,7 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
                 continue
             for i in range(op.width):
                 for base in reads[(op.id, i)]:
-                    produced = sched.realized[bit_key(graph, base)].cycle
+                    produced = sched.realized[slot[base]].cycle
                     if produced < cycle and base not in held_sets.get(cycle - 1, set()):
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
@@ -372,22 +434,31 @@ def check_equiv(
     if isinstance(candidate, Schedule):
         _latch_check(candidate)
 
+    stride = _stride(reference, cand_graph)
+    field = _mask(stride)
     checked = 0
     while block := list(itertools.islice(vectors, _BLOCK)):
         n = len(block)
-        columns = dict(zip(names, map(list, zip(*block))))
-        want = _eval_block(reference, columns, n)
-        got = _eval_block(cand_graph, columns, n)
+        inputs = {
+            p.name: _pack(column, p.width, stride)
+            for p, column in zip(ports, zip(*block))
+        }
+        want = _eval_block(reference, inputs, n, stride)
+        got = _eval_block(cand_graph, inputs, n, stride)
         if got != want:
             # The first mismatching vector, then the first output in
             # the reference's order, as a vector-by-vector scan finds it.
-            for j, vector in enumerate(block):
-                for name in reference.outputs:
-                    if got[name][j] != want[name][j]:
-                        return EquivResult(
-                            strategy, checked + j + 1, False,
-                            dict(zip(names, vector)),
-                            (name, got[name][j], want[name][j]),
-                        )
+            diff = {name: got[name] ^ want[name] for name in reference.outputs}
+            j = min((d & -d).bit_length() - 1 for d in diff.values() if d) // stride
+            name = next(x for x in reference.outputs if (diff[x] >> stride * j) & field)
+            return EquivResult(
+                strategy, checked + j + 1, False,
+                dict(zip(names, block[j])),
+                (
+                    name,
+                    (got[name] >> stride * j) & field,
+                    (want[name] >> stride * j) & field,
+                ),
+            )
         checked += n
     return EquivResult(strategy, checked, True)

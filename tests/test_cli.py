@@ -110,6 +110,13 @@ def test_missing_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_uncreatable_out_dir_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([SEC2, "--latency", "3", "--out", str(blocker / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unmeetable_budget_exits_one(capsys):
     assert main([SEC2, "--latency", "3", "--nbits", "1"]) == 1
     assert "error:" in capsys.readouterr().err

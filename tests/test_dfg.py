@@ -205,6 +205,10 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
                 assert g.op(r.op).kind not in GLUE_KINDS
             ripple = {OpBit(op_id, b) for b in range(g.op(op_id).width)}
             assert set(refs) == set().union(*(through_glue(r) for r in deps[(op_id, i)])) - ripple
+            for r in refs:  # the slot of a read, a carry at its op's MSB
+                assert view.slot[r] == (
+                    (r.op, g.op(r.op).width - 1) if isinstance(r, CarryBit) else (r.op, r.bit)
+                )
 
 
 def _diag_messages(graph) -> str:

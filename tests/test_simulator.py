@@ -312,9 +312,22 @@ def test_check_equiv_rejects_a_vacuous_random_proof(sec2):
 # Block evaluation against the per-vector oracle.
 
 
-def _assert_block_matches_oracle(graph: DataFlowGraph, vectors: list[dict]) -> None:
-    columns = {p.name: [v[p.name] for v in vectors] for p in graph.inputs}
-    block = simulator._eval_block(graph, columns, len(vectors))
+def _eval_block_columns(graph: DataFlowGraph, vectors: list[dict], stride: int) -> dict:
+    """``_eval_block`` on per-vector inputs, its packed outputs unpacked
+    into one list of values per output."""
+    n = len(vectors)
+    inputs = {
+        p.name: simulator._pack([v[p.name] for v in vectors], p.width, stride)
+        for p in graph.inputs
+    }
+    block = simulator._eval_block(graph, inputs, n, stride)
+    return {name: simulator._unpack(x, n, stride) for name, x in block.items()}
+
+
+def _assert_block_matches_oracle(
+    graph: DataFlowGraph, vectors: list[dict], stride: int | None = None
+) -> None:
+    block = _eval_block_columns(graph, vectors, stride or simulator._stride(graph))
     assert list(block) == list(dict.fromkeys(graph.outputs))
     for j, inputs in enumerate(vectors):
         assert {name: column[j] for name, column in block.items()} == eval_dfg(
@@ -437,6 +450,95 @@ def test_block_evaluation_matches_the_oracle_through_the_pipeline(make, seed):
             _assert_block_matches_oracle(graph, _vectors(rng, graph, n))
 
 
+def _every_kind(width: int, sign: str) -> DataFlowGraph:
+    """Every op kind over two ``width``-bit inputs, at ``width`` bits."""
+    w = f"{sign}{width}"
+    return parse(
+        f"design d;\ninput a : {w}; input b : {w}; input c : u1;\n"
+        f"S: add {w} = a + b;\nT: add {w} carry(S) = a + b;\n"
+        f"U: add {w} carry(1) = a + b;\nD: sub {w} = a - b;\n"
+        f"E: sub {w} = b - a;\nN: not {w} = a;\nK: select {w} = c, a, b;\n"
+        f"L: lt {sign}1 = a < b;\nX: max {w} = a, b;\nY: min {w} = a, b;\n"
+        f"P: mult {w} = a * b;\n"
+        "output S; output T; output U; output D; output E; output N; output K;\n"
+        "output L; output X; output Y; output P;"
+    )
+
+
+def _extremes(graph: DataFlowGraph, repeat: int = 3) -> list[dict]:
+    """Each input all zeros or all ones, every combination, ``repeat``
+    times over: neighbouring fields hold opposite extremes."""
+    ports = list(graph.inputs)
+    combos = itertools.product(*((0, (1 << p.width) - 1) for p in ports))
+    vectors = [dict(zip((p.name for p in ports), v)) for v in combos]
+    return vectors * repeat
+
+
+@pytest.mark.parametrize("sign", ["u", "s"])
+@pytest.mark.parametrize("width", [6, 14, 22])
+def test_widths_that_fill_the_stride_keep_their_fields_apart(width, sign):
+    # A sum, difference or compare of the widest signals reaches into the
+    # guard bits; all-zero and all-ones fields side by side show any
+    # carry or borrow that leaks into the next field.
+    graph = _every_kind(width, sign)
+    assert simulator._stride(graph) == width + 2
+    _assert_block_matches_oracle(graph, _extremes(graph))
+    _assert_block_matches_oracle(graph, _vectors(random.Random(width), graph, 100))
+
+
+def test_constants_and_concatenations_widen_the_stride():
+    graph = parse(
+        "design d;\ninput a : u2;\n"
+        "X: add u2 = {a, a, a, a, a, a, a, a, a, a, a} + const(0000000000000000000011);\n"
+        "output X;"
+    )
+    assert simulator._stride(graph) == 24  # 22 bits and two guard bits
+    _assert_block_matches_oracle(graph, _extremes(graph) + _vectors(random.Random(1), graph, 20))
+    # A wide constant sliced inside a narrow concatenation.
+    wide = Operand(Const("10" * 11), 21, 20)
+    nested = Operand(Concat((wide, Operand(InputRef("a"), 1, 0))), 3, 0)
+    graph = check(DataFlowGraph(
+        "d", (InputPort("a", 2, False),),
+        (Operation("X", OpKind.ADD, 4, False, (nested, nested)),), ("X",),
+    ))
+    assert simulator._stride(graph) == 24
+    _assert_block_matches_oracle(graph, _extremes(graph))
+
+
+def test_signed_compares_of_unequal_widths():
+    graph = parse(
+        "design d;\ninput a : s3; input b : s7;\n"
+        "L: lt s1 = a < b;\nM: lt s1 = b < a;\nX: max s7 = a, b;\n"
+        "Y: min s7 = b, a;\nZ: max s2 = b, a;\nW: min s9 = a, b;\n"
+        "output L; output M; output X; output Y; output Z; output W;"
+    )
+    vectors = [{"a": a, "b": b} for a in range(8) for b in range(128)]
+    _assert_block_matches_oracle(graph, vectors)
+
+
+@pytest.mark.parametrize("sign", ["u", "s"])
+def test_full_width_products(sign):
+    graph = parse(
+        f"design d;\ninput a : {sign}11; input b : {sign}11; input c : {sign}4;\n"
+        f"P: mult {sign}22 = a * b;\nQ: mult {sign}15 = c * a;\n"
+        f"R: mult {sign}8 = c * c;\noutput P; output Q; output R;"
+    )
+    assert simulator._stride(graph) == 24
+    edges = [{"a": a, "b": b, "c": c}
+             for a in (0, 1, 1023, 1024, 2047) for b in (0, 1, 1023, 1024, 2047)
+             for c in (0, 7, 8, 15)]
+    _assert_block_matches_oracle(graph, edges)
+
+
+def test_blocks_at_a_wider_stride_match_the_oracle():
+    # check_equiv packs both designs at the stride of the wider one.
+    rng = random.Random(11)
+    for _ in range(40):
+        graph = _random_graph(rng)
+        stride = simulator._stride(graph) + 8 * rng.randint(1, 3)
+        _assert_block_matches_oracle(graph, _vectors(rng, graph, 30), stride)
+
+
 # check_equiv against the per-vector comparison it replaced.
 
 
@@ -522,9 +624,11 @@ _BLOCK = simulator._BLOCK
 # First vector, inside the first block, its last vector, the first of
 # the second block, and inside later blocks.
 _MISMATCH_AT = (0, 5, _BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2, 3 * _BLOCK + 7)
+# Random proofs end in a short block that holds the last mismatch above.
+_SAMPLES = 3 * _BLOCK + 50
 
 
-@pytest.mark.parametrize("index", _MISMATCH_AT)
+@pytest.mark.parametrize("index", _MISMATCH_AT + ((1 << 12) - 1,))
 def test_exhaustive_mismatch_lands_where_the_vector_scan_finds_it(index):
     ref, cand = _trigger_pair(6, index)  # 12 input bits, {a, b} == vector index
     got = check_equiv(ref, cand)
@@ -542,8 +646,8 @@ def test_random_mismatch_lands_where_the_vector_scan_finds_it(index):
     a, b = drawn[index]
     assert drawn.index((a, b)) == index
     ref, cand = _trigger_pair(12, (a << 12) | b)
-    got = check_equiv(ref, cand, samples=400, seed=seed)
-    assert got == _per_vector_check_equiv(ref, cand, samples=400, seed=seed)
+    got = check_equiv(ref, cand, samples=_SAMPLES, seed=seed)
+    assert got == _per_vector_check_equiv(ref, cand, samples=_SAMPLES, seed=seed)
     assert got.strategy == "random" and got.checked == index + 1
     assert got.counterexample == {"a": a, "b": b}
     assert got.mismatch[0] == "Z"
@@ -559,6 +663,21 @@ def test_equal_designs_match_the_vector_scan():
     got = check_equiv(ref, ref, samples=150, seed=2)
     assert got == _per_vector_check_equiv(ref, ref, samples=150, seed=2)
     assert got == EquivResult("random", 150, True)
+
+
+@pytest.mark.parametrize("samples", [1, _BLOCK, _BLOCK + 1])
+def test_proofs_of_one_and_of_a_block_match_the_vector_scan(samples):
+    ref, _ = _trigger_pair(12, 0)
+    got = check_equiv(ref, ref, samples=samples, seed=4)
+    assert got == _per_vector_check_equiv(ref, ref, samples=samples, seed=4)
+    assert got == EquivResult("random", samples, True)
+    rng = random.Random(4)
+    drawn = [(rng.randrange(1 << 12), rng.randrange(1 << 12)) for _ in range(samples)]
+    a, b = drawn[-1]
+    ref, cand = _trigger_pair(12, (a << 12) | b)
+    got = check_equiv(ref, cand, samples=samples, seed=4)
+    assert got == _per_vector_check_equiv(ref, cand, samples=samples, seed=4)
+    assert got.checked == drawn.index((a, b)) + 1
 
 
 def _flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
