@@ -221,11 +221,11 @@ def _report(design, lam, n_bits, crit, sched, cost, equiv) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    emissions = args.emit or ["report"]
+    emissions = dict.fromkeys(args.emit or ["report"])  # once each, first-seen order
 
     try:
-        text = args.input.read_text()
-    except OSError as exc:
+        text = args.input.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -275,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     else:
-        for what in emissions:
-            sys.stdout.write(artifacts[what])
+        for content in artifacts.values():
+            sys.stdout.write(content)
 
     if equiv is not None and not equiv.equivalent:
         name, got, want = equiv.mismatch

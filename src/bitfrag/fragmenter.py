@@ -93,15 +93,17 @@ def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
             # Core inputs must be complete in a prior cycle; results
             # fill their cycle so consumers spill to the next one.
             for i in range(op.width):
-                table[(op.id, i)] = Slot(max(1, latest + 1), n_bits)
+                table[(op.id, i)] = Slot(latest + 1, n_bits)
             continue
         for i in range(op.width):
-            cycle, depth = max(
-                (table[p] for p in producers[(op.id, i)]), default=Slot(1, 0)
+            latest = max(
+                (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
             )
             if op.kind in GLUE_KINDS:
-                table[(op.id, i)] = Slot(cycle, depth)
-            elif depth < n_bits:
+                table[(op.id, i)] = latest
+                continue
+            cycle, depth = max(latest, Slot(1, 0))  # adds start in cycle 1
+            if depth < n_bits:
                 table[(op.id, i)] = Slot(cycle, depth + 1)
             else:
                 table[(op.id, i)] = Slot(cycle + 1, 1)

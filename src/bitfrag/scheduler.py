@@ -1,8 +1,9 @@
 """Load-balancing list scheduler for fragmented designs.
 
 Every add (fragment or whole) and every multiplier core is a schedulable
-unit with a cycle window recomputed from per-bit mobility on the
-fragmented graph.  Zero-mobility adds are pinned; the rest are placed
+unit.  An add's cycle window is the one its tiling recorded: tiling does
+not change which bits a bit waits on, so the per-bit mobility of the
+kernel still holds.  Zero-mobility adds are pinned; the rest are placed
 in increasing mobility order into the legal cycle that keeps the worst
 per-cycle adder-bit load smallest, earliest on ties.  A placement is
 legal when the whole design can still finish by the latency bound: a
@@ -13,8 +14,8 @@ The completion is monotone: an op's slots move later only when its
 producers' slots do, and so do its failures.  So the completion of the
 pins is the earliest schedule any placement allows.  If it fails, no
 placement can succeed and scheduling stops at once.  Otherwise each
-core takes its cycle in that completion, since a later cycle only
-delays its consumers.
+core takes its cycle in that completion, the cycle after its inputs
+are ready, since a later cycle only delays its consumers.
 
 The completion of the placements made so far is kept as a base slot
 table.  A candidate re-settles only the region it changes, the ops
@@ -65,12 +66,13 @@ def unit_windows(
     mobility: Mobility,
     fragments: dict[str, list[Fragment]],
 ) -> dict[str, tuple[int, int]]:
-    """Cycle window per schedulable unit (adds and multiplier cores).
+    """Cycle window per schedulable unit (adds and multiplier cores),
+    as ``verify_schedule`` checks them.
 
     A fragment's window is the one its tiling recorded; bucket tiles
     may group bits whose per-bit windows disagree, so the record is
-    authoritative.  Cores and uncovered adds fall back to the per-bit
-    tables.
+    authoritative.  Cores and uncovered adds fall back to ``mobility``,
+    which the checker derives from the scheduled graph itself.
     """
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
@@ -161,9 +163,9 @@ class _Plan:
     placement always starts from a base that fits.  A candidate re-settles
     its unit and then, in graph order, only the ops that read a slot it
     changed: an op's slots are a pure function of its producer slots,
-    its placement and its window, so an op whose slots come out as in
-    the base stops the change there, and every op outside the region
-    settles as it did in the base, which succeeded.
+    its placement and, for an add, its window, so an op whose slots
+    come out as in the base stops the change there, and every op
+    outside the region settles as it did in the base, which succeeded.
     """
 
     def __init__(self, graph: DataFlowGraph, lam: int, n_bits: int,
@@ -191,10 +193,11 @@ class _Plan:
                table: dict[tuple[str, int], Slot]) -> bool:
         """Write the slots of ``op``'s bits; False if it cannot fit.
 
-        An unplaced unit (``pin`` None) starts at its window floor and
-        moves later only while its chain overflows the cycle; producers
-        come first in topo order, so deferring a unit never invalidates
-        one already settled.  A placed unit is checked as-is.
+        An unplaced core (``pin`` None) takes the cycle after its inputs
+        are ready; an unplaced add starts at its window floor and moves
+        later only while its chain overflows the cycle.  Producers come
+        first in topo order, so deferring a unit never invalidates one
+        already settled.  A placed unit is checked as-is.
         """
         producers = self.producers
         if op.kind in GLUE_KINDS:
@@ -207,7 +210,7 @@ class _Plan:
             ready = max(
                 (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
             ).cycle
-            c = pin if pin is not None else max(self.windows[op.id][0], ready + 1)
+            c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
                 return False
             for i in range(op.width):
@@ -283,33 +286,32 @@ def schedule(
     lam: int,
     n_bits: int,
 ) -> Schedule:
-    """Assign a cycle to every add fragment and multiplier core."""
-    windows = unit_windows(graph, analyze(graph, n_bits, lam), fragments)
+    """Assign a cycle to every add fragment and multiplier core; each
+    add's window is the one its record in ``fragments`` holds."""
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
-
+    windows: dict[str, tuple[int, int]] = {}
     cycle_of: dict[str, int] = {}
-    for uid, (early, late) in windows.items():
+    for op in graph.ops:
+        if op.kind is not OpKind.ADD:
+            continue
+        frag = frag_of.get(op.id)
+        if frag is None:
+            raise ScheduleError(f"{op.id}: add has no fragment record")
+        early, late = windows[op.id] = frag.asap_cycle, frag.alap_cycle
         if early > late:
-            raise ScheduleError(f"{uid}: empty cycle window [{early}, {late}]")
-        if early == late and graph.op(uid).kind is OpKind.ADD:
-            cycle_of[uid] = early
+            raise ScheduleError(f"{op.id}: empty cycle window [{early}, {late}]")
+        if early == late:
+            cycle_of[op.id] = early
 
     def order_key(uid: str) -> tuple:
         early, late = windows[uid]
-        frag = frag_of.get(uid)
-        parent = frag.parent if frag else uid
-        lo = frag.lo if frag else 0
-        return (late - early, early, parent, lo)
+        return (late - early, early, frag_of[uid].parent, frag_of[uid].lo)
 
-    movable = sorted(
-        (
-            op.id
-            for op in graph.ops
-            if op.kind is OpKind.ADD and op.id not in cycle_of
-        ),
-        key=order_key,
-    )
+    movable = sorted((uid for uid in windows if uid not in cycle_of), key=order_key)
     cores = [op.id for op in graph.ops if op.kind is OpKind.MULT_CORE]
+    loads = {c: 0 for c in range(1, lam + 1)}
+    for uid, c in cycle_of.items():
+        loads[c] += graph.op(uid).width
 
     plan = _Plan(graph, lam, n_bits, windows, cycle_of)
     if plan.base is None:
@@ -322,11 +324,6 @@ def schedule(
         raise ScheduleError("; ".join(realized_slots(graph, n_bits, cycle_of)[1]))
     for core in cores:
         cycle_of[core] = plan.base[(core, 0)].cycle
-
-    loads = {c: 0 for c in range(1, lam + 1)}
-    for op in graph.ops:
-        if op.kind is OpKind.ADD and op.id in cycle_of:
-            loads[cycle_of[op.id]] += op.width
 
     for uid in movable:
         early, late = windows[uid]

@@ -70,6 +70,19 @@ Z: add u4 carry(Y) = X[3:3] + a;
 output Z;
 """
 
+# A multiplier core fed through glue over an input: the glue is ready
+# with the inputs, so at --nbits 8 the core runs in cycle 1 and Q in 2.
+GLUE_CORE_SOURCE = """
+design gluecore;
+input a : u4;
+input b : u4;
+input c : u8;
+N: not u4 = a;
+P: mult u8 = N * b;
+Q: add u8 = P + c;
+output Q;
+"""
+
 
 def under_hash_seeds(args: list[str]) -> list[subprocess.CompletedProcess]:
     """Run ``python args...`` once under PYTHONHASHSEED=0 and once under 1,

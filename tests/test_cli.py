@@ -10,7 +10,13 @@ from bitfrag.cli import _SUFFIX, main
 from bitfrag.dsl import parse
 from bitfrag.simulator import EquivResult, check_equiv
 
-from conftest import DESIGN_DIR, SAT_SOURCE, TIE_SOURCE, under_hash_seeds
+from conftest import (
+    DESIGN_DIR,
+    GLUE_CORE_SOURCE,
+    SAT_SOURCE,
+    TIE_SOURCE,
+    under_hash_seeds,
+)
 
 SEC2 = str(DESIGN_DIR / "sec2.dfg")
 
@@ -53,6 +59,29 @@ def test_out_dir_gets_one_file_per_emission(tmp_path):
     assert "cycle 1: 15 adder bits" in (tmp_path / "sec2.schedule.txt").read_text()
     assert "C[0] = 1" in (tmp_path / "sec2.arrivals.txt").read_text()
     assert (tmp_path / "sec2.dot").read_text().startswith("digraph")
+
+
+def test_repeated_emission_is_written_once(tmp_path, capsys):
+    args = [SEC2, "--latency", "3"]
+    for what in ("schedule", "arrivals", "schedule", "report", "arrivals"):
+        args += ["--emit", what]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    # First-seen order on stdout, one file each with --out.
+    names = [f"sec2{_SUFFIX[w]}" for w in ("schedule", "arrivals", "report")]
+    assert out == "".join((tmp_path / name).read_text() for name in names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+
+def test_core_fed_through_glue_schedules_and_proves(tmp_path, capsys):
+    src = tmp_path / "gluecore.dfg"
+    src.write_text(GLUE_CORE_SOURCE)
+    args = [str(src), "--latency", "2", "--nbits", "8", "--check-equiv"]
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schedule"]["cycles"] == {"1": ["P"], "2": ["Q"]}
+    assert report["equiv"]["equivalent"] is True
 
 
 def test_artifacts_are_byte_deterministic(tmp_path):
@@ -108,6 +137,14 @@ def test_parse_error_exits_one(tmp_path, capsys):
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main([str(tmp_path / "absent.dfg"), "--latency", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_one(tmp_path, capsys):
+    bad = tmp_path / "latin1.dfg"
+    bad.write_bytes("design caf\xe9;\n".encode("latin-1"))
+    assert main([str(bad), "--latency", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "utf-8" in err
 
 
 def test_uncreatable_out_dir_exits_one(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bitfrag.fragmenter import (
 )
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
+from conftest import GLUE_CORE_SOURCE
 
 
 def _table(fragments, parent):
@@ -45,6 +46,20 @@ def test_single_add_asap_fills_depth_slots():
     assert asap[("S", 2)] == Slot(1, 3)
     assert asap[("S", 3)] == Slot(2, 1)
     assert asap[("S", 6)] == Slot(3, 1)
+
+
+def test_glue_over_inputs_is_ready_with_the_inputs():
+    asap = bit_asap(parse(GLUE_CORE_SOURCE), 8)
+    assert asap[("N", 0)] == Slot(0, 0)
+    # The core reads complete inputs, so it can run in cycle 1.
+    assert asap[("P", 0)] == Slot(1, 8)
+    assert asap[("Q", 0)] == Slot(2, 1)
+    # An add over the same glue still starts in cycle 1.
+    g = parse(
+        "design d;\ninput a : u4; input b : u4;\n"
+        "N: not u4 = a;\nS: add u4 = N + b;\noutput S;"
+    )
+    assert bit_asap(g, 3)[("S", 0)] == Slot(1, 1)
 
 
 def test_single_add_alap_counts_back_from_the_deadline():

@@ -8,6 +8,7 @@ from bitfrag.fragmenter import (
     InfeasibleError,
     Slot,
     analyze,
+    bit_asap,
     bucket_fragment,
     fragment,
 )
@@ -20,8 +21,15 @@ from bitfrag.scheduler import (
     unit_windows,
     verify_schedule,
 )
+from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
-from conftest import load_design, random_add_design, random_full_design, run_pipeline
+from conftest import (
+    GLUE_CORE_SOURCE,
+    load_design,
+    random_add_design,
+    random_full_design,
+    run_pipeline,
+)
 
 
 def test_prescheduled_fragments_are_pinned(sec2):
@@ -78,6 +86,23 @@ def test_core_occupies_a_full_cycle(mixed):
     core_slot = p.sched.realized[("P_core", 0)]
     assert core_slot == Slot(1, p.n_bits)
     assert verify_schedule(p.sched) == []
+
+
+def test_core_fed_through_glue_runs_in_the_first_cycle():
+    design = parse(GLUE_CORE_SOURCE)
+    p = run_pipeline(design, 2, 8)
+    assert p.sched.cycle_of == {"P": 1, "Q": 2}
+    assert verify_schedule(p.sched) == []
+    assert check_equiv(design, p.sched).equivalent
+
+
+def test_every_add_needs_its_fragment_record(sec2):
+    p = run_pipeline(sec2, 3)
+    with pytest.raises(ScheduleError, match="C0: add has no fragment record"):
+        schedule(p.transformed, {}, 3, p.n_bits)
+    partial = {k: v for k, v in p.fragments.items() if k != "E"}
+    with pytest.raises(ScheduleError, match="E0: add has no fragment record"):
+        schedule(p.transformed, partial, 3, p.n_bits)
 
 
 def test_determinism(fig3):
@@ -377,3 +402,31 @@ def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, 
     for op in transformed.ops:
         if op.kind is OpKind.MULT_CORE:
             assert accepted(op.id)[:1] == [base[(op.id, 0)].cycle]
+
+
+@pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
+@pytest.mark.parametrize("make,lam", _ORACLE_CASES)
+def test_accepted_assignments_are_never_earlier_than_asap(make, lam, tile):
+    """``bit_asap`` is a lower bound on every assignment ``realized_slots``
+    accepts: the schedule's own, and the one with each core moved to its
+    earliest accepted cycle."""
+    kernel, _ = extract_kernel(make())
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+        sched = schedule(transformed, fragments, lam, n_bits)
+    except (InfeasibleError, ScheduleError):
+        return
+    earliest = dict(sched.cycle_of)
+    for op in transformed.ops:
+        if op.kind is OpKind.MULT_CORE:
+            earliest[op.id] = next(
+                c for c in range(1, lam + 1)
+                if not realized_slots(transformed, n_bits, {**earliest, op.id: c})[1]
+            )
+    asap = bit_asap(transformed, n_bits)
+    for cycle_of in (sched.cycle_of, earliest):
+        table, problems = realized_slots(transformed, n_bits, cycle_of)
+        assert problems == []
+        before_asap = [k for k, slot in table.items() if slot < asap[k]]
+        assert before_asap == []
