@@ -225,8 +225,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text = args.input.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its message names the file
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
 
     try:

@@ -45,6 +45,9 @@ KERNEL_KINDS = frozenset({OpKind.ADD, OpKind.MULT_CORE, OpKind.NOT, OpKind.SELEC
 # Transparent glue: zero delay, no functional unit of its own.
 GLUE_KINDS = frozenset({OpKind.NOT, OpKind.SELECT})
 
+# Kinds whose result bit i reads bit i of each operand.
+_PER_BIT_KINDS = GLUE_KINDS | {OpKind.ADD, OpKind.SUB}
+
 ARITY = {
     OpKind.ADD: 2,
     OpKind.SUB: 2,
@@ -239,31 +242,27 @@ def source_width(graph: DataFlowGraph, source: Source) -> int:
     return source.width  # Const, Concat
 
 
-def resolve_operand_bit(graph: DataFlowGraph, operand: Operand, k: int) -> BitRef:
-    """The bit feeding position ``k`` of a consumer, after slice and
-    zero-extension.  Constant and out-of-range bits come back as
-    ConstBit."""
-    if k > operand.hi - operand.lo:
-        return ZERO_BIT
-    return _resolve_source_bit(graph, operand.source, operand.lo + k)
+def operand_bits(operand: Operand) -> list[BitRef]:
+    """The bits of ``operand``, lowest first, at the operand's own width.
 
-
-def _resolve_source_bit(graph: DataFlowGraph, source: Source, k: int) -> BitRef:
+    This is the one bit-level resolver: the bit view and the fragment
+    rewrite both read operands through it.  Constant bits come back as
+    ConstBit; a consumer wider than the operand sees zeros above it.
+    """
+    source, lo, stop = operand.source, operand.lo, operand.hi + 1
     if isinstance(source, InputRef):
-        return InputBit(source.name, k)
+        return [InputBit(source.name, k) for k in range(lo, stop)]
     if isinstance(source, ResultRef):
-        return OpBit(source.op, k)
+        return [OpBit(source.op, k) for k in range(lo, stop)]
     if isinstance(source, CarryRef):
-        return CarryBit(source.op) if k == 0 else ZERO_BIT
+        return [CarryBit(source.op) if k == 0 else ZERO_BIT for k in range(lo, stop)]
     if isinstance(source, Const):
         # bits string is MSB first
-        return ConstBit(int(source.bits[len(source.bits) - 1 - k]))
-    # Concat: index from the LSB end of the part list
-    for part in reversed(source.parts):
-        if k < part.width:
-            return resolve_operand_bit(graph, part, k)
-        k -= part.width
-    return ZERO_BIT
+        return [ConstBit(int(c)) for c in reversed(source.bits)][lo:stop]
+    bits: list[BitRef] = []
+    for part in reversed(source.parts):  # Concat, MSB first
+        bits += operand_bits(part)
+    return bits[lo:stop]
 
 
 def validate(graph: DataFlowGraph) -> list[Diagnostic]:
@@ -336,9 +335,7 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         if op.carry_in is not None and op.kind is not OpKind.ADD:
             diags.append(Diagnostic("only add may take a carry", op.id))
         if isinstance(op.carry_in, CarryRef):
-            check_ref(op.carry_in.op, op.id)
-            if op.carry_in.op in defined_ops and graph.op(op.carry_in.op).kind is not OpKind.ADD:
-                diags.append(Diagnostic(f"carry source {op.carry_in.op} is not an add", op.id))
+            check_source(op.carry_in, op.id)
         elif isinstance(op.carry_in, int) and op.carry_in not in (0, 1):
             diags.append(Diagnostic(f"carry constant must be 0 or 1, got {op.carry_in}", op.id))
         defined_ops.add(op.id)
@@ -372,50 +369,40 @@ class Namer:
         return name
 
 
-def operand_bit_producers(graph: DataFlowGraph, operand: Operand, k: int) -> list[BitRef]:
-    ref = resolve_operand_bit(graph, operand, k)
-    return [] if isinstance(ref, ConstBit) else [ref]
-
-
 def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
     """Producer set per (op, result bit).
 
     Ripple kinds (ADD/SUB) chain each bit on the previous one; glue is
-    per-bit transparent; MULT/MULT_CORE/LT/MAX/MIN are opaque, every
-    result bit depending on every operand bit.
+    per-bit transparent, a select's condition feeding every bit;
+    MULT/MULT_CORE/LT/MAX/MIN are opaque, every result bit depending on
+    every operand bit.  Each operand is resolved once per op.
     """
     deps: dict[tuple[str, int], frozenset[BitRef]] = {}
     for op in graph.ops:
-        if op.kind in (OpKind.ADD, OpKind.SUB):
-            for i in range(op.width):
-                prods: list[BitRef] = []
-                for opnd in op.operands:
-                    prods += operand_bit_producers(graph, opnd, i)
-                if i > 0:
-                    prods.append(OpBit(op.id, i - 1))
-                elif isinstance(op.carry_in, CarryRef):
-                    prods.append(CarryBit(op.carry_in.op))
-                deps[(op.id, i)] = frozenset(prods)
-        elif op.kind is OpKind.NOT:
-            for i in range(op.width):
-                deps[(op.id, i)] = frozenset(
-                    operand_bit_producers(graph, op.operands[0], i)
-                )
-        elif op.kind is OpKind.SELECT:
-            cond = op.operands[0]
-            for i in range(op.width):
-                prods = operand_bit_producers(graph, cond, 0)
-                for opnd in op.operands[1:]:
-                    prods += operand_bit_producers(graph, opnd, i)
-                deps[(op.id, i)] = frozenset(prods)
-        else:
-            prods = []
-            for opnd in op.operands:
-                for k in range(opnd.width):
-                    prods += operand_bit_producers(graph, opnd, k)
-            whole = frozenset(prods)
-            for i in range(op.width):
+        # None marks a bit with no producer: a constant, or past the
+        # operand's top bit.
+        operands = [
+            [None if isinstance(r, ConstBit) else r for r in operand_bits(opnd)]
+            for opnd in op.operands
+        ]
+        width = op.width
+        if op.kind not in _PER_BIT_KINDS:
+            whole = frozenset(r for bits in operands for r in bits if r is not None)
+            for i in range(width):
                 deps[(op.id, i)] = whole
+            continue
+        if op.kind is OpKind.SELECT:
+            operands[0] = operands[0][:1] * width
+        ripple = op.kind not in GLUE_KINDS
+        columns = zip(*(bits[:width] + [None] * (width - len(bits)) for bits in operands))
+        for i, column in enumerate(columns):
+            prods = set(column)
+            prods.discard(None)
+            if ripple and i > 0:
+                prods.add(OpBit(op.id, i - 1))
+            elif isinstance(op.carry_in, CarryRef):  # only an add takes one
+                prods.add(CarryBit(op.carry_in.op))
+            deps[(op.id, i)] = frozenset(prods)
     return deps
 
 

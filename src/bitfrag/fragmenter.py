@@ -5,9 +5,12 @@ many adder bits already chain inside the cycle, and at most ``n_bits``
 of chaining fit in one cycle.  ASAP packs every bit as early as the
 recurrence allows, ALAP as late as the latency budget allows, and an
 add is then split into maximal runs of contiguous bits whose cycle
-windows agree.  Consumers are rewired to the fragment results bit by
-bit, carries are chained fragment to fragment, and fragmented design
-outputs are reassembled under their original name.
+windows agree.  Every consumer is then rewired to read the fragment
+bits: each operand is resolved once with ``dfg.operand_bits``, its bits
+are mapped to the fragments that now produce them and regrouped into
+slices and concatenations.  Carries chain fragment to fragment, and
+only fragmented design outputs are reassembled, under their original
+name, so the design signature is unchanged.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from .dfg import (
     Operand,
     Operation,
     ResultRef,
+    ZERO_BIT,
     check,
-    resolve_operand_bit,
+    operand_bits,
 )
 
 
@@ -114,8 +118,9 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     """Latest slot per bit for a ``lam``-cycle schedule.
 
     Design outputs (and dangling results) are due at a virtual slot
-    (lam + 1, 1).  Raises InfeasibleError when any bit falls before
-    cycle 1.
+    (lam + 1, 1); only glue can stay there, every add and core bit
+    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
+    falls before cycle 1.
     """
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
@@ -163,11 +168,6 @@ def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
     return Mobility(lam, n_bits, bit_asap(graph, n_bits), bit_alap(graph, n_bits, lam))
 
 
-def _clamp(slot: Slot, lam: int) -> Slot:
-    # Output-only glue may sit at the virtual due slot; report within budget.
-    return slot if slot.cycle <= lam else Slot(lam, slot.depth)
-
-
 def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[int, int, int, int]]]:
     """Maximal contiguous bit runs of equal cycle window, per add op.
 
@@ -179,10 +179,7 @@ def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[in
         if op.kind is not OpKind.ADD:
             continue
         runs[op.id] = _split_runs([
-            (
-                mobility.asap[(op.id, i)].cycle,
-                _clamp(mobility.alap[(op.id, i)], mobility.lam).cycle,
-            )
+            (mobility.asap[(op.id, i)].cycle, mobility.alap[(op.id, i)].cycle)
             for i in range(op.width)
         ])
     return runs
@@ -203,31 +200,16 @@ def _regroup(bits: list) -> Operand:
     """Pack resolved bit refs (LSB first) back into slices and concats."""
     groups: list[list] = []
     for ref in bits:
-        if groups:
-            last = groups[-1][-1]
-            if (
-                isinstance(ref, ConstBit)
-                and isinstance(last, ConstBit)
-            ):
-                groups[-1].append(ref)
-                continue
-            if (
-                isinstance(ref, InputBit)
-                and isinstance(last, InputBit)
-                and ref.name == last.name
-                and ref.bit == last.bit + 1
-            ):
-                groups[-1].append(ref)
-                continue
-            if (
-                isinstance(ref, OpBit)
-                and isinstance(last, OpBit)
-                and ref.op == last.op
-                and ref.bit == last.bit + 1
-            ):
-                groups[-1].append(ref)
-                continue
-        groups.append([ref])
+        last = groups[-1][-1] if groups else None
+        # Constants run together; an input or op bit extends the slice below it.
+        if type(ref) is type(last) and (
+            isinstance(ref, ConstBit)
+            or isinstance(ref, InputBit) and (ref.name, ref.bit) == (last.name, last.bit + 1)
+            or isinstance(ref, OpBit) and (ref.op, ref.bit) == (last.op, last.bit + 1)
+        ):
+            groups[-1].append(ref)
+        else:
+            groups.append([ref])
     # Trailing high zeros are implicit in the operand's zero extension.
     while len(groups) > 1 and all(
         isinstance(r, ConstBit) and r.value == 0 for r in groups[-1]
@@ -260,98 +242,81 @@ def _map_ref(ref, bit_map: dict):
     return ref
 
 
-def _rewire(graph: DataFlowGraph, opnd: Operand, bit_map: dict, count: int, base: int = 0) -> Operand:
-    bits = [
-        _map_ref(resolve_operand_bit(graph, opnd, base + k), bit_map)
-        for k in range(count)
-    ]
-    return _regroup(bits)
+def _rewire(bits: list, bit_map: dict, lo: int, width: int | None) -> Operand:
+    """Rebuild an operand from its resolved ``bits`` on the rewritten ops.
+
+    A fragment reads ``width`` bits from ``lo`` upward, zero-extended; a
+    whole op (``width`` None) reads the operand at its own width.
+    """
+    if width is not None:
+        bits = bits[lo:lo + width]
+        bits += [ZERO_BIT] * (width - len(bits))
+    return _regroup([_map_ref(ref, bit_map) for ref in bits])
 
 
 def apply_runs(
     graph: DataFlowGraph,
     runs: dict[str, list[tuple[int, int, int, int]]],
 ) -> tuple[dict[str, list[Fragment]], DataFlowGraph]:
-    """Split adds along ``runs`` and rewire the rest of the design."""
+    """Split adds along ``runs`` and rewire the rest of the design.
+
+    Each op becomes its parts, ``(name, lo, width)`` LSB first: the
+    fragments of an add with several runs, else the op itself under its
+    own name, with width None.  Only ops with runs get Fragment records.
+    """
     namer = Namer(
         {op.id for op in graph.ops} | {p.name for p in graph.inputs}
     )
     fragments: dict[str, list[Fragment]] = {}
-    # (parent, bit) -> (new op, local bit); "carry", parent -> carry source op.
+    parts: dict[str, list[tuple[str, int, int | None]]] = {}
+    # (op, bit) -> (part, local bit); "carry", op -> the part with its carry-out.
     bit_map: dict = {}
     for op in graph.ops:
         split = runs.get(op.id, [])
-        if len(split) <= 1:
-            for i in range(op.width):
-                bit_map[(op.id, i)] = (op.id, i)
-            bit_map["carry", op.id] = op.id
-            if op.id in runs:
-                lo, hi, a, l = split[0]
-                fragments[op.id] = [Fragment(op.id, 0, op.id, lo, hi, a, l)]
-            continue
-        parts = []
-        for k, (lo, hi, a, l) in enumerate(split):
-            frag_id = namer.fresh(f"{op.id}{k}")
-            parts.append(Fragment(op.id, k, frag_id, lo, hi, a, l))
-            for i in range(lo, hi + 1):
-                bit_map[(op.id, i)] = (frag_id, i - lo)
-        bit_map["carry", op.id] = parts[-1].id
-        fragments[op.id] = parts
+        if len(split) > 1:
+            names = [namer.fresh(f"{op.id}{k}") for k in range(len(split))]
+            parts[op.id] = [
+                (name, lo, hi - lo + 1) for name, (lo, hi, _, _) in zip(names, split)
+            ]
+        else:
+            names = [op.id]
+            parts[op.id] = [(op.id, 0, None)]
+        if split:
+            fragments[op.id] = [
+                Fragment(op.id, k, name, *run)
+                for k, (name, run) in enumerate(zip(names, split))
+            ]
+        for name, lo, width in parts[op.id]:
+            for i in range(width or op.width):
+                bit_map[(op.id, lo + i)] = (name, i)
+        bit_map["carry", op.id] = names[-1]
 
     new_ops: list[Operation] = []
     for op in graph.ops:
-        parts = fragments.get(op.id, [])
-        if len(parts) <= 1:
-            carry = op.carry_in
-            if isinstance(carry, CarryRef):
-                carry = CarryRef(bit_map["carry", carry.op])
+        operands = [operand_bits(o) for o in op.operands]
+        carry = op.carry_in
+        if isinstance(carry, CarryRef):
+            carry = CarryRef(bit_map["carry", carry.op])
+        for name, lo, width in parts[op.id]:
             new_ops.append(
                 Operation(
-                    op.id,
+                    name,
                     op.kind,
-                    op.width,
+                    width or op.width,
                     op.signed,
-                    tuple(
-                        _rewire(graph, o, bit_map, o.width) for o in op.operands
-                    ),
+                    tuple(_rewire(bits, bit_map, lo, width) for bits in operands),
                     carry,
                 )
             )
-            continue
-        for frag in parts:
-            if frag.index == 0:
-                carry = op.carry_in
-                if isinstance(carry, CarryRef):
-                    carry = CarryRef(bit_map["carry", carry.op])
-            else:
-                carry = CarryRef(parts[frag.index - 1].id)
-            new_ops.append(
-                Operation(
-                    frag.id,
-                    OpKind.ADD,
-                    frag.width,
-                    op.signed,
-                    tuple(
-                        _rewire(graph, o, bit_map, frag.width, frag.lo)
-                        for o in op.operands
-                    ),
-                    carry,
-                )
-            )
+            carry = CarryRef(name)  # fragments chain low to high
 
-    outputs = []
-    reassembled: set[str] = set()
-    for name in graph.outputs:
-        outputs.append(name)
-        if not graph.is_op(name) or name in reassembled:
+    for name in dict.fromkeys(graph.outputs):
+        if not graph.is_op(name) or len(parts[name]) == 1:
             continue
-        parts = fragments.get(name, [])
-        if len(parts) <= 1:
-            continue
-        reassembled.add(name)
         concat = Concat(
             tuple(
-                Operand(ResultRef(f.id), f.width - 1, 0) for f in reversed(parts)
+                Operand(ResultRef(part), width - 1, 0)
+                for part, _, width in reversed(parts[name])
             )
         )
         # The original name becomes a transparent reassembly of the
@@ -398,7 +363,7 @@ def bucket_runs(
         if op.kind is not OpKind.ADD:
             continue
         start = mobility.asap[(op.id, 0)].cycle
-        stop = _clamp(mobility.alap[(op.id, op.width - 1)], mobility.lam).cycle
+        stop = mobility.alap[(op.id, op.width - 1)].cycle
         forward: list[int] = []
         cycle, used = start, 0
         for _ in range(op.width):

@@ -84,10 +84,7 @@ def unit_windows(
             windows[op.id] = (frag.asap_cycle, frag.alap_cycle)
             continue
         early = max(mobility.asap[(op.id, i)].cycle for i in range(op.width))
-        late = min(
-            min(mobility.alap[(op.id, i)].cycle, mobility.lam)
-            for i in range(op.width)
-        )
+        late = min(mobility.alap[(op.id, i)].cycle for i in range(op.width))
         windows[op.id] = (early, late)
     return windows
 

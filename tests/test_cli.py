@@ -144,7 +144,7 @@ def test_non_utf8_input_exits_one(tmp_path, capsys):
     bad.write_bytes("design caf\xe9;\n".encode("latin-1"))
     assert main([str(bad), "--latency", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "utf-8" in err
+    assert err.startswith(f"error: {bad}: ") and "utf-8" in err
 
 
 def test_uncreatable_out_dir_exits_one(tmp_path, capsys):

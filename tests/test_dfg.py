@@ -21,7 +21,7 @@ from bitfrag.dfg import (
     ValidationError,
     bit_deps,
     check,
-    resolve_operand_bit,
+    operand_bits,
     source_width,
     validate,
 )
@@ -73,33 +73,29 @@ def test_source_widths():
     assert source_width(g, cat) == 5
 
 
-def test_resolve_operand_bit_slice_and_zext():
-    g = _tiny()
+def test_operand_bits_slice_and_zext():
     opnd = Operand(InputRef("A"), 2, 1)
-    assert resolve_operand_bit(g, opnd, 0) == InputBit("A", 1)
-    assert resolve_operand_bit(g, opnd, 1) == InputBit("A", 2)
-    # Beyond the slice the consumer sees zero.
-    assert resolve_operand_bit(g, opnd, 2) == ConstBit(0)
+    # The bits stop at the slice's width; a wider consumer pads with zeros.
+    assert operand_bits(opnd) == [InputBit("A", 1), InputBit("A", 2)]
 
 
-def test_resolve_const_bits_msb_first():
-    g = _tiny()
+def test_operand_bits_const_msb_first():
     opnd = Operand(Const("10"), 1, 0)
-    assert resolve_operand_bit(g, opnd, 0) == ConstBit(0)
-    assert resolve_operand_bit(g, opnd, 1) == ConstBit(1)
+    assert operand_bits(opnd) == [ConstBit(0), ConstBit(1)]
 
 
-def test_resolve_carry_and_concat():
-    g = _tiny()
+def test_operand_bits_carry_and_concat():
     carry = Operand(CarryRef("C"), 0, 0)
-    assert resolve_operand_bit(g, carry, 0) == CarryBit("C")
+    assert operand_bits(carry) == [CarryBit("C")]
     cat = Concat((Operand(InputRef("A"), 3, 2), Operand(InputRef("B"), 1, 0)))
     opnd = Operand(cat, 3, 0)
     # Parts are MSB first; indexing runs from the LSB end.
-    assert resolve_operand_bit(g, opnd, 0) == InputBit("B", 0)
-    assert resolve_operand_bit(g, opnd, 1) == InputBit("B", 1)
-    assert resolve_operand_bit(g, opnd, 2) == InputBit("A", 2)
-    assert resolve_operand_bit(g, opnd, 3) == InputBit("A", 3)
+    assert operand_bits(opnd) == [
+        InputBit("B", 0),
+        InputBit("B", 1),
+        InputBit("A", 2),
+        InputBit("A", 3),
+    ]
 
 
 def test_bit_deps_ripple_and_carry():

@@ -1,6 +1,8 @@
 """Mobility analysis, fragment tiling, and graph rewiring."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
 from bitfrag.dfg import CarryRef, Concat, OpKind, ResultRef
@@ -16,7 +18,7 @@ from bitfrag.fragmenter import (
 )
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
-from conftest import GLUE_CORE_SOURCE
+from conftest import GLUE_CORE_SOURCE, random_add_design, random_full_design
 
 
 def _table(fragments, parent):
@@ -85,6 +87,26 @@ def test_glue_alap_keeps_the_virtual_output_slot():
     # The inverter is free; only the add must land inside the schedule.
     assert alap[("N", 3)] == Slot(3, 1)
     assert alap[("X", 3)] == Slot(2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.integers(1, 16),
+)
+def test_adds_and_cores_are_never_due_after_the_latency(make, seed, lam, n_bits):
+    # Only glue can sit at the virtual slot (lam + 1, 1), so the tilers
+    # take an add's latest cycle from bit_alap as it is.
+    kernel, _ = extract_kernel(make(seed))
+    try:
+        alap = bit_alap(kernel, n_bits, lam)
+    except InfeasibleError:
+        return
+    for op in kernel.ops:
+        if op.kind in (OpKind.ADD, OpKind.MULT_CORE):
+            assert all(alap[(op.id, i)].cycle <= lam for i in range(op.width))
 
 
 def test_sec2_fragment_tiling(sec2_frags):

@@ -172,9 +172,9 @@ def test_verify_flags_depth_overflow(sec2):
     p = run_pipeline(sec2, 3)
     # Forcing two chained fragments into one cycle exceeds six slots.
     bad = _tampered(p.sched, C1=1)
-    msgs = "; ".join(verify_schedule(bad))
-    assert "deeper than" in msgs or "outside window" in msgs
-    assert any("C1" in m for m in verify_schedule(bad))
+    msgs = verify_schedule(bad)
+    assert "C1: cycle 1 outside window [2, 2]" in msgs
+    assert "C1[0]: chain depth 7 exceeds 6 bits per cycle" in msgs
 
 
 def test_verify_flags_stale_slot_table(sec2):
@@ -192,9 +192,8 @@ def test_realized_slots_report_unready_operands(sec2):
     p = run_pipeline(sec2, 3)
     cycle_of = dict(p.sched.cycle_of, E0=1, E1=1, E2=1)
     _, problems = realized_slots(p.sched.graph, p.sched.n_bits, cycle_of)
-    assert any("operand ready in cycle" in m for m in problems) or any(
-        "deeper than" in m for m in problems
-    )
+    assert "E1[1]: operand ready in cycle 2, read in 1" in problems
+    assert any("chain depth" in m and "exceeds" in m for m in problems)
 
 
 def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
