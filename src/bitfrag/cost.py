@@ -12,7 +12,10 @@ produced in or before cycle c and some add or core reads it after c.
 Reads are traced through transparent glue; design inputs and outputs
 have dedicated I/O registers and are not counted.  A lane's carry is
 latched while the ripple is suspended, that is between the cycles of
-two neighbouring fragments.
+two neighbouring fragments.  The reads and the order of the latched
+bits both come from the graph's bit view (``bit_view.reads`` and
+``bit_view.slot``), so nothing here re-derives bit order from the
+fragment records.
 """
 
 from __future__ import annotations
@@ -85,52 +88,28 @@ def _bit_name(ref) -> str:
     return f"{ref.op}[{ref.bit}]"
 
 
-def _base_consumers(graph: DataFlowGraph) -> dict:
-    """Consumption map from producer bits to consuming unit ids.
-
-    Keys are OpBit/CarryBit of non-glue ops, read through glue.
-    """
-    consumers: dict = {}
-    for (unit, _), refs in graph.bit_view.reads.items():
-        for ref in refs:
-            consumers.setdefault(ref, set()).add(unit)
-    return consumers
-
-
 def stored_bits(sched: Schedule) -> dict[int, list]:
-    """Bits live across each cycle boundary, in deterministic order.
+    """Bits live across each cycle boundary, in the bit view's order.
 
-    Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.
+    Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.  A
+    read ref is held at every boundary from the cycle its slot is
+    realized in up to its last reader's cycle; an unscheduled reader
+    holds nothing.  Each boundary lists its refs as ``bit_view.slot``
+    does: data bits before carries, each in definition order and then
+    by bit.
     """
-    graph = sched.graph
-    slot = graph.bit_view.slot
-    live: dict = {}
-    for ref, users in _base_consumers(graph).items():
-        start = sched.realized[slot[ref]].cycle
-        stop = max(sched.cycle_of[u] for u in users)
-        if stop > start:
-            live[ref] = (start, stop)
-
-    frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
-    parent_of = {}
-    parent_index: dict[str, int] = {}
-    for op in graph.ops:
-        pid = frag_of[op.id].parent if op.id in frag_of else op.id
-        parent_of[op.id] = pid
-        parent_index.setdefault(pid, len(parent_index))
-
-    def key(ref) -> tuple:
-        if isinstance(ref, CarryBit):
-            frag = frag_of.get(ref.op)
-            return (1, parent_index[parent_of[ref.op]], frag.index if frag else 0)
-        frag = frag_of.get(ref.op)
-        base = frag.lo if frag else 0
-        return (0, parent_index[parent_of[ref.op]], base + ref.bit)
-
-    out: dict[int, list] = {}
-    for b in range(1, sched.lam):
-        held = [ref for ref, (start, stop) in live.items() if start <= b < stop]
-        out[b] = sorted(held, key=key)
+    view = sched.graph.bit_view
+    stop = dict.fromkeys(view.slot, 0)  # each ref's last reader cycle
+    for (unit, _), refs in view.reads.items():
+        cycle = sched.cycle_of.get(unit, 0)
+        for ref in refs:
+            if stop[ref] < cycle:
+                stop[ref] = cycle
+    out: dict[int, list] = {b: [] for b in range(1, sched.lam)}
+    for ref, key in view.slot.items():
+        start = sched.realized[key].cycle
+        for b in range(max(start, 1), min(stop[ref], sched.lam)):
+            out[b].append(ref)
     return out
 
 
@@ -255,8 +234,9 @@ def costs(sched: Schedule) -> CostReport:
 
 def _op_level_consumers(graph: DataFlowGraph) -> dict[str, set[str]]:
     consumers: dict[str, set[str]] = {}
-    for base, users in _base_consumers(graph).items():
-        consumers.setdefault(base.op, set()).update(users)
+    for (unit, _), refs in graph.bit_view.reads.items():
+        for ref in refs:
+            consumers.setdefault(ref.op, set()).add(unit)
     return consumers
 
 

@@ -429,7 +429,8 @@ class BitView:
     definition order and then by bit, without duplicates; that order is
     the tie rule of ``critical_path``.  ``slot`` maps each ref in
     ``reads`` to its key, resolved here once so that no pass resolves a
-    carry itself.
+    carry itself.  It lists every read ref once, in that same order,
+    which is the order ``cost.stored_bits`` latches them in.
     """
 
     producers: dict[BitKey, tuple[BitKey, ...]]
@@ -484,5 +485,5 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         producers,
         {key: tuple(users) for key, users in consumers.items()},
         reads,
-        slot,
+        {ref: slot[ref] for ref in sorted(slot, key=rank)},
     )

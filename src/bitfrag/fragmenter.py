@@ -364,22 +364,12 @@ def bucket_runs(
             continue
         start = mobility.asap[(op.id, 0)].cycle
         stop = mobility.alap[(op.id, op.width - 1)].cycle
-        forward: list[int] = []
-        cycle, used = start, 0
-        for _ in range(op.width):
-            if used == n_bits:
-                cycle, used = cycle + 1, 0
-            forward.append(cycle)
-            used += 1
-        backward: list[int] = []
-        cycle, used = stop, 0
-        for _ in range(op.width):
-            if used == n_bits:
-                cycle, used = cycle - 1, 0
-            backward.append(cycle)
-            used += 1
-        backward.reverse()
-        runs[op.id] = _split_runs(list(zip(forward, backward)))
+        # Bit i is the (i % n_bits)-th bit of the (i // n_bits)-th bucket
+        # from the bottom, and likewise counted down from the top.
+        runs[op.id] = _split_runs([
+            (start + i // n_bits, stop - (op.width - 1 - i) // n_bits)
+            for i in range(op.width)
+        ])
     return runs
 
 

@@ -36,7 +36,7 @@ from .dfg import (
     OpKind,
     Operation,
 )
-from .fragmenter import Fragment, Mobility, Slot, analyze
+from .fragmenter import Fragment, InfeasibleError, Mobility, Slot, analyze
 
 
 class ScheduleError(ValueError):
@@ -353,22 +353,34 @@ def verify_schedule(sched: Schedule) -> list[str]:
 
     Re-derives mobility windows from the scheduled graph and confirms
     assignment completeness, window containment, fragment order, and
-    realized chain depths.
+    realized chain depths.  A budget too small for the graph's own
+    mobility analysis is reported as a problem, with its message, and
+    every check that needs no window still runs.
     """
     problems: list[str] = []
     graph = sched.graph
-    mobility = analyze(graph, sched.n_bits, sched.lam)
-    windows = unit_windows(graph, mobility, sched.fragments)
+    try:
+        mobility = analyze(graph, sched.n_bits, sched.lam)
+    except InfeasibleError as err:
+        problems.append(str(err))
+        windows = {}
+    else:
+        windows = unit_windows(graph, mobility, sched.fragments)
 
-    for uid, (early, late) in windows.items():
+    for op in graph.ops:
+        if op.kind in GLUE_KINDS:
+            continue
+        uid = op.id
         if uid not in sched.cycle_of:
             problems.append(f"{uid}: not scheduled")
             continue
         c = sched.cycle_of[uid]
         if not 1 <= c <= sched.lam:
             problems.append(f"{uid}: cycle {c} outside 1..{sched.lam}")
-        if not early <= c <= late:
-            problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
+        if uid in windows:
+            early, late = windows[uid]
+            if not early <= c <= late:
+                problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
 
     for parent, parts in sched.fragments.items():
         for a, b in zip(parts, parts[1:]):

@@ -21,7 +21,6 @@ import random
 from dataclasses import dataclass
 
 from .dfg import (
-    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -35,7 +34,7 @@ from .dfg import (
     Source,
     source_width,
 )
-from .cost import stored_bits
+from .cost import _bit_name, stored_bits
 from .scheduler import Schedule
 
 
@@ -155,16 +154,20 @@ def _stride(*graphs: DataFlowGraph) -> int:
     Room for the widest input, op, constant or concatenation plus two
     guard bits, in whole bytes.  A sum, an offset difference or an
     offset comparison needs one bit above its operands; the guard keeps
-    it inside its own field.
+    it inside its own field.  Designs with no signal at all (no input
+    and no op) take one byte.
     """
     widest = max(
-        w
-        for g in graphs
-        for w in itertools.chain(
-            (p.width for p in g.inputs),
-            (op.width for op in g.ops),
-            (_widest(o.source) for op in g.ops for o in op.operands),
-        )
+        (
+            w
+            for g in graphs
+            for w in itertools.chain(
+                (p.width for p in g.inputs),
+                (op.width for op in g.ops),
+                (_widest(o.source) for op in g.ops for o in op.operands),
+            )
+        ),
+        default=0,
     )
     return -(-(widest + 2) // 8) * 8
 
@@ -305,50 +308,44 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
 
     Raises SimulationError if any operand bit produced in an earlier
     cycle is missing from the latch set the cost model charges for at
-    the intervening boundary, or if a unit has no cycle.  Nothing here
-    depends on input values, so one check covers every vector.
+    the intervening boundary, or if a unit has no cycle.  The units are
+    walked once, by cycle and then in definition order, so the first
+    unlatched read of the earliest cycle is the one named, before any
+    unscheduled unit.  Nothing here depends on input values, so one
+    check covers every vector.
     """
     graph = sched.graph
     reads, slot = graph.bit_view.reads, graph.bit_view.slot
     held = stored_bits(sched)
-    held_sets = {b: set(refs) for b, refs in held.items()}
-
-    trace: list[CycleTrace] = []
-    seen: set[str] = set()
-    for cycle in range(1, sched.lam + 1):
-        executed = []
-        for op in graph.ops:
-            if op.kind in GLUE_KINDS or sched.cycle_of.get(op.id) != cycle:
-                continue
+    # Units by cycle, each in definition order; a unit with no cycle in
+    # 1 .. lam goes to ``missing``.
+    units: dict[int, list[Operation]] = {c: [] for c in range(1, sched.lam + 1)}
+    missing: list[Operation] = []
+    for op in graph.ops:
+        if op.kind not in GLUE_KINDS:
+            units.get(sched.cycle_of.get(op.id), missing).append(op)
+    for cycle, ops in units.items():
+        latched = set(held.get(cycle - 1, ()))
+        for op in ops:
             for i in range(op.width):
                 for base in reads[(op.id, i)]:
-                    produced = sched.realized[slot[base]].cycle
-                    if produced < cycle and base not in held_sets.get(cycle - 1, set()):
+                    if sched.realized[slot[base]].cycle < cycle and base not in latched:
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
                             f"bit {base} across boundary {cycle - 1}"
                         )
-            executed.append(op.id)
-            seen.add(op.id)
-        latched = held.get(cycle, [])
-        trace.append(
-            CycleTrace(
-                cycle,
-                tuple(executed),
-                tuple(
-                    f"carry({r.op})" if isinstance(r, CarryBit) else f"{r.op}[{r.bit}]"
-                    for r in latched
-                ),
-            )
-        )
-    missing = [
-        op.id
-        for op in graph.ops
-        if op.kind not in GLUE_KINDS and op.id not in seen
-    ]
     if missing:
-        raise SimulationError(f"unscheduled operations: {', '.join(missing)}")
-    return trace
+        raise SimulationError(
+            f"unscheduled operations: {', '.join(op.id for op in missing)}"
+        )
+    return [
+        CycleTrace(
+            cycle,
+            tuple(op.id for op in ops),
+            tuple(_bit_name(r) for r in held.get(cycle, ())),
+        )
+        for cycle, ops in units.items()
+    ]
 
 
 def eval_schedule(

@@ -117,6 +117,14 @@ def test_check_equiv_reports_random_strategy(capsys):
     assert report["equiv"]["checked"] > 0
 
 
+def test_empty_design_proves_equivalent(tmp_path, capsys):
+    src = tmp_path / "e.dfg"
+    src.write_text("design e;\n")
+    assert main([str(src), "--latency", "2", "--check-equiv"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["equiv"] == {"strategy": "exhaustive", "checked": 1, "equivalent": True}
+
+
 def test_bucket_fill_covers_every_adder_bit(tmp_path, capsys):
     src = tmp_path / "sat.dfg"
     src.write_text(SAT_SOURCE)

@@ -1,11 +1,16 @@
 """Datapath cost model: lanes, boundary registers, multiplexers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bitfrag import parse
+from bitfrag import extract_kernel, parse
 from bitfrag.cost import costs, original_costs, stored_bits
 from bitfrag.dfg import CarryBit, OpBit
-from conftest import run_pipeline
+from bitfrag.fragmenter import InfeasibleError, analyze, bucket_fragment, fragment
+from bitfrag.scheduler import ScheduleError, schedule
+from bitfrag.timing import estimate_cycle
+from conftest import random_full_design, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,41 @@ def test_stored_bits_hold_only_crossing_reads(sec2):
     # MSBs feeding the next cycle and the carries between fragments.
     names = {f"{r.op}[{r.bit}]" for r in held[1] if isinstance(r, OpBit)}
     assert names == {"C0[5]", "E0[4]"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4, 6]), st.booleans())
+def test_stored_bits_are_the_reads_that_cross_each_boundary(seed, lam, bucket):
+    kernel, _ = extract_kernel(random_full_design(seed))
+    tile = bucket_fragment if bucket else fragment
+    n = estimate_cycle(kernel, lam)
+    try:
+        fragments, graph = tile(kernel, analyze(kernel, n, lam))
+        sched = schedule(graph, fragments, lam, n)
+    except (InfeasibleError, ScheduleError):
+        return
+    position = {op.id: k for k, op in enumerate(graph.ops)}
+
+    def produced(ref) -> int:  # a carry leaves with its op's top bit
+        bit = graph.op(ref.op).width - 1 if isinstance(ref, CarryBit) else ref.bit
+        return sched.realized[(ref.op, bit)].cycle
+
+    def order(ref) -> tuple:  # data bits, then carries, by graph position
+        if isinstance(ref, CarryBit):
+            return (1, position[ref.op], 0)
+        return (0, position[ref.op], ref.bit)
+
+    held = stored_bits(sched)
+    assert set(held) == set(range(1, lam))
+    for b, refs in held.items():
+        crossing = {
+            ref
+            for (unit, _), reads in graph.bit_view.reads.items()
+            if sched.cycle_of[unit] > b
+            for ref in reads
+            if produced(ref) <= b
+        }
+        assert refs == sorted(crossing, key=order)
 
 
 def test_lane_width_bounds_every_fragment(sat, fig3):

@@ -206,6 +206,17 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
                     (r.op, g.op(r.op).width - 1) if isinstance(r, CarryBit) else (r.op, r.bit)
                 )
 
+        # slot lists every read once, data bits before carries, each in
+        # definition order and then by bit.
+        position = {op.id: k for k, op in enumerate(g.ops)}
+        assert set(view.slot) == {r for refs in view.reads.values() for r in refs}
+        assert list(view.slot) == sorted(
+            view.slot,
+            key=lambda r: (
+                (1, position[r.op], 0) if isinstance(r, CarryBit) else (0, position[r.op], r.bit)
+            ),
+        )
+
 
 def _diag_messages(graph) -> str:
     return "; ".join(str(d) for d in validate(graph))

@@ -235,6 +235,56 @@ def test_bucket_runs_standalone_add_tiles_per_cycle():
     assert runs["S"] == [(0, 2, 1, 1), (3, 5, 2, 2), (6, 8, 3, 3)]
 
 
+def _bucket_fill(start: int, stop: int, width: int, n_bits: int) -> list[tuple[int, int]]:
+    """Per-bit (forward, backward) cycles, poured one bit at a time into
+    buckets of n_bits: upward from start, and downward from stop."""
+    forward, cycle, used = [], start, 0
+    for _ in range(width):
+        if used == n_bits:
+            cycle, used = cycle + 1, 0
+        forward.append(cycle)
+        used += 1
+    backward, cycle, used = [], stop, 0
+    for _ in range(width):
+        if used == n_bits:
+            cycle, used = cycle - 1, 0
+        backward.append(cycle)
+        used += 1
+    return list(zip(forward, reversed(backward)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.integers(1, 16),
+)
+def test_bucket_runs_match_a_bit_by_bit_fill(make, seed, lam, n_bits):
+    kernel, _ = extract_kernel(make(seed))
+    try:
+        mobility = analyze(kernel, n_bits, lam)
+    except InfeasibleError:
+        return
+    runs = bucket_runs(kernel, mobility)
+    adds = [op for op in kernel.ops if op.kind is OpKind.ADD]
+    assert list(runs) == [op.id for op in adds]
+    for op in adds:
+        windows = _bucket_fill(
+            mobility.asap[(op.id, 0)].cycle,
+            mobility.alap[(op.id, op.width - 1)].cycle,
+            op.width,
+            n_bits,
+        )
+        expected: list[tuple[int, int, int, int]] = []  # maximal equal-window runs
+        for i, window in enumerate(windows):
+            if expected and expected[-1][2:] == window:
+                expected[-1] = (expected[-1][0], i, *window)
+            else:
+                expected.append((i, i, *window))
+        assert runs[op.id] == expected
+
+
 def test_fragmented_designs_stay_equivalent(sec2, fig3, sec2_frags, fig3_frags):
     for graph, (_, transformed) in ((sec2, sec2_frags), (fig3, fig3_frags)):
         assert check_equiv(graph, transformed).equivalent

@@ -1,5 +1,7 @@
 """List scheduling of fragments: placement, loads, verification."""
 
+import dataclasses
+
 import pytest
 
 from bitfrag import extract_kernel, parse
@@ -186,6 +188,27 @@ def test_verify_flags_stale_slot_table(sec2):
         stale, p.sched.fragments,
     )
     assert "recorded slots disagree with recomputation" in verify_schedule(bad)
+
+
+def test_verify_reports_a_budget_too_small_for_mobility(sec2):
+    # The scheduled graph's own mobility analysis cannot meet the shrunk
+    # budget; that is one problem, and the checks needing no window run.
+    sched = run_pipeline(sec2, 3).sched
+    assert verify_schedule(dataclasses.replace(sched, lam=2)) == [
+        "latency 2 too small: G0[3] would fall before cycle 1",
+        "C2: cycle 3 outside 1..2",
+        "E2: cycle 3 outside 1..2",
+        "G2: cycle 3 outside 1..2",
+    ]
+    problems = verify_schedule(dataclasses.replace(sched, lam=2, n_bits=4))
+    assert problems[:4] == [
+        "latency 2 too small: G1[3] would fall before cycle 1",
+        "C2: cycle 3 outside 1..2",
+        "E2: cycle 3 outside 1..2",
+        "G2: cycle 3 outside 1..2",
+    ]
+    assert "C0[4]: chain depth 5 exceeds 4 bits per cycle" in problems
+    assert "G2[5]: chain depth 6 exceeds 4 bits per cycle" in problems
 
 
 def test_realized_slots_report_unready_operands(sec2):

@@ -176,6 +176,19 @@ def test_replay_rejects_missing_unit():
         eval_schedule(broken, {"a": 1, "b": 2})
 
 
+def test_unscheduled_reader_is_named_not_a_lookup_failure(sec2):
+    # C1 reads C0's top bit and carry; with C1 unscheduled nothing holds
+    # them for it, and the check names C1 instead of failing to find it.
+    sched = run_pipeline(sec2, 3).sched
+    cycle_of = dict(sched.cycle_of)
+    del cycle_of["C1"]
+    with pytest.raises(SimulationError, match="^unscheduled operations: C1$"):
+        eval_schedule(
+            dataclasses.replace(sched, cycle_of=cycle_of),
+            {p.name: 0 for p in sec2.inputs},
+        )
+
+
 def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
     # Dropping one stored bit from the cost model must be caught by the
     # replay, proving the discipline check is wired to real reads.
@@ -503,6 +516,15 @@ def test_constants_and_concatenations_widen_the_stride():
     ))
     assert simulator._stride(graph) == 24
     _assert_block_matches_oracle(graph, _extremes(graph))
+
+
+def test_empty_design_proves_on_its_one_vector():
+    # No input and no op: one empty vector, exhaustively.
+    graph = parse("design e;\n")
+    assert simulator._stride(graph) == 8
+    want = EquivResult("exhaustive", 1, True)
+    assert check_equiv(graph, graph) == want
+    assert check_equiv(graph, run_pipeline(graph, 2).sched) == want
 
 
 def test_signed_compares_of_unequal_widths():
