@@ -15,8 +15,8 @@ Width rules, fixed here and relied on by every later pass:
 * ADD/SUB results are taken modulo 2**width regardless of the signedness
   flag; the flag matters only to MULT/LT/MAX/MIN, which interpret each
   operand's own-width vector as two's complement when signed.
-* ADD exposes a 1-bit carry-out which other operations may consume via
-  a carry reference.
+* ADD exposes a 1-bit carry-out, which only another add may read, and
+  only as its carry-in: a carry is never a data operand.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class OpKind(Enum):
@@ -100,7 +100,7 @@ class ResultRef:
 
 @dataclass(frozen=True)
 class CarryRef:
-    """The 1-bit carry-out of an ADD operation."""
+    """The 1-bit carry-out of an ADD operation, read as a carry-in."""
 
     op: str
 
@@ -123,7 +123,7 @@ class Concat:
         return sum(p.width for p in self.parts)
 
 
-Source = Union[InputRef, ResultRef, CarryRef, Const, Concat]
+Source = Union[InputRef, ResultRef, Const, Concat]
 
 
 @dataclass(frozen=True)
@@ -164,29 +164,30 @@ class InputPort:
 
 
 # Bit-level references used by bit_deps, timing, and the simulator.
+# They are named tuples, so they hash and compare in C, and an OpBit is
+# equal to its (op, bit) table key.  Tuples compare by value across
+# kinds, so InputBit("a", 0) == OpBit("a", 0); that is safe only because
+# validate keeps input names and op names distinct.  Tell refs apart by
+# their type, never by equality.
 
 
-@dataclass(frozen=True)
-class InputBit:
+class InputBit(NamedTuple):
     name: str
     bit: int
 
 
-@dataclass(frozen=True)
-class OpBit:
+class OpBit(NamedTuple):
     op: str
     bit: int
 
 
-@dataclass(frozen=True)
-class CarryBit:
+class CarryBit(NamedTuple):
     """Carry-out of an ADD; emerges with the MSB sum bit."""
 
     op: str
 
 
-@dataclass(frozen=True)
-class ConstBit:
+class ConstBit(NamedTuple):
     value: int  # 0 or 1
 
 
@@ -237,8 +238,6 @@ def source_width(graph: DataFlowGraph, source: Source) -> int:
         return graph.input_port(source.name).width
     if isinstance(source, ResultRef):
         return graph.op(source.op).width
-    if isinstance(source, CarryRef):
-        return 1
     return source.width  # Const, Concat
 
 
@@ -254,8 +253,6 @@ def operand_bits(operand: Operand) -> list[BitRef]:
         return [InputBit(source.name, k) for k in range(lo, stop)]
     if isinstance(source, ResultRef):
         return [OpBit(source.op, k) for k in range(lo, stop)]
-    if isinstance(source, CarryRef):
-        return [CarryBit(source.op) if k == 0 else ZERO_BIT for k in range(lo, stop)]
     if isinstance(source, Const):
         # bits string is MSB first
         return [ConstBit(int(c)) for c in reversed(source.bits)][lo:stop]
@@ -286,24 +283,21 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         else:
             diags.append(Diagnostic(f"undefined reference {name}", where))
 
-    def check_source(src: Source, where: str) -> None:
+    def check_operand(opnd: Operand, where: str) -> None:
+        src = opnd.source
+        if isinstance(src, CarryRef):
+            diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
+            return
         if isinstance(src, InputRef):
             check_ref(src.name, where)
         elif isinstance(src, ResultRef):
             check_ref(src.op, where)
-        elif isinstance(src, CarryRef):
-            check_ref(src.op, where)
-            if src.op in defined_ops and graph.op(src.op).kind is not OpKind.ADD:
-                diags.append(Diagnostic(f"carry source {src.op} is not an add", where))
         elif isinstance(src, Const):
             if not src.bits or any(c not in "01" for c in src.bits):
                 diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
         else:
             for part in src.parts:
                 check_operand(part, where)
-
-    def check_operand(opnd: Operand, where: str) -> None:
-        check_source(opnd.source, where)
         try:
             w = source_width(graph, opnd.source)
         except KeyError:
@@ -335,7 +329,10 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         if op.carry_in is not None and op.kind is not OpKind.ADD:
             diags.append(Diagnostic("only add may take a carry", op.id))
         if isinstance(op.carry_in, CarryRef):
-            check_source(op.carry_in, op.id)
+            src = op.carry_in.op
+            check_ref(src, op.id)
+            if src in defined_ops and graph.op(src).kind is not OpKind.ADD:
+                diags.append(Diagnostic(f"carry source {src} is not an add", op.id))
         elif isinstance(op.carry_in, int) and op.carry_in not in (0, 1):
             diags.append(Diagnostic(f"carry constant must be 0 or 1, got {op.carry_in}", op.id))
         defined_ops.add(op.id)
@@ -406,14 +403,7 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
     return deps
 
 
-BitKey = tuple[str, int]  # (op id, result bit)
-
-
-def bit_key(graph: DataFlowGraph, ref: OpBit | CarryBit) -> BitKey:
-    """Table key of an op-produced bit; a carry emerges with its op's MSB."""
-    if isinstance(ref, CarryBit):
-        return (ref.op, graph.op(ref.op).width - 1)
-    return (ref.op, ref.bit)
+BitKey = tuple[str, int]  # (op id, result bit); an OpBit is its own key
 
 
 @dataclass(frozen=True)
@@ -421,16 +411,17 @@ class BitView:
     """Bit-level view of one graph, shared read-only by every pass.
 
     ``producers`` maps each result bit to the keys of the op bits it
-    waits on: inputs and constants drop out, a carry becomes its op's
-    MSB.  ``consumers`` is the inverse of ``producers``.  ``reads`` maps
-    each bit of a non-glue op to the OpBit/CarryBit refs of non-glue ops
-    it reads once glue is looked through, less the op's own ripple.
-    ``producers`` and ``reads`` list data bits before carries, each in
-    definition order and then by bit, without duplicates; that order is
-    the tie rule of ``critical_path``.  ``slot`` maps each ref in
-    ``reads`` to its key, resolved here once so that no pass resolves a
-    carry itself.  It lists every read ref once, in that same order,
-    which is the order ``cost.stored_bits`` latches them in.
+    waits on: inputs and constants drop out, a carry-in becomes the MSB
+    of the op it comes from.  ``consumers`` is the inverse of
+    ``producers``.  ``reads`` maps each bit of a non-glue op to the
+    OpBit/CarryBit refs of non-glue ops it reads once glue is looked
+    through, less the op's own ripple.  ``producers`` and ``reads`` list
+    data bits before carries, each in definition order and then by bit,
+    without duplicates; that order is the tie rule of ``critical_path``.
+    ``slot`` maps each ref in ``reads`` to its key: an OpBit is its own
+    key, and a carry is resolved here once to its op's MSB, so that no
+    pass resolves a carry itself.  It lists every read ref once, in that
+    same order, which is the order ``cost.stored_bits`` latches them in.
     """
 
     producers: dict[BitKey, tuple[BitKey, ...]]
@@ -464,7 +455,10 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
             refs = sorted(
                 (r for r in deps[key] if isinstance(r, (OpBit, CarryBit))), key=rank
             )
-            slots = [keys[bit_key(graph, r)] for r in refs]
+            slots = [  # an OpBit is its own key; a carry emerges with its op's MSB
+                keys[(r.op, graph.op(r.op).width - 1) if isinstance(r, CarryBit) else r]
+                for r in refs
+            ]
             producers[key] = tuple(dict.fromkeys(slots))
             for p in producers[key]:
                 consumers[p].append(key)

@@ -21,9 +21,9 @@ interchangeable; the emitter writes the conventional one for each kind.
 core; with a signed type it is the two's-complement multiply that
 kernel extraction decomposes.
 
-Carry-out references (the ``carry(ID)`` clause) name the producing add.
-A carry used as an *operand* has no surface syntax; emit refuses such
-graphs, which none of the pipeline stages produce.
+A ``carry(ID)`` clause names the add whose carry-out is this add's
+carry-in.  That is the only way to read a carry: it is never a data
+operand, and ``validate`` rejects a graph that uses one as such.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .dfg import (
     ResultRef,
     Source,
     SourceSpan,
-    source_width,
     validate,
 )
 
@@ -330,8 +329,6 @@ def _emit_term(graph: DataFlowGraph, opnd: Operand) -> str:
         base, full = src.op, graph.op(src.op).width
     elif isinstance(src, Const):
         base, full = f"const({src.bits})", len(src.bits)
-    elif isinstance(src, CarryRef):
-        raise ValueError(f"carry of {src.op} used as an operand has no DSL syntax")
     else:
         raise ValueError("nested concat cannot be emitted as a term")
     if (opnd.hi, opnd.lo) == (full - 1, 0):
@@ -388,8 +385,6 @@ def emit_dot(graph: DataFlowGraph) -> str:
                 out += operand_edges(op, part)
         elif isinstance(src, ResultRef):
             out.append(f'  "{src.op}" -> "{op.id}" [label="[{opnd.hi}:{opnd.lo}]"];')
-        elif isinstance(src, CarryRef):
-            out.append(f'  "{src.op}" -> "{op.id}" [label="carry", style=dashed];')
         return out
 
     for op in graph.ops:

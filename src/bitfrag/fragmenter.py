@@ -6,11 +6,12 @@ of chaining fit in one cycle.  ASAP packs every bit as early as the
 recurrence allows, ALAP as late as the latency budget allows, and an
 add is then split into maximal runs of contiguous bits whose cycle
 windows agree.  Every consumer is then rewired to read the fragment
-bits: each operand is resolved once with ``dfg.operand_bits``, its bits
-are mapped to the fragments that now produce them and regrouped into
-slices and concatenations.  Carries chain fragment to fragment, and
-only fragmented design outputs are reassembled, under their original
-name, so the design signature is unchanged.
+bits: each operand is resolved once with ``dfg.operand_bits``, each of
+its op bits is mapped to the fragment bit that now computes it, and the
+bits are regrouped into slices and concatenations.  Carries chain
+fragment to fragment, and only fragmented design outputs are
+reassembled, under their original name, so the design signature is
+unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dfg import (
-    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -201,11 +201,10 @@ def _regroup(bits: list) -> Operand:
     groups: list[list] = []
     for ref in bits:
         last = groups[-1][-1] if groups else None
-        # Constants run together; an input or op bit extends the slice below it.
+        # Constants run together; an input or op bit, a (name, bit) pair,
+        # extends the slice of the same name that ends just below it.
         if type(ref) is type(last) and (
-            isinstance(ref, ConstBit)
-            or isinstance(ref, InputBit) and (ref.name, ref.bit) == (last.name, last.bit + 1)
-            or isinstance(ref, OpBit) and (ref.op, ref.bit) == (last.op, last.bit + 1)
+            isinstance(ref, ConstBit) or ref == (last[0], last[1] + 1)
         ):
             groups[-1].append(ref)
         else:
@@ -223,35 +222,25 @@ def _regroup(bits: list) -> Operand:
             terms.append(Operand(Const(bits_str), len(group) - 1, 0))
         elif isinstance(first, InputBit):
             terms.append(Operand(InputRef(first.name), group[-1].bit, first.bit))
-        elif isinstance(first, OpBit):
+        else:  # OpBit
             terms.append(Operand(ResultRef(first.op), group[-1].bit, first.bit))
-        else:  # CarryBit
-            terms.append(Operand(CarryRef(first.op), 0, 0))
     if len(terms) == 1:
         return terms[0]
     concat = Concat(tuple(reversed(terms)))
     return Operand(concat, concat.width - 1, 0)
 
 
-def _map_ref(ref, bit_map: dict):
-    if isinstance(ref, OpBit):
-        new_op, new_bit = bit_map[(ref.op, ref.bit)]
-        return OpBit(new_op, new_bit)
-    if isinstance(ref, CarryBit):
-        return CarryBit(bit_map["carry", ref.op])
-    return ref
-
-
-def _rewire(bits: list, bit_map: dict, lo: int, width: int | None) -> Operand:
+def _rewire(bits: list, bit_map: dict[OpBit, OpBit], lo: int, width: int | None) -> Operand:
     """Rebuild an operand from its resolved ``bits`` on the rewritten ops.
 
     A fragment reads ``width`` bits from ``lo`` upward, zero-extended; a
-    whole op (``width`` None) reads the operand at its own width.
+    whole op (``width`` None) reads the operand at its own width.  An op
+    bit ``bit_map`` holds moves to its fragment; every other bit stays.
     """
     if width is not None:
         bits = bits[lo:lo + width]
         bits += [ZERO_BIT] * (width - len(bits))
-    return _regroup([_map_ref(ref, bit_map) for ref in bits])
+    return _regroup([bit_map.get(ref, ref) for ref in bits])
 
 
 def apply_runs(
@@ -269,8 +258,11 @@ def apply_runs(
     )
     fragments: dict[str, list[Fragment]] = {}
     parts: dict[str, list[tuple[str, int, int | None]]] = {}
-    # (op, bit) -> (part, local bit); "carry", op -> the part with its carry-out.
-    bit_map: dict = {}
+    # Each bit of a split add -> the fragment bit that now computes it,
+    # and the add -> its top fragment, whose carry-out is the add's.
+    # Ops that are not split keep their bits and their carry.
+    bit_map: dict[OpBit, OpBit] = {}
+    carry_of: dict[str, str] = {}
     for op in graph.ops:
         split = runs.get(op.id, [])
         if len(split) > 1:
@@ -278,6 +270,10 @@ def apply_runs(
             parts[op.id] = [
                 (name, lo, hi - lo + 1) for name, (lo, hi, _, _) in zip(names, split)
             ]
+            for name, lo, width in parts[op.id]:
+                for i in range(width):
+                    bit_map[OpBit(op.id, lo + i)] = OpBit(name, i)
+            carry_of[op.id] = names[-1]
         else:
             names = [op.id]
             parts[op.id] = [(op.id, 0, None)]
@@ -286,17 +282,13 @@ def apply_runs(
                 Fragment(op.id, k, name, *run)
                 for k, (name, run) in enumerate(zip(names, split))
             ]
-        for name, lo, width in parts[op.id]:
-            for i in range(width or op.width):
-                bit_map[(op.id, lo + i)] = (name, i)
-        bit_map["carry", op.id] = names[-1]
 
     new_ops: list[Operation] = []
     for op in graph.ops:
         operands = [operand_bits(o) for o in op.operands]
         carry = op.carry_in
         if isinstance(carry, CarryRef):
-            carry = CarryRef(bit_map["carry", carry.op])
+            carry = CarryRef(carry_of.get(carry.op, carry.op))
         for name, lo, width in parts[op.id]:
             new_ops.append(
                 Operation(

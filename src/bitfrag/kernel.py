@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dfg import (
-    CarryRef,
     Concat,
     Const,
     DataFlowGraph,
     Diagnostic,
     GLUE_KINDS,
-    InputRef,
     Namer,
     OpKind,
     Operand,

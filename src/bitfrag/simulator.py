@@ -70,8 +70,6 @@ class _Env:
         if isinstance(source, (InputRef, ResultRef)):
             name = source.name if isinstance(source, InputRef) else source.op
             return self.values[name]
-        if isinstance(source, CarryRef):
-            return self.carries[source.op]
         if isinstance(source, Const):
             return int(source.bits, 2)
         value = 0
@@ -206,8 +204,6 @@ class _Block:
             return self.values[src.name]
         if isinstance(src, ResultRef):
             return self.values[src.op]
-        if isinstance(src, CarryRef):
-            return self.carries[src.op]
         if isinstance(src, Const):
             return int(src.bits, 2) * self.ones
         first, *rest = src.parts  # Concat, MSB first

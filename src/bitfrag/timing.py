@@ -106,8 +106,6 @@ def _edge_truncations(graph: DataFlowGraph, producer: str, consumer_id: str) -> 
                 scan(part)
         elif isinstance(src, ResultRef) and src.op == producer:
             out.append(opnd.lo)
-        elif isinstance(src, CarryRef) and src.op == producer:
-            out.append(graph.op(producer).width - 1)
 
     consumer = graph.op(consumer_id)
     for opnd in consumer.operands:

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitfrag.cli import _SUFFIX, main
-from bitfrag.dsl import parse
+from bitfrag.dsl import emit, parse
+from bitfrag.fragmenter import analyze, bucket_fragment, fragment
+from bitfrag.kernel import extract_kernel
+from bitfrag.scheduler import schedule, verify_schedule
 from bitfrag.simulator import EquivResult, check_equiv
+from bitfrag.timing import estimate_cycle
 
 from conftest import (
     DESIGN_DIR,
     GLUE_CORE_SOURCE,
     SAT_SOURCE,
     TIE_SOURCE,
+    random_add_design,
+    random_full_design,
     under_hash_seeds,
 )
 
@@ -199,3 +211,43 @@ def test_counterexample_exits_three(capsys, monkeypatch):
     report = json.loads(captured.out)
     assert report["equiv"]["equivalent"] is False
     assert report["equiv"]["mismatch"] == {"output": "G", "got": 0, "want": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(1, 5),
+    st.booleans(),
+    st.none() | st.integers(1, 24),
+    st.none() | st.integers(0, 8),
+)
+def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits, core_delay):
+    """Exit 1 with a typed error, or exit 0 with a schedule that verifies
+    clean and proves equivalent to the design."""
+    text = emit(make(seed))
+    args = ["--latency", str(lam), "--check-equiv"]
+    if bucket:
+        args.append("--bucket-fill")
+    if nbits is not None:
+        args += ["--nbits", str(nbits)]
+    if core_delay is not None:
+        args += ["--core-delay", str(core_delay)]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.dfg"
+        path.write_text(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(path), *args])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        return
+    assert json.loads(out.getvalue())["equiv"]["equivalent"] is True
+
+    kernel, _ = extract_kernel(parse(text))
+    if nbits is None:
+        nbits = estimate_cycle(kernel, lam, core_delay or 0)
+    tile = bucket_fragment if bucket else fragment
+    fragments, transformed = tile(kernel, analyze(kernel, nbits, lam))
+    assert verify_schedule(schedule(transformed, fragments, lam, nbits)) == []

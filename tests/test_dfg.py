@@ -67,7 +67,6 @@ def test_source_widths():
     g = _tiny()
     assert source_width(g, InputRef("A")) == 4
     assert source_width(g, ResultRef("C")) == 4
-    assert source_width(g, CarryRef("C")) == 1
     assert source_width(g, Const("01")) == 2
     cat = Concat((Operand(InputRef("A"), 3, 0), Operand(Const("1"), 0, 0)))
     assert source_width(g, cat) == 5
@@ -85,8 +84,6 @@ def test_operand_bits_const_msb_first():
 
 
 def test_operand_bits_carry_and_concat():
-    carry = Operand(CarryRef("C"), 0, 0)
-    assert operand_bits(carry) == [CarryBit("C")]
     cat = Concat((Operand(InputRef("A"), 3, 2), Operand(InputRef("B"), 1, 0)))
     opnd = Operand(cat, 3, 0)
     # Parts are MSB first; indexing runs from the LSB end.

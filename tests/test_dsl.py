@@ -17,6 +17,7 @@ from bitfrag.dfg import (
     OpKind,
     ResultRef,
     ValidationError,
+    validate,
 )
 from conftest import (
     DESIGN_DIR,
@@ -125,18 +126,24 @@ def test_parse_errors_carry_spans(source, message, line):
     assert diag.span is not None and diag.span.line == line
 
 
-def test_emit_refuses_carry_operand():
+def test_validate_refuses_carry_operand():
+    """A carry is read only as a carry-in, so the DSL needs no syntax
+    for a carry operand: at top level or inside a concat, it is an error."""
     a = Operation(
         "A", OpKind.ADD, 2, False,
         (Operand(InputRef("x"), 1, 0), Operand(InputRef("x"), 1, 0)),
     )
-    b = Operation(
-        "B", OpKind.ADD, 2, False,
-        (Operand(CarryRef("A"), 0, 0), Operand(InputRef("x"), 1, 0)),
+    carry = Operand(CarryRef("A"), 0, 0)
+    top = Operation("B", OpKind.ADD, 2, False, (carry, Operand(InputRef("x"), 1, 0)))
+    cat = Concat((Operand(InputRef("x"), 0, 0), carry))
+    inner = Operation(
+        "C", OpKind.ADD, 2, False, (Operand(cat, 1, 0), Operand(InputRef("x"), 1, 0))
     )
-    g = DataFlowGraph("d", (InputPort("x", 2, False),), (a, b), ("B",))
-    with pytest.raises(ValueError, match="no DSL syntax"):
-        emit(g)
+    g = DataFlowGraph("d", (InputPort("x", 2, False),), (a, top, inner), ("B", "C"))
+    assert [str(d) for d in validate(g)] == [
+        "B: carry of A can only be a carry-in",
+        "C: carry of A can only be a carry-in",
+    ]
 
 
 def test_emit_refuses_sliced_and_nested_concat():

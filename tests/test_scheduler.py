@@ -1,8 +1,11 @@
 """List scheduling of fragments: placement, loads, verification."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
 from bitfrag.dfg import GLUE_KINDS, OpKind
@@ -452,3 +455,37 @@ def test_accepted_assignments_are_never_earlier_than_asap(make, lam, tile):
         assert problems == []
         before_asap = [k for k, slot in table.items() if slot < asap[k]]
         assert before_asap == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+    st.sampled_from([fragment, bucket_fragment]),
+)
+def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile):
+    """Before each placement, the window cycles where ``vet`` succeeds
+    are one run that starts at the unit's cycle in the base completion:
+    the completion is monotone, so a later cycle fails only once the
+    chains it delays no longer fit."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+    except InfeasibleError:
+        return
+    place = _Plan.place
+
+    def checked_place(plan, uid, c, table):
+        early, late = plan.windows[uid]
+        fits = [k for k in range(early, late + 1) if plan.vet(uid, k) is not None]
+        start = plan.base[(uid, 0)].cycle
+        assert fits == list(range(start, start + len(fits)))
+        place(plan, uid, c, table)
+
+    with mock.patch.object(_Plan, "place", checked_place):
+        try:
+            schedule(transformed, fragments, lam, n_bits)
+        except ScheduleError:
+            pass

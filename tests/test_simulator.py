@@ -368,8 +368,6 @@ def _random_graph(rng: random.Random) -> DataFlowGraph:
 
     def source():
         r = rng.random()
-        if adds and r < 0.15:
-            return CarryRef(rng.choice(adds)), 1
         if r < 0.3:
             bits = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
             return Const(bits), len(bits)
@@ -429,7 +427,7 @@ def _constructs(graph: DataFlowGraph) -> set:
 def test_random_graphs_cover_every_construct():
     found = set().union(*(_constructs(_random_graph(random.Random(s))) for s in range(200)))
     assert {(kind, signed) for kind in OpKind for signed in (False, True)} <= found
-    assert {"Concat", "Const", "CarryRef", "carry-in", "InputRef", "ResultRef"} <= found
+    assert {"Concat", "Const", "carry-in", "InputRef", "ResultRef"} <= found
 
 
 @settings(max_examples=300, deadline=None)
