@@ -3,12 +3,13 @@
 Every add (fragment or whole) and every multiplier core is a schedulable
 unit.  An add's cycle window is the one its tiling recorded: tiling does
 not change which bits a bit waits on, so the per-bit mobility of the
-kernel still holds.  Zero-mobility adds are pinned; the rest are placed
-in increasing mobility order into the legal cycle that keeps the worst
-per-cycle adder-bit load smallest, earliest on ties.  A placement is
-legal when the whole design can still finish by the latency bound: a
-greedy completion places the remaining units at their earliest legal
-cycles and checks realized chain depths.
+kernel still holds.  A placement is legal when the whole design can
+still finish by the latency bound: a greedy completion places the
+remaining units at their earliest legal cycles and checks realized
+chain depths.  Zero-mobility adds are pinned.  The rest, in increasing
+mobility order, each try the cycles from their own in the completion to
+the window's end, lowest peak adder-bit load first, earliest on ties,
+and take the first legal one.  cycle_of lists units in placement order.
 
 The completion is monotone: an op's slots move later only when its
 producers' slots do, and so do its failures.  So the completion of the
@@ -322,30 +323,28 @@ def schedule(
     for core in cores:
         cycle_of[core] = plan.base[(core, 0)].cycle
 
+    # A unit fits at its cycle in the base completion, as it settled there.
+    # Every earlier cycle the completion rejected (operands not ready, or a
+    # chain overflow), and vet reads the same, upstream, producer slots.  So
+    # the first cycle to fit in (peak, cycle) order has the smallest pair.
+    top = max(loads.values())
     for uid in movable:
-        early, late = windows[uid]
-        width = graph.op(uid).width
-        best: tuple[int, int] | None = None
-        best_table = None
-        top = max(loads.values())
-        for c in range(early, late + 1):
-            peak = max(top, loads[c] + width)
-            # Cycles rise, so a later cycle wins only on a strictly
-            # smaller peak; vet only those.
-            if best is not None and peak >= best[0]:
-                continue
-            table = plan.vet(uid, c)
-            if table is not None:
-                best, best_table = (peak, c), table
-        if best is None:
+        start, late = plan.base[(uid, 0)].cycle, windows[uid][1]
+        if start > late:
             raise ScheduleError(f"no feasible cycle for {uid}")
-        plan.place(uid, best[1], best_table)
-        loads[best[1]] += width
+        width = graph.op(uid).width
+        for c in sorted(range(start, late + 1),
+                        key=lambda k: (max(top, loads[k] + width), k)):
+            table = {} if c == start else plan.vet(uid, c)
+            if table is not None:
+                break
+        plan.place(uid, c, table)
+        loads[c] += width
+        top = max(top, loads[c])
 
     # Every unit is placed, so the base is the completion of cycle_of
-    # itself: each op settled at its own cycle under the checks
-    # realized_slots makes, and the table is the same.
-    return Schedule(graph, lam, n_bits, cycle_of, dict(plan.base), fragments)
+    # itself: the table realized_slots makes, under the same checks.
+    return Schedule(graph, lam, n_bits, cycle_of, plan.base, fragments)
 
 
 def verify_schedule(sched: Schedule) -> list[str]:

@@ -1,7 +1,11 @@
-"""Shared fixtures: bundled designs, pipeline helpers, random designs."""
+"""Shared fixtures: bundled designs, pipeline helpers, random designs,
+and an exhaustive placement oracle for small schedules."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -24,7 +28,13 @@ from bitfrag.dfg import (
 )
 from bitfrag.fragmenter import InfeasibleError, Mobility, analyze, fragment
 from bitfrag.kernel import LoweringTrace
-from bitfrag.scheduler import Schedule, ScheduleError, schedule
+from bitfrag.scheduler import (
+    Schedule,
+    ScheduleError,
+    realized_slots,
+    schedule,
+    verify_schedule,
+)
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
 from bitfrag.timing import estimate_cycle
 
@@ -170,6 +180,36 @@ def feasible_pipeline(graph: DataFlowGraph, lam: int, max_lam: int = 24) -> Pipe
             lam += 1
             if lam > max_lam:
                 raise
+
+
+def _movable_windows(sched: Schedule) -> dict[str, range]:
+    return {
+        f.id: range(f.asap_cycle, f.alap_cycle + 1)
+        for parts in sched.fragments.values()
+        for f in parts
+        if f.asap_cycle < f.alap_cycle
+    }
+
+
+def placement_count(sched: Schedule) -> int:
+    """How many assignments ``feasible_placements`` enumerates."""
+    return math.prod(len(w) for w in _movable_windows(sched).values())
+
+
+def feasible_placements(sched: Schedule) -> list[dict[str, int]]:
+    """Every assignment of the movable adds to cycles in their recorded
+    windows, pins and cores at their scheduled cycles, whose schedule
+    passes ``verify_schedule``.  Exhaustive, so for small designs only."""
+    windows = _movable_windows(sched)
+    fixed = {uid: c for uid, c in sched.cycle_of.items() if uid not in windows}
+    feasible = []
+    for cycles in itertools.product(*windows.values()):
+        cycle_of = {**fixed, **dict(zip(windows, cycles))}
+        realized, _ = realized_slots(sched.graph, sched.n_bits, cycle_of)
+        candidate = dataclasses.replace(sched, cycle_of=cycle_of, realized=realized)
+        if verify_schedule(candidate) == []:
+            feasible.append(cycle_of)
+    return feasible
 
 
 def _pick_operand(rng: random.Random, pool: list[tuple[str, int, bool]], width: int) -> Operand:

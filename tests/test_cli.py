@@ -96,6 +96,19 @@ def test_core_fed_through_glue_schedules_and_proves(tmp_path, capsys):
     assert report["equiv"]["equivalent"] is True
 
 
+def test_schedule_lists_a_core_by_its_kind(tmp_path, capsys):
+    src = tmp_path / "gluecore.dfg"
+    src.write_text(GLUE_CORE_SOURCE)
+    args = [str(src), "--latency", "2", "--nbits", "8", "--emit", "schedule"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "cycle 1: 0 adder bits\n"
+        "  P: mult_core width 8\n"
+        "cycle 2: 8 adder bits\n"
+        "  Q: Q[7:0] width 8\n"
+    )
+
+
 def test_artifacts_are_byte_deterministic(tmp_path):
     base = [SEC2, "--latency", "3", "--check-equiv", "--seed", "7"]
     outs = (tmp_path / "a", tmp_path / "b")

@@ -83,7 +83,7 @@ def test_operand_bits_const_msb_first():
     assert operand_bits(opnd) == [ConstBit(0), ConstBit(1)]
 
 
-def test_operand_bits_carry_and_concat():
+def test_operand_bits_concat():
     cat = Concat((Operand(InputRef("A"), 3, 2), Operand(InputRef("B"), 1, 0)))
     opnd = Operand(cat, 3, 0)
     # Parts are MSB first; indexing runs from the LSB end.

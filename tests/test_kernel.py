@@ -1,10 +1,13 @@
 """Lowering onto the additive kernel: structure and exact semantics."""
 
+import itertools
+
 import pytest
 
 from bitfrag import KernelError, extract_kernel, parse
-from bitfrag.dfg import GLUE_KINDS, KERNEL_KINDS, OpKind
-from bitfrag.simulator import check_equiv
+from bitfrag.dfg import GLUE_KINDS, KERNEL_KINDS, Concat, OpKind
+from bitfrag.dsl import emit
+from bitfrag.simulator import check_equiv, eval_dfg
 
 
 def _kernel_of(source: str):
@@ -169,3 +172,31 @@ def test_lowering_of_whole_mixed_design_random_vectors(mixed):
     kernel, _ = extract_kernel(mixed)
     eq = check_equiv(mixed, kernel)
     assert eq.checked == 1000 and eq.equivalent
+
+
+@pytest.mark.parametrize(
+    "body, inputs, selects",
+    [
+        ("R: lt u1 = {a, b} < c;", ("a : u2", "b : u2", "c : u4"), ["R_a"]),
+        ("R: max u4 = c, {a, b};", ("a : u2", "b : u2", "c : u4"), ["R_b"]),
+        ("R: min u4 = {a, b}, {c, a};", ("a : u2", "b : u2", "c : u2"), ["R_a", "R_b"]),
+        ("R: mult s8 = {a, b} * c;", ("a : u2", "b : s3", "c : s4"), ["R_a"]),
+    ],
+    ids=["lt", "max", "min", "signed-mult"],
+)
+def test_concat_operand_lowers_through_a_pass_through_select(body, inputs, selects):
+    """A concat cannot be sub-sliced in the surface syntax, so the
+    lowering first copies it into a select that it can slice."""
+    g, kernel, trace = _kernel_of(_design(body, *inputs))
+    for sid in selects:
+        keep = kernel.op(sid)
+        assert sid in trace.replacements["R"]
+        assert keep.kind is OpKind.SELECT
+        assert isinstance(keep.operands[1].source, Concat)
+    assert parse(emit(kernel)) == kernel
+    eq = check_equiv(g, kernel)
+    assert eq.strategy == "exhaustive" and eq.equivalent
+    ports = g.inputs
+    for combo in itertools.product(*(range(1 << p.width) for p in ports)):
+        vector = {p.name: v for p, v in zip(ports, combo)}
+        assert eval_dfg(g, vector) == eval_dfg(kernel, vector)

@@ -30,7 +30,9 @@ from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
 from conftest import (
     GLUE_CORE_SOURCE,
+    feasible_placements,
     load_design,
+    placement_count,
     random_add_design,
     random_full_design,
     run_pipeline,
@@ -468,24 +470,68 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
     """Before each placement, the window cycles where ``vet`` succeeds
     are one run that starts at the unit's cycle in the base completion:
     the completion is monotone, so a later cycle fails only once the
-    chains it delays no longer fit."""
+    chains it delays no longer fit.  At that first cycle the unit
+    changes no slot of the base.  ``schedule`` relies on both: it takes
+    the unit's cycle in the base without a vet and vets only later ones."""
     kernel, _ = extract_kernel(make(seed))
     n_bits = estimate_cycle(kernel, lam)
     try:
         fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
     except InfeasibleError:
         return
-    place = _Plan.place
+    place, vet = _Plan.place, _Plan.vet
 
     def checked_place(plan, uid, c, table):
         early, late = plan.windows[uid]
-        fits = [k for k in range(early, late + 1) if plan.vet(uid, k) is not None]
+        fits = [k for k in range(early, late + 1) if vet(plan, uid, k) is not None]
         start = plan.base[(uid, 0)].cycle
+        assert fits and fits[0] == start <= late
         assert fits == list(range(start, start + len(fits)))
+        unchanged = vet(plan, uid, start)
+        assert all(unchanged[key] == plan.base[key] for key in unchanged)
         place(plan, uid, c, table)
 
-    with mock.patch.object(_Plan, "place", checked_place):
+    def checked_vet(plan, uid, c):
+        assert c > plan.base[(uid, 0)].cycle
+        return vet(plan, uid, c)
+
+    with mock.patch.object(_Plan, "place", checked_place), \
+            mock.patch.object(_Plan, "vet", checked_vet):
         try:
             schedule(transformed, fragments, lam, n_bits)
         except ScheduleError:
             pass
+
+
+@pytest.mark.parametrize("make,seed,lam,tile", [
+    (random_add_design, 1, 3, fragment),
+    (random_add_design, 1, 4, bucket_fragment),
+    (random_add_design, 6, 4, fragment),
+    (random_add_design, 12, 3, fragment),
+    (random_add_design, 14, 2, bucket_fragment),
+    (random_full_design, 8, 4, fragment),
+    (random_full_design, 9, 4, fragment),
+    (random_full_design, 11, 3, fragment),
+    (random_full_design, 15, 3, bucket_fragment),
+    (random_full_design, 16, 4, bucket_fragment),
+    (random_full_design, 17, 3, fragment),
+    (random_full_design, 39, 3, fragment),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_greedy_placement_is_feasible_and_never_beats_the_exact_oracle(
+    make, seed, lam, tile
+):
+    """The greedy schedule is one of the assignments the exhaustive
+    oracle accepts, and its peak is never below the smallest peak among
+    them.  Several of these cases sit above it."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam)
+    fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+    sched = schedule(transformed, fragments, lam, n_bits)
+    assert 1 < placement_count(sched) <= 2000
+    feasible = feasible_placements(sched)
+    assert sched.cycle_of in feasible
+
+    def peak(cycle_of):
+        return max(dataclasses.replace(sched, cycle_of=cycle_of).loads().values())
+
+    assert peak(sched.cycle_of) >= min(peak(cycle_of) for cycle_of in feasible)

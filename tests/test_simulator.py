@@ -712,12 +712,7 @@ def _flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
 
 
 def _flippable(graph: DataFlowGraph) -> list[str]:
-    carried = {
-        src.op
-        for op in graph.ops
-        for src in [op.carry_in] + [o.source for o in op.operands]
-        if isinstance(src, CarryRef)
-    }
+    carried = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     return [
         op.id
         for op in graph.ops
