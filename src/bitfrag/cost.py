@@ -82,7 +82,9 @@ class OriginalCosts:
     port_fan_ins: tuple[int, int]
 
 
-def _bit_name(ref) -> str:
+def bit_name(ref) -> str:
+    """``op[bit]`` or ``carry(op)``: how the cost report and the latch
+    trace name a stored bit."""
     if isinstance(ref, CarryBit):
         return f"carry({ref.op})"
     return f"{ref.op}[{ref.bit}]"
@@ -153,7 +155,7 @@ def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBind
         registers.append(
             RegisterBinding(
                 j, "data", 1,
-                tuple(_bit_name(r) for r in signals), len(signals),
+                tuple(bit_name(r) for r in signals), len(signals),
             )
         )
     for j, signals in enumerate(carry_slots):
@@ -166,68 +168,35 @@ def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBind
     return tuple(registers)
 
 
-def bind_lanes(sched: Schedule) -> tuple[Lane, ...]:
-    lanes = []
-    for parent, parts in sched.fragments.items():
-        lanes.append(
-            Lane(
-                parent,
-                max(f.width for f in parts),
-                tuple(f.id for f in parts),
-            )
-        )
-    return tuple(lanes)
-
-
-def port_muxes(sched: Schedule, lanes: tuple[Lane, ...]) -> tuple[PortMux, ...]:
-    """Steering at the two adder ports of every lane.
-
-    Fan-in counts the distinct operand expressions the lane sees across
-    its fragments; a single expression needs no multiplexer.
-    """
-    muxes = []
-    for lane in lanes:
-        for port in (0, 1):
-            feeds = []
-            for fid in lane.fragment_ids:
-                opnd = sched.graph.op(fid).operands[port]
-                if opnd not in feeds:
-                    feeds.append(opnd)
-            muxes.append(PortMux(lane.parent, port, len(feeds), lane.width))
-    return tuple(muxes)
-
-
-def carry_fan_ins(sched: Schedule) -> dict[str, int]:
-    out = {}
-    for parent, parts in sched.fragments.items():
-        feeds = []
-        for f in parts:
-            carry = sched.graph.op(f.id).carry_in
-            if carry not in feeds:
-                feeds.append(carry)
-        out[parent] = len(feeds)
-    return out
-
-
 def costs(sched: Schedule) -> CostReport:
-    lanes = bind_lanes(sched)
+    graph = sched.graph
+    lanes, muxes, carry_fan_in = [], [], {}
+    for parent, parts in sched.fragments.items():
+        width = max(f.width for f in parts)
+        lanes.append(Lane(parent, width, tuple(f.id for f in parts)))
+        ops = [graph.op(f.id) for f in parts]
+        # Each adder port of a lane, and its carry-in, has one mux input
+        # per distinct operand expression (or carry source) its fragments
+        # read; a fan-in of 1 needs no multiplexer.
+        for port in (0, 1):
+            fan_in = len({op.operands[port] for op in ops})
+            muxes.append(PortMux(parent, port, fan_in, width))
+        carry_fan_in[parent] = len({op.carry_in for op in ops})
     held = stored_bits(sched)
     per_boundary = {b: len(refs) for b, refs in held.items()}
     return CostReport(
-        lanes=lanes,
+        lanes=tuple(lanes),
         cores=tuple(
-            (op.id, op.width)
-            for op in sched.graph.ops
-            if op.kind is OpKind.MULT_CORE
+            (op.id, op.width) for op in graph.ops if op.kind is OpKind.MULT_CORE
         ),
         stored_per_boundary=per_boundary,
         stored_sets={
-            b: tuple(_bit_name(r) for r in refs) for b, refs in held.items()
+            b: tuple(bit_name(r) for r in refs) for b, refs in held.items()
         },
         max_stored=max(per_boundary.values(), default=0),
         registers=bind_registers(sched, held),
-        port_muxes=port_muxes(sched, lanes),
-        carry_fan_in=carry_fan_ins(sched),
+        port_muxes=tuple(muxes),
+        carry_fan_in=carry_fan_in,
         loads=sched.loads(),
     )
 

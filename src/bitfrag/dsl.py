@@ -15,6 +15,11 @@ Grammar (whitespace and ``#`` line comments are skipped):
     operand  := term | "{" term ("," term)* "}"
     term     := (ID | "const" "(" BITS ")") ["[" INT ":" INT "]"]
 
+A design is read in one pass: each name resolves, as it is read, to the
+input or operation declared so far under it.  A name not declared yet
+is left for ``validate`` to report.  Tokens keep only their offset; an
+offset becomes a line and column only when a diagnostic is raised.
+
 Concat braces list terms MSB first.  Separator symbols are
 interchangeable; the emitter writes the conventional one for each kind.
 ``mult`` with an unsigned type denotes the opaque unsigned multiplier
@@ -29,7 +34,7 @@ operand, and ``validate`` rejects a graph that uses one as such.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple, NoReturn
 
 from .dfg import (
     CarryRef,
@@ -79,6 +84,7 @@ _TOKEN_RE = re.compile(
       | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<int>[0-9]+)
       | (?P<punct>[;:=+\-*<,{}\[\]()])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -92,46 +98,46 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "id", "int", "punct", "eof"
+class _Token(NamedTuple):
+    kind: str  # "id", "int", "punct", "bad", "eof"
     text: str
-    span: SourceSpan
+    offset: int
 
 
 def _lex(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, pos - line_start + 1, pos)
-            raise ParseError([Diagnostic(f"unexpected character {text[pos]!r}", span=span)])
-        if m.lastgroup != "ws":
-            span = SourceSpan(line, pos - line_start + 1, pos)
-            tokens.append(_Token(m.lastgroup, m.group(), span))
-        nl = m.group().count("\n")
-        if nl:
-            line += nl
-            line_start = m.start() + m.group().rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(line, pos - line_start + 1, pos)))
+    tokens = [
+        _Token(m.lastgroup, m.group(), m.start())
+        for m in _TOKEN_RE.finditer(text)
+        if m.lastgroup != "ws"
+    ]
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+def _span(text: str, offset: int) -> SourceSpan:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, offset)
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+        for tok in self.tokens:
+            if tok.kind == "bad":
+                self._fail(f"unexpected character {tok.text!r}", tok)
+        # Each name declared so far: its source and width (the latest
+        # declaration), and the offset of its first declaration.
+        self.refs: dict[str, tuple[Source, int]] = {}
+        self.offsets: dict[str, int] = {}
 
     @property
     def tok(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _fail(self, message: str) -> None:
-        raise ParseError([Diagnostic(message, span=self.tok.span)])
+    def _fail(self, message: str, tok: _Token) -> NoReturn:
+        raise ParseError([Diagnostic(message, span=_span(self.text, tok.offset))])
 
     def advance(self) -> _Token:
         tok = self.tok
@@ -143,13 +149,13 @@ class _Parser:
         tok = self.tok
         if tok.kind != kind or (text is not None and tok.text != text):
             want = repr(text) if text is not None else kind
-            self._fail(f"expected {want}, found {tok.text!r}")
+            self._fail(f"expected {want}, found {tok.text!r}", tok)
         return self.advance()
 
     def at_punct(self, text: str) -> bool:
         return self.tok.kind == "punct" and self.tok.text == text
 
-    def parse_design(self) -> tuple[DataFlowGraph, dict[str, SourceSpan]]:
+    def parse_design(self) -> DataFlowGraph:
         self.expect("id", "design")
         name = self.expect("id").text
         self.expect("punct", ";")
@@ -157,53 +163,45 @@ class _Parser:
         inputs: list[InputPort] = []
         ops: list[Operation] = []
         outputs: list[str] = []
-        spans: dict[str, SourceSpan] = {}
-        widths: dict[str, int] = {}
 
         while self.tok.kind != "eof":
             if self.tok.kind != "id":
-                self._fail(f"expected declaration, found {self.tok.text!r}")
+                self._fail(f"expected declaration, found {self.tok.text!r}", self.tok)
             if self.tok.text == "input":
                 self.advance()
                 id_tok = self.expect("id")
+                self.offsets.setdefault(id_tok.text, id_tok.offset)
                 self.expect("punct", ":")
                 signed, width = self._parse_type()
                 self.expect("punct", ";")
                 inputs.append(InputPort(id_tok.text, width, signed))
-                spans.setdefault(id_tok.text, id_tok.span)
-                widths[id_tok.text] = width
+                self.refs[id_tok.text] = (InputRef(id_tok.text), width)
             elif self.tok.text == "output":
                 self.advance()
-                id_tok = self.expect("id")
+                outputs.append(self.expect("id").text)
                 self.expect("punct", ";")
-                outputs.append(id_tok.text)
             else:
-                op = self._parse_opdef(spans, widths)
+                op = self._parse_opdef()
                 ops.append(op)
-                widths[op.id] = op.width
+                self.refs[op.id] = (ResultRef(op.id), op.width)
 
-        graph = DataFlowGraph(name, tuple(inputs), tuple(ops), tuple(outputs))
-        return graph, spans
+        return DataFlowGraph(name, tuple(inputs), tuple(ops), tuple(outputs))
 
     def _parse_type(self) -> tuple[bool, int]:
         tok = self.expect("id")
         m = _TYPE_RE.match(tok.text)
         if m is None or int(m.group(2)) == 0:
-            raise ParseError(
-                [Diagnostic(f"expected a type like u16 or s8, found {tok.text!r}", span=tok.span)]
-            )
+            self._fail(f"expected a type like u16 or s8, found {tok.text!r}", tok)
         return m.group(1) == "s", int(m.group(2))
 
-    def _parse_opdef(self, spans: dict[str, SourceSpan], widths: dict[str, int]) -> Operation:
+    def _parse_opdef(self) -> Operation:
         id_tok = self.expect("id")
-        spans.setdefault(id_tok.text, id_tok.span)
+        self.offsets.setdefault(id_tok.text, id_tok.offset)
         self.expect("punct", ":")
         kind_tok = self.expect("id")
         kind = KIND_WORDS.get(kind_tok.text)
         if kind is None:
-            raise ParseError(
-                [Diagnostic(f"unknown operation kind {kind_tok.text!r}", span=kind_tok.span)]
-            )
+            self._fail(f"unknown operation kind {kind_tok.text!r}", kind_tok)
         signed, width = self._parse_type()
         if kind is OpKind.MULT and not signed:
             kind = OpKind.MULT_CORE
@@ -218,53 +216,44 @@ class _Parser:
             elif tok.kind == "id":
                 carry = CarryRef(tok.text)
             else:
-                raise ParseError(
-                    [Diagnostic(f"expected carry source, found {tok.text!r}", span=tok.span)]
-                )
+                self._fail(f"expected carry source, found {tok.text!r}", tok)
             self.expect("punct", ")")
 
         self.expect("punct", "=")
-        operands = [self._parse_operand(widths)]
+        operands = [self._parse_operand()]
         while self.tok.kind == "punct" and self.tok.text in SEPARATORS:
             self.advance()
-            operands.append(self._parse_operand(widths))
+            operands.append(self._parse_operand())
         self.expect("punct", ";")
         return Operation(id_tok.text, kind, width, signed, tuple(operands), carry)
 
-    def _parse_operand(self, widths: dict[str, int]) -> Operand:
+    def _parse_operand(self) -> Operand:
         if self.at_punct("{"):
             self.advance()
-            parts = [self._parse_term(widths)]
+            parts = [self._parse_term()]
             while self.at_punct(","):
                 self.advance()
-                parts.append(self._parse_term(widths))
+                parts.append(self._parse_term())
             self.expect("punct", "}")
             cat = Concat(tuple(parts))
             return Operand(cat, cat.width - 1, 0)
-        return self._parse_term(widths)
+        return self._parse_term()
 
-    def _parse_term(self, widths: dict[str, int]) -> Operand:
+    def _parse_term(self) -> Operand:
         source: Source
         if self.tok.kind == "id" and self.tok.text == "const":
             self.advance()
             self.expect("punct", "(")
             bits_tok = self.advance()
             if bits_tok.kind != "int" or any(c not in "01" for c in bits_tok.text):
-                raise ParseError(
-                    [Diagnostic(f"expected binary digits, found {bits_tok.text!r}",
-                                span=bits_tok.span)]
-                )
+                self._fail(f"expected binary digits, found {bits_tok.text!r}", bits_tok)
             self.expect("punct", ")")
             source = Const(bits_tok.text)
             default_width = len(bits_tok.text)
         else:
-            id_tok = self.expect("id")
-            if id_tok.text in widths:
-                default_width = widths[id_tok.text]
-            else:
-                # Unknown name: let validate() report it with context.
-                default_width = 1
-            source = InputRef(id_tok.text)  # repaired to ResultRef below
+            name = self.expect("id").text
+            # Not declared yet: let validate() report it with context.
+            source, default_width = self.refs.get(name, (InputRef(name), 1))
         if self.at_punct("["):
             self.advance()
             hi = int(self.expect("int").text)
@@ -276,45 +265,21 @@ class _Parser:
         return Operand(source, hi, lo)
 
 
-def _fix_name_refs(graph: DataFlowGraph) -> DataFlowGraph:
-    """The parser reads every name as an input reference; rewrite the
-    ones that name operations."""
-    op_ids = {op.id for op in graph.ops}
-
-    def fix_operand(opnd: Operand) -> Operand:
-        src = opnd.source
-        if isinstance(src, InputRef) and src.name in op_ids:
-            return Operand(ResultRef(src.name), opnd.hi, opnd.lo)
-        if isinstance(src, Concat):
-            return Operand(
-                Concat(tuple(fix_operand(p) for p in src.parts)), opnd.hi, opnd.lo
-            )
-        return opnd
-
-    ops = tuple(
-        Operation(
-            op.id,
-            op.kind,
-            op.width,
-            op.signed,
-            tuple(fix_operand(o) for o in op.operands),
-            op.carry_in,
-        )
-        for op in graph.ops
-    )
-    return DataFlowGraph(graph.name, graph.inputs, ops, graph.outputs)
-
-
 def parse(text: str) -> DataFlowGraph:
     """Parse and validate a design; raises ParseError on any problem."""
-    graph, spans = _Parser(text).parse_design()
-    graph = _fix_name_refs(graph)
+    parser = _Parser(text)
+    graph = parser.parse_design()
     diags = validate(graph)
     if diags:
-        located = [
-            Diagnostic(d.message, d.where, d.span or spans.get(d.where)) for d in diags
-        ]
-        raise ParseError(located)
+        offsets = parser.offsets
+        raise ParseError([
+            Diagnostic(
+                d.message,
+                d.where,
+                _span(text, offsets[d.where]) if d.where in offsets else None,
+            )
+            for d in diags
+        ])
     return graph
 
 

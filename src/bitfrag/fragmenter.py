@@ -347,7 +347,11 @@ def bucket_runs(
     Works from whole-operation windows: bits pour into cycle buckets
     forward from the op's earliest cycle and backward from its latest,
     and fragments are the LSB-first intersection of the two fills.
-    This can tile an op more coarsely than the per-bit windows do.
+    This can tile an op more coarsely than the per-bit windows do.  A
+    bucket holds ``n_bits`` bits counted from the op's bit 0, whatever
+    depth that bit starts at: in sec2 at latency 3, E starts at depth 2
+    and G at depth 3, so their first buckets overflow the cycle and the
+    scheduler finds no feasible cycle for them.
     """
     n_bits = mobility.n_bits
     runs: dict[str, list[tuple[int, int, int, int]]] = {}

@@ -354,7 +354,9 @@ def verify_schedule(sched: Schedule) -> list[str]:
     assignment completeness, window containment, fragment order, and
     realized chain depths.  A budget too small for the graph's own
     mobility analysis is reported as a problem, with its message, and
-    every check that needs no window still runs.
+    every check that needs no window still runs.  So is a unit missing
+    from ``cycle_of``; the slot recomputation, which needs every
+    unit's cycle, is then skipped.
     """
     problems: list[str] = []
     graph = sched.graph
@@ -366,12 +368,14 @@ def verify_schedule(sched: Schedule) -> list[str]:
     else:
         windows = unit_windows(graph, mobility, sched.fragments)
 
+    complete = True
     for op in graph.ops:
         if op.kind in GLUE_KINDS:
             continue
         uid = op.id
         if uid not in sched.cycle_of:
             problems.append(f"{uid}: not scheduled")
+            complete = False
             continue
         c = sched.cycle_of[uid]
         if not 1 <= c <= sched.lam:
@@ -389,6 +393,8 @@ def verify_schedule(sched: Schedule) -> list[str]:
                         f"{parent}: fragment {a.id} after its higher half {b.id}"
                     )
 
+    if not complete:
+        return problems
     realized, depth_problems = realized_slots(graph, sched.n_bits, sched.cycle_of)
     problems.extend(depth_problems)
     if realized != sched.realized:

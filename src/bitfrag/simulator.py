@@ -34,7 +34,7 @@ from .dfg import (
     Source,
     source_width,
 )
-from .cost import _bit_name, stored_bits
+from .cost import bit_name, stored_bits
 from .scheduler import Schedule
 
 
@@ -338,7 +338,7 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
         CycleTrace(
             cycle,
             tuple(op.id for op in ops),
-            tuple(_bit_name(r) for r in held.get(cycle, ())),
+            tuple(bit_name(r) for r in held.get(cycle, ())),
         )
         for cycle, ops in units.items()
     ]

@@ -304,6 +304,13 @@ def test_validate_rejects_duplicates_and_bad_outputs():
     msgs = _diag_messages(g)
     assert "duplicate name" in msgs
     assert "undefined reference ghost" in msgs
+    g = DataFlowGraph("bad", (a, InputPort("A", 2, False)), (), ())
+    assert _diag_messages(g) == "A: duplicate name"
+
+
+def test_validate_rejects_a_zero_width_input():
+    g = DataFlowGraph("bad", (InputPort("A", 0, False),), (), ())
+    assert _diag_messages(g) == "A: width must be positive, got 0"
 
 
 def test_validate_rejects_malformed_const():

@@ -107,23 +107,37 @@ def test_emit_omits_full_width_slices():
 
 
 @pytest.mark.parametrize(
-    "source, message, line",
+    "source, line, column, message",
     [
-        ("design d\ninput A : u4;", "expected ';'", 2),
-        ("design d;\ninput A : q4;\nX: add u4 = A + A;\noutput X;", "expected a type", 2),
-        ("design d;\ninput A : u4;\nX: frob u4 = A + A;\noutput X;", "unknown operation kind", 3),
-        ("design d;\ninput A : u4;\nX: add u4 = A + @;\noutput X;", "unexpected character", 3),
-        ("design d;\ninput A : u4;\nX: add u4 = A + ghost;\noutput X;", "undefined reference", 3),
-        ("design d;\ninput A : u4;\nX: add u4 = A[5:0] + A;\noutput X;", "out of range", 3),
-        ("design d;\ninput A : u4;\n62: add u4 = A + A;\noutput X;", "expected declaration", 3),
+        ("design d\ninput A : u4;", 2, 1, "expected ';', found 'input'"),
+        ("design d;\ninput A : q4;\nX: add u4 = A + A;\noutput X;",
+         2, 11, "expected a type like u16 or s8, found 'q4'"),
+        ("design d;\ninput A : u4;\nX: frob u4 = A + A;\noutput X;",
+         3, 4, "unknown operation kind 'frob'"),
+        ("design d;\ninput A : u4;\nX: add u4 = A + @;\noutput X;",
+         3, 17, "unexpected character '@'"),
+        ("design d;\ninput A : u4;\nX: add u4 = A + ghost;\noutput X;",
+         3, 1, "X: undefined reference ghost"),
+        ("design d;\ninput A : u4;\nX: add u4 = A[5:0] + A;\noutput X;",
+         3, 1, "X: slice [5:0] out of range for width 4"),
+        ("design d;\ninput A : u4;\n62: add u4 = A + A;\noutput X;",
+         3, 1, "expected declaration, found '62'"),
+        ("design d;\ninput A : u4;\nX: add u4 carry(2) = A + A;\noutput X;",
+         3, 17, "expected carry source, found '2'"),
+        ("design d;\ninput A : u4;\nX: add u4 = A + const(12);\noutput X;",
+         3, 23, "expected binary digits, found '12'"),
+        # A name is resolved as it is read, so a reference to the op itself
+        # is not yet a result and its slice is not range-checked as one.
+        ("design d;\ninput A : u4;\nX: add u4 = A + X[7:0];\noutput X;",
+         3, 1, "X: reference to X creates a cycle"),
     ],
 )
-def test_parse_errors_carry_spans(source, message, line):
+def test_parse_errors_carry_spans(source, line, column, message):
     with pytest.raises(ParseError) as err:
         parse(source)
-    diag = err.value.diagnostics[0]
-    assert message in diag.message
-    assert diag.span is not None and diag.span.line == line
+    assert str(err.value) == f"{line}:{column}: {message}"
+    span = err.value.diagnostics[0].span
+    assert (span.line, span.column) == (line, column)
 
 
 def test_validate_refuses_carry_operand():

@@ -74,6 +74,11 @@ def test_alap_needs_a_latency_of_at_least_one_cycle():
         bit_alap(parse(GLUE_CORE_SOURCE), 1, 0)
 
 
+def test_alap_needs_a_cycle_of_at_least_one_bit():
+    with pytest.raises(ValueError, match="cycle must hold at least one bit, got 0"):
+        bit_alap(parse(GLUE_CORE_SOURCE), 0, 1)
+
+
 def test_single_add_alap_counts_back_from_the_deadline():
     g = parse("design d;\ninput a : u7; input b : u7;\nS: add u7 = a + b;\noutput S;")
     alap = bit_alap(g, 3, 4)

@@ -1,4 +1,5 @@
-"""Every top-level import of a library module is used by that module."""
+"""Every top-level import of a library module is used by that module, and
+no library module imports another one's underscore names."""
 
 import ast
 
@@ -45,3 +46,21 @@ def test_every_top_level_import_is_used(module):
         if name not in named
     ]
     assert unused == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from a library module, with their lines."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "bitfrag")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_is_imported_from_another_module(module):
+    tree = ast.parse((PACKAGE_DIR / module).read_text())
+    assert _private_imports(tree) == []

@@ -110,6 +110,10 @@ def test_every_add_needs_its_fragment_record(sec2):
     partial = {k: v for k, v in p.fragments.items() if k != "E"}
     with pytest.raises(ScheduleError, match="E0: add has no fragment record"):
         schedule(p.transformed, partial, 3, p.n_bits)
+    first, *rest = p.fragments["E"]
+    empty = dict(p.fragments, E=[dataclasses.replace(first, alap_cycle=0), *rest])
+    with pytest.raises(ScheduleError, match=r"E0: empty cycle window \[1, 0\]"):
+        schedule(p.transformed, empty, 3, p.n_bits)
 
 
 def test_determinism(fig3):
@@ -214,6 +218,20 @@ def test_verify_reports_a_budget_too_small_for_mobility(sec2):
     ]
     assert "C0[4]: chain depth 5 exceeds 4 bits per cycle" in problems
     assert "G2[5]: chain depth 6 exceeds 4 bits per cycle" in problems
+
+
+def test_verify_reports_a_missing_unit_and_still_checks_the_rest(sec2):
+    sched = run_pipeline(sec2, 3).sched
+    cycle_of = dict(sched.cycle_of)
+    del cycle_of["C0"]
+    assert verify_schedule(dataclasses.replace(sched, cycle_of=cycle_of)) == [
+        "C0: not scheduled"
+    ]
+    cycle_of["C1"] = 1
+    assert verify_schedule(dataclasses.replace(sched, cycle_of=cycle_of)) == [
+        "C0: not scheduled",
+        "C1: cycle 1 outside window [2, 2]",
+    ]
 
 
 def test_realized_slots_report_unready_operands(sec2):

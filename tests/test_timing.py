@@ -64,6 +64,11 @@ def test_estimate_cycle_rounds_up(sec2):
     assert estimate_cycle(sec2, 5) == 4
 
 
+def test_estimate_cycle_needs_a_latency_of_at_least_one_cycle(sec2):
+    with pytest.raises(TimingError, match="latency must be at least 1 cycle, got 0"):
+        estimate_cycle(sec2, 0)
+
+
 def _arrivals(source: str):
     graph = parse(source)
     return graph, bit_arrivals(graph)
@@ -78,6 +83,13 @@ def test_truncating_slice_shifts_the_start():
     assert arr[("Y", 3)] == 9
     # The backward formula agrees: 4 bits of Y, one crossing, 4 dropped bits.
     assert path_time(g, ("X", "Y")) == 9
+    # The same slice inside a concat operand.
+    g, arr = _arrivals(
+        "design d;\ninput a : u8; input b : u8; input c : u4;\n"
+        "X: add u8 = a + b;\nY: add u6 = {c[1:0], X[7:4]} + b;\noutput Y;"
+    )
+    assert arr[("Y", 5)] == 11
+    assert path_time(g, ("X", "Y")) == 11
 
 
 def test_carry_edge_waits_for_the_producer_msb():
@@ -118,6 +130,11 @@ def test_core_delay_is_opaque():
 def test_path_time_rejects_non_adjacent_ops(sec2):
     with pytest.raises(TimingError, match="does not consume"):
         path_time(sec2, ("C", "G"))
+
+
+def test_path_time_rejects_an_empty_path(sec2):
+    with pytest.raises(TimingError, match="empty path"):
+        path_time(sec2, ())
 
 
 def test_path_time_rejects_glue_members():
