@@ -13,9 +13,9 @@ Reads are traced through transparent glue; design inputs and outputs
 have dedicated I/O registers and are not counted.  A lane's carry is
 latched while the ripple is suspended, that is between the cycles of
 two neighbouring fragments.  The reads and the order of the latched
-bits both come from the graph's bit view (``bit_view.reads`` and
-``bit_view.slot``), so nothing here re-derives bit order from the
-fragment records.
+bits both come from the graph's bit view (``bit_view.reads`` and the
+bit numbers), so nothing here re-derives bit order from the fragment
+records.
 """
 
 from __future__ import annotations
@@ -94,23 +94,29 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     """Bits live across each cycle boundary, in the bit view's order.
 
     Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.  A
-    read ref is held at every boundary from the cycle its slot is
+    read bit is held at every boundary from the cycle its slot is
     realized in up to its last reader's cycle; an unscheduled reader
-    holds nothing.  Each boundary lists its refs as ``bit_view.slot``
-    does: data bits before carries, each in definition order and then
-    by bit.
+    holds nothing.  Each boundary lists its refs, OpBit or CarryBit, in
+    bit number order: data bits before carries, each in definition
+    order and then by bit.
     """
-    view = sched.graph.bit_view
-    stop = dict.fromkeys(view.slot, 0)  # each ref's last reader cycle
-    for (unit, _), refs in view.reads.items():
-        cycle = sched.cycle_of.get(unit, 0)
-        for ref in refs:
-            if stop[ref] < cycle:
-                stop[ref] = cycle
+    graph = sched.graph
+    view = graph.bit_view
+    stop = [0] * len(view.keys)  # each bit's last reader cycle
+    for op in graph.ops:
+        cycle = sched.cycle_of.get(op.id, 0)
+        lo = view.base[op.id]
+        for refs in view.reads[lo:lo + op.width]:
+            for r in refs:
+                if stop[r] < cycle:
+                    stop[r] = cycle
     out: dict[int, list] = {b: [] for b in range(1, sched.lam)}
-    for ref, key in view.slot.items():
-        start = sched.realized[key].cycle
-        for b in range(max(start, 1), min(stop[ref], sched.lam)):
+    for n, last in enumerate(stop):
+        if not last:
+            continue  # no scheduled unit reads it
+        start = sched.realized[view.keys[view.slot[n]]].cycle
+        ref = view.ref(n)
+        for b in range(max(start, 1), min(last, sched.lam)):
             out[b].append(ref)
     return out
 
@@ -202,10 +208,13 @@ def costs(sched: Schedule) -> CostReport:
 
 
 def _op_level_consumers(graph: DataFlowGraph) -> dict[str, set[str]]:
+    view = graph.bit_view
     consumers: dict[str, set[str]] = {}
-    for (unit, _), refs in graph.bit_view.reads.items():
-        for ref in refs:
-            consumers.setdefault(ref.op, set()).add(unit)
+    for op in graph.ops:
+        lo = view.base[op.id]
+        for refs in view.reads[lo:lo + op.width]:
+            for r in refs:
+                consumers.setdefault(view.keys[r][0], set()).add(op.id)
     return consumers
 
 

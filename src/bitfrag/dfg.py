@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Union
 
 
@@ -366,40 +366,53 @@ class Namer:
         return name
 
 
-def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
-    """Producer set per (op, result bit).
+def _waits(op: Operation, operands: list[list], own, carry) -> list[set]:
+    """What each result bit of ``op`` waits on, one set per bit.
 
-    Ripple kinds (ADD/SUB) chain each bit on the previous one; glue is
-    per-bit transparent, a select's condition feeding every bit;
-    MULT/MULT_CORE/LT/MAX/MIN are opaque, every result bit depending on
-    every operand bit.  Each operand is resolved once per op.
+    ``operands`` holds each operand's bits, lowest first, at the
+    operand's own width, None for a bit with no producer (a constant);
+    ``own(i)`` stands for result bit ``i`` and ``carry`` for the
+    carry-in, None if there is none.  Ripple kinds (ADD/SUB) chain each
+    bit on the previous one; glue is per-bit transparent, a select's
+    condition feeding every bit; MULT/MULT_CORE/LT/MAX/MIN are opaque,
+    every result bit waiting on every operand bit through one shared
+    frozenset.
+    """
+    width = op.width
+    if op.kind not in _PER_BIT_KINDS:
+        whole = frozenset(x for bits in operands for x in bits if x is not None)
+        return [whole] * width
+    if op.kind is OpKind.SELECT:
+        operands[0] = operands[0][:1] * width
+    ripple = op.kind not in GLUE_KINDS
+    columns = zip(*(bits[:width] + [None] * (width - len(bits)) for bits in operands))
+    out = []
+    for i, column in enumerate(columns):
+        waits = set(column)
+        waits.discard(None)
+        if ripple and i > 0:
+            waits.add(own(i - 1))
+        elif carry is not None:  # only an add takes one
+            waits.add(carry)
+        out.append(waits)
+    return out
+
+
+def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
+    """Producer set per (op, result bit), as ``_waits`` gives it.
+
+    Each operand is resolved once per op; constants drop out.
     """
     deps: dict[tuple[str, int], frozenset[BitRef]] = {}
     for op in graph.ops:
-        # None marks a bit with no producer: a constant, or past the
-        # operand's top bit.
         operands = [
             [None if isinstance(r, ConstBit) else r for r in operand_bits(opnd)]
             for opnd in op.operands
         ]
-        width = op.width
-        if op.kind not in _PER_BIT_KINDS:
-            whole = frozenset(r for bits in operands for r in bits if r is not None)
-            for i in range(width):
-                deps[(op.id, i)] = whole
-            continue
-        if op.kind is OpKind.SELECT:
-            operands[0] = operands[0][:1] * width
-        ripple = op.kind not in GLUE_KINDS
-        columns = zip(*(bits[:width] + [None] * (width - len(bits)) for bits in operands))
-        for i, column in enumerate(columns):
-            prods = set(column)
-            prods.discard(None)
-            if ripple and i > 0:
-                prods.add(OpBit(op.id, i - 1))
-            elif isinstance(op.carry_in, CarryRef):  # only an add takes one
-                prods.add(CarryBit(op.carry_in.op))
-            deps[(op.id, i)] = frozenset(prods)
+        carry = CarryBit(op.carry_in.op) if isinstance(op.carry_in, CarryRef) else None
+        waits = _waits(op, operands, partial(OpBit, op.id), carry)
+        for i, refs in enumerate(waits):
+            deps[(op.id, i)] = frozenset(refs)
     return deps
 
 
@@ -410,74 +423,108 @@ BitKey = tuple[str, int]  # (op id, result bit); an OpBit is its own key
 class BitView:
     """Bit-level view of one graph, shared read-only by every pass.
 
-    ``producers`` maps each result bit to the keys of the op bits it
-    waits on: inputs and constants drop out, a carry-in becomes the MSB
-    of the op it comes from.  ``consumers`` is the inverse of
-    ``producers``.  ``reads`` maps each bit of a non-glue op to the
-    OpBit/CarryBit refs of non-glue ops it reads once glue is looked
-    through, less the op's own ripple.  ``producers`` and ``reads`` list
-    data bits before carries, each in definition order and then by bit,
-    without duplicates; that order is the tie rule of ``critical_path``.
-    ``slot`` maps each ref in ``reads`` to its key: an OpBit is its own
-    key, and a carry is resolved here once to its op's MSB, so that no
-    pass resolves a carry itself.  It lists every read ref once, in that
-    same order, which is the order ``cost.stored_bits`` latches them in.
+    Every result bit has a number: bit ``i`` of op ``x`` is
+    ``base[x] + i``, so numbers run in definition order and then by
+    bit, and ``keys[n]`` is the ``(op, bit)`` key of number ``n``.  Each
+    carry that some add reads as its carry-in is numbered after every
+    data bit, again in definition order, and its key is its
+    ``CarryBit``.  The other tables are indexed by number.
+
+    ``producers[n]`` lists the data bits result bit ``n`` waits on:
+    inputs and constants drop out, and a carry-in becomes the MSB of
+    the op it comes from.  ``consumers`` is the inverse of
+    ``producers``.  ``reads[n]``, for a bit of a non-glue op, lists the
+    data and carry bits of non-glue ops it reads once glue is looked
+    through, less the op's own ripple; a glue bit reads nothing.
+    ``producers`` and ``reads`` are ascending, so they list data bits
+    before carries, each in definition order and then by bit, with one
+    exception: a carry-in's MSB goes last in ``producers`` unless the bit
+    also reads that MSB as data.  That order is the tie rule of
+    ``critical_path``.  ``slot[n]`` is the data bit whose slot a read
+    of ``n`` waits on: ``n`` itself, or a carry's op's MSB, resolved here
+    once so that no pass resolves a carry itself.
     """
 
-    producers: dict[BitKey, tuple[BitKey, ...]]
-    consumers: dict[BitKey, tuple[BitKey, ...]]
-    reads: dict[BitKey, tuple[BitRef, ...]]
-    slot: dict[BitRef, BitKey]
+    keys: tuple[BitKey | CarryBit, ...]
+    base: dict[str, int]
+    producers: tuple[tuple[int, ...], ...]
+    consumers: tuple[tuple[int, ...], ...]
+    reads: tuple[tuple[int, ...], ...]
+    slot: tuple[int, ...]
+
+    def keyed(self, table: list) -> dict:
+        """A per-data-bit table as a dict by ``(op, bit)`` key, in
+        number order."""
+        return dict(zip(self.keys, table))
+
+    def ref(self, n: int) -> OpBit | CarryBit:
+        """The bit ref numbered ``n``."""
+        key = self.keys[n]
+        return key if isinstance(key, CarryBit) else OpBit(*key)
 
 
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
     """Passes reach the view through ``graph.bit_view``, built once."""
-    deps = bit_deps(graph)
-    order = {op.id: k for k, op in enumerate(graph.ops)}
-
-    def rank(ref: OpBit | CarryBit) -> tuple[int, int, int]:
-        if isinstance(ref, OpBit):
-            return (0, order[ref.op], ref.bit)
-        return (1, order[ref.op], 0)
-
-    # The view lives as long as its graph: tuples rather than sets, and
-    # one shared key object per bit, keep it small.
-    keys = {key: key for key in deps}
-    producers: dict[BitKey, tuple[BitKey, ...]] = {}
-    consumers: dict[BitKey, list[BitKey]] = {key: [] for key in deps}
-    slot: dict[BitRef, BitKey] = {}
-    glue_reads: dict[BitKey, dict[BitRef, BitKey]] = {}
-    reads: dict[BitKey, tuple[BitRef, ...]] = {}
+    base: dict[str, int] = {}
+    keys: list = []
     for op in graph.ops:
+        base[op.id] = len(keys)
+        keys += [(op.id, i) for i in range(op.width)]
+    size = len(keys)
+    slot = list(range(size))
+    carried = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
+    carry_of: dict[str, int] = {}
+    for op in graph.ops:
+        if op.id in carried:
+            carry_of[op.id] = len(keys)
+            keys.append(CarryBit(op.id))
+            slot.append(base[op.id] + op.width - 1)  # it emerges with the MSB
+
+    producers: list[tuple[int, ...]] = []
+    consumers: list[list[int]] = [[] for _ in range(size)]
+    reads: list[tuple[int, ...]] = []
+    glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
+    for op in graph.ops:
+        lo = base[op.id]
         glue = op.kind in GLUE_KINDS
-        for i in range(op.width):
-            key = keys[(op.id, i)]
-            refs = sorted(
-                (r for r in deps[key] if isinstance(r, (OpBit, CarryBit))), key=rank
-            )
-            slots = [  # an OpBit is its own key; a carry emerges with its op's MSB
-                keys[(r.op, graph.op(r.op).width - 1) if isinstance(r, CarryBit) else r]
-                for r in refs
-            ]
-            producers[key] = tuple(dict.fromkeys(slots))
-            for p in producers[key]:
-                consumers[p].append(key)
-            read: dict[BitRef, BitKey] = {}  # each read with its slot
-            for r, at in zip(refs, slots):
-                if isinstance(r, CarryBit):
-                    read[r] = at
-                elif at in glue_reads:
-                    read.update(glue_reads[at])
-                elif r.op != op.id:  # a ripple is not a read
-                    read[r] = at
+        # Operand bits by number; an input or constant bit has no producer.
+        operands = [
+            [base[r.op] + r.bit if type(r) is OpBit else None for r in operand_bits(opnd)]
+            for opnd in op.operands
+        ]
+        carry = carry_of[op.carry_in.op] if isinstance(op.carry_in, CarryRef) else None
+        last = None
+        for n, waits in enumerate(_waits(op, operands, lo.__add__, carry), lo):
+            if waits is not last:  # an opaque op's bits share theirs
+                last = waits
+                # Ascending: other ops' bits, the op's own ripple, a carry-in.
+                refs = sorted(waits)
+                carry_in = refs.pop() if refs and refs[-1] >= size else None
+                if carry_in is None:
+                    prods = tuple(refs)
+                else:
+                    msb = slot[carry_in]
+                    prods = tuple(refs) if msb in waits else (*refs, msb)
+                if refs and refs[-1] >= lo:
+                    refs.pop()  # a ripple is not a read
+                if not glue_reads.keys().isdisjoint(refs):
+                    refs = sorted({x for r in refs for x in glue_reads.get(r, (r,))})
+                if carry_in is not None:
+                    refs.append(carry_in)
+                read = tuple(refs)
+            producers.append(prods)
+            for p in prods:
+                consumers[p].append(n)
             if glue:
-                glue_reads[key] = read
+                glue_reads[n] = read
+                reads.append(())
             else:
-                reads[key] = tuple(sorted(read, key=rank))
-                slot.update(read)
+                reads.append(read)
     return BitView(
-        producers,
-        {key: tuple(users) for key, users in consumers.items()},
-        reads,
-        {ref: slot[ref] for ref in sorted(slot, key=rank)},
+        tuple(keys),
+        base,
+        tuple(producers),
+        tuple(map(tuple, consumers)),
+        tuple(reads),
+        tuple(slot),
     )

@@ -131,6 +131,8 @@ class _Parser:
         # declaration), and the offset of its first declaration.
         self.refs: dict[str, tuple[Source, int]] = {}
         self.offsets: dict[str, int] = {}
+        # Each output statement's name and its offset, in order.
+        self.outputs: list[tuple[str, int]] = []
 
     @property
     def tok(self) -> _Token:
@@ -178,7 +180,9 @@ class _Parser:
                 self.refs[id_tok.text] = (InputRef(id_tok.text), width)
             elif self.tok.text == "output":
                 self.advance()
-                outputs.append(self.expect("id").text)
+                id_tok = self.expect("id")
+                outputs.append(id_tok.text)
+                self.outputs.append((id_tok.text, id_tok.offset))
                 self.expect("punct", ";")
             else:
                 op = self._parse_opdef()
@@ -272,14 +276,19 @@ def parse(text: str) -> DataFlowGraph:
     diags = validate(graph)
     if diags:
         offsets = parser.offsets
-        raise ParseError([
-            Diagnostic(
-                d.message,
-                d.where,
-                _span(text, offsets[d.where]) if d.where in offsets else None,
-            )
-            for d in diags
-        ])
+        # validate reports an output naming nothing declared at "output",
+        # one per statement and in order; each goes at its statement's
+        # name, never at a declaration that happens to be named output.
+        undefined = iter(at for name, at in parser.outputs if name not in offsets)
+
+        def located(d: Diagnostic) -> Diagnostic:
+            if d.where == "output" and d.message.startswith("undefined reference "):
+                at = next(undefined)
+            else:
+                at = offsets.get(d.where)
+            return Diagnostic(d.message, d.where, None if at is None else _span(text, at))
+
+        raise ParseError([located(d) for d in diags])
     return graph
 
 

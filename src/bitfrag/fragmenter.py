@@ -17,6 +17,7 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .dfg import (
@@ -82,36 +83,39 @@ class Mobility:
     alap: dict[tuple[str, int], Slot]
 
 
+# Where inputs and constants are ready: the start of every producer max.
+ORIGIN = Slot(0, 0)
+
+
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     """Earliest slot per bit; inputs sit at (0, 0)."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
-    producers = graph.bit_view.producers
-    table: dict[tuple[str, int], Slot] = {}
+    view = graph.bit_view
+    producers = view.producers
+    table = [ORIGIN] * len(producers)
+    at = table.__getitem__
+    first = Slot(1, 0)  # adds start in cycle 1
     for op in graph.ops:
+        lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
-            # Every bit of a core waits on the same producers.
-            latest = max(
-                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
-            ).cycle
-            # Core inputs must be complete in a prior cycle; results
-            # fill their cycle so consumers spill to the next one.
-            for i in range(op.width):
-                table[(op.id, i)] = Slot(latest + 1, n_bits)
-            continue
-        for i in range(op.width):
-            latest = max(
-                (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
-            )
-            if op.kind in GLUE_KINDS:
-                table[(op.id, i)] = latest
-                continue
-            cycle, depth = max(latest, Slot(1, 0))  # adds start in cycle 1
-            if depth < n_bits:
-                table[(op.id, i)] = Slot(cycle, depth + 1)
-            else:
-                table[(op.id, i)] = Slot(cycle + 1, 1)
-    return table
+            # Every bit of a core waits on the same producers.  Core
+            # inputs must be complete in a prior cycle; results fill
+            # their cycle so consumers spill to the next one.
+            latest = max(map(at, producers[lo]), default=ORIGIN).cycle
+            table[lo:lo + width] = [Slot(latest + 1, n_bits)] * width
+        elif op.kind in GLUE_KINDS:
+            for n in range(lo, lo + width):
+                table[n] = max(map(at, producers[n]), default=ORIGIN)
+        else:
+            for n in range(lo, lo + width):
+                latest = max(map(at, producers[n]), default=ORIGIN)
+                cycle, depth = max(latest, first)
+                if depth < n_bits:
+                    table[n] = Slot(cycle, depth + 1)
+                else:
+                    table[n] = Slot(cycle + 1, 1)
+    return view.keyed(table)
 
 
 def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
@@ -128,40 +132,38 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
         raise ValueError(f"latency must be at least 1 cycle, got {lam}")
     # Ripple chaining makes bit i+1 a consumer of bit i of the same op;
     # it constrains the backward pass like any external consumer.
-    consumers = graph.bit_view.consumers
+    view = graph.bit_view
+    consumers = view.consumers
     due = Slot(lam + 1, 1)
-    table: dict[tuple[str, int], Slot] = {}
+    table = [due] * len(consumers)
+    at = table.__getitem__
     for op in reversed(graph.ops):
+        lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
-            cycle = min(
-                (table[c] for i in range(op.width) for c in consumers[(op.id, i)]),
-                default=due,
-            ).cycle - 1
+            users = chain.from_iterable(consumers[lo:lo + width])
+            cycle = min(map(at, users), default=due).cycle - 1
             if cycle < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
                 )
             # Results due at depth 1 so producers retreat a full cycle.
-            for i in range(op.width):
-                table[(op.id, i)] = Slot(cycle, 1)
-            continue
-        for i in range(op.width - 1, -1, -1):
-            cycle, depth = min(
-                (table[c] for c in consumers[(op.id, i)]), default=due
-            )
-            if op.kind in GLUE_KINDS:
-                # Transparent: finishes exactly where its consumer reads.
-                table[(op.id, i)] = Slot(cycle, depth)
-                continue
-            depth -= 1
-            if depth < 1:
-                cycle, depth = cycle - 1, n_bits
-            if cycle < 1:
-                raise InfeasibleError(
-                    f"latency {lam} too small: {op.id}[{i}] would fall before cycle 1"
-                )
-            table[(op.id, i)] = Slot(cycle, depth)
-    return table
+            table[lo:lo + width] = [Slot(cycle, 1)] * width
+        elif op.kind in GLUE_KINDS:
+            # Transparent: finishes exactly where its consumer reads.
+            for n in range(lo + width - 1, lo - 1, -1):
+                table[n] = min(map(at, consumers[n]), default=due)
+        else:
+            for n in range(lo + width - 1, lo - 1, -1):
+                cycle, depth = min(map(at, consumers[n]), default=due)
+                depth -= 1
+                if depth < 1:
+                    cycle, depth = cycle - 1, n_bits
+                if cycle < 1:
+                    raise InfeasibleError(
+                        f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
+                    )
+                table[n] = Slot(cycle, depth)
+    return view.keyed(table)
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:

@@ -35,9 +35,8 @@ from .dfg import (
     DataFlowGraph,
     GLUE_KINDS,
     OpKind,
-    Operation,
 )
-from .fragmenter import Fragment, InfeasibleError, Mobility, Slot, analyze
+from .fragmenter import ORIGIN, Fragment, InfeasibleError, Mobility, Slot, analyze
 
 
 class ScheduleError(ValueError):
@@ -101,69 +100,69 @@ def realized_slots(
     before they exist, chains deeper than the cycle holds, or core
     inputs not complete in a prior cycle.
     """
-    producers = graph.bit_view.producers
-    table: dict[tuple[str, int], Slot] = {}
+    view = graph.bit_view
+    producers = view.producers
+    table = [ORIGIN] * len(producers)
+    at = table.__getitem__
     problems: list[str] = []
     for op in graph.ops:
+        lo, width = view.base[op.id], op.width
         if op.kind in GLUE_KINDS:
-            for i in range(op.width):
-                table[(op.id, i)] = max(
-                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
-                )
+            for n in range(lo, lo + width):
+                table[n] = max(map(at, producers[n]), default=ORIGIN)
             continue
         cycle = cycle_of[op.id]
         if op.kind is OpKind.MULT_CORE:
-            ready = max(
-                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
-            ).cycle
+            ready = max(map(at, producers[lo]), default=ORIGIN).cycle
             if ready >= cycle:
                 problems.append(
                     f"{op.id}: core inputs not complete before cycle {cycle}"
                 )
-            for i in range(op.width):
-                table[(op.id, i)] = Slot(cycle, n_bits)
+            table[lo:lo + width] = [Slot(cycle, n_bits)] * width
             continue
-        for i in range(op.width):
-            slots = [table[p] for p in producers[(op.id, i)]]
-            latest = max(slots, default=Slot(0, 0))
+        for n in range(lo, lo + width):
+            slots = list(map(at, producers[n]))
+            latest = max(slots, default=ORIGIN)
             if latest.cycle > cycle:
                 problems.append(
-                    f"{op.id}[{i}]: operand ready in cycle {latest.cycle}, read in {cycle}"
+                    f"{op.id}[{n - lo}]: operand ready in cycle {latest.cycle}, read in {cycle}"
                 )
                 # Chain on what is ready by then.
-                latest = max((s for s in slots if s.cycle <= cycle), default=Slot(0, 0))
+                latest = max((s for s in slots if s.cycle <= cycle), default=ORIGIN)
             depth = 1 + latest.depth if latest.cycle == cycle else 1
             if depth > n_bits:
                 problems.append(
-                    f"{op.id}[{i}]: chain depth {depth} exceeds {n_bits} bits per cycle"
+                    f"{op.id}[{n - lo}]: chain depth {depth} exceeds {n_bits} bits per cycle"
                 )
-            table[(op.id, i)] = Slot(cycle, depth)
-    return table, problems
+            table[n] = Slot(cycle, depth)
+    return view.keyed(table), problems
 
 
 class _Overlay(dict):
-    """Slots one candidate changes, read through to the base elsewhere."""
+    """Slots one candidate changes, by bit number, read through to the
+    base elsewhere."""
 
-    def __init__(self, base: dict[tuple[str, int], Slot]):
+    def __init__(self, base: list[Slot]):
         super().__init__()
         self.base = base
 
-    def __missing__(self, key: tuple[str, int]) -> Slot:
-        return self.base[key]
+    def __missing__(self, n: int) -> Slot:
+        return self.base[n]
 
 
 class _Plan:
     """Greedy completions of the placements made so far.
 
     ``cycle_of`` holds the placed units and ``base`` the slot table of
-    its greedy completion.  ``base`` is None when the completion of the
-    pins fails; ``schedule`` then stops before placing anything, so a
-    placement always starts from a base that fits.  A candidate re-settles
-    its unit and then, in graph order, only the ops that read a slot it
-    changed: an op's slots are a pure function of its producer slots,
-    its placement and, for an add, its window, so an op whose slots
-    come out as in the base stops the change there, and every op
-    outside the region settles as it did in the base, which succeeded.
+    its greedy completion, by bit number.  ``base`` is None when the
+    completion of the pins fails; ``schedule`` then stops before placing
+    anything, so a placement always starts from a base that fits.  A
+    candidate re-settles its unit and then, in graph order, only the
+    ops that read a slot it changed: an op's slots are a pure function
+    of its producer slots, its placement and, for an add, its window, so
+    an op whose slots come out as in the base stops the change there,
+    and every op outside the region settles as it did in the base,
+    which succeeded.
     """
 
     def __init__(self, graph: DataFlowGraph, lam: int, n_bits: int,
@@ -176,20 +175,26 @@ class _Plan:
         view = graph.bit_view
         self.producers = view.producers
         self.position = {op.id: k for k, op in enumerate(graph.ops)}
+        # Per op, by position: whether it is glue, its bit numbers, and
+        # the bits of other ops it reads (every number below its own
+        # belongs to another op).
+        self.glue = [op.kind in GLUE_KINDS for op in graph.ops]
+        self.bits = [range(view.base[op.id], view.base[op.id] + op.width) for op in graph.ops]
+        self.feeds = [
+            tuple({p for n in bits for p in self.producers[n] if p < bits.start})
+            for bits in self.bits
+        ]
+        owner = [k for k, bits in enumerate(self.bits) for _ in bits]
         self.successors = [
-            {
-                self.position[q[0]]
-                for i in range(op.width)
-                for q in view.consumers[(op.id, i)]
-            }
-            - {k}
-            for k, op in enumerate(graph.ops)
+            {owner[q] for n in bits for q in view.consumers[n]} - {k}
+            for k, bits in enumerate(self.bits)
         ]
         self.base = self._complete()
 
-    def settle(self, op: Operation, pin: int | None,
-               table: dict[tuple[str, int], Slot]) -> bool:
-        """Write the slots of ``op``'s bits; False if it cannot fit.
+    def settle(self, k: int, pin: int | None, table) -> bool:
+        """Write the slots of the bits of the op at position ``k`` into
+        ``table``, a list or an overlay indexed by bit number; False if
+        it cannot fit.
 
         An unplaced core (``pin`` None) takes the cycle after its inputs
         are ready; an unplaced add starts at its window floor and moves
@@ -197,61 +202,48 @@ class _Plan:
         first in topo order, so deferring a unit never invalidates one
         already settled.  A placed unit is checked as-is.
         """
-        producers = self.producers
-        if op.kind in GLUE_KINDS:
-            for i in range(op.width):
-                table[(op.id, i)] = max(
-                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
-                )
+        op, bits, producers = self.graph.ops[k], self.bits[k], self.producers
+        at = table.__getitem__
+        if self.glue[k]:
+            for n in bits:
+                table[n] = max(map(at, producers[n]), default=ORIGIN)
             return True
+        ready = max(map(at, self.feeds[k]), default=ORIGIN).cycle
         if op.kind is OpKind.MULT_CORE:
-            ready = max(
-                (table[p] for p in producers[(op.id, 0)]), default=Slot(0, 0)
-            ).cycle
             c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
                 return False
-            for i in range(op.width):
-                table[(op.id, i)] = Slot(c, self.n_bits)
+            full = Slot(c, self.n_bits)
+            for n in bits:
+                table[n] = full
             return True
-        ready = max(
-            (
-                table[p]
-                for i in range(op.width)
-                for p in producers[(op.id, i)]
-                if p[0] != op.id
-            ),
-            default=Slot(0, 0),
-        ).cycle
         c = pin if pin is not None else max(self.windows[op.id][0], ready)
         while True:
             if c > self.lam or c < ready:
                 return False
             # Every operand is ready by cycle c, so a bit chains on its
             # latest producer only if that one finishes in c.
-            for i in range(op.width):
-                latest = max(
-                    (table[p] for p in producers[(op.id, i)]), default=Slot(0, 0)
-                )
+            for n in bits:
+                latest = max(map(at, producers[n]), default=ORIGIN)
                 depth = 1 + latest.depth if latest.cycle == c else 1
                 if depth > self.n_bits:
                     break
-                table[(op.id, i)] = Slot(c, depth)
+                table[n] = Slot(c, depth)
             else:
                 return True
             if pin is not None:
                 return False
             c += 1
 
-    def _complete(self) -> dict[tuple[str, int], Slot] | None:
+    def _complete(self) -> list[Slot] | None:
         """The whole completion table of ``cycle_of``, or None."""
-        table: dict[tuple[str, int], Slot] = {}
-        for op in self.graph.ops:
-            if not self.settle(op, self.cycle_of.get(op.id), table):
+        table = [ORIGIN] * len(self.producers)
+        for k, op in enumerate(self.graph.ops):
+            if not self.settle(k, self.cycle_of.get(op.id), table):
                 return None
         return table
 
-    def vet(self, uid: str, c: int) -> dict[tuple[str, int], Slot] | None:
+    def vet(self, uid: str, c: int) -> _Overlay | None:
         """The slots that change with ``uid`` at ``c``, or None if the
         completion no longer fits the budget."""
         base = self.base
@@ -261,21 +253,22 @@ class _Plan:
         queued = set(heap)
         while heap:
             k = heapq.heappop(heap)
-            op = ops[k]
-            pin = c if op.id == uid else self.cycle_of.get(op.id)
-            if not self.settle(op, pin, table):
+            op_id = ops[k].id
+            pin = c if op_id == uid else self.cycle_of.get(op_id)
+            if not self.settle(k, pin, table):
                 return None
-            if any(table[(op.id, i)] != base[(op.id, i)] for i in range(op.width)):
+            if any(table[n] != base[n] for n in self.bits[k]):
                 for s in self.successors[k]:
                     if s not in queued:
                         queued.add(s)
                         heapq.heappush(heap, s)
         return table
 
-    def place(self, uid: str, c: int, table: dict[tuple[str, int], Slot]) -> None:
+    def place(self, uid: str, c: int, table: dict[int, Slot]) -> None:
         """Commit a candidate that ``vet`` passed, with its table."""
         self.cycle_of[uid] = c
-        self.base.update(table)
+        for n, slot in table.items():
+            self.base[n] = slot
 
 
 def schedule(
@@ -320,23 +313,27 @@ def schedule(
         if movable:
             raise ScheduleError(f"no feasible cycle for {movable[0]}")
         raise ScheduleError("; ".join(realized_slots(graph, n_bits, cycle_of)[1]))
+    first = graph.bit_view.base  # each unit's bit 0
     for core in cores:
-        cycle_of[core] = plan.base[(core, 0)].cycle
+        cycle_of[core] = plan.base[first[core]].cycle
 
     # A unit fits at its cycle in the base completion, as it settled there.
     # Every earlier cycle the completion rejected (operands not ready, or a
     # chain overflow), and vet reads the same, upstream, producer slots.  So
-    # the first cycle to fit in (peak, cycle) order has the smallest pair.
+    # the first cycle to fit in (peak, cycle) order has the smallest pair:
+    # the base cycle, with no vet, unless a later cycle ranks before it.
     top = max(loads.values())
     for uid in movable:
-        start, late = plan.base[(uid, 0)].cycle, windows[uid][1]
+        start, late = plan.base[first[uid]].cycle, windows[uid][1]
         if start > late:
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width
-        for c in sorted(range(start, late + 1),
-                        key=lambda k: (max(top, loads[k] + width), k)):
-            table = {} if c == start else plan.vet(uid, c)
-            if table is not None:
+        ranked = [(max(top, loads[k] + width), k) for k in range(start, late + 1)]
+        c, table = start, {}
+        for _, k in sorted(r for r in ranked if r < ranked[0]):
+            vetted = plan.vet(uid, k)
+            if vetted is not None:
+                c, table = k, vetted
                 break
         plan.place(uid, c, table)
         loads[c] += width
@@ -344,7 +341,9 @@ def schedule(
 
     # Every unit is placed, so the base is the completion of cycle_of
     # itself: the table realized_slots makes, under the same checks.
-    return Schedule(graph, lam, n_bits, cycle_of, plan.base, fragments)
+    return Schedule(
+        graph, lam, n_bits, cycle_of, graph.bit_view.keyed(plan.base), fragments
+    )
 
 
 def verify_schedule(sched: Schedule) -> list[str]:

@@ -311,7 +311,8 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
     check covers every vector.
     """
     graph = sched.graph
-    reads, slot = graph.bit_view.reads, graph.bit_view.slot
+    view = graph.bit_view
+    keys, slot = view.keys, view.slot
     held = stored_bits(sched)
     # Units by cycle, each in definition order; a unit with no cycle in
     # 1 .. lam goes to ``missing``.
@@ -321,14 +322,16 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
         if op.kind not in GLUE_KINDS:
             units.get(sched.cycle_of.get(op.id), missing).append(op)
     for cycle, ops in units.items():
+        # An op bit's key equals its OpBit, so keys look refs up directly.
         latched = set(held.get(cycle - 1, ()))
         for op in ops:
-            for i in range(op.width):
-                for base in reads[(op.id, i)]:
-                    if sched.realized[slot[base]].cycle < cycle and base not in latched:
+            lo = view.base[op.id]
+            for refs in view.reads[lo:lo + op.width]:
+                for r in refs:
+                    if sched.realized[keys[slot[r]]].cycle < cycle and keys[r] not in latched:
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
-                            f"bit {base} across boundary {cycle - 1}"
+                            f"bit {view.ref(r)} across boundary {cycle - 1}"
                         )
     if missing:
         raise SimulationError(

@@ -41,26 +41,31 @@ def _check_kernel(graph: DataFlowGraph) -> None:
             raise TimingError(KERNEL_ONLY.format(kind=op.kind.name.lower(), id=op.id))
 
 
-def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, int], int]:
-    """Arrival time of every result bit, inputs and constants at 0."""
+def _arrival_table(graph: DataFlowGraph, core_delay: int) -> list[int]:
+    """Arrival time of every result bit, by bit number."""
     _check_kernel(graph)
     if core_delay < 0:
         raise TimingError(f"core delay must not be negative, got {core_delay}")
-    producers = graph.bit_view.producers
-    arrival: dict[tuple[str, int], int] = {}
+    view = graph.bit_view
+    producers = view.producers
+    arrival = [0] * len(producers)
+    at = arrival.__getitem__
     for op in graph.ops:
+        lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
             # Every bit of a core waits on the same producers.
-            worst = max((arrival[p] for p in producers[(op.id, 0)]), default=0)
-            for i in range(op.width):
-                arrival[(op.id, i)] = worst + core_delay
+            worst = max(map(at, producers[lo]), default=0)
+            arrival[lo:lo + width] = [worst + core_delay] * width
             continue
         cost = 1 if op.kind is OpKind.ADD else 0
-        for i in range(op.width):
-            arrival[(op.id, i)] = cost + max(
-                (arrival[p] for p in producers[(op.id, i)]), default=0
-            )
+        for n in range(lo, lo + width):
+            arrival[n] = cost + max(map(at, producers[n]), default=0)
     return arrival
+
+
+def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, int], int]:
+    """Arrival time of every result bit, inputs and constants at 0."""
+    return graph.bit_view.keyed(_arrival_table(graph, core_delay))
 
 
 def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
@@ -69,26 +74,26 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
     Backtracks the arrival recurrence from the worst bit, walking
     through glue transparently and stopping at inputs or at the opaque
     multiplier core.  Ties go to the earliest bit in definition order,
-    and among producers to the first in ``bit_view.producers`` order.
+    the lowest bit number, and among producers to the first in
+    ``bit_view.producers`` order.
     """
-    arrival = bit_arrivals(graph, core_delay)
+    arrival = _arrival_table(graph, core_delay)
     if not arrival:
         return CriticalPath((), 0)
 
-    producers = graph.bit_view.producers
-    time = max(arrival.values())
-    # The arrival table is filled in definition order, then by bit.
-    cur = next(key for key, t in arrival.items() if t == time)
+    view = graph.bit_view
+    time = max(arrival)
+    cur = arrival.index(time)
     path: list[str] = []
     while True:
-        op = graph.op(cur[0])
+        op = graph.op(view.keys[cur][0])
         if op.kind is OpKind.MULT_CORE:
             break
         if op.kind is OpKind.ADD and (not path or path[0] != op.id):
             path.insert(0, op.id)
-        if not producers[cur]:
+        if not view.producers[cur]:
             break
-        best = max(producers[cur], key=arrival.__getitem__)
+        best = max(view.producers[cur], key=arrival.__getitem__)
         if arrival[best] == 0 and op.kind is OpKind.ADD:
             break  # remaining chain is input-fed
         cur = best
@@ -144,5 +149,5 @@ def estimate_cycle(graph: DataFlowGraph, lam: int, core_delay: int = 0) -> int:
     """Clock cycle in delta units for a schedule of ``lam`` cycles."""
     if lam < 1:
         raise TimingError(f"latency must be at least 1 cycle, got {lam}")
-    worst = max(bit_arrivals(graph, core_delay).values(), default=0)
+    worst = max(_arrival_table(graph, core_delay), default=0)
     return max(1, ceil(worst / lam))

@@ -4,6 +4,7 @@ and an exhaustive placement oracle for small schedules."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -17,14 +18,18 @@ import pytest
 
 from bitfrag import check, extract_kernel, parse
 from bitfrag.dfg import (
+    GLUE_KINDS,
+    CarryBit,
     Const,
     DataFlowGraph,
     InputPort,
     InputRef,
+    OpBit,
     Operand,
     Operation,
     OpKind,
     ResultRef,
+    bit_deps,
 )
 from bitfrag.fragmenter import InfeasibleError, Mobility, analyze, fragment
 from bitfrag.kernel import LoweringTrace
@@ -142,6 +147,50 @@ def sat() -> DataFlowGraph:
 @pytest.fixture(scope="session")
 def mixed() -> DataFlowGraph:
     return parse(MIXED_SOURCE)
+
+
+@dataclass(frozen=True)
+class KeyedView:
+    """What ``graph.bit_view`` holds, keyed by ``(op, bit)`` and derived
+    from ``bit_deps`` alone, so tests need not read the view's layout.
+
+    ``producers`` maps every result bit to the keys it waits on, a carry
+    standing for its op's MSB; ``reads`` maps every bit of a non-glue op
+    to the OpBit/CarryBit refs of non-glue ops it reads through glue,
+    less its op's own ripple.
+    """
+
+    producers: dict[tuple[str, int], frozenset[tuple[str, int]]]
+    reads: dict[tuple[str, int], frozenset]
+
+
+@functools.lru_cache(maxsize=64)
+def keyed_view(graph: DataFlowGraph) -> KeyedView:
+    deps = bit_deps(graph)
+
+    def key(ref) -> tuple[str, int]:  # a carry emerges with its op's MSB
+        if isinstance(ref, CarryBit):
+            return (ref.op, graph.op(ref.op).width - 1)
+        return (ref.op, ref.bit)
+
+    def through_glue(ref) -> set:
+        if isinstance(ref, OpBit) and graph.op(ref.op).kind in GLUE_KINDS:
+            return set().union(*(through_glue(r) for r in deps[(ref.op, ref.bit)]))
+        return {ref} if isinstance(ref, (OpBit, CarryBit)) else set()
+
+    producers = {
+        k: frozenset(key(r) for r in refs if isinstance(r, (OpBit, CarryBit)))
+        for k, refs in deps.items()
+    }
+    reads = {}
+    for op in graph.ops:
+        if op.kind in GLUE_KINDS:
+            continue
+        ripple = {OpBit(op.id, b) for b in range(op.width)}
+        for i in range(op.width):
+            seen = set().union(*(through_glue(r) for r in deps[(op.id, i)]))
+            reads[(op.id, i)] = frozenset(seen - ripple)
+    return KeyedView(producers, reads)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from bitfrag.dfg import CarryBit, OpBit
 from bitfrag.fragmenter import InfeasibleError, analyze, bucket_fragment, fragment
 from bitfrag.scheduler import ScheduleError, schedule
 from bitfrag.timing import estimate_cycle
-from conftest import random_full_design, run_pipeline
+from conftest import keyed_view, random_full_design, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(seed, lam, bucket):
     for b, refs in held.items():
         crossing = {
             ref
-            for (unit, _), reads in graph.bit_view.reads.items()
+            for (unit, _), reads in keyed_view(graph).reads.items()
             if sched.cycle_of[unit] > b
             for ref in reads
             if produced(ref) <= b

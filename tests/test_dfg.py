@@ -1,6 +1,8 @@
 """Structural IR behavior: lookups, bit resolution, validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitfrag.dfg import (
     CarryBit,
@@ -25,7 +27,11 @@ from bitfrag.dfg import (
     source_width,
     validate,
 )
-from conftest import feasible_pipeline, load_design, random_full_design
+from bitfrag.fragmenter import InfeasibleError, analyze, bit_alap, bit_asap, fragment
+from bitfrag.kernel import extract_kernel
+from bitfrag.scheduler import ScheduleError, schedule
+from bitfrag.timing import bit_arrivals, estimate_cycle
+from conftest import feasible_pipeline, keyed_view, load_design, random_full_design
 
 
 def _tiny() -> DataFlowGraph:
@@ -166,53 +172,90 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
     for g in _view_graphs(case):
         view = g.bit_view
         assert g.bit_view is view
-        deps = bit_deps(g)
+        ref = keyed_view(g)
+        size = len(view.producers)
+        data = view.keys[:size]
+        assert list(data) == list(ref.producers)
 
         # Producers: op bits only, a carry standing for its op's MSB.
-        for key, refs in deps.items():
-            assert len(set(view.producers[key])) == len(view.producers[key])
-            assert set(view.producers[key]) == {
-                (r.op, g.op(r.op).width - 1) if isinstance(r, CarryBit) else (r.op, r.bit)
-                for r in refs
-                if isinstance(r, (OpBit, CarryBit))
-            }
-        inverse = {key: [] for key in deps}
-        for key, producers in view.producers.items():
+        for n, key in enumerate(data):
+            prods = [view.keys[p] for p in view.producers[n]]
+            assert len(set(prods)) == len(prods)
+            assert set(prods) == ref.producers[key]
+        inverse = {key: [] for key in ref.producers}
+        for key, producers in ref.producers.items():
             for p in producers:
                 inverse[p].append(key)
-        assert {k: sorted(v) for k, v in view.consumers.items()} == {
-            k: sorted(v) for k, v in inverse.items()
-        }
+        assert {
+            data[n]: sorted(view.keys[c] for c in users)
+            for n, users in enumerate(view.consumers)
+        } == {k: sorted(v) for k, v in inverse.items()}
 
-        def through_glue(ref) -> set:
-            if isinstance(ref, OpBit) and g.op(ref.op).kind in GLUE_KINDS:
-                return set().union(*(through_glue(r) for r in deps[(ref.op, ref.bit)]))
-            return {ref} if isinstance(ref, (OpBit, CarryBit)) else set()
-
-        units = [op for op in g.ops if op.kind not in GLUE_KINDS]
-        assert set(view.reads) == {(op.id, i) for op in units for i in range(op.width)}
-        for (op_id, i), refs in view.reads.items():
+        # Reads: every non-glue bit's, through glue; a glue bit reads none.
+        for n, key in enumerate(data):
+            reads = view.reads[n]
+            if key not in ref.reads:
+                assert reads == ()
+                continue
+            refs = [view.ref(r) for r in reads]
             assert len(set(refs)) == len(refs)
             for r in refs:
                 assert isinstance(r, (OpBit, CarryBit))
                 assert g.op(r.op).kind not in GLUE_KINDS
-            ripple = {OpBit(op_id, b) for b in range(g.op(op_id).width)}
-            assert set(refs) == set().union(*(through_glue(r) for r in deps[(op_id, i)])) - ripple
-            for r in refs:  # the slot of a read, a carry at its op's MSB
-                assert view.slot[r] == (
-                    (r.op, g.op(r.op).width - 1) if isinstance(r, CarryBit) else (r.op, r.bit)
-                )
+            assert set(refs) == ref.reads[key]
+            for r in reads:  # the slot of a read, a carry at its op's MSB
+                want = view.ref(r)
+                if isinstance(want, CarryBit):
+                    want = (want.op, g.op(want.op).width - 1)
+                assert view.keys[view.slot[r]] == want
 
-        # slot lists every read once, data bits before carries, each in
-        # definition order and then by bit.
+        # Reads ascend, so they list data bits before carries, each in
+        # definition order and then by bit; every carry read has a number.
+        assert all(list(reads) == sorted(set(reads)) for reads in view.reads)
+        assert set(view.keys[size:]) == {
+            r for reads in ref.reads.values() for r in reads if isinstance(r, CarryBit)
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
+    """Bit ``i`` of an op is ``base[op] + i`` in definition order, every
+    carry comes after every data bit, and the keyed tables of the passes
+    list their keys in number order: ``critical_path``'s "earliest bit
+    in definition order" tie rule rests on it."""
+    design = random_full_design(seed)
+    kernel, _ = extract_kernel(design)
+    graphs = [design, kernel]
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
+        sched = schedule(transformed, fragments, lam, n_bits)
+    except (InfeasibleError, ScheduleError):
+        sched = None
+    else:
+        graphs.append(transformed)
+    for g in graphs:
+        view = g.bit_view
+        size = len(view.producers)
+        order = [(op.id, i) for op in g.ops for i in range(op.width)]
+        assert list(view.keys[:size]) == order
+        assert view.base == {op.id: order.index((op.id, 0)) for op in g.ops}
+        carries = view.keys[size:]
+        assert all(isinstance(k, CarryBit) for k in carries)
         position = {op.id: k for k, op in enumerate(g.ops)}
-        assert set(view.slot) == {r for refs in view.reads.values() for r in refs}
-        assert list(view.slot) == sorted(
-            view.slot,
-            key=lambda r: (
-                (1, position[r.op], 0) if isinstance(r, CarryBit) else (0, position[r.op], r.bit)
-            ),
-        )
+        assert [position[k.op] for k in carries] == sorted(position[k.op] for k in carries)
+        if g is design:
+            continue
+        assert list(bit_arrivals(g)) == order
+        assert list(bit_asap(g, n_bits)) == order
+        try:
+            assert list(bit_alap(g, n_bits, lam)) == order
+        except InfeasibleError:
+            pass
+    if sched is not None:
+        view = transformed.bit_view
+        assert list(sched.realized) == list(view.keys[: len(view.producers)])
 
 
 def _diag_messages(graph) -> str:

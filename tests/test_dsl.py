@@ -130,6 +130,12 @@ def test_emit_omits_full_width_slices():
         # is not yet a result and its slice is not range-checked as one.
         ("design d;\ninput A : u4;\nX: add u4 = A + X[7:0];\noutput X;",
          3, 1, "X: reference to X creates a cycle"),
+        # An undefined output is placed at its name in the output
+        # statement, even when an input happens to be named output.
+        ("design d;\ninput A : u4;\nX: add u4 = A + A;\noutput Y;",
+         4, 8, "output: undefined reference Y"),
+        ("design d;\ninput output : u4;\nX: add u4 = output + output;\noutput Y;",
+         4, 8, "output: undefined reference Y"),
     ],
 )
 def test_parse_errors_carry_spans(source, line, column, message):

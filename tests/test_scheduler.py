@@ -31,6 +31,7 @@ from bitfrag.timing import estimate_cycle
 from conftest import (
     GLUE_CORE_SOURCE,
     feasible_placements,
+    keyed_view,
     load_design,
     placement_count,
     random_add_design,
@@ -254,7 +255,7 @@ def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
 
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
     """Whole-graph vetting: a greedy earliest completion of ``partial``."""
-    producers = graph.bit_view.producers
+    producers = keyed_view(graph).producers
     table = {}
     for op in graph.ops:
         if op.kind in GLUE_KINDS:
@@ -446,7 +447,7 @@ def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, 
         return
     for op in transformed.ops:
         if op.kind is OpKind.MULT_CORE:
-            assert accepted(op.id)[:1] == [base[(op.id, 0)].cycle]
+            assert accepted(op.id)[:1] == [base[transformed.bit_view.base[op.id]].cycle]
 
 
 @pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
@@ -502,7 +503,7 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
     def checked_place(plan, uid, c, table):
         early, late = plan.windows[uid]
         fits = [k for k in range(early, late + 1) if vet(plan, uid, k) is not None]
-        start = plan.base[(uid, 0)].cycle
+        start = plan.base[plan.graph.bit_view.base[uid]].cycle
         assert fits and fits[0] == start <= late
         assert fits == list(range(start, start + len(fits)))
         unchanged = vet(plan, uid, start)
@@ -510,7 +511,7 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
         place(plan, uid, c, table)
 
     def checked_vet(plan, uid, c):
-        assert c > plan.base[(uid, 0)].cycle
+        assert c > plan.base[plan.graph.bit_view.base[uid]].cycle
         return vet(plan, uid, c)
 
     with mock.patch.object(_Plan, "place", checked_place), \
