@@ -187,13 +187,7 @@ class CarryBit(NamedTuple):
     op: str
 
 
-class ConstBit(NamedTuple):
-    value: int  # 0 or 1
-
-
-BitRef = Union[InputBit, OpBit, CarryBit, ConstBit]
-
-ZERO_BIT = ConstBit(0)
+BitRef = Union[InputBit, OpBit, CarryBit]
 
 
 @dataclass(frozen=True)
@@ -241,25 +235,32 @@ def source_width(graph: DataFlowGraph, source: Source) -> int:
     return source.width  # Const, Concat
 
 
-def operand_bits(operand: Operand) -> list[BitRef]:
-    """The bits of ``operand``, lowest first, at the operand's own width.
+def operand_slices(operand: Operand) -> list[Operand]:
+    """The flat slices of ``operand``, lowest first, at its own width.
 
-    This is the one bit-level resolver: the bit view and the fragment
-    rewrite both read operands through it.  Constant bits come back as
-    ConstBit; a consumer wider than the operand sees zeros above it.
+    This is the one operand resolver: the bit view, ``bit_deps`` and the
+    fragment rewrite read operands through it.  A slice is an input or
+    op slice, or a constant cut to its own bits, never a concatenation;
+    a consumer wider than the operand sees zeros above it.
     """
-    source, lo, stop = operand.source, operand.lo, operand.hi + 1
-    if isinstance(source, InputRef):
-        return [InputBit(source.name, k) for k in range(lo, stop)]
-    if isinstance(source, ResultRef):
-        return [OpBit(source.op, k) for k in range(lo, stop)]
-    if isinstance(source, Const):
-        # bits string is MSB first
-        return [ConstBit(int(c)) for c in reversed(source.bits)][lo:stop]
-    bits: list[BitRef] = []
-    for part in reversed(source.parts):  # Concat, MSB first
-        bits += operand_bits(part)
-    return bits[lo:stop]
+    source, lo, hi = operand.source, operand.lo, operand.hi
+    if isinstance(source, Const) and (lo or hi + 1 < source.width):
+        bits = source.bits[source.width - 1 - hi:source.width - lo]  # MSB first
+        return [Operand(Const(bits), hi - lo, 0)]
+    if not isinstance(source, Concat):
+        return [operand]
+    slices: list[Operand] = []
+    at = 0  # the concat bit where the part's bit 0 lands
+    for part in reversed(source.parts):  # MSB first
+        stop = at + part.width
+        if stop > lo:  # concat bits max(lo, at) to min(hi, stop - 1) of the part
+            shift = part.lo - at
+            cut = Operand(part.source, shift + min(hi, stop - 1), shift + max(lo, at))
+            slices += operand_slices(cut)
+        if stop > hi:
+            break
+        at = stop
+    return slices
 
 
 def validate(graph: DataFlowGraph) -> list[Diagnostic]:
@@ -405,10 +406,18 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
     """
     deps: dict[tuple[str, int], frozenset[BitRef]] = {}
     for op in graph.ops:
-        operands = [
-            [None if isinstance(r, ConstBit) else r for r in operand_bits(opnd)]
-            for opnd in op.operands
-        ]
+        operands = []
+        for opnd in op.operands:
+            bits: list = []
+            for s in operand_slices(opnd):
+                source, ks = s.source, range(s.lo, s.hi + 1)
+                if type(source) is InputRef:
+                    bits += [InputBit(source.name, k) for k in ks]
+                elif type(source) is ResultRef:
+                    bits += [OpBit(source.op, k) for k in ks]
+                else:
+                    bits += [None] * len(ks)
+            operands.append(bits)
         carry = CarryBit(op.carry_in.op) if isinstance(op.carry_in, CarryRef) else None
         waits = _waits(op, operands, partial(OpBit, op.id), carry)
         for i, refs in enumerate(waits):
@@ -488,10 +497,16 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         lo = base[op.id]
         glue = op.kind in GLUE_KINDS
         # Operand bits by number; an input or constant bit has no producer.
-        operands = [
-            [base[r.op] + r.bit if type(r) is OpBit else None for r in operand_bits(opnd)]
-            for opnd in op.operands
-        ]
+        operands = []
+        for opnd in op.operands:
+            bits: list = []
+            for s in operand_slices(opnd):
+                if type(s.source) is ResultRef:
+                    at = base[s.source.op]
+                    bits += range(at + s.lo, at + s.hi + 1)
+                else:
+                    bits += [None] * s.width
+            operands.append(bits)
         carry = carry_of[op.carry_in.op] if isinstance(op.carry_in, CarryRef) else None
         last = None
         for n, waits in enumerate(_waits(op, operands, lo.__add__, carry), lo):

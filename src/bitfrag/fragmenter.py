@@ -6,16 +6,17 @@ of chaining fit in one cycle.  ASAP packs every bit as early as the
 recurrence allows, ALAP as late as the latency budget allows, and an
 add is then split into maximal runs of contiguous bits whose cycle
 windows agree.  Every consumer is then rewired to read the fragment
-bits: each operand is resolved once with ``dfg.operand_bits``, each of
-its op bits is mapped to the fragment bit that now computes it, and the
-bits are regrouped into slices and concatenations.  Carries chain
-fragment to fragment, and only fragmented design outputs are
-reassembled, under their original name, so the design signature is
-unchanged.
+bits, a slice at a time: each part of an op resolves the operand bits
+it reads with ``dfg.operand_slices``, each slice of a split add moves
+onto the fragments it overlaps, and neighbouring slices are joined back
+into slices and concatenations.  Carries chain fragment to fragment,
+and only fragmented design outputs are reassembled, under their
+original name, so the design signature is unchanged.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -24,20 +25,15 @@ from .dfg import (
     CarryRef,
     Concat,
     Const,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
-    InputBit,
-    InputRef,
     Namer,
-    OpBit,
     OpKind,
     Operand,
     Operation,
     ResultRef,
-    ZERO_BIT,
     check,
-    operand_bits,
+    operand_slices,
 )
 
 
@@ -198,51 +194,64 @@ def _split_runs(windows: list[tuple[int, int]]) -> list[tuple[int, int, int, int
     return out
 
 
-def _regroup(bits: list) -> Operand:
-    """Pack resolved bit refs (LSB first) back into slices and concats."""
-    groups: list[list] = []
-    for ref in bits:
-        last = groups[-1][-1] if groups else None
-        # Constants run together; an input or op bit, a (name, bit) pair,
-        # extends the slice of the same name that ends just below it.
-        if type(ref) is type(last) and (
-            isinstance(ref, ConstBit) or ref == (last[0], last[1] + 1)
-        ):
-            groups[-1].append(ref)
-        else:
-            groups.append([ref])
-    # Trailing high zeros are implicit in the operand's zero extension.
-    while len(groups) > 1 and all(
-        isinstance(r, ConstBit) and r.value == 0 for r in groups[-1]
-    ):
-        groups.pop()
-    terms: list[Operand] = []
-    for group in groups:
-        first = group[0]
-        if isinstance(first, ConstBit):
-            bits_str = "".join(str(r.value) for r in reversed(group))
-            terms.append(Operand(Const(bits_str), len(group) - 1, 0))
-        elif isinstance(first, InputBit):
-            terms.append(Operand(InputRef(first.name), group[-1].bit, first.bit))
-        else:  # OpBit
-            terms.append(Operand(ResultRef(first.op), group[-1].bit, first.bit))
-    if len(terms) == 1:
-        return terms[0]
-    concat = Concat(tuple(reversed(terms)))
+def _rejoin(slices: list[Operand]) -> Operand:
+    """One operand from flat slices, lowest first, in canonical form.
+
+    Neighbouring slices of one source with contiguous bits merge, and so
+    do neighbouring constants; a trailing all-zero constant drops while
+    another slice remains, since the consumer zero-extends.
+    """
+    out: list[Operand] = []
+    for s in slices:
+        if out:
+            last = out[-1]
+            if type(s.source) is Const:
+                if type(last.source) is Const:
+                    bits = s.source.bits + last.source.bits  # MSB first
+                    out[-1] = Operand(Const(bits), len(bits) - 1, 0)
+                    continue
+            elif s.source == last.source and s.lo == last.hi + 1:
+                out[-1] = Operand(s.source, s.hi, last.lo)
+                continue
+        out.append(s)
+    if len(out) > 1 and type(out[-1].source) is Const and "1" not in out[-1].source.bits:
+        out.pop()
+    if len(out) == 1:
+        return out[0]
+    concat = Concat(tuple(reversed(out)))
     return Operand(concat, concat.width - 1, 0)
 
 
-def _rewire(bits: list, bit_map: dict[OpBit, OpBit], lo: int, width: int | None) -> Operand:
-    """Rebuild an operand from its resolved ``bits`` on the rewritten ops.
+def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operand:
+    """Rebuild ``operand`` on the rewritten ops.
 
     A fragment reads ``width`` bits from ``lo`` upward, zero-extended; a
-    whole op (``width`` None) reads the operand at its own width.  An op
-    bit ``bit_map`` holds moves to its fragment; every other bit stays.
+    whole op (``width`` None) reads the operand at its own width.  A
+    slice of a split add moves onto the fragments it overlaps, found by
+    bisecting the add's fragment starts in ``moved``; every other slice
+    stays.
     """
-    if width is not None:
-        bits = bits[lo:lo + width]
-        bits += [ZERO_BIT] * (width - len(bits))
-    return _regroup([bit_map.get(ref, ref) for ref in bits])
+    if width is None:
+        slices = operand_slices(operand)
+    else:
+        lo += operand.lo
+        hi = min(operand.hi, lo + width - 1)
+        slices = operand_slices(Operand(operand.source, hi, lo)) if lo <= hi else []
+        pad = width - max(hi - lo + 1, 0)
+        if pad:
+            slices.append(Operand(Const("0" * pad), pad - 1, 0))
+    rewired: list[Operand] = []
+    for s in slices:
+        if type(s.source) is not ResultRef or s.source.op not in moved:
+            rewired.append(s)
+            continue
+        starts, names = moved[s.source.op]
+        k = bisect_right(starts, s.lo) - 1
+        while starts[k] <= s.hi:
+            start, top = starts[k], min(s.hi, starts[k + 1] - 1)
+            rewired.append(Operand(ResultRef(names[k]), top - start, max(s.lo, start) - start))
+            k += 1
+    return _rejoin(rewired)
 
 
 def apply_runs(
@@ -251,83 +260,51 @@ def apply_runs(
 ) -> tuple[dict[str, list[Fragment]], DataFlowGraph]:
     """Split adds along ``runs`` and rewire the rest of the design.
 
-    Each op becomes its parts, ``(name, lo, width)`` LSB first: the
-    fragments of an add with several runs, else the op itself under its
-    own name, with width None.  Only ops with runs get Fragment records.
+    An add with several runs becomes its fragments, LSB first, each
+    reading its own bits of the operands; every other op keeps its name
+    and reads its operands at their own width.  Only ops with runs get
+    Fragment records.
     """
-    namer = Namer(
-        {op.id for op in graph.ops} | {p.name for p in graph.inputs}
-    )
+    namer = Namer({op.id for op in graph.ops} | {p.name for p in graph.inputs})
     fragments: dict[str, list[Fragment]] = {}
-    parts: dict[str, list[tuple[str, int, int | None]]] = {}
-    # Each bit of a split add -> the fragment bit that now computes it,
-    # and the add -> its top fragment, whose carry-out is the add's.
-    # Ops that are not split keep their bits and their carry.
-    bit_map: dict[OpBit, OpBit] = {}
-    carry_of: dict[str, str] = {}
+    # Each split add -> its fragments' starts, then its width, and their
+    # names.  Its top fragment's carry-out is the add's.
+    moved: dict[str, tuple[list[int], list[str]]] = {}
     for op in graph.ops:
         split = runs.get(op.id, [])
+        names = [op.id]
         if len(split) > 1:
             names = [namer.fresh(f"{op.id}{k}") for k in range(len(split))]
-            parts[op.id] = [
-                (name, lo, hi - lo + 1) for name, (lo, hi, _, _) in zip(names, split)
-            ]
-            for name, lo, width in parts[op.id]:
-                for i in range(width):
-                    bit_map[OpBit(op.id, lo + i)] = OpBit(name, i)
-            carry_of[op.id] = names[-1]
-        else:
-            names = [op.id]
-            parts[op.id] = [(op.id, 0, None)]
+            moved[op.id] = ([lo for lo, _, _, _ in split] + [op.width], names)
         if split:
             fragments[op.id] = [
                 Fragment(op.id, k, name, *run)
                 for k, (name, run) in enumerate(zip(names, split))
             ]
 
+    def parts(op_id: str) -> list[tuple[str, int, int]]:
+        starts, names = moved[op_id]
+        return [(name, lo, stop - lo) for name, lo, stop in zip(names, starts, starts[1:])]
+
     new_ops: list[Operation] = []
     for op in graph.ops:
-        operands = [operand_bits(o) for o in op.operands]
         carry = op.carry_in
-        if isinstance(carry, CarryRef):
-            carry = CarryRef(carry_of.get(carry.op, carry.op))
-        for name, lo, width in parts[op.id]:
-            new_ops.append(
-                Operation(
-                    name,
-                    op.kind,
-                    width or op.width,
-                    op.signed,
-                    tuple(_rewire(bits, bit_map, lo, width) for bits in operands),
-                    carry,
-                )
-            )
+        if isinstance(carry, CarryRef) and carry.op in moved:
+            carry = CarryRef(moved[carry.op][1][-1])
+        for name, lo, width in parts(op.id) if op.id in moved else [(op.id, 0, None)]:
+            operands = tuple(_rewire(o, moved, lo, width) for o in op.operands)
+            new_ops.append(Operation(name, op.kind, width or op.width, op.signed, operands, carry))
             carry = CarryRef(name)  # fragments chain low to high
 
     for name in dict.fromkeys(graph.outputs):
-        if not graph.is_op(name) or len(parts[name]) == 1:
+        if name not in moved:
             continue
-        concat = Concat(
-            tuple(
-                Operand(ResultRef(part), width - 1, 0)
-                for part, _, width in reversed(parts[name])
-            )
-        )
         # The original name becomes a transparent reassembly of the
         # fragments, so the design signature is unchanged.
-        new_ops.append(
-            Operation(
-                name,
-                OpKind.SELECT,
-                graph.op(name).width,
-                graph.op(name).signed,
-                (
-                    Operand(Const("1"), 0, 0),
-                    Operand(concat, concat.width - 1, 0),
-                    Operand(Const("0"), 0, 0),
-                ),
-            )
-        )
+        whole = _rejoin([Operand(ResultRef(f), w - 1, 0) for f, _, w in parts(name)])
+        one, zero = Operand(Const("1"), 0, 0), Operand(Const("0"), 0, 0)
+        op = graph.op(name)
+        new_ops.append(Operation(name, OpKind.SELECT, op.width, op.signed, (one, whole, zero)))
 
     new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(new_graph)

@@ -322,6 +322,8 @@ def schedule(
     # chain overflow), and vet reads the same, upstream, producer slots.  So
     # the first cycle to fit in (peak, cycle) order has the smallest pair:
     # the base cycle, with no vet, unless a later cycle ranks before it.
+    # The cycles that fit form one run from the base cycle, so once a
+    # cycle fails, no cycle above it is vetted.
     top = max(loads.values())
     for uid in movable:
         start, late = plan.base[first[uid]].cycle, windows[uid][1]
@@ -329,12 +331,15 @@ def schedule(
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width
         ranked = [(max(top, loads[k] + width), k) for k in range(start, late + 1)]
-        c, table = start, {}
+        c, table, failed = start, {}, late + 1
         for _, k in sorted(r for r in ranked if r < ranked[0]):
+            if k > failed:
+                continue
             vetted = plan.vet(uid, k)
             if vetted is not None:
                 c, table = k, vetted
                 break
+            failed = k
         plan.place(uid, c, table)
         loads[c] += width
         top = max(top, loads[c])

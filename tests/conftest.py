@@ -13,6 +13,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -22,6 +23,7 @@ from bitfrag.dfg import (
     CarryBit,
     Const,
     DataFlowGraph,
+    InputBit,
     InputPort,
     InputRef,
     OpBit,
@@ -191,6 +193,64 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
             seen = set().union(*(through_glue(r) for r in deps[(op.id, i)]))
             reads[(op.id, i)] = frozenset(seen - ripple)
     return KeyedView(producers, reads)
+
+
+class ConstBit(NamedTuple):
+    """A constant bit, as ``operand_bits`` gives it."""
+
+    value: int  # 0 or 1
+
+
+def operand_bits(operand: Operand) -> list:
+    """Per-bit oracle for ``dfg.operand_slices``: the bits of ``operand``,
+    lowest first, at its own width, each an InputBit, OpBit or ConstBit."""
+    source, lo, stop = operand.source, operand.lo, operand.hi + 1
+    if isinstance(source, InputRef):
+        return [InputBit(source.name, k) for k in range(lo, stop)]
+    if isinstance(source, ResultRef):
+        return [OpBit(source.op, k) for k in range(lo, stop)]
+    if isinstance(source, Const):
+        # bits string is MSB first
+        return [ConstBit(int(c)) for c in reversed(source.bits)][lo:stop]
+    bits: list = []
+    for part in reversed(source.parts):  # Concat, MSB first
+        bits += operand_bits(part)
+    return bits[lo:stop]
+
+
+def slice_bits(slices: list[Operand]) -> list:
+    """Flat slices, lowest first, expanded bit by bit as ``operand_bits``
+    gives them."""
+    bits: list = []
+    for s in slices:
+        source = s.source
+        if isinstance(source, InputRef):
+            bits += [InputBit(source.name, k) for k in range(s.lo, s.hi + 1)]
+        elif isinstance(source, ResultRef):
+            bits += [OpBit(source.op, k) for k in range(s.lo, s.hi + 1)]
+        else:
+            bits += [ConstBit(int(c)) for c in reversed(source.bits)][s.lo:s.hi + 1]
+    return bits
+
+
+def ladder_source(sections: int, width: int) -> str:
+    """DSL text of a wave-filter ladder of ``sections`` sections, every
+    signal ``width`` bits; ``ladder_source(5, 16)`` is ``elliptic``."""
+    lines = [f"design ladder{sections}x{width};", f"input x : u{width};"]
+    lines += [f"input sv{k} : u{width};" for k in range(1, sections + 1)]
+    prev = "x"
+    for k in range(1, sections + 1):
+        lines += [
+            f"a{k}: add u{width} = {prev} + sv{k};",
+            f"b{k}: add u{width} = a{k} + {prev};",
+            f"c{k}: add u{width} = b{k} + a{k};",
+            f"e{k}: add u{width} = a{k} + sv{k};",
+            f"f{k}: add u{width} = e{k} + b{k};",
+        ]
+        prev = f"c{k}"
+    lines.append(f"yout: add u{width} = {prev} + x;")
+    lines += [f"output f{k};" for k in range(1, sections + 1)] + ["output yout;"]
+    return "\n".join(lines)
 
 
 @dataclass

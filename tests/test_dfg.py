@@ -9,7 +9,6 @@ from bitfrag.dfg import (
     CarryRef,
     Concat,
     Const,
-    ConstBit,
     DataFlowGraph,
     GLUE_KINDS,
     InputBit,
@@ -23,7 +22,7 @@ from bitfrag.dfg import (
     ValidationError,
     bit_deps,
     check,
-    operand_bits,
+    operand_slices,
     source_width,
     validate,
 )
@@ -31,7 +30,15 @@ from bitfrag.fragmenter import InfeasibleError, analyze, bit_alap, bit_asap, fra
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import ScheduleError, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
-from conftest import feasible_pipeline, keyed_view, load_design, random_full_design
+from conftest import (
+    ConstBit,
+    feasible_pipeline,
+    keyed_view,
+    load_design,
+    operand_bits,
+    random_full_design,
+    slice_bits,
+)
 
 
 def _tiny() -> DataFlowGraph:
@@ -78,27 +85,71 @@ def test_source_widths():
     assert source_width(g, cat) == 5
 
 
-def test_operand_bits_slice_and_zext():
+def test_operand_slices_slice_and_zext():
     opnd = Operand(InputRef("A"), 2, 1)
     # The bits stop at the slice's width; a wider consumer pads with zeros.
-    assert operand_bits(opnd) == [InputBit("A", 1), InputBit("A", 2)]
+    assert operand_slices(opnd) == [opnd]
+    assert slice_bits(operand_slices(opnd)) == [InputBit("A", 1), InputBit("A", 2)]
 
 
-def test_operand_bits_const_msb_first():
+def test_operand_slices_const_msb_first():
     opnd = Operand(Const("10"), 1, 0)
-    assert operand_bits(opnd) == [ConstBit(0), ConstBit(1)]
+    assert operand_slices(opnd) == [opnd]
+    assert slice_bits(operand_slices(opnd)) == [ConstBit(0), ConstBit(1)]
+    # A partial slice of a constant is cut to its own bits.
+    assert operand_slices(Operand(Const("0110"), 2, 1)) == [Operand(Const("11"), 1, 0)]
 
 
-def test_operand_bits_concat():
+def test_operand_slices_concat():
     cat = Concat((Operand(InputRef("A"), 3, 2), Operand(InputRef("B"), 1, 0)))
     opnd = Operand(cat, 3, 0)
-    # Parts are MSB first; indexing runs from the LSB end.
-    assert operand_bits(opnd) == [
+    # Parts are MSB first; slices run from the LSB end.
+    assert operand_slices(opnd) == [
+        Operand(InputRef("B"), 1, 0),
+        Operand(InputRef("A"), 3, 2),
+    ]
+    assert slice_bits(operand_slices(opnd)) == [
         InputBit("B", 0),
         InputBit("B", 1),
         InputBit("A", 2),
         InputBit("A", 3),
     ]
+
+
+_SOURCES = st.sampled_from(
+    [(InputRef("A"), 8), (InputRef("B"), 3), (ResultRef("C"), 5), (ResultRef("D"), 1)]
+) | st.text("01", min_size=1, max_size=6).map(lambda bits: (Const(bits), len(bits)))
+
+
+def _slices_of(source_width: tuple) -> st.SearchStrategy:
+    """Every slice of a source: single bits, partial and whole ranges."""
+    source, width = source_width
+    return st.integers(0, width - 1).flatmap(
+        lambda lo: st.integers(lo, width - 1).map(lambda hi: Operand(source, hi, lo))
+    )
+
+
+def _concats(parts: st.SearchStrategy) -> st.SearchStrategy:
+    return st.lists(parts, min_size=1, max_size=4).map(
+        lambda ps: (Concat(tuple(ps)), sum(p.width for p in ps))
+    ).flatmap(_slices_of)
+
+
+_OPERANDS = st.recursive(_SOURCES.flatmap(_slices_of), _concats, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERANDS)
+def test_operand_slices_expand_to_the_per_bit_resolution(opnd):
+    """Nested concats, constant slices, partial slices of concats and
+    single-bit parts resolve to flat slices whose bits, lowest first,
+    are exactly those the per-bit oracle gives."""
+    slices = operand_slices(opnd)
+    assert slice_bits(slices) == operand_bits(opnd)
+    for s in slices:
+        assert not isinstance(s.source, Concat)
+        if isinstance(s.source, Const):
+            assert (s.hi, s.lo) == (s.source.width - 1, 0)
 
 
 def test_bit_deps_ripple_and_carry():

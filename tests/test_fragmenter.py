@@ -5,11 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
-from bitfrag.dfg import CarryRef, Concat, OpKind, ResultRef
+from bitfrag.dfg import (
+    CarryRef,
+    Concat,
+    Const,
+    DataFlowGraph,
+    InputBit,
+    InputRef,
+    Namer,
+    OpBit,
+    OpKind,
+    Operand,
+    Operation,
+    ResultRef,
+    check,
+)
 from bitfrag.fragmenter import (
+    Fragment,
     InfeasibleError,
     Slot,
     analyze,
+    apply_runs,
     bit_alap,
     bit_asap,
     bucket_runs,
@@ -18,7 +34,15 @@ from bitfrag.fragmenter import (
 )
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
-from conftest import GLUE_CORE_SOURCE, random_add_design, random_full_design
+from conftest import (
+    GLUE_CORE_SOURCE,
+    ConstBit,
+    ladder_source,
+    load_design,
+    operand_bits,
+    random_add_design,
+    random_full_design,
+)
 
 
 def _table(fragments, parent):
@@ -303,3 +327,191 @@ def test_bucket_runs_match_a_bit_by_bit_fill(make, seed, lam, n_bits):
 def test_fragmented_designs_stay_equivalent(sec2, fig3, sec2_frags, fig3_frags):
     for graph, (_, transformed) in ((sec2, sec2_frags), (fig3, fig3_frags)):
         assert check_equiv(graph, transformed).equivalent
+
+
+# The fragment rewrite as it was before it worked on slices: every
+# operand resolved bit by bit, each op bit mapped through a per-bit
+# table, and the bits regrouped into slices.  Kept as the oracle of
+# ``apply_runs``.
+
+def _per_bit_regroup(bits: list) -> Operand:
+    groups: list[list] = []
+    for ref in bits:
+        last = groups[-1][-1] if groups else None
+        if type(ref) is type(last) and (
+            isinstance(ref, ConstBit) or ref == (last[0], last[1] + 1)
+        ):
+            groups[-1].append(ref)
+        else:
+            groups.append([ref])
+    while len(groups) > 1 and all(
+        isinstance(r, ConstBit) and r.value == 0 for r in groups[-1]
+    ):
+        groups.pop()
+    terms: list[Operand] = []
+    for group in groups:
+        first = group[0]
+        if isinstance(first, ConstBit):
+            bits_str = "".join(str(r.value) for r in reversed(group))
+            terms.append(Operand(Const(bits_str), len(group) - 1, 0))
+        elif isinstance(first, InputBit):
+            terms.append(Operand(InputRef(first.name), group[-1].bit, first.bit))
+        else:
+            terms.append(Operand(ResultRef(first.op), group[-1].bit, first.bit))
+    if len(terms) == 1:
+        return terms[0]
+    concat = Concat(tuple(reversed(terms)))
+    return Operand(concat, concat.width - 1, 0)
+
+
+def _per_bit_rewire(bits: list, bit_map: dict, lo: int, width: int | None) -> Operand:
+    if width is not None:
+        bits = bits[lo:lo + width]
+        bits += [ConstBit(0)] * (width - len(bits))
+    return _per_bit_regroup([bit_map.get(ref, ref) for ref in bits])
+
+
+def _per_bit_apply_runs(graph: DataFlowGraph, runs: dict):
+    namer = Namer({op.id for op in graph.ops} | {p.name for p in graph.inputs})
+    fragments: dict[str, list[Fragment]] = {}
+    parts: dict[str, list[tuple[str, int, int | None]]] = {}
+    bit_map: dict[OpBit, OpBit] = {}
+    carry_of: dict[str, str] = {}
+    for op in graph.ops:
+        split = runs.get(op.id, [])
+        if len(split) > 1:
+            names = [namer.fresh(f"{op.id}{k}") for k in range(len(split))]
+            parts[op.id] = [
+                (name, lo, hi - lo + 1) for name, (lo, hi, _, _) in zip(names, split)
+            ]
+            for name, lo, width in parts[op.id]:
+                for i in range(width):
+                    bit_map[OpBit(op.id, lo + i)] = OpBit(name, i)
+            carry_of[op.id] = names[-1]
+        else:
+            names = [op.id]
+            parts[op.id] = [(op.id, 0, None)]
+        if split:
+            fragments[op.id] = [
+                Fragment(op.id, k, name, *run)
+                for k, (name, run) in enumerate(zip(names, split))
+            ]
+    new_ops: list[Operation] = []
+    for op in graph.ops:
+        operands = [operand_bits(o) for o in op.operands]
+        carry = op.carry_in
+        if isinstance(carry, CarryRef):
+            carry = CarryRef(carry_of.get(carry.op, carry.op))
+        for name, lo, width in parts[op.id]:
+            new_ops.append(Operation(
+                name, op.kind, width or op.width, op.signed,
+                tuple(_per_bit_rewire(bits, bit_map, lo, width) for bits in operands),
+                carry,
+            ))
+            carry = CarryRef(name)
+    for name in dict.fromkeys(graph.outputs):
+        if not graph.is_op(name) or len(parts[name]) == 1:
+            continue
+        concat = Concat(tuple(
+            Operand(ResultRef(part), width - 1, 0) for part, _, width in reversed(parts[name])
+        ))
+        new_ops.append(Operation(
+            name, OpKind.SELECT, graph.op(name).width, graph.op(name).signed,
+            (
+                Operand(Const("1"), 0, 0),
+                Operand(concat, concat.width - 1, 0),
+                Operand(Const("0"), 0, 0),
+            ),
+        ))
+    new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
+    check(new_graph)
+    return fragments, new_graph
+
+
+def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs)) -> int:
+    """Compare both rewrites under every tiling at each feasible latency;
+    the number of (latency, tiling) cases compared."""
+    kernel, _ = extract_kernel(graph)
+    compared = 0
+    for lam in lams:
+        try:
+            mobility = analyze(kernel, estimate_cycle(kernel, lam), lam)
+        except InfeasibleError:
+            continue
+        for tiling in tilings:
+            runs = tiling(kernel, mobility)
+            assert apply_runs(kernel, runs) == _per_bit_apply_runs(kernel, runs)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_rewrite_matches_the_per_bit_rewrite_on_bundled_designs(name):
+    assert _rewrites_match(load_design(name), range(2, 7)) == 10
+
+
+@pytest.mark.parametrize("make", [random_add_design, random_full_design])
+def test_rewrite_matches_the_per_bit_rewrite_on_random_designs(make):
+    # Every add design fits each latency; about a third of the full
+    # designs do not, and are skipped there.
+    compared = sum(_rewrites_match(make(seed), (2, 3, 4)) for seed in range(200))
+    assert compared >= 800
+
+
+@pytest.mark.parametrize("sections,width", [(2, 8), (6, 12), (10, 16), (20, 32)])
+def test_rewrite_matches_the_per_bit_rewrite_on_ladders(sections, width):
+    assert _rewrites_match(parse(ladder_source(sections, width)), (3, sections)) == 4
+
+
+# Operands that mix constants, repeat a slice, straddle many fragments of
+# one add, merge back across a fragment boundary, or are narrower than a
+# fragment that reads them; glue and carries read split adds too.
+STRADDLE_SOURCE = """
+design straddle;
+input A : u8; input B : u4;
+C: add u8 = A + {B, B};
+D: add u8 = {const(1), C[6:0]} + {B[1:0], const(00), B[3:2], B[1:0]};
+E: add u12 carry(C) = {C[7:5], D, const(0)} + {const(101), C[5:1], C[7:6]};
+F: add u12 = D[7:2] + {const(0000), C};
+H: add u8 = {C[7:4], C[3:0]} + {D[3:0], D[7:4]};
+N: not u8 = {C[3:0], C[7:4]};
+S: select u8 = D[0:0], N, {const(0), C[7:1]};
+G: add u6 carry(E) = S[5:0] + const(1);
+output F; output G; output E; output H; output C;
+"""
+
+
+@st.composite
+def _any_runs(draw, graph: DataFlowGraph) -> dict:
+    """Arbitrary runs per add, down to single bits; some adds get none."""
+    runs = {}
+    for op in graph.ops:
+        if op.kind is OpKind.ADD and draw(st.integers(0, 5)):
+            cuts = draw(st.sets(st.integers(1, op.width - 1))) if op.width > 1 else set()
+            bounds = [0, *sorted(cuts), op.width]
+            runs[op.id] = [(lo, stop - 1, 1, 1) for lo, stop in zip(bounds, bounds[1:])]
+    return runs
+
+
+def test_rewrite_matches_the_per_bit_rewrite_on_straddling_operands():
+    graph = parse(STRADDLE_SOURCE)
+    assert _rewrites_match(graph, (2, 3, 4, 6)) == 8
+    # Every add in three or more fragments: C's slices straddle them all.
+    runs = {
+        op.id: [(lo, min(lo + 1, op.width - 1), 1, 1) for lo in range(0, op.width, 2)]
+        for op in graph.ops if op.kind is OpKind.ADD
+    }
+    fragments, transformed = apply_runs(graph, runs)
+    assert (fragments, transformed) == _per_bit_apply_runs(graph, runs)
+    # {C[3:0], C[7:4]} reads C's four fragments out of order.
+    swapped = Concat(tuple(Operand(ResultRef(f"C{k}"), 1, 0) for k in (1, 0, 3, 2)))
+    assert transformed.op("N").operands == (Operand(swapped, 7, 0),)
+    assert check_equiv(graph, transformed).equivalent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
+    graph = parse(STRADDLE_SOURCE)
+    runs = data.draw(_any_runs(graph))
+    assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)

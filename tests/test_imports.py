@@ -64,3 +64,47 @@ def _private_imports(tree: ast.Module) -> list[str]:
 def test_no_private_name_is_imported_from_another_module(module):
     tree = ast.parse((PACKAGE_DIR / module).read_text())
     assert _private_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Top-level underscore functions, classes and constants, by name;
+    dunder names such as ``__all__`` are not private."""
+    defined: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update(
+            (name, node) for name in names
+            if name.startswith("_") and not name.endswith("__")
+        )
+    return defined
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Every name and attribute ``node`` reads."""
+    names = _named(node)
+    names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    """No top-level underscore helper is left behind: each is read by
+    some code under ``src/`` other than its own definition."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    reads = [
+        (node, _referenced(node)) for tree in trees.values() for node in tree.body
+    ]
+    unused = [
+        f"{module}:{node.lineno}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if not any(name in names for other, names in reads if other is not node)
+    ]
+    assert unused == []

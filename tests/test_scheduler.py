@@ -4,7 +4,7 @@ import dataclasses
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
@@ -485,13 +485,18 @@ def test_accepted_assignments_are_never_earlier_than_asap(make, lam, tile):
     st.integers(2, 4),
     st.sampled_from([fragment, bucket_fragment]),
 )
+# Designs where a cycle above one that failed ranks before the others.
+@example(random_add_design, 1, 4, fragment)
+@example(random_full_design, 99, 4, bucket_fragment)
+@example(random_add_design, 126, 4, bucket_fragment)
 def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile):
     """Before each placement, the window cycles where ``vet`` succeeds
     are one run that starts at the unit's cycle in the base completion:
     the completion is monotone, so a later cycle fails only once the
     chains it delays no longer fit.  At that first cycle the unit
     changes no slot of the base.  ``schedule`` relies on both: it takes
-    the unit's cycle in the base without a vet and vets only later ones."""
+    the unit's cycle in the base without a vet, vets only later ones,
+    and vets none above a cycle that failed."""
     kernel, _ = extract_kernel(make(seed))
     n_bits = estimate_cycle(kernel, lam)
     try:
@@ -510,9 +515,15 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
         assert all(unchanged[key] == plan.base[key] for key in unchanged)
         place(plan, uid, c, table)
 
+    failed: dict[str, int] = {}  # each unit's lowest cycle that failed
+
     def checked_vet(plan, uid, c):
         assert c > plan.base[plan.graph.bit_view.base[uid]].cycle
-        return vet(plan, uid, c)
+        assert c < failed.get(uid, c + 1)
+        vetted = vet(plan, uid, c)
+        if vetted is None:
+            failed[uid] = c
+        return vetted
 
     with mock.patch.object(_Plan, "place", checked_place), \
             mock.patch.object(_Plan, "vet", checked_vet):
