@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from .dfg import (
     CarryBit,
     DataFlowGraph,
-    GLUE_KINDS,
     OpBit,
     OpKind,
 )
@@ -226,7 +225,7 @@ def original_costs(graph: DataFlowGraph) -> OriginalCosts:
     source per operation.  This is the yardstick fragmentation is
     measured against.
     """
-    units = [op for op in graph.ops if op.kind not in GLUE_KINDS]
+    units = [op for op in graph.ops if not op.kind.glue]
     cycle_of = {op.id: k + 1 for k, op in enumerate(units)}
     cycles = len(units)
     adds = [op for op in units if op.kind is OpKind.ADD]

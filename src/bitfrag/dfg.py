@@ -28,6 +28,16 @@ from typing import NamedTuple, Union
 
 
 class OpKind(Enum):
+    """What an op computes.
+
+    Each kind holds, as plain attributes, its ``arity`` and two flags:
+    ``glue`` (transparent glue: zero delay, no functional unit of its
+    own) and ``per_bit`` (result bit i reads bit i of each operand).
+    Passes test these once per op; a set lookup such as
+    ``op.kind in GLUE_KINDS`` would hash the kind through
+    ``Enum.__hash__``, a Python-level call.
+    """
+
     ADD = auto()
     SUB = auto()
     MULT = auto()
@@ -38,27 +48,16 @@ class OpKind(Enum):
     NOT = auto()
     SELECT = auto()
 
+    def __init__(self, _value: int) -> None:
+        self.arity = {"NOT": 1, "SELECT": 3}.get(self.name, 2)
+        self.glue = self.name in ("NOT", "SELECT")
+        self.per_bit = self.glue or self.name in ("ADD", "SUB")
+
 
 # Kinds that survive kernel extraction.
 KERNEL_KINDS = frozenset({OpKind.ADD, OpKind.MULT_CORE, OpKind.NOT, OpKind.SELECT})
 
-# Transparent glue: zero delay, no functional unit of its own.
-GLUE_KINDS = frozenset({OpKind.NOT, OpKind.SELECT})
-
-# Kinds whose result bit i reads bit i of each operand.
-_PER_BIT_KINDS = GLUE_KINDS | {OpKind.ADD, OpKind.SUB}
-
-ARITY = {
-    OpKind.ADD: 2,
-    OpKind.SUB: 2,
-    OpKind.MULT: 2,
-    OpKind.MULT_CORE: 2,
-    OpKind.LT: 2,
-    OpKind.MAX: 2,
-    OpKind.MIN: 2,
-    OpKind.NOT: 1,
-    OpKind.SELECT: 3,
-}
+GLUE_KINDS = frozenset(kind for kind in OpKind if kind.glue)
 
 
 @dataclass(frozen=True)
@@ -314,10 +313,10 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         seen[op.id] = "op"
         if op.width < 1:
             diags.append(Diagnostic(f"width must be positive, got {op.width}", op.id))
-        if len(op.operands) != ARITY[op.kind]:
+        if len(op.operands) != op.kind.arity:
             diags.append(
                 Diagnostic(
-                    f"{op.kind.name.lower()} takes {ARITY[op.kind]} operands, "
+                    f"{op.kind.name.lower()} takes {op.kind.arity} operands, "
                     f"got {len(op.operands)}",
                     op.id,
                 )
@@ -380,12 +379,12 @@ def _waits(op: Operation, operands: list[list], own, carry) -> list[set]:
     frozenset.
     """
     width = op.width
-    if op.kind not in _PER_BIT_KINDS:
+    if not op.kind.per_bit:
         whole = frozenset(x for bits in operands for x in bits if x is not None)
         return [whole] * width
     if op.kind is OpKind.SELECT:
         operands[0] = operands[0][:1] * width
-    ripple = op.kind not in GLUE_KINDS
+    ripple = not op.kind.glue
     columns = zip(*(bits[:width] + [None] * (width - len(bits)) for bits in operands))
     out = []
     for i, column in enumerate(columns):
@@ -495,7 +494,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
     for op in graph.ops:
         lo = base[op.id]
-        glue = op.kind in GLUE_KINDS
+        glue = op.kind.glue
         # Operand bits by number; an input or constant bit has no producer.
         operands = []
         for opnd in op.operands:

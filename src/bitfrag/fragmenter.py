@@ -26,7 +26,6 @@ from .dfg import (
     Concat,
     Const,
     DataFlowGraph,
-    GLUE_KINDS,
     Namer,
     OpKind,
     Operand,
@@ -100,7 +99,7 @@ def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
             # their cycle so consumers spill to the next one.
             latest = max(map(at, producers[lo]), default=ORIGIN).cycle
             table[lo:lo + width] = [Slot(latest + 1, n_bits)] * width
-        elif op.kind in GLUE_KINDS:
+        elif op.kind.glue:
             for n in range(lo, lo + width):
                 table[n] = max(map(at, producers[n]), default=ORIGIN)
         else:
@@ -144,7 +143,7 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
                 )
             # Results due at depth 1 so producers retreat a full cycle.
             table[lo:lo + width] = [Slot(cycle, 1)] * width
-        elif op.kind in GLUE_KINDS:
+        elif op.kind.glue:
             # Transparent: finishes exactly where its consumer reads.
             for n in range(lo + width - 1, lo - 1, -1):
                 table[n] = min(map(at, consumers[n]), default=due)

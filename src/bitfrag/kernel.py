@@ -15,7 +15,6 @@ from .dfg import (
     Const,
     DataFlowGraph,
     Diagnostic,
-    GLUE_KINDS,
     Namer,
     OpKind,
     Operand,
@@ -257,6 +256,6 @@ def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
     result = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(result)
     for op in result.ops:
-        assert op.kind in (OpKind.ADD, OpKind.MULT_CORE) or op.kind in GLUE_KINDS
+        assert op.kind in (OpKind.ADD, OpKind.MULT_CORE) or op.kind.glue
         assert not op.signed
     return result, trace

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 from .dfg import (
     DataFlowGraph,
-    GLUE_KINDS,
     OpKind,
 )
 from .fragmenter import ORIGIN, Fragment, InfeasibleError, Mobility, Slot, analyze
@@ -77,7 +76,7 @@ def unit_windows(
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
     for op in graph.ops:
-        if op.kind in GLUE_KINDS:
+        if op.kind.glue:
             continue
         if op.id in frag_of:
             frag = frag_of[op.id]
@@ -107,7 +106,7 @@ def realized_slots(
     problems: list[str] = []
     for op in graph.ops:
         lo, width = view.base[op.id], op.width
-        if op.kind in GLUE_KINDS:
+        if op.kind.glue:
             for n in range(lo, lo + width):
                 table[n] = max(map(at, producers[n]), default=ORIGIN)
             continue
@@ -178,7 +177,7 @@ class _Plan:
         # Per op, by position: whether it is glue, its bit numbers, and
         # the bits of other ops it reads (every number below its own
         # belongs to another op).
-        self.glue = [op.kind in GLUE_KINDS for op in graph.ops]
+        self.glue = [op.kind.glue for op in graph.ops]
         self.bits = [range(view.base[op.id], view.base[op.id] + op.width) for op in graph.ops]
         self.feeds = [
             tuple({p for n in bits for p in self.producers[n] if p < bits.start})
@@ -374,7 +373,7 @@ def verify_schedule(sched: Schedule) -> list[str]:
 
     complete = True
     for op in graph.ops:
-        if op.kind in GLUE_KINDS:
+        if op.kind.glue:
             continue
         uid = op.id
         if uid not in sched.cycle_of:

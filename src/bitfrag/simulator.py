@@ -6,12 +6,14 @@ signedness only changes how MULT/LT/MAX/MIN interpret their operands.
 time; it is the reference oracle.  ``check_equiv`` evaluates blocks of
 vectors instead, in the manner of parallel-pattern fault simulators:
 ``_eval_block`` holds each signal's values for the whole block as the
-fixed-stride fields of one int and computes each op with a few big-int
-operations on those ints, unpacking fields only to multiply.  The latch
-check walks a scheduled design cycle by cycle and insists that every
-value crossing a cycle boundary sits in a latch the cost model pays
-for; it reads no input values, so ``check_equiv`` runs it once per
-schedule, while ``eval_schedule`` runs it with every evaluation.
+fixed-stride fields of one int and computes each op, a multiply
+included, with a few big-int operations on those ints.  The vectors,
+too, are made a block at a time: random ones from one byte string per
+port, exhaustive ones from a counter.  The latch check walks a
+scheduled design cycle by cycle and insists that every value crossing
+a cycle boundary sits in a latch the cost model pays for; it reads no
+input values, so ``check_equiv`` runs it once per schedule, while
+``eval_schedule`` runs it with every evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .dfg import (
     Concat,
     Const,
     DataFlowGraph,
-    GLUE_KINDS,
     InputRef,
     OpKind,
     Operand,
@@ -135,7 +136,10 @@ def eval_dfg(graph: DataFlowGraph, inputs: dict[str, int]) -> dict[str, int]:
 # and a block's values live until it ends.  Over the benchmark's equiv
 # designs, 256 vectors ran about 1.5x as fast as 64 and 1024 about 1.2x
 # as fast again, while a 1000-vector proof of elliptic's latency-3
-# schedule peaked under tracemalloc at 0.11, 0.26 and 0.94 MB.
+# schedule peaked under tracemalloc at 0.11, 0.26 and 0.94 MB.  It is a
+# power of two no larger than 256, so a vector's index in its block
+# fits the lowest byte of a field (see ``_enumerated``), and it is part
+# of the random vector stream (see ``check_equiv``).
 _BLOCK = 256
 
 
@@ -170,20 +174,59 @@ def _stride(*graphs: DataFlowGraph) -> int:
     return -(-(widest + 2) // 8) * 8
 
 
-def _pack(values, width: int, stride: int) -> int:
-    """One int whose ``j``-th ``stride``-bit field is ``values[j]`` cut
-    to ``width`` bits."""
-    m, size = _mask(width), stride // 8
-    return int.from_bytes(
-        b"".join((v & m).to_bytes(size, "little") for v in values), "little"
-    )
+def _ones(n: int, stride: int) -> int:
+    """A packed value with 1 in each of its ``n`` fields."""
+    return ((1 << stride * n) - 1) // ((1 << stride) - 1)
 
 
-def _unpack(packed: int, n: int, stride: int) -> list[int]:
-    """The ``n`` fields of a packed value, first vector first."""
-    size = stride // 8
-    raw = packed.to_bytes(size * n, "little")
-    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, size * n, size)]
+def _enumerated(ports, stride: int):
+    """Every input vector in ``itertools.product`` order, ``_BLOCK`` at
+    a time: (vectors, packed inputs).
+
+    Vector ``i`` is the number ``i`` cut into the ports' bits, the last
+    port lowest.  A block starts at a multiple of ``_BLOCK``, so its
+    vector ``j`` is ``start | j``: the bits of ``start`` are the same in
+    every field, and those of ``j`` come from a ramp that counts in the
+    lowest byte of each field.
+    """
+    total = sum(p.width for p in ports)
+    step = stride // 8
+    ramp = bytearray(_BLOCK * step)
+    ramp[::step] = bytes(range(_BLOCK))
+    ramp = int.from_bytes(ramp, "little")
+    for start in range(0, 1 << total, _BLOCK):
+        n = min(_BLOCK, (1 << total) - start)
+        ones = _ones(n, stride)
+        shift, inputs = total, {}
+        for p in ports:
+            shift -= p.width
+            m = _mask(p.width)
+            low = (ramp & ((m << shift) & (_BLOCK - 1)) * ones) >> shift
+            inputs[p.name] = ((start >> shift) & m) * ones | low
+        yield n, inputs
+
+
+def _drawn(ports, stride: int, samples: int, seed: int):
+    """``samples`` vectors of the random stream (see ``check_equiv``),
+    ``_BLOCK`` at a time: (vectors, packed inputs).
+
+    Byte ``k`` of every vector of a port moves into its field with one
+    extended-slice copy, and one mask cuts the fields to the port width.
+    """
+    rng = random.Random(seed)
+    step = stride // 8
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        ones = _ones(n, stride)
+        inputs = {}
+        for p in ports:
+            size = -(-p.width // 8)
+            raw = rng.randbytes(_BLOCK * size)
+            fields = bytearray(n * step)
+            for k in range(size):
+                fields[k::step] = raw[k : n * size : size]
+            inputs[p.name] = int.from_bytes(fields, "little") & (_mask(p.width) * ones)
+        yield n, inputs
 
 
 class _Block:
@@ -229,16 +272,17 @@ def _eval_block(
     """``eval_dfg`` on ``n`` vectors at once.
 
     Every signal is one int holding its ``n`` values as ``stride``-bit
-    fields (see ``_pack``); ``inputs`` maps each input name to its
-    packed values, already cut to the port width, and the result maps
-    each output name to its packed unsigned bit patterns.  Each op is a
-    few big-int operations on whole blocks: a field is always below
+    fields, the first vector lowest; ``inputs`` maps each input name to
+    its packed values, already cut to the port width, and the result
+    maps each output name to its packed unsigned bit patterns.  Each op
+    is a few big-int operations on whole blocks: a field is always below
     ``1 << (stride - 2)``, so a sum, a difference offset by ``1 << w``
     or a compare offset by ``1 << top`` stays inside its own field.
-    Only MULT and MULT_CORE unpack and multiply per vector.  ``stride``
-    must be at least ``_stride(graph)``, and the graph validated.
+    A multiply shifts and adds over its multiplier's bits, every
+    partial product cut to the result width.  ``stride`` must be at
+    least ``_stride(graph)``, and the graph validated.
     """
-    ones = ((1 << stride * n) - 1) // ((1 << stride) - 1)  # 1 in every field
+    ones = _ones(n, stride)
     block = _Block(graph, inputs, ones)
     values, carries, operand = block.values, block.carries, block.operand
 
@@ -269,12 +313,23 @@ def _eval_block(
             s, a, b = (operand(o) for o in opnds)
             picked = s * _mask(w)
             values[op.id] = (a & picked) | (b & (m ^ picked))
-        elif kind in (OpKind.MULT, OpKind.MULT_CORE):
-            a, b = (_unpack(operand(o), n, stride) for o in opnds)
+        elif kind is OpKind.MULT or kind is OpKind.MULT_CORE:
+            # The product modulo 1 << w: a signed operand narrower than
+            # the result is first sign-extended to it inside its field.
             if op.signed and kind is OpKind.MULT:
-                a = [_signed(x, opnds[0].width) for x in a]
-                b = [_signed(x, opnds[1].width) for x in b]
-            values[op.id] = _pack([x * y for x, y in zip(a, b)], w, stride)
+                a, b = (
+                    offset(operand(o), o.width, w + 1) & m if o.width < w else operand(o, w)
+                    for o in opnds
+                )
+                bits = w
+            else:
+                x, y = sorted(opnds, key=lambda o: o.width, reverse=True)
+                a, b, bits = operand(x, w), operand(y, w), min(y.width, w)
+            total = 0
+            for j in range(bits):
+                pick = ((b >> j) & ones) * _mask(w - j)  # bit j of b, spread
+                total = (total + ((a & pick) << j)) & m
+            values[op.id] = total
         else:  # LT, MAX, MIN
             a, b = operand(opnds[0]), operand(opnds[1])
             ka, kb = a, b
@@ -319,7 +374,7 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
     units: dict[int, list[Operation]] = {c: [] for c in range(1, sched.lam + 1)}
     missing: list[Operation] = []
     for op in graph.ops:
-        if op.kind not in GLUE_KINDS:
+        if not op.kind.glue:
             units.get(sched.cycle_of.get(op.id), missing).append(op)
     for cycle, ops in units.items():
         # An op bit's key equals its OpBit, so keys look refs up directly.
@@ -387,14 +442,25 @@ def check_equiv(
     """Compare two designs over their shared input space.
 
     Exhausts every input combination when the design has at most
-    EXHAUSTIVE_LIMIT total input bits, otherwise draws ``samples``
-    seeded random vectors; fewer than one sample raises
-    SimulationError rather than proving nothing.  A Schedule candidate
-    has its latch check run once, before any vector, and its graph is
-    then evaluated.  Both designs are evaluated one block of vectors at
-    a time, and the result names the first mismatching vector in
-    drawing order and its first mismatching output in the reference's
-    order, exactly as a vector-by-vector comparison would.
+    EXHAUSTIVE_LIMIT total input bits, in ``itertools.product`` order
+    over the reference's ports, otherwise draws ``samples`` seeded
+    random vectors; fewer than one sample raises SimulationError rather
+    than proving nothing.  A Schedule candidate has its latch check run
+    once, before any vector, and its graph is then evaluated.  Both
+    designs are evaluated one block of ``_BLOCK`` vectors at a time, and
+    the result names the first mismatching vector in drawing order and
+    its first mismatching output in the reference's order, exactly as a
+    vector-by-vector comparison would.
+
+    The random stream depends on ``seed``, the reference's ports and
+    ``_BLOCK``, and on nothing else; in particular not on ``samples``
+    or the candidate.  ``random.Random(seed)`` draws the vectors a
+    block at a time: for each block, each reference port in order
+    draws ``randbytes(_BLOCK * size)``, ``size`` being its width in
+    whole bytes, and vector ``j`` of the block takes bytes
+    ``j * size`` up to ``(j + 1) * size`` of it, read little-endian
+    and cut to the port width.  The last block is drawn whole, and
+    only its first vectors are used.
     """
     cand_graph = candidate.graph if isinstance(candidate, Schedule) else candidate
     ref_sig = [(p.name, p.width) for p in reference.inputs]
@@ -411,34 +477,24 @@ def check_equiv(
         )
 
     ports = list(reference.inputs)
-    names = [p.name for p in ports]
+    stride = _stride(reference, cand_graph)
     if sum(p.width for p in ports) <= EXHAUSTIVE_LIMIT:
         strategy = "exhaustive"
-        vectors = itertools.product(*(range(1 << p.width) for p in ports))
+        blocks = _enumerated(ports, stride)
     else:
         if samples < 1:
             raise SimulationError(
                 f"random equivalence needs at least 1 sample, got {samples}"
             )
         strategy = "random"
-        rng = random.Random(seed)
-        vectors = (
-            tuple(rng.randrange(1 << p.width) for p in ports)
-            for _ in range(samples)
-        )
+        blocks = _drawn(ports, stride, samples, seed)
 
     if isinstance(candidate, Schedule):
         _latch_check(candidate)
 
-    stride = _stride(reference, cand_graph)
     field = _mask(stride)
     checked = 0
-    while block := list(itertools.islice(vectors, _BLOCK)):
-        n = len(block)
-        inputs = {
-            p.name: _pack(column, p.width, stride)
-            for p, column in zip(ports, zip(*block))
-        }
+    for n, inputs in blocks:
         want = _eval_block(reference, inputs, n, stride)
         got = _eval_block(cand_graph, inputs, n, stride)
         if got != want:
@@ -449,7 +505,7 @@ def check_equiv(
             name = next(x for x in reference.outputs if (diff[x] >> stride * j) & field)
             return EquivResult(
                 strategy, checked + j + 1, False,
-                dict(zip(names, block[j])),
+                {p.name: (inputs[p.name] >> stride * j) & field for p in ports},
                 (
                     name,
                     (got[name] >> stride * j) & field,

@@ -16,7 +16,6 @@ from .dfg import (
     CarryRef,
     Concat,
     DataFlowGraph,
-    GLUE_KINDS,
     OpKind,
     Operand,
     ResultRef,
@@ -37,7 +36,7 @@ class CriticalPath:
 
 def _check_kernel(graph: DataFlowGraph) -> None:
     for op in graph.ops:
-        if op.kind not in (OpKind.ADD, OpKind.MULT_CORE) and op.kind not in GLUE_KINDS:
+        if op.kind not in (OpKind.ADD, OpKind.MULT_CORE) and not op.kind.glue:
             raise TimingError(KERNEL_ONLY.format(kind=op.kind.name.lower(), id=op.id))
 
 

@@ -330,11 +330,22 @@ def _eval_block_columns(graph: DataFlowGraph, vectors: list[dict], stride: int) 
     into one list of values per output."""
     n = len(vectors)
     inputs = {
-        p.name: simulator._pack([v[p.name] for v in vectors], p.width, stride)
+        p.name: _pack([v[p.name] for v in vectors], p.width, stride)
         for p in graph.inputs
     }
     block = simulator._eval_block(graph, inputs, n, stride)
-    return {name: simulator._unpack(x, n, stride) for name, x in block.items()}
+    return {name: _unpack(x, n, stride) for name, x in block.items()}
+
+
+def _pack(values: list[int], width: int, stride: int) -> int:
+    """One int whose ``j``-th ``stride``-bit field is ``values[j]`` cut
+    to ``width`` bits."""
+    return sum((v & ((1 << width) - 1)) << stride * j for j, v in enumerate(values))
+
+
+def _unpack(packed: int, n: int, stride: int) -> list[int]:
+    """The ``n`` ``stride``-bit fields of ``packed``, first field first."""
+    return [(packed >> stride * j) & ((1 << stride) - 1) for j in range(n)]
 
 
 def _assert_block_matches_oracle(
@@ -550,6 +561,34 @@ def test_full_width_products(sign):
     _assert_block_matches_oracle(graph, edges)
 
 
+def _products(wa: int, wb: int) -> DataFlowGraph:
+    """Every multiply of a ``wa``-bit by a ``wb``-bit input at result
+    widths 1 to 5: MULT unsigned and signed, MULT_CORE with either flag."""
+    a = Operand(InputRef("a"), wa - 1, 0)
+    b = Operand(InputRef("b"), wb - 1, 0)
+    ops = tuple(
+        Operation(f"{tag}{w}", kind, w, signed, (a, b))
+        for w in range(1, 6)
+        for tag, kind, signed in (
+            ("U", OpKind.MULT, False), ("S", OpKind.MULT, True),
+            ("C", OpKind.MULT_CORE, False), ("K", OpKind.MULT_CORE, True),
+        )
+    )
+    inputs = (InputPort("a", wa, False), InputPort("b", wb, False))
+    return check(DataFlowGraph("products", inputs, ops, tuple(op.id for op in ops)))
+
+
+@pytest.mark.parametrize("wb", range(1, 6))
+@pytest.mark.parametrize("wa", range(1, 6))
+def test_packed_products_match_the_oracle_exhaustively(wa, wb):
+    # Operands narrower than, as wide as and wider than the result,
+    # 1-bit signed ones included, at the graph's own stride and wider.
+    graph = _products(wa, wb)
+    vectors = [{"a": x, "b": y} for x in range(1 << wa) for y in range(1 << wb)]
+    _assert_block_matches_oracle(graph, vectors)
+    _assert_block_matches_oracle(graph, vectors, simulator._stride(graph) + 8)
+
+
 def test_blocks_at_a_wider_stride_match_the_oracle():
     # check_equiv packs both designs at the stride of the wider one.
     rng = random.Random(11)
@@ -561,6 +600,32 @@ def test_blocks_at_a_wider_stride_match_the_oracle():
 
 # check_equiv against the per-vector comparison it replaced.
 
+_BLOCK = simulator._BLOCK
+
+
+def _stream(widths: list[int], seed: int, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` vectors of check_equiv's random stream over
+    ports of ``widths``, as its docstring states it, one at a time.
+
+    A block at a time, each port in turn draws ``_BLOCK * size`` bytes,
+    ``size`` being its width in whole bytes; vector ``j`` of the block
+    reads bytes ``j * size`` up to ``(j + 1) * size`` little-endian, cut
+    to the port width.
+    """
+    rng = random.Random(seed)
+    vectors: list[tuple[int, ...]] = []
+    while len(vectors) < count:
+        columns = []
+        for width in widths:
+            size = (width + 7) // 8
+            raw = rng.randbytes(_BLOCK * size)
+            columns.append([
+                int.from_bytes(raw[j * size:(j + 1) * size], "little") % (1 << width)
+                for j in range(_BLOCK)
+            ])
+        vectors += zip(*columns)
+    return vectors[:count]
+
 
 def _per_vector_check_equiv(
     reference: DataFlowGraph,
@@ -568,7 +633,7 @@ def _per_vector_check_equiv(
     samples: int = 1000,
     seed: int = 0,
 ) -> EquivResult:
-    """check_equiv as it was before block evaluation: one vector at a time."""
+    """check_equiv one vector at a time, with ``_stream``'s vectors."""
     cand_graph = candidate.graph if isinstance(candidate, Schedule) else candidate
     ref_sig = [(p.name, p.width) for p in reference.inputs]
     cand_sig = [(p.name, p.width) for p in cand_graph.inputs]
@@ -609,9 +674,9 @@ def _per_vector_check_equiv(
                 return failed
         return EquivResult("exhaustive", checked, True)
 
-    rng = random.Random(seed)
-    for k in range(samples):
-        inputs = {p.name: rng.randrange(1 << p.width) for p in ports}
+    vectors = _stream([p.width for p in ports], seed, samples)
+    for k, vector in enumerate(vectors):
+        inputs = {p.name: v for p, v in zip(ports, vector)}
         failed = compare(inputs, k + 1, "random")
         if failed is not None:
             return failed
@@ -640,7 +705,6 @@ def _trigger_pair(width: int, trigger: int) -> tuple[DataFlowGraph, DataFlowGrap
     return ref, cand
 
 
-_BLOCK = simulator._BLOCK
 # First vector, inside the first block, its last vector, the first of
 # the second block, and inside later blocks.
 _MISMATCH_AT = (0, 5, _BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2, 3 * _BLOCK + 7)
@@ -661,8 +725,7 @@ def test_exhaustive_mismatch_lands_where_the_vector_scan_finds_it(index):
 @pytest.mark.parametrize("index", _MISMATCH_AT)
 def test_random_mismatch_lands_where_the_vector_scan_finds_it(index):
     seed = 3
-    rng = random.Random(seed)
-    drawn = [(rng.randrange(1 << 12), rng.randrange(1 << 12)) for _ in range(index + 1)]
+    drawn = _stream([12, 12], seed, index + 1)
     a, b = drawn[index]
     assert drawn.index((a, b)) == index
     ref, cand = _trigger_pair(12, (a << 12) | b)
@@ -691,13 +754,126 @@ def test_proofs_of_one_and_of_a_block_match_the_vector_scan(samples):
     got = check_equiv(ref, ref, samples=samples, seed=4)
     assert got == _per_vector_check_equiv(ref, ref, samples=samples, seed=4)
     assert got == EquivResult("random", samples, True)
-    rng = random.Random(4)
-    drawn = [(rng.randrange(1 << 12), rng.randrange(1 << 12)) for _ in range(samples)]
+    drawn = _stream([12, 12], 4, samples)
     a, b = drawn[-1]
     ref, cand = _trigger_pair(12, (a << 12) | b)
     got = check_equiv(ref, cand, samples=samples, seed=4)
     assert got == _per_vector_check_equiv(ref, cand, samples=samples, seed=4)
     assert got.checked == drawn.index((a, b)) + 1
+
+
+def _vector_pair(widths: list[int], vector: tuple[int, ...]) -> tuple[DataFlowGraph, DataFlowGraph]:
+    """A reference and an add-to-sub flipped candidate over inputs
+    ``p``, ``q``, ``r``, ``s``... of ``widths`` that differ only on
+    ``vector``."""
+    names = "pqrs"[: len(widths)]
+    bits = "".join(format(v, f"0{w}b") for v, w in zip(vector, widths))
+    joined = "{" + ", ".join(names) + "}"
+
+    def design(op: str, sign: str) -> DataFlowGraph:
+        return parse(
+            "design d;\n" + "".join(f"input {n} : u{w}; " for n, w in zip(names, widths))
+            + f"\nB: lt u1 = {joined} < const({bits});\n"
+            f"A: lt u1 = const({bits}) < {joined};\n"
+            "R: select u4 = A, const(0000), const(0001);\n"
+            "Q: select u4 = B, const(0000), R;\n"
+            f"Y: {op} u4 = const(0000) {sign} Q;\noutput Y;"
+        )
+
+    return design("add", "+"), design("sub", "-")
+
+
+def test_the_random_stream_is_pinned():
+    # Seed 0 over ports of 1, 12, 17 and 32 bits: the first vectors and
+    # the first of the second block, written out so that every Python
+    # version must draw the same ones.
+    widths = [1, 12, 17, 32]
+    drawn = _stream(widths, 0, _BLOCK + 1)
+    assert drawn[:3] == [
+        (1, 4035, 88666, 3759914832),
+        (1, 687, 39627, 2893842435),
+        (0, 3586, 23420, 2440191754),
+    ]
+    assert drawn[_BLOCK] == (1, 1541, 65080, 30857475)
+    for index in (0, 1, 2, _BLOCK):
+        ref, cand = _vector_pair(widths, drawn[index])
+        got = check_equiv(ref, cand, samples=_BLOCK + 1, seed=0)
+        assert got.checked == index + 1
+        assert got.counterexample == dict(zip("pqrs", drawn[index]))
+
+
+def _unpacked_blocks(blocks, ports: list[InputPort], stride: int) -> list[tuple[int, ...]]:
+    """The vectors of packed ``(n, inputs)`` blocks, first block first;
+    each packed value must hold exactly ``n`` fields."""
+    vectors: list[tuple[int, ...]] = []
+    for n, inputs in blocks:
+        assert list(inputs) == [p.name for p in ports]
+        assert all(x >> stride * n == 0 for x in inputs.values())
+        vectors += zip(*(_unpack(inputs[p.name], n, stride) for p in ports))
+    return vectors
+
+
+@pytest.mark.parametrize("stride", [8, 16, 24])
+@pytest.mark.parametrize("widths", [[6, 6, 4], [6, 1, 5], [5, 1, 2], [3, 2, 1], [6]])
+def test_packed_blocks_hold_the_vectors_in_order(widths, stride):
+    # Ports of up to six bits fit a one-byte field; the enumeration
+    # counts across it, and the stream reads it, at any stride.
+    ports = [InputPort(f"i{k}", w, False) for k, w in enumerate(widths)]
+    enumerated = simulator._enumerated(ports, stride)
+    want = list(itertools.product(*(range(1 << w) for w in widths)))
+    assert _unpacked_blocks(enumerated, ports, stride) == want
+    for samples in (1, 300, 2 * _BLOCK):
+        drawn = simulator._drawn(ports, stride, samples, 9)
+        assert _unpacked_blocks(drawn, ports, stride) == _stream(widths, 9, samples)
+
+
+@pytest.mark.parametrize("widths", [[16], [1, 15], [5, 1, 7], [3, 2, 1, 4], [2]])
+def test_exhaustive_vectors_come_in_product_order(widths):
+    # Ports wider and narrower than a block's count, a port split
+    # across the bits that count inside a block and those that count
+    # blocks, and a space smaller than one block.
+    vectors = list(itertools.product(*(range(1 << w) for w in widths)))
+    for index in sorted({0, 3, _BLOCK - 1, _BLOCK, len(vectors) // 2 + 3, len(vectors) - 1}):
+        if index >= len(vectors):
+            continue
+        ref, cand = _vector_pair(widths, vectors[index])
+        got = check_equiv(ref, cand)
+        assert got.strategy == "exhaustive" and got.checked == index + 1
+        assert got.counterexample == dict(zip("pqrs", vectors[index]))
+    assert check_equiv(ref, ref) == EquivResult("exhaustive", len(vectors), True)
+
+
+@pytest.mark.parametrize("index", [0, 5, _BLOCK - 1, _BLOCK, 700])
+def test_a_vector_does_not_depend_on_the_sample_count(index):
+    drawn = _stream([12, 12], 6, index + 1)
+    a, b = drawn[index]
+    assert drawn.index((a, b)) == index
+    ref, cand = _trigger_pair(12, (a << 12) | b)
+    for samples in (1, _BLOCK, _BLOCK + 1, 1000):
+        got = check_equiv(ref, cand, samples=samples, seed=6)
+        if samples > index:
+            assert got.checked == index + 1 and got.counterexample == {"a": a, "b": b}
+        else:
+            assert got == EquivResult("random", samples, True)
+
+
+def test_vectors_do_not_depend_on_the_candidate():
+    # An unread 40-bit add widens the candidate's fields; the vectors,
+    # and so the counterexample, stay the same.
+    index = _BLOCK + 9
+    drawn = _stream([12, 12], 8, index + 1)
+    a, b = drawn[index]
+    assert drawn.index((a, b)) == index
+    ref, cand = _trigger_pair(12, (a << 12) | b)
+    wide_add = Operation(
+        "W", OpKind.ADD, 40, False,
+        (Operand(InputRef("a"), 11, 0), Operand(InputRef("b"), 11, 0)),
+    )
+    wide = check(dataclasses.replace(cand, ops=cand.ops + (wide_add,)))
+    assert simulator._stride(ref, cand) < simulator._stride(ref, wide)
+    got = check_equiv(ref, cand, samples=_SAMPLES, seed=8)
+    assert got == check_equiv(ref, wide, samples=_SAMPLES, seed=8)
+    assert got.checked == index + 1 and got.counterexample == {"a": a, "b": b}
 
 
 def _flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
@@ -747,3 +923,29 @@ def test_check_equiv_matches_the_vector_scan_on_schedules(name):
         assert check_equiv(cand, sched, samples=150, seed=5) == (
             _per_vector_check_equiv(cand, sched, samples=150, seed=5)
         )
+
+
+def _sign_flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
+    """``graph`` with ``op_id``'s signedness flipped."""
+    ops = tuple(
+        dataclasses.replace(op, signed=not op.signed) if op.id == op_id else op
+        for op in graph.ops
+    )
+    return check(dataclasses.replace(graph, ops=ops))
+
+
+def test_check_equiv_matches_the_vector_scan_on_sign_flipped_products():
+    # A signed MULT read as unsigned differs only where an operand is
+    # negative, so most candidates are refuted somewhere inside a block.
+    refuted = 0
+    for seed in range(0, 200, 2):
+        graph = random_full_design(seed)
+        for op in graph.ops:
+            if op.kind is not OpKind.MULT:
+                continue
+            cand = _sign_flipped(graph, op.id)
+            for samples in (1, 300):
+                got = check_equiv(graph, cand, samples=samples, seed=seed)
+                assert got == _per_vector_check_equiv(graph, cand, samples=samples, seed=seed)
+                refuted += not got.equivalent
+    assert refuted >= 20
