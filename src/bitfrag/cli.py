@@ -69,13 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bits of chaining per cycle (default: critical time / latency)",
     )
     parser.add_argument(
-        "--core-delay",
-        type=_int_at_least(0),
-        default=0,
-        metavar="D",
-        help="multiplier core delay in adder-bit units (default 0)",
-    )
-    parser.add_argument(
         "--emit",
         action="append",
         choices=EMISSIONS,
@@ -126,8 +119,8 @@ def _schedule_text(sched) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _arrivals_text(graph, core_delay: int) -> str:
-    table = bit_arrivals(graph, core_delay)
+def _arrivals_text(graph) -> str:
+    table = bit_arrivals(graph)
     lines = [f"{op}[{bit}] = {t}" for (op, bit), t in sorted(table.items())]
     return "\n".join(lines) + "\n"
 
@@ -235,11 +228,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         design = parse(text)
         kernel, _trace = extract_kernel(design)
-        crit = critical_path(kernel, args.core_delay)
+        crit = critical_path(kernel)
         if args.nbits is not None:
             n_bits = args.nbits
         else:
-            n_bits = estimate_cycle(kernel, args.latency, args.core_delay)
+            n_bits = estimate_cycle(kernel, args.latency)
         mobility = analyze(kernel, n_bits, args.latency)
         tile = bucket_fragment if args.bucket_fill else fragment
         fragments, transformed = tile(kernel, mobility)
@@ -266,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         elif what == "dot":
             artifacts[what] = emit_dot(transformed)
         elif what == "arrivals":
-            artifacts[what] = _arrivals_text(kernel, args.core_delay)
+            artifacts[what] = _arrivals_text(kernel)
 
     if args.out:
         try:

@@ -30,10 +30,12 @@ from typing import NamedTuple, Union
 class OpKind(Enum):
     """What an op computes.
 
-    Each kind holds, as plain attributes, its ``arity`` and two flags:
+    Each kind holds, as plain attributes, its ``arity``, three flags:
     ``glue`` (transparent glue: zero delay, no functional unit of its
-    own) and ``per_bit`` (result bit i reads bit i of each operand).
-    Passes test these once per op; a set lookup such as
+    own), ``per_bit`` (result bit i reads bit i of each operand) and
+    ``kernel`` (survives kernel extraction), and the ``word`` and
+    operand separator ``sep`` that ``dsl.emit`` writes.  Passes test
+    these once per op; a set or dict lookup such as
     ``op.kind in GLUE_KINDS`` would hash the kind through
     ``Enum.__hash__``, a Python-level call.
     """
@@ -52,10 +54,15 @@ class OpKind(Enum):
         self.arity = {"NOT": 1, "SELECT": 3}.get(self.name, 2)
         self.glue = self.name in ("NOT", "SELECT")
         self.per_bit = self.glue or self.name in ("ADD", "SUB")
+        self.kernel = self.glue or self.name in ("ADD", "MULT_CORE")
+        self.word = "mult" if self.name == "MULT_CORE" else self.name.lower()
+        self.sep = {
+            "ADD": " + ", "SUB": " - ", "MULT": " * ", "MULT_CORE": " * ",
+            "LT": " < ", "NOT": "",
+        }.get(self.name, ", ")
 
 
-# Kinds that survive kernel extraction.
-KERNEL_KINDS = frozenset({OpKind.ADD, OpKind.MULT_CORE, OpKind.NOT, OpKind.SELECT})
+KERNEL_KINDS = frozenset(kind for kind in OpKind if kind.kernel)
 
 GLUE_KINDS = frozenset(kind for kind in OpKind if kind.glue)
 

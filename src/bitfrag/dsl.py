@@ -64,19 +64,6 @@ KIND_WORDS = {
     "select": OpKind.SELECT,
 }
 
-# Conventional operand separator written by emit().
-KIND_SEP = {
-    OpKind.ADD: " + ",
-    OpKind.SUB: " - ",
-    OpKind.MULT: " * ",
-    OpKind.MULT_CORE: " * ",
-    OpKind.LT: " < ",
-    OpKind.MAX: ", ",
-    OpKind.MIN: ", ",
-    OpKind.SELECT: ", ",
-    OpKind.NOT: "",
-}
-
 SEPARATORS = {"+", "-", "*", "<", ","}
 
 _TOKEN_RE = re.compile(
@@ -327,15 +314,14 @@ def emit(graph: DataFlowGraph) -> str:
     if graph.inputs:
         lines.append("")
     for op in graph.ops:
-        word = "mult" if op.kind is OpKind.MULT_CORE else op.kind.name.lower()
         sign = "s" if op.signed else "u"
         carry = ""
         if isinstance(op.carry_in, CarryRef):
             carry = f" carry({op.carry_in.op})"
         elif op.carry_in is not None:
             carry = f" carry({op.carry_in})"
-        body = KIND_SEP[op.kind].join(_emit_operand(graph, o) for o in op.operands)
-        lines.append(f"{op.id}: {word} {sign}{op.width}{carry} = {body};")
+        body = op.kind.sep.join(_emit_operand(graph, o) for o in op.operands)
+        lines.append(f"{op.id}: {op.kind.word} {sign}{op.width}{carry} = {body};")
     if graph.ops:
         lines.append("")
     for name in graph.outputs:

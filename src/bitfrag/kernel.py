@@ -256,6 +256,6 @@ def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
     result = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(result)
     for op in result.ops:
-        assert op.kind in (OpKind.ADD, OpKind.MULT_CORE) or op.kind.glue
+        assert op.kind.kernel
         assert not op.signed
     return result, trace

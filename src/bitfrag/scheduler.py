@@ -19,11 +19,11 @@ core takes its cycle in that completion, the cycle after its inputs
 are ready, since a later cycle only delays its consumers.
 
 The completion of the placements made so far is kept as a base slot
-table.  A candidate re-settles only the region it changes, the ops
-downstream of its unit whose slots differ from the base, and a winner's
-changes update the base in place: the time-frame update of
-force-directed scheduling (Paulin & Knight, IEEE TCAD 1989).  Once every
-unit is placed, the base is the schedule's realized slot table.
+table.  A candidate re-settles, in a copy of the base, only the region
+it changes, the ops downstream of its unit whose slots differ from the
+base, and the winner's table replaces the base: the time-frame update
+of force-directed scheduling (Paulin & Knight, IEEE TCAD 1989).  Once
+every unit is placed, the base is the schedule's realized slot table.
 """
 
 from __future__ import annotations
@@ -137,18 +137,6 @@ def realized_slots(
     return view.keyed(table), problems
 
 
-class _Overlay(dict):
-    """Slots one candidate changes, by bit number, read through to the
-    base elsewhere."""
-
-    def __init__(self, base: list[Slot]):
-        super().__init__()
-        self.base = base
-
-    def __missing__(self, n: int) -> Slot:
-        return self.base[n]
-
-
 class _Plan:
     """Greedy completions of the placements made so far.
 
@@ -190,10 +178,10 @@ class _Plan:
         ]
         self.base = self._complete()
 
-    def settle(self, k: int, pin: int | None, table) -> bool:
+    def settle(self, k: int, pin: int | None, table: list[Slot]) -> bool:
         """Write the slots of the bits of the op at position ``k`` into
-        ``table``, a list or an overlay indexed by bit number; False if
-        it cannot fit.
+        ``table``, a slot list indexed by bit number; False if it cannot
+        fit.
 
         An unplaced core (``pin`` None) takes the cycle after its inputs
         are ready; an unplaced add starts at its window floor and moves
@@ -242,12 +230,13 @@ class _Plan:
                 return None
         return table
 
-    def vet(self, uid: str, c: int) -> _Overlay | None:
-        """The slots that change with ``uid`` at ``c``, or None if the
-        completion no longer fits the budget."""
+    def vet(self, uid: str, c: int) -> list[Slot] | None:
+        """The completion table with ``uid`` at ``c``, a copy of the base
+        with the changed region re-settled, or None if the completion no
+        longer fits the budget."""
         base = self.base
         ops = self.graph.ops
-        table = _Overlay(base)
+        table = base.copy()
         heap = [self.position[uid]]
         queued = set(heap)
         while heap:
@@ -263,11 +252,11 @@ class _Plan:
                         heapq.heappush(heap, s)
         return table
 
-    def place(self, uid: str, c: int, table: dict[int, Slot]) -> None:
-        """Commit a candidate that ``vet`` passed, with its table."""
+    def place(self, uid: str, c: int, table: list[Slot]) -> None:
+        """Commit a candidate that ``vet`` passed: its table becomes the
+        base."""
         self.cycle_of[uid] = c
-        for n, slot in table.items():
-            self.base[n] = slot
+        self.base = table
 
 
 def schedule(
@@ -330,7 +319,7 @@ def schedule(
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width
         ranked = [(max(top, loads[k] + width), k) for k in range(start, late + 1)]
-        c, table, failed = start, {}, late + 1
+        c, table, failed = start, plan.base, late + 1
         for _, k in sorted(r for r in ranked if r < ranked[0]):
             if k > failed:
                 continue

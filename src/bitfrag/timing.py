@@ -4,7 +4,8 @@ Every ADD bit costs one delta and chains on its lower neighbour, so an
 isolated w-bit add finishes after w deltas and a chain of adds after
 the sink width plus one delta per crossing (plus any least-significant
 bits a crossing truncates away).  NOT/SELECT glue and constants are
-free; the multiplier core is an opaque unit with a configurable delay.
+free.  The multiplier core is an opaque unit of zero delay here; the
+schedule gives it a whole cycle of its own.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ class CriticalPath:
 
 def _check_kernel(graph: DataFlowGraph) -> None:
     for op in graph.ops:
-        if op.kind not in (OpKind.ADD, OpKind.MULT_CORE) and not op.kind.glue:
+        if not op.kind.kernel:
             raise TimingError(KERNEL_ONLY.format(kind=op.kind.name.lower(), id=op.id))
 
 
-def _arrival_table(graph: DataFlowGraph, core_delay: int) -> list[int]:
+def _arrival_table(graph: DataFlowGraph) -> list[int]:
     """Arrival time of every result bit, by bit number."""
     _check_kernel(graph)
-    if core_delay < 0:
-        raise TimingError(f"core delay must not be negative, got {core_delay}")
     view = graph.bit_view
     producers = view.producers
     arrival = [0] * len(producers)
@@ -54,7 +53,7 @@ def _arrival_table(graph: DataFlowGraph, core_delay: int) -> list[int]:
         if op.kind is OpKind.MULT_CORE:
             # Every bit of a core waits on the same producers.
             worst = max(map(at, producers[lo]), default=0)
-            arrival[lo:lo + width] = [worst + core_delay] * width
+            arrival[lo:lo + width] = [worst] * width
             continue
         cost = 1 if op.kind is OpKind.ADD else 0
         for n in range(lo, lo + width):
@@ -62,12 +61,12 @@ def _arrival_table(graph: DataFlowGraph, core_delay: int) -> list[int]:
     return arrival
 
 
-def bit_arrivals(graph: DataFlowGraph, core_delay: int = 0) -> dict[tuple[str, int], int]:
+def bit_arrivals(graph: DataFlowGraph) -> dict[tuple[str, int], int]:
     """Arrival time of every result bit, inputs and constants at 0."""
-    return graph.bit_view.keyed(_arrival_table(graph, core_delay))
+    return graph.bit_view.keyed(_arrival_table(graph))
 
 
-def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
+def critical_path(graph: DataFlowGraph) -> CriticalPath:
     """Longest bit chain, reported at operation granularity.
 
     Backtracks the arrival recurrence from the worst bit, walking
@@ -76,7 +75,7 @@ def critical_path(graph: DataFlowGraph, core_delay: int = 0) -> CriticalPath:
     the lowest bit number, and among producers to the first in
     ``bit_view.producers`` order.
     """
-    arrival = _arrival_table(graph, core_delay)
+    arrival = _arrival_table(graph)
     if not arrival:
         return CriticalPath((), 0)
 
@@ -144,9 +143,9 @@ def path_time(graph: DataFlowGraph, path: list[str] | tuple[str, ...]) -> int:
     return time
 
 
-def estimate_cycle(graph: DataFlowGraph, lam: int, core_delay: int = 0) -> int:
+def estimate_cycle(graph: DataFlowGraph, lam: int) -> int:
     """Clock cycle in delta units for a schedule of ``lam`` cycles."""
     if lam < 1:
         raise TimingError(f"latency must be at least 1 cycle, got {lam}")
-    worst = max(_arrival_table(graph, core_delay), default=0)
+    worst = max(_arrival_table(graph), default=0)
     return max(1, ceil(worst / lam))

@@ -200,13 +200,20 @@ def test_latency_is_required():
 
 @pytest.mark.parametrize(
     "option",
-    [["--latency", "0"], ["--nbits", "0"], ["--nbits", "-3"], ["--core-delay", "-5"]],
+    [["--latency", "0"], ["--nbits", "0"], ["--nbits", "-3"]],
 )
 def test_out_of_range_option_is_a_usage_error(option, capsys):
     with pytest.raises(SystemExit) as exc:
         main([SEC2, "--latency", "3", *option])
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+def test_core_delay_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([SEC2, "--latency", "3", "--core-delay", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_counterexample_exits_three(capsys, monkeypatch):
@@ -233,9 +240,8 @@ def test_counterexample_exits_three(capsys, monkeypatch):
     st.integers(1, 5),
     st.booleans(),
     st.none() | st.integers(1, 24),
-    st.none() | st.integers(0, 8),
 )
-def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits, core_delay):
+def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits):
     """Exit 1 with a typed error, or exit 0 with a schedule that verifies
     clean and proves equivalent to the design."""
     text = emit(make(seed))
@@ -244,8 +250,6 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits, core
         args.append("--bucket-fill")
     if nbits is not None:
         args += ["--nbits", str(nbits)]
-    if core_delay is not None:
-        args += ["--core-delay", str(core_delay)]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "design.dfg"
@@ -260,7 +264,7 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits, core
 
     kernel, _ = extract_kernel(parse(text))
     if nbits is None:
-        nbits = estimate_cycle(kernel, lam, core_delay or 0)
+        nbits = estimate_cycle(kernel, lam)
     tile = bucket_fragment if bucket else fragment
     fragments, transformed = tile(kernel, analyze(kernel, nbits, lam))
     assert verify_schedule(schedule(transformed, fragments, lam, nbits)) == []

@@ -111,20 +111,13 @@ def test_glue_is_transparent():
     assert arr[("Y", 3)] == 1 + max(arr[("N", 3)], arr[("Y", 2)])
 
 
-def test_core_delay_is_opaque():
+def test_core_is_opaque():
     src = (
         "design d;\ninput a : u4; input b : u4;\n"
         "M: mult u8 = a * b;\nY: add u8 = M + M;\noutput Y;"
     )
     _, arr0 = _arrivals(src)
-    g = parse(src)
-    arr5 = bit_arrivals(g, core_delay=5)
     assert arr0[("M", 0)] == 0 and arr0[("M", 7)] == 0
-    assert arr5[("M", 7)] == 5
-    assert arr5[("Y", 7)] == arr0[("Y", 7)] + 5
-    assert estimate_cycle(g, 2, core_delay=5) == estimate_cycle(g, 2) + 3
-    with pytest.raises(TimingError, match="core delay"):
-        bit_arrivals(g, core_delay=-1)
 
 
 def test_path_time_rejects_non_adjacent_ops(sec2):
