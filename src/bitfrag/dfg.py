@@ -94,24 +94,33 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
+# Graph records (sources, operands, operations, ports, and the
+# fragmenter's Fragment) are slotted dataclasses that hash by value: a
+# pass builds tens of thousands of them, and a slotted one builds in
+# about a third of the time a frozen one takes.  They are not frozen,
+# yet they are values, shared between graphs and used as dict keys, so
+# no code assigns to a field of a built record; a lint in
+# tests/test_imports.py fails on any such assignment under src/.
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class InputRef:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ResultRef:
     op: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CarryRef:
     """The 1-bit carry-out of an ADD operation, read as a carry-in."""
 
     op: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Const:
     bits: str  # binary, MSB first
 
@@ -120,7 +129,7 @@ class Const:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Concat:
     parts: "tuple[Operand, ...]"  # MSB first
 
@@ -132,7 +141,7 @@ class Concat:
 Source = Union[InputRef, ResultRef, Const, Concat]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Operand:
     """A sliced reference to a value source.
 
@@ -152,7 +161,7 @@ class Operand:
 CarryIn = Union[int, CarryRef, None]  # None, 0, 1, or a chained carry
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Operation:
     id: str
     kind: OpKind
@@ -162,7 +171,7 @@ class Operation:
     carry_in: CarryIn = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InputPort:
     name: str
     width: int
@@ -434,6 +443,20 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
 BitKey = tuple[str, int]  # (op id, result bit); an OpBit is its own key
 
 
+class Slot(NamedTuple):
+    """Where a bit is ready: a cycle and the adder depth chained in it.
+
+    Slots order by cycle, then depth, so the latest of several
+    producers is their ``max`` and the earliest consumer their ``min``.
+    The passes that compute slots hold plain ``(cycle, depth)`` tuples,
+    which order and compare the same and build several times faster;
+    ``BitView.slots`` turns a finished table into ``Slot``s.
+    """
+
+    cycle: int
+    depth: int
+
+
 @dataclass(frozen=True)
 class BitView:
     """Bit-level view of one graph, shared read-only by every pass.
@@ -471,6 +494,12 @@ class BitView:
         """A per-data-bit table as a dict by ``(op, bit)`` key, in
         number order."""
         return dict(zip(self.keys, table))
+
+    def slots(self, table: list[tuple[int, int]]) -> dict[BitKey, Slot]:
+        """A per-data-bit table of ``(cycle, depth)`` pairs as ``keyed``
+        gives it, each pair made a ``Slot``, one per distinct pair."""
+        memo = {pair: Slot(*pair) for pair in set(table)}
+        return dict(zip(self.keys, map(memo.__getitem__, table)))
 
     def ref(self, n: int) -> OpBit | CarryBit:
         """The bit ref numbered ``n``."""

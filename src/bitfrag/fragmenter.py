@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 from .dfg import (
     CarryRef,
@@ -31,6 +30,7 @@ from .dfg import (
     Operand,
     Operation,
     ResultRef,
+    Slot,
     check,
     operand_slices,
 )
@@ -40,18 +40,7 @@ class InfeasibleError(ValueError):
     """The latency budget cannot hold the design's critical chain."""
 
 
-class Slot(NamedTuple):
-    """Where a bit is ready: a cycle and the adder depth chained in it.
-
-    Slots order by cycle, then depth, so the latest of several
-    producers is their ``max`` and the earliest consumer their ``min``.
-    """
-
-    cycle: int
-    depth: int
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Fragment:
     parent: str
     index: int
@@ -78,39 +67,36 @@ class Mobility:
     alap: dict[tuple[str, int], Slot]
 
 
-# Where inputs and constants are ready: the start of every producer max.
-ORIGIN = Slot(0, 0)
-
-
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     """Earliest slot per bit; inputs sit at (0, 0)."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     view = graph.bit_view
     producers = view.producers
-    table = [ORIGIN] * len(producers)
+    # (cycle, depth) pairs by bit number; inputs and constants are ready
+    # at (0, 0), the start of every producer max.
+    table = [(0, 0)] * len(producers)
     at = table.__getitem__
-    first = Slot(1, 0)  # adds start in cycle 1
     for op in graph.ops:
         lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
             # Every bit of a core waits on the same producers.  Core
             # inputs must be complete in a prior cycle; results fill
             # their cycle so consumers spill to the next one.
-            latest = max(map(at, producers[lo]), default=ORIGIN).cycle
-            table[lo:lo + width] = [Slot(latest + 1, n_bits)] * width
+            latest = max(map(at, producers[lo]), default=(0, 0))[0]
+            table[lo:lo + width] = [(latest + 1, n_bits)] * width
         elif op.kind.glue:
             for n in range(lo, lo + width):
-                table[n] = max(map(at, producers[n]), default=ORIGIN)
+                table[n] = max(map(at, producers[n]), default=(0, 0))
         else:
             for n in range(lo, lo + width):
-                latest = max(map(at, producers[n]), default=ORIGIN)
-                cycle, depth = max(latest, first)
+                # Adds start in cycle 1.
+                cycle, depth = max(max(map(at, producers[n]), default=(0, 0)), (1, 0))
                 if depth < n_bits:
-                    table[n] = Slot(cycle, depth + 1)
+                    table[n] = (cycle, depth + 1)
                 else:
-                    table[n] = Slot(cycle + 1, 1)
-    return view.keyed(table)
+                    table[n] = (cycle + 1, 1)
+    return view.slots(table)
 
 
 def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
@@ -129,20 +115,20 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     # it constrains the backward pass like any external consumer.
     view = graph.bit_view
     consumers = view.consumers
-    due = Slot(lam + 1, 1)
+    due = (lam + 1, 1)
     table = [due] * len(consumers)
     at = table.__getitem__
     for op in reversed(graph.ops):
         lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
             users = chain.from_iterable(consumers[lo:lo + width])
-            cycle = min(map(at, users), default=due).cycle - 1
+            cycle = min(map(at, users), default=due)[0] - 1
             if cycle < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
                 )
             # Results due at depth 1 so producers retreat a full cycle.
-            table[lo:lo + width] = [Slot(cycle, 1)] * width
+            table[lo:lo + width] = [(cycle, 1)] * width
         elif op.kind.glue:
             # Transparent: finishes exactly where its consumer reads.
             for n in range(lo + width - 1, lo - 1, -1):
@@ -157,8 +143,8 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
                     raise InfeasibleError(
                         f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
                     )
-                table[n] = Slot(cycle, depth)
-    return view.keyed(table)
+                table[n] = (cycle, depth)
+    return view.slots(table)
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:

@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 from .dfg import (
     DataFlowGraph,
     OpKind,
+    Slot,
 )
-from .fragmenter import ORIGIN, Fragment, InfeasibleError, Mobility, Slot, analyze
+from .fragmenter import Fragment, InfeasibleError, Mobility, analyze
 
 
 class ScheduleError(ValueError):
@@ -101,50 +102,52 @@ def realized_slots(
     """
     view = graph.bit_view
     producers = view.producers
-    table = [ORIGIN] * len(producers)
+    table = [(0, 0)] * len(producers)  # (cycle, depth) pairs by bit number
     at = table.__getitem__
     problems: list[str] = []
     for op in graph.ops:
         lo, width = view.base[op.id], op.width
         if op.kind.glue:
             for n in range(lo, lo + width):
-                table[n] = max(map(at, producers[n]), default=ORIGIN)
+                table[n] = max(map(at, producers[n]), default=(0, 0))
             continue
         cycle = cycle_of[op.id]
         if op.kind is OpKind.MULT_CORE:
-            ready = max(map(at, producers[lo]), default=ORIGIN).cycle
+            ready = max(map(at, producers[lo]), default=(0, 0))[0]
             if ready >= cycle:
                 problems.append(
                     f"{op.id}: core inputs not complete before cycle {cycle}"
                 )
-            table[lo:lo + width] = [Slot(cycle, n_bits)] * width
+            table[lo:lo + width] = [(cycle, n_bits)] * width
             continue
         for n in range(lo, lo + width):
-            slots = list(map(at, producers[n]))
-            latest = max(slots, default=ORIGIN)
-            if latest.cycle > cycle:
+            ready, depth = max(map(at, producers[n]), default=(0, 0))
+            if ready > cycle:
                 problems.append(
-                    f"{op.id}[{n - lo}]: operand ready in cycle {latest.cycle}, read in {cycle}"
+                    f"{op.id}[{n - lo}]: operand ready in cycle {ready}, read in {cycle}"
                 )
                 # Chain on what is ready by then.
-                latest = max((s for s in slots if s.cycle <= cycle), default=ORIGIN)
-            depth = 1 + latest.depth if latest.cycle == cycle else 1
+                ready, depth = max(
+                    (s for s in map(at, producers[n]) if s[0] <= cycle), default=(0, 0)
+                )
+            depth = 1 + depth if ready == cycle else 1
             if depth > n_bits:
                 problems.append(
                     f"{op.id}[{n - lo}]: chain depth {depth} exceeds {n_bits} bits per cycle"
                 )
-            table[n] = Slot(cycle, depth)
-    return view.keyed(table), problems
+            table[n] = (cycle, depth)
+    return view.slots(table), problems
 
 
 class _Plan:
     """Greedy completions of the placements made so far.
 
     ``cycle_of`` holds the placed units and ``base`` the slot table of
-    its greedy completion, by bit number.  ``base`` is None when the
-    completion of the pins fails; ``schedule`` then stops before placing
-    anything, so a placement always starts from a base that fits.  A
-    candidate re-settles its unit and then, in graph order, only the
+    its greedy completion, ``(cycle, depth)`` pairs by bit number.
+    ``base`` is None when the completion of the pins fails; ``schedule``
+    then stops before placing anything, so a placement always starts
+    from a base that fits.  A candidate re-settles its unit and then, in
+    graph order, only the
     ops that read a slot it changed: an op's slots are a pure function
     of its producer slots, its placement and, for an add, its window, so
     an op whose slots come out as in the base stops the change there,
@@ -178,10 +181,10 @@ class _Plan:
         ]
         self.base = self._complete()
 
-    def settle(self, k: int, pin: int | None, table: list[Slot]) -> bool:
+    def settle(self, k: int, pin: int | None, table: list[tuple[int, int]]) -> bool:
         """Write the slots of the bits of the op at position ``k`` into
-        ``table``, a slot list indexed by bit number; False if it cannot
-        fit.
+        ``table``, a list of ``(cycle, depth)`` pairs indexed by bit
+        number; False if it cannot fit.
 
         An unplaced core (``pin`` None) takes the cycle after its inputs
         are ready; an unplaced add starts at its window floor and moves
@@ -193,14 +196,14 @@ class _Plan:
         at = table.__getitem__
         if self.glue[k]:
             for n in bits:
-                table[n] = max(map(at, producers[n]), default=ORIGIN)
+                table[n] = max(map(at, producers[n]), default=(0, 0))
             return True
-        ready = max(map(at, self.feeds[k]), default=ORIGIN).cycle
+        ready = max(map(at, self.feeds[k]), default=(0, 0))[0]
         if op.kind is OpKind.MULT_CORE:
             c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
                 return False
-            full = Slot(c, self.n_bits)
+            full = (c, self.n_bits)
             for n in bits:
                 table[n] = full
             return True
@@ -211,26 +214,26 @@ class _Plan:
             # Every operand is ready by cycle c, so a bit chains on its
             # latest producer only if that one finishes in c.
             for n in bits:
-                latest = max(map(at, producers[n]), default=ORIGIN)
-                depth = 1 + latest.depth if latest.cycle == c else 1
+                cycle, depth = max(map(at, producers[n]), default=(0, 0))
+                depth = 1 + depth if cycle == c else 1
                 if depth > self.n_bits:
                     break
-                table[n] = Slot(c, depth)
+                table[n] = (c, depth)
             else:
                 return True
             if pin is not None:
                 return False
             c += 1
 
-    def _complete(self) -> list[Slot] | None:
+    def _complete(self) -> list[tuple[int, int]] | None:
         """The whole completion table of ``cycle_of``, or None."""
-        table = [ORIGIN] * len(self.producers)
+        table = [(0, 0)] * len(self.producers)
         for k, op in enumerate(self.graph.ops):
             if not self.settle(k, self.cycle_of.get(op.id), table):
                 return None
         return table
 
-    def vet(self, uid: str, c: int) -> list[Slot] | None:
+    def vet(self, uid: str, c: int) -> list[tuple[int, int]] | None:
         """The completion table with ``uid`` at ``c``, a copy of the base
         with the changed region re-settled, or None if the completion no
         longer fits the budget."""
@@ -252,7 +255,7 @@ class _Plan:
                         heapq.heappush(heap, s)
         return table
 
-    def place(self, uid: str, c: int, table: list[Slot]) -> None:
+    def place(self, uid: str, c: int, table: list[tuple[int, int]]) -> None:
         """Commit a candidate that ``vet`` passed: its table becomes the
         base."""
         self.cycle_of[uid] = c
@@ -303,7 +306,7 @@ def schedule(
         raise ScheduleError("; ".join(realized_slots(graph, n_bits, cycle_of)[1]))
     first = graph.bit_view.base  # each unit's bit 0
     for core in cores:
-        cycle_of[core] = plan.base[first[core]].cycle
+        cycle_of[core] = plan.base[first[core]][0]
 
     # A unit fits at its cycle in the base completion, as it settled there.
     # Every earlier cycle the completion rejected (operands not ready, or a
@@ -314,7 +317,7 @@ def schedule(
     # cycle fails, no cycle above it is vetted.
     top = max(loads.values())
     for uid in movable:
-        start, late = plan.base[first[uid]].cycle, windows[uid][1]
+        start, late = plan.base[first[uid]][0], windows[uid][1]
         if start > late:
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width
@@ -335,7 +338,7 @@ def schedule(
     # Every unit is placed, so the base is the completion of cycle_of
     # itself: the table realized_slots makes, under the same checks.
     return Schedule(
-        graph, lam, n_bits, cycle_of, graph.bit_view.keyed(plan.base), fragments
+        graph, lam, n_bits, cycle_of, graph.bit_view.slots(plan.base), fragments
     )
 
 

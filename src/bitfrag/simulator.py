@@ -7,13 +7,16 @@ time; it is the reference oracle.  ``check_equiv`` evaluates blocks of
 vectors instead, in the manner of parallel-pattern fault simulators:
 ``_eval_block`` holds each signal's values for the whole block as the
 fixed-stride fields of one int and computes each op, a multiply
-included, with a few big-int operations on those ints.  The vectors,
-too, are made a block at a time: random ones from one byte string per
-port, exhaustive ones from a counter.  The latch check walks a
-scheduled design cycle by cycle and insists that every value crossing
-a cycle boundary sits in a latch the cost model pays for; it reads no
-input values, so ``check_equiv`` runs it once per schedule, while
-``eval_schedule`` runs it with every evaluation.
+included, with a few big-int operations on those ints.  Each graph is
+decoded once per proof (``_decode``), every operand flattened into the
+signal slices and constant bits it reads, so a block only runs the
+decoded steps.  The vectors, too, are made a block at a time: random
+ones from one byte string per port, exhaustive ones from a counter.
+The latch check walks a scheduled design cycle by cycle and insists
+that every value crossing a cycle boundary sits in a latch the cost
+model pays for; it reads no input values, so ``check_equiv`` runs it
+once per schedule, while ``eval_schedule`` runs it with every
+evaluation and traces the cycles it walked.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dfg import (
     CarryRef,
@@ -33,7 +37,6 @@ from .dfg import (
     Operation,
     ResultRef,
     Source,
-    source_width,
 )
 from .cost import bit_name, stored_bits
 from .scheduler import Schedule
@@ -131,9 +134,9 @@ def eval_dfg(graph: DataFlowGraph, inputs: dict[str, int]) -> dict[str, int]:
     return {name: env.values[name] for name in graph.outputs}
 
 
-# Vectors per block in check_equiv.  Each op is decoded once per block
-# and costs a few big-int operations whose size grows with the block,
-# and a block's values live until it ends.  Over the benchmark's equiv
+# Vectors per block in check_equiv.  Each op costs a few big-int
+# operations per block whose size grows with the block, and a block's
+# values live until it ends.  Over the benchmark's equiv
 # designs, 256 vectors ran about 1.5x as fast as 64 and 1024 about 1.2x
 # as fast again, while a 1000-vector proof of elliptic's latency-3
 # schedule peaked under tracemalloc at 0.11, 0.26 and 0.94 MB.  It is a
@@ -229,47 +232,78 @@ def _drawn(ports, stride: int, samples: int, seed: int):
         yield n, inputs
 
 
-class _Block:
-    """Packed signal values while ``_eval_block`` walks one graph.
+def _pieces(width_of: dict[str, int], source: Source, lo: int, width: int, at: int,
+            out: list) -> int:
+    """Bits ``lo`` up to ``lo + width - 1`` of ``source``, placed from
+    bit ``at`` up: each signal slice goes into ``out`` as a piece, and
+    the constant bits are returned as one small int.
 
-    A class rather than nested functions: closures that call each other
-    form a reference cycle, which would keep every block's values alive
-    until the cyclic garbage collector runs.
+    A piece is (signal name, shift, width, position, cut): the signal's
+    packed values shifted down by ``shift`` and, when ``cut``, masked to
+    ``width`` bits, then shifted up to ``position``.  A field holds
+    no bit above its signal's width, so only a slice that starts above
+    bit 0 or stops below the top needs the mask.
+    """
+    kind = type(source)
+    if kind is ResultRef or kind is InputRef:
+        name = source.op if kind is ResultRef else source.name
+        out.append((name, lo, width, at, lo > 0 or width_of[name] > width))
+        return 0
+    if kind is Const:
+        return ((int(source.bits, 2) >> lo) & _mask(width)) << at
+    const, stop, pos = 0, lo + width, 0  # pos: the concat bit of the part's bit 0
+    for part in reversed(source.parts):  # Concat, MSB first
+        end = pos + part.hi - part.lo + 1
+        first, last = max(lo, pos), min(stop, end)
+        if first < last:
+            const |= _pieces(
+                width_of, part.source, part.lo + first - pos, last - first, at + first - lo, out
+            )
+        pos = end
+    return const
+
+
+class _Decoded(NamedTuple):
+    """A graph as ``_eval_block`` runs it, decoded once per proof.
+
+    ``steps`` pairs each op with its operands in the order the op reads
+    them, each as (width read, constant bits, pieces) from ``_pieces``.
     """
 
-    def __init__(self, graph: DataFlowGraph, inputs: dict[str, int], ones: int):
-        self.graph, self.ones = graph, ones
-        self.values = {p.name: inputs[p.name] for p in graph.inputs}
-        self.carries: dict[str, int] = {}
+    steps: tuple[tuple[Operation, tuple[tuple[int, int, tuple], ...]], ...]
+    outputs: tuple[str, ...]
 
-    def source(self, src: Source) -> int:
-        if isinstance(src, InputRef):
-            return self.values[src.name]
-        if isinstance(src, ResultRef):
-            return self.values[src.op]
-        if isinstance(src, Const):
-            return int(src.bits, 2) * self.ones
-        first, *rest = src.parts  # Concat, MSB first
-        packed = self.operand(first)
-        for part in rest:
-            packed = (packed << part.width) | self.operand(part)
-        return packed
 
-    def operand(self, o: Operand, width: int | None = None) -> int:
-        """``o``'s values at its own width, cut to ``width`` if narrower."""
-        w = o.width if width is None else min(o.width, width)
-        packed, lo = self.source(o.source), o.lo
-        if lo:
-            return (packed >> lo) & (_mask(w) * self.ones)
-        if source_width(self.graph, o.source) > w:
-            return packed & (_mask(w) * self.ones)
-        return packed
+def _decode(graph: DataFlowGraph) -> _Decoded:
+    """Flatten every operand of ``graph`` into pieces at the width its
+    op reads it: its own width for a select or compare, else cut to the
+    result width.  An unsigned product takes its wider operand first,
+    so that it shifts and adds over the narrower one."""
+    width_of = {p.name: p.width for p in graph.inputs}
+    width_of.update((op.id, op.width) for op in graph.ops)
+    steps = []
+    for op in graph.ops:
+        w, kind = op.width, op.kind
+        opnds = op.operands
+        if (kind is OpKind.MULT and not op.signed) or kind is OpKind.MULT_CORE:
+            opnds = sorted(opnds, key=lambda o: o.width, reverse=True)
+        own = kind is OpKind.SELECT or kind in (OpKind.LT, OpKind.MAX, OpKind.MIN)
+        decoded = []
+        for o in opnds:
+            read = o.hi - o.lo + 1
+            if read > w and not own:
+                read = w
+            pieces: list = []
+            const = _pieces(width_of, o.source, o.lo, read, 0, pieces)
+            decoded.append((read, const, tuple(pieces)))
+        steps.append((op, tuple(decoded)))
+    return _Decoded(tuple(steps), graph.outputs)
 
 
 def _eval_block(
-    graph: DataFlowGraph, inputs: dict[str, int], n: int, stride: int
+    decoded: _Decoded, inputs: dict[str, int], n: int, stride: int
 ) -> dict[str, int]:
-    """``eval_dfg`` on ``n`` vectors at once.
+    """``eval_dfg`` on ``n`` vectors at once, of a graph ``_decode`` made.
 
     Every signal is one int holding its ``n`` values as ``stride``-bit
     fields, the first vector lowest; ``inputs`` maps each input name to
@@ -283,8 +317,22 @@ def _eval_block(
     least ``_stride(graph)``, and the graph validated.
     """
     ones = _ones(n, stride)
-    block = _Block(graph, inputs, ones)
-    values, carries, operand = block.values, block.carries, block.operand
+    # masks[w] has w ones in every field, for each w up to stride - 2.
+    masks = [_mask(w) * ones for w in range(stride - 1)]
+    values = dict(inputs)
+    carries: dict[str, int] = {}
+
+    # Neither nested function calls the other, so they form no reference
+    # cycle, and a block's values are freed when the call returns.
+    def operand(o: tuple[int, int, tuple]) -> int:
+        _, const, pieces = o
+        packed = const * ones if const else 0
+        for name, shift, width, at, cut in pieces:
+            part = values[name] >> shift if shift else values[name]
+            if cut:
+                part &= masks[width]
+            packed |= part << at if at else part
+        return packed
 
     def offset(packed: int, width: int, top: int) -> int:
         """Two's complement ``width``-bit fields as ``top``-bit offset
@@ -292,11 +340,11 @@ def _eval_block(
         half = 1 << (width - 1)
         return (packed ^ (half * ones)) + ((1 << (top - 1)) - half) * ones
 
-    for op in graph.ops:
-        w, kind, opnds = op.width, op.kind, op.operands
-        m = _mask(w) * ones
+    for op, opnds in decoded.steps:
+        w, kind = op.width, op.kind
+        m = masks[w]
         if kind is OpKind.ADD:
-            total = operand(opnds[0], w) + operand(opnds[1], w)
+            total = operand(opnds[0]) + operand(opnds[1])
             carry_in = op.carry_in
             if isinstance(carry_in, CarryRef):
                 total += carries[carry_in.op]
@@ -305,12 +353,11 @@ def _eval_block(
             values[op.id] = total & m
             carries[op.id] = (total >> w) & ones
         elif kind is OpKind.SUB:
-            a, b = operand(opnds[0], w), operand(opnds[1], w)
-            values[op.id] = ((ones << w) + a - b) & m
+            values[op.id] = ((ones << w) + operand(opnds[0]) - operand(opnds[1])) & m
         elif kind is OpKind.NOT:
-            values[op.id] = operand(opnds[0], w) ^ m
+            values[op.id] = operand(opnds[0]) ^ m
         elif kind is OpKind.SELECT:
-            s, a, b = (operand(o) for o in opnds)
+            s, a, b = map(operand, opnds)
             picked = s * _mask(w)
             values[op.id] = (a & picked) | (b & (m ^ picked))
         elif kind is OpKind.MULT or kind is OpKind.MULT_CORE:
@@ -318,13 +365,12 @@ def _eval_block(
             # the result is first sign-extended to it inside its field.
             if op.signed and kind is OpKind.MULT:
                 a, b = (
-                    offset(operand(o), o.width, w + 1) & m if o.width < w else operand(o, w)
+                    offset(operand(o), o[0], w + 1) & m if o[0] < w else operand(o)
                     for o in opnds
                 )
                 bits = w
             else:
-                x, y = sorted(opnds, key=lambda o: o.width, reverse=True)
-                a, b, bits = operand(x, w), operand(y, w), min(y.width, w)
+                a, b, bits = operand(opnds[0]), operand(opnds[1]), opnds[1][0]
             total = 0
             for j in range(bits):
                 pick = ((b >> j) & ones) * _mask(w - j)  # bit j of b, spread
@@ -333,10 +379,10 @@ def _eval_block(
         else:  # LT, MAX, MIN
             a, b = operand(opnds[0]), operand(opnds[1])
             ka, kb = a, b
-            top = max(opnds[0].width, opnds[1].width)
+            top = max(opnds[0][0], opnds[1][0])
             if op.signed:
-                ka = offset(a, opnds[0].width, top)
-                kb = offset(b, opnds[1].width, top)
+                ka = offset(a, opnds[0][0], top)
+                kb = offset(b, opnds[1][0], top)
             ge = (((ones << top) + ka - kb) >> top) & ones  # 1 where ka >= kb
             if kind is OpKind.LT:
                 values[op.id] = ge ^ ones
@@ -344,7 +390,7 @@ def _eval_block(
                 picked = ge * _mask(w)
                 x, y = (a, b) if kind is OpKind.MAX else (b, a)
                 values[op.id] = (x & picked) | (y & (m ^ picked))
-    return {name: values[name] for name in graph.outputs}
+    return {name: values[name] for name in decoded.outputs}
 
 
 @dataclass(frozen=True)
@@ -354,8 +400,8 @@ class CycleTrace:
     latched: tuple[str, ...]
 
 
-def _latch_check(sched: Schedule) -> list[CycleTrace]:
-    """Check a schedule's cycle boundaries and trace its cycles.
+def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int, list]]:
+    """Check a schedule's cycle boundaries.
 
     Raises SimulationError if any operand bit produced in an earlier
     cycle is missing from the latch set the cost model charges for at
@@ -363,7 +409,8 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
     walked once, by cycle and then in definition order, so the first
     unlatched read of the earliest cycle is the one named, before any
     unscheduled unit.  Nothing here depends on input values, so one
-    check covers every vector.
+    check covers every vector.  Returns what ``eval_schedule`` traces:
+    the units by cycle, each in definition order, and ``stored_bits``.
     """
     graph = sched.graph
     view = graph.bit_view
@@ -392,14 +439,7 @@ def _latch_check(sched: Schedule) -> list[CycleTrace]:
         raise SimulationError(
             f"unscheduled operations: {', '.join(op.id for op in missing)}"
         )
-    return [
-        CycleTrace(
-            cycle,
-            tuple(op.id for op in ops),
-            tuple(bit_name(r) for r in held.get(cycle, ())),
-        )
-        for cycle, ops in units.items()
-    ]
+    return units, held
 
 
 def eval_schedule(
@@ -415,7 +455,15 @@ def eval_schedule(
     # settled strictly per cycle; once the latch check passes the
     # arithmetic is order independent and definition order suffices.
     outputs = eval_dfg(sched.graph, inputs)
-    return outputs, _latch_check(sched)
+    units, held = _latch_check(sched)
+    return outputs, [
+        CycleTrace(
+            cycle,
+            tuple(op.id for op in ops),
+            tuple(bit_name(r) for r in held.get(cycle, ())),
+        )
+        for cycle, ops in units.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -494,9 +542,10 @@ def check_equiv(
 
     field = _mask(stride)
     checked = 0
+    ref_decoded, cand_decoded = _decode(reference), _decode(cand_graph)
     for n, inputs in blocks:
-        want = _eval_block(reference, inputs, n, stride)
-        got = _eval_block(cand_graph, inputs, n, stride)
+        want = _eval_block(ref_decoded, inputs, n, stride)
+        got = _eval_block(cand_decoded, inputs, n, stride)
         if got != want:
             # The first mismatching vector, then the first output in
             # the reference's order, as a vector-by-vector scan finds it.

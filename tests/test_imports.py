@@ -108,3 +108,107 @@ def test_every_private_definition_is_referenced():
         if not any(name in names for other, names in reads if other is not node)
     ]
     assert unused == []
+
+
+def _records(trees) -> dict[str, set[str]]:
+    """Field names of every graph record: a dataclass with ``slots=True``
+    and without ``frozen=True``, whose fields nothing may assign."""
+    records: dict[str, set[str]] = {}
+    for cls in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for deco in cls.decorator_list:
+            if getattr(getattr(deco, "func", None), "id", None) != "dataclass":
+                continue
+            flags = {k.arg: getattr(k.value, "value", None) for k in deco.keywords}
+            if flags.get("slots") is True and flags.get("frozen") is not True:
+                records[cls.name] = {
+                    node.target.id for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                }
+    return records
+
+
+def _targets(node: ast.AST):
+    """What an assignment, augmented assignment or ``del`` writes,
+    tuple and starred targets unpacked."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack += target.elts
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        else:
+            yield target
+
+
+_SETTERS = {"setattr", "__setattr__", "delattr", "__delattr__"}
+
+
+def _field_writes(tree: ast.Module, fields: set[str]) -> list[str]:
+    """Writes to an attribute named like a record field, by line, except
+    ``self.<name>`` in a method of the class that owns ``self``; a
+    ``setattr`` call with a literal name counts as a write."""
+    own: set[int] = set()  # ids of self-attribute targets inside methods
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.args.args:
+                me = method.args.args[0].arg
+                own |= {
+                    id(t) for node in ast.walk(method) for t in _targets(node)
+                    if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == me
+                }
+    writes = []
+    for node in ast.walk(tree):
+        writes += [
+            (t.lineno, f".{t.attr}") for t in _targets(node)
+            if isinstance(t, ast.Attribute) and t.attr in fields and id(t) not in own
+        ]
+        func = getattr(node, "func", None)
+        if getattr(func, "attr", getattr(func, "id", None)) in _SETTERS:
+            writes += [
+                (node.lineno, f"setattr {a.value!r}") for a in node.args
+                if isinstance(a, ast.Constant) and a.value in fields
+            ]
+    return [f"{line}: {what}" for line, what in sorted(writes)]
+
+
+def test_no_record_field_is_assigned_outside_its_class():
+    """Graph records are slotted and not frozen, so nothing stops a
+    write to a field of a record already in a graph, a dict key or a
+    cached bit view; this lint does."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    records = _records(trees.values())
+    assert {"Operand", "Operation", "Fragment"} <= set(records)
+    fields = set().union(*records.values())
+    writes = [
+        f"{module}:{w}" for module, tree in trees.items() for w in _field_writes(tree, fields)
+    ]
+    assert writes == []
+
+
+def test_the_field_write_lint_sees_writes():
+    fields = {"hi", "op", "parts"}
+    tree = ast.parse(
+        "def f(o, r):\n"
+        "    o.hi = 3\n"
+        "    r.op, x = 'a', 1\n"
+        "    o.hi += 1\n"
+        "    setattr(o, 'parts', ())\n"
+        "    object.__setattr__(o, 'op', 'b')\n"
+        "class Plan:\n"
+        "    def __init__(self, o):\n"
+        "        self.hi = 1\n"
+        "        o.hi = 2\n"
+    )
+    assert _field_writes(tree, fields) == [
+        "2: .hi", "3: .op", "4: .hi", "5: setattr 'parts'", "6: setattr 'op'", "10: .hi"
+    ]

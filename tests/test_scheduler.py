@@ -13,6 +13,7 @@ from bitfrag.fragmenter import (
     InfeasibleError,
     Slot,
     analyze,
+    bit_alap,
     bit_asap,
     bucket_fragment,
     fragment,
@@ -253,6 +254,54 @@ def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
                     assert 1 <= slot.depth <= p.n_bits
 
 
+def _slot_tables(graph, lam: int) -> dict[str, dict]:
+    """Every public slot table of ``graph``'s pipeline at ``lam``:
+    mobility, the schedule's realized slots and their recomputation,
+    and a recomputation with every unit in cycle 1, which reads
+    operands before they are ready."""
+    kernel, _ = extract_kernel(graph)
+    n_bits = estimate_cycle(kernel, lam)
+    tables = {"bit_asap": bit_asap(kernel, n_bits)}
+    try:
+        tables["bit_alap"] = bit_alap(kernel, n_bits, lam)
+        fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
+        sched = schedule(transformed, fragments, lam, n_bits)
+    except (InfeasibleError, ScheduleError):
+        return tables
+    tables["Schedule.realized"] = sched.realized
+    tables["realized_slots"] = realized_slots(transformed, n_bits, sched.cycle_of)[0]
+    rushed = dict.fromkeys(sched.cycle_of, 1)
+    tables["realized_slots, all in cycle 1"] = realized_slots(transformed, n_bits, rushed)[0]
+    return tables
+
+
+def _not_slots(tables: dict[str, dict]) -> dict[str, list]:
+    # A plain tuple equals the Slot with its values, so only the type
+    # shows one that leaked out of a pass.
+    return {
+        name: [key for key, slot in table.items() if type(slot) is not Slot]
+        for name, table in tables.items()
+        if any(type(slot) is not Slot for slot in table.values())
+    }
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_every_public_slot_is_a_slot_on_bundled_designs(name):
+    tables = _slot_tables(load_design(name), 3)
+    assert len(tables) == 5 and all(tables.values())
+    assert _not_slots(tables) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+)
+def test_every_public_slot_is_a_slot_on_random_designs(make, seed, lam):
+    assert _not_slots(_slot_tables(make(seed), lam)) == {}
+
+
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
     """Whole-graph vetting: a greedy earliest completion of ``partial``."""
     producers = keyed_view(graph).producers
@@ -447,7 +496,7 @@ def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, 
         return
     for op in transformed.ops:
         if op.kind is OpKind.MULT_CORE:
-            assert accepted(op.id)[:1] == [base[transformed.bit_view.base[op.id]].cycle]
+            assert accepted(op.id)[:1] == [base[transformed.bit_view.base[op.id]][0]]
 
 
 @pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
@@ -508,7 +557,7 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
     def checked_place(plan, uid, c, table):
         early, late = plan.windows[uid]
         fits = [k for k in range(early, late + 1) if vet(plan, uid, k) is not None]
-        start = plan.base[plan.graph.bit_view.base[uid]].cycle
+        start = plan.base[plan.graph.bit_view.base[uid]][0]
         assert fits and fits[0] == start <= late
         assert fits == list(range(start, start + len(fits)))
         assert vet(plan, uid, start) == plan.base
@@ -517,7 +566,7 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
     failed: dict[str, int] = {}  # each unit's lowest cycle that failed
 
     def checked_vet(plan, uid, c):
-        assert c > plan.base[plan.graph.bit_view.base[uid]].cycle
+        assert c > plan.base[plan.graph.bit_view.base[uid]][0]
         assert c < failed.get(uid, c + 1)
         vetted = vet(plan, uid, c)
         if vetted is None:

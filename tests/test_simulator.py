@@ -333,7 +333,7 @@ def _eval_block_columns(graph: DataFlowGraph, vectors: list[dict], stride: int) 
         p.name: _pack([v[p.name] for v in vectors], p.width, stride)
         for p in graph.inputs
     }
-    block = simulator._eval_block(graph, inputs, n, stride)
+    block = simulator._eval_block(simulator._decode(graph), inputs, n, stride)
     return {name: _unpack(x, n, stride) for name, x in block.items()}
 
 
