@@ -147,12 +147,11 @@ class _Plan:
     ``base`` is None when the completion of the pins fails; ``schedule``
     then stops before placing anything, so a placement always starts
     from a base that fits.  A candidate re-settles its unit and then, in
-    graph order, only the
-    ops that read a slot it changed: an op's slots are a pure function
-    of its producer slots, its placement and, for an add, its window, so
-    an op whose slots come out as in the base stops the change there,
-    and every op outside the region settles as it did in the base,
-    which succeeded.
+    graph order, only the ops that read a slot it changed: an op's slots
+    are a pure function of its producer slots, its placement and, for an
+    add, its window, so an op whose slots come out as in the base stops
+    the change there, and every op outside the region settles as it did
+    in the base, which succeeded.
     """
 
     def __init__(self, graph: DataFlowGraph, lam: int, n_bits: int,
