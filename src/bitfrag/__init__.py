@@ -30,7 +30,7 @@ from .fragmenter import (
 )
 from .kernel import KernelError, extract_kernel
 from .scheduler import Schedule, ScheduleError, schedule, verify_schedule
-from .cost import CostReport, OriginalCosts, costs, original_costs
+from .cost import CostReport, costs
 from .simulator import (
     EquivResult,
     SimulationError,
@@ -63,7 +63,6 @@ __all__ = [
     "OpKind",
     "Operand",
     "Operation",
-    "OriginalCosts",
     "ParseError",
     "Schedule",
     "ScheduleError",
@@ -86,7 +85,6 @@ __all__ = [
     "eval_schedule",
     "extract_kernel",
     "fragment",
-    "original_costs",
     "parse",
     "path_time",
     "schedule",

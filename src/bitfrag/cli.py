@@ -99,12 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _units_by_cycle(sched, order) -> dict[int, list[str]]:
+    """The units of each cycle 1 .. lam, in one pass over ``order``,
+    which they keep; ids with no cycle in range are left out."""
+    out: dict[int, list[str]] = {c: [] for c in range(1, sched.lam + 1)}
+    for uid in order:
+        out.get(sched.cycle_of.get(uid), []).append(uid)
+    return out
+
+
 def _schedule_text(sched) -> str:
     lines = []
     frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
     loads = sched.loads()
-    for cycle in range(1, sched.lam + 1):
-        units = [u for u in sched.cycle_of if sched.cycle_of[u] == cycle]
+    for cycle, units in _units_by_cycle(sched, sched.cycle_of).items():
         lines.append(f"cycle {cycle}: {loads[cycle]} adder bits")
         for uid in units:
             op = sched.graph.op(uid)
@@ -140,13 +148,8 @@ def _report(design, lam, n_bits, crit, sched, cost, equiv) -> dict:
         ]
         for parent, parts in sched.fragments.items()
     }
-    position = {op.id: k for k, op in enumerate(sched.graph.ops)}
-    cycles = {
-        str(c): sorted(
-            (u for u, uc in sched.cycle_of.items() if uc == c), key=position.__getitem__
-        )
-        for c in range(1, lam + 1)
-    }
+    in_position = _units_by_cycle(sched, (op.id for op in sched.graph.ops))
+    cycles = {str(c): units for c, units in in_position.items()}
     report = {
         "design": design.name,
         "lambda": lam,

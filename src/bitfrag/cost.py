@@ -16,6 +16,10 @@ two neighbouring fragments.  The reads and the order of the latched
 bits both come from the graph's bit view (``bit_view.reads`` and the
 bit numbers), so nothing here re-derives bit order from the fragment
 records.
+
+The unfragmented design is costed by the same model: tiled with
+``fragmenter.whole_runs`` (every add whole, in one cycle) and scheduled
+at the same latency, it yields a CostReport like any other schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 
 from .dfg import (
     CarryBit,
-    DataFlowGraph,
     OpBit,
     OpKind,
 )
@@ -66,19 +69,6 @@ class CostReport:
     port_muxes: tuple[PortMux, ...]
     carry_fan_in: dict[str, int]
     loads: dict[int, int]
-
-
-@dataclass(frozen=True)
-class OriginalCosts:
-    """Costs of the unfragmented design under one-op-per-cycle scheduling."""
-
-    cycles: int
-    cycle_time: int
-    lane_width: int
-    stored_per_boundary: dict[int, int]
-    max_stored: int
-    registers: tuple[RegisterBinding, ...]
-    port_fan_ins: tuple[int, int]
 
 
 def bit_name(ref) -> str:
@@ -203,79 +193,4 @@ def costs(sched: Schedule) -> CostReport:
         port_muxes=tuple(muxes),
         carry_fan_in=carry_fan_in,
         loads=sched.loads(),
-    )
-
-
-def _op_level_consumers(graph: DataFlowGraph) -> dict[str, set[str]]:
-    view = graph.bit_view
-    consumers: dict[str, set[str]] = {}
-    for op in graph.ops:
-        lo = view.base[op.id]
-        for refs in view.reads[lo:lo + op.width]:
-            for r in refs:
-                consumers.setdefault(view.keys[r][0], set()).add(op.id)
-    return consumers
-
-
-def original_costs(graph: DataFlowGraph) -> OriginalCosts:
-    """Costs of scheduling the kernel design one operation per cycle.
-
-    The single shared adder lane is as wide as the widest add, whole
-    results are stored between cycles, and the lane's two ports see one
-    source per operation.  This is the yardstick fragmentation is
-    measured against.
-    """
-    units = [op for op in graph.ops if not op.kind.glue]
-    cycle_of = {op.id: k + 1 for k, op in enumerate(units)}
-    cycles = len(units)
-    adds = [op for op in units if op.kind is OpKind.ADD]
-    lane_width = max((op.width for op in adds), default=0)
-
-    consumers = _op_level_consumers(graph)
-    live = {}
-    for op in units:
-        users = consumers.get(op.id, set())
-        stop = max((cycle_of[u] for u in users), default=cycle_of[op.id])
-        if stop > cycle_of[op.id]:
-            live[op.id] = (cycle_of[op.id], stop)
-
-    index = {op.id: k for k, op in enumerate(graph.ops)}
-    held: dict[int, list[str]] = {}
-    for b in range(1, cycles):
-        held[b] = sorted(
-            (o for o, (start, stop) in live.items() if start <= b < stop),
-            key=lambda o: index[o],
-        )
-    slots = _bind_slots(held[b] for b in sorted(held))
-    registers = tuple(
-        RegisterBinding(
-            j,
-            "data",
-            max(graph.op(o).width for o in signals),
-            tuple(signals),
-            len(signals),
-        )
-        for j, signals in enumerate(slots)
-    )
-    per_boundary = {
-        b: sum(graph.op(o).width for o in names) for b, names in held.items()
-    }
-
-    fan_ins = []
-    for port in (0, 1):
-        feeds = []
-        for op in adds:
-            opnd = op.operands[port]
-            if opnd not in feeds:
-                feeds.append(opnd)
-        fan_ins.append(len(feeds))
-
-    return OriginalCosts(
-        cycles=cycles,
-        cycle_time=lane_width,
-        lane_width=lane_width,
-        stored_per_boundary=per_boundary,
-        max_stored=max(per_boundary.values(), default=0),
-        registers=registers,
-        port_fan_ins=(fan_ins[0], fan_ins[1]),
     )

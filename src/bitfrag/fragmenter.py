@@ -337,3 +337,22 @@ def bucket_fragment(
     graph: DataFlowGraph, mobility: Mobility
 ) -> tuple[dict[str, list[Fragment]], DataFlowGraph]:
     return apply_runs(graph, bucket_runs(graph, mobility))
+
+
+def whole_runs(
+    graph: DataFlowGraph, mobility: Mobility
+) -> dict[str, list[tuple[int, int, int, int]]]:
+    """The unfragmented baseline: one run per add, its whole width.
+
+    The run's window goes from the latest ASAP cycle of its bits to the
+    earliest ALAP cycle, the cycles every bit of it can share.  An add
+    wider than ``n_bits`` fits no cycle, so the scheduler refuses it.
+    """
+    runs: dict[str, list[tuple[int, int, int, int]]] = {}
+    for op in graph.ops:
+        if op.kind is OpKind.ADD:
+            bits = range(op.width)
+            early = max(mobility.asap[(op.id, i)].cycle for i in bits)
+            late = min(mobility.alap[(op.id, i)].cycle for i in bits)
+            runs[op.id] = [(0, op.width - 1, early, late)]
+    return runs

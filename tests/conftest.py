@@ -33,7 +33,14 @@ from bitfrag.dfg import (
     ResultRef,
     bit_deps,
 )
-from bitfrag.fragmenter import InfeasibleError, Mobility, analyze, fragment
+from bitfrag.fragmenter import (
+    InfeasibleError,
+    Mobility,
+    analyze,
+    apply_runs,
+    op_runs,
+    whole_runs,
+)
 from bitfrag.kernel import LoweringTrace
 from bitfrag.scheduler import (
     Schedule,
@@ -43,7 +50,7 @@ from bitfrag.scheduler import (
     verify_schedule,
 )
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
-from bitfrag.timing import estimate_cycle
+from bitfrag.timing import critical_path, estimate_cycle
 
 TESTS_DIR = Path(__file__).resolve().parent
 DESIGN_DIR = TESTS_DIR.parent / "src" / "bitfrag" / "designs"
@@ -267,17 +274,39 @@ class Pipeline:
 
 
 def run_pipeline(
-    graph: DataFlowGraph, lam: int, n_bits: int | None = None
+    graph: DataFlowGraph, lam: int, n_bits: int | None = None, runs=op_runs
 ) -> Pipeline:
-    """Kernel extraction through scheduling with the estimated cycle."""
+    """Kernel extraction through scheduling, the adds tiled along
+    ``runs`` (per-bit windows by default), with the estimated cycle."""
     kernel, trace = extract_kernel(graph)
     n = n_bits if n_bits is not None else estimate_cycle(kernel, lam)
     mobility = analyze(kernel, n, lam)
-    fragments, transformed = fragment(kernel, mobility)
+    fragments, transformed = apply_runs(kernel, runs(kernel, mobility))
     sched = schedule(transformed, fragments, lam, n)
     return Pipeline(
         graph, kernel, trace, lam, n, mobility, fragments, transformed, sched
     )
+
+
+def smallest_pipeline(graph: DataFlowGraph, lam: int, runs=op_runs) -> Pipeline | None:
+    """The pipeline at the smallest n_bits whose ``runs`` tiling
+    schedules, or None if none does.
+
+    The search walks upward from the estimated cycle; a whole add
+    (``whole_runs``) must ripple inside one cycle, so its floor is also
+    the widest add.  It stops at the kernel's critical time, past which
+    no larger n_bits helps.
+    """
+    kernel, _ = extract_kernel(graph)
+    low = estimate_cycle(kernel, lam)
+    if runs is whole_runs:
+        low = max([low] + [op.width for op in kernel.ops if op.kind is OpKind.ADD])
+    for n in range(low, max(low, critical_path(kernel).time) + 1):
+        try:
+            return run_pipeline(graph, lam, n, runs)
+        except (InfeasibleError, ScheduleError):
+            continue
+    return None
 
 
 def feasible_pipeline(graph: DataFlowGraph, lam: int, max_lam: int = 24) -> Pipeline:

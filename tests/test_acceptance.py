@@ -13,9 +13,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from bitfrag.cost import costs, original_costs
+from bitfrag.cost import costs
 from bitfrag.dfg import OpKind
 from bitfrag.dsl import parse
+from bitfrag.fragmenter import whole_runs
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import verify_schedule
 from bitfrag.simulator import check_equiv
@@ -23,10 +24,12 @@ from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle, path_tim
 
 from conftest import (
     feasible_pipeline,
+    load_design,
     op_paths,
     random_add_design,
     random_full_design,
     run_pipeline,
+    smallest_pipeline,
 )
 
 
@@ -86,7 +89,7 @@ def test_chained_adds_fragment_tiling(sec2, verdict):
 
 
 def test_chained_adds_datapath_costs(sec2, verdict):
-    with verdict("3 lanes of width 6, register peak 5 bits, 6 three-way port muxes; 1x16 original"):
+    with verdict("3 lanes of width 6, register peak 5 bits, 6 three-way port muxes; whole ops 3x16"):
         report = costs(run_pipeline(sec2, 3).sched)
         assert [lane.width for lane in report.lanes] == [6, 6, 6]
         assert report.max_stored == 5
@@ -99,14 +102,46 @@ def test_chained_adds_datapath_costs(sec2, verdict):
         }
         assert len(report.port_muxes) == 6
         assert all(m.fan_in == 3 and m.width == 6 for m in report.port_muxes)
-        original = original_costs(sec2)
-        assert original.lane_width == 16
+        whole = smallest_pipeline(sec2, 3, whole_runs)
+        assert whole.n_bits == 16
+        original = costs(whole.sched)
+        assert [lane.width for lane in original.lanes] == [16, 16, 16]
         assert original.max_stored == 16
-        assert original.port_fan_ins == (3, 3)
-        assert [r.fan_in for r in original.registers] == [2]
+        assert {m.fan_in for m in original.port_muxes} == {1}
+        assert [r.fan_in for r in original.registers] == [2] * 16
         verdict.note(
             f"carry-register mux fan-ins (reported, not asserted): "
             f"{report.carry_fan_in}"
+        )
+
+
+# Smallest n_bits, fragmented and whole-op, at latency 2, 3, 4 and 6.
+BASELINE_TABLE = {
+    "sec2": ((9, 17), (6, 16), (5, 16), (3, 16)),
+    "fig3": ((5, 8), (3, 8), (3, 8), (2, 8)),
+    "elliptic": ((16, 23), (11, 21), (8, 19), (6, 18)),
+    "diffeq": ((10, 17), (7, 17), (5, 16), (4, 16)),
+}
+
+
+def test_fragmented_cycle_against_whole_op_baseline(verdict):
+    with verdict("bundled designs: fragmented cycle 57.9% shorter than whole ops at latency 3"):
+        shorter = []
+        for name, row in BASELINE_TABLE.items():
+            graph = load_design(name)
+            for lam, cell in zip((2, 3, 4, 6), row):
+                split = smallest_pipeline(graph, lam)
+                whole = smallest_pipeline(graph, lam, whole_runs)
+                assert (split.n_bits, whole.n_bits) == cell, (name, lam)
+                for p in (split, whole):
+                    assert verify_schedule(p.sched) == [], (name, lam)
+                    assert check_equiv(graph, p.sched).equivalent, (name, lam)
+                if lam == 3:
+                    shorter.append(1 - split.n_bits / whole.n_bits)
+        assert round(100 * sum(shorter) / len(shorter), 1) == 57.9
+        verdict.note(
+            "lane bits are not compared: each add keeps its own lane, "
+            "none is shared across cycles"
         )
 
 

@@ -5,12 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
-from bitfrag.cost import costs, original_costs, stored_bits
+from bitfrag.cost import costs, stored_bits
 from bitfrag.dfg import CarryBit, OpBit
-from bitfrag.fragmenter import InfeasibleError, analyze, bucket_fragment, fragment
-from bitfrag.scheduler import ScheduleError, schedule
+from bitfrag.fragmenter import (
+    InfeasibleError,
+    analyze,
+    bucket_fragment,
+    fragment,
+    whole_runs,
+)
+from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.timing import estimate_cycle
-from conftest import keyed_view, random_full_design, run_pipeline
+from conftest import keyed_view, random_full_design, run_pipeline, smallest_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +81,27 @@ def test_per_cycle_loads(sec2_cost):
 
 
 def test_original_schedule_comparison(sec2):
-    o = original_costs(sec2)
-    assert o.cycles == 3
-    assert o.cycle_time == 16
-    assert o.lane_width == 16
+    """The unfragmented baseline at the same latency: every add whole, in
+    its own cycle, through the same tiling, scheduler and cost model."""
+    whole = smallest_pipeline(sec2, 3, whole_runs)
+    assert whole.n_bits == 16
+    assert smallest_pipeline(sec2, 3).n_bits == 6
+    assert whole.sched.cycle_of == {"C": 1, "E": 2, "G": 3}
+    assert verify_schedule(whole.sched) == []
+    o = costs(whole.sched)
+    assert [(l.parent, l.width, l.fragment_ids) for l in o.lanes] == [
+        ("C", 16, ("C",)),
+        ("E", 16, ("E",)),
+        ("G", 16, ("G",)),
+    ]
     assert o.stored_per_boundary == {1: 16, 2: 16}
+    assert o.stored_sets[1] == tuple(f"C[{i}]" for i in range(16))
+    assert o.stored_sets[2] == tuple(f"E[{i}]" for i in range(16))
     assert o.max_stored == 16
-    assert o.port_fan_ins == (3, 3)
-    assert [(r.kind, r.width, r.signals, r.fan_in) for r in o.registers] == [
-        ("data", 16, ("C", "E"), 2)
+    assert {m.fan_in for m in o.port_muxes} == {1}
+    assert o.carry_fan_in == {"C": 1, "E": 1, "G": 1}
+    assert [(r.kind, r.signals) for r in o.registers] == [
+        ("data", (f"C[{i}]", f"E[{i}]")) for i in range(16)
     ]
 
 

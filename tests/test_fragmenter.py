@@ -31,7 +31,9 @@ from bitfrag.fragmenter import (
     bucket_runs,
     fragment,
     op_runs,
+    whole_runs,
 )
+from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     operand_bits,
     random_add_design,
     random_full_design,
+    smallest_pipeline,
 )
 
 
@@ -322,6 +325,61 @@ def test_bucket_runs_match_a_bit_by_bit_fill(make, seed, lam, n_bits):
             else:
                 expected.append((i, i, *window))
         assert runs[op.id] == expected
+
+
+def test_whole_runs_keep_each_add_whole_in_its_shared_window(fig3):
+    kernel, _ = extract_kernel(fig3)
+    mobility = analyze(kernel, 8, 3)
+    runs = whole_runs(kernel, mobility)
+    adds = [op for op in kernel.ops if op.kind is OpKind.ADD]
+    assert list(runs) == [op.id for op in adds]
+    for op in adds:
+        early = max(mobility.asap[(op.id, i)].cycle for i in range(op.width))
+        late = min(mobility.alap[(op.id, i)].cycle for i in range(op.width))
+        assert runs[op.id] == [(0, op.width - 1, early, late)]
+    assert runs["F"] == [(0, 7, 1, 2)]
+    assert runs["H"] == [(0, 7, 2, 3)]
+    # At 3 bits a cycle F's bits span cycles 1-3 and share none.
+    assert whole_runs(kernel, analyze(kernel, 3, 3))["F"] == [(0, 7, 3, 1)]
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_whole_adds_narrower_cycles_fail_with_a_typed_error(name):
+    """Below the widest add no whole-op schedule exists, and the search
+    for the smallest n_bits relies on the pipeline saying so with
+    ScheduleError or InfeasibleError, never another exception."""
+    kernel, _ = extract_kernel(load_design(name))
+    widest = max(op.width for op in kernel.ops if op.kind is OpKind.ADD)
+    for lam in (1, 2, 3, 4, 6, 11, 40):
+        for n_bits in range(1, widest):
+            with pytest.raises((ScheduleError, InfeasibleError)):
+                mobility = analyze(kernel, n_bits, lam)
+                fragments, graph = apply_runs(kernel, whole_runs(kernel, mobility))
+                schedule(graph, fragments, lam, n_bits)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+)
+def test_whole_op_baseline_against_fragments_at_their_smallest_cycles(make, seed, lam):
+    graph = make(seed)
+    split = smallest_pipeline(graph, lam)
+    whole = smallest_pipeline(graph, lam, whole_runs)
+    assert (split is None) == (whole is None)
+    if split is None:
+        return
+    assert all(
+        [(f.id, f.lo, f.hi) for f in parts] == [(parent, 0, whole.kernel.op(parent).width - 1)]
+        for parent, parts in whole.fragments.items()
+    )
+    for p in (split, whole):
+        assert verify_schedule(p.sched) == []
+        res = check_equiv(graph, p.sched, samples=200, seed=seed)
+        assert res.equivalent, res.counterexample
+    assert split.n_bits <= whole.n_bits
 
 
 def test_fragmented_designs_stay_equivalent(sec2, fig3, sec2_frags, fig3_frags):

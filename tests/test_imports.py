@@ -1,5 +1,6 @@
-"""Every top-level import of a library module is used by that module, and
-no library module imports another one's underscore names."""
+"""Every top-level import of a library module is used by that module,
+no library module imports another one's underscore names, and the
+package exports exactly what its ``__init__`` imports."""
 
 import ast
 
@@ -34,6 +35,19 @@ def _named(tree: ast.Module) -> set[str]:
             if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
                 names |= _named(ast.parse(hint.value))
     return names
+
+
+def test_all_lists_every_package_import_once_in_sorted_order():
+    """``bitfrag.__all__`` is the names ``__init__`` imports from its
+    modules, each once and sorted, and each one resolves, so a deleted
+    name cannot linger as a stale string."""
+    import bitfrag
+
+    imported = _imported(ast.parse((PACKAGE_DIR / "__init__.py").read_text()))
+    exported = bitfrag.__all__
+    assert exported == sorted(set(exported))
+    assert set(exported) == set(imported)
+    assert [name for name in exported if not hasattr(bitfrag, name)] == []
 
 
 @pytest.mark.parametrize("module", MODULES)
