@@ -83,17 +83,18 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     """Bits live across each cycle boundary, in the bit view's order.
 
     Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.  A
-    read bit is held at every boundary from the cycle its slot is
-    realized in up to its last reader's cycle; an unscheduled reader
-    holds nothing.  Each boundary lists its refs, OpBit or CarryBit, in
-    bit number order: data bits before carries, each in definition
-    order and then by bit.
+    read bit is held at every boundary from its producing op's cycle (a
+    carry's op produces it) up to its last reader's cycle; an
+    unscheduled reader or producer holds nothing.  Each boundary lists
+    its refs, OpBit or CarryBit, in bit number order: data bits before
+    carries, each in definition order and then by bit.
     """
-    graph = sched.graph
+    graph, cycle_of = sched.graph, sched.cycle_of
     view = graph.bit_view
-    stop = [0] * len(view.keys)  # each bit's last reader cycle
+    keys = view.keys
+    stop = [0] * len(keys)  # each bit's last reader cycle
     for op in graph.ops:
-        cycle = sched.cycle_of.get(op.id, 0)
+        cycle = cycle_of.get(op.id, 0)
         lo = view.base[op.id]
         for refs in view.reads[lo:lo + op.width]:
             for r in refs:
@@ -103,7 +104,7 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     for n, last in enumerate(stop):
         if not last:
             continue  # no scheduled unit reads it
-        start = sched.realized[view.keys[view.slot[n]]].cycle
+        start = cycle_of.get(keys[n][0], last)  # none if its op has no cycle
         ref = view.ref(n)
         for b in range(max(start, 1), min(last, sched.lam)):
             out[b].append(ref)

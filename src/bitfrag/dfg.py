@@ -35,9 +35,9 @@ class OpKind(Enum):
     own), ``per_bit`` (result bit i reads bit i of each operand) and
     ``kernel`` (survives kernel extraction), and the ``word`` and
     operand separator ``sep`` that ``dsl.emit`` writes.  Passes test
-    these once per op; a set or dict lookup such as
-    ``op.kind in GLUE_KINDS`` would hash the kind through
-    ``Enum.__hash__``, a Python-level call.
+    these once per op, as ``op.kind.glue``; a set or dict lookup such
+    as ``op.kind in {OpKind.NOT, OpKind.SELECT}`` would hash the kind
+    through ``Enum.__hash__``, a Python-level call.
     """
 
     ADD = auto()
@@ -60,11 +60,6 @@ class OpKind(Enum):
             "ADD": " + ", "SUB": " - ", "MULT": " * ", "MULT_CORE": " * ",
             "LT": " < ", "NOT": "",
         }.get(self.name, ", ")
-
-
-KERNEL_KINDS = frozenset(kind for kind in OpKind if kind.kernel)
-
-GLUE_KINDS = frozenset(kind for kind in OpKind if kind.glue)
 
 
 @dataclass(frozen=True)
@@ -478,9 +473,8 @@ class BitView:
     before carries, each in definition order and then by bit, with one
     exception: a carry-in's MSB goes last in ``producers`` unless the bit
     also reads that MSB as data.  That order is the tie rule of
-    ``critical_path``.  ``slot[n]`` is the data bit whose slot a read
-    of ``n`` waits on: ``n`` itself, or a carry's op's MSB, resolved here
-    once so that no pass resolves a carry itself.
+    ``critical_path``.  A key names its op first, a carry's too, so
+    ``keys[n][0]`` is the op that produces bit ``n``.
     """
 
     keys: tuple[BitKey | CarryBit, ...]
@@ -488,7 +482,6 @@ class BitView:
     producers: tuple[tuple[int, ...], ...]
     consumers: tuple[tuple[int, ...], ...]
     reads: tuple[tuple[int, ...], ...]
-    slot: tuple[int, ...]
 
     def keyed(self, table: list) -> dict:
         """A per-data-bit table as a dict by ``(op, bit)`` key, in
@@ -515,14 +508,14 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         base[op.id] = len(keys)
         keys += [(op.id, i) for i in range(op.width)]
     size = len(keys)
-    slot = list(range(size))
     carried = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     carry_of: dict[str, int] = {}
+    msb_of: dict[int, int] = {}  # a carry emerges with its op's MSB
     for op in graph.ops:
         if op.id in carried:
             carry_of[op.id] = len(keys)
+            msb_of[len(keys)] = base[op.id] + op.width - 1
             keys.append(CarryBit(op.id))
-            slot.append(base[op.id] + op.width - 1)  # it emerges with the MSB
 
     producers: list[tuple[int, ...]] = []
     consumers: list[list[int]] = [[] for _ in range(size)]
@@ -553,7 +546,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                 if carry_in is None:
                     prods = tuple(refs)
                 else:
-                    msb = slot[carry_in]
+                    msb = msb_of[carry_in]
                     prods = tuple(refs) if msb in waits else (*refs, msb)
                 if refs and refs[-1] >= lo:
                     refs.pop()  # a ripple is not a read
@@ -576,5 +569,4 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         tuple(producers),
         tuple(map(tuple, consumers)),
         tuple(reads),
-        tuple(slot),
     )

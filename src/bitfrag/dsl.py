@@ -53,16 +53,7 @@ from .dfg import (
     validate,
 )
 
-KIND_WORDS = {
-    "add": OpKind.ADD,
-    "sub": OpKind.SUB,
-    "mult": OpKind.MULT,
-    "lt": OpKind.LT,
-    "max": OpKind.MAX,
-    "min": OpKind.MIN,
-    "not": OpKind.NOT,
-    "select": OpKind.SELECT,
-}
+KIND_WORDS = {kind.word: kind for kind in OpKind if kind is not OpKind.MULT_CORE}
 
 SEPARATORS = {"+", "-", "*", "<", ","}
 

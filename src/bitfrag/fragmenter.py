@@ -66,6 +66,15 @@ class Mobility:
     asap: dict[tuple[str, int], Slot]
     alap: dict[tuple[str, int], Slot]
 
+    def window(self, op: Operation) -> tuple[int, int]:
+        """The cycles every bit of ``op`` can share: from the latest
+        ASAP cycle of its bits to the earliest ALAP cycle."""
+        bits = range(op.width)
+        return (
+            max(self.asap[(op.id, i)].cycle for i in bits),
+            min(self.alap[(op.id, i)].cycle for i in bits),
+        )
+
 
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     """Earliest slot per bit; inputs sit at (0, 0)."""
@@ -344,15 +353,12 @@ def whole_runs(
 ) -> dict[str, list[tuple[int, int, int, int]]]:
     """The unfragmented baseline: one run per add, its whole width.
 
-    The run's window goes from the latest ASAP cycle of its bits to the
-    earliest ALAP cycle, the cycles every bit of it can share.  An add
-    wider than ``n_bits`` fits no cycle, so the scheduler refuses it.
+    The run's window is the add's ``Mobility.window``, the cycles every
+    bit of it can share.  An add wider than ``n_bits`` fits no cycle, so
+    the scheduler refuses it.
     """
     runs: dict[str, list[tuple[int, int, int, int]]] = {}
     for op in graph.ops:
         if op.kind is OpKind.ADD:
-            bits = range(op.width)
-            early = max(mobility.asap[(op.id, i)].cycle for i in bits)
-            late = min(mobility.alap[(op.id, i)].cycle for i in bits)
-            runs[op.id] = [(0, op.width - 1, early, late)]
+            runs[op.id] = [(0, op.width - 1, *mobility.window(op))]
     return runs

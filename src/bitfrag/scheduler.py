@@ -23,7 +23,9 @@ table.  A candidate re-settles, in a copy of the base, only the region
 it changes, the ops downstream of its unit whose slots differ from the
 base, and the winner's table replaces the base: the time-frame update
 of force-directed scheduling (Paulin & Knight, IEEE TCAD 1989).  Once
-every unit is placed, the base is the schedule's realized slot table.
+every unit is placed, the base is the table ``realized_slots`` derives
+from ``cycle_of``, so a Schedule holds only the cycle assignment: every
+bit of a unit is produced in its unit's cycle.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class Schedule:
     lam: int
     n_bits: int
     cycle_of: dict[str, int]
-    realized: dict[tuple[str, int], Slot]
     fragments: dict[str, list[Fragment]] = field(default_factory=dict)
 
     def loads(self) -> dict[int, int]:
@@ -83,9 +84,7 @@ def unit_windows(
             frag = frag_of[op.id]
             windows[op.id] = (frag.asap_cycle, frag.alap_cycle)
             continue
-        early = max(mobility.asap[(op.id, i)].cycle for i in range(op.width))
-        late = min(mobility.alap[(op.id, i)].cycle for i in range(op.width))
-        windows[op.id] = (early, late)
+        windows[op.id] = mobility.window(op)
     return windows
 
 
@@ -335,10 +334,8 @@ def schedule(
         top = max(top, loads[c])
 
     # Every unit is placed, so the base is the completion of cycle_of
-    # itself: the table realized_slots makes, under the same checks.
-    return Schedule(
-        graph, lam, n_bits, cycle_of, graph.bit_view.slots(plan.base), fragments
-    )
+    # itself, the table realized_slots derives: cycle_of is the schedule.
+    return Schedule(graph, lam, n_bits, cycle_of, fragments)
 
 
 def verify_schedule(sched: Schedule) -> list[str]:
@@ -387,10 +384,6 @@ def verify_schedule(sched: Schedule) -> list[str]:
                         f"{parent}: fragment {a.id} after its higher half {b.id}"
                     )
 
-    if not complete:
-        return problems
-    realized, depth_problems = realized_slots(graph, sched.n_bits, sched.cycle_of)
-    problems.extend(depth_problems)
-    if realized != sched.realized:
-        problems.append("recorded slots disagree with recomputation")
+    if complete:
+        problems += realized_slots(graph, sched.n_bits, sched.cycle_of)[1]
     return problems

@@ -412,9 +412,9 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     check covers every vector.  Returns what ``eval_schedule`` traces:
     the units by cycle, each in definition order, and ``stored_bits``.
     """
-    graph = sched.graph
+    graph, cycle_of = sched.graph, sched.cycle_of
     view = graph.bit_view
-    keys, slot = view.keys, view.slot
+    keys = view.keys
     held = stored_bits(sched)
     # Units by cycle, each in definition order; a unit with no cycle in
     # 1 .. lam goes to ``missing``.
@@ -422,15 +422,18 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     missing: list[Operation] = []
     for op in graph.ops:
         if not op.kind.glue:
-            units.get(sched.cycle_of.get(op.id), missing).append(op)
+            units.get(cycle_of.get(op.id), missing).append(op)
     for cycle, ops in units.items():
         # An op bit's key equals its OpBit, so keys look refs up directly.
+        # A key names its producing op first; an unscheduled producer
+        # fails no latch, as ``missing`` reports it.
         latched = set(held.get(cycle - 1, ()))
         for op in ops:
             lo = view.base[op.id]
             for refs in view.reads[lo:lo + op.width]:
                 for r in refs:
-                    if sched.realized[keys[slot[r]]].cycle < cycle and keys[r] not in latched:
+                    key = keys[r]
+                    if cycle_of.get(key[0], cycle) < cycle and key not in latched:
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
                             f"bit {view.ref(r)} across boundary {cycle - 1}"

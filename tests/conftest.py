@@ -19,7 +19,6 @@ import pytest
 
 from bitfrag import check, extract_kernel, parse
 from bitfrag.dfg import (
-    GLUE_KINDS,
     CarryBit,
     Const,
     DataFlowGraph,
@@ -45,7 +44,6 @@ from bitfrag.kernel import LoweringTrace
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
-    realized_slots,
     schedule,
     verify_schedule,
 )
@@ -183,7 +181,7 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
         return (ref.op, ref.bit)
 
     def through_glue(ref) -> set:
-        if isinstance(ref, OpBit) and graph.op(ref.op).kind in GLUE_KINDS:
+        if isinstance(ref, OpBit) and graph.op(ref.op).kind.glue:
             return set().union(*(through_glue(r) for r in deps[(ref.op, ref.bit)]))
         return {ref} if isinstance(ref, (OpBit, CarryBit)) else set()
 
@@ -193,7 +191,7 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
     }
     reads = {}
     for op in graph.ops:
-        if op.kind in GLUE_KINDS:
+        if op.kind.glue:
             continue
         ripple = {OpBit(op.id, b) for b in range(op.width)}
         for i in range(op.width):
@@ -343,8 +341,7 @@ def feasible_placements(sched: Schedule) -> list[dict[str, int]]:
     feasible = []
     for cycles in itertools.product(*windows.values()):
         cycle_of = {**fixed, **dict(zip(windows, cycles))}
-        realized, _ = realized_slots(sched.graph, sched.n_bits, cycle_of)
-        candidate = dataclasses.replace(sched, cycle_of=cycle_of, realized=realized)
+        candidate = dataclasses.replace(sched, cycle_of=cycle_of)
         if verify_schedule(candidate) == []:
             feasible.append(cycle_of)
     return feasible

@@ -18,7 +18,7 @@ from bitfrag.dfg import OpKind
 from bitfrag.dsl import parse
 from bitfrag.fragmenter import whole_runs
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import verify_schedule
+from bitfrag.scheduler import realized_slots, verify_schedule
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle, path_time
 
@@ -227,7 +227,8 @@ def test_schedule_legality_everywhere(sec2, fig3, sat, mixed, elliptic, diffeq, 
             pipelines.append(feasible_pipeline(random_full_design(seed), 3))
         for p in pipelines:
             assert verify_schedule(p.sched) == [], p.graph.name
-            for (uid, _bit), slot in p.sched.realized.items():
+            realized = realized_slots(p.sched.graph, p.n_bits, p.sched.cycle_of)[0]
+            for (uid, _bit), slot in realized.items():
                 assert 0 <= slot.depth <= p.n_bits
                 if p.sched.graph.op(uid).kind is OpKind.ADD:
                     assert slot.depth >= 1

@@ -14,7 +14,7 @@ from bitfrag.fragmenter import (
     fragment,
     whole_runs,
 )
-from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
+from bitfrag.scheduler import ScheduleError, realized_slots, schedule, verify_schedule
 from bitfrag.timing import estimate_cycle
 from conftest import keyed_view, random_full_design, run_pipeline, smallest_pipeline
 
@@ -160,10 +160,11 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(seed, lam, bucket):
     except (InfeasibleError, ScheduleError):
         return
     position = {op.id: k for k, op in enumerate(graph.ops)}
+    realized = realized_slots(graph, n, sched.cycle_of)[0]
 
     def produced(ref) -> int:  # a carry leaves with its op's top bit
         bit = graph.op(ref.op).width - 1 if isinstance(ref, CarryBit) else ref.bit
-        return sched.realized[(ref.op, bit)].cycle
+        return realized[(ref.op, bit)].cycle
 
     def order(ref) -> tuple:  # data bits, then carries, by graph position
         if isinstance(ref, CarryBit):

@@ -10,7 +10,6 @@ from bitfrag.dfg import (
     Concat,
     Const,
     DataFlowGraph,
-    GLUE_KINDS,
     InputBit,
     InputPort,
     InputRef,
@@ -28,7 +27,7 @@ from bitfrag.dfg import (
 )
 from bitfrag.fragmenter import InfeasibleError, analyze, bit_alap, bit_asap, fragment
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import ScheduleError, schedule
+from bitfrag.scheduler import ScheduleError, realized_slots, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
     ConstBit,
@@ -252,13 +251,10 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
             assert len(set(refs)) == len(refs)
             for r in refs:
                 assert isinstance(r, (OpBit, CarryBit))
-                assert g.op(r.op).kind not in GLUE_KINDS
+                assert not g.op(r.op).kind.glue
             assert set(refs) == ref.reads[key]
-            for r in reads:  # the slot of a read, a carry at its op's MSB
-                want = view.ref(r)
-                if isinstance(want, CarryBit):
-                    want = (want.op, g.op(want.op).width - 1)
-                assert view.keys[view.slot[r]] == want
+            # A read's key names its producing op first, a carry's too.
+            assert [view.keys[r][0] for r in reads] == [r.op for r in refs]
 
         # Reads ascend, so they list data bits before carries, each in
         # definition order and then by bit; every carry read has a number.
@@ -306,7 +302,8 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
             pass
     if sched is not None:
         view = transformed.bit_view
-        assert list(sched.realized) == list(view.keys[: len(view.producers)])
+        realized = realized_slots(transformed, n_bits, sched.cycle_of)[0]
+        assert list(realized) == list(view.keys[: len(view.producers)])
 
 
 def _diag_messages(graph) -> str:

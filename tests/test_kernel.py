@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from bitfrag import KernelError, extract_kernel, parse
-from bitfrag.dfg import GLUE_KINDS, KERNEL_KINDS, Concat, OpKind
+from bitfrag.dfg import Concat, OpKind
 from bitfrag.dsl import emit
 from bitfrag.simulator import check_equiv, eval_dfg
 
@@ -24,7 +24,7 @@ def _design(body: str, *inputs: str) -> str:
 def test_kernel_contains_only_kernel_kinds_unsigned(mixed):
     kernel, _ = extract_kernel(mixed)
     for op in kernel.ops:
-        assert op.kind in KERNEL_KINDS
+        assert op.kind.kernel
         assert not op.signed
 
 
@@ -75,7 +75,7 @@ def test_compare_lowering_exposes_borrow_in_wider_add():
     adds = [op for op in kernel.ops if op.kind is OpKind.ADD]
     assert len(adds) == 1 and adds[0].width == 5
     assert widths["R"] == 1
-    assert kernel.op("R").kind in GLUE_KINDS
+    assert kernel.op("R").kind.glue
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
-from bitfrag.dfg import GLUE_KINDS, OpKind
+from bitfrag.dfg import OpKind
 from bitfrag.fragmenter import (
     InfeasibleError,
     Slot,
@@ -54,12 +54,13 @@ def test_prescheduled_fragments_are_pinned(sec2):
 
 def test_sec2_realized_ripple_slots(sec2):
     p = run_pipeline(sec2, 3)
-    assert p.sched.realized[("C0", 0)] == Slot(1, 1)
-    assert p.sched.realized[("C0", 5)] == Slot(1, 6)
-    assert p.sched.realized[("C1", 0)] == Slot(2, 1)
+    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
+    assert realized[("C0", 0)] == Slot(1, 1)
+    assert realized[("C0", 5)] == Slot(1, 6)
+    assert realized[("C1", 0)] == Slot(2, 1)
     # E chains one slot behind C inside the same cycle.
-    assert p.sched.realized[("E0", 0)] == Slot(1, 2)
-    assert p.sched.realized[("G0", 3)] == Slot(1, 6)
+    assert realized[("E0", 0)] == Slot(1, 2)
+    assert realized[("G0", 3)] == Slot(1, 6)
 
 
 def test_fig3_schedule_within_windows(fig3):
@@ -92,8 +93,8 @@ def test_core_occupies_a_full_cycle(mixed):
     p = run_pipeline(mixed, 6)
     assert p.sched.cycle_of["P_core"] == 1
     assert p.sched.loads()[1] == 0
-    core_slot = p.sched.realized[("P_core", 0)]
-    assert core_slot == Slot(1, p.n_bits)
+    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
+    assert realized[("P_core", 0)] == Slot(1, p.n_bits)
     assert verify_schedule(p.sched) == []
 
 
@@ -121,8 +122,8 @@ def test_every_add_needs_its_fragment_record(sec2):
 def test_determinism(fig3):
     a = run_pipeline(fig3, 3).sched
     b = run_pipeline(fig3, 3).sched
-    assert a.cycle_of == b.cycle_of
-    assert a.realized == b.realized
+    assert list(a.cycle_of.items()) == list(b.cycle_of.items())
+    assert a == b
 
 
 def test_unit_windows_prefer_fragment_records(fig3):
@@ -157,10 +158,7 @@ def test_bucket_tiles_fail_honestly_on_coupled_chains(fig3):
 
 def _tampered(sched: Schedule, **moves) -> Schedule:
     cycle_of = dict(sched.cycle_of, **moves)
-    realized, _ = realized_slots(sched.graph, sched.n_bits, cycle_of)
-    return Schedule(
-        sched.graph, sched.lam, sched.n_bits, cycle_of, realized, sched.fragments
-    )
+    return Schedule(sched.graph, sched.lam, sched.n_bits, cycle_of, sched.fragments)
 
 
 def test_verify_flags_window_escape(sat):
@@ -188,17 +186,6 @@ def test_verify_flags_depth_overflow(sec2):
     msgs = verify_schedule(bad)
     assert "C1: cycle 1 outside window [2, 2]" in msgs
     assert "C1[0]: chain depth 7 exceeds 6 bits per cycle" in msgs
-
-
-def test_verify_flags_stale_slot_table(sec2):
-    p = run_pipeline(sec2, 3)
-    stale = dict(p.sched.realized)
-    stale[("C0", 0)] = Slot(2, 1)
-    bad = Schedule(
-        p.sched.graph, p.sched.lam, p.sched.n_bits, dict(p.sched.cycle_of),
-        stale, p.sched.fragments,
-    )
-    assert "recorded slots disagree with recomputation" in verify_schedule(bad)
 
 
 def test_verify_reports_a_budget_too_small_for_mobility(sec2):
@@ -247,18 +234,19 @@ def test_realized_slots_report_unready_operands(sec2):
 def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
     for graph in (sec2, fig3, sat):
         p = run_pipeline(graph, 3)
+        realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
         for op in p.transformed.ops:
             if op.kind is OpKind.ADD:
                 for i in range(op.width):
-                    slot = p.sched.realized[(op.id, i)]
+                    slot = realized[(op.id, i)]
                     assert 1 <= slot.depth <= p.n_bits
 
 
 def _slot_tables(graph, lam: int) -> dict[str, dict]:
     """Every public slot table of ``graph``'s pipeline at ``lam``:
-    mobility, the schedule's realized slots and their recomputation,
-    and a recomputation with every unit in cycle 1, which reads
-    operands before they are ready."""
+    mobility, the schedule's realized slots, and a recomputation with
+    every unit in cycle 1, which reads operands before they are
+    ready."""
     kernel, _ = extract_kernel(graph)
     n_bits = estimate_cycle(kernel, lam)
     tables = {"bit_asap": bit_asap(kernel, n_bits)}
@@ -268,7 +256,6 @@ def _slot_tables(graph, lam: int) -> dict[str, dict]:
         sched = schedule(transformed, fragments, lam, n_bits)
     except (InfeasibleError, ScheduleError):
         return tables
-    tables["Schedule.realized"] = sched.realized
     tables["realized_slots"] = realized_slots(transformed, n_bits, sched.cycle_of)[0]
     rushed = dict.fromkeys(sched.cycle_of, 1)
     tables["realized_slots, all in cycle 1"] = realized_slots(transformed, n_bits, rushed)[0]
@@ -288,7 +275,7 @@ def _not_slots(tables: dict[str, dict]) -> dict[str, list]:
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_every_public_slot_is_a_slot_on_bundled_designs(name):
     tables = _slot_tables(load_design(name), 3)
-    assert len(tables) == 5 and all(tables.values())
+    assert len(tables) == 4 and all(tables.values())
     assert _not_slots(tables) == {}
 
 
@@ -302,12 +289,38 @@ def test_every_public_slot_is_a_slot_on_random_designs(make, seed, lam):
     assert _not_slots(_slot_tables(make(seed), lam)) == {}
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+    st.sampled_from([fragment, bucket_fragment]),
+)
+def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, tile):
+    """A schedule keeps only ``cycle_of``, so the slot table the scheduler
+    ends on must be the one ``realized_slots`` derives from it: the
+    completion with every unit placed at its cycle, in number order,
+    with no problem reported."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+        sched = schedule(transformed, fragments, lam, n_bits)
+    except (InfeasibleError, ScheduleError):
+        return
+    windows = {f.id: (f.asap_cycle, f.alap_cycle) for parts in fragments.values() for f in parts}
+    plan = _Plan(transformed, lam, n_bits, windows, dict(sched.cycle_of))
+    realized, problems = realized_slots(transformed, n_bits, sched.cycle_of)
+    assert problems == []
+    assert plan.base == list(realized.values())
+
+
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
     """Whole-graph vetting: a greedy earliest completion of ``partial``."""
     producers = keyed_view(graph).producers
     table = {}
     for op in graph.ops:
-        if op.kind in GLUE_KINDS:
+        if op.kind.glue:
             for i in range(op.width):
                 slots = [table[p] for p in producers[(op.id, i)]]
                 cycle = max((s.cycle for s in slots), default=0)
@@ -417,19 +430,20 @@ def _reference_schedule(graph, fragments, lam, n_bits):
         cycle_of[uid] = best[1]
         loads[best[1]] += width
 
-    realized, problems = realized_slots(graph, n_bits, cycle_of)
+    problems = realized_slots(graph, n_bits, cycle_of)[1]
     if problems:
         raise ScheduleError("; ".join(problems))
-    return Schedule(graph, lam, n_bits, cycle_of, realized, fragments)
+    return Schedule(graph, lam, n_bits, cycle_of, fragments)
 
 
 def _outcome(scheduler, transformed, fragments, lam, n_bits):
-    """``cycle_of`` and realized slots, or the typed error raised."""
+    """``cycle_of`` and the problems ``realized_slots`` finds in it, or
+    the typed error raised."""
     try:
         sched = scheduler(transformed, fragments, lam, n_bits)
     except ScheduleError as err:
         return str(err)
-    return sched.cycle_of, sched.realized
+    return sched.cycle_of, realized_slots(transformed, n_bits, sched.cycle_of)[1]
 
 
 _ORACLE_CASES = [

@@ -168,10 +168,7 @@ def test_replay_rejects_missing_unit():
     p = run_pipeline(g, 2, n_bits=4)
     from bitfrag.scheduler import Schedule
 
-    broken = Schedule(
-        p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.realized,
-        p.sched.fragments,
-    )
+    broken = Schedule(p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.fragments)
     with pytest.raises(SimulationError, match="unscheduled operations"):
         eval_schedule(broken, {"a": 1, "b": 2})
 
@@ -187,6 +184,19 @@ def test_unscheduled_reader_is_named_not_a_lookup_failure(sec2):
             dataclasses.replace(sched, cycle_of=cycle_of),
             {p.name: 0 for p in sec2.inputs},
         )
+
+
+def test_unscheduled_producer_holds_nothing_and_is_named(sec2):
+    # C1 reads C0's top bit and carry across boundary 1; with C0
+    # unscheduled they are produced in no cycle, so nothing holds them
+    # and no latch fails before the check names C0.
+    sched = run_pipeline(sec2, 3).sched
+    cycle_of = dict(sched.cycle_of)
+    del cycle_of["C0"]
+    broken = dataclasses.replace(sched, cycle_of=cycle_of)
+    assert all(r.op != "C0" for refs in simulator.stored_bits(broken).values() for r in refs)
+    with pytest.raises(SimulationError, match="^unscheduled operations: C0$"):
+        eval_schedule(broken, {p.name: 0 for p in sec2.inputs})
 
 
 def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
@@ -233,10 +243,7 @@ def test_check_equiv_rejects_missing_unit():
     p = run_pipeline(g, 2, n_bits=4)
     from bitfrag.scheduler import Schedule
 
-    broken = Schedule(
-        p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.realized,
-        p.sched.fragments,
-    )
+    broken = Schedule(p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.fragments)
     with pytest.raises(SimulationError, match="unscheduled operations"):
         check_equiv(g, broken)
 
