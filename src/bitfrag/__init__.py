@@ -44,7 +44,6 @@ from .timing import (
     bit_arrivals,
     critical_path,
     estimate_cycle,
-    path_time,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "extract_kernel",
     "fragment",
     "parse",
-    "path_time",
     "schedule",
     "validate",
     "verify_schedule",

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import cached_property, partial
+from itertools import chain, repeat
 from typing import NamedTuple, Union
 
 
@@ -235,6 +236,14 @@ class DataFlowGraph:
     def bit_view(self) -> "BitView":
         """The graph's bit-level view, built on first use and then shared."""
         return _build_bit_view(self)
+
+    @cached_property
+    def arrivals(self) -> tuple[int, ...]:
+        """Arrival time of every result bit by number, computed by
+        ``timing.arrival_table`` on first use and then kept."""
+        from .timing import arrival_table  # timing builds on this module
+
+        return arrival_table(self)
 
 
 def source_width(graph: DataFlowGraph, source: Source) -> int:
@@ -474,7 +483,9 @@ class BitView:
     exception: a carry-in's MSB goes last in ``producers`` unless the bit
     also reads that MSB as data.  That order is the tie rule of
     ``critical_path``.  A key names its op first, a carry's too, so
-    ``keys[n][0]`` is the op that produces bit ``n``.
+    ``keys[n][0]`` is the op that produces bit ``n``.  The view is built
+    one loop per op kind; ``bit_deps`` states its rules bit by bit, and
+    tests hold one to the other.
     """
 
     keys: tuple[BitKey | CarryBit, ...]
@@ -500,8 +511,22 @@ class BitView:
         return key if isinstance(key, CarryBit) else OpBit(*key)
 
 
+def _padded(bits: range | list) -> chain:
+    """``bits``, then None for every bit above them (zero-extension)."""
+    return chain(bits, repeat(None))
+
+
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
-    """Passes reach the view through ``graph.bit_view``, built once."""
+    """Passes reach the view through ``graph.bit_view``, built once.
+
+    One loop per op kind: NOT, the ripple kinds (ADD, SUB), and one for
+    SELECT and the opaque kinds.  Each reads an operand as the number of
+    each of its bits (a ``range`` for an op slice, None for an input or
+    constant bit); the ripple loop orders a bit's one or two operand bits
+    by a comparison.  A read is looked through only if it is a glue bit.
+    ``bit_deps`` states the same rules through ``_waits``; tests check
+    one against the other.
+    """
     base: dict[str, int] = {}
     keys: list = []
     for op in graph.ops:
@@ -510,63 +535,86 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     size = len(keys)
     carried = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     carry_of: dict[str, int] = {}
-    msb_of: dict[int, int] = {}  # a carry emerges with its op's MSB
     for op in graph.ops:
         if op.id in carried:
             carry_of[op.id] = len(keys)
-            msb_of[len(keys)] = base[op.id] + op.width - 1
             keys.append(CarryBit(op.id))
 
-    producers: list[tuple[int, ...]] = []
-    consumers: list[list[int]] = [[] for _ in range(size)]
-    reads: list[tuple[int, ...]] = []
+    def numbers(opnd: Operand) -> range | list:
+        source = opnd.source
+        if type(source) is ResultRef:
+            at = base[source.op]
+            return range(at + opnd.lo, at + opnd.hi + 1)
+        if type(source) is Concat:
+            return [n for s in operand_slices(opnd) for n in numbers(s)]
+        return [None] * (opnd.hi - opnd.lo + 1)
+
     glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
+
+    def through(refs: tuple) -> tuple:
+        """Ascending ``refs`` with each glue bit replaced by its reads."""
+        if glue_reads.keys().isdisjoint(refs):
+            return refs
+        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
+
+    producers: list[tuple[int, ...]] = []
+    reads: list[tuple[int, ...]] = []
     for op in graph.ops:
-        lo = base[op.id]
-        glue = op.kind.glue
-        # Operand bits by number; an input or constant bit has no producer.
-        operands = []
-        for opnd in op.operands:
-            bits: list = []
-            for s in operand_slices(opnd):
-                if type(s.source) is ResultRef:
-                    at = base[s.source.op]
-                    bits += range(at + s.lo, at + s.hi + 1)
-                else:
-                    bits += [None] * s.width
-            operands.append(bits)
-        carry = carry_of[op.carry_in.op] if isinstance(op.carry_in, CarryRef) else None
-        last = None
-        for n, waits in enumerate(_waits(op, operands, lo.__add__, carry), lo):
-            if waits is not last:  # an opaque op's bits share theirs
-                last = waits
-                # Ascending: other ops' bits, the op's own ripple, a carry-in.
-                refs = sorted(waits)
-                carry_in = refs.pop() if refs and refs[-1] >= size else None
-                if carry_in is None:
-                    prods = tuple(refs)
-                else:
-                    msb = msb_of[carry_in]
-                    prods = tuple(refs) if msb in waits else (*refs, msb)
-                if refs and refs[-1] >= lo:
-                    refs.pop()  # a ripple is not a read
-                if not glue_reads.keys().isdisjoint(refs):
-                    refs = sorted({x for r in refs for x in glue_reads.get(r, (r,))})
-                if carry_in is not None:
-                    refs.append(carry_in)
-                read = tuple(refs)
-            producers.append(prods)
-            for p in prods:
-                consumers[p].append(n)
-            if glue:
-                glue_reads[n] = read
+        lo, kind = base[op.id], op.kind
+        bits = range(lo, lo + op.width)
+        operands = [numbers(opnd) for opnd in op.operands]
+        if kind is OpKind.NOT:
+            for n, a in zip(bits, _padded(operands[0])):
+                prods = () if a is None else (a,)
+                producers.append(prods)
+                glue_reads[n] = glue_reads.get(a, prods)
                 reads.append(())
-            else:
+        elif kind.per_bit and not kind.glue:  # ripple: bit i waits on bit i - 1
+            carry = msb = None
+            if isinstance(op.carry_in, CarryRef):  # a carry emerges with its op's MSB
+                carry = carry_of[op.carry_in.op]
+                msb = base[op.carry_in.op] + graph.op(op.carry_in.op).width - 1
+            for n, a, b in zip(bits, *map(_padded, operands)):
+                if a is None:
+                    pair = () if b is None else (b,)
+                elif b is None or a == b:
+                    pair = (a,)
+                else:
+                    pair = (a, b) if a < b else (b, a)
+                read = through(pair) if a in glue_reads or b in glue_reads else pair
+                if n > lo:
+                    producers.append((*pair, n - 1))
+                elif carry is None:
+                    producers.append(pair)
+                else:
+                    producers.append(pair if msb in pair else (*pair, msb))
+                    read = (*read, carry)
                 reads.append(read)
+        else:  # SELECT and the opaque kinds: sort each distinct wait set
+            if kind.glue:  # a select's condition feeds every bit
+                cond = operands[0][0]
+                waits = [
+                    sorted({cond, a, b} - {None})
+                    for _, a, b in zip(bits, *map(_padded, operands[1:]))
+                ]
+            else:  # every bit waits on every operand bit
+                whole = {x for nums in operands for x in nums}
+                whole.discard(None)
+                waits = [sorted(whole)] * op.width
+            last = None
+            for n, refs in zip(bits, waits):
+                if refs is not last:
+                    last = refs
+                    prods = tuple(refs)
+                    read = through(prods)
+                producers.append(prods)
+                if kind.glue:
+                    glue_reads[n] = read
+                reads.append(() if kind.glue else read)
+    consumers: list[list[int]] = [[] for _ in range(size)]
+    for n, prods in enumerate(producers):
+        for p in prods:
+            consumers[p].append(n)
     return BitView(
-        tuple(keys),
-        base,
-        tuple(producers),
-        tuple(map(tuple, consumers)),
-        tuple(reads),
+        tuple(keys), base, tuple(producers), tuple(map(tuple, consumers)), tuple(reads)
     )

@@ -13,14 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .dfg import (
-    CarryRef,
-    Concat,
-    DataFlowGraph,
-    OpKind,
-    Operand,
-    ResultRef,
-)
+from .dfg import DataFlowGraph, OpKind
 
 KERNEL_ONLY = "timing runs on kernel-extracted designs, found {kind} op {id}"
 
@@ -41,8 +34,12 @@ def _check_kernel(graph: DataFlowGraph) -> None:
             raise TimingError(KERNEL_ONLY.format(kind=op.kind.name.lower(), id=op.id))
 
 
-def _arrival_table(graph: DataFlowGraph) -> list[int]:
-    """Arrival time of every result bit, by bit number."""
+def arrival_table(graph: DataFlowGraph) -> tuple[int, ...]:
+    """Arrival time of every result bit, by bit number.
+
+    Passes read it as ``graph.arrivals``, which runs this once per graph
+    and keeps the table with the graph, as ``graph.bit_view`` is kept.
+    """
     _check_kernel(graph)
     view = graph.bit_view
     producers = view.producers
@@ -58,12 +55,12 @@ def _arrival_table(graph: DataFlowGraph) -> list[int]:
         cost = 1 if op.kind is OpKind.ADD else 0
         for n in range(lo, lo + width):
             arrival[n] = cost + max(map(at, producers[n]), default=0)
-    return arrival
+    return tuple(arrival)
 
 
 def bit_arrivals(graph: DataFlowGraph) -> dict[tuple[str, int], int]:
     """Arrival time of every result bit, inputs and constants at 0."""
-    return graph.bit_view.keyed(_arrival_table(graph))
+    return graph.bit_view.keyed(graph.arrivals)
 
 
 def critical_path(graph: DataFlowGraph) -> CriticalPath:
@@ -75,7 +72,7 @@ def critical_path(graph: DataFlowGraph) -> CriticalPath:
     the lowest bit number, and among producers to the first in
     ``bit_view.producers`` order.
     """
-    arrival = _arrival_table(graph)
+    arrival = graph.arrivals
     if not arrival:
         return CriticalPath((), 0)
 
@@ -98,54 +95,9 @@ def critical_path(graph: DataFlowGraph) -> CriticalPath:
     return CriticalPath(tuple(path), time)
 
 
-def _edge_truncations(graph: DataFlowGraph, producer: str, consumer_id: str) -> list[int]:
-    """lo offsets of every reference the consumer makes to the producer."""
-    out: list[int] = []
-
-    def scan(opnd: Operand) -> None:
-        src = opnd.source
-        if isinstance(src, Concat):
-            for part in src.parts:
-                scan(part)
-        elif isinstance(src, ResultRef) and src.op == producer:
-            out.append(opnd.lo)
-
-    consumer = graph.op(consumer_id)
-    for opnd in consumer.operands:
-        scan(opnd)
-    if isinstance(consumer.carry_in, CarryRef) and consumer.carry_in.op == producer:
-        out.append(graph.op(producer).width - 1)
-    return out
-
-
-def path_time(graph: DataFlowGraph, path: list[str] | tuple[str, ...]) -> int:
-    """Ripple time of a chain of adds.
-
-    Counts the width of the last operation, then walking backward one
-    delta per crossed operation, plus the truncated low bits whenever a
-    crossed operation is wider than its successor.
-    """
-    if not path:
-        raise TimingError("empty path")
-    for op_id in path:
-        if graph.op(op_id).kind is not OpKind.ADD:
-            raise TimingError(f"path op {op_id} is not an add")
-    time = graph.op(path[-1]).width
-    for i in range(len(path) - 2, -1, -1):
-        here, nxt = graph.op(path[i]), graph.op(path[i + 1])
-        cuts = _edge_truncations(graph, path[i], path[i + 1])
-        if not cuts:
-            raise TimingError(f"{nxt.id} does not consume {here.id}")
-        if here.width <= nxt.width:
-            time += 1
-        else:
-            time += 1 + max(cuts)
-    return time
-
-
 def estimate_cycle(graph: DataFlowGraph, lam: int) -> int:
     """Clock cycle in delta units for a schedule of ``lam`` cycles."""
     if lam < 1:
         raise TimingError(f"latency must be at least 1 cycle, got {lam}")
-    worst = max(_arrival_table(graph), default=0)
+    worst = max(graph.arrivals, default=0)
     return max(1, ceil(worst / lam))

@@ -20,6 +20,8 @@ import pytest
 from bitfrag import check, extract_kernel, parse
 from bitfrag.dfg import (
     CarryBit,
+    CarryRef,
+    Concat,
     Const,
     DataFlowGraph,
     InputBit,
@@ -388,6 +390,52 @@ def random_add_design(seed: int) -> DataFlowGraph:
     }
     outputs = tuple(op.id for op in ops if op.id not in consumed)
     return check(DataFlowGraph("rand", tuple(inputs), tuple(ops), outputs))
+
+
+def _edge_truncations(graph: DataFlowGraph, producer: str, consumer_id: str) -> list[int]:
+    """lo offsets of every reference the consumer makes to the producer."""
+    out: list[int] = []
+
+    def scan(opnd: Operand) -> None:
+        src = opnd.source
+        if isinstance(src, Concat):
+            for part in src.parts:
+                scan(part)
+        elif isinstance(src, ResultRef) and src.op == producer:
+            out.append(opnd.lo)
+
+    consumer = graph.op(consumer_id)
+    for opnd in consumer.operands:
+        scan(opnd)
+    if isinstance(consumer.carry_in, CarryRef) and consumer.carry_in.op == producer:
+        out.append(graph.op(producer).width - 1)
+    return out
+
+
+def path_time(graph: DataFlowGraph, path: tuple[str, ...]) -> int:
+    """Closed-form oracle for ``timing``: the ripple time of a chain of
+    adds, each reading the one before it directly (no glue between).
+
+    Counts the width of the last operation, then walking backward one
+    delta per crossed operation, plus the truncated low bits whenever a
+    crossed operation is wider than its successor.
+    """
+    if not path:
+        raise ValueError("empty path")
+    for op_id in path:
+        if graph.op(op_id).kind is not OpKind.ADD:
+            raise ValueError(f"path op {op_id} is not an add")
+    time = graph.op(path[-1]).width
+    for i in range(len(path) - 2, -1, -1):
+        here, nxt = graph.op(path[i]), graph.op(path[i + 1])
+        cuts = _edge_truncations(graph, path[i], path[i + 1])
+        if not cuts:
+            raise ValueError(f"{nxt.id} does not consume {here.id}")
+        if here.width <= nxt.width:
+            time += 1
+        else:
+            time += 1 + max(cuts)
+    return time
 
 
 def op_paths(graph: DataFlowGraph) -> list[tuple[str, ...]]:

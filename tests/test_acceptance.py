@@ -20,12 +20,13 @@ from bitfrag.fragmenter import whole_runs
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import realized_slots, verify_schedule
 from bitfrag.simulator import check_equiv
-from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle, path_time
+from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 
 from conftest import (
     feasible_pipeline,
     load_design,
     op_paths,
+    path_time,
     random_add_design,
     random_full_design,
     run_pipeline,

@@ -25,11 +25,13 @@ from bitfrag.dfg import (
     source_width,
     validate,
 )
+from bitfrag.dsl import parse
 from bitfrag.fragmenter import InfeasibleError, analyze, bit_alap, bit_asap, fragment
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import ScheduleError, realized_slots, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
+    TIE_SOURCE,
     ConstBit,
     feasible_pipeline,
     keyed_view,
@@ -208,6 +210,8 @@ def _view_graphs(case: str) -> list[DataFlowGraph]:
     """A design, its kernel, and its fragmented kernel."""
     if case.startswith("seed"):
         graph = random_full_design(int(case[4:]))
+    elif case == "tie":
+        graph = parse(TIE_SOURCE)
     else:
         graph = load_design(case)
     pipe = feasible_pipeline(graph, 3)
@@ -216,7 +220,7 @@ def _view_graphs(case: str) -> list[DataFlowGraph]:
 
 @pytest.mark.parametrize(
     "case",
-    ["sec2", "fig3", "elliptic", "diffeq"] + [f"seed{s}" for s in range(0, 200, 10)],
+    ["sec2", "fig3", "elliptic", "diffeq", "tie"] + [f"seed{s}" for s in range(0, 200, 10)],
 )
 def test_bit_view_is_built_once_and_matches_bit_deps(case):
     for g in _view_graphs(case):
@@ -232,7 +236,19 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
             prods = [view.keys[p] for p in view.producers[n]]
             assert len(set(prods)) == len(prods)
             assert set(prods) == ref.producers[key]
-        inverse = {key: [] for key in ref.producers}
+
+        # Producers ascend, except that a carry-in's MSB goes last unless
+        # the bit also reads that MSB as data: critical_path's tie rule.
+        number = {key: n for n, key in enumerate(data)}
+        deps = bit_deps(g)
+        for n, key in enumerate(data):
+            expected = sorted(number[r] for r in deps[key] if isinstance(r, OpBit))
+            for r in deps[key]:
+                msb = number[(r.op, g.op(r.op).width - 1)] if isinstance(r, CarryBit) else None
+                if msb is not None and msb not in expected:
+                    expected.append(msb)
+            assert view.producers[n] == tuple(expected)
+        inverse ={key: [] for key in ref.producers}
         for key, producers in ref.producers.items():
             for p in producers:
                 inverse[p].append(key)

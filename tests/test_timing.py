@@ -1,19 +1,28 @@
 """Arrival-time analysis, critical paths, and the cycle estimate."""
 
+from math import ceil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import extract_kernel, parse
+from bitfrag import extract_kernel, parse, timing
 from bitfrag.timing import (
     CriticalPath,
     TimingError,
+    arrival_table,
     bit_arrivals,
     critical_path,
     estimate_cycle,
-    path_time,
 )
-from conftest import TIE_SOURCE, op_paths, random_add_design
+from conftest import (
+    TIE_SOURCE,
+    load_design,
+    op_paths,
+    path_time,
+    random_add_design,
+    random_full_design,
+)
 
 
 def test_chained_adds_ripple_arrivals(sec2):
@@ -121,12 +130,12 @@ def test_core_is_opaque():
 
 
 def test_path_time_rejects_non_adjacent_ops(sec2):
-    with pytest.raises(TimingError, match="does not consume"):
+    with pytest.raises(ValueError, match="does not consume"):
         path_time(sec2, ("C", "G"))
 
 
 def test_path_time_rejects_an_empty_path(sec2):
-    with pytest.raises(TimingError, match="empty path"):
+    with pytest.raises(ValueError, match="empty path"):
         path_time(sec2, ())
 
 
@@ -134,16 +143,37 @@ def test_path_time_rejects_glue_members():
     g = parse(
         "design d;\ninput a : u4;\nX: add u4 = a + a;\nN: not u4 = X;\noutput N;"
     )
-    with pytest.raises(TimingError, match="is not an add"):
+    with pytest.raises(ValueError, match="is not an add"):
         path_time(g, ("X", "N"))
 
 
 def test_timing_requires_kernel_kinds():
     g = parse("design d;\ninput a : u4;\nS: sub u4 = a - a;\noutput S;")
-    with pytest.raises(TimingError, match="kernel"):
-        bit_arrivals(g)
+    # Nothing is kept for a graph timing refuses: every call refuses again.
+    for _ in range(2):
+        for call in (bit_arrivals, critical_path, lambda g: estimate_cycle(g, 2)):
+            with pytest.raises(TimingError, match="kernel"):
+                call(g)
     kernel, _ = extract_kernel(g)
     assert max(bit_arrivals(kernel).values()) == 4
+
+
+def test_a_kernel_runs_the_arrival_recurrence_once(monkeypatch):
+    runs = []
+
+    def counted(graph):
+        runs.append(graph)
+        return arrival_table(graph)
+
+    monkeypatch.setattr(timing, "arrival_table", counted)
+    kernel, _ = extract_kernel(load_design("elliptic"))
+    crit = critical_path(kernel)
+    table = kernel.arrivals
+    assert estimate_cycle(kernel, 3) == max(1, ceil(crit.time / 3))
+    assert kernel.arrivals is table
+    assert list(bit_arrivals(kernel).values()) == list(table)
+    assert kernel.arrivals is table
+    assert runs == [kernel]
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,3 +182,21 @@ def test_arrivals_match_exhaustive_path_enumeration(seed):
     g = random_add_design(seed)
     arr = bit_arrivals(g)
     assert max(arr.values()) == max(path_time(g, p) for p in op_paths(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_path_oracle_times_the_critical_path(seed):
+    """On adds that read each other directly, with no glue or core
+    between, the closed form times the critical path as the recurrence
+    does."""
+    g = random_add_design(seed)
+    crit = critical_path(g)
+    assert path_time(g, crit.ops) == crit.time
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12))
+def test_estimate_cycle_spreads_the_critical_time_over_the_latency(seed, lam):
+    kernel, _ = extract_kernel(random_full_design(seed))
+    assert estimate_cycle(kernel, lam) == max(1, ceil(critical_path(kernel).time / lam))
