@@ -2,8 +2,10 @@
 
 Parses a design, lowers it to adds, cores, and glue, fragments the adds
 so a latency-bound schedule meets the width-independent cycle estimate,
-and reports timing, schedule, and datapath costs.  All emissions are
-deterministic byte for byte for a given input and options.
+verifies that schedule, and reports timing, schedule, and datapath
+costs.  A schedule that fails verification is an error, and nothing is
+emitted.  All emissions are deterministic byte for byte for a given
+input and options.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .cost import costs
 from .dsl import emit, emit_dot, parse
 from .fragmenter import analyze, bucket_fragment, fragment
 from .kernel import extract_kernel
-from .scheduler import schedule
+from .scheduler import schedule, verify_schedule
 from .simulator import check_equiv
 from .timing import bit_arrivals, critical_path, estimate_cycle
 
@@ -240,6 +242,13 @@ def main(argv: list[str] | None = None) -> int:
         tile = bucket_fragment if args.bucket_fill else fragment
         fragments, transformed = tile(kernel, mobility)
         sched = schedule(transformed, fragments, args.latency, n_bits)
+        problems = verify_schedule(sched)
+        if problems:
+            print(
+                f"error: schedule fails verification: {'; '.join(problems)}",
+                file=sys.stderr,
+            )
+            return 1
         cost = costs(sched)
         equiv = None
         if args.check_equiv:

@@ -61,29 +61,36 @@ class Fragment:
 
 @dataclass(frozen=True)
 class Mobility:
+    """Every data bit's earliest and latest cycle, by the view's bit
+    number: ``asap[n]`` and ``alap[n]`` for bit ``n``, so bit ``i`` of
+    op ``x`` is at ``base[x] + i`` (``graph.bit_view.base``)."""
+
     lam: int
     n_bits: int
-    asap: dict[tuple[str, int], Slot]
-    alap: dict[tuple[str, int], Slot]
+    base: dict[str, int]
+    asap: tuple[int, ...]
+    alap: tuple[int, ...]
+
+    def cycles(self, op: Operation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ASAP and the ALAP cycles of ``op``'s bits, LSB first."""
+        lo = self.base[op.id]
+        return self.asap[lo:lo + op.width], self.alap[lo:lo + op.width]
 
     def window(self, op: Operation) -> tuple[int, int]:
         """The cycles every bit of ``op`` can share: from the latest
         ASAP cycle of its bits to the earliest ALAP cycle."""
-        bits = range(op.width)
-        return (
-            max(self.asap[(op.id, i)].cycle for i in bits),
-            min(self.alap[(op.id, i)].cycle for i in bits),
-        )
+        asap, alap = self.cycles(op)
+        return max(asap), min(alap)
 
 
-def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
-    """Earliest slot per bit; inputs sit at (0, 0)."""
+def _asap_table(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:
+    """``bit_asap``'s slots as ``(cycle, depth)`` pairs by bit number."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     view = graph.bit_view
     producers = view.producers
-    # (cycle, depth) pairs by bit number; inputs and constants are ready
-    # at (0, 0), the start of every producer max.
+    # Inputs and constants are ready at (0, 0), the start of every
+    # producer max.
     table = [(0, 0)] * len(producers)
     at = table.__getitem__
     for op in graph.ops:
@@ -105,17 +112,11 @@ def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
                     table[n] = (cycle, depth + 1)
                 else:
                     table[n] = (cycle + 1, 1)
-    return view.slots(table)
+    return table
 
 
-def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
-    """Latest slot per bit for a ``lam``-cycle schedule.
-
-    Design outputs (and dangling results) are due at a virtual slot
-    (lam + 1, 1); only glue can stay there, every add and core bit
-    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
-    falls before cycle 1.
-    """
+def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, int]]:
+    """``bit_alap``'s slots as ``(cycle, depth)`` pairs by bit number."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
@@ -153,11 +154,34 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
                         f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
                     )
                 table[n] = (cycle, depth)
-    return view.slots(table)
+    return table
+
+
+def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
+    """Earliest slot per bit; inputs sit at (0, 0)."""
+    return graph.bit_view.slots(_asap_table(graph, n_bits))
+
+
+def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
+    """Latest slot per bit for a ``lam``-cycle schedule.
+
+    Design outputs (and dangling results) are due at a virtual slot
+    (lam + 1, 1); only glue can stay there, every add and core bit
+    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
+    falls before cycle 1.
+    """
+    return graph.bit_view.slots(_alap_table(graph, n_bits, lam))
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
-    return Mobility(lam, n_bits, bit_asap(graph, n_bits), bit_alap(graph, n_bits, lam))
+    """Both cycle tables of ``graph``.  ALAP runs first: it is the one
+    that can fail, and then the ASAP loop is not run at all."""
+    alap = _alap_table(graph, n_bits, lam)
+    asap = _asap_table(graph, n_bits)
+    return Mobility(
+        lam, n_bits, graph.bit_view.base,
+        tuple([c for c, _ in asap]), tuple([c for c, _ in alap]),
+    )
 
 
 def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[int, int, int, int]]]:
@@ -170,10 +194,7 @@ def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[in
     for op in graph.ops:
         if op.kind is not OpKind.ADD:
             continue
-        runs[op.id] = _split_runs([
-            (mobility.asap[(op.id, i)].cycle, mobility.alap[(op.id, i)].cycle)
-            for i in range(op.width)
-        ])
+        runs[op.id] = _split_runs(list(zip(*mobility.cycles(op))))
     return runs
 
 
@@ -331,8 +352,8 @@ def bucket_runs(
     for op in graph.ops:
         if op.kind is not OpKind.ADD:
             continue
-        start = mobility.asap[(op.id, 0)].cycle
-        stop = mobility.alap[(op.id, op.width - 1)].cycle
+        asap, alap = mobility.cycles(op)
+        start, stop = asap[0], alap[-1]
         # Bit i is the (i % n_bits)-th bit of the (i // n_bits)-th bucket
         # from the bottom, and likewise counted down from the top.
         runs[op.id] = _split_runs([

@@ -9,7 +9,9 @@ remaining units at their earliest legal cycles and checks realized
 chain depths.  Zero-mobility adds are pinned.  The rest, in increasing
 mobility order, each try the cycles from their own in the completion to
 the window's end, lowest peak adder-bit load first, earliest on ties,
-and take the first legal one.  cycle_of lists units in placement order.
+and take the first legal one.  All empty cycles tie, so only the busy
+cycles and the earliest empty one are ranked, and a placement costs the
+same at any latency.  cycle_of lists units in placement order.
 
 The completion is monotone: an op's slots move later only when its
 producers' slots do, and so do its failures.  So the completion of the
@@ -31,6 +33,7 @@ bit of a unit is produced in its unit's cycle.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from .dfg import (
@@ -99,6 +102,15 @@ def realized_slots(
     before they exist, chains deeper than the cycle holds, or core
     inputs not complete in a prior cycle.
     """
+    table, problems = _realized_table(graph, n_bits, cycle_of)
+    return graph.bit_view.slots(table), problems
+
+
+def _realized_table(
+    graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
+) -> tuple[list[tuple[int, int]], list[str]]:
+    """``realized_slots``' slots as ``(cycle, depth)`` pairs by bit
+    number, and its problems."""
     view = graph.bit_view
     producers = view.producers
     table = [(0, 0)] * len(producers)  # (cycle, depth) pairs by bit number
@@ -135,7 +147,7 @@ def realized_slots(
                     f"{op.id}[{n - lo}]: chain depth {depth} exceeds {n_bits} bits per cycle"
                 )
             table[n] = (cycle, depth)
-    return view.slots(table), problems
+    return table, problems
 
 
 class _Plan:
@@ -260,6 +272,29 @@ class _Plan:
         self.base = table
 
 
+def _ranked(loads: dict[int, int], busy: list[int], start: int, late: int,
+            width: int, top: int) -> list[int]:
+    """The cycles of ``(start, late]`` that rank before ``start`` for a
+    unit of ``width`` bits, in rank order: by the peak load
+    ``max(top, load + width)`` placing it there would leave, then by
+    cycle.
+
+    Every empty cycle ranks alike, so of them only the earliest after
+    ``start`` can be vetted: ``schedule`` vets no cycle above one that
+    failed.  So only ``start``, the busy cycles (``busy``, sorted) and
+    that first empty cycle are ranked, whatever the window's length.
+    """
+    cycles, empty = [start], start + 1
+    for k in busy[bisect_right(busy, start):bisect_right(busy, late)]:
+        if k == empty:
+            empty += 1
+        cycles.append(k)
+    if empty <= late:
+        cycles.append(empty)
+    ranked = [(max(top, loads.get(k, 0) + width), k) for k in cycles]
+    return [k for _, k in sorted(r for r in ranked if r < ranked[0])]
+
+
 def schedule(
     graph: DataFlowGraph,
     fragments: dict[str, list[Fragment]],
@@ -289,9 +324,10 @@ def schedule(
 
     movable = sorted((uid for uid in windows if uid not in cycle_of), key=order_key)
     cores = [op.id for op in graph.ops if op.kind is OpKind.MULT_CORE]
-    loads = {c: 0 for c in range(1, lam + 1)}
+    loads: dict[int, int] = {}  # adder bits per busy cycle
     for uid, c in cycle_of.items():
-        loads[c] += graph.op(uid).width
+        loads[c] = loads.get(c, 0) + graph.op(uid).width
+    busy = sorted(loads)
 
     plan = _Plan(graph, lam, n_bits, windows, cycle_of)
     if plan.base is None:
@@ -301,7 +337,7 @@ def schedule(
             raise ScheduleError(f"no feasible cycle for core {cores[0]}")
         if movable:
             raise ScheduleError(f"no feasible cycle for {movable[0]}")
-        raise ScheduleError("; ".join(realized_slots(graph, n_bits, cycle_of)[1]))
+        raise ScheduleError("; ".join(_realized_table(graph, n_bits, cycle_of)[1]))
     first = graph.bit_view.base  # each unit's bit 0
     for core in cores:
         cycle_of[core] = plan.base[first[core]][0]
@@ -313,15 +349,14 @@ def schedule(
     # the base cycle, with no vet, unless a later cycle ranks before it.
     # The cycles that fit form one run from the base cycle, so once a
     # cycle fails, no cycle above it is vetted.
-    top = max(loads.values())
+    top = max(loads.values(), default=0)
     for uid in movable:
         start, late = plan.base[first[uid]][0], windows[uid][1]
         if start > late:
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width
-        ranked = [(max(top, loads[k] + width), k) for k in range(start, late + 1)]
         c, table, failed = start, plan.base, late + 1
-        for _, k in sorted(r for r in ranked if r < ranked[0]):
+        for k in _ranked(loads, busy, start, late, width, top):
             if k > failed:
                 continue
             vetted = plan.vet(uid, k)
@@ -330,7 +365,9 @@ def schedule(
                 break
             failed = k
         plan.place(uid, c, table)
-        loads[c] += width
+        if c not in loads:
+            insort(busy, c)
+        loads[c] = loads.get(c, 0) + width
         top = max(top, loads[c])
 
     # Every unit is placed, so the base is the completion of cycle_of
@@ -385,5 +422,5 @@ def verify_schedule(sched: Schedule) -> list[str]:
                     )
 
     if complete:
-        problems += realized_slots(graph, sched.n_bits, sched.cycle_of)[1]
+        problems += _realized_table(graph, sched.n_bits, sched.cycle_of)[1]
     return problems

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import tempfile
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitfrag import cli
 from bitfrag.cli import _SUFFIX, main
+from bitfrag.dfg import BitView
 from bitfrag.dsl import emit, parse
 from bitfrag.fragmenter import analyze, bucket_fragment, fragment
 from bitfrag.kernel import extract_kernel
@@ -231,6 +234,43 @@ def test_counterexample_exits_three(capsys, monkeypatch):
     report = json.loads(captured.out)
     assert report["equiv"]["equivalent"] is False
     assert report["equiv"]["mismatch"] == {"output": "G", "got": 0, "want": 1}
+
+
+def test_a_schedule_that_fails_verification_exits_one(tmp_path, capsys, monkeypatch):
+    """The CLI verifies the schedule before it emits anything."""
+    real = cli.schedule
+
+    def rushed(*args):  # every unit in cycle 1, out of its window
+        sched = real(*args)
+        return dataclasses.replace(sched, cycle_of=dict.fromkeys(sched.cycle_of, 1))
+
+    monkeypatch.setattr(cli, "schedule", rushed)
+    out = tmp_path / "out"
+    assert main(_all_emissions([SEC2, "--latency", "3", "--out", str(out)])) == 1
+    assert not out.exists()
+    assert main([SEC2, "--latency", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: schedule fails verification: ")
+    assert "C1: cycle 1 outside window [2, 2]" in captured.err
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypatch):
+    """From parse to emit every pass table is a list by bit number: no
+    ``Slot``, and no dict by ``(op, bit)``.  Only the public results
+    make those, so the run must not reach them."""
+    def refuse(self, table):
+        raise AssertionError("a pass built a public bit table")
+
+    monkeypatch.setattr(BitView, "slots", refuse)
+    monkeypatch.setattr(BitView, "keyed", refuse)
+    emissions = ["--emit", "report", "--emit", "transformed", "--emit", "schedule"]
+    path = str(DESIGN_DIR / f"{name}.dfg")
+    args = [path, "--latency", "3", "--check-equiv", "--out", str(tmp_path), *emissions]
+    assert main(args) == 0
+    report = json.loads((tmp_path / f"{name}.json").read_text())
+    assert report["equiv"]["equivalent"] is True
 
 
 @settings(max_examples=100, deadline=None)

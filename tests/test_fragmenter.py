@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import extract_kernel, parse
+from bitfrag import extract_kernel, fragmenter, parse
 from bitfrag.dfg import (
     CarryRef,
     Concat,
@@ -118,6 +118,60 @@ def test_single_add_alap_counts_back_from_the_deadline():
 def test_alap_raises_when_latency_is_too_small(sec2):
     with pytest.raises(InfeasibleError, match="latency 2 too small"):
         analyze(sec2, 6, 2)
+
+
+@pytest.mark.parametrize("source,n_bits,lam", [
+    (None, 6, 2),  # sec2: an add bit falls before cycle 1
+    (GLUE_CORE_SOURCE, 8, 1),  # a core would finish before cycle 1
+])
+def test_analyze_fails_in_alap_without_running_asap(sec2, monkeypatch, source, n_bits, lam):
+    kernel, _ = extract_kernel(sec2 if source is None else parse(source))
+    with pytest.raises(InfeasibleError) as alap_error:
+        bit_alap(kernel, n_bits, lam)
+    calls = []
+    asap_table = fragmenter._asap_table
+    monkeypatch.setattr(
+        fragmenter, "_asap_table", lambda *args: calls.append(args) or asap_table(*args)
+    )
+    with pytest.raises(InfeasibleError) as analyze_error:
+        analyze(kernel, n_bits, lam)
+    assert str(analyze_error.value) == str(alap_error.value)
+    assert calls == []
+    analyze(kernel, n_bits, lam + 2)  # a budget that fits runs the ASAP loop once
+    assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(2, 6),
+    st.integers(1, 16),
+)
+def test_mobility_tables_hold_the_cycles_of_the_public_slots(make, seed, lam, n_bits):
+    """``Mobility.asap``/``alap`` hold, by bit number, the cycles of
+    ``bit_asap``/``bit_alap``, and ``window`` is the latest ASAP and the
+    earliest ALAP cycle of an op's bits."""
+    kernel, _ = extract_kernel(make(seed))
+    try:
+        mobility = analyze(kernel, n_bits, lam)
+    except InfeasibleError as err:
+        with pytest.raises(InfeasibleError) as alap_error:
+            bit_alap(kernel, n_bits, lam)
+        assert str(alap_error.value) == str(err)
+        return
+    asap, alap = bit_asap(kernel, n_bits), bit_alap(kernel, n_bits, lam)
+    assert len(mobility.asap) == len(mobility.alap) == len(asap) == len(alap)
+    base = kernel.bit_view.base
+    for op in kernel.ops:
+        bits = range(op.width)
+        for i in bits:
+            assert mobility.asap[base[op.id] + i] == asap[(op.id, i)].cycle
+            assert mobility.alap[base[op.id] + i] == alap[(op.id, i)].cycle
+        assert mobility.window(op) == (
+            max(asap[(op.id, i)].cycle for i in bits),
+            min(alap[(op.id, i)].cycle for i in bits),
+        )
 
 
 def test_glue_alap_keeps_the_virtual_output_slot():
@@ -311,12 +365,11 @@ def test_bucket_runs_match_a_bit_by_bit_fill(make, seed, lam, n_bits):
     runs = bucket_runs(kernel, mobility)
     adds = [op for op in kernel.ops if op.kind is OpKind.ADD]
     assert list(runs) == [op.id for op in adds]
+    base = kernel.bit_view.base
     for op in adds:
+        lo = base[op.id]
         windows = _bucket_fill(
-            mobility.asap[(op.id, 0)].cycle,
-            mobility.alap[(op.id, op.width - 1)].cycle,
-            op.width,
-            n_bits,
+            mobility.asap[lo], mobility.alap[lo + op.width - 1], op.width, n_bits
         )
         expected: list[tuple[int, int, int, int]] = []  # maximal equal-window runs
         for i, window in enumerate(windows):
@@ -333,9 +386,10 @@ def test_whole_runs_keep_each_add_whole_in_its_shared_window(fig3):
     runs = whole_runs(kernel, mobility)
     adds = [op for op in kernel.ops if op.kind is OpKind.ADD]
     assert list(runs) == [op.id for op in adds]
+    base = kernel.bit_view.base
     for op in adds:
-        early = max(mobility.asap[(op.id, i)].cycle for i in range(op.width))
-        late = min(mobility.alap[(op.id, i)].cycle for i in range(op.width))
+        bits = slice(base[op.id], base[op.id] + op.width)
+        early, late = max(mobility.asap[bits]), min(mobility.alap[bits])
         assert runs[op.id] == [(0, op.width - 1, early, late)]
     assert runs["F"] == [(0, 7, 1, 2)]
     assert runs["H"] == [(0, 7, 2, 3)]

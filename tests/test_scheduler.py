@@ -22,6 +22,7 @@ from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
     _Plan,
+    _ranked,
     realized_slots,
     schedule,
     unit_windows,
@@ -593,6 +594,47 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
             schedule(transformed, fragments, lam, n_bits)
         except ScheduleError:
             pass
+
+
+def _full_window_ranking(loads, start, late, width, top):
+    """The cycles ``schedule`` ranked before ``_ranked``: every cycle of
+    ``(start, late]`` that ranks before ``start``, in rank order."""
+    ranked = [(max(top, loads.get(k, 0) + width), k) for k in range(start, late + 1)]
+    return [k for _, k in sorted(r for r in ranked if r < ranked[0])]
+
+
+def _vet_loop(order, start, late, fails):
+    """``schedule``'s vet loop over ``order`` when exactly the cycles in
+    ``fails`` fail to vet: the cycles vetted, in order, and the one taken."""
+    vetted, c, failed = [], start, late + 1
+    for k in order:
+        if k > failed:
+            continue
+        vetted.append(k)
+        if k not in fails:
+            c = k
+            break
+        failed = k
+    return vetted, c
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_ranked_cycles_vet_as_the_whole_window_does(data):
+    """Ranking only the start, the busy cycles and the first empty cycle
+    vets the same cycles, in the same order, and takes the same one as
+    ranking every cycle of the window."""
+    lam = data.draw(st.integers(1, 12) | st.integers(1, 2000))
+    loads = data.draw(st.dictionaries(st.integers(1, lam), st.integers(1, 40), max_size=12))
+    start = data.draw(st.integers(1, lam))
+    late = data.draw(st.integers(start, lam))
+    width = data.draw(st.integers(1, 24))
+    top = data.draw(st.integers(0, 60))
+    fails = data.draw(st.sets(st.integers(start, late) | st.sampled_from(sorted(loads) or [start])))
+    ranked = _ranked(loads, sorted(loads), start, late, width, top)
+    assert _vet_loop(ranked, start, late, fails) == _vet_loop(
+        _full_window_ranking(loads, start, late, width, top), start, late, fails
+    )
 
 
 @pytest.mark.parametrize("make,seed,lam,tile", [
