@@ -452,9 +452,10 @@ class Slot(NamedTuple):
 
     Slots order by cycle, then depth, so the latest of several
     producers is their ``max`` and the earliest consumer their ``min``.
-    The passes that compute slots hold plain ``(cycle, depth)`` tuples,
-    which order and compare the same and build several times faster;
-    ``BitView.slots`` turns a finished table into ``Slot``s.
+    Mobility and scheduling hold a slot as one int, its time
+    ``(cycle - 1) * n_bits + depth`` (0 for (0, 0)), which orders the
+    same; the checker (``scheduler.realized_slots``) keeps plain pairs,
+    and ``BitView.slots`` turns a finished pair table into ``Slot``s.
     """
 
     cycle: int

@@ -1,17 +1,19 @@
 """Bit-level mobility analysis and fragmentation of additive operations.
 
-A schedule slot for a bit is a (cycle, depth) pair: depth counts how
-many adder bits already chain inside the cycle, and at most ``n_bits``
-of chaining fit in one cycle.  ASAP packs every bit as early as the
-recurrence allows, ALAP as late as the latency budget allows, and an
-add is then split into maximal runs of contiguous bits whose cycle
-windows agree.  Every consumer is then rewired to read the fragment
-bits, a slice at a time: each part of an op resolves the operand bits
-it reads with ``dfg.operand_slices``, each slice of a split add moves
-onto the fragments it overlaps, and neighbouring slices are joined back
-into slices and concatenations.  Carries chain fragment to fragment,
-and only fragmented design outputs are reassembled, under their
-original name, so the design signature is unchanged.
+A bit's schedule slot is one int, its time as ``timing`` counts it: at
+most ``n_bits`` adder bits chain in a cycle, and depth ``d`` of cycle
+``c`` is time ``(c - 1) * n_bits + d``, so a chain spills into the next
+cycle by the ``+ 1`` that chains it.  ASAP (``timing.arrival_table``)
+packs every bit as early as the recurrence allows, ALAP as late as the
+latency budget allows, and an add is then split into maximal runs of
+contiguous bits whose cycle windows agree.  Every consumer is then
+rewired to read the fragment bits, a slice at a time: each part of an
+op resolves the operand bits it reads with ``dfg.operand_slices``, each
+slice of a split add moves onto the fragments it overlaps, and
+neighbouring slices are joined back into slices and concatenations.
+Carries chain fragment to fragment, and only fragmented design outputs
+are reassembled, under their original name, so the design signature is
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .dfg import (
     check,
     operand_slices,
 )
+from .timing import arrival_table
 
 
 class InfeasibleError(ValueError):
@@ -83,40 +86,9 @@ class Mobility:
         return max(asap), min(alap)
 
 
-def _asap_table(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:
-    """``bit_asap``'s slots as ``(cycle, depth)`` pairs by bit number."""
-    if n_bits < 1:
-        raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
-    view = graph.bit_view
-    producers = view.producers
-    # Inputs and constants are ready at (0, 0), the start of every
-    # producer max.
-    table = [(0, 0)] * len(producers)
-    at = table.__getitem__
-    for op in graph.ops:
-        lo, width = view.base[op.id], op.width
-        if op.kind is OpKind.MULT_CORE:
-            # Every bit of a core waits on the same producers.  Core
-            # inputs must be complete in a prior cycle; results fill
-            # their cycle so consumers spill to the next one.
-            latest = max(map(at, producers[lo]), default=(0, 0))[0]
-            table[lo:lo + width] = [(latest + 1, n_bits)] * width
-        elif op.kind.glue:
-            for n in range(lo, lo + width):
-                table[n] = max(map(at, producers[n]), default=(0, 0))
-        else:
-            for n in range(lo, lo + width):
-                # Adds start in cycle 1.
-                cycle, depth = max(max(map(at, producers[n]), default=(0, 0)), (1, 0))
-                if depth < n_bits:
-                    table[n] = (cycle, depth + 1)
-                else:
-                    table[n] = (cycle + 1, 1)
-    return table
-
-
-def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, int]]:
-    """``bit_alap``'s slots as ``(cycle, depth)`` pairs by bit number."""
+def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
+    """Every bit's latest time for a ``lam``-cycle schedule, by bit
+    number."""
     if n_bits < 1:
         raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
@@ -125,41 +97,51 @@ def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, 
     # it constrains the backward pass like any external consumer.
     view = graph.bit_view
     consumers = view.consumers
-    due = (lam + 1, 1)
+    due = lam * n_bits + 1  # depth 1 of the virtual cycle lam + 1
     table = [due] * len(consumers)
     at = table.__getitem__
     for op in reversed(graph.ops):
         lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
             users = chain.from_iterable(consumers[lo:lo + width])
-            cycle = min(map(at, users), default=due)[0] - 1
-            if cycle < 1:
+            # Due at depth 1 of the cycle before its first reader's, so
+            # producers retreat a full cycle.
+            t = (-(-min(map(at, users), default=due) // n_bits) - 2) * n_bits + 1
+            if t < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
                 )
-            # Results due at depth 1 so producers retreat a full cycle.
-            table[lo:lo + width] = [(cycle, 1)] * width
+            table[lo:lo + width] = [t] * width
         elif op.kind.glue:
             # Transparent: finishes exactly where its consumer reads.
             for n in range(lo + width - 1, lo - 1, -1):
                 table[n] = min(map(at, consumers[n]), default=due)
         else:
             for n in range(lo + width - 1, lo - 1, -1):
-                cycle, depth = min(map(at, consumers[n]), default=due)
-                depth -= 1
-                if depth < 1:
-                    cycle, depth = cycle - 1, n_bits
-                if cycle < 1:
+                t = min(map(at, consumers[n]), default=due) - 1
+                if t < 1:
                     raise InfeasibleError(
                         f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
                     )
-                table[n] = (cycle, depth)
+                table[n] = t
     return table
+
+
+def _slots(
+    graph: DataFlowGraph, times: list[int] | tuple[int, ...], n_bits: int
+) -> dict[tuple[str, int], Slot]:
+    """A time table as ``(cycle, depth)`` slots, keyed as
+    ``BitView.slots`` gives them; time 0 is slot (0, 0)."""
+    def slot(t: int) -> tuple[int, int]:
+        cycle, depth = divmod(t - 1, n_bits)
+        return (cycle + 1, depth + 1) if t else (0, 0)
+
+    return graph.bit_view.slots(list(map(slot, times)))
 
 
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
     """Earliest slot per bit; inputs sit at (0, 0)."""
-    return graph.bit_view.slots(_asap_table(graph, n_bits))
+    return _slots(graph, arrival_table(graph, n_bits), n_bits)
 
 
 def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
@@ -170,17 +152,17 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     lands in cycle lam or earlier.  Raises InfeasibleError when any bit
     falls before cycle 1.
     """
-    return graph.bit_view.slots(_alap_table(graph, n_bits, lam))
+    return _slots(graph, _alap_table(graph, n_bits, lam), n_bits)
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
     """Both cycle tables of ``graph``.  ALAP runs first: it is the one
     that can fail, and then the ASAP loop is not run at all."""
     alap = _alap_table(graph, n_bits, lam)
-    asap = _asap_table(graph, n_bits)
+    asap = arrival_table(graph, n_bits)
     return Mobility(
         lam, n_bits, graph.bit_view.base,
-        tuple([c for c, _ in asap]), tuple([c for c, _ in alap]),
+        tuple([-(-t // n_bits) for t in asap]), tuple([-(-t // n_bits) for t in alap]),
     )
 
 

@@ -20,12 +20,13 @@ placement can succeed and scheduling stops at once.  Otherwise each
 core takes its cycle in that completion, the cycle after its inputs
 are ready, since a later cycle only delays its consumers.
 
-The completion of the placements made so far is kept as a base slot
-table.  A candidate re-settles, in a copy of the base, only the region
-it changes, the ops downstream of its unit whose slots differ from the
-base, and the winner's table replaces the base: the time-frame update
-of force-directed scheduling (Paulin & Knight, IEEE TCAD 1989).  Once
-every unit is placed, the base is the table ``realized_slots`` derives
+The completion of the placements made so far is kept as a base table
+of bit times (``timing``).  A candidate re-settles, in a copy of the
+base, only the region it changes, the ops downstream of its unit whose
+times differ from the base, and the winner's table replaces the base:
+the time-frame update of force-directed scheduling (Paulin & Knight,
+IEEE TCAD 1989).  Once every unit is placed, the base is the table
+``realized_slots`` derives, in ``(cycle, depth)`` pairs of its own,
 from ``cycle_of``, so a Schedule holds only the cycle assignment: every
 bit of a unit is produced in its unit's cycle.
 """
@@ -153,14 +154,14 @@ def _realized_table(
 class _Plan:
     """Greedy completions of the placements made so far.
 
-    ``cycle_of`` holds the placed units and ``base`` the slot table of
-    its greedy completion, ``(cycle, depth)`` pairs by bit number.
+    ``cycle_of`` holds the placed units and ``base`` the time table of
+    its greedy completion, by bit number.
     ``base`` is None when the completion of the pins fails; ``schedule``
     then stops before placing anything, so a placement always starts
     from a base that fits.  A candidate re-settles its unit and then, in
-    graph order, only the ops that read a slot it changed: an op's slots
-    are a pure function of its producer slots, its placement and, for an
-    add, its window, so an op whose slots come out as in the base stops
+    graph order, only the ops that read a time it changed: an op's times
+    are a pure function of its producer times, its placement and, for an
+    add, its window, so an op whose times come out as in the base stops
     the change there, and every op outside the region settles as it did
     in the base, which succeeded.
     """
@@ -191,10 +192,9 @@ class _Plan:
         ]
         self.base = self._complete()
 
-    def settle(self, k: int, pin: int | None, table: list[tuple[int, int]]) -> bool:
-        """Write the slots of the bits of the op at position ``k`` into
-        ``table``, a list of ``(cycle, depth)`` pairs indexed by bit
-        number; False if it cannot fit.
+    def settle(self, k: int, pin: int | None, table: list[int]) -> bool:
+        """Write the times of the bits of the op at position ``k`` into
+        ``table``, indexed by bit number; False if it cannot fit.
 
         An unplaced core (``pin`` None) takes the cycle after its inputs
         are ready; an unplaced add starts at its window floor and moves
@@ -202,18 +202,18 @@ class _Plan:
         first in topo order, so deferring a unit never invalidates one
         already settled.  A placed unit is checked as-is.
         """
-        op, bits, producers = self.graph.ops[k], self.bits[k], self.producers
+        op, bits, producers, n_bits = self.graph.ops[k], self.bits[k], self.producers, self.n_bits
         at = table.__getitem__
         if self.glue[k]:
             for n in bits:
-                table[n] = max(map(at, producers[n]), default=(0, 0))
+                table[n] = max(map(at, producers[n]), default=0)
             return True
-        ready = max(map(at, self.feeds[k]), default=(0, 0))[0]
+        ready = -(-max(map(at, self.feeds[k]), default=0) // n_bits)
         if op.kind is OpKind.MULT_CORE:
             c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
                 return False
-            full = (c, self.n_bits)
+            full = c * n_bits
             for n in bits:
                 table[n] = full
             return True
@@ -223,27 +223,27 @@ class _Plan:
                 return False
             # Every operand is ready by cycle c, so a bit chains on its
             # latest producer only if that one finishes in c.
+            start, end = (c - 1) * n_bits, c * n_bits
             for n in bits:
-                cycle, depth = max(map(at, producers[n]), default=(0, 0))
-                depth = 1 + depth if cycle == c else 1
-                if depth > self.n_bits:
+                t = max(max(map(at, producers[n]), default=0), start) + 1
+                if t > end:
                     break
-                table[n] = (c, depth)
+                table[n] = t
             else:
                 return True
             if pin is not None:
                 return False
             c += 1
 
-    def _complete(self) -> list[tuple[int, int]] | None:
+    def _complete(self) -> list[int] | None:
         """The whole completion table of ``cycle_of``, or None."""
-        table = [(0, 0)] * len(self.producers)
+        table = [0] * len(self.producers)
         for k, op in enumerate(self.graph.ops):
             if not self.settle(k, self.cycle_of.get(op.id), table):
                 return None
         return table
 
-    def vet(self, uid: str, c: int) -> list[tuple[int, int]] | None:
+    def vet(self, uid: str, c: int) -> list[int] | None:
         """The completion table with ``uid`` at ``c``, a copy of the base
         with the changed region re-settled, or None if the completion no
         longer fits the budget."""
@@ -265,7 +265,7 @@ class _Plan:
                         heapq.heappush(heap, s)
         return table
 
-    def place(self, uid: str, c: int, table: list[tuple[int, int]]) -> None:
+    def place(self, uid: str, c: int, table: list[int]) -> None:
         """Commit a candidate that ``vet`` passed: its table becomes the
         base."""
         self.cycle_of[uid] = c
@@ -339,8 +339,12 @@ def schedule(
             raise ScheduleError(f"no feasible cycle for {movable[0]}")
         raise ScheduleError("; ".join(_realized_table(graph, n_bits, cycle_of)[1]))
     first = graph.bit_view.base  # each unit's bit 0
+
+    def base_cycle(uid: str) -> int:
+        return -(-plan.base[first[uid]] // n_bits)
+
     for core in cores:
-        cycle_of[core] = plan.base[first[core]][0]
+        cycle_of[core] = base_cycle(core)
 
     # A unit fits at its cycle in the base completion, as it settled there.
     # Every earlier cycle the completion rejected (operands not ready, or a
@@ -351,7 +355,7 @@ def schedule(
     # cycle fails, no cycle above it is vetted.
     top = max(loads.values(), default=0)
     for uid in movable:
-        start, late = plan.base[first[uid]][0], windows[uid][1]
+        start, late = base_cycle(uid), windows[uid][1]
         if start > late:
             raise ScheduleError(f"no feasible cycle for {uid}")
         width = graph.op(uid).width

@@ -5,7 +5,8 @@ isolated w-bit add finishes after w deltas and a chain of adds after
 the sink width plus one delta per crossing (plus any least-significant
 bits a crossing truncates away).  NOT/SELECT glue and constants are
 free.  The multiplier core is an opaque unit of zero delay here; the
-schedule gives it a whole cycle of its own.
+schedule gives it a whole cycle of its own.  Given that cycle's size,
+the same recurrence times the earliest schedule (``fragmenter``).
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ def _check_kernel(graph: DataFlowGraph) -> None:
             raise TimingError(KERNEL_ONLY.format(kind=op.kind.name.lower(), id=op.id))
 
 
-def arrival_table(graph: DataFlowGraph) -> tuple[int, ...]:
-    """Arrival time of every result bit, by bit number.
+def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int, ...]:
+    """Arrival time of every result bit of a kernel, by bit number.
 
     Passes read it as ``graph.arrivals``, which runs this once per graph
     and keeps the table with the graph, as ``graph.bit_view`` is kept.
+    With ``n_bits``, the ASAP time of every bit of any design, where
+    every kind but glue and the core costs a delta a bit: a core rounds
+    its inputs up to a cycle boundary and fills the next cycle.
     """
-    _check_kernel(graph)
+    if n_bits is None:
+        _check_kernel(graph)
+    elif n_bits < 1:
+        raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
     view = graph.bit_view
     producers = view.producers
     arrival = [0] * len(producers)
@@ -50,9 +57,11 @@ def arrival_table(graph: DataFlowGraph) -> tuple[int, ...]:
         if op.kind is OpKind.MULT_CORE:
             # Every bit of a core waits on the same producers.
             worst = max(map(at, producers[lo]), default=0)
+            if n_bits is not None:
+                worst = (-(-worst // n_bits) + 1) * n_bits
             arrival[lo:lo + width] = [worst] * width
             continue
-        cost = 1 if op.kind is OpKind.ADD else 0
+        cost = 0 if op.kind.glue else 1
         for n in range(lo, lo + width):
             arrival[n] = cost + max(map(at, producers[n]), default=0)
     return tuple(arrival)

@@ -438,6 +438,79 @@ def path_time(graph: DataFlowGraph, path: tuple[str, ...]) -> int:
     return time
 
 
+def asap_pairs(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:
+    """Pair oracle for ``bit_asap``: every bit's earliest ``(cycle,
+    depth)`` slot by bit number, spilling a chain by hand."""
+    view = graph.bit_view
+    producers = view.producers
+    # Inputs and constants are ready at (0, 0), the start of every
+    # producer max.
+    table = [(0, 0)] * len(producers)
+    at = table.__getitem__
+    for op in graph.ops:
+        lo, width = view.base[op.id], op.width
+        if op.kind is OpKind.MULT_CORE:
+            # Core inputs must be complete in a prior cycle; results
+            # fill their cycle so consumers spill to the next one.
+            latest = max(map(at, producers[lo]), default=(0, 0))[0]
+            table[lo:lo + width] = [(latest + 1, n_bits)] * width
+        elif op.kind.glue:
+            for n in range(lo, lo + width):
+                table[n] = max(map(at, producers[n]), default=(0, 0))
+        else:
+            for n in range(lo, lo + width):
+                # Adds start in cycle 1.
+                cycle, depth = max(max(map(at, producers[n]), default=(0, 0)), (1, 0))
+                if depth < n_bits:
+                    table[n] = (cycle, depth + 1)
+                else:
+                    table[n] = (cycle + 1, 1)
+    return table
+
+
+def alap_pairs(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, int]]:
+    """Pair oracle for ``bit_alap``: every bit's latest ``(cycle,
+    depth)`` slot by bit number, or the InfeasibleError it raises."""
+    view = graph.bit_view
+    consumers = view.consumers
+    due = (lam + 1, 1)
+    table = [due] * len(consumers)
+    at = table.__getitem__
+    for op in reversed(graph.ops):
+        lo, width = view.base[op.id], op.width
+        if op.kind is OpKind.MULT_CORE:
+            users = itertools.chain.from_iterable(consumers[lo:lo + width])
+            cycle = min(map(at, users), default=due)[0] - 1
+            if cycle < 1:
+                raise InfeasibleError(
+                    f"latency {lam} too small: {op.id} would finish before cycle 1"
+                )
+            # Results due at depth 1 so producers retreat a full cycle.
+            table[lo:lo + width] = [(cycle, 1)] * width
+        elif op.kind.glue:
+            for n in range(lo + width - 1, lo - 1, -1):
+                table[n] = min(map(at, consumers[n]), default=due)
+        else:
+            for n in range(lo + width - 1, lo - 1, -1):
+                cycle, depth = min(map(at, consumers[n]), default=due)
+                depth -= 1
+                if depth < 1:
+                    cycle, depth = cycle - 1, n_bits
+                if cycle < 1:
+                    raise InfeasibleError(
+                        f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
+                    )
+                table[n] = (cycle, depth)
+    return table
+
+
+def slot_time(slot: tuple[int, int], n_bits: int) -> int:
+    """The time of a ``(cycle, depth)`` slot: depth d of cycle c is
+    ``(c - 1) * n_bits + d``, and (0, 0) is 0."""
+    cycle, depth = slot
+    return (cycle - 1) * n_bits + depth if cycle else 0
+
+
 def op_paths(graph: DataFlowGraph) -> list[tuple[str, ...]]:
     """Every directed operation path along operand edges."""
     succs: dict[str, set[str]] = {op.id: set() for op in graph.ops}

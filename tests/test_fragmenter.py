@@ -38,7 +38,10 @@ from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
 from conftest import (
     GLUE_CORE_SOURCE,
+    MIXED_SOURCE,
     ConstBit,
+    alap_pairs,
+    asap_pairs,
     ladder_source,
     load_design,
     operand_bits,
@@ -129,9 +132,9 @@ def test_analyze_fails_in_alap_without_running_asap(sec2, monkeypatch, source, n
     with pytest.raises(InfeasibleError) as alap_error:
         bit_alap(kernel, n_bits, lam)
     calls = []
-    asap_table = fragmenter._asap_table
+    asap_table = fragmenter.arrival_table
     monkeypatch.setattr(
-        fragmenter, "_asap_table", lambda *args: calls.append(args) or asap_table(*args)
+        fragmenter, "arrival_table", lambda *args: calls.append(args) or asap_table(*args)
     )
     with pytest.raises(InfeasibleError) as analyze_error:
         analyze(kernel, n_bits, lam)
@@ -141,37 +144,56 @@ def test_analyze_fails_in_alap_without_running_asap(sec2, monkeypatch, source, n
     assert len(calls) == 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([random_add_design, random_full_design]),
-    st.integers(0, 10_000),
-    st.integers(2, 6),
-    st.integers(1, 16),
+_SLOT_DESIGNS = st.one_of(
+    st.builds(
+        lambda make, seed: make(seed),
+        st.sampled_from([random_add_design, random_full_design]),
+        st.integers(0, 10_000),
+    ),
+    st.sampled_from([GLUE_CORE_SOURCE, MIXED_SOURCE]).map(parse),
 )
-def test_mobility_tables_hold_the_cycles_of_the_public_slots(make, seed, lam, n_bits):
-    """``Mobility.asap``/``alap`` hold, by bit number, the cycles of
-    ``bit_asap``/``bit_alap``, and ``window`` is the latest ASAP and the
-    earliest ALAP cycle of an op's bits."""
-    kernel, _ = extract_kernel(make(seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLOT_DESIGNS, st.booleans(), st.integers(1, 6), st.integers(1, 16))
+def test_time_tables_match_the_pair_oracles(design, extract, lam, n_bits):
+    """``bit_asap`` and ``bit_alap``, computed as times, give the slots
+    the pair loops in ``conftest`` give, on kernels and on surface
+    designs; an infeasible budget raises the oracle's message.
+    ``Mobility`` holds the cycles of those slots, and ``window`` is the
+    latest ASAP and the earliest ALAP cycle of an op's bits.  On a
+    kernel, the scheduler, which reads its cycles off the same times,
+    passes the independent checker."""
+    graph = extract_kernel(design)[0] if extract else design
+    keyed = graph.bit_view.keyed
+    asap = asap_pairs(graph, n_bits)
+    assert bit_asap(graph, n_bits) == keyed(asap)
     try:
-        mobility = analyze(kernel, n_bits, lam)
+        alap = alap_pairs(graph, n_bits, lam)
     except InfeasibleError as err:
-        with pytest.raises(InfeasibleError) as alap_error:
-            bit_alap(kernel, n_bits, lam)
-        assert str(alap_error.value) == str(err)
+        for call in (bit_alap, analyze):
+            with pytest.raises(InfeasibleError) as raised:
+                call(graph, n_bits, lam)
+            assert str(raised.value) == str(err)
         return
-    asap, alap = bit_asap(kernel, n_bits), bit_alap(kernel, n_bits, lam)
-    assert len(mobility.asap) == len(mobility.alap) == len(asap) == len(alap)
-    base = kernel.bit_view.base
-    for op in kernel.ops:
-        bits = range(op.width)
-        for i in bits:
-            assert mobility.asap[base[op.id] + i] == asap[(op.id, i)].cycle
-            assert mobility.alap[base[op.id] + i] == alap[(op.id, i)].cycle
+    assert bit_alap(graph, n_bits, lam) == keyed(alap)
+    mobility = analyze(graph, n_bits, lam)
+    assert mobility.asap == tuple(c for c, _ in asap)
+    assert mobility.alap == tuple(c for c, _ in alap)
+    base = graph.bit_view.base
+    for op in graph.ops:
+        bits = range(base[op.id], base[op.id] + op.width)
         assert mobility.window(op) == (
-            max(asap[(op.id, i)].cycle for i in bits),
-            min(alap[(op.id, i)].cycle for i in bits),
+            max(asap[n][0] for n in bits), min(alap[n][0] for n in bits)
         )
+    if not extract:
+        return
+    fragments, transformed = fragment(graph, mobility)
+    try:
+        sched = schedule(transformed, fragments, lam, n_bits)
+    except ScheduleError:
+        return
+    assert verify_schedule(sched) == []
 
 
 def test_glue_alap_keeps_the_virtual_output_slot():

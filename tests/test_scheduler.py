@@ -1,6 +1,7 @@
 """List scheduling of fragments: placement, loads, verification."""
 
 import dataclasses
+from math import ceil
 from unittest import mock
 
 import pytest
@@ -39,6 +40,7 @@ from conftest import (
     random_add_design,
     random_full_design,
     run_pipeline,
+    slot_time,
 )
 
 
@@ -298,10 +300,10 @@ def test_every_public_slot_is_a_slot_on_random_designs(make, seed, lam):
     st.sampled_from([fragment, bucket_fragment]),
 )
 def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, tile):
-    """A schedule keeps only ``cycle_of``, so the slot table the scheduler
-    ends on must be the one ``realized_slots`` derives from it: the
-    completion with every unit placed at its cycle, in number order,
-    with no problem reported."""
+    """A schedule keeps only ``cycle_of``, so the time table the scheduler
+    ends on must be the one ``realized_slots`` derives from it, in its
+    own ``(cycle, depth)`` pairs: the completion with every unit placed
+    at its cycle, in number order, with no problem reported."""
     kernel, _ = extract_kernel(make(seed))
     n_bits = estimate_cycle(kernel, lam)
     try:
@@ -313,7 +315,7 @@ def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, ti
     plan = _Plan(transformed, lam, n_bits, windows, dict(sched.cycle_of))
     realized, problems = realized_slots(transformed, n_bits, sched.cycle_of)
     assert problems == []
-    assert plan.base == list(realized.values())
+    assert plan.base == [slot_time(slot, n_bits) for slot in realized.values()]
 
 
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
@@ -511,7 +513,7 @@ def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, 
         return
     for op in transformed.ops:
         if op.kind is OpKind.MULT_CORE:
-            assert accepted(op.id)[:1] == [base[transformed.bit_view.base[op.id]][0]]
+            assert accepted(op.id)[:1] == [ceil(base[transformed.bit_view.base[op.id]] / n_bits)]
 
 
 @pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
@@ -569,10 +571,13 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
         return
     place, vet = _Plan.place, _Plan.vet
 
+    def base_cycle(plan, uid):
+        return ceil(plan.base[plan.graph.bit_view.base[uid]] / plan.n_bits)
+
     def checked_place(plan, uid, c, table):
         early, late = plan.windows[uid]
         fits = [k for k in range(early, late + 1) if vet(plan, uid, k) is not None]
-        start = plan.base[plan.graph.bit_view.base[uid]][0]
+        start = base_cycle(plan, uid)
         assert fits and fits[0] == start <= late
         assert fits == list(range(start, start + len(fits)))
         assert vet(plan, uid, start) == plan.base
@@ -581,7 +586,7 @@ def test_cycles_that_vet_form_one_run_from_the_completion(make, seed, lam, tile)
     failed: dict[str, int] = {}  # each unit's lowest cycle that failed
 
     def checked_vet(plan, uid, c):
-        assert c > plan.base[plan.graph.bit_view.base[uid]][0]
+        assert c > base_cycle(plan, uid)
         assert c < failed.get(uid, c + 1)
         vetted = vet(plan, uid, c)
         if vetted is None:

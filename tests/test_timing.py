@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse, timing
+from bitfrag.dfg import OpKind
+from bitfrag.fragmenter import InfeasibleError, analyze, bit_asap
 from bitfrag.timing import (
     CriticalPath,
     TimingError,
@@ -200,3 +202,34 @@ def test_path_oracle_times_the_critical_path(seed):
 def test_estimate_cycle_spreads_the_critical_time_over_the_latency(seed, lam):
     kernel, _ = extract_kernel(random_full_design(seed))
     assert estimate_cycle(kernel, lam) == max(1, ceil(critical_path(kernel).time / lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.integers(1, 16),
+)
+def test_asap_shares_the_arrival_recurrence(make, seed, lam, n_bits):
+    """Without ``n_bits`` the recurrence gives ``graph.arrivals``.  With
+    it, only a multiplier core differs, by rounding up to a cycle
+    boundary: without cores, a bit's ASAP cycle is its arrival time
+    divided into cycles, so the estimated cycle is the smallest that
+    fits every ASAP cycle in the latency.  A core can need more."""
+    kernel, _ = extract_kernel(make(seed))
+    arrival = kernel.arrivals
+    assert arrival_table(kernel) == arrival
+    if any(op.kind is OpKind.MULT_CORE for op in kernel.ops):
+        return
+    try:
+        mobility = analyze(kernel, n_bits, lam)
+    except InfeasibleError:
+        pass
+    else:
+        assert mobility.asap == tuple(ceil(t / n_bits) for t in arrival)
+    n = estimate_cycle(kernel, lam)
+    assert max(s.cycle for s in bit_asap(kernel, n).values()) <= lam
+    if n > 1:
+        assert max(s.cycle for s in bit_asap(kernel, n - 1).values()) > lam
+
