@@ -23,8 +23,6 @@ from .scheduler import schedule, verify_schedule
 from .simulator import check_equiv
 from .timing import bit_arrivals, critical_path, estimate_cycle
 
-EMISSIONS = ("report", "transformed", "schedule", "dot", "arrivals")
-
 _SUFFIX = {
     "report": ".json",
     "transformed": ".dfg",
@@ -32,6 +30,7 @@ _SUFFIX = {
     "dot": ".dot",
     "arrivals": ".arrivals.txt",
 }
+EMISSIONS = tuple(_SUFFIX)
 
 
 def _int_at_least(low: int):

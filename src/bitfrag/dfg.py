@@ -69,7 +69,6 @@ class SourceSpan:
 
     line: int
     column: int
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -217,14 +216,8 @@ class DataFlowGraph:
     def op(self, op_id: str) -> Operation:
         return self._op_map[op_id]
 
-    def is_op(self, name: str) -> bool:
-        return name in self._op_map
-
     def input_port(self, name: str) -> InputPort:
         return self._input_map[name]
-
-    def is_input(self, name: str) -> bool:
-        return name in self._input_map
 
     def ref_width(self, name: str) -> int:
         """Width of a named value (input or operation result)."""
@@ -351,7 +344,9 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         if isinstance(op.carry_in, CarryRef):
             src = op.carry_in.op
             check_ref(src, op.id)
-            if src in defined_ops and graph.op(src).kind is not OpKind.ADD:
+            if seen.get(src) == "input" or (
+                src in defined_ops and graph.op(src).kind is not OpKind.ADD
+            ):
                 diags.append(Diagnostic(f"carry source {src} is not an add", op.id))
         elif isinstance(op.carry_in, int) and op.carry_in not in (0, 1):
             diags.append(Diagnostic(f"carry constant must be 0 or 1, got {op.carry_in}", op.id))
@@ -502,9 +497,8 @@ class BitView:
 
     def slots(self, table: list[tuple[int, int]]) -> dict[BitKey, Slot]:
         """A per-data-bit table of ``(cycle, depth)`` pairs as ``keyed``
-        gives it, each pair made a ``Slot``, one per distinct pair."""
-        memo = {pair: Slot(*pair) for pair in set(table)}
-        return dict(zip(self.keys, map(memo.__getitem__, table)))
+        gives it, each pair made a ``Slot``."""
+        return dict(zip(self.keys, map(Slot._make, table)))
 
     def ref(self, n: int) -> OpBit | CarryBit:
         """The bit ref numbered ``n``."""

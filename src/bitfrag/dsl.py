@@ -94,7 +94,7 @@ def _lex(text: str) -> list[_Token]:
 
 def _span(text: str, offset: int) -> SourceSpan:
     line_start = text.rfind("\n", 0, offset) + 1
-    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, offset)
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 class _Parser:

@@ -46,7 +46,6 @@ class InfeasibleError(ValueError):
 @dataclass(slots=True, unsafe_hash=True)
 class Fragment:
     parent: str
-    index: int
     id: str
     lo: int
     hi: int
@@ -57,10 +56,6 @@ class Fragment:
     def width(self) -> int:
         return self.hi - self.lo + 1
 
-    @property
-    def prescheduled(self) -> bool:
-        return self.asap_cycle == self.alap_cycle
-
 
 @dataclass(frozen=True)
 class Mobility:
@@ -68,7 +63,6 @@ class Mobility:
     number: ``asap[n]`` and ``alap[n]`` for bit ``n``, so bit ``i`` of
     op ``x`` is at ``base[x] + i`` (``graph.bit_view.base``)."""
 
-    lam: int
     n_bits: int
     base: dict[str, int]
     asap: tuple[int, ...]
@@ -90,9 +84,9 @@ def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
     """Every bit's latest time for a ``lam``-cycle schedule, by bit
     number."""
     if n_bits < 1:
-        raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
+        raise InfeasibleError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
-        raise ValueError(f"latency must be at least 1 cycle, got {lam}")
+        raise InfeasibleError(f"latency must be at least 1 cycle, got {lam}")
     # Ripple chaining makes bit i+1 a consumer of bit i of the same op;
     # it constrains the backward pass like any external consumer.
     view = graph.bit_view
@@ -161,7 +155,7 @@ def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
     alap = _alap_table(graph, n_bits, lam)
     asap = arrival_table(graph, n_bits)
     return Mobility(
-        lam, n_bits, graph.bit_view.base,
+        n_bits, graph.bit_view.base,
         tuple([-(-t // n_bits) for t in asap]), tuple([-(-t // n_bits) for t in alap]),
     )
 
@@ -275,8 +269,7 @@ def apply_runs(
             moved[op.id] = ([lo for lo, _, _, _ in split] + [op.width], names)
         if split:
             fragments[op.id] = [
-                Fragment(op.id, k, name, *run)
-                for k, (name, run) in enumerate(zip(names, split))
+                Fragment(op.id, name, *run) for name, run in zip(names, split)
             ]
 
     def parts(op_id: str) -> list[tuple[str, int, int]]:

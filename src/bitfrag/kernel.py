@@ -8,8 +8,6 @@ the result, so consumers and outputs never need rewiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .dfg import (
     Concat,
     Const,
@@ -28,20 +26,6 @@ class KernelError(ValueError):
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic
-
-
-@dataclass
-class LoweringTrace:
-    """Original op id -> ids of its replacement ops, in definition order.
-
-    Ops that pass through untouched have no entry; a signedness-only
-    relabel maps the id to itself.
-    """
-
-    replacements: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def record(self, original: str, new_ops: list[Operation]) -> None:
-        self.replacements[original] = tuple(op.id for op in new_ops)
 
 
 def _result(op: Operation, hi: int | None = None, lo: int = 0) -> Operand:
@@ -222,15 +206,20 @@ def lower_signed_mult(op: Operation, namer: Namer) -> list[Operation]:
     return ops
 
 
-def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
+def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, dict[str, tuple[str, ...]]]:
     """Rewrite every design onto unsigned ADD / MULT_CORE / NOT / SELECT.
 
     Unsigned subtracts and signed adds are already modulo-2**w additive,
     so they only need complement glue or a signedness relabel; signed
     multiplies get the core decomposition; comparisons and min/max reuse
     the subtract carry trick.
+
+    Returns the kernel and its trace: original op id -> ids of its
+    replacement ops, in definition order.  Ops that pass through
+    untouched have no entry; a signedness-only relabel maps the id to
+    itself.
     """
-    trace = LoweringTrace()
+    trace: dict[str, tuple[str, ...]] = {}
     namer = Namer({p.name for p in graph.inputs} | {o.id for o in graph.ops})
     new_ops: list[Operation] = []
 
@@ -250,7 +239,7 @@ def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, LoweringTrace]:
         else:
             new_ops.append(op)
             continue
-        trace.record(op.id, lowered)
+        trace[op.id] = tuple(o.id for o in lowered)
         new_ops.extend(lowered)
 
     result = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)

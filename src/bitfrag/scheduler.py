@@ -303,6 +303,10 @@ def schedule(
 ) -> Schedule:
     """Assign a cycle to every add fragment and multiplier core; each
     add's window is the one its record in ``fragments`` holds."""
+    if lam < 1:
+        raise ScheduleError(f"latency must be at least 1 cycle, got {lam}")
+    if n_bits < 1:
+        raise ScheduleError(f"cycle must hold at least one bit, got {n_bits}")
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
     cycle_of: dict[str, int] = {}

@@ -47,7 +47,7 @@ def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int,
     if n_bits is None:
         _check_kernel(graph)
     elif n_bits < 1:
-        raise ValueError(f"cycle must hold at least one bit, got {n_bits}")
+        raise TimingError(f"cycle must hold at least one bit, got {n_bits}")
     view = graph.bit_view
     producers = view.producers
     arrival = [0] * len(producers)

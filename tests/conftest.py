@@ -42,7 +42,6 @@ from bitfrag.fragmenter import (
     op_runs,
     whole_runs,
 )
-from bitfrag.kernel import LoweringTrace
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
@@ -264,7 +263,7 @@ def ladder_source(sections: int, width: int) -> str:
 class Pipeline:
     graph: DataFlowGraph
     kernel: DataFlowGraph
-    trace: LoweringTrace
+    trace: dict[str, tuple[str, ...]]
     lam: int
     n_bits: int
     mobility: Mobility

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from bitfrag import cli
 from bitfrag.cli import _SUFFIX, main
 from bitfrag.dfg import BitView
-from bitfrag.dsl import emit, parse
+from bitfrag.dsl import ParseError, emit, parse
 from bitfrag.fragmenter import analyze, bucket_fragment, fragment
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import schedule, verify_schedule
@@ -170,6 +170,13 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_carry_from_an_input_exits_one_without_a_traceback(tmp_path, capsys):
+    design = tmp_path / "carry.dfg"
+    design.write_text("design d;\ninput x : u8;\nb: add u8 carry(x) = x + x;\noutput b;\n")
+    assert main([str(design), "--latency", "3"]) == 1
+    assert capsys.readouterr().err == "error: 3:1: b: carry source x is not an add\n"
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     assert main([str(tmp_path / "absent.dfg"), "--latency", "2"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -273,6 +280,18 @@ def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypa
     assert report["equiv"]["equivalent"] is True
 
 
+def _run_text(text: str, args: list[str]) -> tuple[int, str, str]:
+    """``main`` on ``text`` written to a design file: the exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.dfg"
+        path.write_text(text)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([str(path), *args])
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([random_add_design, random_full_design]),
@@ -290,17 +309,12 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits):
         args.append("--bucket-fill")
     if nbits is not None:
         args += ["--nbits", str(nbits)]
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "design.dfg"
-        path.write_text(text)
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([str(path), *args])
-    assert code in (0, 1), err.getvalue()
+    code, out, err = _run_text(text, args)
+    assert code in (0, 1), err
     if code == 1:
-        assert err.getvalue().startswith("error: ")
+        assert err.startswith("error: ")
         return
-    assert json.loads(out.getvalue())["equiv"]["equivalent"] is True
+    assert json.loads(out)["equiv"]["equivalent"] is True
 
     kernel, _ = extract_kernel(parse(text))
     if nbits is None:
@@ -308,3 +322,40 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits):
     tile = bucket_fragment if bucket else fragment
     fragments, transformed = tile(kernel, analyze(kernel, nbits, lam))
     assert verify_schedule(schedule(transformed, fragments, lam, nbits)) == []
+
+
+@st.composite
+def _carry_design_text(draw) -> str:
+    """A small design whose adds take each carry source from the inputs,
+    the earlier adds, the earlier non-adds, the op itself or a later op,
+    or take none."""
+    inputs = [f"x{k}" for k in range(draw(st.integers(1, 3)))]
+    kinds = draw(st.lists(st.sampled_from(["add", "add", "sub", "not"]), min_size=1, max_size=5))
+    names = [f"o{k}" for k in range(len(kinds))]
+    lines = ["design d;"] + [f"input {x} : u{draw(st.integers(1, 6))};" for x in inputs]
+    for k, kind in enumerate(kinds):
+        pool = st.sampled_from(inputs + names[:k])
+        a, b = draw(pool), draw(pool)
+        body = {"add": f"{a} + {b}", "sub": f"{a} - {b}", "not": a}[kind]
+        carry = draw(st.sampled_from([None, *inputs, *names])) if kind == "add" else None
+        clause = f" carry({carry})" if carry else ""
+        lines.append(f"{names[k]}: {kind} u{draw(st.integers(1, 6))}{clause} = {body};")
+    lines += [f"output {name};" for name in draw(st.sets(st.sampled_from(names), min_size=1))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_carry_design_text(), st.integers(1, 3), st.none() | st.integers(1, 4))
+def test_any_carry_source_parses_or_is_refused_and_the_cli_never_raises(text, lam, nbits):
+    """Each text either parses or raises ParseError, and ``main`` exits 0,
+    or 1 with an error line, never with a traceback."""
+    try:
+        parse(text)
+    except ParseError:
+        pass
+    args = ["--latency", str(lam), "--check-equiv", *_all_emissions([])]
+    if nbits is not None:
+        args += ["--nbits", str(nbits)]
+    code, _, err = _run_text(text, args)
+    assert code in (0, 1), err
+    assert code == 0 or err.startswith("error: ")

@@ -70,8 +70,9 @@ def _tiny() -> DataFlowGraph:
 
 def test_lookup_and_widths():
     g = _tiny()
-    assert g.is_input("A") and not g.is_op("A")
-    assert g.is_op("C") and not g.is_input("C")
+    inputs, ops = {p.name for p in g.inputs}, {op.id for op in g.ops}
+    assert "A" in inputs and "A" not in ops
+    assert "C" in ops and "C" not in inputs
     assert g.ref_width("A") == 4
     assert g.ref_width("D") == 4
     assert g.op("D").carry_in == CarryRef("C")

@@ -124,6 +124,8 @@ def test_emit_omits_full_width_slices():
          3, 1, "expected declaration, found '62'"),
         ("design d;\ninput A : u4;\nX: add u4 carry(2) = A + A;\noutput X;",
          3, 17, "expected carry source, found '2'"),
+        ("design d;\ninput x : u8;\nb: add u8 carry(x) = x + x;\noutput b;",
+         3, 1, "b: carry source x is not an add"),
         ("design d;\ninput A : u4;\nX: add u4 = A + const(12);\noutput X;",
          3, 23, "expected binary digits, found '12'"),
         # A name is resolved as it is read, so a reference to the op itself

@@ -49,7 +49,7 @@ def test_prescheduled_fragments_are_pinned(sec2):
     assert p.n_bits == 6
     for parts in p.fragments.values():
         for f in parts:
-            assert f.prescheduled
+            assert f.asap_cycle == f.alap_cycle
             assert p.sched.cycle_of[f.id] == f.asap_cycle
     assert p.sched.loads() == {1: 15, 2: 18, 3: 15}
     assert verify_schedule(p.sched) == []
@@ -120,6 +120,17 @@ def test_every_add_needs_its_fragment_record(sec2):
     empty = dict(p.fragments, E=[dataclasses.replace(first, alap_cycle=0), *rest])
     with pytest.raises(ScheduleError, match=r"E0: empty cycle window \[1, 0\]"):
         schedule(p.transformed, empty, 3, p.n_bits)
+
+
+@pytest.mark.parametrize("lam, n_bits, message", [
+    (0, 6, "latency must be at least 1 cycle, got 0"),
+    (-2, 6, "latency must be at least 1 cycle, got -2"),
+    (3, 0, "cycle must hold at least one bit, got 0"),
+])
+def test_schedule_refuses_a_latency_or_cycle_below_one(sec2, lam, n_bits, message):
+    p = run_pipeline(sec2, 3)
+    with pytest.raises(ScheduleError, match=f"^{message}$"):
+        schedule(p.transformed, p.fragments, lam, n_bits)
 
 
 def test_determinism(fig3):
@@ -224,6 +235,40 @@ def test_verify_reports_a_missing_unit_and_still_checks_the_rest(sec2):
         "C0: not scheduled",
         "C1: cycle 1 outside window [2, 2]",
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([random_add_design, random_full_design]),
+    st.integers(0, 299),
+    st.data(),
+)
+def test_verify_schedule_reports_and_never_raises_on_tampered_schedules(make, seed, data):
+    """Cycles moved anywhere in -1 .. lam + 2, units dropped, and a
+    latency or a cycle size of 0, 1, its own or one more: the checker
+    returns its problems as a list, empty only for the schedule as
+    built, and raises nothing."""
+    try:
+        sched = run_pipeline(make(seed), 3).sched
+    except (InfeasibleError, ScheduleError):
+        return
+    # A name no unit has stands in when the design has no unit at all.
+    units = st.sampled_from(sorted(sched.cycle_of) or [""])
+    moved = data.draw(st.dictionaries(units, st.integers(-1, sched.lam + 2), max_size=4))
+    dropped = data.draw(st.sets(units, max_size=2))
+    tampered = dataclasses.replace(
+        sched,
+        lam=data.draw(st.sampled_from([0, 1, sched.lam, sched.lam + 1])),
+        n_bits=data.draw(st.sampled_from([0, 1, sched.n_bits, sched.n_bits + 1])),
+        cycle_of={
+            uid: moved.get(uid, c) for uid, c in sched.cycle_of.items() if uid not in dropped
+        },
+    )
+    problems = verify_schedule(tampered)
+    assert isinstance(problems, list)
+    assert all(isinstance(p, str) and p for p in problems)
+    if tampered == sched:
+        assert problems == []
 
 
 def test_realized_slots_report_unready_operands(sec2):
