@@ -17,8 +17,8 @@ Grammar (whitespace and ``#`` line comments are skipped):
 
 A design is read in one pass: each name resolves, as it is read, to the
 input or operation declared so far under it.  A name not declared yet
-is left for ``validate`` to report.  Tokens keep only their offset; an
-offset becomes a line and column only when a diagnostic is raised.
+is left for ``validate`` to report.  Tokens are strings; offsets are
+computed only for a diagnostic, and become a line and column there.
 
 Concat braces list terms MSB first.  Separator symbols are
 interchangeable; the emitter writes the conventional one for each kind.
@@ -34,7 +34,7 @@ operand, and ``validate`` rejects a graph that uses one as such.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .dfg import (
     CarryRef,
@@ -57,15 +57,13 @@ KIND_WORDS = {kind.word: kind for kind in OpKind if kind is not OpKind.MULT_CORE
 
 SEPARATORS = {"+", "-", "*", "<", ","}
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<int>[0-9]+)
-      | (?P<punct>[;:=+\-*<,{}\[\]()])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# Whitespace and comments match with the group empty.  A token's first
+# character tells its kind: an id starts with a letter or ``_``, an int
+# with a digit, and any other character but punctuation is unexpected.
+_LEX_RE = re.compile(r"\s+|#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[;:=+\-*<,{}\[\]()]|.)")
+_ID_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_DIGITS = frozenset("0123456789")
+_KNOWN = _ID_START | _DIGITS | frozenset(";:=+-*<,{}[]()")
 
 _TYPE_RE = re.compile(r"^(u|s)([0-9]+)$")
 
@@ -76,20 +74,14 @@ class ParseError(ValueError):
         self.diagnostics = diagnostics
 
 
-class _Token(NamedTuple):
-    kind: str  # "id", "int", "punct", "bad", "eof"
-    text: str
-    offset: int
+def _lex(text: str) -> list[str]:
+    """Every token of ``text``, in order."""
+    return [tok for tok in _LEX_RE.findall(text) if tok]
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens = [
-        _Token(m.lastgroup, m.group(), m.start())
-        for m in _TOKEN_RE.finditer(text)
-        if m.lastgroup != "ws"
-    ]
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+def _token_starts(text: str) -> list[int]:
+    """The offset of every token, then of the end of text."""
+    return [m.start() for m in _LEX_RE.finditer(text) if m.lastindex] + [len(text)]
 
 
 def _span(text: str, offset: int) -> SourceSpan:
@@ -100,68 +92,69 @@ def _span(text: str, offset: int) -> SourceSpan:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _lex(text)
+        self.tokens = tokens = _lex(text)
+        # Only a one-character token can be unexpected, so each distinct
+        # token is tested once; the first in the text is reported.
+        bad = [t for t in set(tokens) if t[0] not in _KNOWN]
+        if bad:
+            at = min(map(tokens.index, bad))
+            self._fail(f"unexpected character {tokens[at]!r}", at)
+        tokens.append("")  # the end of text
         self.pos = 0
-        for tok in self.tokens:
-            if tok.kind == "bad":
-                self._fail(f"unexpected character {tok.text!r}", tok)
         # Each name declared so far: its source and width (the latest
-        # declaration), and the offset of its first declaration.
+        # declaration), and the token index of its first declaration.
         self.refs: dict[str, tuple[Source, int]] = {}
         self.offsets: dict[str, int] = {}
-        # Each output statement's name and its offset, in order.
+        # Each output statement's name and its token index, in order.
         self.outputs: list[tuple[str, int]] = []
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.pos]
+    def _fail(self, message: str, at: int | None = None) -> NoReturn:
+        """Raise ``message`` at token ``at``, by default the current one."""
+        offset = _token_starts(self.text)[self.pos if at is None else at]
+        raise ParseError([Diagnostic(message, span=_span(self.text, offset))])
 
-    def _fail(self, message: str, tok: _Token) -> NoReturn:
-        raise ParseError([Diagnostic(message, span=_span(self.text, tok.offset))])
+    def expect(self, text: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self._fail(f"expected {text!r}, found {tok!r}")
+        self.pos += 1
 
-    def advance(self) -> _Token:
-        tok = self.tok
-        if tok.kind != "eof":
-            self.pos += 1
+    def take(self, first: frozenset[str] = _ID_START, kind: str = "id") -> str:
+        """Move past the current token, which must start with a
+        character in ``first``, and return it."""
+        tok = self.tokens[self.pos]
+        if tok[:1] not in first:
+            self._fail(f"expected {kind}, found {tok!r}")
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.tok
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = repr(text) if text is not None else kind
-            self._fail(f"expected {want}, found {tok.text!r}", tok)
-        return self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        return self.tok.kind == "punct" and self.tok.text == text
-
     def parse_design(self) -> DataFlowGraph:
-        self.expect("id", "design")
-        name = self.expect("id").text
-        self.expect("punct", ";")
+        self.expect("design")
+        name = self.take()
+        self.expect(";")
 
         inputs: list[InputPort] = []
         ops: list[Operation] = []
         outputs: list[str] = []
 
-        while self.tok.kind != "eof":
-            if self.tok.kind != "id":
-                self._fail(f"expected declaration, found {self.tok.text!r}", self.tok)
-            if self.tok.text == "input":
-                self.advance()
-                id_tok = self.expect("id")
-                self.offsets.setdefault(id_tok.text, id_tok.offset)
-                self.expect("punct", ":")
+        tokens = self.tokens
+        while tok := tokens[self.pos]:
+            if tok[0] not in _ID_START:
+                self._fail(f"expected declaration, found {tok!r}")
+            if tok == "input":
+                self.pos += 1
+                self.offsets.setdefault(tokens[self.pos], self.pos)
+                port = self.take()
+                self.expect(":")
                 signed, width = self._parse_type()
-                self.expect("punct", ";")
-                inputs.append(InputPort(id_tok.text, width, signed))
-                self.refs[id_tok.text] = (InputRef(id_tok.text), width)
-            elif self.tok.text == "output":
-                self.advance()
-                id_tok = self.expect("id")
-                outputs.append(id_tok.text)
-                self.outputs.append((id_tok.text, id_tok.offset))
-                self.expect("punct", ";")
+                self.expect(";")
+                inputs.append(InputPort(port, width, signed))
+                self.refs[port] = (InputRef(port), width)
+            elif tok == "output":
+                self.pos += 1
+                self.outputs.append((tokens[self.pos], self.pos))
+                outputs.append(self.take())
+                self.expect(";")
             else:
                 op = self._parse_opdef()
                 ops.append(op)
@@ -170,78 +163,82 @@ class _Parser:
         return DataFlowGraph(name, tuple(inputs), tuple(ops), tuple(outputs))
 
     def _parse_type(self) -> tuple[bool, int]:
-        tok = self.expect("id")
-        m = _TYPE_RE.match(tok.text)
+        tok = self.take()
+        m = _TYPE_RE.match(tok)
         if m is None or int(m.group(2)) == 0:
-            self._fail(f"expected a type like u16 or s8, found {tok.text!r}", tok)
+            self._fail(f"expected a type like u16 or s8, found {tok!r}", self.pos - 1)
         return m.group(1) == "s", int(m.group(2))
 
     def _parse_opdef(self) -> Operation:
-        id_tok = self.expect("id")
-        self.offsets.setdefault(id_tok.text, id_tok.offset)
-        self.expect("punct", ":")
-        kind_tok = self.expect("id")
-        kind = KIND_WORDS.get(kind_tok.text)
+        tokens = self.tokens
+        self.offsets.setdefault(tokens[self.pos], self.pos)
+        op_id = self.take()
+        self.expect(":")
+        kind = KIND_WORDS.get(tokens[self.pos])
+        word = self.take()
         if kind is None:
-            self._fail(f"unknown operation kind {kind_tok.text!r}", kind_tok)
+            self._fail(f"unknown operation kind {word!r}", self.pos - 1)
         signed, width = self._parse_type()
         if kind is OpKind.MULT and not signed:
             kind = OpKind.MULT_CORE
 
         carry = None
-        if self.tok.kind == "id" and self.tok.text == "carry":
-            self.advance()
-            self.expect("punct", "(")
-            tok = self.advance()
-            if tok.kind == "int" and tok.text in ("0", "1"):
-                carry = int(tok.text)
-            elif tok.kind == "id":
-                carry = CarryRef(tok.text)
+        if tokens[self.pos] == "carry":
+            self.pos += 1
+            self.expect("(")
+            tok = tokens[self.pos]
+            if tok in ("0", "1"):
+                carry = int(tok)
+            elif tok[:1] in _ID_START:
+                carry = CarryRef(tok)
             else:
-                self._fail(f"expected carry source, found {tok.text!r}", tok)
-            self.expect("punct", ")")
+                self._fail(f"expected carry source, found {tok!r}")
+            self.pos += 1
+            self.expect(")")
 
-        self.expect("punct", "=")
+        self.expect("=")
         operands = [self._parse_operand()]
-        while self.tok.kind == "punct" and self.tok.text in SEPARATORS:
-            self.advance()
+        while tokens[self.pos] in SEPARATORS:
+            self.pos += 1
             operands.append(self._parse_operand())
-        self.expect("punct", ";")
-        return Operation(id_tok.text, kind, width, signed, tuple(operands), carry)
+        self.expect(";")
+        return Operation(op_id, kind, width, signed, tuple(operands), carry)
 
     def _parse_operand(self) -> Operand:
-        if self.at_punct("{"):
-            self.advance()
+        if self.tokens[self.pos] == "{":
+            self.pos += 1
             parts = [self._parse_term()]
-            while self.at_punct(","):
-                self.advance()
+            while self.tokens[self.pos] == ",":
+                self.pos += 1
                 parts.append(self._parse_term())
-            self.expect("punct", "}")
+            self.expect("}")
             cat = Concat(tuple(parts))
             return Operand(cat, cat.width - 1, 0)
         return self._parse_term()
 
     def _parse_term(self) -> Operand:
+        tokens = self.tokens
         source: Source
-        if self.tok.kind == "id" and self.tok.text == "const":
-            self.advance()
-            self.expect("punct", "(")
-            bits_tok = self.advance()
-            if bits_tok.kind != "int" or any(c not in "01" for c in bits_tok.text):
-                self._fail(f"expected binary digits, found {bits_tok.text!r}", bits_tok)
-            self.expect("punct", ")")
-            source = Const(bits_tok.text)
-            default_width = len(bits_tok.text)
+        if tokens[self.pos] == "const":
+            self.pos += 1
+            self.expect("(")
+            bits = tokens[self.pos]
+            if bits[:1] not in _DIGITS or bits.strip("01"):
+                self._fail(f"expected binary digits, found {bits!r}")
+            self.pos += 1
+            self.expect(")")
+            source = Const(bits)
+            default_width = len(bits)
         else:
-            name = self.expect("id").text
+            name = self.take()
             # Not declared yet: let validate() report it with context.
             source, default_width = self.refs.get(name, (InputRef(name), 1))
-        if self.at_punct("["):
-            self.advance()
-            hi = int(self.expect("int").text)
-            self.expect("punct", ":")
-            lo = int(self.expect("int").text)
-            self.expect("punct", "]")
+        if tokens[self.pos] == "[":
+            self.pos += 1
+            hi = int(self.take(_DIGITS, "int"))
+            self.expect(":")
+            lo = int(self.take(_DIGITS, "int"))
+            self.expect("]")
         else:
             hi, lo = default_width - 1, 0
         return Operand(source, hi, lo)
@@ -253,6 +250,7 @@ def parse(text: str) -> DataFlowGraph:
     graph = parser.parse_design()
     diags = validate(graph)
     if diags:
+        starts = _token_starts(text)
         offsets = parser.offsets
         # validate reports an output naming nothing declared at "output",
         # one per statement and in order; each goes at its statement's
@@ -264,7 +262,7 @@ def parse(text: str) -> DataFlowGraph:
                 at = next(undefined)
             else:
                 at = offsets.get(d.where)
-            return Diagnostic(d.message, d.where, None if at is None else _span(text, at))
+            return Diagnostic(d.message, d.where, None if at is None else _span(text, starts[at]))
 
         raise ParseError([located(d) for d in diags])
     return graph

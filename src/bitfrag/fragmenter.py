@@ -80,9 +80,9 @@ class Mobility:
         return max(asap), min(alap)
 
 
-def _alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
+def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
     """Every bit's latest time for a ``lam``-cycle schedule, by bit
-    number."""
+    number; raises InfeasibleError when any bit falls before cycle 1."""
     if n_bits < 1:
         raise InfeasibleError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
@@ -146,14 +146,19 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     lands in cycle lam or earlier.  Raises InfeasibleError when any bit
     falls before cycle 1.
     """
-    return _slots(graph, _alap_table(graph, n_bits, lam), n_bits)
+    return _slots(graph, alap_table(graph, n_bits, lam), n_bits)
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
     """Both cycle tables of ``graph``.  ALAP runs first: it is the one
-    that can fail, and then the ASAP loop is not run at all."""
-    alap = _alap_table(graph, n_bits, lam)
-    asap = arrival_table(graph, n_bits)
+    that can fail, and then the ASAP loop is not run at all.  The ASAP
+    recurrence differs from the arrival one only at a core, so a kernel
+    without one takes ASAP from ``graph.arrivals``."""
+    alap = alap_table(graph, n_bits, lam)
+    if all(op.kind is OpKind.ADD or op.kind.glue for op in graph.ops):
+        asap = graph.arrivals
+    else:
+        asap = arrival_table(graph, n_bits)
     return Mobility(
         n_bits, graph.bit_view.base,
         tuple([-(-t // n_bits) for t in asap]), tuple([-(-t // n_bits) for t in alap]),

@@ -42,7 +42,7 @@ from .dfg import (
     OpKind,
     Slot,
 )
-from .fragmenter import Fragment, InfeasibleError, Mobility, analyze
+from .fragmenter import Fragment, InfeasibleError, Mobility, alap_table, analyze
 
 
 class ScheduleError(ValueError):
@@ -386,23 +386,30 @@ def schedule(
 def verify_schedule(sched: Schedule) -> list[str]:
     """Independent legality check; an empty list means the schedule holds.
 
-    Re-derives mobility windows from the scheduled graph and confirms
-    assignment completeness, window containment, fragment order, and
-    realized chain depths.  A budget too small for the graph's own
-    mobility analysis is reported as a problem, with its message, and
-    every check that needs no window still runs.  So is a unit missing
-    from ``cycle_of``; the slot recomputation, which needs every
-    unit's cycle, is then skipped.
+    Takes each unit's window as ``unit_windows`` gives it, deriving
+    mobility from the scheduled graph only when a unit has no fragment
+    record, and confirms assignment completeness, window containment,
+    fragment order, and realized chain depths.  A budget too small for
+    the graph's own ALAP table is reported as a problem, with its
+    message, and every check that needs no window still runs.  So is a
+    unit missing from ``cycle_of``; the slot recomputation, which needs
+    every unit's cycle, is then skipped.
     """
     problems: list[str] = []
     graph = sched.graph
+    frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
     try:
-        mobility = analyze(graph, sched.n_bits, sched.lam)
+        # A core or an add without a record reads the graph's mobility;
+        # if there is none, ALAP alone runs, for the budget check.
+        if any(not op.kind.glue and op.id not in frag_of for op in graph.ops):
+            mobility = analyze(graph, sched.n_bits, sched.lam)
+            windows = unit_windows(graph, mobility, sched.fragments)
+        else:
+            alap_table(graph, sched.n_bits, sched.lam)
+            windows = {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
     except InfeasibleError as err:
         problems.append(str(err))
         windows = {}
-    else:
-        windows = unit_windows(graph, mobility, sched.fragments)
 
     complete = True
     for op in graph.ops:

@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -435,6 +436,30 @@ def path_time(graph: DataFlowGraph, path: tuple[str, ...]) -> int:
         else:
             time += 1 + max(cuts)
     return time
+
+
+# The design language's lexer as a regex with one named group per kind,
+# each token found with its kind and offset.
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+|\#[^\n]*)
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<int>[0-9]+)
+      | (?P<punct>[;:=+\-*<,{}\[\]()])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def lex_oracle(text: str) -> list[tuple[str, str, int]]:
+    """Oracle for ``dsl``'s lexer: every token of ``text`` as ``(kind,
+    text, offset)``, the kind one of id, int, punct and bad; whitespace
+    and ``#`` comments are skipped."""
+    return [
+        (m.lastgroup, m.group(), m.start())
+        for m in _TOKEN_RE.finditer(text)
+        if m.lastgroup != "ws"
+    ]
 
 
 def asap_pairs(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:

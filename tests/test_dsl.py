@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import ParseError, emit, emit_dot, parse
+from bitfrag import ParseError, dsl, emit, emit_dot, parse
 from bitfrag.dfg import (
     CarryRef,
     Concat,
@@ -23,6 +23,7 @@ from conftest import (
     DESIGN_DIR,
     MIXED_SOURCE,
     SAT_SOURCE,
+    lex_oracle,
     load_design,
     random_add_design,
     random_full_design,
@@ -138,6 +139,20 @@ def test_emit_omits_full_width_slices():
          4, 8, "output: undefined reference Y"),
         ("design d;\ninput output : u4;\nX: add u4 = output + output;\noutput Y;",
          4, 8, "output: undefined reference Y"),
+        # At the end of text the error sits just past the last character.
+        ("design d;\ninput A", 2, 8, "expected ':', found ''"),
+        ("design d;\ninput A : u4;\nX: add u4 carry(", 3, 17,
+         "expected carry source, found ''"),
+        # A non-ASCII letter or digit is no id or int character.
+        ("design d;\ninput \u00e9 : u4;", 2, 7, "unexpected character '\u00e9'"),
+        ("design d;\ninput A : u4;\nX: add u4 = A + A\u00b2;\noutput X;",
+         3, 18, "unexpected character '\u00b2'"),
+        # Characters are checked before the grammar: a bad one is reported
+        # even after an earlier syntax error.
+        ("design d\ninput A : u4;\nX: add u4 = A + @;\noutput X;",
+         3, 17, "unexpected character '@'"),
+        ("design d;\ninput A : u4;\nX: add u4 = A[x:0] + A;\noutput X;",
+         3, 15, "expected int, found 'x'"),
     ],
 )
 def test_parse_errors_carry_spans(source, line, column, message):
@@ -201,15 +216,23 @@ _BUNDLED_TEXTS = [
 ]
 
 
+# Whitespace other than spaces, non-ASCII letters and digits, and
+# comments holding characters that are bad outside one.
+_ODD_TEXTS = [
+    "\t", "\x0c", "\u00e9", "a\u0416", "\u00b2", "7\u0663", "# @ \u00e9\n", "#@",
+]
+
+
 @st.composite
 def _mutated_design_text(draw) -> str:
     """A bundled design with characters inserted, deleted or duplicated."""
     text = draw(st.sampled_from(_BUNDLED_TEXTS + [SAT_SOURCE, MIXED_SOURCE]))
+    inserted = st.one_of(st.text(min_size=1, max_size=3), st.sampled_from(_ODD_TEXTS))
     for _ in range(draw(st.integers(1, 8))):
         at = draw(st.integers(0, len(text)))
         edit = draw(st.sampled_from(["insert", "delete", "duplicate"]))
         if edit == "insert":
-            text = text[:at] + draw(st.text(min_size=1, max_size=3)) + text[at:]
+            text = text[:at] + draw(inserted) + text[at:]
         elif edit == "delete":
             text = text[:at] + text[at + draw(st.integers(1, 6)):]
         else:
@@ -224,3 +247,26 @@ def test_mutated_text_parses_or_raises_a_typed_error(text):
         parse(text)
     except (ParseError, ValidationError):
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_design_text())
+def test_lexer_matches_the_named_group_oracle(text):
+    """Tokens are the oracle's texts, each of the kind its first
+    character tells; the offsets worked out for a diagnostic are the
+    oracle's, then the end of text; and the first bad character in the
+    text is the one reported."""
+    oracle = lex_oracle(text)
+    assert dsl._lex(text) == [tok for _, tok, _ in oracle]
+    assert dsl._token_starts(text) == [at for _, _, at in oracle] + [len(text)]
+    for kind, tok, _ in oracle:
+        assert (kind == "id") == (tok[0] in dsl._ID_START)
+        assert (kind == "int") == (tok[0] in dsl._DIGITS)
+        assert (kind == "bad") == (tok[0] not in dsl._KNOWN)
+    bad = [(tok, at) for kind, tok, at in oracle if kind == "bad"]
+    if bad:
+        tok, at = bad[0]
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{line}:{column}: unexpected character {tok!r}"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import extract_kernel, fragmenter, parse
+from bitfrag import extract_kernel, fragmenter, parse, timing
 from bitfrag.dfg import (
     CarryRef,
     Concat,
@@ -35,7 +35,7 @@ from bitfrag.fragmenter import (
 )
 from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.simulator import check_equiv
-from bitfrag.timing import TimingError, estimate_cycle
+from bitfrag.timing import TimingError, critical_path, estimate_cycle
 from conftest import (
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
@@ -128,20 +128,29 @@ def test_alap_raises_when_latency_is_too_small(sec2):
     (GLUE_CORE_SOURCE, 8, 1),  # a core would finish before cycle 1
 ])
 def test_analyze_fails_in_alap_without_running_asap(sec2, monkeypatch, source, n_bits, lam):
+    """A budget too small fails in ALAP before any ASAP loop runs.  A
+    budget that fits runs the ``n_bits`` loop once on a kernel with a
+    core; a kernel without one has ASAP equal to its arrival table, kept
+    with the graph since ``critical_path`` ran, and runs no loop."""
     kernel, _ = extract_kernel(sec2 if source is None else parse(source))
+    cores = sum(op.kind is OpKind.MULT_CORE for op in kernel.ops)
+    assert cores == (source is not None)
+    critical_path(kernel)  # as the pipeline does, before analyze
     with pytest.raises(InfeasibleError) as alap_error:
         bit_alap(kernel, n_bits, lam)
     calls = []
     asap_table = fragmenter.arrival_table
-    monkeypatch.setattr(
-        fragmenter, "arrival_table", lambda *args: calls.append(args) or asap_table(*args)
-    )
+    for module in (fragmenter, timing):  # dfg reads timing's for graph.arrivals
+        monkeypatch.setattr(
+            module, "arrival_table", lambda *args: calls.append(args) or asap_table(*args)
+        )
     with pytest.raises(InfeasibleError) as analyze_error:
         analyze(kernel, n_bits, lam)
     assert str(analyze_error.value) == str(alap_error.value)
     assert calls == []
-    analyze(kernel, n_bits, lam + 2)  # a budget that fits runs the ASAP loop once
-    assert len(calls) == 1
+    mobility = analyze(kernel, n_bits, lam + 2)
+    assert calls == ([(kernel, n_bits)] if cores else [])
+    assert mobility.asap == tuple(-(-t // n_bits) for t in asap_table(kernel, n_bits))
 
 
 _SLOT_DESIGNS = st.one_of(

@@ -17,7 +17,9 @@ from bitfrag.fragmenter import (
     bit_alap,
     bit_asap,
     bucket_fragment,
+    bucket_runs,
     fragment,
+    op_runs,
 )
 from bitfrag.scheduler import (
     Schedule,
@@ -269,6 +271,92 @@ def test_verify_schedule_reports_and_never_raises_on_tampered_schedules(make, se
     assert all(isinstance(p, str) and p for p in problems)
     if tampered == sched:
         assert problems == []
+
+
+def _verify_with_full_analysis(sched: Schedule) -> list[str]:
+    """Oracle for ``verify_schedule``: its checks, with every window from
+    ``unit_windows`` over the whole of ``analyze``, which always runs."""
+    problems: list[str] = []
+    graph, cycle_of = sched.graph, sched.cycle_of
+    try:
+        windows = unit_windows(graph, analyze(graph, sched.n_bits, sched.lam), sched.fragments)
+    except InfeasibleError as err:
+        problems.append(str(err))
+        windows = {}
+    complete = True
+    for op in graph.ops:
+        if op.kind.glue:
+            continue
+        if op.id not in cycle_of:
+            problems.append(f"{op.id}: not scheduled")
+            complete = False
+            continue
+        c = cycle_of[op.id]
+        if not 1 <= c <= sched.lam:
+            problems.append(f"{op.id}: cycle {c} outside 1..{sched.lam}")
+        early, late = windows.get(op.id, (c, c))
+        if not early <= c <= late:
+            problems.append(f"{op.id}: cycle {c} outside window [{early}, {late}]")
+    for parent, parts in sched.fragments.items():
+        for a, b in zip(parts, parts[1:]):
+            if a.id in cycle_of and b.id in cycle_of and cycle_of[a.id] > cycle_of[b.id]:
+                problems.append(f"{parent}: fragment {a.id} after its higher half {b.id}")
+    if complete:
+        problems += realized_slots(graph, sched.n_bits, cycle_of)[1]
+    return problems
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 299), st.sampled_from([op_runs, bucket_runs]), st.data())
+def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
+    """Cycles moved, units dropped, a core moved out of its window, one
+    fragment record removed, and a latency or a cycle size changed: the
+    checker reports what it reports when it always derives mobility."""
+    try:
+        p = run_pipeline(random_full_design(seed), 3, runs=runs)
+    except (InfeasibleError, ScheduleError):
+        return
+    sched = p.sched
+    units = st.sampled_from(sorted(sched.cycle_of) or [""])
+    cycle_of = dict(sched.cycle_of)
+    cycle_of.update(data.draw(st.dictionaries(units, st.integers(-1, sched.lam + 2), max_size=3)))
+    for uid in data.draw(st.sets(units, max_size=2)):
+        cycle_of.pop(uid, None)
+    cores = [op for op in p.transformed.ops if op.kind is OpKind.MULT_CORE]
+    if cores and data.draw(st.booleans()):
+        core = data.draw(st.sampled_from(cores))
+        early, late = analyze(p.transformed, p.n_bits, sched.lam).window(core)
+        cycle_of[core.id] = data.draw(st.sampled_from([early - 1, late + 1]))
+    fragments = dict(sched.fragments)
+    if fragments and data.draw(st.booleans()):
+        parent = data.draw(st.sampled_from(sorted(fragments)))
+        parts = list(fragments[parent])
+        del parts[data.draw(st.integers(0, len(parts) - 1))]
+        fragments[parent] = parts
+    tampered = dataclasses.replace(
+        sched,
+        lam=data.draw(st.sampled_from([0, 1, sched.lam - 1, sched.lam, sched.lam + 1])),
+        n_bits=data.draw(st.sampled_from([0, 1, sched.n_bits - 1, sched.n_bits])),
+        cycle_of=cycle_of,
+        fragments=fragments,
+    )
+    assert verify_schedule(tampered) == _verify_with_full_analysis(tampered)
+
+
+def test_verify_derives_mobility_only_for_a_unit_without_a_record(sec2):
+    """A schedule whose every unit has a fragment record takes each
+    window from its record and runs no ``analyze``; a core, or an add
+    whose record is gone, runs it once."""
+    plain = run_pipeline(sec2, 3).sched
+    cored = run_pipeline(parse(GLUE_CORE_SOURCE), 2, 8).sched
+    bare = dataclasses.replace(plain, fragments=dict(plain.fragments, C=plain.fragments["C"][1:]))
+    with mock.patch("bitfrag.scheduler.analyze", wraps=analyze) as spy:
+        assert verify_schedule(plain) == []
+        assert spy.call_count == 0
+        assert verify_schedule(cored) == []
+        assert spy.call_count == 1
+        assert verify_schedule(bare) == []
+        assert spy.call_count == 2
 
 
 def test_realized_slots_report_unready_operands(sec2):
