@@ -23,8 +23,6 @@ from .fragmenter import (
     InfeasibleError,
     Mobility,
     analyze,
-    bit_alap,
-    bit_asap,
     bucket_fragment,
     fragment,
 )
@@ -69,9 +67,7 @@ __all__ = [
     "TimingError",
     "ValidationError",
     "analyze",
-    "bit_alap",
     "bit_arrivals",
-    "bit_asap",
     "bucket_fragment",
     "check",
     "check_equiv",

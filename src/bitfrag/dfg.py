@@ -227,7 +227,9 @@ class DataFlowGraph:
 
     @cached_property
     def bit_view(self) -> "BitView":
-        """The graph's bit-level view, built on first use and then shared."""
+        """The graph's bit-level view, built on first use and then shared;
+        ``fragmenter.apply_runs`` stores its graph's (``carried_view``) in
+        this property's place in the instance ``__dict__``."""
         return _build_bit_view(self)
 
     @cached_property
@@ -511,17 +513,9 @@ def _padded(bits: range | list) -> chain:
     return chain(bits, repeat(None))
 
 
-def _build_bit_view(graph: DataFlowGraph) -> BitView:
-    """Passes reach the view through ``graph.bit_view``, built once.
-
-    One loop per op kind: NOT, the ripple kinds (ADD, SUB), and one for
-    SELECT and the opaque kinds.  Each reads an operand as the number of
-    each of its bits (a ``range`` for an op slice, None for an input or
-    constant bit); the ripple loop orders a bit's one or two operand bits
-    by a comparison.  A read is looked through only if it is a glue bit.
-    ``bit_deps`` states the same rules through ``_waits``; tests check
-    one against the other.
-    """
+def _numbering(graph: DataFlowGraph) -> tuple[list, dict[str, int], int, dict[str, int]]:
+    """The view's keys and ``base``, the number of data bits, and the
+    number of each carry read as a carry-in, by the op it comes from."""
     base: dict[str, int] = {}
     keys: list = []
     for op in graph.ops:
@@ -534,6 +528,22 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         if op.id in carried:
             carry_of[op.id] = len(keys)
             keys.append(CarryBit(op.id))
+    return keys, base, size, carry_of
+
+
+def _build_bit_view(graph: DataFlowGraph) -> BitView:
+    """Passes reach the view through ``graph.bit_view``, built once for a
+    parsed or kernel graph; a fragmented graph's is ``carried_view``.
+
+    One loop per op kind: NOT, the ripple kinds (ADD, SUB), and one for
+    SELECT and the opaque kinds.  Each reads an operand as the number of
+    each of its bits (a ``range`` for an op slice, None for an input or
+    constant bit); the ripple loop orders a bit's one or two operand bits
+    by a comparison.  A read is looked through only if it is a glue bit.
+    ``bit_deps`` states the same rules through ``_waits``; tests check
+    one against the other.
+    """
+    keys, base, size, carry_of = _numbering(graph)
 
     def numbers(opnd: Operand) -> range | list:
         source = opnd.source
@@ -613,3 +623,41 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     return BitView(
         tuple(keys), base, tuple(producers), tuple(map(tuple, consumers)), tuple(reads)
     )
+
+
+def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
+    """The view of ``graph``, the fragment rewrite (``apply_runs``) of the
+    graph ``view`` belongs to, derived from ``view`` instead of built.
+
+    Fragmenting changes no bit's data dependences.  Every op keeps its
+    place and a split add's fragments take its place, LSB first, so every
+    data bit keeps its number, producers and consumers (``view``'s own
+    tuples).  Each reassembly select goes last and bears the name of the
+    add it reassembles, so its bit ``n`` waits only on its namesake's bit
+    ``k`` in ``view`` and joins ``consumers[k]``.  Carries are numbered
+    anew: each add's bit 0 reads its carry-in's new number, a fragment
+    above the first its lower neighbour's.  Tests hold the result to
+    ``_build_bit_view(graph)``, table by table.
+    """
+    keys, base, size, carry_of = _numbering(graph)
+    data = len(view.producers)
+    producers = list(view.producers)
+    consumers = list(view.consumers)
+    for op in graph.ops:
+        n = base[op.id]
+        if n < data:
+            continue
+        for k in range(view.base[op.id], view.base[op.id] + op.width):
+            producers.append((k,))
+            consumers[k] += (n,)
+            n += 1
+    consumers += [()] * (size - data)
+    reads = list(view.reads) + [()] * (size - data)
+    for op in graph.ops:
+        if isinstance(op.carry_in, CarryRef):
+            n = base[op.id]
+            read = reads[n]
+            if read and read[-1] >= data:  # the carry as ``view`` numbered it
+                read = read[:-1]
+            reads[n] = (*read, carry_of[op.carry_in.op])
+    return BitView(tuple(keys), base, tuple(producers), tuple(consumers), tuple(reads))

@@ -13,7 +13,9 @@ slice of a split add moves onto the fragments it overlaps, and
 neighbouring slices are joined back into slices and concatenations.
 Carries chain fragment to fragment, and only fragmented design outputs
 are reassembled, under their original name, so the design signature is
-unchanged.
+unchanged.  The rewrite changes no bit's data dependences, so the
+rewritten graph's bit view is derived from the one it rewrote
+(``dfg.carried_view``), not built again.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .dfg import (
     Operand,
     Operation,
     ResultRef,
-    Slot,
+    carried_view,
     check,
     operand_slices,
 )
@@ -119,34 +121,6 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
                     )
                 table[n] = t
     return table
-
-
-def _slots(
-    graph: DataFlowGraph, times: list[int] | tuple[int, ...], n_bits: int
-) -> dict[tuple[str, int], Slot]:
-    """A time table as ``(cycle, depth)`` slots, keyed as
-    ``BitView.slots`` gives them; time 0 is slot (0, 0)."""
-    def slot(t: int) -> tuple[int, int]:
-        cycle, depth = divmod(t - 1, n_bits)
-        return (cycle + 1, depth + 1) if t else (0, 0)
-
-    return graph.bit_view.slots(list(map(slot, times)))
-
-
-def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
-    """Earliest slot per bit; inputs sit at (0, 0)."""
-    return _slots(graph, arrival_table(graph, n_bits), n_bits)
-
-
-def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
-    """Latest slot per bit for a ``lam``-cycle schedule.
-
-    Design outputs (and dangling results) are due at a virtual slot
-    (lam + 1, 1); only glue can stay there, every add and core bit
-    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
-    falls before cycle 1.
-    """
-    return _slots(graph, alap_table(graph, n_bits, lam), n_bits)
 
 
 def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
@@ -259,7 +233,10 @@ def apply_runs(
     An add with several runs becomes its fragments, LSB first, each
     reading its own bits of the operands; every other op keeps its name
     and reads its operands at their own width.  Only ops with runs get
-    Fragment records.
+    Fragment records.  Ops keep their order, a split add's fragments
+    take its place, and reassembly selects go last; the new graph comes
+    with its bit view, derived from ``graph``'s by ``dfg.carried_view``,
+    which rests on that order.
     """
     namer = Namer({op.id for op in graph.ops} | {p.name for p in graph.inputs})
     fragments: dict[str, list[Fragment]] = {}
@@ -303,6 +280,8 @@ def apply_runs(
 
     new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(new_graph)
+    # Kept where the cached ``bit_view`` property looks first.
+    new_graph.__dict__["bit_view"] = carried_view(graph.bit_view, new_graph)
     return fragments, new_graph
 
 

@@ -33,11 +33,13 @@ from bitfrag.dfg import (
     Operation,
     OpKind,
     ResultRef,
+    Slot,
     bit_deps,
 )
 from bitfrag.fragmenter import (
     InfeasibleError,
     Mobility,
+    alap_table,
     analyze,
     apply_runs,
     op_runs,
@@ -50,7 +52,7 @@ from bitfrag.scheduler import (
     verify_schedule,
 )
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
-from bitfrag.timing import critical_path, estimate_cycle
+from bitfrag.timing import arrival_table, critical_path, estimate_cycle
 
 TESTS_DIR = Path(__file__).resolve().parent
 DESIGN_DIR = TESTS_DIR.parent / "src" / "bitfrag" / "designs"
@@ -533,6 +535,36 @@ def slot_time(slot: tuple[int, int], n_bits: int) -> int:
     ``(c - 1) * n_bits + d``, and (0, 0) is 0."""
     cycle, depth = slot
     return (cycle - 1) * n_bits + depth if cycle else 0
+
+
+def _slots(
+    graph: DataFlowGraph, times: list[int] | tuple[int, ...], n_bits: int
+) -> dict[tuple[str, int], Slot]:
+    """A time table as ``(cycle, depth)`` slots, keyed as
+    ``BitView.slots`` gives them; time 0 is slot (0, 0)."""
+    def slot(t: int) -> tuple[int, int]:
+        cycle, depth = divmod(t - 1, n_bits)
+        return (cycle + 1, depth + 1) if t else (0, 0)
+
+    return graph.bit_view.slots(list(map(slot, times)))
+
+
+def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
+    """Earliest slot per bit, from ``arrival_table(graph, n_bits)``;
+    inputs sit at (0, 0)."""
+    return _slots(graph, arrival_table(graph, n_bits), n_bits)
+
+
+def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
+    """Latest slot per bit for a ``lam``-cycle schedule, from
+    ``alap_table``.
+
+    Design outputs (and dangling results) are due at a virtual slot
+    (lam + 1, 1); only glue can stay there, every add and core bit
+    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
+    falls before cycle 1.
+    """
+    return _slots(graph, alap_table(graph, n_bits, lam), n_bits)
 
 
 def op_paths(graph: DataFlowGraph) -> list[tuple[str, ...]]:

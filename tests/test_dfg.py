@@ -26,13 +26,15 @@ from bitfrag.dfg import (
     validate,
 )
 from bitfrag.dsl import parse
-from bitfrag.fragmenter import InfeasibleError, analyze, bit_alap, bit_asap, fragment
+from bitfrag.fragmenter import InfeasibleError, analyze, fragment
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import ScheduleError, realized_slots, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
     TIE_SOURCE,
     ConstBit,
+    bit_alap,
+    bit_asap,
     feasible_pipeline,
     keyed_view,
     load_design,

@@ -1,11 +1,15 @@
 """Mobility analysis, fragment tiling, and graph rewiring."""
 
+import dataclasses
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import extract_kernel, fragmenter, parse, timing
+from bitfrag import costs, dfg, extract_kernel, fragmenter, parse, timing
 from bitfrag.dfg import (
+    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -18,16 +22,15 @@ from bitfrag.dfg import (
     Operand,
     Operation,
     ResultRef,
+    Slot,
     check,
 )
 from bitfrag.fragmenter import (
     Fragment,
     InfeasibleError,
-    Slot,
     analyze,
     apply_runs,
-    bit_alap,
-    bit_asap,
+    bucket_fragment,
     bucket_runs,
     fragment,
     op_runs,
@@ -37,11 +40,14 @@ from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import TimingError, critical_path, estimate_cycle
 from conftest import (
+    DESIGN_DIR,
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
     ConstBit,
     alap_pairs,
     asap_pairs,
+    bit_alap,
+    bit_asap,
     ladder_source,
     load_design,
     operand_bits,
@@ -656,3 +662,133 @@ def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     graph = parse(STRADDLE_SOURCE)
     runs = data.draw(_any_runs(graph))
     assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)
+
+
+_VIEW_TABLES = ("keys", "base", "producers", "consumers", "reads")
+
+
+def _view_mismatches(graph: DataFlowGraph, view=None) -> list[str]:
+    """The tables in which ``view`` (by default the view ``apply_runs``
+    kept with ``graph``) differs from a fresh ``_build_bit_view``."""
+    if view is None:
+        view = graph.__dict__["bit_view"]
+    built = dfg._build_bit_view(graph)
+    return [name for name in _VIEW_TABLES if getattr(view, name) != getattr(built, name)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([random_full_design, random_add_design]),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.integers(1, 16),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_carried_view_equals_a_fresh_build(make, seed, lam, n_bits, tiling):
+    """The rewritten graph comes with a view derived from the kernel's,
+    equal to the one ``_build_bit_view`` builds, table by table.  A
+    budget that does not fit falls back to the estimated cycle."""
+    kernel, _ = extract_kernel(make(seed))
+    for n in (n_bits, estimate_cycle(kernel, lam)):
+        try:
+            mobility = analyze(kernel, n, lam)
+        except InfeasibleError:
+            continue
+        _, transformed = apply_runs(kernel, tiling(kernel, mobility))
+        assert _view_mismatches(transformed) == []
+        return
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+@pytest.mark.parametrize("lam", range(1, 7))
+def test_carried_view_equals_a_fresh_build_on_bundled_designs(name, lam):
+    kernel, _ = extract_kernel(load_design(name))
+    for n_bits in sorted({1, estimate_cycle(kernel, lam)}):
+        try:
+            mobility = analyze(kernel, n_bits, lam)
+        except InfeasibleError:
+            assert n_bits == 1
+            continue
+        for tiling in (op_runs, bucket_runs, whole_runs):
+            _, transformed = apply_runs(kernel, tiling(kernel, mobility))
+            assert _view_mismatches(transformed) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_carried_view_equals_a_fresh_build_under_any_runs(data):
+    graph = parse(STRADDLE_SOURCE)
+    _, transformed = apply_runs(graph, data.draw(_any_runs(graph)))
+    assert _view_mismatches(transformed) == []
+
+
+# Z's bit 0 reads its carry source's MSB, Y[3], as data too, so its
+# producers ascend instead of listing the carry's MSB last.
+MSB_CARRY_SOURCE = """
+design msbcarry;
+input a : u4;
+input b : u4;
+Y: add u4 = a + b;
+X: add u4 = b + a;
+Z: add u4 carry(Y) = Y[3:3] + X;
+output Z;
+"""
+
+
+def test_carried_view_of_a_split_add_reading_its_carry_source_msb():
+    kernel = parse(MSB_CARRY_SOURCE)
+    halves = [(0, 1, 1, 1), (2, 3, 1, 1)]
+    _, transformed = apply_runs(kernel, {"Y": halves, "Z": halves})
+    assert [op.id for op in transformed.ops] == ["Y0", "Y1", "X", "Z0", "Z1", "Z"]
+    old, view = kernel.bit_view, transformed.bit_view
+    assert _view_mismatches(transformed) == []
+    z0, z2 = view.base["Z0"], view.base["Z1"]
+    assert view.producers[z0] == (view.base["Y1"] + 1, view.base["X"])
+    assert view.producers[z0] is old.producers[old.base["Z"]]
+    carry = {key.op: n for n, key in enumerate(view.keys) if isinstance(key, CarryBit)}
+    assert view.reads[z0][-1] == carry["Y1"] and view.reads[z2][-1] == carry["Z0"]
+
+    def with_reads(n: int, read: tuple) -> dfg.BitView:
+        reads = list(view.reads)
+        reads[n] = read
+        return dataclasses.replace(view, reads=tuple(reads))
+
+    # The upper fragment without its lower neighbour's carry, and the
+    # lower one reading Y's carry at its kernel number: each is caught.
+    assert _view_mismatches(transformed, with_reads(z2, view.reads[z2][:-1])) == ["reads"]
+    assert _view_mismatches(transformed, with_reads(z0, old.reads[old.base["Z"]])) == ["reads"]
+
+
+@pytest.mark.parametrize("tile", [fragment, bucket_fragment])
+@pytest.mark.parametrize(
+    "text",
+    [(DESIGN_DIR / f"{name}.dfg").read_text() for name in ("sec2", "fig3", "elliptic", "diffeq")]
+    + [MIXED_SOURCE, GLUE_CORE_SOURCE],
+    ids=["sec2", "fig3", "elliptic", "diffeq", "mixed", "gluecore"],
+)
+def test_one_bit_view_is_built_from_parse_to_costs(monkeypatch, text, tile):
+    """Only the kernel's view is built, however many tilings are tried:
+    the fragmented graph's is derived from it and shares its producer
+    tuples."""
+    built = []
+    build = dfg._build_bit_view
+    monkeypatch.setattr(dfg, "_build_bit_view", lambda g: built.append(g) or build(g))
+    kernel, _ = extract_kernel(parse(text))
+    critical_path(kernel)
+    lam = 3
+    low = estimate_cycle(kernel, lam)
+    for n_bits in range(low, low + 64):  # upward to a cycle that schedules
+        try:
+            fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
+            sched = schedule(transformed, fragments, lam, n_bits)
+            break
+        except (InfeasibleError, ScheduleError):
+            continue
+    else:
+        pytest.fail("no cycle schedules")
+    assert verify_schedule(sched) == []
+    costs(sched)
+    assert len(built) == 1 and built[0] is kernel
+    old, view = kernel.bit_view, transformed.bit_view
+    assert len(view.producers) >= len(old.producers)
+    assert all(map(operator.is_, view.producers, old.producers))

@@ -9,13 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
-from bitfrag.dfg import OpKind
+from bitfrag.dfg import OpKind, Slot
 from bitfrag.fragmenter import (
     InfeasibleError,
-    Slot,
     analyze,
-    bit_alap,
-    bit_asap,
     bucket_fragment,
     bucket_runs,
     fragment,
@@ -35,6 +32,8 @@ from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
 from conftest import (
     GLUE_CORE_SOURCE,
+    bit_alap,
+    bit_asap,
     feasible_placements,
     keyed_view,
     load_design,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse, timing
 from bitfrag.dfg import OpKind
-from bitfrag.fragmenter import InfeasibleError, analyze, bit_asap
+from bitfrag.fragmenter import InfeasibleError, analyze
 from bitfrag.timing import (
     CriticalPath,
     TimingError,
@@ -19,6 +19,7 @@ from bitfrag.timing import (
 )
 from conftest import (
     TIE_SOURCE,
+    bit_asap,
     load_design,
     op_paths,
     path_time,
