@@ -24,6 +24,7 @@ at the same latency, it yields a CostReport like any other schedule.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .dfg import (
@@ -89,10 +90,10 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     its refs, OpBit or CarryBit, in bit number order: data bits before
     carries, each in definition order and then by bit.
     """
-    graph, cycle_of = sched.graph, sched.cycle_of
+    graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     view = graph.bit_view
-    keys = view.keys
-    stop = [0] * len(keys)  # each bit's last reader cycle
+    size = len(view.producers)
+    stop = [0] * (size + len(view.carried))  # each bit's last reader cycle
     for op in graph.ops:
         cycle = cycle_of.get(op.id, 0)
         lo = view.base[op.id]
@@ -100,13 +101,20 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
             for r in refs:
                 if stop[r] < cycle:
                     stop[r] = cycle
-    out: dict[int, list] = {b: [] for b in range(1, sched.lam)}
+    out: dict[int, list] = {b: [] for b in range(1, lam)}
+    names, starts = list(view.base), list(view.base.values())
     for n, last in enumerate(stop):
         if not last:
             continue  # no scheduled unit reads it
-        start = cycle_of.get(keys[n][0], last)  # none if its op has no cycle
-        ref = view.ref(n)
-        for b in range(max(start, 1), min(last, sched.lam)):
+        if n < size:  # a data bit: its op's bit 0 is the last start not above it
+            k = bisect_right(starts, n) - 1
+            op_id = names[k]
+            ref = OpBit(op_id, n - starts[k])
+        else:
+            op_id = view.carried[n - size]
+            ref = CarryBit(op_id)
+        # An op with no cycle holds its bits nowhere.
+        for b in range(max(cycle_of.get(op_id, last), 1), min(last, lam)):
             out[b].append(ref)
     return out
 

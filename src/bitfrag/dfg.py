@@ -241,14 +241,6 @@ class DataFlowGraph:
         return arrival_table(self)
 
 
-def source_width(graph: DataFlowGraph, source: Source) -> int:
-    if isinstance(source, InputRef):
-        return graph.input_port(source.name).width
-    if isinstance(source, ResultRef):
-        return graph.op(source.op).width
-    return source.width  # Const, Concat
-
-
 def operand_slices(operand: Operand) -> list[Operand]:
     """The flat slices of ``operand``, lowest first, at its own width.
 
@@ -298,61 +290,67 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         else:
             diags.append(Diagnostic(f"undefined reference {name}", where))
 
-    def check_operand(opnd: Operand, where: str) -> None:
+    def check_operand(opnd: Operand, where: str) -> int:
+        """Report what is wrong with ``opnd``, walking it once; returns
+        its width, so a concat's width is the sum over its parts."""
         src = opnd.source
-        if isinstance(src, CarryRef):
-            diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
-            return
-        if isinstance(src, InputRef):
-            check_ref(src.name, where)
-        elif isinstance(src, ResultRef):
-            check_ref(src.op, where)
+        if isinstance(src, ResultRef):
+            name, found = src.op, graph._op_map.get(src.op)
+        elif isinstance(src, InputRef):
+            name, found = src.name, graph._input_map.get(src.name)
+        else:
+            name = None
+        if name is not None:
+            if name not in defined_ops:  # else defined, so no problem
+                check_ref(name, where)
+            if found is None:  # reported already
+                return opnd.hi - opnd.lo + 1
+            w = found.width
         elif isinstance(src, Const):
             if not src.bits or any(c not in "01" for c in src.bits):
                 diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
+            w = len(src.bits)
+        elif isinstance(src, CarryRef):
+            diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
+            return opnd.hi - opnd.lo + 1
         else:
-            for part in src.parts:
-                check_operand(part, where)
-        try:
-            w = source_width(graph, opnd.source)
-        except KeyError:
-            return  # undefined reference already reported
-        if not (0 <= opnd.lo <= opnd.hi < w):
-            diags.append(
-                Diagnostic(f"slice [{opnd.hi}:{opnd.lo}] out of range for width {w}", where)
-            )
+            w = sum([check_operand(part, where) for part in src.parts])
+        lo, hi = opnd.lo, opnd.hi
+        if not (0 <= lo <= hi < w):
+            diags.append(Diagnostic(f"slice [{hi}:{lo}] out of range for width {w}", where))
+        return hi - lo + 1
 
     for op in graph.ops:
-        if op.id in seen:
-            diags.append(Diagnostic("duplicate name", op.id))
-        seen[op.id] = "op"
+        op_id, kind, operands, carry = op.id, op.kind, op.operands, op.carry_in
+        if op_id in seen:
+            diags.append(Diagnostic("duplicate name", op_id))
+        seen[op_id] = "op"
         if op.width < 1:
-            diags.append(Diagnostic(f"width must be positive, got {op.width}", op.id))
-        if len(op.operands) != op.kind.arity:
+            diags.append(Diagnostic(f"width must be positive, got {op.width}", op_id))
+        if len(operands) != kind.arity:
             diags.append(
                 Diagnostic(
-                    f"{op.kind.name.lower()} takes {op.kind.arity} operands, "
-                    f"got {len(op.operands)}",
-                    op.id,
+                    f"{kind.name.lower()} takes {kind.arity} operands, got {len(operands)}",
+                    op_id,
                 )
             )
-        for opnd in op.operands:
-            check_operand(opnd, op.id)
-        if op.kind is OpKind.SELECT and op.operands:
-            if op.operands[0].width != 1:
-                diags.append(Diagnostic("select condition must be 1 bit wide", op.id))
-        if op.carry_in is not None and op.kind is not OpKind.ADD:
-            diags.append(Diagnostic("only add may take a carry", op.id))
-        if isinstance(op.carry_in, CarryRef):
-            src = op.carry_in.op
-            check_ref(src, op.id)
-            if seen.get(src) == "input" or (
-                src in defined_ops and graph.op(src).kind is not OpKind.ADD
-            ):
-                diags.append(Diagnostic(f"carry source {src} is not an add", op.id))
-        elif isinstance(op.carry_in, int) and op.carry_in not in (0, 1):
-            diags.append(Diagnostic(f"carry constant must be 0 or 1, got {op.carry_in}", op.id))
-        defined_ops.add(op.id)
+        for opnd in operands:
+            check_operand(opnd, op_id)
+        if kind is OpKind.SELECT and operands and operands[0].width != 1:
+            diags.append(Diagnostic("select condition must be 1 bit wide", op_id))
+        if carry is not None:
+            if kind is not OpKind.ADD:
+                diags.append(Diagnostic("only add may take a carry", op_id))
+            if isinstance(carry, CarryRef):
+                src = carry.op
+                check_ref(src, op_id)
+                if seen.get(src) == "input" or (
+                    src in defined_ops and graph.op(src).kind is not OpKind.ADD
+                ):
+                    diags.append(Diagnostic(f"carry source {src} is not an add", op_id))
+            elif isinstance(carry, int) and carry not in (0, 1):
+                diags.append(Diagnostic(f"carry constant must be 0 or 1, got {carry}", op_id))
+        defined_ops.add(op_id)
 
     for name in graph.outputs:
         if name not in seen:
@@ -465,10 +463,11 @@ class BitView:
 
     Every result bit has a number: bit ``i`` of op ``x`` is
     ``base[x] + i``, so numbers run in definition order and then by
-    bit, and ``keys[n]`` is the ``(op, bit)`` key of number ``n``.  Each
-    carry that some add reads as its carry-in is numbered after every
-    data bit, again in definition order, and its key is its
-    ``CarryBit``.  The other tables are indexed by number.
+    bit.  Each carry that some add reads as its carry-in is numbered
+    after every data bit, again in definition order: ``carried`` lists
+    the ops whose carry is read, so the carry of ``carried[k]`` is
+    number ``len(producers) + k``.  The other tables are indexed by
+    number.
 
     ``producers[n]`` lists the data bits result bit ``n`` waits on:
     inputs and constants drop out, and a carry-in becomes the MSB of
@@ -480,17 +479,29 @@ class BitView:
     before carries, each in definition order and then by bit, with one
     exception: a carry-in's MSB goes last in ``producers`` unless the bit
     also reads that MSB as data.  That order is the tie rule of
-    ``critical_path``.  A key names its op first, a carry's too, so
-    ``keys[n][0]`` is the op that produces bit ``n``.  The view is built
-    one loop per op kind; ``bit_deps`` states its rules bit by bit, and
-    tests hold one to the other.
+    ``critical_path``.  The view is built one loop per op kind;
+    ``bit_deps`` states its rules bit by bit, and tests hold one to the
+    other.
     """
 
-    keys: tuple[BitKey | CarryBit, ...]
     base: dict[str, int]
+    carried: tuple[str, ...]
     producers: tuple[tuple[int, ...], ...]
     consumers: tuple[tuple[int, ...], ...]
     reads: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def keys(self) -> tuple[BitKey | CarryBit, ...]:
+        """The ``(op, bit)`` key of every data bit, then the ``CarryBit``
+        of every carry, by number, derived from ``base`` and
+        ``carried`` on first use.  A key names its op first, a carry's
+        too, so ``keys[n][0]`` is the op that produces bit ``n``.  The
+        view is frozen but not slotted, so the keys are cached in its
+        ``__dict__``; no pass from parse to ``costs`` reads them."""
+        starts = list(self.base.values())
+        stops = starts[1:] + [len(self.producers)]
+        keys = [(x, i) for x, lo, stop in zip(self.base, starts, stops) for i in range(stop - lo)]
+        return (*keys, *map(CarryBit, self.carried))
 
     def keyed(self, table: list) -> dict:
         """A per-data-bit table as a dict by ``(op, bit)`` key, in
@@ -513,22 +524,21 @@ def _padded(bits: range | list) -> chain:
     return chain(bits, repeat(None))
 
 
-def _numbering(graph: DataFlowGraph) -> tuple[list, dict[str, int], int, dict[str, int]]:
-    """The view's keys and ``base``, the number of data bits, and the
-    number of each carry read as a carry-in, by the op it comes from."""
+def _numbering(graph: DataFlowGraph) -> tuple[dict[str, int], int, dict[str, int]]:
+    """The view's ``base``, the number of data bits, and the number of
+    each carry read as a carry-in, by the op it comes from, in
+    definition order (so its keys are the view's ``carried``)."""
     base: dict[str, int] = {}
-    keys: list = []
+    size = 0
     for op in graph.ops:
-        base[op.id] = len(keys)
-        keys += [(op.id, i) for i in range(op.width)]
-    size = len(keys)
-    carried = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
+        base[op.id] = size
+        size += op.width
+    read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     carry_of: dict[str, int] = {}
     for op in graph.ops:
-        if op.id in carried:
-            carry_of[op.id] = len(keys)
-            keys.append(CarryBit(op.id))
-    return keys, base, size, carry_of
+        if op.id in read:
+            carry_of[op.id] = size + len(carry_of)
+    return base, size, carry_of
 
 
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
@@ -543,7 +553,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     ``bit_deps`` states the same rules through ``_waits``; tests check
     one against the other.
     """
-    keys, base, size, carry_of = _numbering(graph)
+    base, size, carry_of = _numbering(graph)
 
     def numbers(opnd: Operand) -> range | list:
         source = opnd.source
@@ -621,7 +631,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         for p in prods:
             consumers[p].append(n)
     return BitView(
-        tuple(keys), base, tuple(producers), tuple(map(tuple, consumers)), tuple(reads)
+        base, tuple(carry_of), tuple(producers), tuple(map(tuple, consumers)), tuple(reads)
     )
 
 
@@ -639,7 +649,7 @@ def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
     above the first its lower neighbour's.  Tests hold the result to
     ``_build_bit_view(graph)``, table by table.
     """
-    keys, base, size, carry_of = _numbering(graph)
+    base, size, carry_of = _numbering(graph)
     data = len(view.producers)
     producers = list(view.producers)
     consumers = list(view.consumers)
@@ -660,4 +670,4 @@ def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
             if read and read[-1] >= data:  # the carry as ``view`` numbered it
                 read = read[:-1]
             reads[n] = (*read, carry_of[op.carry_in.op])
-    return BitView(tuple(keys), base, tuple(producers), tuple(consumers), tuple(reads))
+    return BitView(base, tuple(carry_of), tuple(producers), tuple(consumers), tuple(reads))

@@ -390,28 +390,34 @@ def verify_schedule(sched: Schedule) -> list[str]:
     mobility from the scheduled graph only when a unit has no fragment
     record, and confirms assignment completeness, window containment,
     fragment order, and realized chain depths.  A budget too small for
-    the graph's own ALAP table is reported as a problem, with its
-    message, and every check that needs no window still runs.  So is a
-    unit missing from ``cycle_of``; the slot recomputation, which needs
-    every unit's cycle, is then skipped.
+    the graph's own ALAP table is reported as a problem, first, with its
+    message; no window is then checked, and every check that needs none
+    still runs.  So is a unit missing from ``cycle_of``; the slot
+    recomputation, which needs every unit's cycle, is then skipped.
+
+    When every unit has a record, the ALAP table runs only if another
+    check reported a problem or a budget is below 1: a replay with every
+    unit in ``1..lam`` and no realized problem puts every bit at or
+    after its realized time, itself at least 1, so ALAP cannot fail.
+    Adds chain forward at least one step, glue is transparent and a
+    core's inputs finish in an earlier cycle.
     """
     problems: list[str] = []
     graph = sched.graph
     frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
-    try:
-        # A core or an add without a record reads the graph's mobility;
-        # if there is none, ALAP alone runs, for the budget check.
-        if any(not op.kind.glue and op.id not in frag_of for op in graph.ops):
-            mobility = analyze(graph, sched.n_bits, sched.lam)
-            windows = unit_windows(graph, mobility, sched.fragments)
-        else:
-            alap_table(graph, sched.n_bits, sched.lam)
-            windows = {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
-    except InfeasibleError as err:
-        problems.append(str(err))
-        windows = {}
+    budget = None  # the ALAP table's failure, if it fails
+    # A core or an add without a record reads the graph's mobility.
+    derived = any(not op.kind.glue and op.id not in frag_of for op in graph.ops)
+    if derived:
+        try:
+            windows = unit_windows(graph, analyze(graph, sched.n_bits, sched.lam), sched.fragments)
+        except InfeasibleError as err:
+            budget, windows = str(err), {}
+    else:
+        windows = {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
 
     complete = True
+    escapes: set[int] = set()  # where in ``problems`` a window escape is
     for op in graph.ops:
         if op.kind.glue:
             continue
@@ -426,6 +432,7 @@ def verify_schedule(sched: Schedule) -> list[str]:
         if uid in windows:
             early, late = windows[uid]
             if not early <= c <= late:
+                escapes.add(len(problems))
                 problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
 
     for parent, parts in sched.fragments.items():
@@ -438,4 +445,11 @@ def verify_schedule(sched: Schedule) -> list[str]:
 
     if complete:
         problems += _realized_table(graph, sched.n_bits, sched.cycle_of)[1]
-    return problems
+    if not derived and (problems or sched.n_bits < 1 or sched.lam < 1):
+        try:
+            alap_table(graph, sched.n_bits, sched.lam)
+        except InfeasibleError as err:
+            budget = str(err)
+    if budget is None:
+        return problems
+    return [budget] + [p for k, p in enumerate(problems) if k not in escapes]

@@ -11,6 +11,7 @@ the same recurrence times the earliest schedule (``fragmenter``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil
 
@@ -86,11 +87,12 @@ def critical_path(graph: DataFlowGraph) -> CriticalPath:
         return CriticalPath((), 0)
 
     view = graph.bit_view
+    starts = list(view.base.values())  # each op's bit 0, in definition order
     time = max(arrival)
     cur = arrival.index(time)
     path: list[str] = []
     while True:
-        op = graph.op(view.keys[cur][0])
+        op = graph.ops[bisect_right(starts, cur) - 1]
         if op.kind is OpKind.MULT_CORE:
             break
         if op.kind is OpKind.ADD and (not path or path[0] != op.id):

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 from bitfrag import check, extract_kernel, parse
 from bitfrag.dfg import (
@@ -25,6 +26,7 @@ from bitfrag.dfg import (
     Concat,
     Const,
     DataFlowGraph,
+    Diagnostic,
     InputBit,
     InputPort,
     InputRef,
@@ -34,6 +36,7 @@ from bitfrag.dfg import (
     OpKind,
     ResultRef,
     Slot,
+    Source,
     bit_deps,
 )
 from bitfrag.fragmenter import (
@@ -53,6 +56,17 @@ from bitfrag.scheduler import (
 )
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
 from bitfrag.timing import arrival_table, critical_path, estimate_cycle
+
+# ``pytest --hypothesis-profile=deep`` runs the properties that read
+# ``deep_settings`` at 1,000 examples each; CI runs them so.
+settings.register_profile("deep", max_examples=1000)
+
+
+def deep_settings(max_examples: int) -> settings:
+    """A property's settings: ``max_examples`` examples, or the loaded
+    profile's count when that is more, and no deadline."""
+    return settings(max_examples=max(max_examples, settings.default.max_examples), deadline=None)
+
 
 TESTS_DIR = Path(__file__).resolve().parent
 DESIGN_DIR = TESTS_DIR.parent / "src" / "bitfrag" / "designs"
@@ -365,8 +379,13 @@ def _pick_operand(rng: random.Random, pool: list[tuple[str, int, bool]], width: 
     return Operand(source, src_w - 1, 0)
 
 
-def random_add_design(seed: int) -> DataFlowGraph:
-    """Seeded all-ADD DAG with random truncating slices, <= 12 ops."""
+def random_add_design(seed: int, carries: bool = False) -> DataFlowGraph:
+    """Seeded all-ADD DAG with random truncating slices, <= 12 ops.
+
+    With ``carries``, about half the adds after the first read an
+    earlier add's carry as their carry-in.  Only that flag makes the
+    extra draws, so ``carries=False`` leaves every seed as it was.
+    """
     rng = random.Random(seed)
     inputs = [
         InputPort(f"in{i}", rng.randint(1, 32), False)
@@ -381,6 +400,8 @@ def random_add_design(seed: int) -> DataFlowGraph:
             _pick_operand(rng, pool, width),
         )
         carry = rng.choice([None, None, None, 0, 1])
+        if carries and ops and rng.random() < 0.5:
+            carry = CarryRef(rng.choice(ops).id)
         op_id = f"n{k}"
         ops.append(Operation(op_id, OpKind.ADD, width, False, operands, carry))
         pool.append((op_id, width, False))
@@ -598,8 +619,12 @@ _SURFACE_KINDS = (
 )
 
 
-def random_full_design(seed: int) -> DataFlowGraph:
-    """Seeded design over every surface kind, sized for fast simulation."""
+def random_full_design(seed: int, carries: bool = False) -> DataFlowGraph:
+    """Seeded design over every surface kind, sized for fast simulation.
+
+    ``carries`` makes more of the ops adds and chains carry-ins
+    between them as ``random_add_design`` does.
+    """
     rng = random.Random(seed)
     inputs = [
         InputPort(f"v{i}", rng.randint(2, 9), rng.random() < 0.4)
@@ -625,6 +650,8 @@ def random_full_design(seed: int) -> DataFlowGraph:
     ops = []
     for k in range(rng.randint(3, 8)):
         kind = rng.choice(_SURFACE_KINDS)
+        if carries and rng.random() < 0.4:
+            kind = OpKind.ADD  # more adds to chain carries between
         signed = rng.random() < 0.4
         width = rng.randint(2, 10)
         op_id = f"t{k}"
@@ -648,6 +675,10 @@ def random_full_design(seed: int) -> DataFlowGraph:
         else:
             operands = (operand(width), operand(width))
         carry = rng.choice([None, None, None, 0, 1]) if kind is OpKind.ADD else None
+        if carries and kind is OpKind.ADD:
+            adds = [op.id for op in ops if op.kind is OpKind.ADD]
+            if adds and rng.random() < 0.5:
+                carry = CarryRef(rng.choice(adds))
         ops.append(Operation(op_id, kind, width, signed, operands, carry))
         pool.append((op_id, width, False))
     consumed = {
@@ -658,3 +689,146 @@ def random_full_design(seed: int) -> DataFlowGraph:
     }
     outputs = tuple(op.id for op in ops if op.id not in consumed)
     return check(DataFlowGraph("randfull", tuple(inputs), tuple(ops), outputs))
+
+
+def carried_add_design(seed: int) -> DataFlowGraph:
+    """``random_add_design`` with carry-ins chained between adds."""
+    return random_add_design(seed, carries=True)
+
+
+def carried_full_design(seed: int) -> DataFlowGraph:
+    """``random_full_design`` with carry-ins chained between adds."""
+    return random_full_design(seed, carries=True)
+
+
+# Every random-design maker, the carried ones last.
+DESIGN_MAKERS = (random_add_design, random_full_design, carried_add_design, carried_full_design)
+
+
+def eager_keys(graph: DataFlowGraph) -> tuple:
+    """Oracle for ``BitView.keys``: the ``(op, bit)`` key of every data
+    bit in definition order and then by bit, then the ``CarryBit`` of
+    every add whose carry is read as a carry-in, in definition order."""
+    keys: list = [(op.id, i) for op in graph.ops for i in range(op.width)]
+    read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
+    return (*keys, *(CarryBit(op.id) for op in graph.ops if op.id in read))
+
+
+def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
+    """Oracle for ``cost.stored_bits``: each read bit's producing op and
+    ref taken from its key in ``eager_keys``."""
+    graph, cycle_of = sched.graph, sched.cycle_of
+    view = graph.bit_view
+    keys = eager_keys(graph)
+    stop = [0] * len(keys)  # each bit's last reader cycle
+    for op in graph.ops:
+        cycle = cycle_of.get(op.id, 0)
+        lo = view.base[op.id]
+        for refs in view.reads[lo:lo + op.width]:
+            for r in refs:
+                stop[r] = max(stop[r], cycle)
+    out: dict[int, list] = {b: [] for b in range(1, sched.lam)}
+    for key, last in zip(keys, stop):
+        if not last:
+            continue
+        start = cycle_of.get(key[0], last)  # none if its op has no cycle
+        ref = key if isinstance(key, CarryBit) else OpBit(*key)
+        for b in range(max(start, 1), min(last, sched.lam)):
+            out[b].append(ref)
+    return out
+
+
+def source_width(graph: DataFlowGraph, source: Source) -> int:
+    """The width of ``source`` in ``graph``; KeyError for a name the
+    graph does not define as that kind of source."""
+    if isinstance(source, InputRef):
+        return graph.input_port(source.name).width
+    if isinstance(source, ResultRef):
+        return graph.op(source.op).width
+    return source.width  # Const, Concat
+
+
+def validate_oracle(graph: DataFlowGraph) -> list[Diagnostic]:
+    """Oracle for ``dfg.validate``: the same diagnostics in the same
+    order, each operand walked for its problems and then measured again
+    by ``source_width``."""
+    diags: list[Diagnostic] = []
+    seen: dict[str, str] = {}
+
+    for port in graph.inputs:
+        if port.name in seen:
+            diags.append(Diagnostic("duplicate name", port.name))
+        seen[port.name] = "input"
+        if port.width < 1:
+            diags.append(Diagnostic(f"width must be positive, got {port.width}", port.name))
+
+    defined_ops: set[str] = set()
+
+    def check_ref(name: str, where: str) -> None:
+        if name in seen:
+            if seen[name] == "op" and name not in defined_ops:
+                diags.append(Diagnostic(f"reference to {name} creates a cycle", where))
+        else:
+            diags.append(Diagnostic(f"undefined reference {name}", where))
+
+    def check_operand(opnd: Operand, where: str) -> None:
+        src = opnd.source
+        if isinstance(src, CarryRef):
+            diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
+            return
+        if isinstance(src, InputRef):
+            check_ref(src.name, where)
+        elif isinstance(src, ResultRef):
+            check_ref(src.op, where)
+        elif isinstance(src, Const):
+            if not src.bits or any(c not in "01" for c in src.bits):
+                diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
+        else:
+            for part in src.parts:
+                check_operand(part, where)
+        try:
+            w = source_width(graph, opnd.source)
+        except KeyError:
+            return  # undefined reference already reported
+        if not (0 <= opnd.lo <= opnd.hi < w):
+            diags.append(
+                Diagnostic(f"slice [{opnd.hi}:{opnd.lo}] out of range for width {w}", where)
+            )
+
+    for op in graph.ops:
+        if op.id in seen:
+            diags.append(Diagnostic("duplicate name", op.id))
+        seen[op.id] = "op"
+        if op.width < 1:
+            diags.append(Diagnostic(f"width must be positive, got {op.width}", op.id))
+        if len(op.operands) != op.kind.arity:
+            diags.append(
+                Diagnostic(
+                    f"{op.kind.name.lower()} takes {op.kind.arity} operands, "
+                    f"got {len(op.operands)}",
+                    op.id,
+                )
+            )
+        for opnd in op.operands:
+            check_operand(opnd, op.id)
+        if op.kind is OpKind.SELECT and op.operands:
+            if op.operands[0].width != 1:
+                diags.append(Diagnostic("select condition must be 1 bit wide", op.id))
+        if op.carry_in is not None and op.kind is not OpKind.ADD:
+            diags.append(Diagnostic("only add may take a carry", op.id))
+        if isinstance(op.carry_in, CarryRef):
+            src = op.carry_in.op
+            check_ref(src, op.id)
+            if seen.get(src) == "input" or (
+                src in defined_ops and graph.op(src).kind is not OpKind.ADD
+            ):
+                diags.append(Diagnostic(f"carry source {src} is not an add", op.id))
+        elif isinstance(op.carry_in, int) and op.carry_in not in (0, 1):
+            diags.append(Diagnostic(f"carry constant must be 0 or 1, got {op.carry_in}", op.id))
+        defined_ops.add(op.id)
+
+    for name in graph.outputs:
+        if name not in seen:
+            diags.append(Diagnostic(f"undefined reference {name}", "output"))
+
+    return diags

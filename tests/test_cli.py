@@ -17,17 +17,19 @@ from bitfrag import cli
 from bitfrag.cli import _SUFFIX, main
 from bitfrag.dfg import BitView
 from bitfrag.dsl import ParseError, emit, parse
+from bitfrag.cost import costs
 from bitfrag.fragmenter import analyze, bucket_fragment, fragment
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import schedule, verify_schedule
+from bitfrag.scheduler import realized_slots, schedule, verify_schedule
 from bitfrag.simulator import EquivResult, check_equiv
-from bitfrag.timing import estimate_cycle
+from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 
 from conftest import (
     DESIGN_DIR,
     GLUE_CORE_SOURCE,
     SAT_SOURCE,
     TIE_SOURCE,
+    eager_keys,
     random_add_design,
     random_full_design,
     under_hash_seeds,
@@ -278,6 +280,34 @@ def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypa
     assert main(args) == 0
     report = json.loads((tmp_path / f"{name}.json").read_text())
     assert report["equiv"]["equivalent"] is True
+
+
+@pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
+def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
+    """From parse to ``costs`` no pass reads ``BitView.keys``, so neither
+    the kernel's view nor the fragmented graph's caches them; the public
+    results that need them still derive them on first use."""
+    kernel, _ = extract_kernel(parse((DESIGN_DIR / f"{name}.dfg").read_text()))
+    critical_path(kernel)
+    lam = 3
+    n_bits = estimate_cycle(kernel, lam)
+    fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
+    sched = schedule(transformed, fragments, lam, n_bits)
+    assert verify_schedule(sched) == []
+    costs(sched)
+    assert "keys" not in kernel.bit_view.__dict__
+    assert "keys" not in transformed.bit_view.__dict__
+
+    slots, problems = realized_slots(transformed, n_bits, sched.cycle_of)
+    assert problems == []
+    assert list(slots) == list(eager_keys(transformed)[: len(slots)])
+    arrivals = bit_arrivals(kernel)
+    assert list(arrivals) == list(eager_keys(kernel)[: len(arrivals)])
+    path = str(DESIGN_DIR / f"{name}.dfg")
+    args = [path, "--latency", str(lam), "--emit", "arrivals", "--out", str(tmp_path)]
+    assert main(args) == 0
+    lines = (tmp_path / f"{name}{_SUFFIX['arrivals']}").read_text().splitlines()
+    assert lines == [f"{op}[{bit}] = {t}" for (op, bit), t in sorted(arrivals.items())]
 
 
 def _run_text(text: str, args: list[str]) -> tuple[int, str, str]:

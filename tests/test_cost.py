@@ -1,5 +1,7 @@
 """Datapath cost model: lanes, boundary registers, multiplexers."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,22 @@ from bitfrag.fragmenter import (
     InfeasibleError,
     analyze,
     bucket_fragment,
+    bucket_runs,
     fragment,
+    op_runs,
     whole_runs,
 )
 from bitfrag.scheduler import ScheduleError, realized_slots, schedule, verify_schedule
 from bitfrag.timing import estimate_cycle
-from conftest import keyed_view, random_full_design, run_pipeline, smallest_pipeline
+from conftest import (
+    DESIGN_MAKERS,
+    carried_full_design,
+    keyed_stored_bits,
+    keyed_view,
+    random_full_design,
+    run_pipeline,
+    smallest_pipeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +161,14 @@ def test_stored_bits_hold_only_crossing_reads(sec2):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4, 6]), st.booleans())
-def test_stored_bits_are_the_reads_that_cross_each_boundary(seed, lam, bucket):
-    kernel, _ = extract_kernel(random_full_design(seed))
+@given(
+    st.sampled_from([random_full_design, carried_full_design]),
+    st.integers(0, 10_000),
+    st.sampled_from([2, 3, 4, 6]),
+    st.booleans(),
+)
+def test_stored_bits_are_the_reads_that_cross_each_boundary(make, seed, lam, bucket):
+    kernel, _ = extract_kernel(make(seed))
     tile = bucket_fragment if bucket else fragment
     n = estimate_cycle(kernel, lam)
     try:
@@ -182,6 +199,36 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(seed, lam, bucket):
             if produced(ref) <= b
         }
         assert refs == sorted(crossing, key=order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+    st.data(),
+)
+def test_stored_bits_match_the_keyed_oracle(make, seed, lam, tiling, data):
+    """``stored_bits`` walks bits op by op and then the carries, building
+    each ref itself; the oracle reads each bit's op and ref from its
+    key.  They agree on every schedule, and on schedules with units
+    moved anywhere or dropped, as the latch check may be handed."""
+    try:
+        sched = run_pipeline(make(seed), lam, runs=tiling).sched
+    except (InfeasibleError, ScheduleError):
+        return
+    assert stored_bits(sched) == keyed_stored_bits(sched)
+    if sched.cycle_of:
+        units = st.sampled_from(sorted(sched.cycle_of))
+        cycle_of = {
+            **sched.cycle_of,
+            **data.draw(st.dictionaries(units, st.integers(-1, lam + 2), max_size=3)),
+        }
+        for uid in data.draw(st.sets(units, max_size=2)):
+            del cycle_of[uid]
+        tampered = dataclasses.replace(sched, cycle_of=cycle_of)
+        assert stored_bits(tampered) == keyed_stored_bits(tampered)
 
 
 def test_lane_width_bounds_every_fragment(sat, fig3):

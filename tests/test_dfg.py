@@ -1,5 +1,7 @@
 """Structural IR behavior: lookups, bit resolution, validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,25 +24,37 @@ from bitfrag.dfg import (
     bit_deps,
     check,
     operand_slices,
-    source_width,
     validate,
 )
 from bitfrag.dsl import parse
-from bitfrag.fragmenter import InfeasibleError, analyze, fragment
+from bitfrag.fragmenter import (
+    InfeasibleError,
+    analyze,
+    apply_runs,
+    bucket_runs,
+    fragment,
+    op_runs,
+    whole_runs,
+)
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import ScheduleError, realized_slots, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
+    DESIGN_MAKERS,
     TIE_SOURCE,
     ConstBit,
     bit_alap,
     bit_asap,
+    carried_add_design,
+    eager_keys,
     feasible_pipeline,
     keyed_view,
     load_design,
     operand_bits,
     random_full_design,
     slice_bits,
+    source_width,
+    validate_oracle,
 )
 
 
@@ -283,6 +297,41 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
         }
 
 
+@pytest.mark.parametrize("case", ["sec2", "fig3", "elliptic", "diffeq", "tie"])
+def test_keys_are_the_eager_enumeration_on_bundled_views(case):
+    for g in _view_graphs(case):
+        assert g.bit_view.keys == eager_keys(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_keys_are_the_eager_enumeration(make, seed, lam, tiling):
+    """The keys a view derives from ``base`` and ``carried`` on first
+    use, for a design, its kernel and its fragmented kernel, whose view
+    ``carried_view`` derived, are the ones the view used to list."""
+    design = make(seed)
+    kernel, _ = extract_kernel(design)
+    graphs = [design, kernel]
+    try:
+        mobility = analyze(kernel, estimate_cycle(kernel, lam), lam)
+    except InfeasibleError:
+        pass
+    else:
+        graphs.append(apply_runs(kernel, tiling(kernel, mobility))[1])
+    for g in graphs:
+        view = g.bit_view
+        assert view.keys == eager_keys(g)
+        assert view.keys is view.keys
+        assert [view.ref(n) for n in range(len(view.keys))] == [
+            key if isinstance(key, CarryBit) else OpBit(*key) for key in view.keys
+        ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
 def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
@@ -442,3 +491,82 @@ def test_check_raises_with_diagnostics():
         check(g)
     assert any("width must be positive" in str(d) for d in err.value.diagnostics)
     assert validate(_tiny()) == []
+
+
+_NAMES = ["v0", "v1", "t0", "t1", "t3", "n0", "n2", "ghost"]
+
+
+def _operands(names: list[str]):
+    """Operands over any source, concatenations nested, slices in or out
+    of range."""
+    refs = st.sampled_from(names)
+    sources = st.one_of(
+        st.builds(InputRef, refs),
+        st.builds(ResultRef, refs),
+        st.builds(CarryRef, refs),
+        st.builds(Const, st.sampled_from(["", "0", "1", "101", "012", "0x1"])),
+    )
+
+    def sliced(source):
+        return st.builds(Operand, source, st.integers(-1, 12), st.integers(-1, 12))
+
+    return st.recursive(
+        sliced(sources),
+        lambda inner: sliced(st.builds(Concat, st.lists(inner, min_size=1, max_size=3).map(tuple))),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def _mutated_graphs(draw):
+    """A random design with up to four edits that may break it: an
+    operand, carry, width, kind or name replaced, two ops swapped, an
+    input narrowed or renamed, or an output renamed."""
+    make = draw(st.sampled_from([random_full_design, carried_add_design]))
+    graph = make(draw(st.integers(0, 10_000)))
+    inputs, ops, outputs = list(graph.inputs), list(graph.ops), list(graph.outputs)
+    names = sorted({*_NAMES, *(p.name for p in inputs), *(op.id for op in ops)})
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(ops) - 1))
+        op = ops[k]
+        edit = draw(st.sampled_from(
+            ["operand", "carry", "width", "kind", "name", "swap", "input", "output"]
+        ))
+        if edit == "operand" and op.operands:
+            j = draw(st.integers(0, len(op.operands) - 1))
+            operands = list(op.operands)
+            operands[j] = draw(_operands(names))
+            ops[k] = dataclasses.replace(op, operands=tuple(operands))
+        elif edit == "carry":
+            carry = draw(st.one_of(
+                st.none(), st.integers(-1, 2), st.builds(CarryRef, st.sampled_from(names))
+            ))
+            ops[k] = dataclasses.replace(op, carry_in=carry)
+        elif edit == "width":
+            ops[k] = dataclasses.replace(op, width=draw(st.integers(-1, 12)))
+        elif edit == "kind":
+            ops[k] = dataclasses.replace(op, kind=draw(st.sampled_from(list(OpKind))))
+        elif edit == "name":
+            ops[k] = dataclasses.replace(op, id=draw(st.sampled_from(names)))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(ops) - 1))
+            ops[k], ops[j] = ops[j], ops[k]
+        elif edit == "input":
+            j = draw(st.integers(0, len(inputs) - 1))
+            inputs[j] = dataclasses.replace(
+                inputs[j],
+                name=draw(st.sampled_from(names)),
+                width=draw(st.integers(0, 12)),
+            )
+        elif edit == "output":
+            outputs.append(draw(st.sampled_from(names)))
+    return DataFlowGraph(graph.name, tuple(inputs), tuple(ops), tuple(outputs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_graphs())
+def test_validate_matches_the_oracle_on_mutated_graphs(graph):
+    """``validate`` walks each operand once and measures it as it goes;
+    the oracle walks it and then measures it again.  Every diagnostic
+    and its order agree."""
+    assert validate(graph) == validate_oracle(graph)

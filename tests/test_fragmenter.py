@@ -41,6 +41,7 @@ from bitfrag.simulator import check_equiv
 from bitfrag.timing import TimingError, critical_path, estimate_cycle
 from conftest import (
     DESIGN_DIR,
+    DESIGN_MAKERS,
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
     ConstBit,
@@ -664,7 +665,7 @@ def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)
 
 
-_VIEW_TABLES = ("keys", "base", "producers", "consumers", "reads")
+_VIEW_TABLES = ("keys", "base", "carried", "producers", "consumers", "reads")
 
 
 def _view_mismatches(graph: DataFlowGraph, view=None) -> list[str]:
@@ -678,7 +679,7 @@ def _view_mismatches(graph: DataFlowGraph, view=None) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([random_full_design, random_add_design]),
+    st.sampled_from(DESIGN_MAKERS),
     st.integers(0, 10_000),
     st.integers(1, 6),
     st.integers(1, 16),

@@ -12,17 +12,21 @@ from bitfrag import extract_kernel, parse
 from bitfrag.dfg import OpKind, Slot
 from bitfrag.fragmenter import (
     InfeasibleError,
+    alap_table,
     analyze,
+    apply_runs,
     bucket_fragment,
     bucket_runs,
     fragment,
     op_runs,
+    whole_runs,
 )
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
     _Plan,
     _ranked,
+    _realized_table,
     realized_slots,
     schedule,
     unit_windows,
@@ -31,9 +35,12 @@ from bitfrag.scheduler import (
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import estimate_cycle
 from conftest import (
+    DESIGN_MAKERS,
     GLUE_CORE_SOURCE,
     bit_alap,
     bit_asap,
+    deep_settings,
+    feasible_pipeline,
     feasible_placements,
     keyed_view,
     load_design,
@@ -305,7 +312,7 @@ def _verify_with_full_analysis(sched: Schedule) -> list[str]:
     return problems
 
 
-@settings(max_examples=200, deadline=None)
+@deep_settings(200)
 @given(st.integers(0, 299), st.sampled_from([op_runs, bucket_runs]), st.data())
 def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
     """Cycles moved, units dropped, a core moved out of its window, one
@@ -356,6 +363,92 @@ def test_verify_derives_mobility_only_for_a_unit_without_a_record(sec2):
         assert spy.call_count == 1
         assert verify_schedule(bare) == []
         assert spy.call_count == 2
+
+
+GLUE_ONLY_SOURCE = """
+design glue;
+input a : u4;
+N: not u4 = a;
+output N;
+"""
+
+
+@deep_settings(200)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+    st.data(),
+)
+def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
+    """Why ``verify_schedule`` runs no ALAP table on a clean replay: with
+    every unit in ``1..lam`` and no realized problem, no bit's ALAP
+    cycle is before its realized cycle, so ALAP cannot raise.  The
+    units start in their scheduled cycles, or their window floors if the
+    tiling does not schedule, and some move to other cycles; each is
+    replayed at the latency and the cycle size, each one less, the same
+    and one more."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam)
+    try:
+        fragments, graph = apply_runs(kernel, tiling(kernel, analyze(kernel, n_bits, lam)))
+    except InfeasibleError:
+        return
+    try:
+        cycle_of = schedule(graph, fragments, lam, n_bits).cycle_of
+    except ScheduleError:
+        windows = unit_windows(graph, analyze(graph, n_bits, lam), fragments)
+        cycle_of = {uid: early for uid, (early, _) in windows.items()}
+    if cycle_of:
+        units = st.sampled_from(sorted(cycle_of))
+        cycle_of = {
+            **cycle_of,
+            **data.draw(st.dictionaries(units, st.integers(1, lam + 1), max_size=3)),
+        }
+    for budget in (lam - 1, lam, lam + 1):
+        for size in (n_bits - 1, n_bits, n_bits + 1):
+            if budget < 1 or size < 1 or any(c > budget for c in cycle_of.values()):
+                continue
+            table, problems = _realized_table(graph, size, cycle_of)
+            if problems:
+                continue
+            alap = alap_table(graph, size, budget)
+            assert [n for n, t in enumerate(alap) if -(-t // size) < table[n][0]] == []
+
+
+def test_verify_runs_alap_only_when_another_check_reports_a_problem():
+    """A clean bundled schedule runs no ALAP table; a tampered one runs
+    it once, and a budget it cannot meet is reported first, with no
+    window checked."""
+    names = ("sec2", "fig3", "elliptic", "diffeq")
+    scheds = [feasible_pipeline(load_design(name), 3).sched for name in names]
+    sec2 = scheds[0]
+    with mock.patch("bitfrag.scheduler.alap_table", wraps=alap_table) as spy:
+        for sched in scheds:
+            assert verify_schedule(sched) == []
+        assert spy.call_count == 0
+        assert verify_schedule(_tampered(sec2, C1=1))[:2] == [
+            "C1: cycle 1 outside window [2, 2]",
+            "C1[0]: chain depth 7 exceeds 6 bits per cycle",
+        ]
+        assert spy.call_count == 1
+        assert verify_schedule(dataclasses.replace(sec2, lam=2))[:2] == [
+            "latency 2 too small: G0[3] would fall before cycle 1",
+            "C2: cycle 3 outside 1..2",
+        ]
+        assert spy.call_count == 2
+        # Glue alone has no unit to report a problem, so a budget below 1
+        # is what runs ALAP.
+        glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1).sched
+        assert verify_schedule(glue) == []
+        assert verify_schedule(dataclasses.replace(glue, n_bits=0)) == [
+            "cycle must hold at least one bit, got 0"
+        ]
+        assert verify_schedule(dataclasses.replace(glue, lam=0)) == [
+            "latency must be at least 1 cycle, got 0"
+        ]
+        assert spy.call_count == 4
 
 
 def test_realized_slots_report_unready_operands(sec2):
