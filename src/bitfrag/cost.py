@@ -186,7 +186,7 @@ def costs(sched: Schedule) -> CostReport:
             fan_in = len({op.operands[port] for op in ops})
             muxes.append(PortMux(parent, port, fan_in, width))
         carry_fan_in[parent] = len({op.carry_in for op in ops})
-    held = stored_bits(sched)
+    held = sched.held
     per_boundary = {b: len(refs) for b, refs in held.items()}
     return CostReport(
         lanes=tuple(lanes),

@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dfg import (
     DataFlowGraph,
@@ -56,6 +57,15 @@ class Schedule:
     n_bits: int
     cycle_of: dict[str, int]
     fragments: dict[str, list[Fragment]] = field(default_factory=dict)
+
+    @cached_property
+    def held(self) -> dict[int, list]:
+        """The bits latched at each boundary, ``cost.stored_bits``
+        computed on first use and then kept, so that ``costs`` and the
+        latch check share one table."""
+        from .cost import stored_bits  # cost builds on this module
+
+        return stored_bits(self)
 
     def loads(self) -> dict[int, int]:
         """Scheduled adder bits per cycle."""
@@ -386,70 +396,70 @@ def schedule(
 def verify_schedule(sched: Schedule) -> list[str]:
     """Independent legality check; an empty list means the schedule holds.
 
-    Takes each unit's window as ``unit_windows`` gives it, deriving
-    mobility from the scheduled graph only when a unit has no fragment
-    record, and confirms assignment completeness, window containment,
-    fragment order, and realized chain depths.  A budget too small for
-    the graph's own ALAP table is reported as a problem, first, with its
-    message; no window is then checked, and every check that needs none
-    still runs.  So is a unit missing from ``cycle_of``; the slot
-    recomputation, which needs every unit's cycle, is then skipped.
+    Takes each unit's window as ``unit_windows`` gives it and confirms
+    assignment completeness, window containment, fragment order, and
+    realized chain depths.  A budget too small for the graph's own ALAP
+    table is reported as a problem, first, with its message; no window
+    is then checked, and every check that needs none still runs.  So is
+    a unit missing from ``cycle_of``; the slot recomputation, which
+    needs every unit's cycle, is then skipped.
 
-    When every unit has a record, the ALAP table runs only if another
-    check reported a problem or a budget is below 1: a replay with every
-    unit in ``1..lam`` and no realized problem puts every bit at or
-    after its realized time, itself at least 1, so ALAP cannot fail.
-    Adds chain forward at least one step, glue is transparent and a
+    The windows of units with a fragment record come from the records.
+    The graph's own tables run only if another check reported a problem
+    or a budget is below 1: ``analyze`` when a unit has no record (a
+    core, or an add whose record is gone), to check its window, else
+    ``alap_table`` alone.  The output is then as if they had run first.
+    A replay with every unit in ``1..lam`` and no realized problem puts
+    every bit at or after its ASAP time and at or before its ALAP time,
+    itself at least 1, so neither can fail there nor exclude a unit:
+    adds chain forward at least one step, glue is transparent and a
     core's inputs finish in an earlier cycle.
     """
-    problems: list[str] = []
-    graph = sched.graph
+    graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
-    budget = None  # the ALAP table's failure, if it fails
-    # A core or an add without a record reads the graph's mobility.
-    derived = any(not op.kind.glue and op.id not in frag_of for op in graph.ops)
-    if derived:
-        try:
-            windows = unit_windows(graph, analyze(graph, sched.n_bits, sched.lam), sched.fragments)
-        except InfeasibleError as err:
-            budget, windows = str(err), {}
-    else:
-        windows = {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
 
-    complete = True
-    escapes: set[int] = set()  # where in ``problems`` a window escape is
-    for op in graph.ops:
-        if op.kind.glue:
-            continue
-        uid = op.id
-        if uid not in sched.cycle_of:
-            problems.append(f"{uid}: not scheduled")
-            complete = False
-            continue
-        c = sched.cycle_of[uid]
-        if not 1 <= c <= sched.lam:
-            problems.append(f"{uid}: cycle {c} outside 1..{sched.lam}")
-        if uid in windows:
-            early, late = windows[uid]
-            if not early <= c <= late:
-                escapes.add(len(problems))
-                problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
+    def unit_problems(windows: dict[str, tuple[int, int]]) -> tuple[list[str], set[int]]:
+        """Per unit, in op order: a missing or out-of-range cycle and a
+        window escape; and where in the list the escapes are."""
+        problems: list[str] = []
+        escapes: set[int] = set()
+        for op in graph.ops:
+            if op.kind.glue:
+                continue
+            uid = op.id
+            if uid not in cycle_of:
+                problems.append(f"{uid}: not scheduled")
+                continue
+            c = cycle_of[uid]
+            if not 1 <= c <= lam:
+                problems.append(f"{uid}: cycle {c} outside 1..{lam}")
+            if uid in windows:
+                early, late = windows[uid]
+                if not early <= c <= late:
+                    escapes.add(len(problems))
+                    problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
+        return problems, escapes
 
+    problems, escapes = unit_problems(
+        {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
+    )
+    rest: list[str] = []
     for parent, parts in sched.fragments.items():
         for a, b in zip(parts, parts[1:]):
-            if a.id in sched.cycle_of and b.id in sched.cycle_of:
-                if sched.cycle_of[a.id] > sched.cycle_of[b.id]:
-                    problems.append(
-                        f"{parent}: fragment {a.id} after its higher half {b.id}"
-                    )
+            if a.id in cycle_of and b.id in cycle_of:
+                if cycle_of[a.id] > cycle_of[b.id]:
+                    rest.append(f"{parent}: fragment {a.id} after its higher half {b.id}")
+    if all(op.id in cycle_of for op in graph.ops if not op.kind.glue):
+        rest += _realized_table(graph, sched.n_bits, cycle_of)[1]
 
-    if complete:
-        problems += _realized_table(graph, sched.n_bits, sched.cycle_of)[1]
-    if not derived and (problems or sched.n_bits < 1 or sched.lam < 1):
-        try:
-            alap_table(graph, sched.n_bits, sched.lam)
-        except InfeasibleError as err:
-            budget = str(err)
-    if budget is None:
-        return problems
-    return [budget] + [p for k, p in enumerate(problems) if k not in escapes]
+    if not (problems or rest or sched.n_bits < 1 or lam < 1):
+        return []
+    try:
+        if any(not op.kind.glue and op.id not in frag_of for op in graph.ops):
+            mobility = analyze(graph, sched.n_bits, lam)
+            problems, escapes = unit_problems(unit_windows(graph, mobility, sched.fragments))
+        else:
+            alap_table(graph, sched.n_bits, lam)
+    except InfeasibleError as err:
+        return [str(err)] + [p for k, p in enumerate(problems) if k not in escapes] + rest
+    return problems + rest

@@ -10,13 +10,15 @@ fixed-stride fields of one int and computes each op, a multiply
 included, with a few big-int operations on those ints.  Each graph is
 decoded once per proof (``_decode``), every operand flattened into the
 signal slices and constant bits it reads, so a block only runs the
-decoded steps.  The vectors, too, are made a block at a time: random
-ones from one byte string per port, exhaustive ones from a counter.
+decoded steps.  The vectors are made a stream block at a time, random
+ones from one byte string per port and exhaustive ones from a counter,
+and a few stream blocks are joined into one evaluation block.
 The latch check walks a scheduled design cycle by cycle and insists
 that every value crossing a cycle boundary sits in a latch the cost
-model pays for; it reads no input values, so ``check_equiv`` runs it
-once per schedule, while ``eval_schedule`` runs it with every
-evaluation and traces the cycles it walked.
+model pays for (``Schedule.held``, kept with the schedule); it reads no
+input values, so ``check_equiv`` runs it once per schedule, while
+``eval_schedule`` runs it with every evaluation and traces the cycles
+it walked.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .dfg import (
     ResultRef,
     Source,
 )
-from .cost import bit_name, stored_bits
+from .cost import bit_name
 from .scheduler import Schedule
 
 
@@ -134,16 +136,20 @@ def eval_dfg(graph: DataFlowGraph, inputs: dict[str, int]) -> dict[str, int]:
     return {name: env.values[name] for name in graph.outputs}
 
 
-# Vectors per block in check_equiv.  Each op costs a few big-int
-# operations per block whose size grows with the block, and a block's
-# values live until it ends.  Over the benchmark's equiv
-# designs, 256 vectors ran about 1.5x as fast as 64 and 1024 about 1.2x
-# as fast again, while a 1000-vector proof of elliptic's latency-3
-# schedule peaked under tracemalloc at 0.11, 0.26 and 0.94 MB.  It is a
-# power of two no larger than 256, so a vector's index in its block
-# fits the lowest byte of a field (see ``_enumerated``), and it is part
-# of the random vector stream (see ``check_equiv``).
+# Vectors per stream block: the unit in which ``_drawn`` and
+# ``_enumerated`` make vectors.  It is part of the random vector stream
+# (see ``check_equiv``), and a power of two no larger than 256, so a
+# vector's index in its block fits the lowest byte of a field (see
+# ``_enumerated``).
 _BLOCK = 256
+# Stream blocks per evaluation block: ``check_equiv`` joins this many
+# into one ``_eval_block`` call (``_joined``).  Each op costs a few
+# big-int operations per evaluation block whose size grows with the
+# block, and a block's values live until it ends.  Over the benchmark's
+# six equiv designs, evaluation blocks of 1024 vectors proved about 1.4x
+# as fast as blocks of 256, while a 1000-vector proof of elliptic's
+# latency-3 schedule peaked under tracemalloc at 0.76 MB against 0.22 MB.
+_JOIN = 4
 
 
 def _widest(source: Source) -> int:
@@ -229,6 +235,21 @@ def _drawn(ports, stride: int, samples: int, seed: int):
             for k in range(size):
                 fields[k::step] = raw[k : n * size : size]
             inputs[p.name] = int.from_bytes(fields, "little") & (_mask(p.width) * ones)
+        yield n, inputs
+
+
+def _joined(blocks, stride: int):
+    """``_JOIN`` consecutive blocks at a time as one: (vectors, packed
+    inputs).  Every block but the last is full, so the next one's fields
+    start at ``stride * n`` for the ``n`` vectors joined so far."""
+    blocks = iter(blocks)
+    for n, inputs in blocks:
+        inputs = dict(inputs)
+        for m, more in itertools.islice(blocks, _JOIN - 1):
+            at = stride * n
+            for name, packed in more.items():
+                inputs[name] |= packed << at
+            n += m
         yield n, inputs
 
 
@@ -410,12 +431,12 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     unlatched read of the earliest cycle is the one named, before any
     unscheduled unit.  Nothing here depends on input values, so one
     check covers every vector.  Returns what ``eval_schedule`` traces:
-    the units by cycle, each in definition order, and ``stored_bits``.
+    the units by cycle, each in definition order, and ``Schedule.held``.
     """
     graph, cycle_of = sched.graph, sched.cycle_of
     view = graph.bit_view
     keys = view.keys
-    held = stored_bits(sched)
+    held = sched.held
     # Units by cycle, each in definition order; a unit with no cycle in
     # 1 .. lam goes to ``missing``.
     units: dict[int, list[Operation]] = {c: [] for c in range(1, sched.lam + 1)}
@@ -497,11 +518,12 @@ def check_equiv(
     over the reference's ports, otherwise draws ``samples`` seeded
     random vectors; fewer than one sample raises SimulationError rather
     than proving nothing.  A Schedule candidate has its latch check run
-    once, before any vector, and its graph is then evaluated.  Both
-    designs are evaluated one block of ``_BLOCK`` vectors at a time, and
-    the result names the first mismatching vector in drawing order and
-    its first mismatching output in the reference's order, exactly as a
-    vector-by-vector comparison would.
+    once, before any vector, and its graph is then evaluated.  The
+    vectors are made ``_BLOCK`` at a time, and both designs evaluated
+    ``_JOIN`` such blocks at a time; the result names the first
+    mismatching vector in drawing order and its first mismatching output
+    in the reference's order, exactly as a vector-by-vector comparison
+    would.
 
     The random stream depends on ``seed``, the reference's ports and
     ``_BLOCK``, and on nothing else; in particular not on ``samples``
@@ -546,7 +568,7 @@ def check_equiv(
     field = _mask(stride)
     checked = 0
     ref_decoded, cand_decoded = _decode(reference), _decode(cand_graph)
-    for n, inputs in blocks:
+    for n, inputs in _joined(blocks, stride):
         want = _eval_block(ref_decoded, inputs, n, stride)
         got = _eval_block(cand_decoded, inputs, n, stride)
         if got != want:

@@ -350,19 +350,27 @@ def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
 
 
 def test_verify_derives_mobility_only_for_a_unit_without_a_record(sec2):
-    """A schedule whose every unit has a fragment record takes each
-    window from its record and runs no ``analyze``; a core, or an add
-    whose record is gone, runs it once."""
+    """A unit's window comes from its fragment record; a core, or an add
+    whose record is gone, has its window derived by ``analyze`` only
+    once another check has reported a problem.  So no clean schedule
+    runs it, and a core moved out of its window runs it once and is
+    reported first, as when ``analyze`` runs before every check."""
     plain = run_pipeline(sec2, 3).sched
     cored = run_pipeline(parse(GLUE_CORE_SOURCE), 2, 8).sched
     bare = dataclasses.replace(plain, fragments=dict(plain.fragments, C=plain.fragments["C"][1:]))
+    assert cored.cycle_of["P"] == 1
+    moved = dataclasses.replace(cored, cycle_of=dict(cored.cycle_of, P=2))
+    want = _verify_with_full_analysis(moved)
+    assert want[:2] == [
+        "P: cycle 2 outside window [1, 1]",
+        "Q[0]: chain depth 9 exceeds 8 bits per cycle",
+    ]
     with mock.patch("bitfrag.scheduler.analyze", wraps=analyze) as spy:
-        assert verify_schedule(plain) == []
+        for sched in (plain, cored, bare):
+            assert verify_schedule(sched) == []
         assert spy.call_count == 0
-        assert verify_schedule(cored) == []
+        assert verify_schedule(moved) == want
         assert spy.call_count == 1
-        assert verify_schedule(bare) == []
-        assert spy.call_count == 2
 
 
 GLUE_ONLY_SOURCE = """
@@ -373,22 +381,16 @@ output N;
 """
 
 
-@deep_settings(200)
-@given(
-    st.sampled_from(DESIGN_MAKERS),
-    st.integers(0, 10_000),
-    st.integers(1, 6),
-    st.sampled_from([op_runs, bucket_runs, whole_runs]),
-    st.data(),
-)
-def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
-    """Why ``verify_schedule`` runs no ALAP table on a clean replay: with
-    every unit in ``1..lam`` and no realized problem, no bit's ALAP
-    cycle is before its realized cycle, so ALAP cannot raise.  The
-    units start in their scheduled cycles, or their window floors if the
-    tiling does not schedule, and some move to other cycles; each is
+def _clean_replays(make, seed: int, lam: int, tiling, data):
+    """Clean replays of a design: (graph, cycle size, latency, cycles,
+    realized ``(cycle, depth)`` table) with every unit in ``1..lam`` and
+    no realized problem.
+
+    The units start in their scheduled cycles, or their window floors if
+    the tiling does not schedule, and some move to other cycles; each is
     replayed at the latency and the cycle size, each one less, the same
-    and one more."""
+    and one more.
+    """
     kernel, _ = extract_kernel(make(seed))
     n_bits = estimate_cycle(kernel, lam)
     try:
@@ -411,10 +413,46 @@ def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
             if budget < 1 or size < 1 or any(c > budget for c in cycle_of.values()):
                 continue
             table, problems = _realized_table(graph, size, cycle_of)
-            if problems:
-                continue
-            alap = alap_table(graph, size, budget)
-            assert [n for n, t in enumerate(alap) if -(-t // size) < table[n][0]] == []
+            if not problems:
+                yield graph, size, budget, cycle_of, table
+
+
+_REPLAYED = (
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+    st.data(),
+)
+
+
+@deep_settings(200)
+@given(*_REPLAYED)
+def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
+    """Why ``verify_schedule`` runs no ALAP table on a clean replay: with
+    every unit in ``1..lam`` and no realized problem, no bit's ALAP
+    cycle is before its realized cycle, so ALAP cannot raise."""
+    for graph, size, budget, _, table in _clean_replays(make, seed, lam, tiling, data):
+        alap = alap_table(graph, size, budget)
+        assert [n for n, t in enumerate(alap) if -(-t // size) < table[n][0]] == []
+
+
+@deep_settings(200)
+@given(*_REPLAYED)
+def test_no_unit_leaves_its_derived_window_on_a_clean_replay(make, seed, lam, tiling, data):
+    """Why ``verify_schedule`` derives no mobility on a clean replay:
+    every unit, so a core or an add whose record is gone, lies inside
+    its ``analyze`` window, as each of its bits lies between its ASAP
+    and its ALAP cycle."""
+    for graph, size, budget, cycle_of, _ in _clean_replays(make, seed, lam, tiling, data):
+        mobility = analyze(graph, size, budget)
+        escaped = []
+        for op in graph.ops:
+            if not op.kind.glue:
+                early, late = mobility.window(op)
+                if not early <= cycle_of[op.id] <= late:
+                    escaped.append(op.id)
+        assert escaped == []
 
 
 def test_verify_runs_alap_only_when_another_check_reports_a_problem():

@@ -2,14 +2,17 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitfrag import check, extract_kernel, parse
-from bitfrag import simulator
+from bitfrag import cost, simulator
 from bitfrag.dfg import (
     CarryRef,
     Concat,
@@ -34,6 +37,7 @@ from bitfrag.simulator import (
     eval_schedule,
 )
 from conftest import (
+    TESTS_DIR,
     load_design,
     random_add_design,
     random_full_design,
@@ -194,32 +198,33 @@ def test_unscheduled_producer_holds_nothing_and_is_named(sec2):
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
     broken = dataclasses.replace(sched, cycle_of=cycle_of)
-    assert all(r.op != "C0" for refs in simulator.stored_bits(broken).values() for r in refs)
+    assert all(r.op != "C0" for refs in broken.held.values() for r in refs)
     with pytest.raises(SimulationError, match="^unscheduled operations: C0$"):
         eval_schedule(broken, {p.name: 0 for p in sec2.inputs})
 
 
 def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
     # Dropping one stored bit from the cost model must be caught by the
-    # replay, proving the discipline check is wired to real reads.
+    # replay, proving the discipline check is wired to real reads.  The
+    # schedule computes its held bits on first use, so after the patch.
     sched = run_pipeline(sec2, 3).sched
-    real = simulator.stored_bits
+    real = cost.stored_bits
 
     def leaky(s):
         held = {b: list(refs) for b, refs in real(s).items()}
         held[1] = [r for r in held[1] if r != OpBit("C0", 5)]
         return held
 
-    monkeypatch.setattr(simulator, "stored_bits", leaky)
+    monkeypatch.setattr(cost, "stored_bits", leaky)
     with pytest.raises(SimulationError, match="reads unlatched bit"):
         eval_schedule(sched, {p.name: 0xFFFF for p in sec2.inputs})
 
 
 _UNLATCHED_PROBE = """
-from bitfrag import simulator
+from bitfrag import cost, simulator
 from conftest import load_design, run_pipeline
 
-simulator.stored_bits = lambda sched: {}
+cost.stored_bits = lambda sched: {}
 elliptic = load_design("elliptic")
 try:
     simulator.check_equiv(elliptic, run_pipeline(elliptic, 2).sched)
@@ -238,6 +243,50 @@ def test_unlatched_read_is_named_the_same_under_any_hash_seed():
     }
 
 
+# Calls are counted by the profiler, so a caller that imported
+# ``stored_bits`` under its own name is counted too.
+_HELD_COUNT_PROBE = """
+import cProfile
+import sys
+from pathlib import Path
+
+from bitfrag import cost, parse, simulator
+from conftest import DESIGN_DIR, run_pipeline
+
+sys.path.insert(0, str(Path(sys.argv[1]) / "bench"))
+from workloads import equiv_cases
+
+cases = equiv_cases(0, DESIGN_DIR)
+scheds = [run_pipeline(parse(case.text), case.lam).sched for case in cases]
+profile = cProfile.Profile()
+profile.enable()
+for case, sched in zip(cases, scheds):
+    design = parse(case.text)
+    cost.costs(sched)
+    assert simulator.check_equiv(design, sched).equivalent
+    simulator.eval_schedule(sched, {p.name: 0 for p in design.inputs})
+profile.disable()
+profile.create_stats()
+calls = sum(
+    counts[1] for (path, _, name), counts in profile.stats.items()
+    if name == "stored_bits" and Path(path).name == "cost.py"
+)
+print(len(scheds), calls)
+"""
+
+
+def test_a_schedule_computes_its_held_bits_once():
+    # Over the benchmark's six equiv designs, costing a schedule, proving
+    # it and replaying it runs stored_bits once per schedule.
+    run = subprocess.run(
+        [sys.executable, "-c", _HELD_COUNT_PROBE, str(TESTS_DIR.parent)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "6 6\n"
+
+
 def test_check_equiv_rejects_missing_unit():
     g = parse("design d;\ninput a : u4; input b : u4;\nX: add u4 = a + b;\noutput X;")
     p = run_pipeline(g, 2, n_bits=4)
@@ -250,25 +299,29 @@ def test_check_equiv_rejects_missing_unit():
 
 def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
     # The latch check reads no input values: check_equiv runs it once
-    # per schedule, and a dropped stored bit still stops the proof.
+    # per schedule, the schedule keeps the held bits it reads, and a
+    # dropped stored bit still stops the proof of a fresh schedule.
     sched = run_pipeline(sec2, 3).sched
-    real = simulator.stored_bits
+    real = cost.stored_bits
     calls = []
 
     def counted(s):
         calls.append(s)
         return real(s)
 
-    monkeypatch.setattr(simulator, "stored_bits", counted)
+    monkeypatch.setattr(cost, "stored_bits", counted)
     assert check_equiv(sec2, sched, samples=20).equivalent
     assert len(calls) == 1
+    assert check_equiv(sec2, sched, samples=20).equivalent
+    assert len(calls) == 1
+    sched = dataclasses.replace(sched)
 
     def leaky(s):
         held = {b: list(refs) for b, refs in real(s).items()}
         held[1] = [r for r in held[1] if r != OpBit("C0", 5)]
         return held
 
-    monkeypatch.setattr(simulator, "stored_bits", leaky)
+    monkeypatch.setattr(cost, "stored_bits", leaky)
     with pytest.raises(SimulationError, match="reads unlatched bit"):
         check_equiv(sec2, sched, samples=20)
 
@@ -608,6 +661,8 @@ def test_blocks_at_a_wider_stride_match_the_oracle():
 # check_equiv against the per-vector comparison it replaced.
 
 _BLOCK = simulator._BLOCK
+# Vectors per evaluation block: check_equiv joins that many stream blocks.
+_EVAL = simulator._JOIN * _BLOCK
 
 
 def _stream(widths: list[int], seed: int, count: int) -> list[tuple[int, ...]]:
@@ -713,10 +768,15 @@ def _trigger_pair(width: int, trigger: int) -> tuple[DataFlowGraph, DataFlowGrap
 
 
 # First vector, inside the first block, its last vector, the first of
-# the second block, and inside later blocks.
-_MISMATCH_AT = (0, 5, _BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2, 3 * _BLOCK + 7)
-# Random proofs end in a short block that holds the last mismatch above.
-_SAMPLES = 3 * _BLOCK + 50
+# the second block, and inside later blocks; then around the boundary
+# of the first evaluation block, and just past the second one.
+_MISMATCH_AT = (
+    0, 5, _BLOCK - 1, _BLOCK, _BLOCK + _BLOCK // 2, 3 * _BLOCK + 7,
+    _EVAL - 1, _EVAL, _EVAL + 1, 2 * _EVAL + 1,
+)
+# Random proofs end in a short evaluation block, one full stream block
+# and a short one, that holds the last mismatch above.
+_SAMPLES = 2 * _EVAL + _BLOCK + 50
 
 
 @pytest.mark.parametrize("index", _MISMATCH_AT + ((1 << 12) - 1,))
@@ -741,6 +801,23 @@ def test_random_mismatch_lands_where_the_vector_scan_finds_it(index):
     assert got.strategy == "random" and got.checked == index + 1
     assert got.counterexample == {"a": a, "b": b}
     assert got.mismatch[0] == "Z"
+
+
+@pytest.mark.parametrize(
+    "widths, index",
+    [([5, 6], _EVAL + 1), ([5, 6], 1500), ([5, 6], 2 * _EVAL - 1), ([6, 6], 3 * _EVAL - 2),
+     ([4, 5], 300)],
+)
+def test_exhaustive_mismatch_past_the_first_evaluation_block(widths, index):
+    # 11 and 12 input bits fill two and four evaluation blocks; 9 bits
+    # fill half of one, two stream blocks joined.
+    vectors = list(itertools.product(*(range(1 << w) for w in widths)))
+    ref, cand = _vector_pair(widths, vectors[index])
+    got = check_equiv(ref, cand)
+    assert got == _per_vector_check_equiv(ref, cand)
+    assert got.strategy == "exhaustive" and got.checked == index + 1
+    assert got.counterexample == dict(zip("pqrs", vectors[index]))
+    assert check_equiv(ref, ref) == EquivResult("exhaustive", len(vectors), True)
 
 
 def test_equal_designs_match_the_vector_scan():
@@ -840,7 +917,10 @@ def test_exhaustive_vectors_come_in_product_order(widths):
     # across the bits that count inside a block and those that count
     # blocks, and a space smaller than one block.
     vectors = list(itertools.product(*(range(1 << w) for w in widths)))
-    for index in sorted({0, 3, _BLOCK - 1, _BLOCK, len(vectors) // 2 + 3, len(vectors) - 1}):
+    for index in sorted({
+        0, 3, _BLOCK - 1, _BLOCK, _EVAL - 1, _EVAL, _EVAL + 1, 2 * _EVAL + 1,
+        len(vectors) // 2 + 3, len(vectors) - 1,
+    }):
         if index >= len(vectors):
             continue
         ref, cand = _vector_pair(widths, vectors[index])
@@ -850,13 +930,15 @@ def test_exhaustive_vectors_come_in_product_order(widths):
     assert check_equiv(ref, ref) == EquivResult("exhaustive", len(vectors), True)
 
 
-@pytest.mark.parametrize("index", [0, 5, _BLOCK - 1, _BLOCK, 700])
+@pytest.mark.parametrize(
+    "index", [0, 5, _BLOCK - 1, _BLOCK, 700, _EVAL - 1, _EVAL, _EVAL + 1, 2 * _EVAL + 1]
+)
 def test_a_vector_does_not_depend_on_the_sample_count(index):
     drawn = _stream([12, 12], 6, index + 1)
     a, b = drawn[index]
     assert drawn.index((a, b)) == index
     ref, cand = _trigger_pair(12, (a << 12) | b)
-    for samples in (1, _BLOCK, _BLOCK + 1, 1000):
+    for samples in (1, _BLOCK, _BLOCK + 1, 1000, _EVAL, _EVAL + 1, 2 * _EVAL + 2):
         got = check_equiv(ref, cand, samples=samples, seed=6)
         if samples > index:
             assert got.checked == index + 1 and got.counterexample == {"a": a, "b": b}
