@@ -25,7 +25,7 @@ at the same latency, it yields a CostReport like any other schedule.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dfg import (
     CarryBit,
@@ -35,23 +35,20 @@ from .dfg import (
 from .scheduler import Schedule
 
 
-@dataclass(frozen=True)
-class Lane:
+class Lane(NamedTuple):
     parent: str
     width: int
     fragment_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PortMux:
+class PortMux(NamedTuple):
     lane: str
     port: int
     fan_in: int
     width: int
 
 
-@dataclass(frozen=True)
-class RegisterBinding:
+class RegisterBinding(NamedTuple):
     index: int
     kind: str  # "data" or "carry"
     width: int
@@ -59,8 +56,7 @@ class RegisterBinding:
     fan_in: int
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     lanes: tuple[Lane, ...]
     cores: tuple[tuple[str, int], ...]
     stored_per_boundary: dict[int, int]

@@ -63,16 +63,14 @@ class OpKind(Enum):
         }.get(self.name, ", ")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """Position of a construct in DSL text (1-based line/column)."""
 
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     where: str = ""
     span: SourceSpan | None = None
@@ -89,13 +87,19 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-# Graph records (sources, operands, operations, ports, and the
-# fragmenter's Fragment) are slotted dataclasses that hash by value: a
-# pass builds tens of thousands of them, and a slotted one builds in
-# about a third of the time a frozen one takes.  They are not frozen,
-# yet they are values, shared between graphs and used as dict keys, so
-# no code assigns to a field of a built record; a lint in
-# tests/test_imports.py fails on any such assignment under src/.
+# Records come in three styles.  Graph records (sources, operands,
+# operations, ports, and the fragmenter's Fragment) are slotted
+# dataclasses that hash by value and compare by type, so ResultRef("a")
+# != InputRef("a"): a pass builds tens of thousands of them, and a
+# slotted one builds in about a third of the time a frozen one takes.
+# They are not frozen, yet they are values, shared between graphs and
+# used as dict keys, so no code assigns to a field of a built record; a
+# lint in tests/test_imports.py fails on any such assignment under src/.
+# Result records (SourceSpan, Diagnostic, and those timing, fragmenter,
+# cost and simulator return) and bit refs are named tuples: immutable,
+# hashed in C, and defined at import in a tenth of a frozen dataclass's
+# time.  DataFlowGraph, BitView and Schedule are frozen dataclasses, as
+# their cached properties need an instance __dict__.
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .dfg import (
     CarryRef,
@@ -59,8 +60,7 @@ class Fragment:
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class Mobility:
+class Mobility(NamedTuple):
     """Every data bit's earliest and latest cycle, by the view's bit
     number: ``asap[n]`` and ``alap[n]`` for bit ``n``, so bit ``i`` of
     op ``x`` is at ``base[x] + i`` (``graph.bit_view.base``)."""

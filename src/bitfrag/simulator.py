@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dfg import (
+    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -414,8 +414,7 @@ def _eval_block(
     return {name: values[name] for name in decoded.outputs}
 
 
-@dataclass(frozen=True)
-class CycleTrace:
+class CycleTrace(NamedTuple):
     cycle: int
     executed: tuple[str, ...]
     latched: tuple[str, ...]
@@ -433,28 +432,30 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     check covers every vector.  Returns what ``eval_schedule`` traces:
     the units by cycle, each in definition order, and ``Schedule.held``.
     """
-    graph, cycle_of = sched.graph, sched.cycle_of
+    graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     view = graph.bit_view
-    keys = view.keys
-    held = sched.held
+    base, held = view.base, sched.held
     # Units by cycle, each in definition order; a unit with no cycle in
-    # 1 .. lam goes to ``missing``.
-    units: dict[int, list[Operation]] = {c: [] for c in range(1, sched.lam + 1)}
+    # 1 .. lam goes to ``missing``.  ``made`` is the cycle of every bit's
+    # producing op by bit number; an unscheduled producer gets lam + 1,
+    # so it fails no latch, as ``missing`` reports it.
+    units: dict[int, list[Operation]] = {c: [] for c in range(1, lam + 1)}
     missing: list[Operation] = []
+    made: list[int] = []
     for op in graph.ops:
         if not op.kind.glue:
             units.get(cycle_of.get(op.id), missing).append(op)
+        made += [cycle_of.get(op.id, lam + 1)] * op.width
+    carry_no = {x: len(made) + k for k, x in enumerate(view.carried)}
+    made += [cycle_of.get(x, lam + 1) for x in view.carried]
     for cycle, ops in units.items():
-        # An op bit's key equals its OpBit, so keys look refs up directly.
-        # A key names its producing op first; an unscheduled producer
-        # fails no latch, as ``missing`` reports it.
-        latched = set(held.get(cycle - 1, ()))
+        kept = held.get(cycle - 1, ())
+        latched = {carry_no[r.op] if type(r) is CarryBit else base[r.op] + r.bit for r in kept}
         for op in ops:
-            lo = view.base[op.id]
+            lo = base[op.id]
             for refs in view.reads[lo:lo + op.width]:
                 for r in refs:
-                    key = keys[r]
-                    if cycle_of.get(key[0], cycle) < cycle and key not in latched:
+                    if made[r] < cycle and r not in latched:
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
                             f"bit {view.ref(r)} across boundary {cycle - 1}"
@@ -490,8 +491,7 @@ def eval_schedule(
     ]
 
 
-@dataclass(frozen=True)
-class EquivResult:
+class EquivResult(NamedTuple):
     strategy: str  # "exhaustive" or "random"
     checked: int
     equivalent: bool

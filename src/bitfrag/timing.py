@@ -12,8 +12,8 @@ the same recurrence times the earliest schedule (``fragmenter``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .dfg import DataFlowGraph, OpKind
 
@@ -24,8 +24,7 @@ class TimingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CriticalPath:
+class CriticalPath(NamedTuple):
     ops: tuple[str, ...]
     time: int
 

@@ -284,10 +284,12 @@ def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypa
 
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
-    """From parse to ``costs`` no pass reads ``BitView.keys``, so neither
-    the kernel's view nor the fragmented graph's caches them; the public
-    results that need them still derive them on first use."""
-    kernel, _ = extract_kernel(parse((DESIGN_DIR / f"{name}.dfg").read_text()))
+    """From parse to ``costs`` and the proof of the schedule no pass
+    reads ``BitView.keys``, so neither the kernel's view nor the
+    fragmented graph's caches them; the public results that need them
+    still derive them on first use."""
+    design = parse((DESIGN_DIR / f"{name}.dfg").read_text())
+    kernel, _ = extract_kernel(design)
     critical_path(kernel)
     lam = 3
     n_bits = estimate_cycle(kernel, lam)
@@ -295,6 +297,7 @@ def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
     sched = schedule(transformed, fragments, lam, n_bits)
     assert verify_schedule(sched) == []
     costs(sched)
+    assert check_equiv(design, sched)
     assert "keys" not in kernel.bit_view.__dict__
     assert "keys" not in transformed.bit_view.__dict__
 

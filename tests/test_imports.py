@@ -1,11 +1,17 @@
 """Every top-level import of a library module is used by that module,
-no library module imports another one's underscore names, and the
-package exports exactly what its ``__init__`` imports."""
+no library module imports another one's underscore names, the
+package exports exactly what its ``__init__`` imports, and each record
+keeps the style it is declared in."""
 
 import ast
 
 import pytest
 
+from bitfrag.cost import CostReport, Lane, PortMux, RegisterBinding
+from bitfrag.dfg import Diagnostic, SourceSpan
+from bitfrag.fragmenter import Mobility
+from bitfrag.simulator import CycleTrace, EquivResult
+from bitfrag.timing import CriticalPath
 from conftest import TESTS_DIR
 
 PACKAGE_DIR = TESTS_DIR.parent / "src" / "bitfrag"
@@ -226,3 +232,124 @@ def test_the_field_write_lint_sees_writes():
     assert _field_writes(tree, fields) == [
         "2: .hi", "3: .op", "4: .hi", "5: setattr 'parts'", "6: setattr 'op'", "10: .hi"
     ]
+
+
+def _frozen_without_cache(tree: ast.Module) -> list[str]:
+    """Classes declared ``@dataclass(frozen=True)`` that define no
+    ``cached_property``, by line."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        frozen = any(
+            getattr(getattr(deco, "func", None), "id", None) == "dataclass"
+            and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                    for k in deco.keywords)
+            for deco in cls.decorator_list
+        )
+        cached = any(
+            getattr(deco, "id", None) == "cached_property"
+            for method in cls.body if isinstance(method, ast.FunctionDef)
+            for deco in method.decorator_list
+        )
+        if frozen and not cached:
+            found.append(f"{cls.lineno}: {cls.name}")
+    return found
+
+
+def test_only_a_class_with_a_cached_property_is_a_frozen_dataclass():
+    """An immutable result record is a named tuple: a frozen dataclass
+    generates its methods when its module is imported, at about ten
+    times the cost of a named tuple.  A frozen dataclass stays only
+    where a ``cached_property`` needs an instance ``__dict__``."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    frozen = [f"{module}:{c}" for module, tree in trees.items() for c in _frozen_without_cache(tree)]
+    assert frozen == []
+    assert _frozen_without_cache(ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Bare:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Kept:\n"
+        "    @cached_property\n"
+        "    def y(self): ...\n"
+    )) == ["2: Bare"]
+
+
+_LANE = Lane("A", 4, ("A_0", "A_1"))
+_MUX = PortMux("A", 1, 2, 4)
+_REGISTER = RegisterBinding(0, "carry", 1, ("carry lane A",), 1)
+
+# Each result record with the text its frozen dataclass printed; the
+# bench digest hashes the repr of lanes, registers and port muxes.
+RESULT_RECORDS = [
+    (SourceSpan(3, 17), "SourceSpan(line=3, column=17)"),
+    (
+        Diagnostic("undefined reference B", "X", SourceSpan(3, 17)),
+        "Diagnostic(message='undefined reference B', where='X', "
+        "span=SourceSpan(line=3, column=17))",
+    ),
+    (CriticalPath(("X", "Z"), 8), "CriticalPath(ops=('X', 'Z'), time=8)"),
+    (
+        Mobility(2, {"X": 0}, (1, 1), (2, 3)),
+        "Mobility(n_bits=2, base={'X': 0}, asap=(1, 1), alap=(2, 3))",
+    ),
+    (_LANE, "Lane(parent='A', width=4, fragment_ids=('A_0', 'A_1'))"),
+    (_MUX, "PortMux(lane='A', port=1, fan_in=2, width=4)"),
+    (
+        _REGISTER,
+        "RegisterBinding(index=0, kind='carry', width=1, "
+        "signals=('carry lane A',), fan_in=1)",
+    ),
+    (
+        CostReport(
+            (_LANE,), (("P", 8),), {1: 1}, {1: ("carry(A_0)",)}, 1,
+            (_REGISTER,), (_MUX,), {"A": 2}, {1: 2, 2: 2},
+        ),
+        "CostReport(lanes=(Lane(parent='A', width=4, fragment_ids=('A_0', 'A_1')),), "
+        "cores=(('P', 8),), stored_per_boundary={1: 1}, "
+        "stored_sets={1: ('carry(A_0)',)}, max_stored=1, "
+        "registers=(RegisterBinding(index=0, kind='carry', width=1, "
+        "signals=('carry lane A',), fan_in=1),), "
+        "port_muxes=(PortMux(lane='A', port=1, fan_in=2, width=4),), "
+        "carry_fan_in={'A': 2}, loads={1: 2, 2: 2})",
+    ),
+    (
+        CycleTrace(1, ("A_0",), ("carry(A_0)",)),
+        "CycleTrace(cycle=1, executed=('A_0',), latched=('carry(A_0)',))",
+    ),
+    (
+        EquivResult("random", 3, False, {"a": 5}, ("Y", 1, 2)),
+        "EquivResult(strategy='random', checked=3, equivalent=False, "
+        "counterexample={'a': 5}, mismatch=('Y', 1, 2))",
+    ),
+]
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_result_records_print_as_before_and_stay_immutable_values():
+    """The ten result records keep their dataclass text, refuse a field
+    write, hash by value when every field does, and keep their
+    defaults and truth."""
+    for record, text in RESULT_RECORDS:
+        assert repr(record) == text
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        if all(map(_hashable, record)):
+            assert hash(record) == hash(type(record)(*record))
+    assert len({type(r) for r, _ in RESULT_RECORDS}) == 10
+    assert _REGISTER.index == 0  # the field shadows tuple.index
+    assert Diagnostic("m") == Diagnostic("m", "", None)
+    assert str(Diagnostic("m", "X", SourceSpan(3, 17))) == "3:17: X: m"
+    assert EquivResult("exhaustive", 8, True) == EquivResult("exhaustive", 8, True, None, None)
+    assert EquivResult("exhaustive", 8, True)
+    assert not EquivResult("random", 3, False, {"a": 5}, ("Y", 1, 2))
+    assert not EquivResult("exhaustive", 0, False)
