@@ -99,10 +99,11 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
     for op in reversed(graph.ops):
         lo, width = view.base[op.id], op.width
         if op.kind is OpKind.MULT_CORE:
-            users = chain.from_iterable(consumers[lo:lo + width])
+            users = [*chain.from_iterable(consumers[lo:lo + width])]
             # Due at depth 1 of the cycle before its first reader's, so
             # producers retreat a full cycle.
-            t = (-(-min(map(at, users), default=due) // n_bits) - 2) * n_bits + 1
+            first = min(map(at, users)) if users else due
+            t = (-(-first // n_bits) - 2) * n_bits + 1
             if t < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
@@ -111,10 +112,12 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
         elif op.kind.glue:
             # Transparent: finishes exactly where its consumer reads.
             for n in range(lo + width - 1, lo - 1, -1):
-                table[n] = min(map(at, consumers[n]), default=due)
+                users = consumers[n]
+                table[n] = min(map(at, users)) if users else due
         else:
             for n in range(lo + width - 1, lo - 1, -1):
-                t = min(map(at, consumers[n]), default=due) - 1
+                users = consumers[n]
+                t = (min(map(at, users)) if users else due) - 1
                 if t < 1:
                     raise InfeasibleError(
                         f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"

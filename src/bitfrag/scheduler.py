@@ -131,11 +131,13 @@ def _realized_table(
         lo, width = view.base[op.id], op.width
         if op.kind.glue:
             for n in range(lo, lo + width):
-                table[n] = max(map(at, producers[n]), default=(0, 0))
+                prods = producers[n]
+                table[n] = max(map(at, prods)) if prods else (0, 0)
             continue
         cycle = cycle_of[op.id]
         if op.kind is OpKind.MULT_CORE:
-            ready = max(map(at, producers[lo]), default=(0, 0))[0]
+            prods = producers[lo]
+            ready = max(map(at, prods))[0] if prods else 0
             if ready >= cycle:
                 problems.append(
                     f"{op.id}: core inputs not complete before cycle {cycle}"
@@ -143,15 +145,15 @@ def _realized_table(
             table[lo:lo + width] = [(cycle, n_bits)] * width
             continue
         for n in range(lo, lo + width):
-            ready, depth = max(map(at, producers[n]), default=(0, 0))
+            prods = producers[n]
+            ready, depth = max(map(at, prods)) if prods else (0, 0)
             if ready > cycle:
                 problems.append(
                     f"{op.id}[{n - lo}]: operand ready in cycle {ready}, read in {cycle}"
                 )
                 # Chain on what is ready by then.
-                ready, depth = max(
-                    (s for s in map(at, producers[n]) if s[0] <= cycle), default=(0, 0)
-                )
+                ready_by = [s for s in map(at, prods) if s[0] <= cycle]
+                ready, depth = max(ready_by) if ready_by else (0, 0)
             depth = 1 + depth if ready == cycle else 1
             if depth > n_bits:
                 problems.append(
@@ -210,15 +212,20 @@ class _Plan:
         are ready; an unplaced add starts at its window floor and moves
         later only while its chain overflows the cycle.  Producers come
         first in topo order, so deferring a unit never invalidates one
-        already settled.  A placed unit is checked as-is.
+        already settled.  A placed unit is checked as-is.  ``max`` takes
+        no ``default=``: each vetted candidate re-settles its region bit
+        by bit, and a keyword call costs about 600 ns a bit on CPython
+        3.11 against 300 for the positional one.
         """
         op, bits, producers, n_bits = self.graph.ops[k], self.bits[k], self.producers, self.n_bits
         at = table.__getitem__
         if self.glue[k]:
             for n in bits:
-                table[n] = max(map(at, producers[n]), default=0)
+                prods = producers[n]
+                table[n] = max(map(at, prods)) if prods else 0
             return True
-        ready = -(-max(map(at, self.feeds[k]), default=0) // n_bits)
+        feeds = self.feeds[k]
+        ready = -(-max(map(at, feeds)) // n_bits) if feeds else 0
         if op.kind is OpKind.MULT_CORE:
             c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
@@ -235,7 +242,8 @@ class _Plan:
             # latest producer only if that one finishes in c.
             start, end = (c - 1) * n_bits, c * n_bits
             for n in bits:
-                t = max(max(map(at, producers[n]), default=0), start) + 1
+                prods = producers[n]
+                t = max(max(map(at, prods)) if prods else 0, start) + 1
                 if t > end:
                     break
                 table[n] = t

@@ -124,6 +124,27 @@ output Q;
 """
 
 
+# Each per-bit recurrence meets an empty producer or consumer tuple: the
+# core P, S[0] and the glue N read only inputs and constants; T, the
+# glue K and the core D are read by no op and are no output, so their
+# top bits (every bit of K and D) have no consumer.
+EMPTY_TUPLES_SOURCE = """
+design empties;
+input a : u4;
+input b : u4;
+input c : u8;
+N: not u4 = a;
+P: mult u8 = a * b;
+S: add u4 = a + b;
+T: add u4 = S + c[3:0];
+K: not u4 = b;
+D: mult u8 = c[7:4] * b;
+Q: add u8 = P + c;
+Y: add u8 = Q + {N, S};
+output Y;
+"""
+
+
 def under_hash_seeds(args: list[str]) -> list[subprocess.CompletedProcess]:
     """Run ``python args...`` once under PYTHONHASHSEED=0 and once under 1,
     with this checkout's ``src`` and ``tests`` on the path."""

@@ -42,6 +42,7 @@ from bitfrag.timing import TimingError, critical_path, estimate_cycle
 from conftest import (
     DESIGN_DIR,
     DESIGN_MAKERS,
+    EMPTY_TUPLES_SOURCE,
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
     ConstBit,
@@ -49,6 +50,7 @@ from conftest import (
     asap_pairs,
     bit_alap,
     bit_asap,
+    deep_settings,
     ladder_source,
     load_design,
     operand_bits,
@@ -166,11 +168,11 @@ _SLOT_DESIGNS = st.one_of(
         st.sampled_from([random_add_design, random_full_design]),
         st.integers(0, 10_000),
     ),
-    st.sampled_from([GLUE_CORE_SOURCE, MIXED_SOURCE]).map(parse),
+    st.sampled_from([GLUE_CORE_SOURCE, MIXED_SOURCE, EMPTY_TUPLES_SOURCE]).map(parse),
 )
 
 
-@settings(max_examples=300, deadline=None)
+@deep_settings(300)
 @given(_SLOT_DESIGNS, st.booleans(), st.integers(1, 6), st.integers(1, 16))
 def test_time_tables_match_the_pair_oracles(design, extract, lam, n_bits):
     """``bit_asap`` and ``bit_alap``, computed as times, give the slots

@@ -276,6 +276,53 @@ def test_only_a_class_with_a_cached_property_is_a_frozen_dataclass():
     )) == ["2: Bare"]
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _keyword_extrema_in_loops(tree: ast.AST) -> list[str]:
+    """``max`` and ``min`` calls that pass a keyword argument and run
+    once per iteration, in a ``for`` or ``while`` body or in a
+    comprehension, by line."""
+    inside = [node for loop in ast.walk(tree) if isinstance(loop, _LOOPS) for node in loop.body]
+    inside += [comp for comp in ast.walk(tree) if isinstance(comp, _COMPREHENSIONS)]
+    calls = {
+        (call.lineno, call.func.id)
+        for node in inside for call in ast.walk(node)
+        if isinstance(call, ast.Call) and call.keywords
+        and getattr(call.func, "id", None) in {"max", "min"}
+    }
+    return [f"{line}: {name}" for line, name in sorted(calls)]
+
+
+def test_no_max_or_min_in_a_loop_takes_a_keyword():
+    """The per-bit recurrences call ``max`` and ``min`` positionally,
+    ``max(map(at, prods)) if prods else 0``: on CPython 3.10-3.12 a
+    keyword argument (``default=``, ``key=``) sends the call down the
+    slow argument-parsing path, about twice the cost of a bit.  A call
+    outside a loop, run once per pass, may keep its keyword."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f"{module}:{c}" for module, tree in trees.items() for c in _keyword_extrema_in_loops(tree)]
+    assert found == []
+    assert _keyword_extrema_in_loops(ast.parse(
+        "def slow(ops, at, producers):\n"
+        "    top = max(at, default=0)\n"
+        "    for n in ops:\n"
+        "        at[n] = max(map(at.__getitem__, producers[n]), default=0)\n"
+        "    while ops:\n"
+        "        best = min(ops.pop(), key=at.__getitem__)\n"
+        "    return [max(p, default=0) for p in producers]\n"
+    )) == ["4: max", "6: min", "7: max"]
+    assert _keyword_extrema_in_loops(ast.parse(
+        "def fast(ops, at, producers):\n"
+        "    top = max(at, default=0)\n"
+        "    for n in ops:\n"
+        "        prods = producers[n]\n"
+        "        at[n] = max(map(at.__getitem__, prods)) if prods else 0\n"
+        "    return [max(p) if p else 0 for p in producers]\n"
+    )) == []
+
+
 _LANE = Lane("A", 4, ("A_0", "A_1"))
 _MUX = PortMux("A", 1, 2, 4)
 _REGISTER = RegisterBinding(0, "carry", 1, ("carry lane A",), 1)

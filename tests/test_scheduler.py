@@ -555,7 +555,7 @@ def test_every_public_slot_is_a_slot_on_random_designs(make, seed, lam):
     assert _not_slots(_slot_tables(make(seed), lam)) == {}
 
 
-@settings(max_examples=60, deadline=None)
+@deep_settings(60)
 @given(
     st.sampled_from([random_add_design, random_full_design]),
     st.integers(0, 10_000),
