@@ -274,47 +274,54 @@ def operand_slices(operand: Operand) -> list[Operand]:
 
 
 def validate(graph: DataFlowGraph) -> list[Diagnostic]:
-    """Structural check; an empty list means the graph is well formed."""
-    diags: list[Diagnostic] = []
-    seen: dict[str, str] = {}
+    """Structural check; an empty list means the graph is well formed.
 
+    One walk in definition order.  Its accepting path looks an operand's
+    source up once, in dicts of the names defined so far: an input, an
+    op defined before it (each read by a ref of its own kind) or a
+    binary constant, sliced inside its width.  ``check_operand`` walks
+    any other operand again and reports what is wrong with it.
+    """
+    diags: list[Diagnostic] = []
+    seen: dict[str, str] = {}  # name -> "input" or "result"
+    inputs: dict[str, int] = {}  # input -> width, while no op takes its name
     for port in graph.inputs:
         if port.name in seen:
             diags.append(Diagnostic("duplicate name", port.name))
         seen[port.name] = "input"
+        inputs[port.name] = port.width
         if port.width < 1:
             diags.append(Diagnostic(f"width must be positive, got {port.width}", port.name))
+    # An enum member read through its class is a slow attribute lookup.
+    op_map, select, add = graph._op_map, OpKind.SELECT, OpKind.ADD
+    widths: dict[str, int] = {}  # each op defined so far -> its op_map width
 
-    defined_ops: set[str] = set()
-
-    def check_ref(name: str, where: str) -> None:
-        if name in seen:
-            if seen[name] == "op" and name not in defined_ops:
-                diags.append(Diagnostic(f"reference to {name} creates a cycle", where))
-        else:
+    def check_ref(name: str, where: str, kind: str | None = None) -> None:
+        """Report ``name`` if undefined, not yet defined, or not a ``kind``."""
+        seen_as = seen.get(name)
+        if seen_as is None:
             diags.append(Diagnostic(f"undefined reference {name}", where))
+        elif seen_as == "result" and name not in widths:
+            diags.append(Diagnostic(f"reference to {name} creates a cycle", where))
+        elif kind is not None and seen_as != kind:
+            diags.append(Diagnostic(f"{kind} reference to {seen_as} {name}", where))
 
     def check_operand(opnd: Operand, where: str) -> int:
         """Report what is wrong with ``opnd``, walking it once; returns
         its width, so a concat's width is the sum over its parts."""
         src = opnd.source
-        if isinstance(src, ResultRef):
-            name, found = src.op, graph._op_map.get(src.op)
-        elif isinstance(src, InputRef):
-            name, found = src.name, graph._input_map.get(src.name)
-        else:
-            name = None
-        if name is not None:
-            if name not in defined_ops:  # else defined, so no problem
-                check_ref(name, where)
+        if type(src) is ResultRef or type(src) is InputRef:
+            name, kind = (src.op, "result") if type(src) is ResultRef else (src.name, "input")
+            check_ref(name, where, kind)
+            found = (op_map if kind == "result" else graph._input_map).get(name)
             if found is None:  # reported already
                 return opnd.hi - opnd.lo + 1
             w = found.width
-        elif isinstance(src, Const):
-            if not src.bits or any(c not in "01" for c in src.bits):
+        elif type(src) is Const:
+            if not src.bits or src.bits.strip("01"):
                 diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
             w = len(src.bits)
-        elif isinstance(src, CarryRef):
+        elif type(src) is CarryRef:
             diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
             return opnd.hi - opnd.lo + 1
         else:
@@ -328,33 +335,50 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         op_id, kind, operands, carry = op.id, op.kind, op.operands, op.carry_in
         if op_id in seen:
             diags.append(Diagnostic("duplicate name", op_id))
-        seen[op_id] = "op"
+            inputs.pop(op_id, None)
+        seen[op_id] = "result"
         if op.width < 1:
             diags.append(Diagnostic(f"width must be positive, got {op.width}", op_id))
         if len(operands) != kind.arity:
-            diags.append(
-                Diagnostic(
-                    f"{kind.name.lower()} takes {kind.arity} operands, got {len(operands)}",
-                    op_id,
-                )
-            )
+            message = f"{kind.name.lower()} takes {kind.arity} operands, got {len(operands)}"
+            diags.append(Diagnostic(message, op_id))
         for opnd in operands:
-            check_operand(opnd, op_id)
-        if kind is OpKind.SELECT and operands and operands[0].width != 1:
+            src = opnd.source
+            t = type(src)
+            if t is ResultRef:
+                size = widths.get(src.op)
+            elif t is InputRef:
+                size = inputs.get(src.name)
+            elif t is Const:
+                size = len(src.bits) if src.bits and not src.bits.strip("01") else None
+            elif t is Concat:  # of input and op slices; any other part is walked again
+                size = 0
+                for part in src.parts:
+                    s, t = part.source, type(part.source)
+                    w = (widths.get(s.op) if t is ResultRef
+                         else inputs.get(s.name) if t is InputRef else None)
+                    if w is None or not 0 <= part.lo <= part.hi < w:
+                        size = None
+                        break
+                    size += part.hi - part.lo + 1
+            else:
+                size = None
+            if size is None or not 0 <= opnd.lo <= opnd.hi < size:
+                check_operand(opnd, op_id)
+        if kind is select and operands and operands[0].hi != operands[0].lo:
             diags.append(Diagnostic("select condition must be 1 bit wide", op_id))
         if carry is not None:
-            if kind is not OpKind.ADD:
+            if kind is not add:
                 diags.append(Diagnostic("only add may take a carry", op_id))
-            if isinstance(carry, CarryRef):
+            if type(carry) is CarryRef:
                 src = carry.op
-                check_ref(src, op_id)
-                if seen.get(src) == "input" or (
-                    src in defined_ops and graph.op(src).kind is not OpKind.ADD
-                ):
-                    diags.append(Diagnostic(f"carry source {src} is not an add", op_id))
+                if src not in widths or op_map[src].kind is not add:
+                    check_ref(src, op_id)
+                    if seen.get(src) == "input" or src in widths:
+                        diags.append(Diagnostic(f"carry source {src} is not an add", op_id))
             elif isinstance(carry, int) and carry not in (0, 1):
                 diags.append(Diagnostic(f"carry constant must be 0 or 1, got {carry}", op_id))
-        defined_ops.add(op_id)
+        widths[op_id] = op_map[op_id].width
 
     for name in graph.outputs:
         if name not in seen:

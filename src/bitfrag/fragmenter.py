@@ -11,6 +11,8 @@ rewired to read the fragment bits, a slice at a time: each part of an
 op resolves the operand bits it reads with ``dfg.operand_slices``, each
 slice of a split add moves onto the fragments it overlaps, and
 neighbouring slices are joined back into slices and concatenations.
+An unsplit op that reads no split add and keeps its carry is kept as it
+is, and so is each operand of it that reads an input or an unsplit op.
 Carries chain fragment to fragment, and only fragmented design outputs
 are reassembled, under their original name, so the design signature is
 unchanged.  The rewrite changes no bit's data dependences, so the
@@ -30,6 +32,7 @@ from .dfg import (
     Concat,
     Const,
     DataFlowGraph,
+    InputRef,
     Namer,
     OpKind,
     Operand,
@@ -183,7 +186,7 @@ def _rejoin(slices: list[Operand]) -> Operand:
                     bits = s.source.bits + last.source.bits  # MSB first
                     out[-1] = Operand(Const(bits), len(bits) - 1, 0)
                     continue
-            elif s.source == last.source and s.lo == last.hi + 1:
+            elif s.lo == last.hi + 1 and (s.source is last.source or s.source == last.source):
                 out[-1] = Operand(s.source, s.hi, last.lo)
                 continue
         out.append(s)
@@ -191,8 +194,8 @@ def _rejoin(slices: list[Operand]) -> Operand:
         out.pop()
     if len(out) == 1:
         return out[0]
-    concat = Concat(tuple(reversed(out)))
-    return Operand(concat, concat.width - 1, 0)
+    width = sum([s.hi - s.lo + 1 for s in out])
+    return Operand(Concat(tuple(reversed(out))), width - 1, 0)
 
 
 def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operand:
@@ -202,28 +205,41 @@ def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operan
     whole op (``width`` None) reads the operand at its own width.  A
     slice of a split add moves onto the fragments it overlaps, found by
     bisecting the add's fragment starts in ``moved``; every other slice
-    stays.
+    stays.  A read of an input or op that needs no zero-extension is
+    built directly when it reads an input or an unsplit op, or lies in
+    one fragment; a whole op's read of an input or unsplit op is the
+    operand itself.
     """
+    source = operand.source
     if width is None:
-        slices = operand_slices(operand)
+        lo, hi, pad = operand.lo, operand.hi, 0
     else:
         lo += operand.lo
         hi = min(operand.hi, lo + width - 1)
-        slices = operand_slices(Operand(operand.source, hi, lo)) if lo <= hi else []
         pad = width - max(hi - lo + 1, 0)
-        if pad:
-            slices.append(Operand(Const("0" * pad), pad - 1, 0))
+    kind = type(source)
+    if not pad and (kind is ResultRef or kind is InputRef):
+        if kind is InputRef or source.op not in moved:
+            return operand if width is None else Operand(source, hi, lo)
+        starts, refs = moved[source.op]
+        k = bisect_right(starts, lo) - 1
+        if hi < starts[k + 1]:
+            return Operand(refs[k], hi - starts[k], lo - starts[k])
+    slices = operand_slices(Operand(source, hi, lo)) if lo <= hi else []
+    if pad:
+        slices.append(Operand(Const("0" * pad), pad - 1, 0))
     rewired: list[Operand] = []
     for s in slices:
         if type(s.source) is not ResultRef or s.source.op not in moved:
             rewired.append(s)
             continue
-        starts, names = moved[s.source.op]
+        starts, refs = moved[s.source.op]
         k = bisect_right(starts, s.lo) - 1
+        low = s.lo - starts[k]  # where the slice starts in its first fragment
         while starts[k] <= s.hi:
-            start, top = starts[k], min(s.hi, starts[k + 1] - 1)
-            rewired.append(Operand(ResultRef(names[k]), top - start, max(s.lo, start) - start))
-            k += 1
+            top = starts[k + 1] - 1 if starts[k + 1] <= s.hi else s.hi
+            rewired.append(Operand(refs[k], top - starts[k], low))
+            k, low = k + 1, 0
     return _rejoin(rewired)
 
 
@@ -235,51 +251,55 @@ def apply_runs(
 
     An add with several runs becomes its fragments, LSB first, each
     reading its own bits of the operands; every other op keeps its name
-    and reads its operands at their own width.  Only ops with runs get
-    Fragment records.  Ops keep their order, a split add's fragments
+    and reads its operands at their own width (the op itself, if that
+    changes no operand and its carry did not move).  Only ops with runs
+    get Fragment records.  Ops keep their order, a split add's fragments
     take its place, and reassembly selects go last; the new graph comes
     with its bit view, derived from ``graph``'s by ``dfg.carried_view``,
     which rests on that order.
     """
     namer = Namer({op.id for op in graph.ops} | {p.name for p in graph.inputs})
     fragments: dict[str, list[Fragment]] = {}
-    # Each split add -> its fragments' starts, then its width, and their
-    # names.  Its top fragment's carry-out is the add's.
-    moved: dict[str, tuple[list[int], list[str]]] = {}
+    # Each split add -> its fragments' starts, then its width, and a
+    # ResultRef to each.  Its top fragment's carry-out is the add's.
+    moved: dict[str, tuple[list[int], list[ResultRef]]] = {}
     for op in graph.ops:
         split = runs.get(op.id, [])
         names = [op.id]
         if len(split) > 1:
             names = [namer.fresh(f"{op.id}{k}") for k in range(len(split))]
-            moved[op.id] = ([lo for lo, _, _, _ in split] + [op.width], names)
+            moved[op.id] = ([run[0] for run in split] + [op.width], [*map(ResultRef, names)])
         if split:
-            fragments[op.id] = [
-                Fragment(op.id, name, *run) for name, run in zip(names, split)
-            ]
-
-    def parts(op_id: str) -> list[tuple[str, int, int]]:
-        starts, names = moved[op_id]
-        return [(name, lo, stop - lo) for name, lo, stop in zip(names, starts, starts[1:])]
+            fragments[op.id] = [Fragment(op.id, name, *run) for name, run in zip(names, split)]
 
     new_ops: list[Operation] = []
     for op in graph.ops:
         carry = op.carry_in
-        if isinstance(carry, CarryRef) and carry.op in moved:
-            carry = CarryRef(moved[carry.op][1][-1])
-        for name, lo, width in parts(op.id) if op.id in moved else [(op.id, 0, None)]:
-            operands = tuple(_rewire(o, moved, lo, width) for o in op.operands)
-            new_ops.append(Operation(name, op.kind, width or op.width, op.signed, operands, carry))
-            carry = CarryRef(name)  # fragments chain low to high
-
-    for name in dict.fromkeys(graph.outputs):
-        if name not in moved:
+        if type(carry) is CarryRef and carry.op in moved:
+            carry = CarryRef(moved[carry.op][1][-1].op)
+        if op.id not in moved:
+            operands = tuple([_rewire(o, moved, 0, None) for o in op.operands])
+            if carry is not op.carry_in or operands != op.operands:
+                op = Operation(op.id, op.kind, op.width, op.signed, operands, carry)
+            new_ops.append(op)
             continue
-        # The original name becomes a transparent reassembly of the
-        # fragments, so the design signature is unchanged.
-        whole = _rejoin([Operand(ResultRef(f), w - 1, 0) for f, _, w in parts(name)])
-        one, zero = Operand(Const("1"), 0, 0), Operand(Const("0"), 0, 0)
-        op = graph.op(name)
-        new_ops.append(Operation(name, OpKind.SELECT, op.width, op.signed, (one, whole, zero)))
+        starts, refs = moved[op.id]
+        for ref, lo, stop in zip(refs, starts, starts[1:]):
+            operands = tuple([_rewire(o, moved, lo, stop - lo) for o in op.operands])
+            new_ops.append(Operation(ref.op, op.kind, stop - lo, op.signed, operands, carry))
+            carry = CarryRef(ref.op)  # fragments chain low to high
+
+    # The original name of each split output becomes a transparent
+    # reassembly of the fragments, so the design signature is unchanged.
+    one, zero = Operand(Const("1"), 0, 0), Operand(Const("0"), 0, 0)
+    for name in dict.fromkeys(graph.outputs):
+        if name in moved:
+            starts, refs = moved[name]
+            whole = _rejoin([
+                Operand(ref, stop - lo - 1, 0) for ref, lo, stop in zip(refs, starts, starts[1:])
+            ])
+            op = graph.op(name)
+            new_ops.append(Operation(name, OpKind.SELECT, op.width, op.signed, (one, whole, zero)))
 
     new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(new_graph)

@@ -300,8 +300,12 @@ def _ranked(loads: dict[int, int], busy: list[int], start: int, late: int,
     Every empty cycle ranks alike, so of them only the earliest after
     ``start`` can be vetted: ``schedule`` vets no cycle above one that
     failed.  So only ``start``, the busy cycles (``busy``, sorted) and
-    that first empty cycle are ranked, whatever the window's length.
+    that first empty cycle are ranked, whatever the window's length;
+    none is if ``start`` keeps the peak at ``top``, which no later cycle
+    can rank below.
     """
+    if loads.get(start, 0) + width <= top:
+        return []
     cycles, empty = [start], start + 1
     for k in busy[bisect_right(busy, start):bisect_right(busy, late)]:
         if k == empty:

@@ -785,12 +785,16 @@ def validate_oracle(graph: DataFlowGraph) -> list[Diagnostic]:
 
     defined_ops: set[str] = set()
 
-    def check_ref(name: str, where: str) -> None:
-        if name in seen:
-            if seen[name] == "op" and name not in defined_ops:
-                diags.append(Diagnostic(f"reference to {name} creates a cycle", where))
-        else:
+    def check_ref(name: str, where: str, kind: str | None = None) -> None:
+        """``kind`` is what an operand reads ``name`` as: "input" or "op"."""
+        if name not in seen:
             diags.append(Diagnostic(f"undefined reference {name}", where))
+        elif seen[name] == "op" and name not in defined_ops:
+            diags.append(Diagnostic(f"reference to {name} creates a cycle", where))
+        elif kind == "input" and seen[name] == "op":
+            diags.append(Diagnostic(f"input reference to result {name}", where))
+        elif kind == "op" and seen[name] == "input":
+            diags.append(Diagnostic(f"result reference to input {name}", where))
 
     def check_operand(opnd: Operand, where: str) -> None:
         src = opnd.source
@@ -798,9 +802,9 @@ def validate_oracle(graph: DataFlowGraph) -> list[Diagnostic]:
             diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
             return
         if isinstance(src, InputRef):
-            check_ref(src.name, where)
+            check_ref(src.name, where, "input")
         elif isinstance(src, ResultRef):
-            check_ref(src.op, where)
+            check_ref(src.op, where, "op")
         elif isinstance(src, Const):
             if not src.bits or any(c not in "01" for c in src.bits):
                 diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))

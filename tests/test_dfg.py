@@ -12,6 +12,7 @@ from bitfrag.dfg import (
     Concat,
     Const,
     DataFlowGraph,
+    Diagnostic,
     InputBit,
     InputPort,
     InputRef,
@@ -46,6 +47,7 @@ from conftest import (
     bit_alap,
     bit_asap,
     carried_add_design,
+    deep_settings,
     eager_keys,
     feasible_pipeline,
     keyed_view,
@@ -472,6 +474,30 @@ def test_validate_rejects_a_zero_width_input():
     assert _diag_messages(g) == "A: width must be positive, got 0"
 
 
+def test_validate_rejects_a_reference_of_the_wrong_kind():
+    """A ``ResultRef`` must name an op and an ``InputRef`` an input.
+    Accepted, the first graph would make ``critical_path`` raise a
+    KeyError, and the second would lose its dependence on ``x``."""
+    inputs = (InputPort("a", 4, False), InputPort("b", 4, False))
+    b = Operand(InputRef("b"), 3, 0)
+    x = Operation("x", OpKind.ADD, 4, False, (Operand(ResultRef("a"), 3, 0), b))
+    g = DataFlowGraph("bad", inputs, (x,), ("x",))
+    assert validate(g) == [Diagnostic("result reference to input a", "x")]
+    x = Operation("x", OpKind.ADD, 4, False, (Operand(InputRef("a"), 3, 0), b))
+    y = Operation("y", OpKind.ADD, 4, False, (Operand(InputRef("x"), 3, 0), b))
+    g = DataFlowGraph("bad", inputs, (x, y), ("y",))
+    assert validate(g) == [Diagnostic("input reference to result x", "y")]
+    # Inside a concatenation too, each with its own diagnostic.
+    both = Operand(Concat((Operand(ResultRef("b"), 1, 0), Operand(InputRef("x"), 1, 0))), 3, 0)
+    z = Operation("z", OpKind.NOT, 4, False, (both,))
+    g = DataFlowGraph("bad", inputs, (x, z), ("z",))
+    assert validate(g) == [
+        Diagnostic("result reference to input b", "z"),
+        Diagnostic("input reference to result x", "z"),
+    ]
+    assert validate(g) == validate_oracle(g)
+
+
 def test_validate_rejects_malformed_const():
     op = Operation(
         "X", OpKind.ADD, 2, False,
@@ -563,7 +589,7 @@ def _mutated_graphs(draw):
     return DataFlowGraph(graph.name, tuple(inputs), tuple(ops), tuple(outputs))
 
 
-@settings(max_examples=500, deadline=None)
+@deep_settings(500)
 @given(_mutated_graphs())
 def test_validate_matches_the_oracle_on_mutated_graphs(graph):
     """``validate`` walks each operand once and measures it as it goes;

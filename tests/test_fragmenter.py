@@ -578,9 +578,10 @@ def _per_bit_apply_runs(graph: DataFlowGraph, runs: dict):
     return fragments, new_graph
 
 
-def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs)) -> int:
+def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs, whole_runs)) -> int:
     """Compare both rewrites under every tiling at each feasible latency;
-    the number of (latency, tiling) cases compared."""
+    the number of (latency, tiling) cases compared.  Under ``whole_runs``
+    no add splits, so every op takes the path that keeps it as it is."""
     kernel, _ = extract_kernel(graph)
     compared = 0
     for lam in lams:
@@ -597,7 +598,7 @@ def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs)) 
 
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_rewrite_matches_the_per_bit_rewrite_on_bundled_designs(name):
-    assert _rewrites_match(load_design(name), range(2, 7)) == 10
+    assert _rewrites_match(load_design(name), range(2, 7)) == 15
 
 
 @pytest.mark.parametrize("make", [random_add_design, random_full_design])
@@ -605,12 +606,12 @@ def test_rewrite_matches_the_per_bit_rewrite_on_random_designs(make):
     # Every add design fits each latency; about a third of the full
     # designs do not, and are skipped there.
     compared = sum(_rewrites_match(make(seed), (2, 3, 4)) for seed in range(200))
-    assert compared >= 800
+    assert compared >= 1200
 
 
 @pytest.mark.parametrize("sections,width", [(2, 8), (6, 12), (10, 16), (20, 32)])
 def test_rewrite_matches_the_per_bit_rewrite_on_ladders(sections, width):
-    assert _rewrites_match(parse(ladder_source(sections, width)), (3, sections)) == 4
+    assert _rewrites_match(parse(ladder_source(sections, width)), (3, sections)) == 6
 
 
 # Operands that mix constants, repeat a slice, straddle many fragments of
@@ -645,7 +646,7 @@ def _any_runs(draw, graph: DataFlowGraph) -> dict:
 
 def test_rewrite_matches_the_per_bit_rewrite_on_straddling_operands():
     graph = parse(STRADDLE_SOURCE)
-    assert _rewrites_match(graph, (2, 3, 4, 6)) == 8
+    assert _rewrites_match(graph, (2, 3, 4, 6)) == 12
     # Every add in three or more fragments: C's slices straddle them all.
     runs = {
         op.id: [(lo, min(lo + 1, op.width - 1), 1, 1) for lo in range(0, op.width, 2)]
@@ -659,7 +660,7 @@ def test_rewrite_matches_the_per_bit_rewrite_on_straddling_operands():
     assert check_equiv(graph, transformed).equivalent
 
 
-@settings(max_examples=200, deadline=None)
+@deep_settings(200)
 @given(st.data())
 def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     graph = parse(STRADDLE_SOURCE)

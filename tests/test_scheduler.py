@@ -117,6 +117,19 @@ def test_core_fed_through_glue_runs_in_the_first_cycle():
     assert check_equiv(design, p.sched).equivalent
 
 
+def test_glue_fed_only_by_inputs_is_ready_at_slot_zero():
+    """A glue bit with no producer is ready where the inputs are, at
+    ``Slot(0, 0)``; the add reading it chains from depth 1."""
+    design = parse(
+        "design g; input A : u4; input B : u4;"
+        " N: not u4 = A; X: add u4 = N + B; output X;"
+    )
+    p = run_pipeline(design, 2)
+    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
+    assert [realized[("N", i)] for i in range(4)] == [Slot(0, 0)] * 4
+    assert realized[("X", 0)] == Slot(1, 1)
+
+
 def test_every_add_needs_its_fragment_record(sec2):
     p = run_pipeline(sec2, 3)
     with pytest.raises(ScheduleError, match="C0: add has no fragment record"):
@@ -891,7 +904,10 @@ def _vet_loop(order, start, late, fails):
 def test_ranked_cycles_vet_as_the_whole_window_does(data):
     """Ranking only the start, the busy cycles and the first empty cycle
     vets the same cycles, in the same order, and takes the same one as
-    ranking every cycle of the window."""
+    ranking every cycle of the window.  The ranked list is the whole
+    window's less each empty cycle but the first, and so is empty, as
+    ``_ranked`` returns at once, when ``start`` keeps the peak at
+    ``top``."""
     lam = data.draw(st.integers(1, 12) | st.integers(1, 2000))
     loads = data.draw(st.dictionaries(st.integers(1, lam), st.integers(1, 40), max_size=12))
     start = data.draw(st.integers(1, lam))
@@ -900,9 +916,10 @@ def test_ranked_cycles_vet_as_the_whole_window_does(data):
     top = data.draw(st.integers(0, 60))
     fails = data.draw(st.sets(st.integers(start, late) | st.sampled_from(sorted(loads) or [start])))
     ranked = _ranked(loads, sorted(loads), start, late, width, top)
-    assert _vet_loop(ranked, start, late, fails) == _vet_loop(
-        _full_window_ranking(loads, start, late, width, top), start, late, fails
-    )
+    full = _full_window_ranking(loads, start, late, width, top)
+    assert _vet_loop(ranked, start, late, fails) == _vet_loop(full, start, late, fails)
+    empty = next((k for k in range(start + 1, late + 1) if k not in loads), None)
+    assert ranked == [k for k in full if k in loads or k == empty]
 
 
 @pytest.mark.parametrize("make,seed,lam,tile", [
