@@ -581,7 +581,8 @@ def _per_bit_apply_runs(graph: DataFlowGraph, runs: dict):
 def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs, whole_runs)) -> int:
     """Compare both rewrites under every tiling at each feasible latency;
     the number of (latency, tiling) cases compared.  Under ``whole_runs``
-    no add splits, so every op takes the path that keeps it as it is."""
+    no add splits, so every op takes the path that keeps it as it is.
+    An op the rewrite leaves unchanged is the kernel's own object."""
     kernel, _ = extract_kernel(graph)
     compared = 0
     for lam in lams:
@@ -591,7 +592,11 @@ def _rewrites_match(graph: DataFlowGraph, lams, tilings=(op_runs, bucket_runs, w
             continue
         for tiling in tilings:
             runs = tiling(kernel, mobility)
-            assert apply_runs(kernel, runs) == _per_bit_apply_runs(kernel, runs)
+            rewrite = apply_runs(kernel, runs)
+            assert rewrite == _per_bit_apply_runs(kernel, runs)
+            for op in rewrite[1].ops:
+                old = kernel._op_map.get(op.id)
+                assert op is old or op != old
             compared += 1
     return compared
 
