@@ -276,24 +276,20 @@ def operand_slices(operand: Operand) -> list[Operand]:
 def validate(graph: DataFlowGraph) -> list[Diagnostic]:
     """Structural check; an empty list means the graph is well formed.
 
-    One walk in definition order.  Its accepting path looks an operand's
-    source up once, in dicts of the names defined so far: an input, an
-    op defined before it (each read by a ref of its own kind) or a
-    binary constant, sliced inside its width.  ``check_operand`` walks
-    any other operand again and reports what is wrong with it.
+    One walk in definition order.  An operand reading, within its width,
+    a binary constant or a name defined before it by a ref of its kind
+    costs a lookup and a bounds test; only a fault builds a Diagnostic.
     """
     diags: list[Diagnostic] = []
     seen: dict[str, str] = {}  # name -> "input" or "result"
-    inputs: dict[str, int] = {}  # input -> width, while no op takes its name
     for port in graph.inputs:
         if port.name in seen:
             diags.append(Diagnostic("duplicate name", port.name))
         seen[port.name] = "input"
-        inputs[port.name] = port.width
         if port.width < 1:
             diags.append(Diagnostic(f"width must be positive, got {port.width}", port.name))
-    # An enum member read through its class is a slow attribute lookup.
-    op_map, select, add = graph._op_map, OpKind.SELECT, OpKind.ADD
+    # Locals, as an enum member read through its class is a slow lookup.
+    op_map, input_map, select, add = graph._op_map, graph._input_map, OpKind.SELECT, OpKind.ADD
     widths: dict[str, int] = {}  # each op defined so far -> its op_map width
 
     def check_ref(name: str, where: str, kind: str | None = None) -> None:
@@ -306,65 +302,49 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
         elif kind is not None and seen_as != kind:
             diags.append(Diagnostic(f"{kind} reference to {seen_as} {name}", where))
 
-    def check_operand(opnd: Operand, where: str) -> int:
-        """Report what is wrong with ``opnd``, walking it once; returns
-        its width, so a concat's width is the sum over its parts."""
-        src = opnd.source
-        if type(src) is ResultRef or type(src) is InputRef:
-            name, kind = (src.op, "result") if type(src) is ResultRef else (src.name, "input")
-            check_ref(name, where, kind)
-            found = (op_map if kind == "result" else graph._input_map).get(name)
-            if found is None:  # reported already
-                return opnd.hi - opnd.lo + 1
-            w = found.width
-        elif type(src) is Const:
-            if not src.bits or src.bits.strip("01"):
-                diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
-            w = len(src.bits)
-        elif type(src) is CarryRef:
-            diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
-            return opnd.hi - opnd.lo + 1
-        else:
-            w = sum([check_operand(part, where) for part in src.parts])
-        lo, hi = opnd.lo, opnd.hi
-        if not (0 <= lo <= hi < w):
-            diags.append(Diagnostic(f"slice [{hi}:{lo}] out of range for width {w}", where))
-        return hi - lo + 1
+    def check_operands(operands: tuple[Operand, ...], where: str) -> int:
+        """Check each operand, walking it once; returns their total
+        width, a concatenation's when they are its parts."""
+        total = 0
+        for opnd in operands:
+            src = opnd.source
+            t = type(src)
+            if t is ResultRef:
+                w = widths.get(src.op)
+                if w is None:
+                    check_ref(src.op, where, "result")
+                    w = getattr(op_map.get(src.op), "width", None)  # None: reported
+            elif t is InputRef:
+                w = input_map[src.name].width if seen.get(src.name) == "input" else None
+                if w is None:
+                    check_ref(src.name, where, "input")
+                    w = getattr(input_map.get(src.name), "width", None)
+            elif t is Concat:
+                w = check_operands(src.parts, where)
+            elif t is Const:
+                w = len(src.bits)
+                if not w or src.bits.strip("01"):
+                    diags.append(Diagnostic(f"malformed constant {src.bits!r}", where))
+            else:
+                diags.append(Diagnostic(f"carry of {src.op} can only be a carry-in", where))
+                w = None
+            lo, hi = opnd.lo, opnd.hi
+            if w is not None and not 0 <= lo <= hi < w:
+                diags.append(Diagnostic(f"slice [{hi}:{lo}] out of range for width {w}", where))
+            total += hi - lo + 1
+        return total
 
     for op in graph.ops:
         op_id, kind, operands, carry = op.id, op.kind, op.operands, op.carry_in
         if op_id in seen:
             diags.append(Diagnostic("duplicate name", op_id))
-            inputs.pop(op_id, None)
         seen[op_id] = "result"
         if op.width < 1:
             diags.append(Diagnostic(f"width must be positive, got {op.width}", op_id))
         if len(operands) != kind.arity:
             message = f"{kind.name.lower()} takes {kind.arity} operands, got {len(operands)}"
             diags.append(Diagnostic(message, op_id))
-        for opnd in operands:
-            src = opnd.source
-            t = type(src)
-            if t is ResultRef:
-                size = widths.get(src.op)
-            elif t is InputRef:
-                size = inputs.get(src.name)
-            elif t is Const:
-                size = len(src.bits) if src.bits and not src.bits.strip("01") else None
-            elif t is Concat:  # of input and op slices; any other part is walked again
-                size = 0
-                for part in src.parts:
-                    s, t = part.source, type(part.source)
-                    w = (widths.get(s.op) if t is ResultRef
-                         else inputs.get(s.name) if t is InputRef else None)
-                    if w is None or not 0 <= part.lo <= part.hi < w:
-                        size = None
-                        break
-                    size += part.hi - part.lo + 1
-            else:
-                size = None
-            if size is None or not 0 <= opnd.lo <= opnd.hi < size:
-                check_operand(opnd, op_id)
+        check_operands(operands, op_id)
         if kind is select and operands and operands[0].hi != operands[0].lo:
             diags.append(Diagnostic("select condition must be 1 bit wide", op_id))
         if carry is not None:
@@ -372,10 +352,9 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
                 diags.append(Diagnostic("only add may take a carry", op_id))
             if type(carry) is CarryRef:
                 src = carry.op
-                if src not in widths or op_map[src].kind is not add:
-                    check_ref(src, op_id)
-                    if seen.get(src) == "input" or src in widths:
-                        diags.append(Diagnostic(f"carry source {src} is not an add", op_id))
+                check_ref(src, op_id)
+                if seen.get(src) == "input" or src in widths and op_map[src].kind is not add:
+                    diags.append(Diagnostic(f"carry source {src} is not an add", op_id))
             elif isinstance(carry, int) and carry not in (0, 1):
                 diags.append(Diagnostic(f"carry constant must be 0 or 1, got {carry}", op_id))
         widths[op_id] = op_map[op_id].width

@@ -194,8 +194,7 @@ def _rejoin(slices: list[Operand]) -> Operand:
         out.pop()
     if len(out) == 1:
         return out[0]
-    width = sum([s.hi - s.lo + 1 for s in out])
-    return Operand(Concat(tuple(reversed(out))), width - 1, 0)
+    return Operand(Concat(tuple(reversed(out))), sum([s.hi - s.lo + 1 for s in out]) - 1, 0)
 
 
 def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operand:
@@ -205,18 +204,13 @@ def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operan
     whole op (``width`` None) reads the operand at its own width.  A
     slice of a split add moves onto the fragments it overlaps, found by
     bisecting the add's fragment starts in ``moved``; every other slice
-    stays.  A read of an input or op that needs no zero-extension is
-    built directly when it reads an input or an unsplit op, or lies in
-    one fragment; a whole op's read of an input or unsplit op is the
-    operand itself.
+    stays.  An unpadded read of an input, an unsplit op or one fragment
+    is built directly; a whole op's read of the first two is ``operand``.
     """
     source = operand.source
-    if width is None:
-        lo, hi, pad = operand.lo, operand.hi, 0
-    else:
-        lo += operand.lo
-        hi = min(operand.hi, lo + width - 1)
-        pad = width - max(hi - lo + 1, 0)
+    lo += operand.lo
+    hi = operand.hi if width is None else min(operand.hi, lo + width - 1)
+    pad = 0 if width is None else width - max(hi - lo + 1, 0)
     kind = type(source)
     if not pad and (kind is ResultRef or kind is InputRef):
         if kind is InputRef or source.op not in moved:
@@ -235,11 +229,10 @@ def _rewire(operand: Operand, moved: dict, lo: int, width: int | None) -> Operan
             continue
         starts, refs = moved[s.source.op]
         k = bisect_right(starts, s.lo) - 1
-        low = s.lo - starts[k]  # where the slice starts in its first fragment
         while starts[k] <= s.hi:
-            top = starts[k + 1] - 1 if starts[k + 1] <= s.hi else s.hi
-            rewired.append(Operand(refs[k], top - starts[k], low))
-            k, low = k + 1, 0
+            start, top = starts[k], min(s.hi, starts[k + 1] - 1)
+            rewired.append(Operand(refs[k], top - start, max(s.lo, start) - start))
+            k += 1
     return _rejoin(rewired)
 
 
@@ -251,9 +244,8 @@ def apply_runs(
 
     An add with several runs becomes its fragments, LSB first, each
     reading its own bits of the operands; every other op keeps its name
-    and reads its operands at their own width (the op itself, if that
-    changes no operand and its carry did not move).  Only ops with runs
-    get Fragment records.  Ops keep their order, a split add's fragments
+    and reads its operands at their own width.  Only ops with runs get
+    Fragment records.  Ops keep their order, a split add's fragments
     take its place, and reassembly selects go last; the new graph comes
     with its bit view, derived from ``graph``'s by ``dfg.carried_view``,
     which rests on that order.
@@ -295,9 +287,7 @@ def apply_runs(
     for name in dict.fromkeys(graph.outputs):
         if name in moved:
             starts, refs = moved[name]
-            whole = _rejoin([
-                Operand(ref, stop - lo - 1, 0) for ref, lo, stop in zip(refs, starts, starts[1:])
-            ])
+            whole = _rejoin([Operand(r, b - a - 1, 0) for r, a, b in zip(refs, starts, starts[1:])])
             op = graph.op(name)
             new_ops.append(Operation(name, OpKind.SELECT, op.width, op.signed, (one, whole, zero)))
 

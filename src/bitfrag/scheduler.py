@@ -297,12 +297,10 @@ def _ranked(loads: dict[int, int], busy: list[int], start: int, late: int,
     ``max(top, load + width)`` placing it there would leave, then by
     cycle.
 
-    Every empty cycle ranks alike, so of them only the earliest after
-    ``start`` can be vetted: ``schedule`` vets no cycle above one that
-    failed.  So only ``start``, the busy cycles (``busy``, sorted) and
-    that first empty cycle are ranked, whatever the window's length;
-    none is if ``start`` keeps the peak at ``top``, which no later cycle
-    can rank below.
+    Every empty cycle ranks alike, and ``schedule`` vets no cycle above
+    one that failed, so only ``start``, the busy cycles (``busy``,
+    sorted) and the first empty cycle after ``start`` are ranked; none
+    is if ``start`` keeps the peak at ``top``, as nothing ranks below it.
     """
     if loads.get(start, 0) + width <= top:
         return []
