@@ -313,7 +313,7 @@ def validate(graph: DataFlowGraph) -> list[Diagnostic]:
                 w = widths.get(src.op)
                 if w is None:
                     check_ref(src.op, where, "result")
-                    w = getattr(op_map.get(src.op), "width", None)  # None: reported
+                    w = getattr(op_map.get(src.op), "width", None)  # None: no such op, reported
             elif t is InputRef:
                 w = input_map[src.name].width if seen.get(src.name) == "input" else None
                 if w is None:
