@@ -169,7 +169,7 @@ def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBind
 
 
 def costs(sched: Schedule) -> CostReport:
-    graph = sched.graph
+    graph, core = sched.graph, OpKind.MULT_CORE
     lanes, muxes, carry_fan_in = [], [], {}
     for parent, parts in sched.fragments.items():
         width = max(f.width for f in parts)
@@ -187,7 +187,7 @@ def costs(sched: Schedule) -> CostReport:
     return CostReport(
         lanes=tuple(lanes),
         cores=tuple(
-            (op.id, op.width) for op in graph.ops if op.kind is OpKind.MULT_CORE
+            (op.id, op.width) for op in graph.ops if op.kind is core
         ),
         stored_per_boundary=per_boundary,
         stored_sets={

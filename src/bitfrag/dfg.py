@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import cached_property, partial
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 
@@ -87,50 +88,110 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-# Records come in three styles.  Graph records (sources, operands,
-# operations, ports, and the fragmenter's Fragment) are slotted
-# dataclasses that hash by value and compare by type, so ResultRef("a")
-# != InputRef("a"): a pass builds tens of thousands of them, and a
-# slotted one builds in about a third of the time a frozen one takes.
-# They are not frozen, yet they are values, shared between graphs and
-# used as dict keys, so no code assigns to a field of a built record; a
-# lint in tests/test_imports.py fails on any such assignment under src/.
+# Records come in three styles, all but one written out by hand: a
+# dataclass generates its methods at import, about half a millisecond a
+# class, and every run of the program pays its import.  Graph records
+# (sources, operands, operations, ports, and the fragmenter's Fragment)
+# are built on Record: slotted, hashed by value and compared by type, so
+# ResultRef("a") != InputRef("a").  They are not frozen, yet they are
+# values, shared between graphs and used as dict keys, so no code assigns
+# to a field of a built record; a lint in tests/test_imports.py fails on
+# any such assignment under src/.  BitView and Schedule are FrozenRecords.
 # Result records (SourceSpan, Diagnostic, and those timing, fragmenter,
-# cost and simulator return) and bit refs are named tuples: immutable,
-# hashed in C, and defined at import in a tenth of a frozen dataclass's
-# time.  DataFlowGraph, BitView and Schedule are frozen dataclasses, as
-# their cached properties need an instance __dict__.
+# cost and simulator return) and bit refs are named tuples.  DataFlowGraph
+# alone stays a frozen dataclass: graphs are copied with
+# dataclasses.replace.
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class InputRef:
-    name: str
+class Record:
+    """Base of the graph records.
+
+    A record names its fields, in order, as its ``__slots__`` and fills
+    them in its own ``__init__``.  It equals only a record of its own
+    type with equal fields, hashes its field tuple and prints as
+    ``Name(field=value, ...)``, as a dataclass does.  Equality and
+    hashing read the fields through one ``operator.attrgetter`` per
+    class, made when the class is defined.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls.__dict__.get("__slots__", cls._fields)
+        if fields:
+            cls._key = attrgetter(*fields)  # one field: the value, not a tuple
+            if len(fields) == 1:
+                cls.__hash__ = Record._hash_one
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def _hash_one(self) -> int:
+        return hash((self._key(self),))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ResultRef:
-    op: str
+class FrozenRecord(Record):
+    """A record whose fields, named by ``_fields``, sit in its instance
+    ``__dict__``, where a ``cached_property`` keeps its value too, and
+    that refuses to assign or delete an attribute."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CarryRef:
+class InputRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
+class ResultRef(Record):
+    __slots__ = ("op",)
+
+    def __init__(self, op: str) -> None:
+        self.op = op
+
+
+class CarryRef(Record):
     """The 1-bit carry-out of an ADD operation, read as a carry-in."""
 
-    op: str
+    __slots__ = ("op",)
+
+    def __init__(self, op: str) -> None:
+        self.op = op
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Const:
-    bits: str  # binary, MSB first
+class Const(Record):
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: str) -> None:
+        self.bits = bits  # binary, MSB first
 
     @property
     def width(self) -> int:
         return len(self.bits)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Concat:
-    parts: "tuple[Operand, ...]"  # MSB first
+class Concat(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Operand, ...]) -> None:
+        self.parts = parts  # MSB first
 
     @property
     def width(self) -> int:
@@ -140,17 +201,19 @@ class Concat:
 Source = Union[InputRef, ResultRef, Const, Concat]
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Operand:
+class Operand(Record):
     """A sliced reference to a value source.
 
     The slice [hi:lo] is inclusive and always concrete; parsers and
     builders fill in the full range when none was written.
     """
 
-    source: Source
-    hi: int
-    lo: int
+    __slots__ = ("source", "hi", "lo")
+
+    def __init__(self, source: Source, hi: int, lo: int) -> None:
+        self.source = source
+        self.hi = hi
+        self.lo = lo
 
     @property
     def width(self) -> int:
@@ -160,21 +223,26 @@ class Operand:
 CarryIn = Union[int, CarryRef, None]  # None, 0, 1, or a chained carry
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Operation:
-    id: str
-    kind: OpKind
-    width: int
-    signed: bool
-    operands: tuple[Operand, ...]
-    carry_in: CarryIn = None
+class Operation(Record):
+    __slots__ = ("id", "kind", "width", "signed", "operands", "carry_in")
+
+    def __init__(self, id: str, kind: OpKind, width: int, signed: bool,
+                 operands: tuple[Operand, ...], carry_in: CarryIn = None) -> None:
+        self.id = id
+        self.kind = kind
+        self.width = width
+        self.signed = signed
+        self.operands = operands
+        self.carry_in = carry_in
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class InputPort:
-    name: str
-    width: int
-    signed: bool
+class InputPort(Record):
+    __slots__ = ("name", "width", "signed")
+
+    def __init__(self, name: str, width: int, signed: bool) -> None:
+        self.name = name
+        self.width = width
+        self.signed = signed
 
 
 # Bit-level references used by bit_deps, timing, and the simulator.
@@ -464,8 +532,7 @@ class Slot(NamedTuple):
     depth: int
 
 
-@dataclass(frozen=True)
-class BitView:
+class BitView(FrozenRecord):
     """Bit-level view of one graph, shared read-only by every pass.
 
     Every result bit has a number: bit ``i`` of op ``x`` is
@@ -491,11 +558,15 @@ class BitView:
     other.
     """
 
-    base: dict[str, int]
-    carried: tuple[str, ...]
-    producers: tuple[tuple[int, ...], ...]
-    consumers: tuple[tuple[int, ...], ...]
-    reads: tuple[tuple[int, ...], ...]
+    _fields = ("base", "carried", "producers", "consumers", "reads")
+
+    def __init__(self, base: dict[str, int], carried: tuple[str, ...],
+                 producers: tuple[tuple[int, ...], ...],
+                 consumers: tuple[tuple[int, ...], ...],
+                 reads: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(
+            base=base, carried=carried, producers=producers, consumers=consumers, reads=reads
+        )
 
     @cached_property
     def keys(self) -> tuple[BitKey | CarryBit, ...]:
@@ -503,8 +574,8 @@ class BitView:
         of every carry, by number, derived from ``base`` and
         ``carried`` on first use.  A key names its op first, a carry's
         too, so ``keys[n][0]`` is the op that produces bit ``n``.  The
-        view is frozen but not slotted, so the keys are cached in its
-        ``__dict__``; no pass from parse to ``costs`` reads them."""
+        keys are cached in the view's ``__dict__``; no pass from parse to
+        ``costs`` reads them."""
         starts = list(self.base.values())
         stops = starts[1:] + [len(self.producers)]
         keys = [(x, i) for x, lo, stop in zip(self.base, starts, stops) for i in range(stop - lo)]
@@ -581,11 +652,12 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
 
     producers: list[tuple[int, ...]] = []
     reads: list[tuple[int, ...]] = []
+    invert = OpKind.NOT
     for op in graph.ops:
         lo, kind = base[op.id], op.kind
         bits = range(lo, lo + op.width)
         operands = [numbers(opnd) for opnd in op.operands]
-        if kind is OpKind.NOT:
+        if kind is invert:
             for n, a in zip(bits, _padded(operands[0])):
                 prods = () if a is None else (a,)
                 producers.append(prods)

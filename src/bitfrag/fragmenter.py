@@ -23,7 +23,6 @@ rewritten graph's bit view is derived from the one it rewrote
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -37,6 +36,7 @@ from .dfg import (
     OpKind,
     Operand,
     Operation,
+    Record,
     ResultRef,
     carried_view,
     check,
@@ -49,14 +49,17 @@ class InfeasibleError(ValueError):
     """The latency budget cannot hold the design's critical chain."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Fragment:
-    parent: str
-    id: str
-    lo: int
-    hi: int
-    asap_cycle: int
-    alap_cycle: int
+class Fragment(Record):
+    __slots__ = ("parent", "id", "lo", "hi", "asap_cycle", "alap_cycle")
+
+    def __init__(self, parent: str, id: str, lo: int, hi: int,
+                 asap_cycle: int, alap_cycle: int) -> None:
+        self.parent = parent
+        self.id = id
+        self.lo = lo
+        self.hi = hi
+        self.asap_cycle = asap_cycle
+        self.alap_cycle = alap_cycle
 
     @property
     def width(self) -> int:
@@ -99,9 +102,10 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
     due = lam * n_bits + 1  # depth 1 of the virtual cycle lam + 1
     table = [due] * len(consumers)
     at = table.__getitem__
+    core = OpKind.MULT_CORE
     for op in reversed(graph.ops):
         lo, width = view.base[op.id], op.width
-        if op.kind is OpKind.MULT_CORE:
+        if op.kind is core:
             users = [*chain.from_iterable(consumers[lo:lo + width])]
             # Due at depth 1 of the cycle before its first reader's, so
             # producers retreat a full cycle.
@@ -135,7 +139,8 @@ def analyze(graph: DataFlowGraph, n_bits: int, lam: int) -> Mobility:
     recurrence differs from the arrival one only at a core, so a kernel
     without one takes ASAP from ``graph.arrivals``."""
     alap = alap_table(graph, n_bits, lam)
-    if all(op.kind is OpKind.ADD or op.kind.glue for op in graph.ops):
+    add = OpKind.ADD
+    if all(op.kind is add or op.kind.glue for op in graph.ops):
         asap = graph.arrivals
     else:
         asap = arrival_table(graph, n_bits)
@@ -152,8 +157,9 @@ def op_runs(graph: DataFlowGraph, mobility: Mobility) -> dict[str, list[tuple[in
     to MSB order.  Glue and the multiplier core are never fragmented.
     """
     runs: dict[str, list[tuple[int, int, int, int]]] = {}
+    add = OpKind.ADD
     for op in graph.ops:
-        if op.kind is not OpKind.ADD:
+        if op.kind is not add:
             continue
         runs[op.id] = _split_runs(list(zip(*mobility.cycles(op))))
     return runs
@@ -321,8 +327,9 @@ def bucket_runs(
     """
     n_bits = mobility.n_bits
     runs: dict[str, list[tuple[int, int, int, int]]] = {}
+    add = OpKind.ADD
     for op in graph.ops:
-        if op.kind is not OpKind.ADD:
+        if op.kind is not add:
             continue
         asap, alap = mobility.cycles(op)
         start, stop = asap[0], alap[-1]
@@ -351,7 +358,8 @@ def whole_runs(
     the scheduler refuses it.
     """
     runs: dict[str, list[tuple[int, int, int, int]]] = {}
+    add = OpKind.ADD
     for op in graph.ops:
-        if op.kind is OpKind.ADD:
+        if op.kind is add:
             runs[op.id] = [(0, op.width - 1, *mobility.window(op))]
     return runs

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dfg import (
     DataFlowGraph,
+    FrozenRecord,
     OpKind,
     Slot,
 )
@@ -50,13 +50,15 @@ class ScheduleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Schedule:
-    graph: DataFlowGraph
-    lam: int
-    n_bits: int
-    cycle_of: dict[str, int]
-    fragments: dict[str, list[Fragment]] = field(default_factory=dict)
+class Schedule(FrozenRecord):
+    _fields = ("graph", "lam", "n_bits", "cycle_of", "fragments")
+
+    def __init__(self, graph: DataFlowGraph, lam: int, n_bits: int, cycle_of: dict[str, int],
+                 fragments: dict[str, list[Fragment]] | None = None) -> None:
+        self.__dict__.update(
+            graph=graph, lam=lam, n_bits=n_bits, cycle_of=cycle_of,
+            fragments={} if fragments is None else fragments,
+        )
 
     @cached_property
     def held(self) -> dict[int, list]:
@@ -70,9 +72,10 @@ class Schedule:
     def loads(self) -> dict[int, int]:
         """Scheduled adder bits per cycle."""
         out = {c: 0 for c in range(1, self.lam + 1)}
+        add, cycle_of = OpKind.ADD, self.cycle_of
         for op in self.graph.ops:
-            if op.kind is OpKind.ADD:
-                out[self.cycle_of[op.id]] += op.width
+            if op.kind is add:
+                out[cycle_of[op.id]] += op.width
         return out
 
 
@@ -127,6 +130,7 @@ def _realized_table(
     table = [(0, 0)] * len(producers)  # (cycle, depth) pairs by bit number
     at = table.__getitem__
     problems: list[str] = []
+    core = OpKind.MULT_CORE
     for op in graph.ops:
         lo, width = view.base[op.id], op.width
         if op.kind.glue:
@@ -135,7 +139,7 @@ def _realized_table(
                 table[n] = max(map(at, prods)) if prods else (0, 0)
             continue
         cycle = cycle_of[op.id]
-        if op.kind is OpKind.MULT_CORE:
+        if op.kind is core:
             prods = producers[lo]
             ready = max(map(at, prods))[0] if prods else 0
             if ready >= cycle:
@@ -188,14 +192,17 @@ class _Plan:
         view = graph.bit_view
         self.producers = view.producers
         self.position = {op.id: k for k, op in enumerate(graph.ops)}
-        # Per op, by position: whether it is glue, its bit numbers, and
-        # the bits of other ops it reads (every number below its own
-        # belongs to another op).
+        # Per op, by position: whether it is glue, whether it is a core,
+        # its bit numbers, and the bits of other ops it reads (every
+        # number below its own belongs to another op; none for glue,
+        # which ``settle`` chains bit by bit).
+        core = OpKind.MULT_CORE
         self.glue = [op.kind.glue for op in graph.ops]
+        self.core = [op.kind is core for op in graph.ops]
         self.bits = [range(view.base[op.id], view.base[op.id] + op.width) for op in graph.ops]
         self.feeds = [
-            tuple({p for n in bits for p in self.producers[n] if p < bits.start})
-            for bits in self.bits
+            () if glue else tuple({p for n in bits for p in self.producers[n] if p < bits.start})
+            for glue, bits in zip(self.glue, self.bits)
         ]
         owner = [k for k, bits in enumerate(self.bits) for _ in bits]
         self.successors = [
@@ -226,7 +233,7 @@ class _Plan:
             return True
         feeds = self.feeds[k]
         ready = -(-max(map(at, feeds)) // n_bits) if feeds else 0
-        if op.kind is OpKind.MULT_CORE:
+        if self.core[k]:
             c = pin if pin is not None else ready + 1
             if c <= ready or c > self.lam:
                 return False
@@ -330,8 +337,9 @@ def schedule(
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
     cycle_of: dict[str, int] = {}
+    add, core = OpKind.ADD, OpKind.MULT_CORE
     for op in graph.ops:
-        if op.kind is not OpKind.ADD:
+        if op.kind is not add:
             continue
         frag = frag_of.get(op.id)
         if frag is None:
@@ -347,7 +355,7 @@ def schedule(
         return (late - early, early, frag_of[uid].parent, frag_of[uid].lo)
 
     movable = sorted((uid for uid in windows if uid not in cycle_of), key=order_key)
-    cores = [op.id for op in graph.ops if op.kind is OpKind.MULT_CORE]
+    cores = [op.id for op in graph.ops if op.kind is core]
     loads: dict[int, int] = {}  # adder bits per busy cycle
     for uid, c in cycle_of.items():
         loads[c] = loads.get(c, 0) + graph.op(uid).width

@@ -55,9 +55,10 @@ def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int,
     producers = view.producers
     arrival = [0] * len(producers)
     at = arrival.__getitem__
+    core = OpKind.MULT_CORE
     for op in graph.ops:
         lo, width = view.base[op.id], op.width
-        if op.kind is OpKind.MULT_CORE:
+        if op.kind is core:
             # Every bit of a core waits on the same producers.
             prods = producers[lo]
             worst = max(map(at, prods)) if prods else 0
@@ -95,18 +96,19 @@ def critical_path(graph: DataFlowGraph) -> CriticalPath:
     time = max(arrival)
     cur = arrival.index(time)
     path: list[str] = []
+    add, core = OpKind.ADD, OpKind.MULT_CORE
     while True:
         op = graph.ops[bisect_right(starts, cur) - 1]
-        if op.kind is OpKind.MULT_CORE:
+        if op.kind is core:
             break
-        if op.kind is OpKind.ADD and (not path or path[0] != op.id):
+        if op.kind is add and (not path or path[0] != op.id):
             path.insert(0, op.id)
         prods = view.producers[cur]
         if not prods:
             break
         times = [arrival[p] for p in prods]
         worst = max(times)
-        if worst == 0 and op.kind is OpKind.ADD:
+        if worst == 0 and op.kind is add:
             break  # remaining chain is input-fed
         cur = prods[times.index(worst)]
     return CriticalPath(tuple(path), time)

@@ -3,7 +3,6 @@ and an exhaustive placement oracle for small schedules."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -159,6 +158,14 @@ def under_hash_seeds(args: list[str]) -> list[subprocess.CompletedProcess]:
         )
         for seed in ("0", "1")
     ]
+
+
+def replace(record, **changes):
+    """A copy of a ``dfg.Record`` (a graph record, ``BitView`` or
+    ``Schedule``) with ``changes``, as ``dataclasses.replace`` still
+    copies the one dataclass, ``DataFlowGraph``.  An unknown field
+    raises TypeError, as there."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
 def load_design(name: str) -> DataFlowGraph:
@@ -380,7 +387,7 @@ def feasible_placements(sched: Schedule) -> list[dict[str, int]]:
     feasible = []
     for cycles in itertools.product(*windows.values()):
         cycle_of = {**fixed, **dict(zip(windows, cycles))}
-        candidate = dataclasses.replace(sched, cycle_of=cycle_of)
+        candidate = replace(sched, cycle_of=cycle_of)
         if verify_schedule(candidate) == []:
             feasible.append(cycle_of)
     return feasible

@@ -15,7 +15,7 @@ import pytest
 
 from bitfrag.cost import costs
 from bitfrag.dfg import OpKind
-from bitfrag.dsl import parse
+from bitfrag.dsl import emit, parse
 from bitfrag.fragmenter import whole_runs
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import realized_slots, verify_schedule
@@ -143,6 +143,23 @@ def test_fragmented_cycle_against_whole_op_baseline(verdict):
         verdict.note(
             "lane bits are not compared: each add keeps its own lane, "
             "none is shared across cycles"
+        )
+
+
+def test_transformed_spec_needs_no_fragment_records(verdict):
+    with verdict("transformed specs, re-parsed: whole-op scheduling gives the fragmented cycle and schedule"):
+        for name in BASELINE_TABLE:
+            graph = load_design(name)
+            for lam in (2, 3, 4, 6):
+                split = smallest_pipeline(graph, lam)
+                spec = parse(emit(split.transformed))
+                whole = smallest_pipeline(spec, lam, whole_runs)
+                assert whole.n_bits == split.n_bits, (name, lam)
+                assert whole.sched.cycle_of == split.sched.cycle_of, (name, lam)
+                assert check_equiv(graph, whole.sched).equivalent, (name, lam)
+        verdict.note(
+            "the emitted spec carries what the fragment records held: a "
+            "conventional scheduler needs nothing else"
         )
 
 

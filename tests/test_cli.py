@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import tempfile
@@ -32,6 +31,7 @@ from conftest import (
     eager_keys,
     random_add_design,
     random_full_design,
+    replace,
     under_hash_seeds,
 )
 
@@ -251,7 +251,7 @@ def test_a_schedule_that_fails_verification_exits_one(tmp_path, capsys, monkeypa
 
     def rushed(*args):  # every unit in cycle 1, out of its window
         sched = real(*args)
-        return dataclasses.replace(sched, cycle_of=dict.fromkeys(sched.cycle_of, 1))
+        return replace(sched, cycle_of=dict.fromkeys(sched.cycle_of, 1))
 
     monkeypatch.setattr(cli, "schedule", rushed)
     out = tmp_path / "out"

@@ -1,6 +1,5 @@
 """Datapath cost model: lanes, boundary registers, multiplexers."""
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from conftest import (
     keyed_stored_bits,
     keyed_view,
     random_full_design,
+    replace,
     run_pipeline,
     smallest_pipeline,
 )
@@ -227,7 +227,7 @@ def test_stored_bits_match_the_keyed_oracle(make, seed, lam, tiling, data):
         }
         for uid in data.draw(st.sets(units, max_size=2)):
             del cycle_of[uid]
-        tampered = dataclasses.replace(sched, cycle_of=cycle_of)
+        tampered = replace(sched, cycle_of=cycle_of)
         assert stored_bits(tampered) == keyed_stored_bits(tampered)
 
 

@@ -1,6 +1,5 @@
 """Structural IR behavior: lookups, bit resolution, validation."""
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +53,7 @@ from conftest import (
     load_design,
     operand_bits,
     random_full_design,
+    replace,
     slice_bits,
     source_width,
     validate_oracle,
@@ -562,24 +562,24 @@ def _mutated_graphs(draw):
             j = draw(st.integers(0, len(op.operands) - 1))
             operands = list(op.operands)
             operands[j] = draw(_operands(names))
-            ops[k] = dataclasses.replace(op, operands=tuple(operands))
+            ops[k] = replace(op, operands=tuple(operands))
         elif edit == "carry":
             carry = draw(st.one_of(
                 st.none(), st.integers(-1, 2), st.builds(CarryRef, st.sampled_from(names))
             ))
-            ops[k] = dataclasses.replace(op, carry_in=carry)
+            ops[k] = replace(op, carry_in=carry)
         elif edit == "width":
-            ops[k] = dataclasses.replace(op, width=draw(st.integers(-1, 12)))
+            ops[k] = replace(op, width=draw(st.integers(-1, 12)))
         elif edit == "kind":
-            ops[k] = dataclasses.replace(op, kind=draw(st.sampled_from(list(OpKind))))
+            ops[k] = replace(op, kind=draw(st.sampled_from(list(OpKind))))
         elif edit == "name":
-            ops[k] = dataclasses.replace(op, id=draw(st.sampled_from(names)))
+            ops[k] = replace(op, id=draw(st.sampled_from(names)))
         elif edit == "swap":
             j = draw(st.integers(0, len(ops) - 1))
             ops[k], ops[j] = ops[j], ops[k]
         elif edit == "input":
             j = draw(st.integers(0, len(inputs) - 1))
-            inputs[j] = dataclasses.replace(
+            inputs[j] = replace(
                 inputs[j],
                 name=draw(st.sampled_from(names)),
                 width=draw(st.integers(0, 12)),

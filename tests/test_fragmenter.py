@@ -1,6 +1,5 @@
 """Mobility analysis, fragment tiling, and graph rewiring."""
 
-import dataclasses
 import operator
 
 import pytest
@@ -56,6 +55,7 @@ from conftest import (
     operand_bits,
     random_add_design,
     random_full_design,
+    replace,
     smallest_pipeline,
 )
 
@@ -760,7 +760,7 @@ def test_carried_view_of_a_split_add_reading_its_carry_source_msb():
     def with_reads(n: int, read: tuple) -> dfg.BitView:
         reads = list(view.reads)
         reads[n] = read
-        return dataclasses.replace(view, reads=tuple(reads))
+        return replace(view, reads=tuple(reads))
 
     # The upper fragment without its lower neighbour's carry, and the
     # lower one reading Y's carry at its kernel number: each is caught.

@@ -1,15 +1,32 @@
 """Every top-level import of a library module is used by that module,
 no library module imports another one's underscore names, the
 package exports exactly what its ``__init__`` imports, and each record
-keeps the style it is declared in."""
+keeps the style it is declared in and the behaviour it had as a
+dataclass."""
 
 import ast
 
 import pytest
 
 from bitfrag.cost import CostReport, Lane, PortMux, RegisterBinding
-from bitfrag.dfg import Diagnostic, SourceSpan
-from bitfrag.fragmenter import Mobility
+from bitfrag.dfg import (
+    BitView,
+    CarryBit,
+    CarryRef,
+    Concat,
+    Const,
+    Diagnostic,
+    InputPort,
+    InputRef,
+    OpKind,
+    Operand,
+    Operation,
+    ResultRef,
+    SourceSpan,
+)
+from bitfrag.dsl import parse
+from bitfrag.fragmenter import Fragment, Mobility
+from bitfrag.scheduler import Schedule
 from bitfrag.simulator import CycleTrace, EquivResult
 from bitfrag.timing import CriticalPath
 from conftest import TESTS_DIR
@@ -131,21 +148,15 @@ def test_every_private_definition_is_referenced():
 
 
 def _records(trees) -> dict[str, set[str]]:
-    """Field names of every graph record: a dataclass with ``slots=True``
-    and without ``frozen=True``, whose fields nothing may assign."""
+    """Field names of every graph record: a class built directly on
+    ``Record``, whose ``__slots__`` name its fields; nothing may assign
+    them."""
     records: dict[str, set[str]] = {}
     for cls in (node for tree in trees for node in ast.walk(tree)):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for deco in cls.decorator_list:
-            if getattr(getattr(deco, "func", None), "id", None) != "dataclass":
-                continue
-            flags = {k.arg: getattr(k.value, "value", None) for k in deco.keywords}
-            if flags.get("slots") is True and flags.get("frozen") is not True:
-                records[cls.name] = {
-                    node.target.id for node in cls.body
-                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-                }
+        if isinstance(cls, ast.ClassDef) and any(getattr(b, "id", None) == "Record" for b in cls.bases):
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__slots__":
+                    records[cls.name] = set(ast.literal_eval(node.value))
     return records
 
 
@@ -234,46 +245,43 @@ def test_the_field_write_lint_sees_writes():
     ]
 
 
-def _frozen_without_cache(tree: ast.Module) -> list[str]:
-    """Classes declared ``@dataclass(frozen=True)`` that define no
-    ``cached_property``, by line."""
+def _dataclasses(tree: ast.Module) -> list[str]:
+    """Classes with a ``dataclass`` decorator, called or bare, imported
+    by name or read from ``dataclasses``, by line."""
     found = []
     for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        frozen = any(
-            getattr(getattr(deco, "func", None), "id", None) == "dataclass"
-            and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
-                    for k in deco.keywords)
-            for deco in cls.decorator_list
-        )
-        cached = any(
-            getattr(deco, "id", None) == "cached_property"
-            for method in cls.body if isinstance(method, ast.FunctionDef)
-            for deco in method.decorator_list
-        )
-        if frozen and not cached:
-            found.append(f"{cls.lineno}: {cls.name}")
+        if isinstance(cls, ast.ClassDef):
+            for deco in cls.decorator_list:
+                target = getattr(deco, "func", deco)
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    found.append(f"{cls.lineno}: {cls.name}")
     return found
 
 
-def test_only_a_class_with_a_cached_property_is_a_frozen_dataclass():
-    """An immutable result record is a named tuple: a frozen dataclass
-    generates its methods when its module is imported, at about ten
-    times the cost of a named tuple.  A frozen dataclass stays only
-    where a ``cached_property`` needs an instance ``__dict__``."""
+def test_no_class_but_the_graph_is_a_dataclass():
+    """A dataclass generates its methods when its module is imported,
+    about half a millisecond a class, and every run of the program pays
+    that import.  Graph records, ``BitView`` and ``Schedule`` are written
+    out on ``dfg.Record`` and result records are named tuples; only
+    ``DataFlowGraph`` stays a dataclass, as graphs are copied with
+    ``dataclasses.replace``."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
-    frozen = [f"{module}:{c}" for module, tree in trees.items() for c in _frozen_without_cache(tree)]
-    assert frozen == []
-    assert _frozen_without_cache(ast.parse(
-        "@dataclass(frozen=True)\n"
+    found = [f"{module}:{c}" for module, tree in trees.items() for c in _dataclasses(tree)]
+    assert [c.split(": ")[1] for c in found] == ["DataFlowGraph"]
+    assert found[0].startswith("dfg.py:")
+    assert _dataclasses(ast.parse(
+        "@dataclass\n"
         "class Bare:\n"
         "    x: int\n"
         "@dataclass(frozen=True)\n"
-        "class Kept:\n"
-        "    @cached_property\n"
-        "    def y(self): ...\n"
-    )) == ["2: Bare"]
+        "class Frozen:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(slots=True)\n"
+        "class Slotted:\n"
+        "    x: int\n"
+        "class Kept(Record):\n"
+        "    __slots__ = ('x',)\n"
+    )) == ["2: Bare", "5: Frozen", "8: Slotted"]
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
@@ -400,3 +408,94 @@ def test_result_records_print_as_before_and_stay_immutable_values():
     assert EquivResult("exhaustive", 8, True)
     assert not EquivResult("random", 3, False, {"a": 5}, ("Y", 1, 2))
     assert not EquivResult("exhaustive", 0, False)
+
+
+_A = Operand(InputRef("a"), 3, 0)
+
+# Each graph record with the text its dataclass printed.
+GRAPH_RECORDS = [
+    (InputRef("a"), "InputRef(name='a')"),
+    (ResultRef("X"), "ResultRef(op='X')"),
+    (CarryRef("X"), "CarryRef(op='X')"),
+    (Const("0101"), "Const(bits='0101')"),
+    (
+        Concat((_A, Operand(Const("1"), 0, 0))),
+        "Concat(parts=(Operand(source=InputRef(name='a'), hi=3, lo=0), "
+        "Operand(source=Const(bits='1'), hi=0, lo=0)))",
+    ),
+    (Operand(ResultRef("X"), 3, 1), "Operand(source=ResultRef(op='X'), hi=3, lo=1)"),
+    (
+        Operation("Y", OpKind.ADD, 4, False, (_A, Operand(ResultRef("X"), 3, 0)), CarryRef("X")),
+        "Operation(id='Y', kind=<OpKind.ADD: 1>, width=4, signed=False, "
+        "operands=(Operand(source=InputRef(name='a'), hi=3, lo=0), "
+        "Operand(source=ResultRef(op='X'), hi=3, lo=0)), carry_in=CarryRef(op='X'))",
+    ),
+    (InputPort("a", 4, True), "InputPort(name='a', width=4, signed=True)"),
+    (
+        Fragment("X", "X0", 0, 2, 1, 2),
+        "Fragment(parent='X', id='X0', lo=0, hi=2, asap_cycle=1, alap_cycle=2)",
+    ),
+]
+
+
+def test_graph_records_print_compare_and_hash_as_their_dataclasses_did():
+    """The nine graph records on ``Record`` keep their dataclass text,
+    equal only a record of their own type with equal fields, hash their
+    field tuple, take keywords and the old default, and keep no
+    ``__dict__``."""
+    for record, text in GRAPH_RECORDS:
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert repr(record) == text
+        assert record == type(record)(*fields)
+        assert hash(record) == hash(fields)
+        assert type(record)(**dict(zip(record._fields, fields))) == record
+        assert not hasattr(record, "__dict__")
+    assert len({type(r) for r, _ in GRAPH_RECORDS}) == 9
+    assert ResultRef("a") != InputRef("a")
+    assert CarryRef("x") != ResultRef("x")
+    assert len({ResultRef("a"), InputRef("a"), ResultRef("a")}) == 2
+    assert Operand(InputRef("a"), 3, 0) != Operand(InputRef("a"), 3, 1)
+    assert ResultRef("a") != ("a",)
+    op = Operation(id="X", kind=OpKind.NOT, width=4, signed=False, operands=(_A,))
+    assert op.carry_in is None
+
+
+def test_bit_view_and_schedule_refuse_writes_and_keep_their_caches():
+    """``BitView`` and ``Schedule`` refuse any assignment or deletion as
+    their frozen dataclasses did, still cache ``keys`` and ``held`` in
+    their ``__dict__``, print and compare as before, raise TypeError on
+    ``hash`` (a dict field) and give each schedule a fresh
+    ``fragments``."""
+    graph = parse("design d; input a : u2; X: add u2 = a + a; output X;")
+    sched = Schedule(graph=graph, lam=2, n_bits=2, cycle_of={"X": 1})
+    view = BitView({"X": 0}, ("X",), ((), (0,)), ((1,), ()), ((), ()))
+    assert repr(view) == (
+        "BitView(base={'X': 0}, carried=('X',), producers=((), (0,)), "
+        "consumers=((1,), ()), reads=((), ()))"
+    )
+    assert repr(sched) == (
+        "Schedule(graph=DataFlowGraph(name='d', inputs=(InputPort(name='a', width=2, "
+        "signed=False),), ops=(Operation(id='X', kind=<OpKind.ADD: 1>, width=2, "
+        "signed=False, operands=(Operand(source=InputRef(name='a'), hi=1, lo=0), "
+        "Operand(source=InputRef(name='a'), hi=1, lo=0)), carry_in=None),), "
+        "outputs=('X',)), lam=2, n_bits=2, cycle_of={'X': 1}, fragments={})"
+    )
+    assert sched.fragments == {}
+    assert sched.fragments is not Schedule(graph, 2, 2, {"X": 1}).fragments
+    for frozen in (view, sched):
+        for name in (*frozen._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(frozen, name, None)
+            if name in frozen._fields:
+                with pytest.raises(AttributeError):
+                    delattr(frozen, name)
+        with pytest.raises(TypeError):
+            hash(frozen)
+    assert sched.lam == 2 and sched.cycle_of == {"X": 1}
+    assert view == BitView({"X": 0}, ("X",), ((), (0,)), ((1,), ()), ((), ()))
+    assert view != BitView({"X": 0}, (), ((), (0,)), ((1,), ()), ((), ()))
+    assert sched == Schedule(graph, 2, 2, {"X": 1}, {})
+    assert sched != Schedule(graph, 3, 2, {"X": 1}, {})
+    assert view.keys is view.keys == (("X", 0), ("X", 1), CarryBit("X"))
+    assert sched.held is sched.held == {1: []}
+    assert vars(view)["keys"] is view.keys and vars(sched)["held"] is sched.held

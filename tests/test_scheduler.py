@@ -1,6 +1,5 @@
 """List scheduling of fragments: placement, loads, verification."""
 
-import dataclasses
 from math import ceil
 from unittest import mock
 
@@ -47,6 +46,7 @@ from conftest import (
     placement_count,
     random_add_design,
     random_full_design,
+    replace,
     run_pipeline,
     slot_time,
 )
@@ -138,7 +138,7 @@ def test_every_add_needs_its_fragment_record(sec2):
     with pytest.raises(ScheduleError, match="E0: add has no fragment record"):
         schedule(p.transformed, partial, 3, p.n_bits)
     first, *rest = p.fragments["E"]
-    empty = dict(p.fragments, E=[dataclasses.replace(first, alap_cycle=0), *rest])
+    empty = dict(p.fragments, E=[replace(first, alap_cycle=0), *rest])
     with pytest.raises(ScheduleError, match=r"E0: empty cycle window \[1, 0\]"):
         schedule(p.transformed, empty, 3, p.n_bits)
 
@@ -227,13 +227,13 @@ def test_verify_reports_a_budget_too_small_for_mobility(sec2):
     # The scheduled graph's own mobility analysis cannot meet the shrunk
     # budget; that is one problem, and the checks needing no window run.
     sched = run_pipeline(sec2, 3).sched
-    assert verify_schedule(dataclasses.replace(sched, lam=2)) == [
+    assert verify_schedule(replace(sched, lam=2)) == [
         "latency 2 too small: G0[3] would fall before cycle 1",
         "C2: cycle 3 outside 1..2",
         "E2: cycle 3 outside 1..2",
         "G2: cycle 3 outside 1..2",
     ]
-    problems = verify_schedule(dataclasses.replace(sched, lam=2, n_bits=4))
+    problems = verify_schedule(replace(sched, lam=2, n_bits=4))
     assert problems[:4] == [
         "latency 2 too small: G1[3] would fall before cycle 1",
         "C2: cycle 3 outside 1..2",
@@ -248,11 +248,11 @@ def test_verify_reports_a_missing_unit_and_still_checks_the_rest(sec2):
     sched = run_pipeline(sec2, 3).sched
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
-    assert verify_schedule(dataclasses.replace(sched, cycle_of=cycle_of)) == [
+    assert verify_schedule(replace(sched, cycle_of=cycle_of)) == [
         "C0: not scheduled"
     ]
     cycle_of["C1"] = 1
-    assert verify_schedule(dataclasses.replace(sched, cycle_of=cycle_of)) == [
+    assert verify_schedule(replace(sched, cycle_of=cycle_of)) == [
         "C0: not scheduled",
         "C1: cycle 1 outside window [2, 2]",
     ]
@@ -277,7 +277,7 @@ def test_verify_schedule_reports_and_never_raises_on_tampered_schedules(make, se
     units = st.sampled_from(sorted(sched.cycle_of) or [""])
     moved = data.draw(st.dictionaries(units, st.integers(-1, sched.lam + 2), max_size=4))
     dropped = data.draw(st.sets(units, max_size=2))
-    tampered = dataclasses.replace(
+    tampered = replace(
         sched,
         lam=data.draw(st.sampled_from([0, 1, sched.lam, sched.lam + 1])),
         n_bits=data.draw(st.sampled_from([0, 1, sched.n_bits, sched.n_bits + 1])),
@@ -352,7 +352,7 @@ def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
         parts = list(fragments[parent])
         del parts[data.draw(st.integers(0, len(parts) - 1))]
         fragments[parent] = parts
-    tampered = dataclasses.replace(
+    tampered = replace(
         sched,
         lam=data.draw(st.sampled_from([0, 1, sched.lam - 1, sched.lam, sched.lam + 1])),
         n_bits=data.draw(st.sampled_from([0, 1, sched.n_bits - 1, sched.n_bits])),
@@ -370,9 +370,9 @@ def test_verify_derives_mobility_only_for_a_unit_without_a_record(sec2):
     reported first, as when ``analyze`` runs before every check."""
     plain = run_pipeline(sec2, 3).sched
     cored = run_pipeline(parse(GLUE_CORE_SOURCE), 2, 8).sched
-    bare = dataclasses.replace(plain, fragments=dict(plain.fragments, C=plain.fragments["C"][1:]))
+    bare = replace(plain, fragments=dict(plain.fragments, C=plain.fragments["C"][1:]))
     assert cored.cycle_of["P"] == 1
-    moved = dataclasses.replace(cored, cycle_of=dict(cored.cycle_of, P=2))
+    moved = replace(cored, cycle_of=dict(cored.cycle_of, P=2))
     want = _verify_with_full_analysis(moved)
     assert want[:2] == [
         "P: cycle 2 outside window [1, 1]",
@@ -484,7 +484,7 @@ def test_verify_runs_alap_only_when_another_check_reports_a_problem():
             "C1[0]: chain depth 7 exceeds 6 bits per cycle",
         ]
         assert spy.call_count == 1
-        assert verify_schedule(dataclasses.replace(sec2, lam=2))[:2] == [
+        assert verify_schedule(replace(sec2, lam=2))[:2] == [
             "latency 2 too small: G0[3] would fall before cycle 1",
             "C2: cycle 3 outside 1..2",
         ]
@@ -493,10 +493,10 @@ def test_verify_runs_alap_only_when_another_check_reports_a_problem():
         # is what runs ALAP.
         glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1).sched
         assert verify_schedule(glue) == []
-        assert verify_schedule(dataclasses.replace(glue, n_bits=0)) == [
+        assert verify_schedule(replace(glue, n_bits=0)) == [
             "cycle must hold at least one bit, got 0"
         ]
-        assert verify_schedule(dataclasses.replace(glue, lam=0)) == [
+        assert verify_schedule(replace(glue, lam=0)) == [
             "latency must be at least 1 cycle, got 0"
         ]
         assert spy.call_count == 4
@@ -951,6 +951,6 @@ def test_greedy_placement_is_feasible_and_never_beats_the_exact_oracle(
     assert sched.cycle_of in feasible
 
     def peak(cycle_of):
-        return max(dataclasses.replace(sched, cycle_of=cycle_of).loads().values())
+        return max(replace(sched, cycle_of=cycle_of).loads().values())
 
     assert peak(sched.cycle_of) >= min(peak(cycle_of) for cycle_of in feasible)

@@ -41,6 +41,7 @@ from conftest import (
     load_design,
     random_add_design,
     random_full_design,
+    replace,
     run_pipeline,
     under_hash_seeds,
 )
@@ -185,7 +186,7 @@ def test_unscheduled_reader_is_named_not_a_lookup_failure(sec2):
     del cycle_of["C1"]
     with pytest.raises(SimulationError, match="^unscheduled operations: C1$"):
         eval_schedule(
-            dataclasses.replace(sched, cycle_of=cycle_of),
+            replace(sched, cycle_of=cycle_of),
             {p.name: 0 for p in sec2.inputs},
         )
 
@@ -197,7 +198,7 @@ def test_unscheduled_producer_holds_nothing_and_is_named(sec2):
     sched = run_pipeline(sec2, 3).sched
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
-    broken = dataclasses.replace(sched, cycle_of=cycle_of)
+    broken = replace(sched, cycle_of=cycle_of)
     assert all(r.op != "C0" for refs in broken.held.values() for r in refs)
     with pytest.raises(SimulationError, match="^unscheduled operations: C0$"):
         eval_schedule(broken, {p.name: 0 for p in sec2.inputs})
@@ -314,7 +315,7 @@ def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
     assert len(calls) == 1
     assert check_equiv(sec2, sched, samples=20).equivalent
     assert len(calls) == 1
-    sched = dataclasses.replace(sched)
+    sched = replace(sched)
 
     def leaky(s):
         held = {b: list(refs) for b, refs in real(s).items()}
@@ -971,7 +972,7 @@ def _flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
     for op in graph.ops:
         if op.id == op_id:
             kind = OpKind.SUB if op.kind is OpKind.ADD else OpKind.ADD
-            op = dataclasses.replace(op, kind=kind, carry_in=None)
+            op = replace(op, kind=kind, carry_in=None)
         ops.append(op)
     return check(dataclasses.replace(graph, ops=tuple(ops)))
 
@@ -1017,7 +1018,7 @@ def test_check_equiv_matches_the_vector_scan_on_schedules(name):
 def _sign_flipped(graph: DataFlowGraph, op_id: str) -> DataFlowGraph:
     """``graph`` with ``op_id``'s signedness flipped."""
     ops = tuple(
-        dataclasses.replace(op, signed=not op.signed) if op.id == op_id else op
+        replace(op, signed=not op.signed) if op.id == op_id else op
         for op in graph.ops
     )
     return check(dataclasses.replace(graph, ops=ops))
