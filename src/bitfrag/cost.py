@@ -13,9 +13,9 @@ Reads are traced through transparent glue; design inputs and outputs
 have dedicated I/O registers and are not counted.  A lane's carry is
 latched while the ripple is suspended, that is between the cycles of
 two neighbouring fragments.  The reads and the order of the latched
-bits both come from the graph's bit view (``bit_view.reads`` and the
-bit numbers), so nothing here re-derives bit order from the fragment
-records.
+bits both come from the graph's bit numbers (``graph.reads``, derived
+here on first use, and ``bit_view``), so nothing here re-derives bit
+order from the fragment records.
 
 The unfragmented design is costed by the same model: tiled with
 ``fragmenter.whole_runs`` (every add whole, in one cycle) and scheduled
@@ -87,13 +87,13 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     carries, each in definition order and then by bit.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
-    view = graph.bit_view
+    view, reads = graph.bit_view, graph.reads
     size = len(view.producers)
     stop = [0] * (size + len(view.carried))  # each bit's last reader cycle
     for op in graph.ops:
         cycle = cycle_of.get(op.id, 0)
         lo = view.base[op.id]
-        for refs in view.reads[lo:lo + op.width]:
+        for refs in reads[lo:lo + op.width]:
             for r in refs:
                 if stop[r] < cycle:
                     stop[r] = cycle

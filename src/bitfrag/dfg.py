@@ -312,6 +312,14 @@ class DataFlowGraph:
 
         return arrival_table(self)
 
+    @cached_property
+    def reads(self) -> tuple[tuple[int, ...], ...]:
+        """Per data bit, what it reads through glue, derived on first use
+        by ``_build_reads``, or for a fragment rewrite (``apply_runs`` keeps
+        the graph it rewrote as ``_rewrite_of``) by ``_carried_reads``."""
+        kernel = self.__dict__.get("_rewrite_of")
+        return _build_reads(self) if kernel is None else _carried_reads(kernel, self)
+
 
 def operand_slices(operand: Operand) -> list[Operand]:
     """The flat slices of ``operand``, lowest first, at its own width.
@@ -540,33 +548,26 @@ class BitView(FrozenRecord):
     bit.  Each carry that some add reads as its carry-in is numbered
     after every data bit, again in definition order: ``carried`` lists
     the ops whose carry is read, so the carry of ``carried[k]`` is
-    number ``len(producers) + k``.  The other tables are indexed by
-    number.
+    number ``len(producers) + k``.
 
-    ``producers[n]`` lists the data bits result bit ``n`` waits on:
-    inputs and constants drop out, and a carry-in becomes the MSB of
-    the op it comes from.  ``consumers`` is the inverse of
-    ``producers``.  ``reads[n]``, for a bit of a non-glue op, lists the
-    data and carry bits of non-glue ops it reads once glue is looked
-    through, less the op's own ripple; a glue bit reads nothing.
-    ``producers`` and ``reads`` are ascending, so they list data bits
-    before carries, each in definition order and then by bit, with one
-    exception: a carry-in's MSB goes last in ``producers`` unless the bit
-    also reads that MSB as data.  That order is the tie rule of
-    ``critical_path``.  The view is built one loop per op kind;
-    ``bit_deps`` states its rules bit by bit, and tests hold one to the
-    other.
+    ``producers[n]``, the one dependence table, lists the data bits
+    result bit ``n`` waits on: inputs and constants drop out, and a
+    carry-in becomes the MSB of the op it comes from.  It ascends, so it
+    lists bits in definition order and then by bit, with one exception:
+    a carry-in's MSB goes last unless the bit also reads that MSB as
+    data.  That order is the tie rule of ``critical_path``.  Passes
+    that walk backward (ALAP, the scheduler's region) push along
+    ``producers`` too, and what a bit reads through glue is the graph's
+    (``DataFlowGraph.reads``), derived only once a schedule needs it.
+    The view is built one loop per op kind; ``bit_deps`` states its
+    rules bit by bit, and tests hold one to the other.
     """
 
-    _fields = ("base", "carried", "producers", "consumers", "reads")
+    _fields = ("base", "carried", "producers")
 
     def __init__(self, base: dict[str, int], carried: tuple[str, ...],
-                 producers: tuple[tuple[int, ...], ...],
-                 consumers: tuple[tuple[int, ...], ...],
-                 reads: tuple[tuple[int, ...], ...]) -> None:
-        self.__dict__.update(
-            base=base, carried=carried, producers=producers, consumers=consumers, reads=reads
-        )
+                 producers: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(base=base, carried=carried, producers=producers)
 
     @cached_property
     def keys(self) -> tuple[BitKey | CarryBit, ...]:
@@ -602,36 +603,30 @@ def _padded(bits: range | list) -> chain:
     return chain(bits, repeat(None))
 
 
-def _numbering(graph: DataFlowGraph) -> tuple[dict[str, int], int, dict[str, int]]:
-    """The view's ``base``, the number of data bits, and the number of
-    each carry read as a carry-in, by the op it comes from, in
-    definition order (so its keys are the view's ``carried``)."""
+def _numbering(graph: DataFlowGraph) -> tuple[dict[str, int], tuple[str, ...]]:
+    """The view's ``base``, and its ``carried``: every op whose carry is
+    read as a carry-in, in definition order."""
     base: dict[str, int] = {}
     size = 0
     for op in graph.ops:
         base[op.id] = size
         size += op.width
     read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
-    carry_of: dict[str, int] = {}
-    for op in graph.ops:
-        if op.id in read:
-            carry_of[op.id] = size + len(carry_of)
-    return base, size, carry_of
+    return base, tuple(op.id for op in graph.ops if op.id in read)
 
 
 def _build_bit_view(graph: DataFlowGraph) -> BitView:
     """Passes reach the view through ``graph.bit_view``, built once for a
     parsed or kernel graph; a fragmented graph's is ``carried_view``.
 
-    One loop per op kind: NOT, the ripple kinds (ADD, SUB), and one for
-    SELECT and the opaque kinds.  Each reads an operand as the number of
+    One loop per op kind: NOT, the ripple kinds (ADD, SUB), SELECT, and
+    the opaque kinds.  Each reads an operand as the number of
     each of its bits (a ``range`` for an op slice, None for an input or
     constant bit); the ripple loop orders a bit's one or two operand bits
-    by a comparison.  A read is looked through only if it is a glue bit.
-    ``bit_deps`` states the same rules through ``_waits``; tests check
-    one against the other.
+    by a comparison.  ``bit_deps`` states the same rules through
+    ``_waits``; tests check one against the other.
     """
-    base, size, carry_of = _numbering(graph)
+    base, carried = _numbering(graph)
 
     def numbers(opnd: Operand) -> range | list:
         source = opnd.source
@@ -642,31 +637,17 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
             return [n for s in operand_slices(opnd) for n in numbers(s)]
         return [None] * (opnd.hi - opnd.lo + 1)
 
-    glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
-
-    def through(refs: tuple) -> tuple:
-        """Ascending ``refs`` with each glue bit replaced by its reads."""
-        if glue_reads.keys().isdisjoint(refs):
-            return refs
-        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
-
     producers: list[tuple[int, ...]] = []
-    reads: list[tuple[int, ...]] = []
     invert = OpKind.NOT
     for op in graph.ops:
         lo, kind = base[op.id], op.kind
         bits = range(lo, lo + op.width)
         operands = [numbers(opnd) for opnd in op.operands]
         if kind is invert:
-            for n, a in zip(bits, _padded(operands[0])):
-                prods = () if a is None else (a,)
-                producers.append(prods)
-                glue_reads[n] = glue_reads.get(a, prods)
-                reads.append(())
+            producers += [() if a is None else (a,) for _, a in zip(bits, _padded(operands[0]))]
         elif kind.per_bit and not kind.glue:  # ripple: bit i waits on bit i - 1
-            carry = msb = None
+            msb = None
             if isinstance(op.carry_in, CarryRef):  # a carry emerges with its op's MSB
-                carry = carry_of[op.carry_in.op]
                 msb = base[op.carry_in.op] + graph.op(op.carry_in.op).width - 1
             for n, a, b in zip(bits, *map(_padded, operands)):
                 if a is None:
@@ -675,43 +656,22 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                     pair = (a,)
                 else:
                     pair = (a, b) if a < b else (b, a)
-                read = through(pair) if a in glue_reads or b in glue_reads else pair
                 if n > lo:
-                    producers.append((*pair, n - 1))
-                elif carry is None:
-                    producers.append(pair)
-                else:
-                    producers.append(pair if msb in pair else (*pair, msb))
-                    read = (*read, carry)
-                reads.append(read)
-        else:  # SELECT and the opaque kinds: sort each distinct wait set
-            if kind.glue:  # a select's condition feeds every bit
-                cond = operands[0][0]
-                waits = [
-                    sorted({cond, a, b} - {None})
-                    for _, a, b in zip(bits, *map(_padded, operands[1:]))
-                ]
-            else:  # every bit waits on every operand bit
-                whole = {x for nums in operands for x in nums}
-                whole.discard(None)
-                waits = [sorted(whole)] * op.width
-            last = None
-            for n, refs in zip(bits, waits):
-                if refs is not last:
-                    last = refs
-                    prods = tuple(refs)
-                    read = through(prods)
-                producers.append(prods)
-                if kind.glue:
-                    glue_reads[n] = read
-                reads.append(() if kind.glue else read)
-    consumers: list[list[int]] = [[] for _ in range(size)]
-    for n, prods in enumerate(producers):
-        for p in prods:
-            consumers[p].append(n)
-    return BitView(
-        base, tuple(carry_of), tuple(producers), tuple(map(tuple, consumers)), tuple(reads)
-    )
+                    pair = (*pair, n - 1)
+                elif msb is not None and msb not in pair:
+                    pair = (*pair, msb)
+                producers.append(pair)
+        elif kind.glue:  # SELECT: the condition feeds every bit
+            cond = operands[0][0]
+            producers += [
+                tuple(sorted({cond, a, b} - {None}))
+                for _, a, b in zip(bits, *map(_padded, operands[1:]))
+            ]
+        else:  # opaque: every bit waits on every operand bit, one shared tuple
+            whole = {x for nums in operands for x in nums}
+            whole.discard(None)
+            producers += [tuple(sorted(whole))] * op.width
+    return BitView(base, carried, tuple(producers))
 
 
 def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
@@ -720,33 +680,84 @@ def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
 
     Fragmenting changes no bit's data dependences.  Every op keeps its
     place and a split add's fragments take its place, LSB first, so every
-    data bit keeps its number, producers and consumers (``view``'s own
-    tuples).  Each reassembly select goes last and bears the name of the
-    add it reassembles, so its bit ``n`` waits only on its namesake's bit
-    ``k`` in ``view`` and joins ``consumers[k]``.  Carries are numbered
-    anew: each add's bit 0 reads its carry-in's new number, a fragment
-    above the first its lower neighbour's.  Tests hold the result to
-    ``_build_bit_view(graph)``, table by table.
+    data bit keeps its number and producers (``view``'s own tuples).
+    Each reassembly select goes last and bears the name of the add it
+    reassembles, so its bit ``n`` waits only on its namesake's bit ``k``
+    in ``view``.  Carries are numbered anew (``_numbering``), and so are
+    the carries the graph reads (``_carried_reads``).  Tests hold the
+    result to ``_build_bit_view(graph)``, table by table.
     """
-    base, size, carry_of = _numbering(graph)
+    base, carried = _numbering(graph)
     data = len(view.producers)
     producers = list(view.producers)
-    consumers = list(view.consumers)
     for op in graph.ops:
-        n = base[op.id]
-        if n < data:
-            continue
-        for k in range(view.base[op.id], view.base[op.id] + op.width):
-            producers.append((k,))
-            consumers[k] += (n,)
-            n += 1
-    consumers += [()] * (size - data)
-    reads = list(view.reads) + [()] * (size - data)
+        if base[op.id] >= data:
+            at = view.base[op.id]
+            producers += [(k,) for k in range(at, at + op.width)]
+    return BitView(base, carried, tuple(producers))
+
+
+def _build_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
+    """``graph.reads`` of a parsed or kernel graph, from its producers: for
+    a bit of a non-glue op, the data and carry bits of non-glue ops it
+    reads once glue is looked through, ascending; a glue bit reads none.
+    A ripple bit drops its own ripple, its last producer; an add's bit 0
+    drops its carry's MSB, last unless an operand's bit 0 reads it as
+    data, and appends the carry's number."""
+    view = graph.bit_view
+    base, producers = view.base, view.producers
+    size = len(producers)
+    carry_of = {x: size + k for k, x in enumerate(view.carried)}
+    glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
+
+    def through(refs: tuple) -> tuple:
+        """Ascending ``refs`` with each glue bit replaced by its reads."""
+        if len(refs) == 1:
+            return glue_reads.get(refs[0], refs)
+        if glue_reads.keys().isdisjoint(refs):
+            return refs
+        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
+
+    reads: list[tuple[int, ...]] = []
     for op in graph.ops:
-        if isinstance(op.carry_in, CarryRef):
-            n = base[op.id]
+        lo, width, carry = base[op.id], op.width, op.carry_in
+        prods = producers[lo:lo + width]
+        if op.kind.glue:
+            for n, refs in enumerate(prods, lo):
+                glue_reads[n] = through(refs)
+            reads += [()] * width
+        elif op.kind.per_bit:  # ripple
+            first = prods[0]
+            if type(carry) is CarryRef:
+                top = graph.op(carry.op).width - 1
+                heads = [operand_slices(o)[0] for o in op.operands]
+                if not any(s.source == ResultRef(carry.op) and s.lo == top for s in heads):
+                    first = first[:-1]
+                reads.append((*through(first), carry_of[carry.op]))
+            else:
+                reads.append(through(first))
+            rest = [refs[:-1] for refs in prods[1:]]  # less the bit below
+            reads += map(through, rest) if glue_reads else rest  # no glue yet: none to expand
+        else:  # every bit of an opaque op waits on the same bits
+            reads += [through(prods[0])] * width
+    return tuple(reads)
+
+
+def _carried_reads(kernel: DataFlowGraph, graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
+    """``graph.reads`` of ``graph``, the fragment rewrite of ``kernel``,
+    derived from ``kernel.reads`` as ``carried_view`` derives the view:
+    every data bit reads what it read in ``kernel``, a reassembly select
+    nothing, and each add's bit 0 its carry-in's new number, a fragment
+    above the first its lower neighbour's."""
+    view = graph.bit_view
+    data, size = len(kernel.bit_view.producers), len(view.producers)
+    carry_of = {x: size + k for k, x in enumerate(view.carried)}
+    reads = [*kernel.reads, *[()] * (size - data)]
+    for op in graph.ops:
+        if type(op.carry_in) is CarryRef:
+            n = view.base[op.id]
             read = reads[n]
-            if read and read[-1] >= data:  # the carry as ``view`` numbered it
+            if read and read[-1] >= data:  # the carry as ``kernel`` numbered it
                 read = read[:-1]
             reads[n] = (*read, carry_of[op.carry_in.op])
-    return BitView(base, tuple(carry_of), tuple(producers), tuple(consumers), tuple(reads))
+    return tuple(reads)

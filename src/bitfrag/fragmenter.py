@@ -23,7 +23,6 @@ rewritten graph's bit view is derived from the one it rewrote
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
 from typing import NamedTuple
 
 from .dfg import (
@@ -95,41 +94,42 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
         raise InfeasibleError(f"cycle must hold at least one bit, got {n_bits}")
     if lam < 1:
         raise InfeasibleError(f"latency must be at least 1 cycle, got {lam}")
-    # Ripple chaining makes bit i+1 a consumer of bit i of the same op;
-    # it constrains the backward pass like any external consumer.
+    # The walk runs backward, by bit number: until it reaches a bit, the
+    # bit's entry is the earliest time a reader needs it (``due`` if none
+    # does); then it is the bit's own time, pushed down to its producers.
+    # Every reader of a bit, bit i+1 of a ripple included, has a higher
+    # number, so a bit's need is final when the walk reaches it.
     view = graph.bit_view
-    consumers = view.consumers
+    producers = view.producers
     due = lam * n_bits + 1  # depth 1 of the virtual cycle lam + 1
-    table = [due] * len(consumers)
-    at = table.__getitem__
+    table = [due] * len(producers)
     core = OpKind.MULT_CORE
     for op in reversed(graph.ops):
         lo, width = view.base[op.id], op.width
         if op.kind is core:
-            users = [*chain.from_iterable(consumers[lo:lo + width])]
             # Due at depth 1 of the cycle before its first reader's, so
-            # producers retreat a full cycle.
-            first = min(map(at, users)) if users else due
-            t = (-(-first // n_bits) - 2) * n_bits + 1
+            # producers retreat a full cycle; every bit reads the same.
+            t = (-(-min(table[lo:lo + width]) // n_bits) - 2) * n_bits + 1
             if t < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
                 )
             table[lo:lo + width] = [t] * width
-        elif op.kind.glue:
-            # Transparent: finishes exactly where its consumer reads.
-            for n in range(lo + width - 1, lo - 1, -1):
-                users = consumers[n]
-                table[n] = min(map(at, users)) if users else due
-        else:
-            for n in range(lo + width - 1, lo - 1, -1):
-                users = consumers[n]
-                t = (min(map(at, users)) if users else due) - 1
-                if t < 1:
-                    raise InfeasibleError(
-                        f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
-                    )
-                table[n] = t
+            for p in producers[lo]:
+                if table[p] > t:
+                    table[p] = t
+            continue
+        glue = op.kind.glue  # transparent: finishes exactly where it is read
+        for n in range(lo + width - 1, lo - 1, -1):
+            t = table[n] if glue else table[n] - 1
+            if t < 1:
+                raise InfeasibleError(
+                    f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
+                )
+            table[n] = t
+            for p in producers[n]:
+                if table[p] > t:
+                    table[p] = t
     return table
 
 
@@ -299,8 +299,10 @@ def apply_runs(
 
     new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(new_graph)
-    # Kept where the cached ``bit_view`` property looks first.
+    # Kept where the cached ``bit_view`` property looks first, and the
+    # graph ``reads`` derives its own from on first use.
     new_graph.__dict__["bit_view"] = carried_view(graph.bit_view, new_graph)
+    new_graph.__dict__["_rewrite_of"] = graph
     return fragments, new_graph
 
 

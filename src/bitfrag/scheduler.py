@@ -193,9 +193,9 @@ class _Plan:
         self.producers = view.producers
         self.position = {op.id: k for k, op in enumerate(graph.ops)}
         # Per op, by position: whether it is glue, whether it is a core,
-        # its bit numbers, and the bits of other ops it reads (every
-        # number below its own belongs to another op; none for glue,
-        # which ``settle`` chains bit by bit).
+        # its bit numbers, the bits of other ops it reads (every number
+        # below its own belongs to another op; none for glue, which
+        # ``settle`` chains bit by bit), and the ops that read it.
         core = OpKind.MULT_CORE
         self.glue = [op.kind.glue for op in graph.ops]
         self.core = [op.kind is core for op in graph.ops]
@@ -205,10 +205,10 @@ class _Plan:
             for glue, bits in zip(self.glue, self.bits)
         ]
         owner = [k for k, bits in enumerate(self.bits) for _ in bits]
-        self.successors = [
-            {owner[q] for n in bits for q in view.consumers[n]} - {k}
-            for k, bits in enumerate(self.bits)
-        ]
+        self.successors: list[set[int]] = [set() for _ in graph.ops]
+        for k, bits in enumerate(self.bits):
+            for j in {owner[p] for n in bits for p in self.producers[n] if p < bits.start}:
+                self.successors[j].add(k)
         self.base = self._complete()
 
     def settle(self, k: int, pin: int | None, table: list[int]) -> bool:

@@ -433,7 +433,7 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     the units by cycle, each in definition order, and ``Schedule.held``.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
-    view = graph.bit_view
+    view, reads = graph.bit_view, graph.reads
     base, held = view.base, sched.held
     # Units by cycle, each in definition order; a unit with no cycle in
     # 1 .. lam goes to ``missing``.  ``made`` is the cycle of every bit's
@@ -453,7 +453,7 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
         latched = {carry_no[r.op] if type(r) is CarryBit else base[r.op] + r.bit for r in kept}
         for op in ops:
             lo = base[op.id]
-            for refs in view.reads[lo:lo + op.width]:
+            for refs in reads[lo:lo + op.width]:
                 for r in refs:
                     if made[r] < cycle and r not in latched:
                         raise SimulationError(

@@ -204,8 +204,9 @@ def mixed() -> DataFlowGraph:
 
 @dataclass(frozen=True)
 class KeyedView:
-    """What ``graph.bit_view`` holds, keyed by ``(op, bit)`` and derived
-    from ``bit_deps`` alone, so tests need not read the view's layout.
+    """What ``graph.bit_view`` and ``graph.reads`` hold, keyed by
+    ``(op, bit)`` and derived from ``bit_deps`` alone, so tests need not
+    read the view's layout.
 
     ``producers`` maps every result bit to the keys it waits on, a carry
     standing for its op's MSB; ``reads`` maps every bit of a non-glue op
@@ -543,11 +544,35 @@ def asap_pairs(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:
     return table
 
 
+def producer_inverse(graph: DataFlowGraph) -> list[list[int]]:
+    """Every data bit's consumers by number: the inverse of
+    ``bit_view.producers``, each list ascending."""
+    producers = graph.bit_view.producers
+    consumers: list[list[int]] = [[] for _ in producers]
+    for n, prods in enumerate(producers):
+        for p in prods:
+            consumers[p].append(n)
+    return consumers
+
+
+def consumer_successors(graph: DataFlowGraph) -> list[set[int]]:
+    """Oracle for ``scheduler._Plan.successors``: per op, by position,
+    the other ops that consume one of its bits, read off the inverse of
+    ``producers``."""
+    view, consumers = graph.bit_view, producer_inverse(graph)
+    owner = [k for k, op in enumerate(graph.ops) for _ in range(op.width)]
+    return [
+        {owner[c] for n in range(view.base[op.id], view.base[op.id] + op.width)
+         for c in consumers[n]} - {k}
+        for k, op in enumerate(graph.ops)
+    ]
+
+
 def alap_pairs(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, int]]:
     """Pair oracle for ``bit_alap``: every bit's latest ``(cycle,
     depth)`` slot by bit number, or the InfeasibleError it raises."""
     view = graph.bit_view
-    consumers = view.consumers
+    consumers = producer_inverse(graph)
     due = (lam + 1, 1)
     table = [due] * len(consumers)
     at = table.__getitem__
@@ -742,6 +767,39 @@ def eager_keys(graph: DataFlowGraph) -> tuple:
     return (*keys, *(CarryBit(op.id) for op in graph.ops if op.id in read))
 
 
+def built_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
+    """Oracle for ``graph.reads``, read off each op's operand bits
+    instead of its producers: a glue bit stands for what the bits it
+    waits on read, a non-glue bit reads its operand bits (not its own
+    ripple) with each glue bit replaced so, and an add's bit 0 reads its
+    carry-in's number last.  Numbers are ``eager_keys``' positions."""
+    number = {key: n for n, key in enumerate(eager_keys(graph))}
+    glue_reads: dict[int, tuple[int, ...]] = {}
+
+    def through(bits) -> tuple[int, ...]:
+        refs = {number[(b.op, b.bit)] for b in bits if isinstance(b, OpBit)}
+        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
+
+    reads: list[tuple[int, ...]] = []
+    for op in graph.ops:
+        operands = [operand_bits(o) for o in op.operands]
+        whole = through(b for bits in operands for b in bits)
+        for i in range(op.width):
+            column = [bits[i] for bits in operands if i < len(bits)]
+            if op.kind is OpKind.SELECT:
+                column.append(operands[0][0])
+            if op.kind.glue:
+                glue_reads[number[(op.id, i)]] = through(column)
+                reads.append(())
+            elif not op.kind.per_bit:
+                reads.append(whole)
+            elif i == 0 and isinstance(op.carry_in, CarryRef):
+                reads.append((*through(column), number[CarryBit(op.carry_in.op)]))
+            else:
+                reads.append(through(column))
+    return tuple(reads)
+
+
 def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
     """Oracle for ``cost.stored_bits``: each read bit's producing op and
     ref taken from its key in ``eager_keys``."""
@@ -752,7 +810,7 @@ def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
     for op in graph.ops:
         cycle = cycle_of.get(op.id, 0)
         lo = view.base[op.id]
-        for refs in view.reads[lo:lo + op.width]:
+        for refs in graph.reads[lo:lo + op.width]:
             for r in refs:
                 stop[r] = max(stop[r], cycle)
     out: dict[int, list] = {b: [] for b in range(1, sched.lam)}

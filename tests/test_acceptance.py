@@ -12,6 +12,8 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bitfrag.cost import costs
 from bitfrag.dfg import OpKind
@@ -23,6 +25,8 @@ from bitfrag.simulator import check_equiv
 from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 
 from conftest import (
+    DESIGN_MAKERS,
+    deep_settings,
     feasible_pipeline,
     load_design,
     op_paths,
@@ -161,6 +165,25 @@ def test_transformed_spec_needs_no_fragment_records(verdict):
             "the emitted spec carries what the fragment records held: a "
             "conventional scheduler needs nothing else"
         )
+
+
+@deep_settings(40)
+@given(st.sampled_from(DESIGN_MAKERS), st.integers(0, 10_000), st.sampled_from([2, 3, 4, 6]))
+def test_transformed_spec_of_a_random_design_needs_no_fragment_records(make, seed, lam):
+    """The paper's flow on random designs: the emitted spec of a per-bit
+    tiling, re-parsed and scheduled whole-op, reaches the fragmented
+    n_bits with the same units (the fragments), and its schedule is
+    proven equivalent to the source design.  Its ``cycle_of`` may differ:
+    ``schedule`` breaks ties between equal windows by each fragment's
+    parent and offset, which a re-parsed spec no longer holds."""
+    graph = make(seed)
+    split = smallest_pipeline(graph, lam)
+    if split is None:
+        return
+    whole = smallest_pipeline(parse(emit(split.transformed)), lam, whole_runs)
+    assert whole is not None and whole.n_bits == split.n_bits
+    assert whole.sched.cycle_of.keys() == split.sched.cycle_of.keys()
+    assert check_equiv(graph, whole.sched).equivalent
 
 
 def test_dual_path_fixture_timing_and_windows(fig3, verdict):

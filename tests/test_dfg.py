@@ -267,18 +267,13 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
                 if msb is not None and msb not in expected:
                     expected.append(msb)
             assert view.producers[n] == tuple(expected)
-        inverse ={key: [] for key in ref.producers}
-        for key, producers in ref.producers.items():
-            for p in producers:
-                inverse[p].append(key)
-        assert {
-            data[n]: sorted(view.keys[c] for c in users)
-            for n, users in enumerate(view.consumers)
-        } == {k: sorted(v) for k, v in inverse.items()}
 
-        # Reads: every non-glue bit's, through glue; a glue bit reads none.
+        # Reads, derived on first use and then kept with the graph: every
+        # non-glue bit's, through glue; a glue bit reads none.
+        assert g.reads is g.reads
+        assert len(g.reads) == size
         for n, key in enumerate(data):
-            reads = view.reads[n]
+            reads = g.reads[n]
             if key not in ref.reads:
                 assert reads == ()
                 continue
@@ -293,7 +288,7 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
 
         # Reads ascend, so they list data bits before carries, each in
         # definition order and then by bit; every carry read has a number.
-        assert all(list(reads) == sorted(set(reads)) for reads in view.reads)
+        assert all(list(reads) == sorted(set(reads)) for reads in g.reads)
         assert set(view.keys[size:]) == {
             r for reads in ref.reads.values() for r in reads if isinstance(r, CarryBit)
         }

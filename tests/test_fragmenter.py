@@ -1,5 +1,6 @@
 """Mobility analysis, fragment tiling, and graph rewiring."""
 
+import dataclasses
 import operator
 
 import pytest
@@ -36,6 +37,7 @@ from bitfrag.fragmenter import (
     whole_runs,
 )
 from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
+from bitfrag.cli import main
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import TimingError, critical_path, estimate_cycle
 from conftest import (
@@ -47,6 +49,7 @@ from conftest import (
     ConstBit,
     alap_pairs,
     asap_pairs,
+    built_reads,
     bit_alap,
     bit_asap,
     deep_settings,
@@ -673,16 +676,21 @@ def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)
 
 
-_VIEW_TABLES = ("keys", "base", "carried", "producers", "consumers", "reads")
+_VIEW_TABLES = ("keys", "base", "carried", "producers")
 
 
-def _view_mismatches(graph: DataFlowGraph, view=None) -> list[str]:
+def _view_mismatches(graph: DataFlowGraph, view=None, reads=None) -> list[str]:
     """The tables in which ``view`` (by default the view ``apply_runs``
-    kept with ``graph``) differs from a fresh ``_build_bit_view``."""
-    if view is None:
-        view = graph.__dict__["bit_view"]
-    built = dfg._build_bit_view(graph)
-    return [name for name in _VIEW_TABLES if getattr(view, name) != getattr(built, name)]
+    kept with ``graph``) or ``reads`` (by default ``graph.reads``, which
+    a rewrite derives from the kernel's) differ from those of a fresh
+    copy of ``graph``, which builds its view and derives its reads from
+    that view's producers."""
+    fresh = dataclasses.replace(graph)
+    view = graph.__dict__["bit_view"] if view is None else view
+    reads = graph.reads if reads is None else reads
+    built = fresh.bit_view
+    mismatches = [name for name in _VIEW_TABLES if getattr(view, name) != getattr(built, name)]
+    return mismatches + ["reads"] * (reads != fresh.reads)
 
 
 @settings(max_examples=200, deadline=None)
@@ -755,17 +763,86 @@ def test_carried_view_of_a_split_add_reading_its_carry_source_msb():
     assert view.producers[z0] == (view.base["Y1"] + 1, view.base["X"])
     assert view.producers[z0] is old.producers[old.base["Z"]]
     carry = {key.op: n for n, key in enumerate(view.keys) if isinstance(key, CarryBit)}
-    assert view.reads[z0][-1] == carry["Y1"] and view.reads[z2][-1] == carry["Z0"]
+    reads = transformed.reads
+    assert reads[z0][-1] == carry["Y1"] and reads[z2][-1] == carry["Z0"]
 
-    def with_reads(n: int, read: tuple) -> dfg.BitView:
-        reads = list(view.reads)
-        reads[n] = read
-        return replace(view, reads=tuple(reads))
+    def with_reads(n: int, read: tuple) -> tuple:
+        changed = list(reads)
+        changed[n] = read
+        return tuple(changed)
 
     # The upper fragment without its lower neighbour's carry, and the
     # lower one reading Y's carry at its kernel number: each is caught.
-    assert _view_mismatches(transformed, with_reads(z2, view.reads[z2][:-1])) == ["reads"]
-    assert _view_mismatches(transformed, with_reads(z0, old.reads[old.base["Z"]])) == ["reads"]
+    assert _view_mismatches(transformed, reads=with_reads(z2, reads[z2][:-1])) == ["reads"]
+    assert _view_mismatches(transformed, reads=with_reads(z0, kernel.reads[old.base["Z"]])) == [
+        "reads"
+    ]
+
+
+# Z's bit 0 reads its carry source's MSB, Y[3], as data and nothing
+# else, so that MSB is both its last producer and a data read: a
+# derivation of ``reads`` that drops the last producer of every carried
+# bit 0 loses it.
+MSB_LAST_SOURCE = """
+design msblast;
+input a : u4;
+input b : u4;
+Y: add u4 = a + b;
+Z: add u4 carry(Y) = Y[3:3] + a;
+output Z;
+"""
+
+
+def test_reads_keep_a_carry_source_msb_that_is_also_the_last_producer():
+    kernel = parse(MSB_LAST_SOURCE)
+    view = kernel.bit_view
+    msb, z0 = view.base["Y"] + 3, view.base["Z"]
+    assert view.producers[z0] == (msb,)
+    assert kernel.reads[z0] == (msb, len(view.producers)) == built_reads(kernel)[z0]
+    halves = [(0, 1, 1, 1), (2, 3, 1, 1)]
+    for runs in ({"Y": halves}, {"Y": halves, "Z": halves}, {"Z": halves}):
+        _, transformed = apply_runs(kernel, runs)
+        assert transformed.reads == built_reads(transformed)
+        assert _view_mismatches(transformed) == []
+
+
+@deep_settings(100)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_reads_match_the_operand_oracle(make, seed, lam, tiling):
+    """``reads`` of a design, its kernel (derived from its producers)
+    and a rewrite of the kernel (renumbered from the kernel's) equal
+    what ``built_reads`` reads off the operands.  A budget that does not
+    fit leaves the rewrite out."""
+    design = make(seed)
+    kernel, _ = extract_kernel(design)
+    graphs = [design, kernel]
+    try:
+        mobility = analyze(kernel, estimate_cycle(kernel, lam), lam)
+    except InfeasibleError:
+        pass
+    else:
+        graphs.append(apply_runs(kernel, tiling(kernel, mobility))[1])
+    for g in graphs:
+        assert g.reads == built_reads(g)
+
+
+def _count_reads(monkeypatch) -> list:
+    """The ``(function, graph)`` of every ``reads`` derivation from now
+    on, in call order: ``_build_reads`` for a graph that derives its own,
+    ``_carried_reads`` for a rewrite."""
+    derived: list = []
+    for name in ("_build_reads", "_carried_reads"):
+        def counted(*graphs, derive=getattr(dfg, name), name=name):
+            derived.append((name, graphs[-1]))
+            return derive(*graphs)
+
+        monkeypatch.setattr(dfg, name, counted)
+    return derived
 
 
 @pytest.mark.parametrize("tile", [fragment, bucket_fragment])
@@ -778,10 +855,13 @@ def test_carried_view_of_a_split_add_reading_its_carry_source_msb():
 def test_one_bit_view_is_built_from_parse_to_costs(monkeypatch, text, tile):
     """Only the kernel's view is built, however many tilings are tried:
     the fragmented graph's is derived from it and shares its producer
-    tuples."""
+    tuples.  ``reads`` are derived once, by ``costs``: for the kernel
+    from its producers and for the scheduled rewrite from the kernel's;
+    no tiling that failed to schedule derives any."""
     built = []
     build = dfg._build_bit_view
     monkeypatch.setattr(dfg, "_build_bit_view", lambda g: built.append(g) or build(g))
+    derived = _count_reads(monkeypatch)
     kernel, _ = extract_kernel(parse(text))
     critical_path(kernel)
     lam = 3
@@ -796,8 +876,33 @@ def test_one_bit_view_is_built_from_parse_to_costs(monkeypatch, text, tile):
     else:
         pytest.fail("no cycle schedules")
     assert verify_schedule(sched) == []
+    assert derived == []
     costs(sched)
     assert len(built) == 1 and built[0] is kernel
+    assert derived == [("_carried_reads", transformed), ("_build_reads", kernel)]
     old, view = kernel.bit_view, transformed.bit_view
     assert len(view.producers) >= len(old.producers)
     assert all(map(operator.is_, view.producers, old.producers))
+
+
+def test_reads_are_derived_only_once_a_schedule_needs_them(monkeypatch, tmp_path):
+    """A design refused by ``analyze`` or by ``schedule`` derives no
+    ``reads``; a clean CLI compile with its proof derives them once for
+    the kernel and once for the rewrite."""
+    derived = _count_reads(monkeypatch)
+    kernel, _ = extract_kernel(parse(MIXED_SOURCE))
+    critical_path(kernel)
+    with pytest.raises(InfeasibleError):
+        analyze(kernel, estimate_cycle(kernel, 3), 3)
+    kernel, _ = extract_kernel(parse((DESIGN_DIR / "sec2.dfg").read_text()))
+    fragments, transformed = bucket_fragment(kernel, analyze(kernel, 6, 3))
+    with pytest.raises(ScheduleError):
+        schedule(transformed, fragments, 3, 6)
+    assert derived == []
+
+    args = [str(DESIGN_DIR / "sec2.dfg"), "--latency", "3", "--check-equiv",
+            "--out", str(tmp_path), "--emit", "report"]
+    assert main(args) == 0
+    assert [name for name, _ in derived] == ["_carried_reads", "_build_reads"]
+    rewrite, kernel = derived[0][1], derived[1][1]
+    assert rewrite.__dict__["_rewrite_of"] is kernel

@@ -38,6 +38,7 @@ from conftest import (
     GLUE_CORE_SOURCE,
     bit_alap,
     bit_asap,
+    consumer_successors,
     deep_settings,
     feasible_pipeline,
     feasible_placements,
@@ -592,6 +593,33 @@ def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, ti
     realized, problems = realized_slots(transformed, n_bits, sched.cycle_of)
     assert problems == []
     assert plan.base == [slot_time(slot, n_bits) for slot in realized.values()]
+
+
+@deep_settings(100)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_plan_successors_are_the_consumer_sets(make, seed, lam, tiling):
+    """``_Plan.successors``, each op's readers collected from
+    ``producers``, equal the sets read off the producers' inverse
+    (``consumer_successors``), for a kernel and a rewrite of it, so
+    ``vet`` re-settles every op that consumes a time it changed.  The
+    plan's windows do not matter here."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam)
+    graphs = [kernel]
+    try:
+        mobility = analyze(kernel, n_bits, lam)
+    except InfeasibleError:
+        pass
+    else:
+        graphs.append(apply_runs(kernel, tiling(kernel, mobility))[1])
+    for g in graphs:
+        plan = _Plan(g, lam, n_bits, {op.id: (1, lam) for op in g.ops}, {})
+        assert plan.successors == consumer_successors(g)
 
 
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
