@@ -24,7 +24,6 @@ at the same latency, it yields a CostReport like any other schedule.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .dfg import (
@@ -88,30 +87,34 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     view, reads = graph.bit_view, graph.reads
-    size = len(view.producers)
+    base, size = view.base, len(view.producers)
     stop = [0] * (size + len(view.carried))  # each bit's last reader cycle
     for op in graph.ops:
-        cycle = cycle_of.get(op.id, 0)
-        lo = view.base[op.id]
+        cycle = cycle_of.get(op.id)
+        if cycle is None:
+            continue  # glue reads nothing; an unscheduled unit's reads hold nothing
+        lo = base[op.id]
         for refs in reads[lo:lo + op.width]:
             for r in refs:
                 if stop[r] < cycle:
                     stop[r] = cycle
     out: dict[int, list] = {b: [] for b in range(1, lam)}
-    names, starts = list(view.base), list(view.base.values())
-    for n, last in enumerate(stop):
-        if not last:
-            continue  # no scheduled unit reads it
-        if n < size:  # a data bit: its op's bit 0 is the last start not above it
-            k = bisect_right(starts, n) - 1
-            op_id = names[k]
-            ref = OpBit(op_id, n - starts[k])
-        else:
-            op_id = view.carried[n - size]
+    for op in graph.ops:
+        op_id = op.id
+        first = cycle_of.get(op_id)
+        if first is None:
+            continue  # glue, or a unit with no cycle: holds its bits nowhere
+        lo = base[op_id]
+        for i, last in enumerate(stop[lo:lo + op.width]):
+            if last:  # a scheduled unit reads it; clamped without a max/min call
+                ref = OpBit(op_id, i)
+                for b in range(first if first > 1 else 1, last if last < lam else lam):
+                    out[b].append(ref)
+    for op_id, last in zip(view.carried, stop[size:]):
+        if last and op_id in cycle_of:
             ref = CarryBit(op_id)
-        # An op with no cycle holds its bits nowhere.
-        for b in range(max(cycle_of.get(op_id, last), 1), min(last, lam)):
-            out[b].append(ref)
+            for b in range(max(cycle_of[op_id], 1), min(last, lam)):
+                out[b].append(ref)
     return out
 
 

@@ -21,6 +21,7 @@ Width rules, fixed here and relied on by every later pass:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import cached_property, partial
@@ -96,11 +97,11 @@ class ValidationError(ValueError):
 # ResultRef("a") != InputRef("a").  They are not frozen, yet they are
 # values, shared between graphs and used as dict keys, so no code assigns
 # to a field of a built record; a lint in tests/test_imports.py fails on
-# any such assignment under src/.  BitView and Schedule are FrozenRecords.
-# Result records (SourceSpan, Diagnostic, and those timing, fragmenter,
-# cost and simulator return) and bit refs are named tuples.  DataFlowGraph
-# alone stays a frozen dataclass: graphs are copied with
-# dataclasses.replace.
+# any such assignment under src/.  A Schedule, which caches the bits it
+# latches, is a FrozenRecord.  Result records (SourceSpan, Diagnostic,
+# BitView, and those timing, fragmenter, cost and simulator return) and
+# bit refs are named tuples.  DataFlowGraph alone stays a frozen
+# dataclass: graphs are copied with dataclasses.replace.
 
 
 class Record:
@@ -144,7 +145,9 @@ class Record:
 class FrozenRecord(Record):
     """A record whose fields, named by ``_fields``, sit in its instance
     ``__dict__``, where a ``cached_property`` keeps its value too, and
-    that refuses to assign or delete an attribute."""
+    that refuses to assign or delete an attribute.  A record with no
+    cache is a Record or a named tuple (a lint in tests/test_imports.py
+    checks it)."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -522,25 +525,7 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
     return deps
 
 
-BitKey = tuple[str, int]  # (op id, result bit); an OpBit is its own key
-
-
-class Slot(NamedTuple):
-    """Where a bit is ready: a cycle and the adder depth chained in it.
-
-    Slots order by cycle, then depth, so the latest of several
-    producers is their ``max`` and the earliest consumer their ``min``.
-    Mobility and scheduling hold a slot as one int, its time
-    ``(cycle - 1) * n_bits + depth`` (0 for (0, 0)), which orders the
-    same; the checker (``scheduler.realized_slots``) keeps plain pairs,
-    and ``BitView.slots`` turns a finished pair table into ``Slot``s.
-    """
-
-    cycle: int
-    depth: int
-
-
-class BitView(FrozenRecord):
+class BitView(NamedTuple):
     """Bit-level view of one graph, shared read-only by every pass.
 
     Every result bit has a number: bit ``i`` of op ``x`` is
@@ -563,39 +548,19 @@ class BitView(FrozenRecord):
     rules bit by bit, and tests hold one to the other.
     """
 
-    _fields = ("base", "carried", "producers")
-
-    def __init__(self, base: dict[str, int], carried: tuple[str, ...],
-                 producers: tuple[tuple[int, ...], ...]) -> None:
-        self.__dict__.update(base=base, carried=carried, producers=producers)
-
-    @cached_property
-    def keys(self) -> tuple[BitKey | CarryBit, ...]:
-        """The ``(op, bit)`` key of every data bit, then the ``CarryBit``
-        of every carry, by number, derived from ``base`` and
-        ``carried`` on first use.  A key names its op first, a carry's
-        too, so ``keys[n][0]`` is the op that produces bit ``n``.  The
-        keys are cached in the view's ``__dict__``; no pass from parse to
-        ``costs`` reads them."""
-        starts = list(self.base.values())
-        stops = starts[1:] + [len(self.producers)]
-        keys = [(x, i) for x, lo, stop in zip(self.base, starts, stops) for i in range(stop - lo)]
-        return (*keys, *map(CarryBit, self.carried))
-
-    def keyed(self, table: list) -> dict:
-        """A per-data-bit table as a dict by ``(op, bit)`` key, in
-        number order."""
-        return dict(zip(self.keys, table))
-
-    def slots(self, table: list[tuple[int, int]]) -> dict[BitKey, Slot]:
-        """A per-data-bit table of ``(cycle, depth)`` pairs as ``keyed``
-        gives it, each pair made a ``Slot``."""
-        return dict(zip(self.keys, map(Slot._make, table)))
+    base: dict[str, int]
+    carried: tuple[str, ...]
+    producers: tuple[tuple[int, ...], ...]
 
     def ref(self, n: int) -> OpBit | CarryBit:
-        """The bit ref numbered ``n``."""
-        key = self.keys[n]
-        return key if isinstance(key, CarryBit) else OpBit(*key)
+        """The bit ref numbered ``n``: a data bit's op is the one whose
+        first bit is the last not above ``n``."""
+        size = len(self.producers)
+        if n >= size:
+            return CarryBit(self.carried[n - size])
+        starts = list(self.base.values())
+        k = bisect_right(starts, n) - 1
+        return OpBit(list(self.base)[k], n - starts[k])
 
 
 def _padded(bits: range | list) -> chain:

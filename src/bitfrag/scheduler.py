@@ -25,10 +25,10 @@ of bit times (``timing``).  A candidate re-settles, in a copy of the
 base, only the region it changes, the ops downstream of its unit whose
 times differ from the base, and the winner's table replaces the base:
 the time-frame update of force-directed scheduling (Paulin & Knight,
-IEEE TCAD 1989).  Once every unit is placed, the base is the table
-``realized_slots`` derives, in ``(cycle, depth)`` pairs of its own,
-from ``cycle_of``, so a Schedule holds only the cycle assignment: every
-bit of a unit is produced in its unit's cycle.
+IEEE TCAD 1989).  Once every unit is placed, the base is the table the
+checker derives, in ``(cycle, depth)`` pairs of its own, from
+``cycle_of``, so a Schedule holds only the cycle assignment: every bit
+of a unit is produced in its unit's cycle.
 """
 
 from __future__ import annotations
@@ -37,12 +37,7 @@ import heapq
 from bisect import bisect_right, insort
 from functools import cached_property
 
-from .dfg import (
-    DataFlowGraph,
-    FrozenRecord,
-    OpKind,
-    Slot,
-)
+from .dfg import DataFlowGraph, FrozenRecord, OpKind
 from .fragmenter import Fragment, InfeasibleError, Mobility, alap_table, analyze
 
 
@@ -105,26 +100,17 @@ def unit_windows(
     return windows
 
 
-def realized_slots(
-    graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
-) -> tuple[dict[tuple[str, int], Slot], list[str]]:
-    """Availability slot of every bit under a concrete assignment.
-
-    Adds chain within their cycle (depth 1 + deepest same-cycle
-    producer), glue is transparent, core results fill their cycle.
-    Returns the slot table and any legality violations: operands read
-    before they exist, chains deeper than the cycle holds, or core
-    inputs not complete in a prior cycle.
-    """
-    table, problems = _realized_table(graph, n_bits, cycle_of)
-    return graph.bit_view.slots(table), problems
-
-
 def _realized_table(
     graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
 ) -> tuple[list[tuple[int, int]], list[str]]:
-    """``realized_slots``' slots as ``(cycle, depth)`` pairs by bit
-    number, and its problems."""
+    """Availability slot of every data bit under a concrete assignment,
+    as ``(cycle, depth)`` pairs by bit number, and the legality problems.
+
+    Adds chain within their cycle (depth 1 + deepest same-cycle
+    producer), glue is transparent, core results fill their cycle.
+    The problems are operands read before they exist, chains deeper
+    than the cycle holds, and core inputs not complete in a prior cycle.
+    """
     view = graph.bit_view
     producers = view.producers
     table = [(0, 0)] * len(producers)  # (cycle, depth) pairs by bit number
@@ -407,7 +393,7 @@ def schedule(
         top = max(top, loads[c])
 
     # Every unit is placed, so the base is the completion of cycle_of
-    # itself, the table realized_slots derives: cycle_of is the schedule.
+    # itself, the table _realized_table derives: cycle_of is the schedule.
     return Schedule(graph, lam, n_bits, cycle_of, fragments)
 
 

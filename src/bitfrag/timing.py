@@ -74,8 +74,10 @@ def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int,
 
 
 def bit_arrivals(graph: DataFlowGraph) -> dict[tuple[str, int], int]:
-    """Arrival time of every result bit, inputs and constants at 0."""
-    return graph.bit_view.keyed(graph.arrivals)
+    """Arrival time of every result bit by ``(op, bit)``, in definition
+    order and then by bit; inputs and constants arrive at 0."""
+    arrival, base = graph.arrivals, graph.bit_view.base
+    return {(op.id, i): arrival[base[op.id] + i] for op in graph.ops for i in range(op.width)}
 
 
 def critical_path(graph: DataFlowGraph) -> CriticalPath:

@@ -20,6 +20,7 @@ from hypothesis import settings
 
 from bitfrag import check, extract_kernel, parse
 from bitfrag.dfg import (
+    BitView,
     CarryBit,
     CarryRef,
     Concat,
@@ -34,7 +35,6 @@ from bitfrag.dfg import (
     Operation,
     OpKind,
     ResultRef,
-    Slot,
     Source,
     bit_deps,
 )
@@ -50,6 +50,7 @@ from bitfrag.fragmenter import (
 from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
+    _realized_table,
     schedule,
     verify_schedule,
 )
@@ -161,10 +162,10 @@ def under_hash_seeds(args: list[str]) -> list[subprocess.CompletedProcess]:
 
 
 def replace(record, **changes):
-    """A copy of a ``dfg.Record`` (a graph record, ``BitView`` or
-    ``Schedule``) with ``changes``, as ``dataclasses.replace`` still
-    copies the one dataclass, ``DataFlowGraph``.  An unknown field
-    raises TypeError, as there."""
+    """A copy of a ``dfg.Record`` (a graph record or ``Schedule``) with
+    ``changes``, as ``dataclasses.replace`` still copies the one
+    dataclass, ``DataFlowGraph``.  An unknown field raises TypeError, as
+    there."""
     return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
 
 
@@ -611,16 +612,37 @@ def slot_time(slot: tuple[int, int], n_bits: int) -> int:
     return (cycle - 1) * n_bits + depth if cycle else 0
 
 
+class Slot(NamedTuple):
+    """Where a bit is ready: a cycle and the adder depth chained in it.
+
+    Slots order by cycle, then depth, so the latest of several
+    producers is their ``max`` and the earliest consumer their ``min``.
+    The library holds a slot as one int, its time ``(cycle - 1) *
+    n_bits + depth`` (0 for (0, 0)), which orders the same, and its
+    checker keeps plain pairs; the slot dicts here make each one a
+    ``Slot``.
+    """
+
+    cycle: int
+    depth: int
+
+
+def slot_dict(graph: DataFlowGraph, pairs: list[tuple[int, int]]) -> dict[tuple[str, int], Slot]:
+    """A per-data-bit table of ``(cycle, depth)`` pairs by ``(op, bit)``
+    key, in number order, each pair made a ``Slot``."""
+    return dict(zip(eager_keys(graph), map(Slot._make, pairs)))
+
+
 def _slots(
     graph: DataFlowGraph, times: list[int] | tuple[int, ...], n_bits: int
 ) -> dict[tuple[str, int], Slot]:
-    """A time table as ``(cycle, depth)`` slots, keyed as
-    ``BitView.slots`` gives them; time 0 is slot (0, 0)."""
+    """A time table as ``(cycle, depth)`` slots, keyed as ``slot_dict``
+    keys them; time 0 is slot (0, 0)."""
     def slot(t: int) -> tuple[int, int]:
         cycle, depth = divmod(t - 1, n_bits)
         return (cycle + 1, depth + 1) if t else (0, 0)
 
-    return graph.bit_view.slots(list(map(slot, times)))
+    return slot_dict(graph, list(map(slot, times)))
 
 
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
@@ -639,6 +661,16 @@ def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int
     falls before cycle 1.
     """
     return _slots(graph, alap_table(graph, n_bits, lam), n_bits)
+
+
+def realized_slots(
+    graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
+) -> tuple[dict[tuple[str, int], Slot], list[str]]:
+    """``scheduler._realized_table`` as a slot dict: the availability
+    slot of every data bit under a concrete assignment, by ``(op, bit)``
+    key, and the legality problems it finds."""
+    table, problems = _realized_table(graph, n_bits, cycle_of)
+    return slot_dict(graph, table), problems
 
 
 def op_paths(graph: DataFlowGraph) -> list[tuple[str, ...]]:
@@ -759,12 +791,20 @@ DESIGN_MAKERS = (random_add_design, random_full_design, carried_add_design, carr
 
 
 def eager_keys(graph: DataFlowGraph) -> tuple:
-    """Oracle for ``BitView.keys``: the ``(op, bit)`` key of every data
-    bit in definition order and then by bit, then the ``CarryBit`` of
-    every add whose carry is read as a carry-in, in definition order."""
+    """The key of every bit number, counted out op by op: the ``(op,
+    bit)`` key of every data bit in definition order and then by bit,
+    then the ``CarryBit`` of every add whose carry is read as a
+    carry-in, in definition order.  Oracle for ``BitView.ref`` and the
+    order of every table by ``(op, bit)``."""
     keys: list = [(op.id, i) for op in graph.ops for i in range(op.width)]
     read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     return (*keys, *(CarryBit(op.id) for op in graph.ops if op.id in read))
+
+
+def view_refs(view: BitView) -> list:
+    """``view.ref(n)`` for every bit number ``n`` of ``view``, data bits
+    then carries; an OpBit equals its key in ``eager_keys``."""
+    return [view.ref(n) for n in range(len(view.producers) + len(view.carried))]
 
 
 def built_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:

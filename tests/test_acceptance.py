@@ -20,7 +20,7 @@ from bitfrag.dfg import OpKind
 from bitfrag.dsl import emit, parse
 from bitfrag.fragmenter import whole_runs
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import realized_slots, verify_schedule
+from bitfrag.scheduler import verify_schedule
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 
@@ -33,6 +33,7 @@ from conftest import (
     path_time,
     random_add_design,
     random_full_design,
+    realized_slots,
     run_pipeline,
     smallest_pipeline,
 )

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import cli
+from bitfrag import cli, dfg
 from bitfrag.cli import _SUFFIX, main
 from bitfrag.dfg import BitView
 from bitfrag.dsl import ParseError, emit, parse
 from bitfrag.cost import costs
 from bitfrag.fragmenter import analyze, bucket_fragment, fragment
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import realized_slots, schedule, verify_schedule
+from bitfrag.scheduler import schedule, verify_schedule
 from bitfrag.simulator import EquivResult, check_equiv
 from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 
@@ -31,6 +31,7 @@ from conftest import (
     eager_keys,
     random_add_design,
     random_full_design,
+    realized_slots,
     replace,
     under_hash_seeds,
 )
@@ -266,14 +267,16 @@ def test_a_schedule_that_fails_verification_exits_one(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypatch):
-    """From parse to emit every pass table is a list by bit number: no
-    ``Slot``, and no dict by ``(op, bit)``.  Only the public results
-    make those, so the run must not reach them."""
-    def refuse(self, table):
-        raise AssertionError("a pass built a public bit table")
+    """From parse to emit every pass table is a list by bit number, and
+    no bit is named by ``(op, bit)``: with no ``--emit arrivals`` the run
+    reaches neither ``bit_arrivals`` nor ``bit_deps``, the only builders
+    of a dict by ``(op, bit)``, nor ``BitView.ref``."""
+    def refuse(*args):
+        raise AssertionError("a pass named a bit by (op, bit)")
 
-    monkeypatch.setattr(BitView, "slots", refuse)
-    monkeypatch.setattr(BitView, "keyed", refuse)
+    monkeypatch.setattr(cli, "bit_arrivals", refuse)
+    monkeypatch.setattr(dfg, "bit_deps", refuse)
+    monkeypatch.setattr(BitView, "ref", refuse)
     emissions = ["--emit", "report", "--emit", "transformed", "--emit", "schedule"]
     path = str(DESIGN_DIR / f"{name}.dfg")
     args = [path, "--latency", "3", "--check-equiv", "--out", str(tmp_path), *emissions]
@@ -284,10 +287,11 @@ def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypa
 
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
-    """From parse to ``costs`` and the proof of the schedule no pass
-    reads ``BitView.keys``, so neither the kernel's view nor the
-    fragmented graph's caches them; the public results that need them
-    still derive them on first use."""
+    """After a compile to ``costs`` and the proof of the schedule, the
+    kernel's view and the fragmented graph's hold their three tables and
+    nothing else, so neither has cached any keys.  The tables by ``(op,
+    bit)`` built afterwards list their keys in number order, and
+    ``--emit arrivals`` writes the arrival table."""
     design = parse((DESIGN_DIR / f"{name}.dfg").read_text())
     kernel, _ = extract_kernel(design)
     critical_path(kernel)
@@ -298,8 +302,8 @@ def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
     assert verify_schedule(sched) == []
     costs(sched)
     assert check_equiv(design, sched)
-    assert "keys" not in kernel.bit_view.__dict__
-    assert "keys" not in transformed.bit_view.__dict__
+    for view in (kernel.bit_view, transformed.bit_view):
+        assert not hasattr(view, "__dict__") and view._fields == ("base", "carried", "producers")
 
     slots, problems = realized_slots(transformed, n_bits, sched.cycle_of)
     assert problems == []

@@ -17,7 +17,7 @@ from bitfrag.fragmenter import (
     op_runs,
     whole_runs,
 )
-from bitfrag.scheduler import ScheduleError, realized_slots, schedule, verify_schedule
+from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.timing import estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
@@ -25,6 +25,7 @@ from conftest import (
     keyed_stored_bits,
     keyed_view,
     random_full_design,
+    realized_slots,
     replace,
     run_pipeline,
     smallest_pipeline,

@@ -37,7 +37,7 @@ from bitfrag.fragmenter import (
     whole_runs,
 )
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import ScheduleError, realized_slots, schedule
+from bitfrag.scheduler import ScheduleError, schedule
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
@@ -53,10 +53,12 @@ from conftest import (
     load_design,
     operand_bits,
     random_full_design,
+    realized_slots,
     replace,
     slice_bits,
     source_width,
     validate_oracle,
+    view_refs,
 )
 
 
@@ -246,13 +248,14 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
         view = g.bit_view
         assert g.bit_view is view
         ref = keyed_view(g)
+        keys = eager_keys(g)
         size = len(view.producers)
-        data = view.keys[:size]
+        data = keys[:size]
         assert list(data) == list(ref.producers)
 
         # Producers: op bits only, a carry standing for its op's MSB.
         for n, key in enumerate(data):
-            prods = [view.keys[p] for p in view.producers[n]]
+            prods = [keys[p] for p in view.producers[n]]
             assert len(set(prods)) == len(prods)
             assert set(prods) == ref.producers[key]
 
@@ -284,20 +287,61 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
                 assert not g.op(r.op).kind.glue
             assert set(refs) == ref.reads[key]
             # A read's key names its producing op first, a carry's too.
-            assert [view.keys[r][0] for r in reads] == [r.op for r in refs]
+            assert [keys[r][0] for r in reads] == [r.op for r in refs]
 
         # Reads ascend, so they list data bits before carries, each in
         # definition order and then by bit; every carry read has a number.
         assert all(list(reads) == sorted(set(reads)) for reads in g.reads)
-        assert set(view.keys[size:]) == {
+        assert set(keys[size:]) == {
             r for reads in ref.reads.values() for r in reads if isinstance(r, CarryBit)
         }
 
 
+def _assert_refs_are_the_eager_keys(g: DataFlowGraph) -> None:
+    """``ref`` names every number of ``g``'s view as ``eager_keys``
+    counts it out: the same op and bit, as an OpBit, or the same
+    CarryBit."""
+    refs, keys = view_refs(g.bit_view), eager_keys(g)
+    assert refs == list(keys)
+    assert [type(r) for r in refs] == [
+        CarryBit if isinstance(key, CarryBit) else OpBit for key in keys
+    ]
+
+
 @pytest.mark.parametrize("case", ["sec2", "fig3", "elliptic", "diffeq", "tie"])
-def test_keys_are_the_eager_enumeration_on_bundled_views(case):
+def test_refs_are_the_eager_enumeration_on_bundled_views(case):
     for g in _view_graphs(case):
-        assert g.bit_view.keys == eager_keys(g)
+        _assert_refs_are_the_eager_keys(g)
+
+
+# Widths 3, 4, 1 and 2, a 1-bit op whose first bit is its last, and
+# two carries read, X's before Y's: the edges ``ref`` bisects between.
+REFS_SOURCE = """
+design refs;
+input a : u4;
+input b : u4;
+X: add u3 = a + b;
+Y: add u4 carry(X) = a + b;
+N: not u1 = Y[0:0];
+Z: add u2 carry(Y) = a + N;
+output Z;
+"""
+
+
+def test_ref_names_each_ops_first_and_last_bit_and_the_first_and_last_carry():
+    g = parse(REFS_SOURCE)
+    view = g.bit_view
+    assert view.base == {"X": 0, "Y": 3, "N": 7, "Z": 8}
+    assert view.carried == ("X", "Y")
+    for op in g.ops:
+        first, last = view.base[op.id], view.base[op.id] + op.width - 1
+        assert view.ref(first) == OpBit(op.id, 0) and type(view.ref(first)) is OpBit
+        assert view.ref(last) == OpBit(op.id, op.width - 1)
+    assert view.ref(10) == CarryBit("X")
+    assert view.ref(11) == CarryBit("Y")
+    with pytest.raises(IndexError):
+        view.ref(12)
+    _assert_refs_are_the_eager_keys(g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -307,10 +351,10 @@ def test_keys_are_the_eager_enumeration_on_bundled_views(case):
     st.integers(1, 6),
     st.sampled_from([op_runs, bucket_runs, whole_runs]),
 )
-def test_keys_are_the_eager_enumeration(make, seed, lam, tiling):
-    """The keys a view derives from ``base`` and ``carried`` on first
-    use, for a design, its kernel and its fragmented kernel, whose view
-    ``carried_view`` derived, are the ones the view used to list."""
+def test_refs_are_the_eager_enumeration(make, seed, lam, tiling):
+    """The refs ``ref`` bisects out of ``base`` and ``carried``, for a
+    design, its kernel and its fragmented kernel, whose view
+    ``carried_view`` derived, are the keys ``eager_keys`` counts out."""
     design = make(seed)
     kernel, _ = extract_kernel(design)
     graphs = [design, kernel]
@@ -321,19 +365,14 @@ def test_keys_are_the_eager_enumeration(make, seed, lam, tiling):
     else:
         graphs.append(apply_runs(kernel, tiling(kernel, mobility))[1])
     for g in graphs:
-        view = g.bit_view
-        assert view.keys == eager_keys(g)
-        assert view.keys is view.keys
-        assert [view.ref(n) for n in range(len(view.keys))] == [
-            key if isinstance(key, CarryBit) else OpBit(*key) for key in view.keys
-        ]
+        _assert_refs_are_the_eager_keys(g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
 def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
     """Bit ``i`` of an op is ``base[op] + i`` in definition order, every
-    carry comes after every data bit, and the keyed tables of the passes
+    carry comes after every data bit, and the tables by ``(op, bit)``
     list their keys in number order: ``critical_path``'s "earliest bit
     in definition order" tie rule rests on it."""
     design = random_full_design(seed)
@@ -351,9 +390,10 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
         view = g.bit_view
         size = len(view.producers)
         order = [(op.id, i) for op in g.ops for i in range(op.width)]
-        assert list(view.keys[:size]) == order
+        refs = view_refs(view)
+        assert refs[:size] == order
         assert view.base == {op.id: order.index((op.id, 0)) for op in g.ops}
-        carries = view.keys[size:]
+        carries = refs[size:]
         assert all(isinstance(k, CarryBit) for k in carries)
         position = {op.id: k for k, op in enumerate(g.ops)}
         assert [position[k.op] for k in carries] == sorted(position[k.op] for k in carries)
@@ -366,9 +406,8 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
         except InfeasibleError:
             pass
     if sched is not None:
-        view = transformed.bit_view
         realized = realized_slots(transformed, n_bits, sched.cycle_of)[0]
-        assert list(realized) == list(view.keys[: len(view.producers)])
+        assert list(realized) == list(eager_keys(transformed)[: len(realized)])
 
 
 def _diag_messages(graph) -> str:

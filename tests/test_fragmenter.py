@@ -22,7 +22,6 @@ from bitfrag.dfg import (
     Operand,
     Operation,
     ResultRef,
-    Slot,
     check,
 )
 from bitfrag.fragmenter import (
@@ -47,12 +46,14 @@ from conftest import (
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
     ConstBit,
+    Slot,
     alap_pairs,
     asap_pairs,
     built_reads,
     bit_alap,
     bit_asap,
     deep_settings,
+    eager_keys,
     ladder_source,
     load_design,
     operand_bits,
@@ -60,6 +61,7 @@ from conftest import (
     random_full_design,
     replace,
     smallest_pipeline,
+    view_refs,
 )
 
 
@@ -186,9 +188,9 @@ def test_time_tables_match_the_pair_oracles(design, extract, lam, n_bits):
     kernel, the scheduler, which reads its cycles off the same times,
     passes the independent checker."""
     graph = extract_kernel(design)[0] if extract else design
-    keyed = graph.bit_view.keyed
+    keys = eager_keys(graph)
     asap = asap_pairs(graph, n_bits)
-    assert bit_asap(graph, n_bits) == keyed(asap)
+    assert bit_asap(graph, n_bits) == dict(zip(keys, asap))
     try:
         alap = alap_pairs(graph, n_bits, lam)
     except InfeasibleError as err:
@@ -197,7 +199,7 @@ def test_time_tables_match_the_pair_oracles(design, extract, lam, n_bits):
                 call(graph, n_bits, lam)
             assert str(raised.value) == str(err)
         return
-    assert bit_alap(graph, n_bits, lam) == keyed(alap)
+    assert bit_alap(graph, n_bits, lam) == dict(zip(keys, alap))
     mobility = analyze(graph, n_bits, lam)
     assert mobility.asap == tuple(c for c, _ in asap)
     assert mobility.alap == tuple(c for c, _ in alap)
@@ -246,6 +248,47 @@ def test_adds_and_cores_are_never_due_after_the_latency(make, seed, lam, n_bits)
     for op in kernel.ops:
         if op.kind in (OpKind.ADD, OpKind.MULT_CORE):
             assert all(alap[(op.id, i)].cycle <= lam for i in range(op.width))
+
+
+@deep_settings(100)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.sampled_from([2, 3, 4, 6]),
+    st.integers(0, 3),
+)
+def test_per_bit_fragment_records_hold_the_transformed_graphs_windows(make, seed, lam, extra):
+    """Under per-bit tiling, every fragment's recorded window is the one
+    ``analyze`` derives for its op in the transformed graph, from the
+    estimated cycle up: once the bucket tiling is gone, the records'
+    windows can be derived instead of kept."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = estimate_cycle(kernel, lam) + extra
+    try:
+        mobility = analyze(kernel, n_bits, lam)
+    except InfeasibleError:
+        return
+    fragments, transformed = fragment(kernel, mobility)
+    derived = analyze(transformed, n_bits, lam)
+    for parts in fragments.values():
+        for f in parts:
+            assert (f.asap_cycle, f.alap_cycle) == derived.window(transformed.op(f.id))
+
+
+def test_a_bucket_fragment_record_is_not_its_ops_own_window(sec2):
+    """A bucket tile can group bits whose per-bit windows disagree, so
+    the records, not the transformed graph's windows, are authoritative
+    while the bucket tiling stays.  In sec2 at latency 3 and 6 bits, E's
+    bit 4 must run in cycle 1 and bit 5 in cycle 2; the bucket tile E1
+    holds both and records the window [1, 2], while the window
+    ``analyze`` derives for E1 is empty."""
+    kernel, _ = extract_kernel(sec2)
+    mobility = analyze(kernel, 6, 3)
+    assert [cycles[4:6] for cycles in mobility.cycles(kernel.op("E"))] == [(1, 2), (1, 2)]
+    fragments, transformed = bucket_fragment(kernel, mobility)
+    e1 = fragments["E"][1]
+    assert (e1.id, e1.lo, e1.hi, e1.asap_cycle, e1.alap_cycle) == ("E1", 4, 5, 1, 2)
+    assert analyze(transformed, 6, 3).window(transformed.op("E1")) == (2, 1)
 
 
 def test_sec2_fragment_tiling(sec2_frags):
@@ -676,7 +719,7 @@ def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)
 
 
-_VIEW_TABLES = ("keys", "base", "carried", "producers")
+_VIEW_TABLES = ("base", "carried", "producers")
 
 
 def _view_mismatches(graph: DataFlowGraph, view=None, reads=None) -> list[str]:
@@ -684,12 +727,14 @@ def _view_mismatches(graph: DataFlowGraph, view=None, reads=None) -> list[str]:
     kept with ``graph``) or ``reads`` (by default ``graph.reads``, which
     a rewrite derives from the kernel's) differ from those of a fresh
     copy of ``graph``, which builds its view and derives its reads from
-    that view's producers."""
+    that view's producers; "refs" if ``view`` names its bit numbers
+    otherwise than ``eager_keys`` counts them out."""
     fresh = dataclasses.replace(graph)
     view = graph.__dict__["bit_view"] if view is None else view
     reads = graph.reads if reads is None else reads
     built = fresh.bit_view
     mismatches = [name for name in _VIEW_TABLES if getattr(view, name) != getattr(built, name)]
+    mismatches += ["refs"] * (view_refs(view) != list(eager_keys(graph)))
     return mismatches + ["reads"] * (reads != fresh.reads)
 
 
@@ -762,7 +807,7 @@ def test_carried_view_of_a_split_add_reading_its_carry_source_msb():
     z0, z2 = view.base["Z0"], view.base["Z1"]
     assert view.producers[z0] == (view.base["Y1"] + 1, view.base["X"])
     assert view.producers[z0] is old.producers[old.base["Z"]]
-    carry = {key.op: n for n, key in enumerate(view.keys) if isinstance(key, CarryBit)}
+    carry = {key.op: n for n, key in enumerate(eager_keys(transformed)) if isinstance(key, CarryBit)}
     reads = transformed.reads
     assert reads[z0][-1] == carry["Y1"] and reads[z2][-1] == carry["Z0"]
 

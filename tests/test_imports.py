@@ -11,7 +11,6 @@ import pytest
 from bitfrag.cost import CostReport, Lane, PortMux, RegisterBinding
 from bitfrag.dfg import (
     BitView,
-    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -261,10 +260,10 @@ def _dataclasses(tree: ast.Module) -> list[str]:
 def test_no_class_but_the_graph_is_a_dataclass():
     """A dataclass generates its methods when its module is imported,
     about half a millisecond a class, and every run of the program pays
-    that import.  Graph records, ``BitView`` and ``Schedule`` are written
-    out on ``dfg.Record`` and result records are named tuples; only
-    ``DataFlowGraph`` stays a dataclass, as graphs are copied with
-    ``dataclasses.replace``."""
+    that import.  Graph records and ``Schedule`` are written out on
+    ``dfg.Record``, and result records, ``BitView`` among them, are
+    named tuples; only ``DataFlowGraph`` stays a dataclass, as graphs
+    are copied with ``dataclasses.replace``."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
     found = [f"{module}:{c}" for module, tree in trees.items() for c in _dataclasses(tree)]
     assert [c.split(": ")[1] for c in found] == ["DataFlowGraph"]
@@ -282,6 +281,48 @@ def test_no_class_but_the_graph_is_a_dataclass():
         "class Kept(Record):\n"
         "    __slots__ = ('x',)\n"
     )) == ["2: Bare", "5: Frozen", "8: Slotted"]
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name ``node`` reads, bare or as an attribute."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _frozen_records(tree: ast.Module) -> dict[str, bool]:
+    """Every class built directly on ``FrozenRecord``, and whether it
+    defines a ``cached_property``."""
+    return {
+        cls.name: any(
+            _name(deco) == "cached_property"
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            for deco in node.decorator_list
+        )
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(_name(b) == "FrozenRecord" for b in cls.bases)
+    }
+
+
+def test_every_frozen_record_keeps_a_cache():
+    """A ``FrozenRecord`` keeps its fields in an instance ``__dict__``
+    only so that a ``cached_property`` can keep its value beside them;
+    a record without a cache is a ``Record`` or a named tuple."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    frozen = {f"{module}:{name}": cached for module, tree in trees.items()
+              for name, cached in _frozen_records(tree).items()}
+    assert [name for name, cached in frozen.items() if not cached] == []
+    assert _frozen_records(ast.parse(
+        "class Bare(FrozenRecord):\n"
+        "    _fields = ('x',)\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "class Cached(dfg.FrozenRecord):\n"
+        "    @functools.cached_property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "class Plain(Record):\n"
+        "    __slots__ = ('x',)\n"
+    )) == {"Bare": False, "Cached": True}
+    assert _frozen_records(trees["scheduler.py"]) == {"Schedule": True}
 
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
@@ -462,10 +503,10 @@ def test_graph_records_print_compare_and_hash_as_their_dataclasses_did():
 
 def test_bit_view_and_schedule_refuse_writes_and_keep_their_caches():
     """``BitView`` and ``Schedule`` refuse any assignment or deletion as
-    their frozen dataclasses did, still cache ``keys`` and ``held`` in
-    their ``__dict__``, print and compare as before, raise TypeError on
-    ``hash`` (a dict field) and give each schedule a fresh
-    ``fragments``."""
+    their frozen dataclasses did, print and compare as before and raise
+    TypeError on ``hash`` (a dict field).  A schedule still caches
+    ``held`` in its ``__dict__`` and gets a fresh ``fragments``; a view,
+    a named tuple, caches nothing."""
     graph = parse("design d; input a : u2; X: add u2 = a + a; output X;")
     sched = Schedule(graph=graph, lam=2, n_bits=2, cycle_of={"X": 1})
     view = BitView({"X": 0}, ("X",), ((), (0,)))
@@ -493,6 +534,6 @@ def test_bit_view_and_schedule_refuse_writes_and_keep_their_caches():
     assert view != BitView({"X": 0}, (), ((), (0,)))
     assert sched == Schedule(graph, 2, 2, {"X": 1}, {})
     assert sched != Schedule(graph, 3, 2, {"X": 1}, {})
-    assert view.keys is view.keys == (("X", 0), ("X", 1), CarryBit("X"))
+    assert not hasattr(view, "__dict__")
     assert sched.held is sched.held == {1: []}
-    assert vars(view)["keys"] is view.keys and vars(sched)["held"] is sched.held
+    assert vars(sched)["held"] is sched.held

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse
-from bitfrag.dfg import OpKind, Slot
+from bitfrag.dfg import OpKind
 from bitfrag.fragmenter import (
     InfeasibleError,
     alap_table,
@@ -26,7 +26,6 @@ from bitfrag.scheduler import (
     _Plan,
     _ranked,
     _realized_table,
-    realized_slots,
     schedule,
     unit_windows,
     verify_schedule,
@@ -36,6 +35,7 @@ from bitfrag.timing import estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
     GLUE_CORE_SOURCE,
+    Slot,
     bit_alap,
     bit_asap,
     consumer_successors,
@@ -47,6 +47,7 @@ from conftest import (
     placement_count,
     random_add_design,
     random_full_design,
+    realized_slots,
     replace,
     run_pipeline,
     slot_time,
