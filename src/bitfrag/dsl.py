@@ -24,7 +24,7 @@ Concat braces list terms MSB first.  Separator symbols are
 interchangeable; the emitter writes the conventional one for each kind.
 ``mult`` with an unsigned type denotes the opaque unsigned multiplier
 core; with a signed type it is the two's-complement multiply that
-kernel extraction decomposes.
+kernel extraction turns into the same core over sign-extended factors.
 
 A ``carry(ID)`` clause names the add whose carry-out is this add's
 carry-in.  That is the only way to read a carry: it is never a data

@@ -1,6 +1,7 @@
 """Lowering of subtract, multiply, compare, and min/max onto the
 additive kernel: unsigned ADD, the opaque unsigned multiplier core, and
-zero-delay NOT/SELECT glue.
+zero-delay NOT/SELECT/concat glue.  Every multiply, signed or not, is
+one core; a signed one reads its operands sign-extended to its width.
 
 Every rewrite keeps the original operation id on the op that delivers
 the result, so consumers and outputs never need rewiring.
@@ -23,6 +24,9 @@ from .dfg import (
 
 
 class KernelError(ValueError):
+    """A design that kernel extraction cannot lower.  No lowering raises
+    it now; it stays part of the typed errors a pipeline catches."""
+
     def __init__(self, diagnostic: Diagnostic):
         super().__init__(str(diagnostic))
         self.diagnostic = diagnostic
@@ -36,10 +40,6 @@ def _result(op: Operation, hi: int | None = None, lo: int = 0) -> Operand:
 
 def _const(bits: str) -> Operand:
     return Operand(Const(bits), len(bits) - 1, 0)
-
-
-def _ones(width: int) -> Operand:
-    return _const("1" * width)
 
 
 def _sub_slice(opnd: Operand, hi: int, lo: int) -> Operand:
@@ -129,90 +129,35 @@ def lower_minmax(op: Operation, namer: Namer) -> list[Operation]:
 
 
 def lower_signed_mult(op: Operation, namer: Namer) -> list[Operation]:
-    """Two's-complement m x n multiply decomposed into an unsigned
-    (m-1) x (n-1) core plus adds of m and n+1 bits.
+    """Two's-complement multiply as one unsigned core, keeping the op's id.
 
-    With sign bits s_a/s_b and magnitude fields A/B, the product is
-
-        A*B + 2^(m-1) * (s_a ? ~B+1 : 0) + 2^(n-1) * (s_b ? ~A+1 : 0)
-            - 2^(m+n-2) * (s_a | s_b)
-
-    Rewriting each conditional increment as SELECT(s, ~X, ones) + 1
-    makes both "+1"s unconditional, so they ride the two adders'
-    constant carry-ins; the leftover single-bit terms collapse into one
-    AND bit and constant ones on the second adder's concat operand.
+    Modulo 2**width the signed product equals the unsigned product of
+    both operands sign-extended to width bits, so concat glue repeats
+    each narrower operand's MSB up to the result width.  An operand at
+    least that wide is read as it is: the core keeps its low width bits.
     """
     ops: list[Operation] = []
-    x = _sliceable(op.operands[0], f"{op.id}_a", namer, ops)
-    y = _sliceable(op.operands[1], f"{op.id}_b", namer, ops)
-    if x.width < 2 or y.width < 2:
-        raise KernelError(
-            Diagnostic(
-                f"signed multiply needs operands of 2+ bits, got "
-                f"{x.width}x{y.width}",
-                op.id,
-            )
-        )
-    if x.width < y.width:
-        x, y = y, x
-    m, n = x.width, y.width
 
-    mag_x = _sub_slice(x, m - 2, 0)  # A, m-1 bits
-    mag_y = _sub_slice(y, n - 2, 0)  # B, n-1 bits
-    sign_x = _sub_slice(x, m - 1, m - 1)
-    sign_y = _sub_slice(y, n - 1, n - 1)
+    def extend(x: Operand, tag: str) -> Operand:
+        pad = op.width - x.width
+        if pad <= 0:
+            return x
+        x = _sliceable(x, f"{op.id}_{tag}", namer, ops)
+        msb = _sub_slice(x, x.width - 1, x.width - 1)
+        return Operand(Concat((msb,) * pad + (x,)), op.width - 1, 0)
 
-    core = Operation(
-        namer.fresh(f"{op.id}_core"), OpKind.MULT_CORE, m + n - 2, False, (mag_x, mag_y)
-    )
-    inv_a = Operation(namer.fresh(f"{op.id}_nota"), OpKind.NOT, m - 1, False, (mag_x,))
-    inv_b = Operation(namer.fresh(f"{op.id}_notb"), OpKind.NOT, n - 1, False, (mag_y,))
-    sel_a = Operation(
-        namer.fresh(f"{op.id}_sela"), OpKind.SELECT, n - 1, False,
-        (sign_x, _result(inv_b), _ones(n - 1)),
-    )
-    sel_b = Operation(
-        namer.fresh(f"{op.id}_selb"), OpKind.SELECT, m - 1, False,
-        (sign_y, _result(inv_a), _ones(m - 1)),
-    )
-    both = Operation(
-        namer.fresh(f"{op.id}_both"), OpKind.SELECT, 1, False,
-        (sign_x, sign_y, _const("0")),
-    )
-    z1 = Operation(
-        namer.fresh(f"{op.id}_lo"), OpKind.ADD, m, False,
-        (_result(core, m + n - 3, n - 1), _result(sel_b)), 1,
-    )
-    hi_operand = Operand(
-        Concat((_const("1"), _result(both), _result(sel_a))), n, 0
-    )
-    z2 = Operation(
-        namer.fresh(f"{op.id}_hi"), OpKind.ADD, n + 1, False,
-        (_result(z1, m - 1, m - n), hi_operand), 1,
-    )
-    parts = [_result(z2)]
-    if m > n:
-        parts.append(_result(z1, m - n - 1, 0))
-    parts.append(_result(core, n - 2, 0))
-    # A result wider than the natural m+n product replicates its sign.
-    if op.width > m + n:
-        parts = [_result(z2, n, n)] * (op.width - (m + n)) + parts
-    cat = Concat(tuple(parts))
-    final = Operation(
-        op.id, OpKind.SELECT, op.width, False,
-        (_const("1"), Operand(cat, cat.width - 1, 0), _const("0")),
-    )
-    ops += [core, inv_a, inv_b, sel_a, sel_b, both, z1, z2, final]
-    return ops
+    a = extend(op.operands[0], "a")
+    b = extend(op.operands[1], "b")
+    return ops + [Operation(op.id, OpKind.MULT_CORE, op.width, False, (a, b))]
 
 
 def extract_kernel(graph: DataFlowGraph) -> tuple[DataFlowGraph, dict[str, tuple[str, ...]]]:
     """Rewrite every design onto unsigned ADD / MULT_CORE / NOT / SELECT.
 
     Unsigned subtracts and signed adds are already modulo-2**w additive,
-    so they only need complement glue or a signedness relabel; signed
-    multiplies get the core decomposition; comparisons and min/max reuse
-    the subtract carry trick.
+    so they only need complement glue or a signedness relabel; a signed
+    multiply becomes one unsigned core over sign-extended operands;
+    comparisons and min/max reuse the subtract carry trick.
 
     Returns the kernel and its trace: original op id -> ids of its
     replacement ops, in definition order.  Ops that pass through

@@ -721,15 +721,12 @@ def random_full_design(seed: int, carries: bool = False) -> DataFlowGraph:
         inputs[0] = InputPort(grown.name, grown.width + 4, grown.signed)
     pool: list[tuple[str, int, bool]] = [(p.name, p.width, True) for p in inputs]
 
-    def operand(width: int, at_least: int = 1) -> Operand:
-        rows = [r for r in pool if r[1] >= at_least]
-        name, src_w, is_input = rng.choice(rows)
+    def operand(width: int) -> Operand:
+        name, src_w, is_input = rng.choice(pool)
         source = InputRef(name) if is_input else ResultRef(name)
-        if src_w > max(width, at_least) and rng.random() < 0.3:
-            lo = rng.randint(1, src_w - width) if src_w > width else 0
-            hi = min(src_w - 1, lo + width - 1)
-            if hi - lo + 1 >= at_least:
-                return Operand(source, hi, lo)
+        if src_w > width and rng.random() < 0.3:
+            lo = rng.randint(1, src_w - width)
+            return Operand(source, lo + width - 1, lo)
         return Operand(source, src_w - 1, 0)
 
     ops = []
@@ -747,13 +744,9 @@ def random_full_design(seed: int, carries: bool = False) -> DataFlowGraph:
             cond = Operand(cond.source, cond.lo, cond.lo)
             operands = (cond, operand(width), operand(width))
         elif kind is OpKind.MULT:
-            # Unsigned multiply is a surface core; the signed decomposition
-            # needs 2+ bit factors.
             if not signed:
-                kind = OpKind.MULT_CORE
-                operands = (operand(width), operand(width))
-            else:
-                operands = (operand(width, at_least=2), operand(width, at_least=2))
+                kind = OpKind.MULT_CORE  # unsigned multiply is a surface core
+            operands = (operand(width), operand(width))
         elif kind is OpKind.LT:
             width = 1 if rng.random() < 0.7 else width
             operands = (operand(8), operand(8))

@@ -102,6 +102,20 @@ def test_core_fed_through_glue_schedules_and_proves(tmp_path, capsys):
     assert report["equiv"]["equivalent"] is True
 
 
+def test_signed_multiply_by_a_one_bit_factor_compiles_and_proves():
+    """A signed multiply is one core over sign-extended factors, so a
+    1-bit factor and a concat factor need no special case."""
+    text = (
+        "design d; input a : s1; input b : s3; input c : u6;"
+        " P: mult s6 = a * {b, b[2:1]}; Q: add u6 = P + c; output Q;"
+    )
+    code, out, err = _run_text(text, ["--latency", "3", "--nbits", "3", "--check-equiv"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["costs"]["cores"] == [{"id": "P", "width": 6}]
+    assert report["equiv"] == {"strategy": "exhaustive", "checked": 1024, "equivalent": True}
+
+
 def test_schedule_lists_a_core_by_its_kind(tmp_path, capsys):
     src = tmp_path / "gluecore.dfg"
     src.write_text(GLUE_CORE_SOURCE)

@@ -137,10 +137,8 @@ def test_fig3_lane_widths(fig3):
 
 def test_cores_are_separate_units(mixed):
     report = costs(run_pipeline(mixed, 6).sched)
-    assert report.cores == (("P_core", 6),)
+    assert report.cores == (("P", 8),)
     assert [(l.parent, l.width) for l in report.lanes] == [
-        ("P_lo", 1),
-        ("P_hi", 1),
         ("Q", 2),
         ("R", 1),
         ("L_sum", 2),

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from bitfrag import KernelError, extract_kernel, parse
+from bitfrag import extract_kernel, parse
 from bitfrag.dfg import Concat, OpKind
 from bitfrag.dsl import emit
 from bitfrag.simulator import check_equiv, eval_dfg
@@ -96,46 +96,77 @@ def test_minmax_lowering_exhaustive(body, inputs):
     assert sel.kind is OpKind.SELECT
 
 
+_SIGNED_MULTS = [
+    ("s4", "s2", "s2", "b"),
+    ("s6", "s3", "s3", "b"),
+    ("s7", "s4", "s3", "b"),
+    ("s7", "s3", "s4", "b"),
+    ("s8", "s4", "s4", "b"),
+    ("s3", "s3", "s3", "b"),
+    # Wider than the natural product: the sign bit must replicate.
+    ("s9", "s4", "s3", "b"),
+    ("s10", "s3", "s4", "b"),
+    ("s8", "s2", "s2", "b"),
+    # 1-bit factors: -1 or 0.
+    ("s2", "s1", "s1", "b"),
+    ("s4", "s1", "s3", "b"),
+    ("s5", "s3", "s1", "b"),
+    # Narrower than a factor: the core reads it as it is.
+    ("s2", "s4", "s4", "b"),
+    ("s4", "s3", "s4", "b"),
+    # A concat factor is extended through a pass-through select.
+    ("s6", "s1", "s3", "{b, b[2:1]}"),
+]
+
+
 @pytest.mark.parametrize(
-    "result, xa, xb",
-    [
-        ("s4", "s2", "s2"),
-        ("s6", "s3", "s3"),
-        ("s7", "s4", "s3"),
-        ("s7", "s3", "s4"),
-        ("s8", "s4", "s4"),
-        ("s3", "s3", "s3"),
-        # Wider than the natural product: the sign bit must replicate.
-        ("s9", "s4", "s3"),
-        ("s10", "s3", "s4"),
-        ("s8", "s2", "s2"),
-    ],
+    "result, xa, xb, factor",
+    _SIGNED_MULTS,
+    ids=["-".join(case[:3]) + ("" if case[3] == "b" else "-concat") for case in _SIGNED_MULTS],
 )
-def test_signed_mult_lowering_exhaustive(result, xa, xb):
-    g, kernel, _ = _kernel_of(
-        _design(f"R: mult {result} = a * b;", f"a : {xa}", f"b : {xb}")
+def test_signed_mult_lowering_exhaustive(result, xa, xb, factor):
+    g, kernel, trace = _kernel_of(
+        _design(f"R: mult {result} = a * {factor};", f"a : {xa}", f"b : {xb}")
     )
-    core = [op for op in kernel.ops if op.kind is OpKind.MULT_CORE]
-    assert len(core) == 1
     eq = check_equiv(g, kernel)
     assert eq.strategy == "exhaustive" and eq.equivalent
+    op = g.op("R")
+    cores = [k for k in kernel.ops if k.kind is OpKind.MULT_CORE]
+    assert [k.id for k in cores] == ["R"] and trace["R"][-1] == "R"
+    assert cores[0].width == op.width
+    assert [o.width for o in cores[0].operands] == [max(op.width, o.width) for o in op.operands]
+    # A factor at least as wide as the result is read as it is.
+    for read, given in zip(cores[0].operands, op.operands):
+        assert read == given or given.width < op.width
+    # Besides the core, only pass-through selects of a concat factor.
+    for k in kernel.ops[:-1]:
+        assert k.kind is OpKind.SELECT and isinstance(k.operands[1].source, Concat)
 
 
 def test_signed_mult_core_width():
-    _, kernel, _ = _kernel_of(_design("R: mult s7 = a * b;", "a : s4", "b : s3"))
-    core = next(op for op in kernel.ops if op.kind is OpKind.MULT_CORE)
-    # Magnitude product of (m-1) x (n-1) bit factors.
-    assert core.width == 5
+    _, kernel, trace = _kernel_of(_design("R: mult s7 = a * b;", "a : s4", "b : s3"))
+    assert trace == {"R": ("R",)}
+    core = kernel.op("R")
+    # One core of the result width over both factors sign-extended to it.
+    assert core.kind is OpKind.MULT_CORE and core.width == 7
+    assert [o.width for o in core.operands] == [7, 7]
 
 
-def test_signed_mult_rejects_single_bit_factor():
-    with pytest.raises(KernelError, match="P: signed multiply needs operands of 2\\+ bits, got 1x3"):
-        extract_kernel(
-            parse(
-                "design d;\ninput a : s1;\ninput b : s3;\n"
-                "P: mult s4 = a * b;\noutput P;"
-            )
-        )
+@pytest.mark.parametrize(
+    "body, inputs",
+    [
+        ("R: mult s2 = a * b;", ("a : s1", "b : s1")),
+        ("R: mult s9 = a * b;", ("a : s4", "b : s3")),
+        ("R: mult s4 = a * b;", ("a : s3", "b : s4")),
+        ("R: mult s6 = a * {b, b[2:1]};", ("a : s1", "b : s3")),
+        ("R: mult s5 = {a, b} * const(101);", ("a : s1", "b : u2")),
+    ],
+    ids=["one-bit", "wide", "truncating", "concat", "concat-const"],
+)
+def test_signed_mult_kernel_round_trips(body, inputs):
+    g, kernel, _ = _kernel_of(_design(body, *inputs))
+    again = parse(emit(kernel))
+    assert again == kernel and check_equiv(g, again).equivalent
 
 
 def test_unsigned_core_passes_through():
@@ -160,9 +191,8 @@ def test_final_op_keeps_original_id(mixed):
 def test_mixed_design_lowering_census(mixed):
     kernel, _ = extract_kernel(mixed)
     kinds = {op.id: op.kind for op in kernel.ops}
-    assert len(kernel.ops) == 18
-    assert kinds["P_core"] is OpKind.MULT_CORE
-    assert kinds["P"] is OpKind.SELECT
+    assert len(kernel.ops) == 10
+    assert kinds["P"] is OpKind.MULT_CORE
     assert kinds["Q"] is OpKind.ADD
     assert kinds["R_not"] is OpKind.NOT and kinds["R"] is OpKind.ADD
     assert kinds["L_sum"] is OpKind.ADD and kernel.op("L_sum").width == 9

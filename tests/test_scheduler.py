@@ -104,10 +104,10 @@ def test_balancing_splits_across_nonconsecutive_cycles(sat):
 
 def test_core_occupies_a_full_cycle(mixed):
     p = run_pipeline(mixed, 6)
-    assert p.sched.cycle_of["P_core"] == 1
+    assert p.sched.cycle_of["P"] == 1
     assert p.sched.loads()[1] == 0
     realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
-    assert realized[("P_core", 0)] == Slot(1, p.n_bits)
+    assert realized[("P", 0)] == Slot(1, p.n_bits)
     assert verify_schedule(p.sched) == []
 
 
