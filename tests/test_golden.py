@@ -12,9 +12,13 @@ import json
 
 import pytest
 
-from bitfrag.cli import EMISSIONS, main
+from bitfrag import extract_kernel
+from bitfrag.cli import EMISSIONS, _arrivals_text, main
+from bitfrag.fragmenter import InfeasibleError, bucket_runs, op_runs
+from bitfrag.scheduler import ScheduleError
+from bitfrag.timing import critical_path
 
-from conftest import DESIGN_DIR
+from conftest import DESIGN_DIR, carried_full_design, random_full_design, run_pipeline
 
 MODES = {
     "plain": [],
@@ -166,3 +170,116 @@ def test_whole_ops_keep_operand_widths(tmp_path, capsys):
     args = [str(src), "--latency", "2", "--nbits", "16", "--emit", "transformed"]
     assert main(args) == 0
     assert capsys.readouterr().out == WHOLE_TRANSFORMED
+
+
+# The bundled designs are all adds, and the benchmark's mixed digest
+# hashes no critical path, no arrival table and no error text.  These
+# digests freeze those outputs on generated designs full of NOT and
+# SELECT glue: per design, the kernel's critical path (ops and time),
+# its ``--emit arrivals`` text, and at latency 2, 3 and 4 under both
+# tilings whether the pipeline at the estimated cycle schedules, or the
+# message of the InfeasibleError or ScheduleError it raises.
+GLUE_GOLDEN = {
+    "carried-0": "8ef57e73e2f6ce23",
+    "carried-1": "1889f51c9b9b042c",
+    "carried-10": "91622d8f9198794c",
+    "carried-11": "72ebc4fc489686f4",
+    "carried-12": "a4481dd1224bac9d",
+    "carried-13": "0a9eb1d3e04a897a",
+    "carried-14": "9861e0c1944f5fe0",
+    "carried-15": "af93bc3b849393e4",
+    "carried-16": "bd291501cc4ec210",
+    "carried-17": "b04c040f7748c495",
+    "carried-18": "03429fc4e78b1832",
+    "carried-19": "c059f3b9054bffef",
+    "carried-2": "abccbf67dc3bdd1f",
+    "carried-20": "8614ab246cf81efb",
+    "carried-21": "e1f61baf47ca466b",
+    "carried-22": "e655c10bd5b6da93",
+    "carried-23": "15b6f503bd63bcaa",
+    "carried-24": "12b9f3947e9920cc",
+    "carried-25": "6feaf94dc10c6e67",
+    "carried-26": "2e01e1f84cd2677f",
+    "carried-27": "b07817fafda6a0d5",
+    "carried-28": "1bad7a27ea410f2a",
+    "carried-29": "6dcffe05bf6c8c30",
+    "carried-3": "c2e03f2d1b882db1",
+    "carried-30": "b3c425054dd3a797",
+    "carried-31": "cbcd14bce4c419b6",
+    "carried-32": "be3ec195c833ccfa",
+    "carried-33": "4491ae4fdd76ce58",
+    "carried-34": "e1b42fc364733909",
+    "carried-35": "bbdc30a8088934ac",
+    "carried-36": "a32c26b628779b14",
+    "carried-37": "686ed846428d4471",
+    "carried-38": "73e6942b5cb6205b",
+    "carried-39": "ec69ea15a08941d8",
+    "carried-4": "6ce758c04e8a0a15",
+    "carried-5": "875acf31c11bf85d",
+    "carried-6": "8082f2b29f9c8f88",
+    "carried-7": "cd2d7b4cfcb1f5f0",
+    "carried-8": "48741a6b4829370d",
+    "carried-9": "22e1dd66af84b5f1",
+    "full-0": "cb68a65d4fa926f9",
+    "full-1": "aec8a4beb113ad19",
+    "full-10": "71e4776337b5caf7",
+    "full-11": "ff4d0ce89ff7e580",
+    "full-12": "3a7f171beacb4373",
+    "full-13": "0c36a29c84cbc7f5",
+    "full-14": "f8d2912d554fe32f",
+    "full-15": "2dca45958d0d74cc",
+    "full-16": "0d8258f4e81dfb5c",
+    "full-17": "29d2f2df4d2e591a",
+    "full-18": "e7f28cb3a13b624c",
+    "full-19": "c15ed90fdb87331b",
+    "full-2": "2dbfcc5682cc6593",
+    "full-20": "b0b8355e578bf8a4",
+    "full-21": "e07eaab30dd5271d",
+    "full-22": "7b6a0ef05cec6911",
+    "full-23": "562b16b638bd3714",
+    "full-24": "cf8b3c686e0fdd62",
+    "full-25": "0ead82c96b6fa69c",
+    "full-26": "bf69b533dabc660a",
+    "full-27": "8967a10b9b181c2c",
+    "full-28": "0b902ddbe7d0f6d2",
+    "full-29": "0083b3b0ce1a4e38",
+    "full-3": "b2feee28f4c0fa96",
+    "full-30": "b321cdc762c7bff4",
+    "full-31": "8534ff746925cc10",
+    "full-32": "020221875b4c0edf",
+    "full-33": "1abcc0916008132f",
+    "full-34": "c1561c49d705db97",
+    "full-35": "1d8d71353c6b8aa7",
+    "full-36": "bc65dce8669f2f78",
+    "full-37": "fe740565ea0690d5",
+    "full-38": "56574de3ab14eefd",
+    "full-39": "1e16556ee7d82291",
+    "full-4": "625236f87e60bd79",
+    "full-5": "504e386efe4f33e6",
+    "full-6": "ed442eee8adb1bae",
+    "full-7": "b707744a9d7a8320",
+    "full-8": "6ad699e817de7582",
+    "full-9": "216ed147a46f0210",
+}
+
+
+def _glue_design_digest(graph) -> str:
+    kernel, _ = extract_kernel(graph)
+    crit = critical_path(kernel)
+    parts = [list(crit.ops), crit.time, _arrivals_text(kernel)]
+    for lam in (2, 3, 4):
+        for runs in (op_runs, bucket_runs):
+            try:
+                run_pipeline(graph, lam, runs=runs)
+                parts.append("ok")
+            except (InfeasibleError, ScheduleError) as err:
+                parts.append(f"{type(err).__name__}: {err}")
+    blob = json.dumps(parts).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GLUE_GOLDEN))
+def test_glue_design_outputs_are_frozen(case):
+    maker, seed = case.rsplit("-", 1)
+    graph = {"full": random_full_design, "carried": carried_full_design}[maker](int(seed))
+    assert _glue_design_digest(graph) == GLUE_GOLDEN[case]
