@@ -8,9 +8,9 @@ that reuses one physical register per boundary slot, and the resulting
 multiplexer fan-ins at register inputs and functional-unit ports.
 
 Register model: a result bit is latched at boundary c when it is
-produced in or before cycle c and some add or core reads it after c.
-Reads are traced through transparent glue; design inputs and outputs
-have dedicated I/O registers and are not counted.  A lane's carry is
+produced in or before cycle c and some add or core reads it after c,
+directly or through glue; design inputs and outputs have dedicated I/O
+registers and are not counted.  A lane's carry is
 latched while the ripple is suspended, that is between the cycles of
 two neighbouring fragments.  The reads and the order of the latched
 bits both come from the graph's bit numbers (``graph.reads``, derived
@@ -82,7 +82,7 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     read bit is held at every boundary from its producing op's cycle (a
     carry's op produces it) up to its last reader's cycle; an
     unscheduled reader or producer holds nothing.  Each boundary lists
-    its refs, OpBit or CarryBit, in bit number order: data bits before
+    its refs, OpBit or CarryBit, in bit number order: unit bits before
     carries, each in definition order and then by bit.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
@@ -92,7 +92,7 @@ def stored_bits(sched: Schedule) -> dict[int, list]:
     for op in graph.ops:
         cycle = cycle_of.get(op.id)
         if cycle is None:
-            continue  # glue reads nothing; an unscheduled unit's reads hold nothing
+            continue  # glue, or an unscheduled unit: its reads hold nothing
         lo = base[op.id]
         for refs in reads[lo:lo + op.width]:
             for r in refs:

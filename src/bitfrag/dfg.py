@@ -309,7 +309,7 @@ class DataFlowGraph:
 
     @cached_property
     def arrivals(self) -> tuple[int, ...]:
-        """Arrival time of every result bit by number, computed by
+        """Arrival time of every unit bit by number, computed by
         ``timing.arrival_table`` on first use and then kept."""
         from .timing import arrival_table  # timing builds on this module
 
@@ -317,11 +317,9 @@ class DataFlowGraph:
 
     @cached_property
     def reads(self) -> tuple[tuple[int, ...], ...]:
-        """Per data bit, what it reads through glue, derived on first use
-        by ``_build_reads``, or for a fragment rewrite (``apply_runs`` keeps
-        the graph it rewrote as ``_rewrite_of``) by ``_carried_reads``."""
-        kernel = self.__dict__.get("_rewrite_of")
-        return _build_reads(self) if kernel is None else _carried_reads(kernel, self)
+        """Per unit bit, the unit bits and carries it reads, derived from
+        the view by ``_build_reads`` on first use."""
+        return _build_reads(self)
 
 
 def operand_slices(operand: Operand) -> list[Operand]:
@@ -528,24 +526,23 @@ def bit_deps(graph: DataFlowGraph) -> dict[tuple[str, int], frozenset[BitRef]]:
 class BitView(NamedTuple):
     """Bit-level view of one graph, shared read-only by every pass.
 
-    Every result bit has a number: bit ``i`` of op ``x`` is
-    ``base[x] + i``, so numbers run in definition order and then by
-    bit.  Each carry that some add reads as its carry-in is numbered
-    after every data bit, again in definition order: ``carried`` lists
-    the ops whose carry is read, so the carry of ``carried[k]`` is
-    number ``len(producers) + k``.
+    Only units, the ops other than NOT/SELECT glue, have numbered bits:
+    bit ``i`` of unit ``x`` is ``base[x] + i``, so numbers run in
+    definition order and then by bit.  Each carry read as a carry-in is
+    numbered after every unit bit, in definition order: the carry of
+    ``carried[k]`` is number ``len(producers) + k``.
 
-    ``producers[n]``, the one dependence table, lists the data bits
-    result bit ``n`` waits on: inputs and constants drop out, and a
-    carry-in becomes the MSB of the op it comes from.  It ascends, so it
-    lists bits in definition order and then by bit, with one exception:
-    a carry-in's MSB goes last unless the bit also reads that MSB as
-    data.  That order is the tie rule of ``critical_path``.  Passes
-    that walk backward (ALAP, the scheduler's region) push along
-    ``producers`` too, and what a bit reads through glue is the graph's
-    (``DataFlowGraph.reads``), derived only once a schedule needs it.
-    The view is built one loop per op kind; ``bit_deps`` states its
-    rules bit by bit, and tests hold one to the other.
+    ``producers[n]``, the one dependence table, lists the unit bits bit
+    ``n`` waits on, each once: those its operand bits are or reach
+    through glue (inputs and constants drop out), in the operand bits'
+    definition order with each glue bit expanded in its place
+    (``_merged``), then an add's ripple predecessor ``n - 1``, or on bit
+    0 its carry-in's MSB unless already there.  A bit that reads no
+    glue, and a core's bit, lists them ascending.  That order is
+    ``critical_path``'s tie rule.  What a unit bit reads is the graph's
+    ``reads``, derived from ``producers`` once a schedule needs it.
+    ``bit_deps`` states the same rules bit by bit, glue included, and
+    tests hold one to the other.
     """
 
     base: dict[str, int]
@@ -553,7 +550,7 @@ class BitView(NamedTuple):
     producers: tuple[tuple[int, ...], ...]
 
     def ref(self, n: int) -> OpBit | CarryBit:
-        """The bit ref numbered ``n``: a data bit's op is the one whose
+        """The bit ref numbered ``n``: a unit bit's op is the one whose
         first bit is the last not above ``n``."""
         size = len(self.producers)
         if n >= size:
@@ -568,14 +565,26 @@ def _padded(bits: range | list) -> chain:
     return chain(bits, repeat(None))
 
 
+def _merged(*bits) -> tuple[int, ...]:
+    """The unit bits that ``bits`` are or reach, each once, in the order
+    ``BitView`` gives producers.  A bit is a unit bit's number, None, or
+    a glue bit's ``(rank, *reach)``: it ranks after the unit bits defined
+    before it, and among glue bits in definition order and then by bit,
+    so unit bit ``n`` ranks as ``(n + 1, -1)``."""
+    ranked = sorted([x if x.__class__ is tuple else ((x + 1, -1), x)
+                     for x in bits if x is not None])
+    return tuple(dict.fromkeys([n for x in ranked for n in x[1:]]))
+
+
 def _numbering(graph: DataFlowGraph) -> tuple[dict[str, int], tuple[str, ...]]:
-    """The view's ``base``, and its ``carried``: every op whose carry is
-    read as a carry-in, in definition order."""
+    """The view's ``base``, of units only, and its ``carried``: every op
+    whose carry is read as a carry-in, in definition order."""
     base: dict[str, int] = {}
     size = 0
     for op in graph.ops:
-        base[op.id] = size
-        size += op.width
+        if not op.kind.glue:
+            base[op.id] = size
+            size += op.width
     read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
     return base, tuple(op.id for op in graph.ops if op.id in read)
 
@@ -584,38 +593,53 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
     """Passes reach the view through ``graph.bit_view``, built once for a
     parsed or kernel graph; a fragmented graph's is ``carried_view``.
 
-    One loop per op kind: NOT, the ripple kinds (ADD, SUB), SELECT, and
-    the opaque kinds.  Each reads an operand as the number of
-    each of its bits (a ``range`` for an op slice, None for an input or
-    constant bit); the ripple loop orders a bit's one or two operand bits
-    by a comparison.  ``bit_deps`` states the same rules through
-    ``_waits``; tests check one against the other.
+    One loop per op kind: glue, the ripple kinds (ADD, SUB) and the
+    opaque kinds.  An operand is read as one entry per bit: a unit bit's
+    number (a ``range`` for a unit's slice), a glue bit's rank and reach
+    (``_merged``), or None for an input or constant bit.  The ripple
+    loop orders plain numbers by a comparison and merges only glue.
     """
     base, carried = _numbering(graph)
+    reach: dict[str, list[tuple]] = {}  # per glue op, each bit's rank and reach
 
     def numbers(opnd: Operand) -> range | list:
         source = opnd.source
         if type(source) is ResultRef:
-            at = base[source.op]
+            at = base.get(source.op)
+            if at is None:
+                return reach[source.op][opnd.lo:opnd.hi + 1]
             return range(at + opnd.lo, at + opnd.hi + 1)
         if type(source) is Concat:
             return [n for s in operand_slices(opnd) for n in numbers(s)]
         return [None] * (opnd.hi - opnd.lo + 1)
 
     producers: list[tuple[int, ...]] = []
-    invert = OpKind.NOT
+    select, glue_bits = OpKind.SELECT, 0
     for op in graph.ops:
-        lo, kind = base[op.id], op.kind
-        bits = range(lo, lo + op.width)
+        kind = op.kind
         operands = [numbers(opnd) for opnd in op.operands]
-        if kind is invert:
-            producers += [() if a is None else (a,) for _, a in zip(bits, _padded(operands[0]))]
-        elif kind.per_bit and not kind.glue:  # ripple: bit i waits on bit i - 1
+        if kind.glue:  # bit i reads bit i of each operand, a select's condition every bit
+            at, ranks = len(producers), range(glue_bits, glue_bits + op.width)
+            glue_bits += op.width
+            if kind is select:
+                cond, columns = operands[0][0], map(_padded, operands[1:])
+                reach[op.id] = [((at, k), *_merged(cond, a, b)) for k, a, b in zip(ranks, *columns)]
+            else:  # NOT: what its one operand bit is or reaches
+                reach[op.id] = [
+                    ((at, k),) if a is None else ((at, k), *a[1:]) if a.__class__ is tuple
+                    else ((at, k), a) for k, a in zip(ranks, _padded(operands[0]))
+                ]
+            continue
+        lo = base[op.id]
+        bits = range(lo, lo + op.width)
+        if kind.per_bit:  # ripple: bit i waits on bit i - 1
             msb = None
             if isinstance(op.carry_in, CarryRef):  # a carry emerges with its op's MSB
                 msb = base[op.carry_in.op] + graph.op(op.carry_in.op).width - 1
             for n, a, b in zip(bits, *map(_padded, operands)):
-                if a is None:
+                if a.__class__ is tuple or b.__class__ is tuple:  # a glue bit: what it reaches
+                    pair = a[1:] if b is None else b[1:] if a is None else _merged(a, b)
+                elif a is None:
                     pair = () if b is None else (b,)
                 elif b is None or a == b:
                     pair = (a,)
@@ -626,16 +650,8 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                 elif msb is not None and msb not in pair:
                     pair = (*pair, msb)
                 producers.append(pair)
-        elif kind.glue:  # SELECT: the condition feeds every bit
-            cond = operands[0][0]
-            producers += [
-                tuple(sorted({cond, a, b} - {None}))
-                for _, a, b in zip(bits, *map(_padded, operands[1:]))
-            ]
         else:  # opaque: every bit waits on every operand bit, one shared tuple
-            whole = {x for nums in operands for x in nums}
-            whole.discard(None)
-            producers += [tuple(sorted(whole))] * op.width
+            producers += [tuple(sorted(_merged(*chain.from_iterable(operands))))] * op.width
     return BitView(base, carried, tuple(producers))
 
 
@@ -643,86 +659,63 @@ def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
     """The view of ``graph``, the fragment rewrite (``apply_runs``) of the
     graph ``view`` belongs to, derived from ``view`` instead of built.
 
-    Fragmenting changes no bit's data dependences.  Every op keeps its
-    place and a split add's fragments take its place, LSB first, so every
-    data bit keeps its number and producers (``view``'s own tuples).
-    Each reassembly select goes last and bears the name of the add it
-    reassembles, so its bit ``n`` waits only on its namesake's bit ``k``
-    in ``view``.  Carries are numbered anew (``_numbering``), and so are
-    the carries the graph reads (``_carried_reads``).  Tests hold the
-    result to ``_build_bit_view(graph)``, table by table.
+    Fragmenting changes no bit's dependences.  A split add's fragments
+    take its place, LSB first, so every unit bit keeps its number and
+    producers (``view``'s own table): a fragment's bit 0 waits on the
+    MSB of the fragment below, as the add's bit did on its ripple.
+    Reassembly selects are glue, with no number.  Only the carries are
+    numbered anew.  Tests hold the result to a fresh build.
     """
     base, carried = _numbering(graph)
-    data = len(view.producers)
-    producers = list(view.producers)
-    for op in graph.ops:
-        if base[op.id] >= data:
-            at = view.base[op.id]
-            producers += [(k,) for k in range(at, at + op.width)]
-    return BitView(base, carried, tuple(producers))
+    return BitView(base, carried, view.producers)
+
+
+def _reads_msb(graph: DataFlowGraph, op: Operation, source: str) -> bool:
+    """Whether bit 0 of an operand of ``op`` is, or reaches through
+    glue, the MSB of ``source``."""
+    top = graph.op(source).width - 1
+    todo = [(opnd, 0) for opnd in op.operands]
+    while todo:
+        opnd, k = todo.pop()
+        ref, bit = opnd.source, opnd.lo + k
+        if k > opnd.hi - opnd.lo or type(ref) is Const or type(ref) is InputRef:
+            continue  # zero-extended, or no op bit
+        if type(ref) is Concat:  # the part that holds the bit, parts MSB first
+            for part in reversed(ref.parts):
+                if bit < part.width:
+                    todo.append((part, bit))
+                    break
+                bit -= part.width
+            continue
+        if ref.op == source and bit == top:
+            return True
+        glue = graph.op(ref.op)
+        if glue.kind.glue:
+            todo += zip(glue.operands, (0, bit, bit) if glue.kind is OpKind.SELECT else (bit,))
+    return False
 
 
 def _build_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
-    """``graph.reads`` of a parsed or kernel graph, from its producers: for
-    a bit of a non-glue op, the data and carry bits of non-glue ops it
-    reads once glue is looked through, ascending; a glue bit reads none.
-    A ripple bit drops its own ripple, its last producer; an add's bit 0
-    drops its carry's MSB, last unless an operand's bit 0 reads it as
-    data, and appends the carry's number."""
+    """``graph.reads``, from its producers: what each unit bit reads.  A
+    ripple bit drops its ripple, its last producer; an add's bit 0 drops
+    its carry-in's MSB, last unless an operand's bit 0 reads it as data,
+    and appends the carry's number."""
     view = graph.bit_view
     base, producers = view.base, view.producers
     size = len(producers)
     carry_of = {x: size + k for k, x in enumerate(view.carried)}
-    glue_reads: dict[int, tuple[int, ...]] = {}  # each glue bit's reads
-
-    def through(refs: tuple) -> tuple:
-        """Ascending ``refs`` with each glue bit replaced by its reads."""
-        if len(refs) == 1:
-            return glue_reads.get(refs[0], refs)
-        if glue_reads.keys().isdisjoint(refs):
-            return refs
-        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
-
     reads: list[tuple[int, ...]] = []
-    for op in graph.ops:
-        lo, width, carry = base[op.id], op.width, op.carry_in
-        prods = producers[lo:lo + width]
-        if op.kind.glue:
-            for n, refs in enumerate(prods, lo):
-                glue_reads[n] = through(refs)
-            reads += [()] * width
-        elif op.kind.per_bit:  # ripple
-            first = prods[0]
-            if type(carry) is CarryRef:
-                top = graph.op(carry.op).width - 1
-                heads = [operand_slices(o)[0] for o in op.operands]
-                if not any(s.source == ResultRef(carry.op) and s.lo == top for s in heads):
-                    first = first[:-1]
-                reads.append((*through(first), carry_of[carry.op]))
-            else:
-                reads.append(through(first))
-            rest = [refs[:-1] for refs in prods[1:]]  # less the bit below
-            reads += map(through, rest) if glue_reads else rest  # no glue yet: none to expand
-        else:  # every bit of an opaque op waits on the same bits
-            reads += [through(prods[0])] * width
-    return tuple(reads)
-
-
-def _carried_reads(kernel: DataFlowGraph, graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
-    """``graph.reads`` of ``graph``, the fragment rewrite of ``kernel``,
-    derived from ``kernel.reads`` as ``carried_view`` derives the view:
-    every data bit reads what it read in ``kernel``, a reassembly select
-    nothing, and each add's bit 0 its carry-in's new number, a fragment
-    above the first its lower neighbour's."""
-    view = graph.bit_view
-    data, size = len(kernel.bit_view.producers), len(view.producers)
-    carry_of = {x: size + k for k, x in enumerate(view.carried)}
-    reads = [*kernel.reads, *[()] * (size - data)]
-    for op in graph.ops:
-        if type(op.carry_in) is CarryRef:
-            n = view.base[op.id]
-            read = reads[n]
-            if read and read[-1] >= data:  # the carry as ``kernel`` numbered it
-                read = read[:-1]
-            reads[n] = (*read, carry_of[op.carry_in.op])
+    for op, lo in zip(map(graph.op, base), base.values()):
+        prods = producers[lo:lo + op.width]
+        if not op.kind.per_bit:  # opaque: every bit reads its producers
+            reads += prods
+            continue
+        first, carry = prods[0], op.carry_in
+        if type(carry) is CarryRef:
+            msb = base[carry.op] + graph.op(carry.op).width - 1
+            if first[-1] == msb and not _reads_msb(graph, op, carry.op):
+                first = first[:-1]
+            first = (*first, carry_of[carry.op])
+        reads.append(first)
+        reads += [refs[:-1] for refs in prods[1:]]  # less the bit below
     return tuple(reads)

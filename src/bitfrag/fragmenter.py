@@ -66,9 +66,9 @@ class Fragment(Record):
 
 
 class Mobility(NamedTuple):
-    """Every data bit's earliest and latest cycle, by the view's bit
+    """Every unit bit's earliest and latest cycle, by the view's bit
     number: ``asap[n]`` and ``alap[n]`` for bit ``n``, so bit ``i`` of
-    op ``x`` is at ``base[x] + i`` (``graph.bit_view.base``)."""
+    unit ``x`` is at ``base[x] + i`` (``graph.bit_view.base``)."""
 
     n_bits: int
     base: dict[str, int]
@@ -88,7 +88,7 @@ class Mobility(NamedTuple):
 
 
 def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
-    """Every bit's latest time for a ``lam``-cycle schedule, by bit
+    """Every unit bit's latest time for a ``lam``-cycle schedule, by bit
     number; raises InfeasibleError when any bit falls before cycle 1."""
     if n_bits < 1:
         raise InfeasibleError(f"cycle must hold at least one bit, got {n_bits}")
@@ -104,8 +104,8 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
     due = lam * n_bits + 1  # depth 1 of the virtual cycle lam + 1
     table = [due] * len(producers)
     core = OpKind.MULT_CORE
-    for op in reversed(graph.ops):
-        lo, width = view.base[op.id], op.width
+    for op, lo in reversed([*zip(map(graph.op, view.base), view.base.values())]):
+        width = op.width
         if op.kind is core:
             # Due at depth 1 of the cycle before its first reader's, so
             # producers retreat a full cycle; every bit reads the same.
@@ -119,9 +119,8 @@ def alap_table(graph: DataFlowGraph, n_bits: int, lam: int) -> list[int]:
                 if table[p] > t:
                     table[p] = t
             continue
-        glue = op.kind.glue  # transparent: finishes exactly where it is read
         for n in range(lo + width - 1, lo - 1, -1):
-            t = table[n] if glue else table[n] - 1
+            t = table[n] - 1
             if t < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
@@ -299,10 +298,8 @@ def apply_runs(
 
     new_graph = DataFlowGraph(graph.name, graph.inputs, tuple(new_ops), graph.outputs)
     check(new_graph)
-    # Kept where the cached ``bit_view`` property looks first, and the
-    # graph ``reads`` derives its own from on first use.
+    # Kept where the cached ``bit_view`` property looks first.
     new_graph.__dict__["bit_view"] = carried_view(graph.bit_view, new_graph)
-    new_graph.__dict__["_rewrite_of"] = graph
     return fragments, new_graph
 
 

@@ -37,7 +37,7 @@ import heapq
 from bisect import bisect_right, insort
 from functools import cached_property
 
-from .dfg import DataFlowGraph, FrozenRecord, OpKind
+from .dfg import CarryBit, DataFlowGraph, FrozenRecord, InputBit, OpKind, bit_deps
 from .fragmenter import Fragment, InfeasibleError, Mobility, alap_table, analyze
 
 
@@ -89,27 +89,27 @@ def unit_windows(
     """
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
-    for op in graph.ops:
-        if op.kind.glue:
-            continue
-        if op.id in frag_of:
-            frag = frag_of[op.id]
-            windows[op.id] = (frag.asap_cycle, frag.alap_cycle)
-            continue
-        windows[op.id] = mobility.window(op)
+    for uid in graph.bit_view.base:
+        frag = frag_of.get(uid)
+        if frag is None:
+            windows[uid] = mobility.window(graph.op(uid))
+        else:
+            windows[uid] = (frag.asap_cycle, frag.alap_cycle)
     return windows
 
 
 def _realized_table(
     graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
 ) -> tuple[list[tuple[int, int]], list[str]]:
-    """Availability slot of every data bit under a concrete assignment,
+    """Availability slot of every unit bit under a concrete assignment,
     as ``(cycle, depth)`` pairs by bit number, and the legality problems.
 
     Adds chain within their cycle (depth 1 + deepest same-cycle
-    producer), glue is transparent, core results fill their cycle.
-    The problems are operands read before they exist, chains deeper
-    than the cycle holds, and core inputs not complete in a prior cycle.
+    producer), core results fill their cycle.  The problems are operands
+    read before they exist, chains deeper than the cycle holds, and core
+    inputs not complete in a prior cycle.  A bit reading a late operand
+    chains on the operand bits ready by then, a glue bit once all it
+    reads is; only that path reads ``bit_deps``.
     """
     view = graph.bit_view
     producers = view.producers
@@ -117,14 +117,20 @@ def _realized_table(
     at = table.__getitem__
     problems: list[str] = []
     core = OpKind.MULT_CORE
-    for op in graph.ops:
-        lo, width = view.base[op.id], op.width
-        if op.kind.glue:
-            for n in range(lo, lo + width):
-                prods = producers[n]
-                table[n] = max(map(at, prods)) if prods else (0, 0)
-            continue
-        cycle = cycle_of[op.id]
+    deps: dict = {}  # ``bit_deps``, read only once an operand is late
+
+    def slot(ref) -> tuple[int, int]:
+        """Where a ref ``bit_deps`` names is ready: an input at (0, 0), a
+        carry with its op's MSB, a glue bit once all it reads is."""
+        if type(ref) is InputBit:
+            return (0, 0)
+        op, bit = ref.op, graph.op(ref.op).width - 1 if type(ref) is CarryBit else ref.bit
+        if op in view.base:
+            return table[view.base[op] + bit]
+        return max(map(slot, deps[(op, bit)]), default=(0, 0))
+
+    for op, lo in zip(map(graph.op, view.base), view.base.values()):
+        width, cycle = op.width, cycle_of[op.id]
         if op.kind is core:
             prods = producers[lo]
             ready = max(map(at, prods))[0] if prods else 0
@@ -141,8 +147,10 @@ def _realized_table(
                 problems.append(
                     f"{op.id}[{n - lo}]: operand ready in cycle {ready}, read in {cycle}"
                 )
-                # Chain on what is ready by then.
-                ready_by = [s for s in map(at, prods) if s[0] <= cycle]
+                # Chain on the operand bits ready by then, a glue bit
+                # counting as one.
+                deps = deps or bit_deps(graph)
+                ready_by = [s for s in map(slot, deps[(op.id, n - lo)]) if s[0] <= cycle]
                 ready, depth = max(ready_by) if ready_by else (0, 0)
             depth = 1 + depth if ready == cycle else 1
             if depth > n_bits:
@@ -157,7 +165,8 @@ class _Plan:
     """Greedy completions of the placements made so far.
 
     ``cycle_of`` holds the placed units and ``base`` the time table of
-    its greedy completion, by bit number.
+    its greedy completion, by bit number; units go by position, in
+    definition order (``bit_view.base``).
     ``base`` is None when the completion of the pins fails; ``schedule``
     then stops before placing anything, so a placement always starts
     from a base that fits.  A candidate re-settles its unit and then, in
@@ -177,28 +186,27 @@ class _Plan:
         self.cycle_of = cycle_of
         view = graph.bit_view
         self.producers = view.producers
-        self.position = {op.id: k for k, op in enumerate(graph.ops)}
-        # Per op, by position: whether it is glue, whether it is a core,
-        # its bit numbers, the bits of other ops it reads (every number
-        # below its own belongs to another op; none for glue, which
-        # ``settle`` chains bit by bit), and the ops that read it.
+        self.units = [graph.op(uid) for uid in view.base]
+        self.position = {uid: k for k, uid in enumerate(view.base)}
+        # Per unit, by position: whether it is a core, its bit numbers,
+        # the bits of other units it reads (every number below its own
+        # belongs to another unit), and the units that read it.
         core = OpKind.MULT_CORE
-        self.glue = [op.kind.glue for op in graph.ops]
-        self.core = [op.kind is core for op in graph.ops]
-        self.bits = [range(view.base[op.id], view.base[op.id] + op.width) for op in graph.ops]
+        self.core = [op.kind is core for op in self.units]
+        self.bits = [range(lo, lo + op.width) for op, lo in zip(self.units, view.base.values())]
         self.feeds = [
-            () if glue else tuple({p for n in bits for p in self.producers[n] if p < bits.start})
-            for glue, bits in zip(self.glue, self.bits)
+            tuple({p for n in bits for p in self.producers[n] if p < bits.start})
+            for bits in self.bits
         ]
         owner = [k for k, bits in enumerate(self.bits) for _ in bits]
-        self.successors: list[set[int]] = [set() for _ in graph.ops]
+        self.successors: list[set[int]] = [set() for _ in self.units]
         for k, bits in enumerate(self.bits):
             for j in {owner[p] for n in bits for p in self.producers[n] if p < bits.start}:
                 self.successors[j].add(k)
         self.base = self._complete()
 
     def settle(self, k: int, pin: int | None, table: list[int]) -> bool:
-        """Write the times of the bits of the op at position ``k`` into
+        """Write the times of the bits of the unit at position ``k`` into
         ``table``, indexed by bit number; False if it cannot fit.
 
         An unplaced core (``pin`` None) takes the cycle after its inputs
@@ -210,13 +218,8 @@ class _Plan:
         by bit, and a keyword call costs about 600 ns a bit on CPython
         3.11 against 300 for the positional one.
         """
-        op, bits, producers, n_bits = self.graph.ops[k], self.bits[k], self.producers, self.n_bits
+        op, bits, producers, n_bits = self.units[k], self.bits[k], self.producers, self.n_bits
         at = table.__getitem__
-        if self.glue[k]:
-            for n in bits:
-                prods = producers[n]
-                table[n] = max(map(at, prods)) if prods else 0
-            return True
         feeds = self.feeds[k]
         ready = -(-max(map(at, feeds)) // n_bits) if feeds else 0
         if self.core[k]:
@@ -249,7 +252,7 @@ class _Plan:
     def _complete(self) -> list[int] | None:
         """The whole completion table of ``cycle_of``, or None."""
         table = [0] * len(self.producers)
-        for k, op in enumerate(self.graph.ops):
+        for k, op in enumerate(self.units):
             if not self.settle(k, self.cycle_of.get(op.id), table):
                 return None
         return table
@@ -259,7 +262,7 @@ class _Plan:
         with the changed region re-settled, or None if the completion no
         longer fits the budget."""
         base = self.base
-        ops = self.graph.ops
+        ops = self.units
         table = base.copy()
         heap = [self.position[uid]]
         queued = set(heap)
@@ -414,10 +417,10 @@ def verify_schedule(sched: Schedule) -> list[str]:
     core, or an add whose record is gone), to check its window, else
     ``alap_table`` alone.  The output is then as if they had run first.
     A replay with every unit in ``1..lam`` and no realized problem puts
-    every bit at or after its ASAP time and at or before its ALAP time,
-    itself at least 1, so neither can fail there nor exclude a unit:
-    adds chain forward at least one step, glue is transparent and a
-    core's inputs finish in an earlier cycle.
+    every unit bit at or after its ASAP time and at or before its ALAP
+    time, itself at least 1, so neither can fail there nor exclude a
+    unit: adds chain forward at least one step, glue has no step of its
+    own and a core's inputs finish in an earlier cycle.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
@@ -427,10 +430,7 @@ def verify_schedule(sched: Schedule) -> list[str]:
         window escape; and where in the list the escapes are."""
         problems: list[str] = []
         escapes: set[int] = set()
-        for op in graph.ops:
-            if op.kind.glue:
-                continue
-            uid = op.id
+        for uid in graph.bit_view.base:
             if uid not in cycle_of:
                 problems.append(f"{uid}: not scheduled")
                 continue
@@ -453,13 +453,13 @@ def verify_schedule(sched: Schedule) -> list[str]:
             if a.id in cycle_of and b.id in cycle_of:
                 if cycle_of[a.id] > cycle_of[b.id]:
                     rest.append(f"{parent}: fragment {a.id} after its higher half {b.id}")
-    if all(op.id in cycle_of for op in graph.ops if not op.kind.glue):
+    if all(uid in cycle_of for uid in graph.bit_view.base):
         rest += _realized_table(graph, sched.n_bits, cycle_of)[1]
 
     if not (problems or rest or sched.n_bits < 1 or lam < 1):
         return []
     try:
-        if any(not op.kind.glue and op.id not in frag_of for op in graph.ops):
+        if any(uid not in frag_of for uid in graph.bit_view.base):
             mobility = analyze(graph, sched.n_bits, lam)
             problems, escapes = unit_problems(unit_windows(graph, mobility, sched.fragments))
         else:

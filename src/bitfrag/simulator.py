@@ -428,23 +428,23 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     the intervening boundary, or if a unit has no cycle.  The units are
     walked once, by cycle and then in definition order, so the first
     unlatched read of the earliest cycle is the one named, before any
-    unscheduled unit.  Nothing here depends on input values, so one
-    check covers every vector.  Returns what ``eval_schedule`` traces:
+    unscheduled unit, and of its bit the lowest number it reads.
+    Nothing here depends on input values, so one check covers every
+    vector.  Returns what ``eval_schedule`` traces:
     the units by cycle, each in definition order, and ``Schedule.held``.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     view, reads = graph.bit_view, graph.reads
     base, held = view.base, sched.held
     # Units by cycle, each in definition order; a unit with no cycle in
-    # 1 .. lam goes to ``missing``.  ``made`` is the cycle of every bit's
-    # producing op by bit number; an unscheduled producer gets lam + 1,
-    # so it fails no latch, as ``missing`` reports it.
+    # 1 .. lam goes to ``missing``.  ``made`` is the cycle of every unit
+    # bit's op by bit number; an unscheduled producer gets lam + 1, so
+    # it fails no latch, as ``missing`` reports it.
     units: dict[int, list[Operation]] = {c: [] for c in range(1, lam + 1)}
     missing: list[Operation] = []
     made: list[int] = []
-    for op in graph.ops:
-        if not op.kind.glue:
-            units.get(cycle_of.get(op.id), missing).append(op)
+    for op in map(graph.op, base):
+        units.get(cycle_of.get(op.id), missing).append(op)
         made += [cycle_of.get(op.id, lam + 1)] * op.width
     carry_no = {x: len(made) + k for k, x in enumerate(view.carried)}
     made += [cycle_of.get(x, lam + 1) for x in view.carried]
@@ -456,9 +456,10 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
             for refs in reads[lo:lo + op.width]:
                 for r in refs:
                     if made[r] < cycle and r not in latched:
+                        lowest = min([x for x in refs if made[x] < cycle and x not in latched])
                         raise SimulationError(
                             f"cycle {cycle}: {op.id} reads unlatched "
-                            f"bit {view.ref(r)} across boundary {cycle - 1}"
+                            f"bit {view.ref(lowest)} across boundary {cycle - 1}"
                         )
     if missing:
         raise SimulationError(

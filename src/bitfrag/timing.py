@@ -15,7 +15,7 @@ from bisect import bisect_right
 from math import ceil
 from typing import NamedTuple
 
-from .dfg import DataFlowGraph, OpKind
+from .dfg import DataFlowGraph, OpBit, OpKind, bit_deps
 
 KERNEL_ONLY = "timing runs on kernel-extracted designs, found {kind} op {id}"
 
@@ -36,12 +36,12 @@ def _check_kernel(graph: DataFlowGraph) -> None:
 
 
 def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int, ...]:
-    """Arrival time of every result bit of a kernel, by bit number.
+    """Arrival time of every unit bit of a kernel, by bit number.
 
     Passes read it as ``graph.arrivals``, which runs this once per graph
     and keeps the table with the graph, as ``graph.bit_view`` is kept.
-    With ``n_bits``, the ASAP time of every bit of any design, where
-    every kind but glue and the core costs a delta a bit: a core rounds
+    With ``n_bits``, the ASAP time of every unit bit of any design,
+    where every kind but the core costs a delta a bit: a core rounds
     its inputs up to a cycle boundary and fills the next cycle.
     Each bit calls ``max`` positionally, ``if prods else 0`` standing
     for ``default=0``: on CPython 3.11 a keyword argument sends the call
@@ -56,61 +56,67 @@ def arrival_table(graph: DataFlowGraph, n_bits: int | None = None) -> tuple[int,
     arrival = [0] * len(producers)
     at = arrival.__getitem__
     core = OpKind.MULT_CORE
-    for op in graph.ops:
-        lo, width = view.base[op.id], op.width
+    for op, lo in zip(map(graph.op, view.base), view.base.values()):
         if op.kind is core:
             # Every bit of a core waits on the same producers.
             prods = producers[lo]
             worst = max(map(at, prods)) if prods else 0
             if n_bits is not None:
                 worst = (-(-worst // n_bits) + 1) * n_bits
-            arrival[lo:lo + width] = [worst] * width
+            arrival[lo:lo + op.width] = [worst] * op.width
             continue
-        cost = 0 if op.kind.glue else 1
-        for n in range(lo, lo + width):
+        for n in range(lo, lo + op.width):
             prods = producers[n]
-            arrival[n] = cost + (max(map(at, prods)) if prods else 0)
+            arrival[n] = 1 + (max(map(at, prods)) if prods else 0)
     return tuple(arrival)
 
 
 def bit_arrivals(graph: DataFlowGraph) -> dict[tuple[str, int], int]:
     """Arrival time of every result bit by ``(op, bit)``, in definition
-    order and then by bit; inputs and constants arrive at 0."""
-    arrival, base = graph.arrivals, graph.bit_view.base
-    return {(op.id, i): arrival[base[op.id] + i] for op in graph.ops for i in range(op.width)}
+    order and then by bit; inputs and constants arrive at 0.  A glue bit
+    has no number, and arrives with the latest bit it reads
+    (``dfg.bit_deps``)."""
+    arrival, base, deps = graph.arrivals, graph.bit_view.base, bit_deps(graph)
+    out: dict[tuple[str, int], int] = {}
+    for key, refs in deps.items():  # in definition order and then by bit
+        if key[0] in base:
+            out[key] = arrival[base[key[0]] + key[1]]
+        else:  # glue; an OpBit equals its key
+            out[key] = max([0] + [out[r] for r in refs if type(r) is OpBit])
+    return out
 
 
 def critical_path(graph: DataFlowGraph) -> CriticalPath:
     """Longest bit chain, reported at operation granularity.
 
-    Backtracks the arrival recurrence from the worst bit, walking
-    through glue transparently and stopping at inputs or at the opaque
-    multiplier core.  Ties go to the earliest bit in definition order,
-    the lowest bit number, and among producers to the first in
-    ``bit_view.producers`` order.
+    Backtracks the arrival recurrence from the worst bit over unit bits,
+    whose producers already stand for the glue between them, and stops
+    at inputs or at the opaque multiplier core.  Ties go to the earliest
+    bit in definition order, the lowest bit number, and among producers
+    to the first in ``bit_view.producers`` order.
     """
     arrival = graph.arrivals
     if not arrival:
         return CriticalPath((), 0)
 
     view = graph.bit_view
-    starts = list(view.base.values())  # each op's bit 0, in definition order
+    units, starts = list(view.base), list(view.base.values())  # each unit's bit 0
     time = max(arrival)
     cur = arrival.index(time)
     path: list[str] = []
-    add, core = OpKind.ADD, OpKind.MULT_CORE
+    core = OpKind.MULT_CORE
     while True:
-        op = graph.ops[bisect_right(starts, cur) - 1]
+        op = graph.op(units[bisect_right(starts, cur) - 1])
         if op.kind is core:
             break
-        if op.kind is add and (not path or path[0] != op.id):
+        if not path or path[0] != op.id:  # a kernel's other units are adds
             path.insert(0, op.id)
         prods = view.producers[cur]
         if not prods:
             break
         times = [arrival[p] for p in prods]
         worst = max(times)
-        if worst == 0 and op.kind is add:
+        if worst == 0:
             break  # remaining chain is input-fed
         cur = prods[times.index(worst)]
     return CriticalPath(tuple(path), time)

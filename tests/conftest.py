@@ -209,42 +209,53 @@ class KeyedView:
     ``(op, bit)`` and derived from ``bit_deps`` alone, so tests need not
     read the view's layout.
 
-    ``producers`` maps every result bit to the keys it waits on, a carry
-    standing for its op's MSB; ``reads`` maps every bit of a non-glue op
-    to the OpBit/CarryBit refs of non-glue ops it reads through glue,
-    less its op's own ripple.
+    ``producers`` maps every unit bit (a bit of any op but glue) to the
+    unit keys it waits on, in the view's order: its other ops' bits as
+    ``bit_deps`` ranks them (definition order, then bit, glue bits
+    among them), each glue bit replaced in its place by what it
+    reaches, each key once (an opaque op's ascending), then its ripple,
+    or on bit 0 its carry-in's MSB unless already there.  ``reads``
+    maps every unit bit to the OpBit/CarryBit refs of units it reads
+    through glue, less its op's own ripple.
     """
 
-    producers: dict[tuple[str, int], frozenset[tuple[str, int]]]
+    producers: dict[tuple[str, int], tuple[tuple[str, int], ...]]
     reads: dict[tuple[str, int], frozenset]
 
 
 @functools.lru_cache(maxsize=64)
 def keyed_view(graph: DataFlowGraph) -> KeyedView:
     deps = bit_deps(graph)
+    rank = {key: n for n, key in enumerate(deps)}  # every op bit, glue included
 
-    def key(ref) -> tuple[str, int]:  # a carry emerges with its op's MSB
-        if isinstance(ref, CarryBit):
-            return (ref.op, graph.op(ref.op).width - 1)
-        return (ref.op, ref.bit)
+    def reach(ref) -> list:
+        """The unit bits an OpBit is or reaches through glue, in order."""
+        if not graph.op(ref.op).kind.glue:
+            return [ref]
+        bits = sorted((r for r in deps[ref] if isinstance(r, OpBit)), key=rank.__getitem__)
+        return [x for r in bits for x in reach(r)]
 
-    def through_glue(ref) -> set:
-        if isinstance(ref, OpBit) and graph.op(ref.op).kind.glue:
-            return set().union(*(through_glue(r) for r in deps[(ref.op, ref.bit)]))
-        return {ref} if isinstance(ref, (OpBit, CarryBit)) else set()
-
-    producers = {
-        k: frozenset(key(r) for r in refs if isinstance(r, (OpBit, CarryBit)))
-        for k, refs in deps.items()
-    }
-    reads = {}
+    producers, reads = {}, {}
     for op in graph.ops:
         if op.kind.glue:
             continue
-        ripple = {OpBit(op.id, b) for b in range(op.width)}
         for i in range(op.width):
-            seen = set().union(*(through_glue(r) for r in deps[(op.id, i)]))
-            reads[(op.id, i)] = frozenset(seen - ripple)
+            key = (op.id, i)
+            refs = deps[key]
+            data = sorted((r for r in refs if isinstance(r, OpBit) and r.op != op.id),
+                          key=rank.__getitem__)
+            order = list(dict.fromkeys(x for r in data for x in reach(r)))
+            if not op.kind.per_bit:
+                order.sort(key=rank.__getitem__)
+            if i > 0 and op.kind.per_bit:
+                order.append(OpBit(op.id, i - 1))
+            carries = [r for r in refs if isinstance(r, CarryBit)]
+            for r in carries:  # a carry emerges with its op's MSB
+                msb = OpBit(r.op, graph.op(r.op).width - 1)
+                if msb not in order:
+                    order.append(msb)
+            producers[key] = tuple((x.op, x.bit) for x in order)
+            reads[key] = frozenset({*(x for r in data for x in reach(r)), *carries})
     return KeyedView(producers, reads)
 
 
@@ -515,94 +526,110 @@ def lex_oracle(text: str) -> list[tuple[str, str, int]]:
     ]
 
 
+def _keyed_slot(graph: DataFlowGraph, table: dict):
+    """Where a ``bit_deps`` ref sits in ``table``, keyed by ``(op, bit)``:
+    an input at (0, 0), a carry with its op's MSB."""
+    def at(ref) -> tuple[int, int]:
+        if isinstance(ref, InputBit):
+            return (0, 0)
+        if isinstance(ref, CarryBit):
+            return table[(ref.op, graph.op(ref.op).width - 1)]
+        return table[ref]
+    return at
+
+
 def asap_pairs(graph: DataFlowGraph, n_bits: int) -> list[tuple[int, int]]:
-    """Pair oracle for ``bit_asap``: every bit's earliest ``(cycle,
-    depth)`` slot by bit number, spilling a chain by hand."""
-    view = graph.bit_view
-    producers = view.producers
+    """Pair oracle for ``bit_asap``: every unit bit's earliest ``(cycle,
+    depth)`` slot by bit number, spilling a chain by hand.  Computed
+    over ``bit_deps`` for every op bit, glue included, which is ready
+    with the latest bit it reads."""
+    deps = bit_deps(graph)
     # Inputs and constants are ready at (0, 0), the start of every
     # producer max.
-    table = [(0, 0)] * len(producers)
-    at = table.__getitem__
+    table: dict = {}
+    at = _keyed_slot(graph, table)
     for op in graph.ops:
-        lo, width = view.base[op.id], op.width
+        keys = [(op.id, i) for i in range(op.width)]
         if op.kind is OpKind.MULT_CORE:
             # Core inputs must be complete in a prior cycle; results
             # fill their cycle so consumers spill to the next one.
-            latest = max(map(at, producers[lo]), default=(0, 0))[0]
-            table[lo:lo + width] = [(latest + 1, n_bits)] * width
+            latest = max((at(r) for k in keys for r in deps[k]), default=(0, 0))[0]
+            table.update(dict.fromkeys(keys, (latest + 1, n_bits)))
         elif op.kind.glue:
-            for n in range(lo, lo + width):
-                table[n] = max(map(at, producers[n]), default=(0, 0))
+            for k in keys:
+                table[k] = max(map(at, deps[k]), default=(0, 0))
         else:
-            for n in range(lo, lo + width):
+            for k in keys:
                 # Adds start in cycle 1.
-                cycle, depth = max(max(map(at, producers[n]), default=(0, 0)), (1, 0))
+                cycle, depth = max(max(map(at, deps[k]), default=(0, 0)), (1, 0))
                 if depth < n_bits:
-                    table[n] = (cycle, depth + 1)
+                    table[k] = (cycle, depth + 1)
                 else:
-                    table[n] = (cycle + 1, 1)
-    return table
+                    table[k] = (cycle + 1, 1)
+    return [table[k] for k in unit_keys(graph)]
 
 
-def producer_inverse(graph: DataFlowGraph) -> list[list[int]]:
-    """Every data bit's consumers by number: the inverse of
-    ``bit_view.producers``, each list ascending."""
-    producers = graph.bit_view.producers
-    consumers: list[list[int]] = [[] for _ in producers]
-    for n, prods in enumerate(producers):
-        for p in prods:
-            consumers[p].append(n)
+def producer_inverse(graph: DataFlowGraph) -> dict[tuple[str, int], list[tuple[str, int]]]:
+    """Every op bit's readers by ``(op, bit)``, glue included, read off
+    ``bit_deps``: a carry-in reads its op's MSB."""
+    consumers: dict = {(op.id, i): [] for op in graph.ops for i in range(op.width)}
+    for key, refs in bit_deps(graph).items():
+        for r in refs:
+            if isinstance(r, CarryBit):
+                consumers[(r.op, graph.op(r.op).width - 1)].append(key)
+            elif isinstance(r, OpBit):
+                consumers[r].append(key)
     return consumers
 
 
 def consumer_successors(graph: DataFlowGraph) -> list[set[int]]:
-    """Oracle for ``scheduler._Plan.successors``: per op, by position,
-    the other ops that consume one of its bits, read off the inverse of
-    ``producers``."""
-    view, consumers = graph.bit_view, producer_inverse(graph)
-    owner = [k for k, op in enumerate(graph.ops) for _ in range(op.width)]
-    return [
-        {owner[c] for n in range(view.base[op.id], view.base[op.id] + op.width)
-         for c in consumers[n]} - {k}
-        for k, op in enumerate(graph.ops)
-    ]
+    """Oracle for ``scheduler._Plan.successors``: per unit, by position
+    in definition order, the other units that wait on one of its bits,
+    read off ``keyed_view`` (``bit_deps``), not off the view."""
+    units = [op.id for op in graph.ops if not op.kind.glue]
+    position = {uid: k for k, uid in enumerate(units)}
+    out: list[set[int]] = [set() for _ in units]
+    for (uid, _), prods in keyed_view(graph).producers.items():
+        for op_id, _ in prods:
+            if op_id != uid:
+                out[position[op_id]].add(position[uid])
+    return out
 
 
 def alap_pairs(graph: DataFlowGraph, n_bits: int, lam: int) -> list[tuple[int, int]]:
-    """Pair oracle for ``bit_alap``: every bit's latest ``(cycle,
-    depth)`` slot by bit number, or the InfeasibleError it raises."""
-    view = graph.bit_view
+    """Pair oracle for ``bit_alap``: every unit bit's latest ``(cycle,
+    depth)`` slot by bit number, or the InfeasibleError it raises.
+    Computed over the readers ``bit_deps`` gives every op bit, glue
+    included, which is due where its earliest reader is."""
     consumers = producer_inverse(graph)
     due = (lam + 1, 1)
-    table = [due] * len(consumers)
-    at = table.__getitem__
+    table: dict = {}
     for op in reversed(graph.ops):
-        lo, width = view.base[op.id], op.width
+        keys = [(op.id, i) for i in range(op.width)]
         if op.kind is OpKind.MULT_CORE:
-            users = itertools.chain.from_iterable(consumers[lo:lo + width])
-            cycle = min(map(at, users), default=due)[0] - 1
+            users = [table[c] for k in keys for c in consumers[k]]
+            cycle = min(users, default=due)[0] - 1
             if cycle < 1:
                 raise InfeasibleError(
                     f"latency {lam} too small: {op.id} would finish before cycle 1"
                 )
             # Results due at depth 1 so producers retreat a full cycle.
-            table[lo:lo + width] = [(cycle, 1)] * width
+            table.update(dict.fromkeys(keys, (cycle, 1)))
         elif op.kind.glue:
-            for n in range(lo + width - 1, lo - 1, -1):
-                table[n] = min(map(at, consumers[n]), default=due)
+            for k in reversed(keys):
+                table[k] = min([table[c] for c in consumers[k]], default=due)
         else:
-            for n in range(lo + width - 1, lo - 1, -1):
-                cycle, depth = min(map(at, consumers[n]), default=due)
+            for i, k in reversed(list(enumerate(keys))):
+                cycle, depth = min([table[c] for c in consumers[k]], default=due)
                 depth -= 1
                 if depth < 1:
                     cycle, depth = cycle - 1, n_bits
                 if cycle < 1:
                     raise InfeasibleError(
-                        f"latency {lam} too small: {op.id}[{n - lo}] would fall before cycle 1"
+                        f"latency {lam} too small: {op.id}[{i}] would fall before cycle 1"
                     )
-                table[n] = (cycle, depth)
-    return table
+                table[k] = (cycle, depth)
+    return [table[k] for k in unit_keys(graph)]
 
 
 def slot_time(slot: tuple[int, int], n_bits: int) -> int:
@@ -628,7 +655,7 @@ class Slot(NamedTuple):
 
 
 def slot_dict(graph: DataFlowGraph, pairs: list[tuple[int, int]]) -> dict[tuple[str, int], Slot]:
-    """A per-data-bit table of ``(cycle, depth)`` pairs by ``(op, bit)``
+    """A per-unit-bit table of ``(cycle, depth)`` pairs by ``(op, bit)``
     key, in number order, each pair made a ``Slot``."""
     return dict(zip(eager_keys(graph), map(Slot._make, pairs)))
 
@@ -646,19 +673,18 @@ def _slots(
 
 
 def bit_asap(graph: DataFlowGraph, n_bits: int) -> dict[tuple[str, int], Slot]:
-    """Earliest slot per bit, from ``arrival_table(graph, n_bits)``;
+    """Earliest slot per unit bit, from ``arrival_table(graph, n_bits)``;
     inputs sit at (0, 0)."""
     return _slots(graph, arrival_table(graph, n_bits), n_bits)
 
 
 def bit_alap(graph: DataFlowGraph, n_bits: int, lam: int) -> dict[tuple[str, int], Slot]:
-    """Latest slot per bit for a ``lam``-cycle schedule, from
+    """Latest slot per unit bit for a ``lam``-cycle schedule, from
     ``alap_table``.
 
     Design outputs (and dangling results) are due at a virtual slot
-    (lam + 1, 1); only glue can stay there, every add and core bit
-    lands in cycle lam or earlier.  Raises InfeasibleError when any bit
-    falls before cycle 1.
+    (lam + 1, 1); every add and core bit lands in cycle lam or earlier.
+    Raises InfeasibleError when any bit falls before cycle 1.
     """
     return _slots(graph, alap_table(graph, n_bits, lam), n_bits)
 
@@ -667,7 +693,7 @@ def realized_slots(
     graph: DataFlowGraph, n_bits: int, cycle_of: dict[str, int]
 ) -> tuple[dict[tuple[str, int], Slot], list[str]]:
     """``scheduler._realized_table`` as a slot dict: the availability
-    slot of every data bit under a concrete assignment, by ``(op, bit)``
+    slot of every unit bit under a concrete assignment, by ``(op, bit)``
     key, and the legality problems it finds."""
     table, problems = _realized_table(graph, n_bits, cycle_of)
     return slot_dict(graph, table), problems
@@ -783,19 +809,24 @@ def carried_full_design(seed: int) -> DataFlowGraph:
 DESIGN_MAKERS = (random_add_design, random_full_design, carried_add_design, carried_full_design)
 
 
+def unit_keys(graph: DataFlowGraph) -> list[tuple[str, int]]:
+    """The ``(op, bit)`` key of every unit bit, a bit of any op but
+    NOT/SELECT glue, in definition order and then by bit."""
+    return [(op.id, i) for op in graph.ops if not op.kind.glue for i in range(op.width)]
+
+
 def eager_keys(graph: DataFlowGraph) -> tuple:
     """The key of every bit number, counted out op by op: the ``(op,
-    bit)`` key of every data bit in definition order and then by bit,
-    then the ``CarryBit`` of every add whose carry is read as a
-    carry-in, in definition order.  Oracle for ``BitView.ref`` and the
-    order of every table by ``(op, bit)``."""
-    keys: list = [(op.id, i) for op in graph.ops for i in range(op.width)]
+    bit)`` key of every unit bit (``unit_keys``), then the ``CarryBit``
+    of every add whose carry is read as a carry-in, in definition
+    order.  Oracle for ``BitView.ref`` and the order of every table by
+    ``(op, bit)``."""
     read = {op.carry_in.op for op in graph.ops if isinstance(op.carry_in, CarryRef)}
-    return (*keys, *(CarryBit(op.id) for op in graph.ops if op.id in read))
+    return (*unit_keys(graph), *(CarryBit(op.id) for op in graph.ops if op.id in read))
 
 
 def view_refs(view: BitView) -> list:
-    """``view.ref(n)`` for every bit number ``n`` of ``view``, data bits
+    """``view.ref(n)`` for every bit number ``n`` of ``view``, unit bits
     then carries; an OpBit equals its key in ``eager_keys``."""
     return [view.ref(n) for n in range(len(view.producers) + len(view.carried))]
 
@@ -803,15 +834,17 @@ def view_refs(view: BitView) -> list:
 def built_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
     """Oracle for ``graph.reads``, read off each op's operand bits
     instead of its producers: a glue bit stands for what the bits it
-    waits on read, a non-glue bit reads its operand bits (not its own
+    waits on read, a unit bit reads its operand bits (not its own
     ripple) with each glue bit replaced so, and an add's bit 0 reads its
-    carry-in's number last.  Numbers are ``eager_keys``' positions."""
+    carry-in's number last.  Numbers are ``eager_keys``' positions, and
+    each bit's reads ascend, as ``sorted_reads`` gives ``graph.reads``."""
     number = {key: n for n, key in enumerate(eager_keys(graph))}
-    glue_reads: dict[int, tuple[int, ...]] = {}
+    glue_reads: dict[tuple[str, int], tuple[int, ...]] = {}
 
     def through(bits) -> tuple[int, ...]:
-        refs = {number[(b.op, b.bit)] for b in bits if isinstance(b, OpBit)}
-        return tuple(sorted({x for r in refs for x in glue_reads.get(r, (r,))}))
+        refs = [(b.op, b.bit) for b in bits if isinstance(b, OpBit)]
+        return tuple(sorted({x for r in refs if r in glue_reads for x in glue_reads[r]} |
+                            {number[r] for r in refs if r not in glue_reads}))
 
     reads: list[tuple[int, ...]] = []
     for op in graph.ops:
@@ -822,8 +855,7 @@ def built_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
             if op.kind is OpKind.SELECT:
                 column.append(operands[0][0])
             if op.kind.glue:
-                glue_reads[number[(op.id, i)]] = through(column)
-                reads.append(())
+                glue_reads[(op.id, i)] = through(column)
             elif not op.kind.per_bit:
                 reads.append(whole)
             elif i == 0 and isinstance(op.carry_in, CarryRef):
@@ -831,6 +863,12 @@ def built_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
             else:
                 reads.append(through(column))
     return tuple(reads)
+
+
+def sorted_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
+    """``graph.reads``, each bit's ascending: a carry, numbered after
+    every unit bit, stays last."""
+    return tuple(tuple(sorted(refs)) for refs in graph.reads)
 
 
 def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
@@ -841,6 +879,8 @@ def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
     keys = eager_keys(graph)
     stop = [0] * len(keys)  # each bit's last reader cycle
     for op in graph.ops:
+        if op.kind.glue:
+            continue  # no cycle, and no number
         cycle = cycle_of.get(op.id, 0)
         lo = view.base[op.id]
         for refs in graph.reads[lo:lo + op.width]:

@@ -57,6 +57,7 @@ from conftest import (
     replace,
     slice_bits,
     source_width,
+    unit_keys,
     validate_oracle,
     view_refs,
 )
@@ -253,33 +254,19 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
         data = keys[:size]
         assert list(data) == list(ref.producers)
 
-        # Producers: op bits only, a carry standing for its op's MSB.
+        # Producers: unit bits only, each once, in ``keyed_view``'s order:
+        # a glue bit stands in its place for the unit bits it reaches, and
+        # a carry for its op's MSB, last unless the bit also reads that
+        # MSB as data.  That order is critical_path's tie rule.
         for n, key in enumerate(data):
-            prods = [keys[p] for p in view.producers[n]]
-            assert len(set(prods)) == len(prods)
-            assert set(prods) == ref.producers[key]
-
-        # Producers ascend, except that a carry-in's MSB goes last unless
-        # the bit also reads that MSB as data: critical_path's tie rule.
-        number = {key: n for n, key in enumerate(data)}
-        deps = bit_deps(g)
-        for n, key in enumerate(data):
-            expected = sorted(number[r] for r in deps[key] if isinstance(r, OpBit))
-            for r in deps[key]:
-                msb = number[(r.op, g.op(r.op).width - 1)] if isinstance(r, CarryBit) else None
-                if msb is not None and msb not in expected:
-                    expected.append(msb)
-            assert view.producers[n] == tuple(expected)
+            assert tuple(keys[p] for p in view.producers[n]) == ref.producers[key]
 
         # Reads, derived on first use and then kept with the graph: every
-        # non-glue bit's, through glue; a glue bit reads none.
+        # unit bit's, through glue.
         assert g.reads is g.reads
         assert len(g.reads) == size
         for n, key in enumerate(data):
             reads = g.reads[n]
-            if key not in ref.reads:
-                assert reads == ()
-                continue
             refs = [view.ref(r) for r in reads]
             assert len(set(refs)) == len(refs)
             for r in refs:
@@ -289,12 +276,42 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
             # A read's key names its producing op first, a carry's too.
             assert [keys[r][0] for r in reads] == [r.op for r in refs]
 
-        # Reads ascend, so they list data bits before carries, each in
-        # definition order and then by bit; every carry read has a number.
-        assert all(list(reads) == sorted(set(reads)) for reads in g.reads)
+        # Reads list unit bits before a carry; every carry read has a number.
+        assert all(r < size for reads in g.reads for r in reads[:-1])
         assert set(keys[size:]) == {
             r for reads in ref.reads.values() for r in reads if isinstance(r, CarryBit)
         }
+
+
+@deep_settings(100)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_resolved_view_matches_bit_deps(make, seed, lam, tiling):
+    """The view of a design, of its kernel and of a fragmented kernel
+    (``carried_view``) numbers only unit bits, and lists for each the
+    unit bits it waits on through glue, in the order ``keyed_view``
+    gives from ``bit_deps``; what each reads, derived from that, is what
+    ``bit_deps`` reaches through glue, plus its carry-in."""
+    design = make(seed)
+    kernel, _ = extract_kernel(design)
+    graphs = [design, kernel]
+    try:
+        mobility = analyze(kernel, estimate_cycle(kernel, lam), lam)
+    except InfeasibleError:
+        pass
+    else:
+        graphs.append(apply_runs(kernel, tiling(kernel, mobility))[1])
+    for g in graphs:
+        view, ref, keys = g.bit_view, keyed_view(g), eager_keys(g)
+        assert list(keys[:len(view.producers)]) == list(ref.producers)
+        assert [tuple(keys[p] for p in prods) for prods in view.producers] == [
+            *ref.producers.values()
+        ]
+        assert [{view.ref(r) for r in reads} for reads in g.reads] == [*ref.reads.values()]
 
 
 def _assert_refs_are_the_eager_keys(g: DataFlowGraph) -> None:
@@ -331,16 +348,18 @@ output Z;
 def test_ref_names_each_ops_first_and_last_bit_and_the_first_and_last_carry():
     g = parse(REFS_SOURCE)
     view = g.bit_view
-    assert view.base == {"X": 0, "Y": 3, "N": 7, "Z": 8}
+    assert view.base == {"X": 0, "Y": 3, "Z": 7}  # the glue N has no number
     assert view.carried == ("X", "Y")
     for op in g.ops:
+        if op.kind.glue:
+            continue
         first, last = view.base[op.id], view.base[op.id] + op.width - 1
         assert view.ref(first) == OpBit(op.id, 0) and type(view.ref(first)) is OpBit
         assert view.ref(last) == OpBit(op.id, op.width - 1)
-    assert view.ref(10) == CarryBit("X")
-    assert view.ref(11) == CarryBit("Y")
+    assert view.ref(9) == CarryBit("X")
+    assert view.ref(10) == CarryBit("Y")
     with pytest.raises(IndexError):
-        view.ref(12)
+        view.ref(11)
     _assert_refs_are_the_eager_keys(g)
 
 
@@ -371,10 +390,11 @@ def test_refs_are_the_eager_enumeration(make, seed, lam, tiling):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
 def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
-    """Bit ``i`` of an op is ``base[op] + i`` in definition order, every
-    carry comes after every data bit, and the tables by ``(op, bit)``
-    list their keys in number order: ``critical_path``'s "earliest bit
-    in definition order" tie rule rests on it."""
+    """Bit ``i`` of a unit is ``base[op] + i`` in definition order, glue
+    has no number, every carry comes after every unit bit, and the
+    tables by ``(op, bit)`` list their keys in number order:
+    ``critical_path``'s "earliest bit in definition order" tie rule
+    rests on it.  ``bit_arrivals`` lists glue bits too."""
     design = random_full_design(seed)
     kernel, _ = extract_kernel(design)
     graphs = [design, kernel]
@@ -389,17 +409,17 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
     for g in graphs:
         view = g.bit_view
         size = len(view.producers)
-        order = [(op.id, i) for op in g.ops for i in range(op.width)]
+        order = unit_keys(g)
         refs = view_refs(view)
         assert refs[:size] == order
-        assert view.base == {op.id: order.index((op.id, 0)) for op in g.ops}
+        assert view.base == {op.id: order.index((op.id, 0)) for op in g.ops if not op.kind.glue}
         carries = refs[size:]
         assert all(isinstance(k, CarryBit) for k in carries)
         position = {op.id: k for k, op in enumerate(g.ops)}
         assert [position[k.op] for k in carries] == sorted(position[k.op] for k in carries)
         if g is design:
             continue
-        assert list(bit_arrivals(g)) == order
+        assert list(bit_arrivals(g)) == [(op.id, i) for op in g.ops for i in range(op.width)]
         assert list(bit_asap(g, n_bits)) == order
         try:
             assert list(bit_alap(g, n_bits, lam)) == order

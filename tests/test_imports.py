@@ -372,6 +372,57 @@ def test_no_max_or_min_in_a_loop_takes_a_keyword():
     )) == []
 
 
+# The four per-bit recurrences and critical_path's walk, by module: the
+# bit view numbers no glue bit, so none of them has a case for glue.
+_GLUE_FREE = {
+    "timing.py": ("arrival_table", "critical_path"),
+    "fragmenter.py": ("alap_table",),
+    "scheduler.py": ("_Plan.settle", "_realized_table"),
+}
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Every top-level function and method of ``tree``, by name, a
+    method's as ``Class.method``."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found |= {f"{node.name}.{f.name}": f for f in node.body if isinstance(f, ast.FunctionDef)}
+    return found
+
+
+def _glue_reads(tree: ast.Module, names: tuple[str, ...]) -> list[str]:
+    """Each read of an attribute ``glue`` inside the functions ``names``
+    of ``tree``, by function and line; a name ``tree`` does not define
+    is reported as missing."""
+    functions = _functions(tree)
+    return [f"{name}: missing" for name in names if name not in functions] + [
+        f"{name}: {a.lineno}" for name in names if name in functions
+        for a in ast.walk(functions[name]) if isinstance(a, ast.Attribute) and a.attr == "glue"
+    ]
+
+
+def test_no_recurrence_reads_glue():
+    found = {
+        module: _glue_reads(ast.parse((PACKAGE_DIR / module).read_text()), names)
+        for module, names in _GLUE_FREE.items()
+    }
+    assert found == {module: [] for module in _GLUE_FREE}
+    assert _glue_reads(ast.parse(
+        "def walk(graph):\n"
+        "    return [op for op in graph.ops if not op.kind.glue]\n"
+        "class Plan:\n"
+        "    glue = ()\n"
+        "    def settle(self, k):\n"
+        "        if self.glue[k]:\n"
+        "            return True\n"
+        "def other(op):\n"
+        "    return op.kind.glue\n"
+    ), ("walk", "Plan.settle", "Plan.vet")) == ["Plan.vet: missing", "walk: 2", "Plan.settle: 6"]
+
+
 _LANE = Lane("A", 4, ("A_0", "A_1"))
 _MUX = PortMux("A", 1, 2, 4)
 _REGISTER = RegisterBinding(0, "carry", 1, ("carry lane A",), 1)

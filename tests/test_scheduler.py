@@ -119,17 +119,17 @@ def test_core_fed_through_glue_runs_in_the_first_cycle():
     assert check_equiv(design, p.sched).equivalent
 
 
-def test_glue_fed_only_by_inputs_is_ready_at_slot_zero():
-    """A glue bit with no producer is ready where the inputs are, at
-    ``Slot(0, 0)``; the add reading it chains from depth 1."""
+def test_an_add_over_glue_fed_only_by_inputs_chains_from_depth_one():
+    """Glue has no slot of its own; an add that reads glue over inputs
+    only waits on nothing, so it chains from depth 1."""
     design = parse(
         "design g; input A : u4; input B : u4;"
         " N: not u4 = A; X: add u4 = N + B; output X;"
     )
     p = run_pipeline(design, 2)
     realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
-    assert [realized[("N", i)] for i in range(4)] == [Slot(0, 0)] * 4
-    assert realized[("X", 0)] == Slot(1, 1)
+    assert ("N", 0) not in realized
+    assert realized[("X0", 0)] == Slot(1, 1)
 
 
 def test_every_add_needs_its_fragment_record(sec2):
@@ -604,11 +604,11 @@ def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, ti
     st.sampled_from([op_runs, bucket_runs, whole_runs]),
 )
 def test_plan_successors_are_the_consumer_sets(make, seed, lam, tiling):
-    """``_Plan.successors``, each op's readers collected from
-    ``producers``, equal the sets read off the producers' inverse
-    (``consumer_successors``), for a kernel and a rewrite of it, so
-    ``vet`` re-settles every op that consumes a time it changed.  The
-    plan's windows do not matter here."""
+    """``_Plan.successors``, each unit's readers collected from
+    ``producers``, equal the sets ``consumer_successors`` reads off
+    ``bit_deps``, for a kernel and a rewrite of it, so ``vet`` re-settles
+    every unit that consumes a time it changed.  The plan's windows do
+    not matter here."""
     kernel, _ = extract_kernel(make(seed))
     n_bits = estimate_cycle(kernel, lam)
     graphs = [kernel]
@@ -625,15 +625,10 @@ def test_plan_successors_are_the_consumer_sets(make, seed, lam, tiling):
 
 def _reference_completes(graph, lam, n_bits, windows, partial) -> bool:
     """Whole-graph vetting: a greedy earliest completion of ``partial``."""
-    producers = keyed_view(graph).producers
+    producers = keyed_view(graph).producers  # unit bits, read through glue
     table = {}
     for op in graph.ops:
         if op.kind.glue:
-            for i in range(op.width):
-                slots = [table[p] for p in producers[(op.id, i)]]
-                cycle = max((s.cycle for s in slots), default=0)
-                depth = max((s.depth for s in slots if s.cycle == cycle), default=0)
-                table[(op.id, i)] = Slot(cycle, depth)
             continue
         ready = max(
             (
