@@ -23,7 +23,6 @@ from .fragmenter import (
     InfeasibleError,
     Mobility,
     analyze,
-    bucket_fragment,
     fragment,
 )
 from .kernel import KernelError, extract_kernel
@@ -68,7 +67,6 @@ __all__ = [
     "ValidationError",
     "analyze",
     "bit_arrivals",
-    "bucket_fragment",
     "check",
     "check_equiv",
     "costs",

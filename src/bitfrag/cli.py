@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .cost import costs
 from .dsl import emit, emit_dot, parse
-from .fragmenter import analyze, bucket_fragment, fragment
+from .fragmenter import analyze, fragment
 from .kernel import extract_kernel
 from .scheduler import schedule, verify_schedule
 from .simulator import check_equiv
@@ -84,12 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check-equiv",
         action="store_true",
         help="prove the scheduled design equivalent to the input",
-    )
-    parser.add_argument(
-        "--bucket-fill",
-        action="store_true",
-        help="tile adds with the per-cycle bucket heuristic instead of "
-        "per-bit windows",
     )
     parser.add_argument(
         "--out",
@@ -238,8 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             n_bits = estimate_cycle(kernel, args.latency)
         mobility = analyze(kernel, n_bits, args.latency)
-        tile = bucket_fragment if args.bucket_fill else fragment
-        fragments, transformed = tile(kernel, mobility)
+        fragments, transformed = fragment(kernel, mobility)
         sched = schedule(transformed, fragments, args.latency, n_bits)
         problems = verify_schedule(sched)
         if problems:

@@ -325,10 +325,11 @@ class DataFlowGraph:
 def operand_slices(operand: Operand) -> list[Operand]:
     """The flat slices of ``operand``, lowest first, at its own width.
 
-    This is the one operand resolver: the bit view, ``bit_deps`` and the
-    fragment rewrite read operands through it.  A slice is an input or
-    op slice, or a constant cut to its own bits, never a concatenation;
-    a consumer wider than the operand sees zeros above it.
+    This is the one operand resolver: the bit view, ``bit_deps``,
+    ``_reads_msb`` and the fragment rewrite read operands through it.
+    A slice is an input or op slice, or a constant cut to its own bits,
+    never a concatenation; a consumer wider than the operand sees zeros
+    above it.
     """
     source, lo, hi = operand.source, operand.lo, operand.hi
     if isinstance(source, Const) and (lo or hi + 1 < source.width):
@@ -678,15 +679,13 @@ def _reads_msb(graph: DataFlowGraph, op: Operation, source: str) -> bool:
     while todo:
         opnd, k = todo.pop()
         ref, bit = opnd.source, opnd.lo + k
-        if k > opnd.hi - opnd.lo or type(ref) is Const or type(ref) is InputRef:
-            continue  # zero-extended, or no op bit
-        if type(ref) is Concat:  # the part that holds the bit, parts MSB first
-            for part in reversed(ref.parts):
-                if bit < part.width:
-                    todo.append((part, bit))
-                    break
-                bit -= part.width
-            continue
+        if k > opnd.hi - opnd.lo:
+            continue  # zero-extended
+        if type(ref) is Concat:  # the one slice that holds the bit
+            (one,) = operand_slices(Operand(ref, bit, bit))
+            ref, bit = one.source, one.lo
+        if type(ref) is Const or type(ref) is InputRef:
+            continue  # no op bit
         if ref.op == source and bit == top:
             return True
         glue = graph.op(ref.op)

@@ -313,7 +313,8 @@ def fragment(
 def bucket_runs(
     graph: DataFlowGraph, mobility: Mobility
 ) -> dict[str, list[tuple[int, int, int, int]]]:
-    """Reference tiling that fills per-cycle buckets of ``n_bits``.
+    """Reference tiling that fills per-cycle buckets of ``n_bits``, kept
+    only as the benchmark's mixed fixture (``bucket_fragment``).
 
     Works from whole-operation windows: bits pour into cycle buckets
     forward from the op's earliest cycle and backward from its latest,

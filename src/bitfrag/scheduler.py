@@ -38,7 +38,7 @@ from bisect import bisect_right, insort
 from functools import cached_property
 
 from .dfg import CarryBit, DataFlowGraph, FrozenRecord, InputBit, OpKind, bit_deps
-from .fragmenter import Fragment, InfeasibleError, Mobility, alap_table, analyze
+from .fragmenter import Fragment, Mobility
 
 
 class ScheduleError(ValueError):
@@ -79,13 +79,12 @@ def unit_windows(
     mobility: Mobility,
     fragments: dict[str, list[Fragment]],
 ) -> dict[str, tuple[int, int]]:
-    """Cycle window per schedulable unit (adds and multiplier cores),
-    as ``verify_schedule`` checks them.
+    """Cycle window per schedulable unit (adds and multiplier cores).
 
     A fragment's window is the one its tiling recorded; bucket tiles
     may group bits whose per-bit windows disagree, so the record is
     authoritative.  Cores and uncovered adds fall back to ``mobility``,
-    which the checker derives from the scheduled graph itself.
+    derived from the scheduled graph itself.
     """
     frag_of = {f.id: f for parts in fragments.values() for f in parts}
     windows: dict[str, tuple[int, int]] = {}
@@ -403,67 +402,39 @@ def schedule(
 def verify_schedule(sched: Schedule) -> list[str]:
     """Independent legality check; an empty list means the schedule holds.
 
-    Takes each unit's window as ``unit_windows`` gives it and confirms
-    assignment completeness, window containment, fragment order, and
-    realized chain depths.  A budget too small for the graph's own ALAP
-    table is reported as a problem, first, with its message; no window
-    is then checked, and every check that needs none still runs.  So is
-    a unit missing from ``cycle_of``; the slot recomputation, which
-    needs every unit's cycle, is then skipped.
-
-    The windows of units with a fragment record come from the records.
-    The graph's own tables run only if another check reported a problem
-    or a budget is below 1: ``analyze`` when a unit has no record (a
-    core, or an add whose record is gone), to check its window, else
-    ``alap_table`` alone.  The output is then as if they had run first.
-    A replay with every unit in ``1..lam`` and no realized problem puts
-    every unit bit at or after its ASAP time and at or before its ALAP
-    time, itself at least 1, so neither can fail there nor exclude a
-    unit: adds chain forward at least one step, glue has no step of its
-    own and a core's inputs finish in an earlier cycle.
+    One pass checks that the cycle size and the latency are at least 1,
+    that every unit has a cycle in ``1..lam``, inside its fragment
+    record's window if it has one, that fragments run in order and, once
+    every unit has a cycle, the realized slots: operands ready when read
+    and chains no deeper than the cycle.  No mobility is derived: on a
+    replay with every unit in ``1..lam`` and no realized problem, ALAP
+    cannot fail and no unit, a core or an add without a record, leaves
+    its derived window.
     """
-    graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
-    frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
-
-    def unit_problems(windows: dict[str, tuple[int, int]]) -> tuple[list[str], set[int]]:
-        """Per unit, in op order: a missing or out-of-range cycle and a
-        window escape; and where in the list the escapes are."""
-        problems: list[str] = []
-        escapes: set[int] = set()
-        for uid in graph.bit_view.base:
-            if uid not in cycle_of:
-                problems.append(f"{uid}: not scheduled")
-                continue
-            c = cycle_of[uid]
-            if not 1 <= c <= lam:
-                problems.append(f"{uid}: cycle {c} outside 1..{lam}")
-            if uid in windows:
-                early, late = windows[uid]
-                if not early <= c <= late:
-                    escapes.add(len(problems))
-                    problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
-        return problems, escapes
-
-    problems, escapes = unit_problems(
-        {uid: (f.asap_cycle, f.alap_cycle) for uid, f in frag_of.items()}
-    )
-    rest: list[str] = []
+    graph, cycle_of, lam, n_bits = sched.graph, sched.cycle_of, sched.lam, sched.n_bits
+    problems: list[str] = []
+    if n_bits < 1:
+        problems.append(f"cycle must hold at least one bit, got {n_bits}")
+    if lam < 1:
+        problems.append(f"latency must be at least 1 cycle, got {lam}")
+    windows = {f.id: (f.asap_cycle, f.alap_cycle)
+               for parts in sched.fragments.values() for f in parts}
+    complete = True
+    for uid in graph.bit_view.base:
+        if uid not in cycle_of:
+            problems.append(f"{uid}: not scheduled")
+            complete = False
+            continue
+        c = cycle_of[uid]
+        if not 1 <= c <= lam:
+            problems.append(f"{uid}: cycle {c} outside 1..{lam}")
+        early, late = windows.get(uid, (c, c))
+        if not early <= c <= late:
+            problems.append(f"{uid}: cycle {c} outside window [{early}, {late}]")
     for parent, parts in sched.fragments.items():
         for a, b in zip(parts, parts[1:]):
-            if a.id in cycle_of and b.id in cycle_of:
-                if cycle_of[a.id] > cycle_of[b.id]:
-                    rest.append(f"{parent}: fragment {a.id} after its higher half {b.id}")
-    if all(uid in cycle_of for uid in graph.bit_view.base):
-        rest += _realized_table(graph, sched.n_bits, cycle_of)[1]
-
-    if not (problems or rest or sched.n_bits < 1 or lam < 1):
-        return []
-    try:
-        if any(uid not in frag_of for uid in graph.bit_view.base):
-            mobility = analyze(graph, sched.n_bits, lam)
-            problems, escapes = unit_problems(unit_windows(graph, mobility, sched.fragments))
-        else:
-            alap_table(graph, sched.n_bits, lam)
-    except InfeasibleError as err:
-        return [str(err)] + [p for k, p in enumerate(problems) if k not in escapes] + rest
-    return problems + rest
+            if a.id in cycle_of and b.id in cycle_of and cycle_of[a.id] > cycle_of[b.id]:
+                problems.append(f"{parent}: fragment {a.id} after its higher half {b.id}")
+    if complete:
+        problems += _realized_table(graph, n_bits, cycle_of)[1]
+    return problems

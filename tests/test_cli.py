@@ -17,7 +17,7 @@ from bitfrag.cli import _SUFFIX, main
 from bitfrag.dfg import BitView
 from bitfrag.dsl import ParseError, emit, parse
 from bitfrag.cost import costs
-from bitfrag.fragmenter import analyze, bucket_fragment, fragment
+from bitfrag.fragmenter import analyze, fragment
 from bitfrag.kernel import extract_kernel
 from bitfrag.scheduler import schedule, verify_schedule
 from bitfrag.simulator import EquivResult, check_equiv
@@ -26,7 +26,6 @@ from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
 from conftest import (
     DESIGN_DIR,
     GLUE_CORE_SOURCE,
-    SAT_SOURCE,
     TIE_SOURCE,
     eager_keys,
     random_add_design,
@@ -170,16 +169,6 @@ def test_empty_design_proves_equivalent(tmp_path, capsys):
     assert report["equiv"] == {"strategy": "exhaustive", "checked": 1, "equivalent": True}
 
 
-def test_bucket_fill_covers_every_adder_bit(tmp_path, capsys):
-    src = tmp_path / "sat.dfg"
-    src.write_text(SAT_SOURCE)
-    assert main([str(src), "--latency", "3", "--bucket-fill", "--check-equiv"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["design"] == "sat"
-    assert sum(report["schedule"]["loads"].values()) == 30
-    assert report["equiv"]["equivalent"] is True
-
-
 def test_parse_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.dfg"
     bad.write_text("design broken\n")
@@ -241,6 +230,13 @@ def test_core_delay_is_not_an_option(capsys):
         main([SEC2, "--latency", "3", "--core-delay", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bucket_fill_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([SEC2, "--latency", "3", "--bucket-fill"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bucket-fill" in capsys.readouterr().err
 
 
 def test_counterexample_exits_three(capsys, monkeypatch):
@@ -348,16 +344,13 @@ def _run_text(text: str, args: list[str]) -> tuple[int, str, str]:
     st.sampled_from([random_add_design, random_full_design]),
     st.integers(0, 10_000),
     st.integers(1, 5),
-    st.booleans(),
     st.none() | st.integers(1, 24),
 )
-def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits):
+def test_cli_never_raises_on_random_designs(make, seed, lam, nbits):
     """Exit 1 with a typed error, or exit 0 with a schedule that verifies
     clean and proves equivalent to the design."""
     text = emit(make(seed))
     args = ["--latency", str(lam), "--check-equiv"]
-    if bucket:
-        args.append("--bucket-fill")
     if nbits is not None:
         args += ["--nbits", str(nbits)]
     code, out, err = _run_text(text, args)
@@ -370,8 +363,7 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, bucket, nbits):
     kernel, _ = extract_kernel(parse(text))
     if nbits is None:
         nbits = estimate_cycle(kernel, lam)
-    tile = bucket_fragment if bucket else fragment
-    fragments, transformed = tile(kernel, analyze(kernel, nbits, lam))
+    fragments, transformed = fragment(kernel, analyze(kernel, nbits, lam))
     assert verify_schedule(schedule(transformed, fragments, lam, nbits)) == []
 
 

@@ -227,17 +227,15 @@ def test_verify_flags_depth_overflow(sec2):
 
 def test_verify_reports_a_budget_too_small_for_mobility(sec2):
     # The scheduled graph's own mobility analysis cannot meet the shrunk
-    # budget; that is one problem, and the checks needing no window run.
+    # budget; the units it cannot hold are reported by their cycles.
     sched = run_pipeline(sec2, 3).sched
     assert verify_schedule(replace(sched, lam=2)) == [
-        "latency 2 too small: G0[3] would fall before cycle 1",
         "C2: cycle 3 outside 1..2",
         "E2: cycle 3 outside 1..2",
         "G2: cycle 3 outside 1..2",
     ]
     problems = verify_schedule(replace(sched, lam=2, n_bits=4))
-    assert problems[:4] == [
-        "latency 2 too small: G1[3] would fall before cycle 1",
+    assert problems[:3] == [
         "C2: cycle 3 outside 1..2",
         "E2: cycle 3 outside 1..2",
         "G2: cycle 3 outside 1..2",
@@ -295,8 +293,9 @@ def test_verify_schedule_reports_and_never_raises_on_tampered_schedules(make, se
 
 
 def _verify_with_full_analysis(sched: Schedule) -> list[str]:
-    """Oracle for ``verify_schedule``: its checks, with every window from
-    ``unit_windows`` over the whole of ``analyze``, which always runs."""
+    """Oracle for ``verify_schedule``'s verdict: its checks, with every
+    window, a core's too, from ``unit_windows`` over the whole of
+    ``analyze``, which always runs and reports a budget it cannot meet."""
     problems: list[str] = []
     graph, cycle_of = sched.graph, sched.cycle_of
     try:
@@ -332,7 +331,9 @@ def _verify_with_full_analysis(sched: Schedule) -> list[str]:
 def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
     """Cycles moved, units dropped, a core moved out of its window, one
     fragment record removed, and a latency or a cycle size changed: the
-    checker reports what it reports when it always derives mobility."""
+    checker, which derives no mobility, refuses exactly the schedules
+    the oracle refuses, and reports the same problems but for budget
+    and window lines."""
     try:
         p = run_pipeline(random_full_design(seed), 3, runs=runs)
     except (InfeasibleError, ScheduleError):
@@ -361,31 +362,23 @@ def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
         cycle_of=cycle_of,
         fragments=fragments,
     )
-    assert verify_schedule(tampered) == _verify_with_full_analysis(tampered)
+    with mock.patch("bitfrag.fragmenter.analyze", wraps=analyze) as derived, \
+            mock.patch("bitfrag.fragmenter.alap_table", wraps=alap_table) as latest:
+        problems = verify_schedule(tampered)
+    assert derived.call_count == latest.call_count == 0
+    assert not {"analyze", "alap_table"} & verify_schedule.__globals__.keys()
+    want = _verify_with_full_analysis(tampered)
+    assert bool(problems) == bool(want)
+    assert _without_budget_or_windows(problems) == _without_budget_or_windows(want)
 
 
-def test_verify_derives_mobility_only_for_a_unit_without_a_record(sec2):
-    """A unit's window comes from its fragment record; a core, or an add
-    whose record is gone, has its window derived by ``analyze`` only
-    once another check has reported a problem.  So no clean schedule
-    runs it, and a core moved out of its window runs it once and is
-    reported first, as when ``analyze`` runs before every check."""
-    plain = run_pipeline(sec2, 3).sched
-    cored = run_pipeline(parse(GLUE_CORE_SOURCE), 2, 8).sched
-    bare = replace(plain, fragments=dict(plain.fragments, C=plain.fragments["C"][1:]))
-    assert cored.cycle_of["P"] == 1
-    moved = replace(cored, cycle_of=dict(cored.cycle_of, P=2))
-    want = _verify_with_full_analysis(moved)
-    assert want[:2] == [
-        "P: cycle 2 outside window [1, 1]",
-        "Q[0]: chain depth 9 exceeds 8 bits per cycle",
+def _without_budget_or_windows(problems: list[str]) -> list[str]:
+    """``problems`` less a budget below 1 or too small for ALAP and the
+    window escapes: the lines the oracle words from its own analysis."""
+    return [
+        p for p in problems
+        if not p.startswith(("cycle must ", "latency ")) and " outside window [" not in p
     ]
-    with mock.patch("bitfrag.scheduler.analyze", wraps=analyze) as spy:
-        for sched in (plain, cored, bare):
-            assert verify_schedule(sched) == []
-        assert spy.call_count == 0
-        assert verify_schedule(moved) == want
-        assert spy.call_count == 1
 
 
 GLUE_ONLY_SOURCE = """
@@ -444,7 +437,7 @@ _REPLAYED = (
 @deep_settings(200)
 @given(*_REPLAYED)
 def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
-    """Why ``verify_schedule`` runs no ALAP table on a clean replay: with
+    """Why ``verify_schedule`` runs no ALAP table: on a clean replay, with
     every unit in ``1..lam`` and no realized problem, no bit's ALAP
     cycle is before its realized cycle, so ALAP cannot raise."""
     for graph, size, budget, _, table in _clean_replays(make, seed, lam, tiling, data):
@@ -455,7 +448,7 @@ def test_alap_cannot_fail_on_a_clean_replay(make, seed, lam, tiling, data):
 @deep_settings(200)
 @given(*_REPLAYED)
 def test_no_unit_leaves_its_derived_window_on_a_clean_replay(make, seed, lam, tiling, data):
-    """Why ``verify_schedule`` derives no mobility on a clean replay:
+    """Why ``verify_schedule`` derives no mobility: on a clean replay,
     every unit, so a core or an add whose record is gone, lies inside
     its ``analyze`` window, as each of its bits lies between its ASAP
     and its ALAP cycle."""
@@ -470,38 +463,19 @@ def test_no_unit_leaves_its_derived_window_on_a_clean_replay(make, seed, lam, ti
         assert escaped == []
 
 
-def test_verify_runs_alap_only_when_another_check_reports_a_problem():
-    """A clean bundled schedule runs no ALAP table; a tampered one runs
-    it once, and a budget it cannot meet is reported first, with no
-    window checked."""
-    names = ("sec2", "fig3", "elliptic", "diffeq")
-    scheds = [feasible_pipeline(load_design(name), 3).sched for name in names]
-    sec2 = scheds[0]
-    with mock.patch("bitfrag.scheduler.alap_table", wraps=alap_table) as spy:
-        for sched in scheds:
-            assert verify_schedule(sched) == []
-        assert spy.call_count == 0
-        assert verify_schedule(_tampered(sec2, C1=1))[:2] == [
-            "C1: cycle 1 outside window [2, 2]",
-            "C1[0]: chain depth 7 exceeds 6 bits per cycle",
-        ]
-        assert spy.call_count == 1
-        assert verify_schedule(replace(sec2, lam=2))[:2] == [
-            "latency 2 too small: G0[3] would fall before cycle 1",
-            "C2: cycle 3 outside 1..2",
-        ]
-        assert spy.call_count == 2
-        # Glue alone has no unit to report a problem, so a budget below 1
-        # is what runs ALAP.
-        glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1).sched
-        assert verify_schedule(glue) == []
-        assert verify_schedule(replace(glue, n_bits=0)) == [
-            "cycle must hold at least one bit, got 0"
-        ]
-        assert verify_schedule(replace(glue, lam=0)) == [
-            "latency must be at least 1 cycle, got 0"
-        ]
-        assert spy.call_count == 4
+def test_verify_reports_a_budget_below_1_with_no_unit_to_check():
+    """Bundled schedules verify clean; glue alone has no unit to report
+    a problem, so a budget below 1 is the only line."""
+    for name in ("sec2", "fig3", "elliptic", "diffeq"):
+        assert verify_schedule(feasible_pipeline(load_design(name), 3).sched) == []
+    glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1).sched
+    assert verify_schedule(glue) == []
+    assert verify_schedule(replace(glue, n_bits=0)) == [
+        "cycle must hold at least one bit, got 0"
+    ]
+    assert verify_schedule(replace(glue, lam=0)) == [
+        "latency must be at least 1 cycle, got 0"
+    ]
 
 
 def test_realized_slots_report_unready_operands(sec2):
