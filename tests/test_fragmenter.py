@@ -44,6 +44,7 @@ from conftest import (
     EMPTY_TUPLES_SOURCE,
     GLUE_CORE_SOURCE,
     MIXED_SOURCE,
+    SAT_SOURCE,
     ConstBit,
     Slot,
     alap_pairs,
@@ -59,6 +60,7 @@ from conftest import (
     random_add_design,
     random_full_design,
     replace,
+    run_pipeline,
     smallest_pipeline,
     sorted_reads,
     view_refs,
@@ -417,6 +419,16 @@ def test_bucket_runs_standalone_add_tiles_per_cycle():
     g = parse("design d;\ninput a : u9; input b : u9;\nS: add u9 = a + b;\noutput S;")
     runs = bucket_runs(g, analyze(g, 3, 3))
     assert runs["S"] == [(0, 2, 1, 1), (3, 5, 2, 2), (6, 8, 3, 3)]
+
+
+def test_bucket_fragment_covers_every_adder_bit():
+    """The bucket tiling of sat at latency 3 schedules all 30 of its
+    adder bits, verifies clean and proves equivalent to the design."""
+    design = parse(SAT_SOURCE)
+    p = run_pipeline(design, 3, runs=bucket_runs)
+    assert verify_schedule(p.sched) == []
+    assert sum(p.sched.loads().values()) == 30
+    assert check_equiv(design, p.sched).equivalent
 
 
 def _bucket_fill(start: int, stop: int, width: int, n_bits: int) -> list[tuple[int, int]]:

@@ -3,6 +3,11 @@
 Each digest covers the exit code, stdout and stderr of one in-process
 run of ``main`` with all five artifacts on stdout.  A refactor that
 keeps behaviour must keep every digest.
+
+The bucket tiling is no longer a command line option, but the
+benchmark's mixed workload still runs ``bucket_fragment``; its digests
+are the bytes ``main`` prints with ``bucket_fragment`` in place of
+``fragment``, as the removed ``--bucket-fill`` printed them.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ import json
 
 import pytest
 
-from bitfrag import extract_kernel
+from bitfrag import cli, extract_kernel
 from bitfrag.cli import EMISSIONS, _arrivals_text, main
-from bitfrag.fragmenter import InfeasibleError, bucket_runs, op_runs
+from bitfrag.fragmenter import InfeasibleError, bucket_fragment, bucket_runs, op_runs
 from bitfrag.scheduler import ScheduleError
 from bitfrag.timing import critical_path
 
@@ -22,49 +27,70 @@ from conftest import DESIGN_DIR, carried_full_design, random_full_design, run_pi
 
 MODES = {
     "plain": [],
+    "bucket": [],  # with ``bucket_fragment`` as the CLI's tiler
     "equiv": ["--check-equiv", "--seed", "7"],
 }
 
 # sha256 of [exit code, stdout, stderr] as JSON, first 16 hex digits.
 GOLDEN = {
+    "diffeq-l2-bucket": "aca2c84008f85f6c",
     "diffeq-l2-equiv": "cafe675f7994c862",
     "diffeq-l2-plain": "9c8d97ea09042e67",
+    "diffeq-l3-bucket": "aca2c84008f85f6c",
     "diffeq-l3-equiv": "e51238dd0d27e1a9",
     "diffeq-l3-plain": "e9f0ff2e280d2e34",
+    "diffeq-l4-bucket": "aca2c84008f85f6c",
     "diffeq-l4-equiv": "cad834e4f6079c76",
     "diffeq-l4-plain": "b20759ec014daae8",
+    "diffeq-l5-bucket": "184aea81eda7caaa",
     "diffeq-l5-equiv": "813c46bce7c01a9d",
     "diffeq-l5-plain": "b523a517126e13e4",
+    "diffeq-l6-bucket": "184aea81eda7caaa",
     "diffeq-l6-equiv": "6154922bf33c4c52",
     "diffeq-l6-plain": "54686dd72c75d2d1",
+    "elliptic-l2-bucket": "92473085db5133bc",
     "elliptic-l2-equiv": "cb5529c59e1e7fce",
     "elliptic-l2-plain": "d6e2ec66e4419a2f",
+    "elliptic-l3-bucket": "dd6c7970b3572c7f",
     "elliptic-l3-equiv": "4111b36539ac3462",
     "elliptic-l3-plain": "80deef008a98f4cf",
+    "elliptic-l4-bucket": "74d3b72c3f42bdb0",
     "elliptic-l4-equiv": "30a00774e433642a",
     "elliptic-l4-plain": "b38f3b7acb35c4f1",
+    "elliptic-l5-bucket": "dd6c7970b3572c7f",
     "elliptic-l5-equiv": "4a59a1fdf726d4f0",
     "elliptic-l5-plain": "c5809579a7a17edc",
+    "elliptic-l6-bucket": "74d3b72c3f42bdb0",
     "elliptic-l6-equiv": "ff50bc69f04a7ac5",
     "elliptic-l6-plain": "b6ac2dfdc5e72a44",
+    "fig3-l2-bucket": "961896572d1d1d2a",
     "fig3-l2-equiv": "0560f91d8cfb3953",
     "fig3-l2-plain": "d077f612e46cc492",
+    "fig3-l3-bucket": "2124e6b3b36dba5e",
     "fig3-l3-equiv": "4e1e80f81a8a47c9",
     "fig3-l3-plain": "5255c9eb5c52205c",
+    "fig3-l4-bucket": "5621d4c3cb558ee8",
     "fig3-l4-equiv": "541cfb2a5ffab22e",
     "fig3-l4-plain": "e911f53da2e15ad3",
+    "fig3-l5-bucket": "3ebb0ba1cf4fa8ec",
     "fig3-l5-equiv": "f634c0bde682574b",
     "fig3-l5-plain": "f1f7d36cce16adb2",
+    "fig3-l6-bucket": "3d51d9a5f56bc1bb",
     "fig3-l6-equiv": "a9be6797dd867f74",
     "fig3-l6-plain": "35b1e015834c0f53",
+    "sec2-l2-bucket": "94525181a8ee7379",
     "sec2-l2-equiv": "2f9f21cefc87b367",
     "sec2-l2-plain": "441709a2a39d563c",
+    "sec2-l3-bucket": "94525181a8ee7379",
     "sec2-l3-equiv": "c147882780482dbb",
     "sec2-l3-plain": "ddb18e8a287542b5",
+    "sec2-l4-bucket": "94525181a8ee7379",
     "sec2-l4-equiv": "4e194f29103f4006",
     "sec2-l4-plain": "8d115f05bc6568c3",
+    "sec2-l5-bucket": "608dd9264a84e5d4",
     "sec2-l5-equiv": "484746f7d94243b8",
     "sec2-l5-plain": "49eb2503f8ff2c5d",
+    "sec2-l6-bucket": "94525181a8ee7379",
     "sec2-l6-equiv": "cc09dcffaecd87a3",
     "sec2-l6-plain": "45847c4e46e2ef29",
 }
@@ -129,8 +155,10 @@ def _run(capsys, args: list[str]) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_bundled_run_is_byte_identical(case, capsys):
+def test_bundled_run_is_byte_identical(case, capsys, monkeypatch):
     design, lam, mode = case.split("-")
+    if mode == "bucket":
+        monkeypatch.setattr(cli, "fragment", bucket_fragment)
     args = [str(DESIGN_DIR / f"{design}.dfg"), "--latency", lam[1:], *MODES[mode]]
     assert _run(capsys, args) == GOLDEN[case]
 

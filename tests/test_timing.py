@@ -3,7 +3,7 @@
 from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bitfrag import extract_kernel, parse, timing
@@ -212,12 +212,15 @@ def test_estimate_cycle_spreads_the_critical_time_over_the_latency(seed, lam):
     st.integers(1, 6),
     st.integers(1, 16),
 )
+@example(random_full_design, 6390, 1, 1)  # glue alone: no adder bit
 def test_asap_shares_the_arrival_recurrence(make, seed, lam, n_bits):
     """Without ``n_bits`` the recurrence gives ``graph.arrivals``.  With
     it, only a multiplier core differs, by rounding up to a cycle
     boundary: without cores, a bit's ASAP cycle is its arrival time
     divided into cycles, so the estimated cycle is the smallest that
-    fits every ASAP cycle in the latency.  A core can need more."""
+    fits every ASAP cycle in the latency.  A core can need more.  A
+    kernel of glue alone has no adder bit and a critical time of 0, so
+    its estimated cycle is 1."""
     kernel, _ = extract_kernel(make(seed))
     arrival = kernel.arrivals
     assert arrival_table(kernel) == arrival
@@ -230,7 +233,7 @@ def test_asap_shares_the_arrival_recurrence(make, seed, lam, n_bits):
     else:
         assert mobility.asap == tuple(ceil(t / n_bits) for t in arrival)
     n = estimate_cycle(kernel, lam)
-    assert max(s.cycle for s in bit_asap(kernel, n).values()) <= lam
+    assert max((s.cycle for s in bit_asap(kernel, n).values()), default=0) <= lam
     if n > 1:
         assert max(s.cycle for s in bit_asap(kernel, n - 1).values()) > lam
 
