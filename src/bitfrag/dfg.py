@@ -27,7 +27,7 @@ from enum import Enum, auto
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 
 class OpKind(Enum):
@@ -201,7 +201,7 @@ class Concat(Record):
         return sum(p.width for p in self.parts)
 
 
-Source = Union[InputRef, ResultRef, Const, Concat]
+Source = InputRef | ResultRef | Const | Concat
 
 
 class Operand(Record):
@@ -223,7 +223,7 @@ class Operand(Record):
         return self.hi - self.lo + 1
 
 
-CarryIn = Union[int, CarryRef, None]  # None, 0, 1, or a chained carry
+CarryIn = int | CarryRef | None  # None, 0, 1, or a chained carry
 
 
 class Operation(Record):
@@ -272,7 +272,7 @@ class CarryBit(NamedTuple):
     op: str
 
 
-BitRef = Union[InputBit, OpBit, CarryBit]
+BitRef = InputBit | OpBit | CarryBit
 
 
 @dataclass(frozen=True)
@@ -325,8 +325,8 @@ class DataFlowGraph:
 def operand_slices(operand: Operand) -> list[Operand]:
     """The flat slices of ``operand``, lowest first, at its own width.
 
-    This is the one operand resolver: the bit view, ``bit_deps``,
-    ``_reads_msb`` and the fragment rewrite read operands through it.
+    This is the one operand resolver: the bit view, ``bit_deps`` and
+    the fragment rewrite read operands through it.
     A slice is an input or op slice, or a constant cut to its own bits,
     never a concatenation; a consumer wider than the operand sees zeros
     above it.
@@ -540,8 +540,11 @@ class BitView(NamedTuple):
     (``_merged``), then an add's ripple predecessor ``n - 1``, or on bit
     0 its carry-in's MSB unless already there.  A bit that reads no
     glue, and a core's bit, lists them ascending.  That order is
-    ``critical_path``'s tie rule.  What a unit bit reads is the graph's
-    ``reads``, derived from ``producers`` once a schedule needs it.
+    ``critical_path``'s tie rule.  ``msb_reads`` holds each carried
+    add's bit 0 whose operand bits are or reach its carry-in's MSB, so
+    that it reads that MSB as data too; usually there is none.  What a
+    unit bit reads is the graph's ``reads``, derived from ``producers``
+    and ``msb_reads`` once a schedule needs it.
     ``bit_deps`` states the same rules bit by bit, glue included, and
     tests hold one to the other.
     """
@@ -549,6 +552,7 @@ class BitView(NamedTuple):
     base: dict[str, int]
     carried: tuple[str, ...]
     producers: tuple[tuple[int, ...], ...]
+    msb_reads: frozenset[int]
 
     def ref(self, n: int) -> OpBit | CarryBit:
         """The bit ref numbered ``n``: a unit bit's op is the one whose
@@ -615,6 +619,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
         return [None] * (opnd.hi - opnd.lo + 1)
 
     producers: list[tuple[int, ...]] = []
+    msb_reads: list[int] = []
     select, glue_bits = OpKind.SELECT, 0
     for op in graph.ops:
         kind = op.kind
@@ -648,12 +653,15 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                     pair = (a, b) if a < b else (b, a)
                 if n > lo:
                     pair = (*pair, n - 1)
-                elif msb is not None and msb not in pair:
-                    pair = (*pair, msb)
+                elif msb is not None:
+                    if msb in pair:  # read as data as well
+                        msb_reads.append(n)
+                    else:
+                        pair = (*pair, msb)
                 producers.append(pair)
         else:  # opaque: every bit waits on every operand bit, one shared tuple
             producers += [tuple(sorted(_merged(*chain.from_iterable(operands))))] * op.width
-    return BitView(base, carried, tuple(producers))
+    return BitView(base, carried, tuple(producers), frozenset(msb_reads))
 
 
 def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
@@ -663,44 +671,22 @@ def carried_view(view: BitView, graph: DataFlowGraph) -> BitView:
     Fragmenting changes no bit's dependences.  A split add's fragments
     take its place, LSB first, so every unit bit keeps its number and
     producers (``view``'s own table): a fragment's bit 0 waits on the
-    MSB of the fragment below, as the add's bit did on its ripple.
+    MSB of the fragment below, as the add's bit did on its ripple, and
+    an operand never reads that MSB, so ``msb_reads`` is ``view``'s too.
     Reassembly selects are glue, with no number.  Only the carries are
     numbered anew.  Tests hold the result to a fresh build.
     """
     base, carried = _numbering(graph)
-    return BitView(base, carried, view.producers)
-
-
-def _reads_msb(graph: DataFlowGraph, op: Operation, source: str) -> bool:
-    """Whether bit 0 of an operand of ``op`` is, or reaches through
-    glue, the MSB of ``source``."""
-    top = graph.op(source).width - 1
-    todo = [(opnd, 0) for opnd in op.operands]
-    while todo:
-        opnd, k = todo.pop()
-        ref, bit = opnd.source, opnd.lo + k
-        if k > opnd.hi - opnd.lo:
-            continue  # zero-extended
-        if type(ref) is Concat:  # the one slice that holds the bit
-            (one,) = operand_slices(Operand(ref, bit, bit))
-            ref, bit = one.source, one.lo
-        if type(ref) is Const or type(ref) is InputRef:
-            continue  # no op bit
-        if ref.op == source and bit == top:
-            return True
-        glue = graph.op(ref.op)
-        if glue.kind.glue:
-            todo += zip(glue.operands, (0, bit, bit) if glue.kind is OpKind.SELECT else (bit,))
-    return False
+    return BitView(base, carried, view.producers, view.msb_reads)
 
 
 def _build_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
     """``graph.reads``, from its producers: what each unit bit reads.  A
     ripple bit drops its ripple, its last producer; an add's bit 0 drops
-    its carry-in's MSB, last unless an operand's bit 0 reads it as data,
-    and appends the carry's number."""
+    its carry-in's MSB, last unless read as data (``msb_reads``), and
+    appends the carry's number."""
     view = graph.bit_view
-    base, producers = view.base, view.producers
+    base, producers, msb_reads = view.base, view.producers, view.msb_reads
     size = len(producers)
     carry_of = {x: size + k for k, x in enumerate(view.carried)}
     reads: list[tuple[int, ...]] = []
@@ -711,8 +697,7 @@ def _build_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
             continue
         first, carry = prods[0], op.carry_in
         if type(carry) is CarryRef:
-            msb = base[carry.op] + graph.op(carry.op).width - 1
-            if first[-1] == msb and not _reads_msb(graph, op, carry.op):
+            if lo not in msb_reads:
                 first = first[:-1]
             first = (*first, carry_of[carry.op])
         reads.append(first)

@@ -298,7 +298,7 @@ def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypa
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
     """After a compile to ``costs`` and the proof of the schedule, the
-    kernel's view and the fragmented graph's hold their three tables and
+    kernel's view and the fragmented graph's hold their four fields and
     nothing else, so neither has cached any keys.  The tables by ``(op,
     bit)`` built afterwards list their keys in number order, and
     ``--emit arrivals`` writes the arrival table."""
@@ -313,7 +313,9 @@ def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
     costs(sched)
     assert check_equiv(design, sched)
     for view in (kernel.bit_view, transformed.bit_view):
-        assert not hasattr(view, "__dict__") and view._fields == ("base", "carried", "producers")
+        assert not hasattr(view, "__dict__") and view._fields == (
+            "base", "carried", "producers", "msb_reads"
+        )
 
     slots, problems = realized_slots(transformed, n_bits, sched.cycle_of)
     assert problems == []

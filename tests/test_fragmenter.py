@@ -734,7 +734,7 @@ def test_rewrite_matches_the_per_bit_rewrite_under_any_runs(data):
     assert apply_runs(graph, runs) == _per_bit_apply_runs(graph, runs)
 
 
-_VIEW_TABLES = ("base", "carried", "producers")
+_VIEW_TABLES = ("base", "carried", "producers", "msb_reads")
 
 
 def _view_mismatches(graph: DataFlowGraph, view=None, reads=None) -> list[str]:
@@ -894,6 +894,36 @@ def test_reads_keep_a_carry_source_msb_read_through_glue(glue):
         assert view.producers[z0] == (msb,)
         assert transformed.reads[z0] == (msb, len(view.producers) + view.carried.index(top))
         assert sorted_reads(transformed) == built_reads(transformed)
+        assert _view_mismatches(transformed) == []
+
+
+# Z's bit 0 reads its carry source's MSB, Y[3], as data: directly, through
+# a NOT or as a SELECT condition; or it reads no bit of Y at all.
+MSB_READ_SOURCES = {
+    "direct": "Z: add u4 carry(Y) = Y[3:3] + a;",
+    **MSB_THROUGH_GLUE_SOURCES,
+    "none": "Z: add u4 carry(Y) = a + b;",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MSB_READ_SOURCES))
+def test_msb_reads_hold_each_bit_0_that_reads_its_carry_source_msb(case):
+    """The view's ``msb_reads`` holds Z's bit 0 when it reads Y's MSB as
+    data and is empty otherwise.  A rewrite keeps the kernel's set, the
+    same object, and no fragment above the first is in it: its bit 0
+    reads the carry of the fragment below, never that fragment's MSB."""
+    kernel = parse(
+        "design msbreads;\ninput a : u4;\ninput b : u4;\nY: add u4 = a + b;\n"
+        f"{MSB_READ_SOURCES[case]}\noutput Z;"
+    )
+    view = kernel.bit_view
+    assert view.msb_reads == (set() if case == "none" else {view.base["Z"]})
+    halves = [(0, 1, 1, 1), (2, 3, 1, 1)]
+    for runs in ({"Y": halves}, {"Y": halves, "Z": halves}, {"Z": halves}):
+        _, transformed = apply_runs(kernel, runs)
+        assert transformed.bit_view.msb_reads is view.msb_reads
+        uppers = [transformed.bit_view.base[f"{x}1"] for x in runs]
+        assert not view.msb_reads.intersection(uppers)
         assert _view_mismatches(transformed) == []
 
 

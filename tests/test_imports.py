@@ -1,10 +1,14 @@
 """Every top-level import of a library module is used by that module,
 no library module imports another one's underscore names, the
-package exports exactly what its ``__init__`` imports, and each record
+package exports exactly what its ``__init__`` imports, each record
 keeps the style it is declared in and the behaviour it had as a
-dataclass."""
+dataclass, and nothing made at import keeps a dropped copy of the
+package alive."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -242,6 +246,109 @@ def test_the_field_write_lint_sees_writes():
     assert _field_writes(tree, fields) == [
         "2: .hi", "3: .op", "4: .hi", "5: setattr 'parts'", "6: setattr 'op'", "10: .hi"
     ]
+
+
+def _typing_subscripts(tree: ast.Module) -> list[str]:
+    """Subscripts of a name imported from ``typing`` (``Union[...]``,
+    ``typing.Optional[...]``) in code that runs at import, by line: module
+    and class bodies, bases, decorators and defaults, but no function body,
+    and no annotation where ``from __future__ import annotations`` holds."""
+    names, modules, lazy = set(), set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "typing":
+                names |= {alias.asname or alias.name for alias in node.names}
+            lazy |= node.module == "__future__" and any(a.name == "annotations" for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "typing"}
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack += getattr(node, "decorator_list", []) + args.defaults
+            stack += [d for d in args.kw_defaults if d is not None]
+            if not lazy:
+                stack += [a.annotation for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                                 args.vararg, args.kwarg) if a and a.annotation]
+                stack += [node.returns] if getattr(node, "returns", None) else []
+            continue
+        if isinstance(node, ast.AnnAssign) and lazy:
+            stack += [node.target] + ([node.value] if node.value else [])
+            continue
+        if isinstance(node, ast.Subscript):
+            value = node.value
+            if getattr(value, "id", None) in names or (
+                isinstance(value, ast.Attribute) and getattr(value.value, "id", None) in modules
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+        stack += ast.iter_child_nodes(node)
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_no_typing_subscript_runs_at_import():
+    """``typing`` keeps each ``Union[...]`` (and every other subscript of
+    its special forms) in an LRU cache, and through the classes in it the
+    module globals of the copy of ``bitfrag`` that made it, so a dropped
+    import of the package would stay in memory.  A PEP 604 union
+    (``A | B``) is cached nowhere, and annotations are never evaluated."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    found = [f"{module}:{s}" for module, tree in trees.items() for s in _typing_subscripts(tree)]
+    assert found == []
+
+
+def test_the_typing_subscript_lint_sees_import_time_subscripts():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import typing\n"
+        "from typing import NamedTuple, Optional, Union\n"
+        "X = Union[A, B]\n"
+        "Y: Optional[A] = None\n"
+        "class C(NamedTuple):\n"
+        "    a: Union[A, B]\n"
+        "    b: int = typing.Optional[A]\n"
+        "@register(Optional[A])\n"
+        "def f(x: Optional[A] = Union[A, B]) -> Optional[A]:\n"
+        "    return Optional[A]\n"
+        "Z = A | B\n"
+    )
+    assert _typing_subscripts(tree) == [
+        "4: Union[A, B]", "8: typing.Optional[A]", "9: Optional[A]", "10: Union[A, B]"
+    ]
+    eager = ast.parse("from typing import Optional\ndef f(x: Optional[A]) -> int: ...\n")
+    assert _typing_subscripts(eager) == ["2: Optional[A]"]
+
+
+# Imports the package, drops every module of it from ``sys.modules`` and
+# imports it again three times; prints whether the first copy is alive.
+_REIMPORT_PROBE = """
+import gc
+import sys
+import weakref
+
+import bitfrag
+
+kind = weakref.ref(bitfrag.dfg.OpKind)
+for _ in range(3):
+    for name in [n for n in sys.modules if n.split(".")[0] == "bitfrag"]:
+        del sys.modules[name]
+    import bitfrag
+gc.collect()
+print("alive" if kind() is not None else "freed")
+"""
+
+
+def test_a_dropped_import_of_the_package_is_freed():
+    """The benchmark's set-up imports ``bitfrag`` afresh 25 times a run;
+    each copy it drops must be freed, not pinned by a cache made at
+    import.  In a subprocess, so the other tests keep their classes."""
+    run = subprocess.run(
+        [sys.executable, "-c", _REIMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "freed\n"
 
 
 def _dataclasses(tree: ast.Module) -> list[str]:
@@ -560,8 +667,10 @@ def test_bit_view_and_schedule_refuse_writes_and_keep_their_caches():
     a named tuple, caches nothing."""
     graph = parse("design d; input a : u2; X: add u2 = a + a; output X;")
     sched = Schedule(graph=graph, lam=2, n_bits=2, cycle_of={"X": 1})
-    view = BitView({"X": 0}, ("X",), ((), (0,)))
-    assert repr(view) == "BitView(base={'X': 0}, carried=('X',), producers=((), (0,)))"
+    view = BitView({"X": 0}, ("X",), ((), (0,)), frozenset())
+    assert repr(view) == (
+        "BitView(base={'X': 0}, carried=('X',), producers=((), (0,)), msb_reads=frozenset())"
+    )
     assert repr(sched) == (
         "Schedule(graph=DataFlowGraph(name='d', inputs=(InputPort(name='a', width=2, "
         "signed=False),), ops=(Operation(id='X', kind=<OpKind.ADD: 1>, width=2, "
@@ -581,8 +690,9 @@ def test_bit_view_and_schedule_refuse_writes_and_keep_their_caches():
         with pytest.raises(TypeError):
             hash(frozen)
     assert sched.lam == 2 and sched.cycle_of == {"X": 1}
-    assert view == BitView({"X": 0}, ("X",), ((), (0,)))
-    assert view != BitView({"X": 0}, (), ((), (0,)))
+    assert view == BitView({"X": 0}, ("X",), ((), (0,)), frozenset())
+    assert view != BitView({"X": 0}, (), ((), (0,)), frozenset())
+    assert view != BitView({"X": 0}, ("X",), ((), (0,)), frozenset({1}))
     assert sched == Schedule(graph, 2, 2, {"X": 1}, {})
     assert sched != Schedule(graph, 3, 2, {"X": 1}, {})
     assert not hasattr(view, "__dict__")
