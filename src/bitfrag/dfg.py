@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -535,16 +535,15 @@ class BitView(NamedTuple):
 
     ``producers[n]``, the one dependence table, lists the unit bits bit
     ``n`` waits on, each once: those its operand bits are or reach
-    through glue (inputs and constants drop out), in the operand bits'
-    definition order with each glue bit expanded in its place
+    through glue (inputs and constants drop out), ascending
     (``_merged``), then an add's ripple predecessor ``n - 1``, or on bit
-    0 its carry-in's MSB unless already there.  A bit that reads no
-    glue, and a core's bit, lists them ascending.  That order is
-    ``critical_path``'s tie rule.  ``msb_reads`` holds each carried
-    add's bit 0 whose operand bits are or reach its carry-in's MSB, so
-    that it reads that MSB as data too; usually there is none.  What a
-    unit bit reads is the graph's ``reads``, derived from ``producers``
-    and ``msb_reads`` once a schedule needs it.
+    0 its carry-in's MSB unless already there.  Every operand is defined
+    before its op, so only that MSB can break the ascending order.  The
+    order is ``critical_path``'s tie rule.  ``msb_reads`` holds each
+    carried add's bit 0 whose operand bits are or reach its carry-in's
+    MSB, so that it reads that MSB as data too; usually there is none.
+    What a unit bit reads is the graph's ``reads``, derived from
+    ``producers`` and ``msb_reads`` once a schedule needs it.
     ``bit_deps`` states the same rules bit by bit, glue included, and
     tests hold one to the other.
     """
@@ -571,14 +570,11 @@ def _padded(bits: range | list) -> chain:
 
 
 def _merged(*bits) -> tuple[int, ...]:
-    """The unit bits that ``bits`` are or reach, each once, in the order
-    ``BitView`` gives producers.  A bit is a unit bit's number, None, or
-    a glue bit's ``(rank, *reach)``: it ranks after the unit bits defined
-    before it, and among glue bits in definition order and then by bit,
-    so unit bit ``n`` ranks as ``(n + 1, -1)``."""
-    ranked = sorted([x if x.__class__ is tuple else ((x + 1, -1), x)
-                     for x in bits if x is not None])
-    return tuple(dict.fromkeys([n for x in ranked for n in x[1:]]))
+    """The unit bits that ``bits`` are or reach, ascending and each once.
+    A bit is a unit bit's number, None, or a glue bit's reach: the tuple
+    of unit bits it reaches."""
+    return tuple(sorted({n for x in bits if x is not None
+                         for n in (x if x.__class__ is tuple else (x,))}))
 
 
 def _numbering(graph: DataFlowGraph) -> tuple[dict[str, int], tuple[str, ...]]:
@@ -600,12 +596,12 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
 
     One loop per op kind: glue, the ripple kinds (ADD, SUB) and the
     opaque kinds.  An operand is read as one entry per bit: a unit bit's
-    number (a ``range`` for a unit's slice), a glue bit's rank and reach
+    number (a ``range`` for a unit's slice), a glue bit's reach
     (``_merged``), or None for an input or constant bit.  The ripple
     loop orders plain numbers by a comparison and merges only glue.
     """
     base, carried = _numbering(graph)
-    reach: dict[str, list[tuple]] = {}  # per glue op, each bit's rank and reach
+    reach: dict[str, list[tuple[int, ...]]] = {}  # per glue op, each bit's reach
 
     def numbers(opnd: Operand) -> range | list:
         source = opnd.source
@@ -620,21 +616,16 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
 
     producers: list[tuple[int, ...]] = []
     msb_reads: list[int] = []
-    select, glue_bits = OpKind.SELECT, 0
     for op in graph.ops:
         kind = op.kind
         operands = [numbers(opnd) for opnd in op.operands]
         if kind.glue:  # bit i reads bit i of each operand, a select's condition every bit
-            at, ranks = len(producers), range(glue_bits, glue_bits + op.width)
-            glue_bits += op.width
-            if kind is select:
-                cond, columns = operands[0][0], map(_padded, operands[1:])
-                reach[op.id] = [((at, k), *_merged(cond, a, b)) for k, a, b in zip(ranks, *columns)]
-            else:  # NOT: what its one operand bit is or reaches
-                reach[op.id] = [
-                    ((at, k),) if a is None else ((at, k), *a[1:]) if a.__class__ is tuple
-                    else ((at, k), a) for k, a in zip(ranks, _padded(operands[0]))
-                ]
+            if kind is OpKind.SELECT:
+                cond, columns = operands[0][0], zip(*map(_padded, operands[1:]))
+                reach[op.id] = [_merged(cond, a, b) for a, b in islice(columns, op.width)]
+            else:  # NOT: what its one operand bit is or reaches, without a merge
+                reach[op.id] = [() if a is None else a if a.__class__ is tuple else (a,)
+                                for a in islice(_padded(operands[0]), op.width)]
             continue
         lo = base[op.id]
         bits = range(lo, lo + op.width)
@@ -644,7 +635,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                 msb = base[op.carry_in.op] + graph.op(op.carry_in.op).width - 1
             for n, a, b in zip(bits, *map(_padded, operands)):
                 if a.__class__ is tuple or b.__class__ is tuple:  # a glue bit: what it reaches
-                    pair = a[1:] if b is None else b[1:] if a is None else _merged(a, b)
+                    pair = a if b is None else b if a is None else _merged(a, b)
                 elif a is None:
                     pair = () if b is None else (b,)
                 elif b is None or a == b:
@@ -660,7 +651,7 @@ def _build_bit_view(graph: DataFlowGraph) -> BitView:
                         pair = (*pair, msb)
                 producers.append(pair)
         else:  # opaque: every bit waits on every operand bit, one shared tuple
-            producers += [tuple(sorted(_merged(*chain.from_iterable(operands))))] * op.width
+            producers += [_merged(*chain.from_iterable(operands))] * op.width
     return BitView(base, carried, tuple(producers), frozenset(msb_reads))
 
 

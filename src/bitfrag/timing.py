@@ -93,7 +93,8 @@ def critical_path(graph: DataFlowGraph) -> CriticalPath:
     whose producers already stand for the glue between them, and stops
     at inputs or at the opaque multiplier core.  Ties go to the earliest
     bit in definition order, the lowest bit number, and among producers
-    to the first in ``bit_view.producers`` order.
+    to the lowest-numbered data producer, a carry-in's MSB only after
+    every data producer: the first in ``bit_view.producers`` order.
     """
     arrival = graph.arrivals
     if not arrival:

@@ -210,13 +210,12 @@ class KeyedView:
     read the view's layout.
 
     ``producers`` maps every unit bit (a bit of any op but glue) to the
-    unit keys it waits on, in the view's order: its other ops' bits as
-    ``bit_deps`` ranks them (definition order, then bit, glue bits
-    among them), each glue bit replaced in its place by what it
-    reaches, each key once (an opaque op's ascending), then its ripple,
-    or on bit 0 its carry-in's MSB unless already there.  ``reads``
-    maps every unit bit to the OpBit/CarryBit refs of units it reads
-    through glue, less its op's own ripple.
+    unit keys it waits on, in the view's order: the unit bits its other
+    ops' bits are or reach through glue, each once, in ``bit_deps`` key
+    order (definition order, then bit), then its ripple, or on bit 0
+    its carry-in's MSB unless already there.  ``reads`` maps every unit
+    bit to the OpBit/CarryBit refs of units it reads through glue, less
+    its op's own ripple.
     """
 
     producers: dict[tuple[str, int], tuple[tuple[str, int], ...]]
@@ -228,12 +227,11 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
     deps = bit_deps(graph)
     rank = {key: n for n, key in enumerate(deps)}  # every op bit, glue included
 
-    def reach(ref) -> list:
-        """The unit bits an OpBit is or reaches through glue, in order."""
+    def reach(ref) -> set:
+        """The unit bits an OpBit is or reaches through glue."""
         if not graph.op(ref.op).kind.glue:
-            return [ref]
-        bits = sorted((r for r in deps[ref] if isinstance(r, OpBit)), key=rank.__getitem__)
-        return [x for r in bits for x in reach(r)]
+            return {ref}
+        return {x for r in deps[ref] if isinstance(r, OpBit) for x in reach(r)}
 
     producers, reads = {}, {}
     for op in graph.ops:
@@ -242,11 +240,8 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
         for i in range(op.width):
             key = (op.id, i)
             refs = deps[key]
-            data = sorted((r for r in refs if isinstance(r, OpBit) and r.op != op.id),
-                          key=rank.__getitem__)
-            order = list(dict.fromkeys(x for r in data for x in reach(r)))
-            if not op.kind.per_bit:
-                order.sort(key=rank.__getitem__)
+            data = {x for r in refs if isinstance(r, OpBit) and r.op != op.id for x in reach(r)}
+            order = sorted(data, key=rank.__getitem__)
             if i > 0 and op.kind.per_bit:
                 order.append(OpBit(op.id, i - 1))
             carries = [r for r in refs if isinstance(r, CarryBit)]
@@ -255,7 +250,7 @@ def keyed_view(graph: DataFlowGraph) -> KeyedView:
                 if msb not in order:
                     order.append(msb)
             producers[key] = tuple((x.op, x.bit) for x in order)
-            reads[key] = frozenset({*(x for r in data for x in reach(r)), *carries})
+            reads[key] = frozenset({*data, *carries})
     return KeyedView(producers, reads)
 
 

@@ -255,9 +255,9 @@ def test_bit_view_is_built_once_and_matches_bit_deps(case):
         assert list(data) == list(ref.producers)
 
         # Producers: unit bits only, each once, in ``keyed_view``'s order:
-        # a glue bit stands in its place for the unit bits it reaches, and
-        # a carry for its op's MSB, last unless the bit also reads that
-        # MSB as data.  That order is critical_path's tie rule.
+        # the unit bits the operands are or reach through glue, ascending,
+        # then the ripple, or a carry as its op's MSB unless the bit also
+        # reads that MSB as data.  That order is critical_path's tie rule.
         for n, key in enumerate(data):
             assert tuple(keys[p] for p in view.producers[n]) == ref.producers[key]
 
@@ -294,8 +294,9 @@ def test_resolved_view_matches_bit_deps(make, seed, lam, tiling):
     """The view of a design, of its kernel and of a fragmented kernel
     (``carried_view``) numbers only unit bits, and lists for each the
     unit bits it waits on through glue, in the order ``keyed_view``
-    gives from ``bit_deps``; what each reads, derived from that, is what
-    ``bit_deps`` reaches through glue, plus its carry-in."""
+    gives from ``bit_deps``: strictly ascending, but for a last ripple
+    predecessor or carry-in MSB.  What each reads, derived from that, is
+    what ``bit_deps`` reaches through glue, plus its carry-in."""
     design = make(seed)
     kernel, _ = extract_kernel(design)
     graphs = [design, kernel]
@@ -312,6 +313,15 @@ def test_resolved_view_matches_bit_deps(make, seed, lam, tiling):
             *ref.producers.values()
         ]
         assert [{view.ref(r) for r in reads} for reads in g.reads] == [*ref.reads.values()]
+        for n, prods in enumerate(view.producers):
+            unit, i = keys[n]
+            op = g.op(unit)
+            last = n - 1 if op.kind.per_bit and i > 0 else None
+            if op.kind.per_bit and i == 0 and isinstance(op.carry_in, CarryRef):
+                carry = op.carry_in.op
+                last = view.base[carry] + g.op(carry).width - 1
+            data = prods[:-1] if prods and prods[-1] == last else prods
+            assert all(p < q for p, q in zip(data, data[1:]))
 
 
 def _assert_refs_are_the_eager_keys(g: DataFlowGraph) -> None:

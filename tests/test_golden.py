@@ -259,7 +259,7 @@ GLUE_GOLDEN = {
     "full-35": "1d8d71353c6b8aa7",
     "full-36": "bc65dce8669f2f78",
     "full-37": "fe740565ea0690d5",
-    "full-38": "56574de3ab14eefd",
+    "full-38": "ff31806d2f7875d4",
     "full-39": "1e16556ee7d82291",
     "full-4": "625236f87e60bd79",
     "full-5": "504e386efe4f33e6",

@@ -60,6 +60,23 @@ def test_critical_path_prefers_data_bits_to_carries_on_ties():
     assert critical_path(kernel) == CriticalPath(("X", "Z"), 8)
 
 
+def test_critical_path_takes_the_lowest_numbered_producer_on_ties():
+    # Z[3] waits on B[3], on A[3] through N and on Z[2], all at time 4:
+    # the tie goes to A, numbered first, although Z names B first.
+    source = """
+    design order;
+    input a : u4;
+    input b : u4;
+    A: add u4 = a + b;
+    B: add u4 = b + a;
+    N: not u4 = A;
+    Z: add u4 = B + N;
+    output Z;
+    """
+    kernel, _ = extract_kernel(parse(source))
+    assert critical_path(kernel) == CriticalPath(("A", "Z"), 5)
+
+
 def test_estimate_cycle_fixture_values(sec2, fig3):
     assert estimate_cycle(sec2, 3) == 6
     assert estimate_cycle(fig3, 3) == 3
