@@ -12,10 +12,12 @@ produced in or before cycle c and some add or core reads it after c,
 directly or through glue; design inputs and outputs have dedicated I/O
 registers and are not counted.  A lane's carry is
 latched while the ripple is suspended, that is between the cycles of
-two neighbouring fragments.  The reads and the order of the latched
-bits both come from the graph's bit numbers (``graph.reads``, derived
-here on first use, and ``bit_view``), so nothing here re-derives bit
-order from the fragment records.
+two neighbouring fragments.  The reads and the latched bits are both
+the graph's bit numbers (``graph.reads``, derived here on first use, and
+``bit_view``), so nothing here re-derives bit order from the fragment
+records.  The latched bits stay numbers until the report names them:
+``held_names`` names each held number once, and the stored sets and
+the data registers read those names.
 
 The unfragmented design is costed by the same model: tiled with
 ``fragmenter.whole_runs`` (every add whole, in one cycle) and scheduled
@@ -24,13 +26,10 @@ at the same latency, it yields a CostReport like any other schedule.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
-from .dfg import (
-    CarryBit,
-    OpBit,
-    OpKind,
-)
+from .dfg import BitView, OpKind
 from .scheduler import Schedule
 
 
@@ -67,54 +66,63 @@ class CostReport(NamedTuple):
     loads: dict[int, int]
 
 
-def bit_name(ref) -> str:
-    """``op[bit]`` or ``carry(op)``: how the cost report and the latch
-    trace name a stored bit."""
-    if isinstance(ref, CarryBit):
-        return f"carry({ref.op})"
-    return f"{ref.op}[{ref.bit}]"
+def held_names(view: BitView, held: dict[int, list[int]]) -> dict[int, str]:
+    """Each bit number held at some boundary, named once as ``op[bit]``
+    or ``carry(op)``: how the cost report and the latch trace name a
+    stored bit.  A unit bit's op is the one whose first bit is the last
+    not above it."""
+    size, ids, starts = len(view.producers), list(view.base), list(view.base.values())
+    names = {}
+    for n in {n for bits in held.values() for n in bits}:
+        if n < size:
+            k = bisect_right(starts, n) - 1
+            names[n] = f"{ids[k]}[{n - starts[k]}]"
+        else:
+            names[n] = f"carry({view.carried[n - size]})"
+    return names
 
 
-def stored_bits(sched: Schedule) -> dict[int, list]:
-    """Bits live across each cycle boundary, in the bit view's order.
+def stored_bits(sched: Schedule) -> dict[int, list[int]]:
+    """Bits live across each cycle boundary, by bit number.
 
     Boundary c separates cycle c from c + 1; keys run 1 .. lam - 1.  A
     read bit is held at every boundary from its producing op's cycle (a
     carry's op produces it) up to its last reader's cycle; an
     unscheduled reader or producer holds nothing.  Each boundary lists
-    its refs, OpBit or CarryBit, in bit number order: unit bits before
+    the numbers of its bits in ascending order: unit bits before
     carries, each in definition order and then by bit.
     """
-    graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
-    view, reads = graph.bit_view, graph.reads
-    base, size = view.base, len(view.producers)
+    cycle_of, lam = sched.cycle_of, sched.lam
+    view, reads = sched.graph.bit_view, sched.graph.reads
+    size = len(view.producers)
+    starts = [*view.base.values(), size]
+    units = list(zip(view.base, starts, starts[1:]))  # each unit's id and bits
     stop = [0] * (size + len(view.carried))  # each bit's last reader cycle
-    for op in graph.ops:
-        cycle = cycle_of.get(op.id)
+    for op_id, lo, hi in units:
+        cycle = cycle_of.get(op_id)
         if cycle is None:
-            continue  # glue, or an unscheduled unit: its reads hold nothing
-        lo = base[op.id]
-        for refs in reads[lo:lo + op.width]:
+            continue  # an unscheduled unit: its reads hold nothing
+        for refs in reads[lo:hi]:
             for r in refs:
                 if stop[r] < cycle:
                     stop[r] = cycle
-    out: dict[int, list] = {b: [] for b in range(1, lam)}
-    for op in graph.ops:
-        op_id = op.id
+    out: dict[int, list[int]] = {b: [] for b in range(1, lam)}
+    for op_id, lo, hi in units:
         first = cycle_of.get(op_id)
         if first is None:
-            continue  # glue, or a unit with no cycle: holds its bits nowhere
-        lo = base[op_id]
-        for i, last in enumerate(stop[lo:lo + op.width]):
-            if last:  # a scheduled unit reads it; clamped without a max/min call
-                ref = OpBit(op_id, i)
-                for b in range(first if first > 1 else 1, last if last < lam else lam):
-                    out[b].append(ref)
-    for op_id, last in zip(view.carried, stop[size:]):
+            continue  # a unit with no cycle: holds its bits nowhere
+        if first < 1:
+            first = 1
+        for n in range(lo, hi):
+            last = stop[n]
+            if last:  # a scheduled unit reads it; clamped without a min call
+                for b in range(first, last if last < lam else lam):
+                    out[b].append(n)
+    for n, op_id in enumerate(view.carried, size):
+        last = stop[n]
         if last and op_id in cycle_of:
-            ref = CarryBit(op_id)
             for b in range(max(cycle_of[op_id], 1), min(last, lam)):
-                out[b].append(ref)
+                out[b].append(n)
     return out
 
 
@@ -122,43 +130,45 @@ def _bind_slots(boundaries) -> list[list]:
     """Slot j lists, first seen first, every signal held j-th at some
     boundary; each slot is one physical register."""
     slots: list[list] = []
+    seen: list[set] = []  # each slot's signals, beside its list
     for signals in boundaries:
         for j, signal in enumerate(signals):
             if j == len(slots):
                 slots.append([])
-            if signal not in slots[j]:
+                seen.append(set())
+            if signal not in seen[j]:
+                seen[j].add(signal)
                 slots[j].append(signal)
     return slots
 
 
-def bind_registers(sched: Schedule, held: dict[int, list]) -> tuple[RegisterBinding, ...]:
+def bind_registers(
+    sched: Schedule, held: dict[int, list[int]], names: dict[int, str]
+) -> tuple[RegisterBinding, ...]:
     """One physical register per boundary slot.
 
     At every boundary the held data bits (then carries) fill slots in a
     fixed order; slot j across all boundaries is a single register, and
     its input needs a multiplexer once it stores more than one signal.
+    ``held`` lists bit numbers, as ``stored_bits`` does, and ``names``
+    names each (``held_names``): a number below the view's unit bit
+    count is data, and any other is the carry of ``carried[n - size]``.
     Two fragments' carries are one signal when they leave the same
     lane's carry-out, so a lane parked in its own slot muxes nothing.
     """
-    frag_of = {f.id: f for parts in sched.fragments.values() for f in parts}
-
-    def carry_lane(ref: CarryBit) -> str:
-        frag = frag_of.get(ref.op)
-        return frag.parent if frag else ref.op
-
+    view = sched.graph.bit_view
+    size = len(view.producers)
+    lane_of = {f.id: f.parent for parts in sched.fragments.values() for f in parts}
+    lanes = [lane_of.get(x, x) for x in view.carried]  # carry n's lane is lanes[n - size]
     boundaries = [held[b] for b in sorted(held)]
-    data_slots = _bind_slots(
-        [r for r in refs if isinstance(r, OpBit)] for refs in boundaries
-    )
-    carry_slots = _bind_slots(
-        [carry_lane(r) for r in refs if isinstance(r, CarryBit)] for refs in boundaries
-    )
+    data_slots = _bind_slots([n for n in bits if n < size] for bits in boundaries)
+    carry_slots = _bind_slots([lanes[n - size] for n in bits if n >= size] for bits in boundaries)
     registers = []
     for j, signals in enumerate(data_slots):
         registers.append(
             RegisterBinding(
                 j, "data", 1,
-                tuple(bit_name(r) for r in signals), len(signals),
+                tuple([names[n] for n in signals]), len(signals),
             )
         )
     for j, signals in enumerate(carry_slots):
@@ -186,18 +196,17 @@ def costs(sched: Schedule) -> CostReport:
             muxes.append(PortMux(parent, port, fan_in, width))
         carry_fan_in[parent] = len({op.carry_in for op in ops})
     held = sched.held
-    per_boundary = {b: len(refs) for b, refs in held.items()}
+    names = held_names(graph.bit_view, held)
+    per_boundary = {b: len(bits) for b, bits in held.items()}
     return CostReport(
         lanes=tuple(lanes),
         cores=tuple(
             (op.id, op.width) for op in graph.ops if op.kind is core
         ),
         stored_per_boundary=per_boundary,
-        stored_sets={
-            b: tuple(bit_name(r) for r in refs) for b, refs in held.items()
-        },
+        stored_sets={b: tuple([names[n] for n in bits]) for b, bits in held.items()},
         max_stored=max(per_boundary.values(), default=0),
-        registers=bind_registers(sched, held),
+        registers=bind_registers(sched, held, names),
         port_muxes=tuple(muxes),
         carry_fan_in=carry_fan_in,
         loads=sched.loads(),

@@ -271,31 +271,38 @@ def parse(text: str) -> DataFlowGraph:
 # Emission
 
 
-def _emit_term(graph: DataFlowGraph, opnd: Operand) -> str:
+def _emit_term(width_of: dict[str, int], opnd: Operand) -> str:
     src = opnd.source
-    if isinstance(src, InputRef):
-        base, full = src.name, graph.input_port(src.name).width
-    elif isinstance(src, ResultRef):
-        base, full = src.op, graph.op(src.op).width
-    elif isinstance(src, Const):
+    kind = type(src)
+    if kind is ResultRef or kind is InputRef:
+        base = src.op if kind is ResultRef else src.name
+        full = width_of[base]
+    elif kind is Const:
         base, full = f"const({src.bits})", len(src.bits)
     else:
         raise ValueError("nested concat cannot be emitted as a term")
-    if (opnd.hi, opnd.lo) == (full - 1, 0):
+    if opnd.hi == full - 1 and opnd.lo == 0:
         return base
     return f"{base}[{opnd.hi}:{opnd.lo}]"
 
 
-def _emit_operand(graph: DataFlowGraph, opnd: Operand) -> str:
-    if isinstance(opnd.source, Concat):
-        if (opnd.hi, opnd.lo) != (opnd.source.width - 1, 0):
+def _emit_operand(width_of: dict[str, int], opnd: Operand) -> str:
+    src = opnd.source
+    if type(src) is Concat:
+        if opnd.hi != src.width - 1 or opnd.lo != 0:
             raise ValueError("sliced concat operands have no DSL syntax")
-        return "{" + ", ".join(_emit_term(graph, p) for p in opnd.source.parts) + "}"
-    return _emit_term(graph, opnd)
+        return "{" + ", ".join([_emit_term(width_of, p) for p in src.parts]) + "}"
+    return _emit_term(width_of, opnd)
 
 
 def emit(graph: DataFlowGraph) -> str:
-    """Canonical text for a validated graph; parse(emit(g)) == g."""
+    """Canonical text for a validated graph; parse(emit(g)) == g.
+
+    Every input and op width is looked up in one table by name, built
+    once per call.  Raises ValueError for a concat nested in a concat
+    or a sliced concat operand, which the grammar cannot write."""
+    width_of = {port.name: port.width for port in graph.inputs}
+    width_of.update([(op.id, op.width) for op in graph.ops])
     lines = [f"design {graph.name};", ""]
     for port in graph.inputs:
         sign = "s" if port.signed else "u"
@@ -304,12 +311,14 @@ def emit(graph: DataFlowGraph) -> str:
         lines.append("")
     for op in graph.ops:
         sign = "s" if op.signed else "u"
-        carry = ""
-        if isinstance(op.carry_in, CarryRef):
-            carry = f" carry({op.carry_in.op})"
-        elif op.carry_in is not None:
-            carry = f" carry({op.carry_in})"
-        body = op.kind.sep.join(_emit_operand(graph, o) for o in op.operands)
+        carry_in = op.carry_in
+        if carry_in is None:
+            carry = ""
+        elif type(carry_in) is CarryRef:
+            carry = f" carry({carry_in.op})"
+        else:
+            carry = f" carry({carry_in})"
+        body = op.kind.sep.join([_emit_operand(width_of, o) for o in op.operands])
         lines.append(f"{op.id}: {op.kind.word} {sign}{op.width}{carry} = {body};")
     if graph.ops:
         lines.append("")

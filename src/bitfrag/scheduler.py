@@ -56,10 +56,10 @@ class Schedule(FrozenRecord):
         )
 
     @cached_property
-    def held(self) -> dict[int, list]:
-        """The bits latched at each boundary, ``cost.stored_bits``
-        computed on first use and then kept, so that ``costs`` and the
-        latch check share one table."""
+    def held(self) -> dict[int, list[int]]:
+        """The bits latched at each boundary, as ascending bit numbers of
+        the graph's view: ``cost.stored_bits`` computed on first use and
+        then kept, so that ``costs`` and the latch check share one table."""
         from .cost import stored_bits  # cost builds on this module
 
         return stored_bits(self)

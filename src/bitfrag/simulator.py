@@ -15,10 +15,11 @@ ones from one byte string per port and exhaustive ones from a counter,
 and a few stream blocks are joined into one evaluation block.
 The latch check walks a scheduled design cycle by cycle and insists
 that every value crossing a cycle boundary sits in a latch the cost
-model pays for (``Schedule.held``, kept with the schedule); it reads no
-input values, so ``check_equiv`` runs it once per schedule, while
-``eval_schedule`` runs it with every evaluation and traces the cycles
-it walked.
+model pays for (``Schedule.held``, kept with the schedule as bit
+numbers, the numbers the reads use); it reads no input values, so
+``check_equiv`` runs it once per schedule, while ``eval_schedule`` runs
+it with every evaluation and traces the cycles it walked, naming the
+latched bits as the cost report does (``cost.held_names``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import random
 from typing import NamedTuple
 
 from .dfg import (
-    CarryBit,
     CarryRef,
     Concat,
     Const,
@@ -40,7 +40,7 @@ from .dfg import (
     ResultRef,
     Source,
 )
-from .cost import bit_name
+from .cost import held_names
 from .scheduler import Schedule
 
 
@@ -420,7 +420,7 @@ class CycleTrace(NamedTuple):
     latched: tuple[str, ...]
 
 
-def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int, list]]:
+def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int, list[int]]]:
     """Check a schedule's cycle boundaries.
 
     Raises SimulationError if any operand bit produced in an earlier
@@ -428,10 +428,12 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     the intervening boundary, or if a unit has no cycle.  The units are
     walked once, by cycle and then in definition order, so the first
     unlatched read of the earliest cycle is the one named, before any
-    unscheduled unit, and of its bit the lowest number it reads.
-    Nothing here depends on input values, so one check covers every
-    vector.  Returns what ``eval_schedule`` traces:
-    the units by cycle, each in definition order, and ``Schedule.held``.
+    unscheduled unit, and of its bit the lowest number it reads.  The
+    reads and ``Schedule.held`` share the view's bit numbers, so each
+    read is looked up as it is among the held numbers.  Nothing here
+    depends on input values, so one check covers every vector.  Returns
+    what ``eval_schedule`` traces: the units by cycle, each in
+    definition order, and ``Schedule.held``.
     """
     graph, cycle_of, lam = sched.graph, sched.cycle_of, sched.lam
     view, reads = graph.bit_view, graph.reads
@@ -446,11 +448,9 @@ def _latch_check(sched: Schedule) -> tuple[dict[int, list[Operation]], dict[int,
     for op in map(graph.op, base):
         units.get(cycle_of.get(op.id), missing).append(op)
         made += [cycle_of.get(op.id, lam + 1)] * op.width
-    carry_no = {x: len(made) + k for k, x in enumerate(view.carried)}
     made += [cycle_of.get(x, lam + 1) for x in view.carried]
     for cycle, ops in units.items():
-        kept = held.get(cycle - 1, ())
-        latched = {carry_no[r.op] if type(r) is CarryBit else base[r.op] + r.bit for r in kept}
+        latched = set(held.get(cycle - 1, ()))
         for op in ops:
             lo = base[op.id]
             for refs in reads[lo:lo + op.width]:
@@ -482,11 +482,12 @@ def eval_schedule(
     # arithmetic is order independent and definition order suffices.
     outputs = eval_dfg(sched.graph, inputs)
     units, held = _latch_check(sched)
+    names = held_names(sched.graph.bit_view, held)
     return outputs, [
         CycleTrace(
             cycle,
             tuple(op.id for op in ops),
-            tuple(bit_name(r) for r in held.get(cycle, ())),
+            tuple([names[n] for n in held.get(cycle, ())]),
         )
         for cycle, ops in units.items()
     ]

@@ -866,30 +866,44 @@ def sorted_reads(graph: DataFlowGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(refs)) for refs in graph.reads)
 
 
-def keyed_stored_bits(sched: Schedule) -> dict[int, list]:
-    """Oracle for ``cost.stored_bits``: each read bit's producing op and
-    ref taken from its key in ``eager_keys``."""
+def keyed_stored_bits(sched: Schedule) -> dict[int, list[int]]:
+    """Oracle for ``cost.stored_bits``: each read bit's producing op
+    taken from its key in ``eager_keys``, and its number from the key's
+    index there, counted out op by op rather than read off the view."""
     graph, cycle_of = sched.graph, sched.cycle_of
-    view = graph.bit_view
     keys = eager_keys(graph)
     stop = [0] * len(keys)  # each bit's last reader cycle
+    lo = 0
     for op in graph.ops:
         if op.kind.glue:
             continue  # no cycle, and no number
         cycle = cycle_of.get(op.id, 0)
-        lo = view.base[op.id]
         for refs in graph.reads[lo:lo + op.width]:
             for r in refs:
                 stop[r] = max(stop[r], cycle)
-    out: dict[int, list] = {b: [] for b in range(1, sched.lam)}
-    for key, last in zip(keys, stop):
+        lo += op.width
+    out: dict[int, list[int]] = {b: [] for b in range(1, sched.lam)}
+    for n, (key, last) in enumerate(zip(keys, stop)):
         if not last:
             continue
         start = cycle_of.get(key[0], last)  # none if its op has no cycle
-        ref = key if isinstance(key, CarryBit) else OpBit(*key)
         for b in range(max(start, 1), min(last, sched.lam)):
-            out[b].append(ref)
+            out[b].append(n)
     return out
+
+
+def keyed_refs(graph: DataFlowGraph) -> list:
+    """The ref of every bit number, counted out as ``eager_keys`` does:
+    an ``OpBit`` for a unit bit's key, then each ``CarryBit``."""
+    return [key if isinstance(key, CarryBit) else OpBit(*key) for key in eager_keys(graph)]
+
+
+def bit_name(ref) -> str:
+    """``op[bit]`` or ``carry(op)``: the oracle's name for a stored bit,
+    which the cost report and the latch trace must match."""
+    if isinstance(ref, CarryBit):
+        return f"carry({ref.op})"
+    return f"{ref.op}[{ref.bit}]"
 
 
 def source_width(graph: DataFlowGraph, source: Source) -> int:

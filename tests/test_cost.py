@@ -21,7 +21,10 @@ from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
 from bitfrag.timing import estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
+    bit_name,
     carried_full_design,
+    deep_settings,
+    keyed_refs,
     keyed_stored_bits,
     keyed_view,
     random_full_design,
@@ -150,13 +153,14 @@ def test_stored_bits_hold_only_crossing_reads(sec2):
     sched = run_pipeline(sec2, 3).sched
     held = stored_bits(sched)
     assert set(held) == {1, 2}
-    for refs in held.values():
-        for ref in refs:
-            assert isinstance(ref, (OpBit, CarryBit))
+    for bits in held.values():
+        assert all(type(n) is int for n in bits) and bits == sorted(set(bits))
     # Internal ripple bits of one fragment never appear: only fragment
     # MSBs feeding the next cycle and the carries between fragments.
-    names = {f"{r.op}[{r.bit}]" for r in held[1] if isinstance(r, OpBit)}
-    assert names == {"C0[5]", "E0[4]"}
+    refs = keyed_refs(sched.graph)
+    assert [bit_name(refs[n]) for n in held[1]] == [
+        "C0[5]", "E0[4]", "carry(C0)", "carry(E0)", "carry(G0)",
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,9 +191,9 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(make, seed, lam, buc
             return (1, position[ref.op], 0)
         return (0, position[ref.op], ref.bit)
 
-    held = stored_bits(sched)
+    held, refs = stored_bits(sched), keyed_refs(graph)
     assert set(held) == set(range(1, lam))
-    for b, refs in held.items():
+    for b, bits in held.items():
         crossing = {
             ref
             for (unit, _), reads in keyed_view(graph).reads.items()
@@ -197,10 +201,10 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(make, seed, lam, buc
             for ref in reads
             if produced(ref) <= b
         }
-        assert refs == sorted(crossing, key=order)
+        assert [refs[n] for n in bits] == sorted(crossing, key=order)
 
 
-@settings(max_examples=150, deadline=None)
+@deep_settings(150)
 @given(
     st.sampled_from(DESIGN_MAKERS),
     st.integers(0, 10_000),
@@ -209,10 +213,11 @@ def test_stored_bits_are_the_reads_that_cross_each_boundary(make, seed, lam, buc
     st.data(),
 )
 def test_stored_bits_match_the_keyed_oracle(make, seed, lam, tiling, data):
-    """``stored_bits`` walks bits op by op and then the carries, building
-    each ref itself; the oracle reads each bit's op and ref from its
-    key.  They agree on every schedule, and on schedules with units
-    moved anywhere or dropped, as the latch check may be handed."""
+    """``stored_bits`` walks the view's units and then its carries,
+    listing bit numbers; the oracle reads each bit's op from its key
+    and numbers it by the key's place among the keys.  They agree on
+    every schedule, and on schedules with units moved anywhere or
+    dropped, as the latch check may be handed."""
     try:
         sched = run_pipeline(make(seed), lam, runs=tiling).sched
     except (InfeasibleError, ScheduleError):
@@ -228,6 +233,50 @@ def test_stored_bits_match_the_keyed_oracle(make, seed, lam, tiling, data):
             del cycle_of[uid]
         tampered = replace(sched, cycle_of=cycle_of)
         assert stored_bits(tampered) == keyed_stored_bits(tampered)
+
+
+@deep_settings(100)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_report_names_the_keyed_refs(make, seed, lam, tiling):
+    """The report names each held number once and binds registers by
+    number; the oracle names the refs of ``keyed_stored_bits`` with
+    ``bit_name`` and binds them slot by slot, data bits then carries,
+    a carry by the lane its fragment belongs to."""
+    try:
+        sched = run_pipeline(make(seed), lam, runs=tiling).sched
+    except (InfeasibleError, ScheduleError):
+        return
+    report, refs = costs(sched), keyed_refs(sched.graph)
+    held = {b: [refs[n] for n in bits] for b, bits in keyed_stored_bits(sched).items()}
+    assert report.stored_sets == {b: tuple(map(bit_name, boundary)) for b, boundary in held.items()}
+    lane_of = {f.id: f.parent for parts in sched.fragments.values() for f in parts}
+
+    def slots(signals_by_boundary) -> list[list]:
+        out: list[list] = []
+        for signals in signals_by_boundary:
+            for j, signal in enumerate(signals):
+                if j == len(out):
+                    out.append([])
+                if signal not in out[j]:
+                    out[j].append(signal)
+        return out
+
+    boundaries = held.values()
+    data = slots([bit_name(r) for r in boundary if isinstance(r, OpBit)] for boundary in boundaries)
+    carries = slots(
+        [f"carry lane {lane_of.get(r.op, r.op)}" for r in boundary if isinstance(r, CarryBit)]
+        for boundary in boundaries
+    )
+    assert [(r.kind, list(r.signals), r.fan_in) for r in report.registers] == [
+        *(("data", s, len(s)) for s in data),
+        *(("carry", s, len(s)) for s in carries),
+    ]
+    assert [r.index for r in report.registers] == list(range(len(report.registers)))
 
 
 def test_lane_width_bounds_every_fragment(sat, fig3):

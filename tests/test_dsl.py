@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import ParseError, dsl, emit, emit_dot, parse
+from bitfrag import ParseError, dsl, emit, emit_dot, extract_kernel, parse
 from bitfrag.dfg import (
     CarryRef,
     Concat,
@@ -19,8 +19,18 @@ from bitfrag.dfg import (
     ValidationError,
     validate,
 )
+from bitfrag.fragmenter import (
+    InfeasibleError,
+    analyze,
+    apply_runs,
+    bucket_runs,
+    op_runs,
+    whole_runs,
+)
+from bitfrag.timing import estimate_cycle
 from conftest import (
     DESIGN_DIR,
+    DESIGN_MAKERS,
     MIXED_SOURCE,
     SAT_SOURCE,
     lex_oracle,
@@ -47,6 +57,29 @@ def test_inline_fixtures_round_trip(source):
 def test_generated_designs_round_trip(seed):
     for g in (random_add_design(seed), random_full_design(seed)):
         assert parse(emit(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(DESIGN_MAKERS),
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.sampled_from([op_runs, bucket_runs, whole_runs]),
+)
+def test_fragmented_designs_round_trip(make, seed, lam, tiling):
+    """A rewrite's operands include concats of fragment slices and
+    fragment carries, forms no surface design is drawn with; its text
+    parses back to it and is canonical."""
+    kernel, _ = extract_kernel(make(seed))
+    try:
+        _, transformed = apply_runs(
+            kernel, tiling(kernel, analyze(kernel, estimate_cycle(kernel, lam), lam))
+        )
+    except InfeasibleError:
+        return
+    text = emit(transformed)
+    assert parse(text) == transformed
+    assert emit(parse(text)) == text
 
 
 def test_separators_are_interchangeable():
@@ -185,13 +218,20 @@ def test_validate_refuses_carry_operand():
 
 def test_emit_refuses_sliced_and_nested_concat():
     part = Operand(InputRef("x"), 1, 0)
-    sliced = Operand(Concat((part, part)), 2, 1)
-    nested = Operand(Concat((Operand(Concat((part, part)), 3, 0), part)), 5, 0)
+    cat = Concat((part, part))
+    nested = Operand(Concat((Operand(cat, 3, 0), part)), 5, 0)
     base = Operand(InputRef("x"), 1, 0)
-    for bad in (sliced, nested):
+    sliced = "^sliced concat operands have no DSL syntax$"
+    # A slice that keeps the top bit but cuts bit 0 is a slice too.
+    for bad, message in (
+        (Operand(cat, 2, 1), sliced),
+        (Operand(cat, 3, 1), sliced),
+        (Operand(cat, 2, 0), sliced),
+        (nested, "^nested concat cannot be emitted as a term$"),
+    ):
         op = Operation("A", OpKind.ADD, 4, False, (bad, base))
         g = DataFlowGraph("d", (InputPort("x", 2, False),), (op,), ("A",))
-        with pytest.raises(ValueError, match="concat"):
+        with pytest.raises(ValueError, match=message):
             emit(g)
 
 

@@ -20,7 +20,6 @@ from bitfrag.dfg import (
     DataFlowGraph,
     InputPort,
     InputRef,
-    OpBit,
     Operand,
     Operation,
     OpKind,
@@ -38,6 +37,7 @@ from bitfrag.simulator import (
 )
 from conftest import (
     TESTS_DIR,
+    eager_keys,
     load_design,
     random_add_design,
     random_full_design,
@@ -199,7 +199,8 @@ def test_unscheduled_producer_holds_nothing_and_is_named(sec2):
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
     broken = replace(sched, cycle_of=cycle_of)
-    assert all(r.op != "C0" for refs in broken.held.values() for r in refs)
+    c0 = {n for n, key in enumerate(eager_keys(sched.graph)) if key[0] == "C0"}
+    assert len(c0) == 7 and not c0 & {n for bits in broken.held.values() for n in bits}
     with pytest.raises(SimulationError, match="^unscheduled operations: C0$"):
         eval_schedule(broken, {p.name: 0 for p in sec2.inputs})
 
@@ -210,14 +211,17 @@ def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
     # schedule computes its held bits on first use, so after the patch.
     sched = run_pipeline(sec2, 3).sched
     real = cost.stored_bits
+    dropped = eager_keys(sched.graph).index(("C0", 5))
 
     def leaky(s):
-        held = {b: list(refs) for b, refs in real(s).items()}
-        held[1] = [r for r in held[1] if r != OpBit("C0", 5)]
+        held = {b: list(bits) for b, bits in real(s).items()}
+        held[1] = [n for n in held[1] if n != dropped]
         return held
 
     monkeypatch.setattr(cost, "stored_bits", leaky)
-    with pytest.raises(SimulationError, match="reads unlatched bit"):
+    with pytest.raises(
+        SimulationError, match=r"reads unlatched bit OpBit\(op='C0', bit=5\) across boundary 1$"
+    ):
         eval_schedule(sched, {p.name: 0xFFFF for p in sec2.inputs})
 
 
@@ -317,13 +321,17 @@ def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
     assert len(calls) == 1
     sched = replace(sched)
 
+    dropped = eager_keys(sched.graph).index(("C0", 5))
+
     def leaky(s):
-        held = {b: list(refs) for b, refs in real(s).items()}
-        held[1] = [r for r in held[1] if r != OpBit("C0", 5)]
+        held = {b: list(bits) for b, bits in real(s).items()}
+        held[1] = [n for n in held[1] if n != dropped]
         return held
 
     monkeypatch.setattr(cost, "stored_bits", leaky)
-    with pytest.raises(SimulationError, match="reads unlatched bit"):
+    with pytest.raises(
+        SimulationError, match=r"reads unlatched bit OpBit\(op='C0', bit=5\) across boundary 1$"
+    ):
         check_equiv(sec2, sched, samples=20)
 
 
