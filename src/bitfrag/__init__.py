@@ -26,7 +26,7 @@ from .fragmenter import (
     fragment,
 )
 from .kernel import KernelError, extract_kernel
-from .scheduler import Schedule, ScheduleError, schedule, verify_schedule
+from .scheduler import Schedule, ScheduleError, schedule, schedule_kernel, verify_schedule
 from .cost import CostReport, costs
 from .simulator import (
     EquivResult,
@@ -80,6 +80,7 @@ __all__ = [
     "fragment",
     "parse",
     "schedule",
+    "schedule_kernel",
     "validate",
     "verify_schedule",
 ]

@@ -17,11 +17,10 @@ from pathlib import Path
 
 from .cost import costs
 from .dsl import emit, emit_dot, parse
-from .fragmenter import analyze, fragment
 from .kernel import extract_kernel
-from .scheduler import schedule, verify_schedule
+from .scheduler import schedule_kernel, verify_schedule
 from .simulator import check_equiv
-from .timing import bit_arrivals, critical_path, estimate_cycle
+from .timing import bit_arrivals, critical_path
 
 _SUFFIX = {
     "report": ".json",
@@ -128,7 +127,7 @@ def _arrivals_text(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(design, lam, n_bits, crit, sched, cost, equiv) -> dict:
+def _report(design, crit, sched, cost, equiv) -> dict:
     fragments = {
         parent: [
             {
@@ -147,8 +146,8 @@ def _report(design, lam, n_bits, crit, sched, cost, equiv) -> dict:
     cycles = {str(c): units for c, units in in_position.items()}
     report = {
         "design": design.name,
-        "lambda": lam,
-        "n_bits": n_bits,
+        "lambda": sched.lam,
+        "n_bits": sched.n_bits,
         "critical_path": {"ops": list(crit.ops), "time": crit.time},
         "fragments": fragments,
         "schedule": {
@@ -227,13 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         design = parse(text)
         kernel, _trace = extract_kernel(design)
         crit = critical_path(kernel)
-        if args.nbits is not None:
-            n_bits = args.nbits
-        else:
-            n_bits = estimate_cycle(kernel, args.latency)
-        mobility = analyze(kernel, n_bits, args.latency)
-        fragments, transformed = fragment(kernel, mobility)
-        sched = schedule(transformed, fragments, args.latency, n_bits)
+        sched = schedule_kernel(kernel, args.latency, args.nbits)
         problems = verify_schedule(sched)
         if problems:
             print(
@@ -252,16 +245,14 @@ def main(argv: list[str] | None = None) -> int:
     artifacts: dict[str, str] = {}
     for what in emissions:
         if what == "report":
-            payload = _report(
-                design, args.latency, n_bits, crit, sched, cost, equiv
-            )
+            payload = _report(design, crit, sched, cost, equiv)
             artifacts[what] = json.dumps(payload, indent=2) + "\n"
         elif what == "transformed":
-            artifacts[what] = emit(transformed)
+            artifacts[what] = emit(sched.graph)
         elif what == "schedule":
             artifacts[what] = _schedule_text(sched)
         elif what == "dot":
-            artifacts[what] = emit_dot(transformed)
+            artifacts[what] = emit_dot(sched.graph)
         elif what == "arrivals":
             artifacts[what] = _arrivals_text(kernel)
 

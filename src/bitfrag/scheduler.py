@@ -29,6 +29,9 @@ IEEE TCAD 1989).  Once every unit is placed, the base is the table the
 checker derives, in ``(cycle, depth)`` pairs of its own, from
 ``cycle_of``, so a Schedule holds only the cycle assignment: every bit
 of a unit is produced in its unit's cycle.
+
+``schedule_kernel`` runs a kernel through the stages before this one,
+the cycle estimate, mobility and the tiling of its adds, then ``schedule``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from bisect import bisect_right, insort
 from functools import cached_property
 
 from .dfg import CarryBit, DataFlowGraph, FrozenRecord, InputBit, OpKind, bit_deps
-from .fragmenter import Fragment, Mobility
+from .fragmenter import Fragment, Mobility, analyze, apply_runs, op_runs
+from .timing import estimate_cycle
 
 
 class ScheduleError(ValueError):
@@ -397,6 +401,19 @@ def schedule(
     # Every unit is placed, so the base is the completion of cycle_of
     # itself, the table _realized_table derives: cycle_of is the schedule.
     return Schedule(graph, lam, n_bits, cycle_of, fragments)
+
+
+def schedule_kernel(kernel: DataFlowGraph, lam: int, n_bits: int | None = None,
+                    runs=op_runs) -> Schedule:
+    """Tile ``kernel``'s adds along ``runs`` (per-bit windows by
+    default) and schedule the result in ``lam`` cycles of ``n_bits``
+    bits, the estimated cycle when None.  The schedule is not verified:
+    ``verify_schedule`` stays outside the code it checks."""
+    if n_bits is None:
+        n_bits = estimate_cycle(kernel, lam)
+    mobility = analyze(kernel, n_bits, lam)
+    fragments, transformed = apply_runs(kernel, runs(kernel, mobility))
+    return schedule(transformed, fragments, lam, n_bits)
 
 
 def verify_schedule(sched: Schedule) -> list[str]:

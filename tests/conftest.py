@@ -40,10 +40,7 @@ from bitfrag.dfg import (
 )
 from bitfrag.fragmenter import (
     InfeasibleError,
-    Mobility,
     alap_table,
-    analyze,
-    apply_runs,
     op_runs,
     whole_runs,
 )
@@ -51,7 +48,7 @@ from bitfrag.scheduler import (
     Schedule,
     ScheduleError,
     _realized_table,
-    schedule,
+    schedule_kernel,
     verify_schedule,
 )
 from bitfrag.simulator import EXHAUSTIVE_LIMIT
@@ -312,36 +309,17 @@ def ladder_source(sections: int, width: int) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class Pipeline:
-    graph: DataFlowGraph
-    kernel: DataFlowGraph
-    trace: dict[str, tuple[str, ...]]
-    lam: int
-    n_bits: int
-    mobility: Mobility
-    fragments: dict
-    transformed: DataFlowGraph
-    sched: Schedule
-
-
 def run_pipeline(
     graph: DataFlowGraph, lam: int, n_bits: int | None = None, runs=op_runs
-) -> Pipeline:
-    """Kernel extraction through scheduling, the adds tiled along
-    ``runs`` (per-bit windows by default), with the estimated cycle."""
-    kernel, trace = extract_kernel(graph)
-    n = n_bits if n_bits is not None else estimate_cycle(kernel, lam)
-    mobility = analyze(kernel, n, lam)
-    fragments, transformed = apply_runs(kernel, runs(kernel, mobility))
-    sched = schedule(transformed, fragments, lam, n)
-    return Pipeline(
-        graph, kernel, trace, lam, n, mobility, fragments, transformed, sched
-    )
+) -> Schedule:
+    """Kernel extraction through scheduling (``schedule_kernel``), the
+    adds tiled along ``runs`` (per-bit windows by default), with the
+    estimated cycle unless ``n_bits`` is given."""
+    return schedule_kernel(extract_kernel(graph)[0], lam, n_bits, runs)
 
 
-def smallest_pipeline(graph: DataFlowGraph, lam: int, runs=op_runs) -> Pipeline | None:
-    """The pipeline at the smallest n_bits whose ``runs`` tiling
+def smallest_pipeline(graph: DataFlowGraph, lam: int, runs=op_runs) -> Schedule | None:
+    """The schedule at the smallest n_bits whose ``runs`` tiling
     schedules, or None if none does.
 
     The search walks upward from the estimated cycle; a whole add
@@ -355,13 +333,13 @@ def smallest_pipeline(graph: DataFlowGraph, lam: int, runs=op_runs) -> Pipeline 
         low = max([low] + [op.width for op in kernel.ops if op.kind is OpKind.ADD])
     for n in range(low, max(low, critical_path(kernel).time) + 1):
         try:
-            return run_pipeline(graph, lam, n, runs)
+            return schedule_kernel(kernel, lam, n, runs)
         except (InfeasibleError, ScheduleError):
             continue
     return None
 
 
-def feasible_pipeline(graph: DataFlowGraph, lam: int, max_lam: int = 24) -> Pipeline:
+def feasible_pipeline(graph: DataFlowGraph, lam: int, max_lam: int = 24) -> Schedule:
     """Walk the latency upward past core-quantization infeasibility."""
     while True:
         try:

@@ -85,10 +85,10 @@ def test_chained_adds_critical_time_and_estimate(sec2, verdict):
 
 def test_chained_adds_fragment_tiling(sec2, verdict):
     with verdict("first add fragments into [5:0]/[11:6]/[15:12]; the others tile their width"):
-        p = run_pipeline(sec2, 3)
-        assert [(f.lo, f.hi) for f in p.fragments["C"]] == [(0, 5), (6, 11), (12, 15)]
+        sched = run_pipeline(sec2, 3)
+        assert [(f.lo, f.hi) for f in sched.fragments["C"]] == [(0, 5), (6, 11), (12, 15)]
         for parent in ("E", "G"):
-            parts = p.fragments[parent]
+            parts = sched.fragments[parent]
             assert parts[0].lo == 0 and parts[-1].hi == 15
             for left, right in zip(parts, parts[1:]):
                 assert right.lo == left.hi + 1
@@ -96,7 +96,7 @@ def test_chained_adds_fragment_tiling(sec2, verdict):
 
 def test_chained_adds_datapath_costs(sec2, verdict):
     with verdict("3 lanes of width 6, register peak 5 bits, 6 three-way port muxes; whole ops 3x16"):
-        report = costs(run_pipeline(sec2, 3).sched)
+        report = costs(run_pipeline(sec2, 3))
         assert [lane.width for lane in report.lanes] == [6, 6, 6]
         assert report.max_stored == 5
         assert set(report.stored_sets[1]) == {
@@ -110,7 +110,7 @@ def test_chained_adds_datapath_costs(sec2, verdict):
         assert all(m.fan_in == 3 and m.width == 6 for m in report.port_muxes)
         whole = smallest_pipeline(sec2, 3, whole_runs)
         assert whole.n_bits == 16
-        original = costs(whole.sched)
+        original = costs(whole)
         assert [lane.width for lane in original.lanes] == [16, 16, 16]
         assert original.max_stored == 16
         assert {m.fan_in for m in original.port_muxes} == {1}
@@ -139,9 +139,9 @@ def test_fragmented_cycle_against_whole_op_baseline(verdict):
                 split = smallest_pipeline(graph, lam)
                 whole = smallest_pipeline(graph, lam, whole_runs)
                 assert (split.n_bits, whole.n_bits) == cell, (name, lam)
-                for p in (split, whole):
-                    assert verify_schedule(p.sched) == [], (name, lam)
-                    assert check_equiv(graph, p.sched).equivalent, (name, lam)
+                for sched in (split, whole):
+                    assert verify_schedule(sched) == [], (name, lam)
+                    assert check_equiv(graph, sched).equivalent, (name, lam)
                 if lam == 3:
                     shorter.append(1 - split.n_bits / whole.n_bits)
         assert round(100 * sum(shorter) / len(shorter), 1) == 57.9
@@ -157,11 +157,11 @@ def test_transformed_spec_needs_no_fragment_records(verdict):
             graph = load_design(name)
             for lam in (2, 3, 4, 6):
                 split = smallest_pipeline(graph, lam)
-                spec = parse(emit(split.transformed))
+                spec = parse(emit(split.graph))
                 whole = smallest_pipeline(spec, lam, whole_runs)
                 assert whole.n_bits == split.n_bits, (name, lam)
-                assert whole.sched.cycle_of == split.sched.cycle_of, (name, lam)
-                assert check_equiv(graph, whole.sched).equivalent, (name, lam)
+                assert whole.cycle_of == split.cycle_of, (name, lam)
+                assert check_equiv(graph, whole).equivalent, (name, lam)
         verdict.note(
             "the emitted spec carries what the fragment records held: a "
             "conventional scheduler needs nothing else"
@@ -181,10 +181,10 @@ def test_transformed_spec_of_a_random_design_needs_no_fragment_records(make, see
     split = smallest_pipeline(graph, lam)
     if split is None:
         return
-    whole = smallest_pipeline(parse(emit(split.transformed)), lam, whole_runs)
+    whole = smallest_pipeline(parse(emit(split.graph)), lam, whole_runs)
     assert whole is not None and whole.n_bits == split.n_bits
-    assert whole.sched.cycle_of.keys() == split.sched.cycle_of.keys()
-    assert check_equiv(graph, whole.sched).equivalent
+    assert whole.cycle_of.keys() == split.cycle_of.keys()
+    assert check_equiv(graph, whole).equivalent
 
 
 def test_dual_path_fixture_timing_and_windows(fig3, verdict):
@@ -195,12 +195,12 @@ def test_dual_path_fixture_timing_and_windows(fig3, verdict):
         assert tuple(crit.ops) == ("F", "H")
         assert path_time(kernel, ("G", "H")) == 9
         assert estimate_cycle(kernel, 3) == 3
-        p = run_pipeline(fig3, 3)
+        sched = run_pipeline(fig3, 3)
         assert [
-            (f.lo, f.hi, p.sched.cycle_of[f.id]) for f in p.fragments["F"]
+            (f.lo, f.hi, sched.cycle_of[f.id]) for f in sched.fragments["F"]
         ] == [(0, 2, 1), (3, 5, 2), (6, 7, 3)]
         assert [
-            (f.lo, f.hi, f.asap_cycle, f.alap_cycle) for f in p.fragments["B"]
+            (f.lo, f.hi, f.asap_cycle, f.alap_cycle) for f in sched.fragments["B"]
         ] == [(0, 1, 1, 1), (2, 2, 1, 2), (3, 4, 2, 2), (5, 5, 2, 3)]
 
 
@@ -244,19 +244,19 @@ def test_semantic_preservation(sec2, fig3, verdict):
             assert res.strategy == "exhaustive", src
             assert res.equivalent, src
         for graph in (sec2, fig3):
-            res = check_equiv(graph, run_pipeline(graph, 3).sched, samples=1000)
+            res = check_equiv(graph, run_pipeline(graph, 3), samples=1000)
             assert res.checked == 1000
             assert res.equivalent, graph.name
         for seed in range(50):
             g = random_full_design(seed)
-            p = feasible_pipeline(g, 3)
-            res = check_equiv(g, p.sched, samples=120, seed=seed)
+            sched = feasible_pipeline(g, 3)
+            res = check_equiv(g, sched, samples=120, seed=seed)
             assert res.equivalent, f"seed {seed}: {res.counterexample}"
 
 
 def test_schedule_legality_everywhere(sec2, fig3, sat, mixed, elliptic, diffeq, verdict):
     with verdict("verify_schedule clean; depths within budget; windows and carry order hold"):
-        pipelines = [
+        scheds = [
             run_pipeline(sec2, 3),
             run_pipeline(fig3, 3),
             run_pipeline(sat, 3),
@@ -264,29 +264,29 @@ def test_schedule_legality_everywhere(sec2, fig3, sat, mixed, elliptic, diffeq, 
         ]
         for graph in (elliptic, diffeq):
             for lam in (4, 6, 11):
-                pipelines.append(run_pipeline(graph, lam))
+                scheds.append(run_pipeline(graph, lam))
         for seed in range(0, 50, 7):
-            pipelines.append(feasible_pipeline(random_full_design(seed), 3))
-        for p in pipelines:
-            assert verify_schedule(p.sched) == [], p.graph.name
-            realized = realized_slots(p.sched.graph, p.n_bits, p.sched.cycle_of)[0]
+            scheds.append(feasible_pipeline(random_full_design(seed), 3))
+        for sched in scheds:
+            assert verify_schedule(sched) == [], sched.graph.name
+            realized = realized_slots(sched.graph, sched.n_bits, sched.cycle_of)[0]
             for (uid, _bit), slot in realized.items():
-                assert 0 <= slot.depth <= p.n_bits
-                if p.sched.graph.op(uid).kind is OpKind.ADD:
+                assert 0 <= slot.depth <= sched.n_bits
+                if sched.graph.op(uid).kind is OpKind.ADD:
                     assert slot.depth >= 1
-            for parts in p.fragments.values():
+            for parts in sched.fragments.values():
                 for f in parts:
-                    assert f.asap_cycle <= p.sched.cycle_of[f.id] <= f.alap_cycle
+                    assert f.asap_cycle <= sched.cycle_of[f.id] <= f.alap_cycle
 
 
 def test_saturated_schedule_splits_across_cycle_gap(sat, verdict):
     with verdict("standalone add runs in cycles 1 and 3 while cycle 2 stays occupied"):
-        p = run_pipeline(sat, 3)
-        assert p.sched.cycle_of["X0"] == 1
-        assert p.sched.cycle_of["X1"] == 3
-        assert any(c == 2 for c in p.sched.cycle_of.values())
-        assert p.sched.loads()[2] > 0
-        assert verify_schedule(p.sched) == []
+        sched = run_pipeline(sat, 3)
+        assert sched.cycle_of["X0"] == 1
+        assert sched.cycle_of["X1"] == 3
+        assert any(c == 2 for c in sched.cycle_of.values())
+        assert sched.loads()[2] > 0
+        assert verify_schedule(sched) == []
 
 
 def test_cycle_tracks_latency_not_width(elliptic, diffeq, verdict):
@@ -297,7 +297,7 @@ def test_cycle_tracks_latency_not_width(elliptic, diffeq, verdict):
             widest = max(op.width for op in kernel.ops)
             assert widest == 16
             for lam in (4, 6, 11):
-                p = run_pipeline(graph, lam)
-                assert p.n_bits == math.ceil(crit_time / lam)
-                assert p.n_bits < widest
-                assert verify_schedule(p.sched) == []
+                sched = run_pipeline(graph, lam)
+                assert sched.n_bits == math.ceil(crit_time / lam)
+                assert sched.n_bits < widest
+                assert verify_schedule(sched) == []

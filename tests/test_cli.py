@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
+import pkgutil
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,16 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bitfrag import cli, dfg
+import bitfrag
+from bitfrag import cli, dfg, scheduler, timing
 from bitfrag.cli import _SUFFIX, main
 from bitfrag.dfg import BitView
 from bitfrag.dsl import ParseError, emit, parse
 from bitfrag.cost import costs
-from bitfrag.fragmenter import analyze, fragment
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import schedule, verify_schedule
+from bitfrag.scheduler import schedule_kernel, verify_schedule
 from bitfrag.simulator import EquivResult, check_equiv
-from bitfrag.timing import bit_arrivals, critical_path, estimate_cycle
+from bitfrag.timing import bit_arrivals, critical_path
 
 from conftest import (
     DESIGN_DIR,
@@ -258,13 +261,13 @@ def test_counterexample_exits_three(capsys, monkeypatch):
 
 def test_a_schedule_that_fails_verification_exits_one(tmp_path, capsys, monkeypatch):
     """The CLI verifies the schedule before it emits anything."""
-    real = cli.schedule
+    real = scheduler.schedule
 
     def rushed(*args):  # every unit in cycle 1, out of its window
         sched = real(*args)
         return replace(sched, cycle_of=dict.fromkeys(sched.cycle_of, 1))
 
-    monkeypatch.setattr(cli, "schedule", rushed)
+    monkeypatch.setattr(scheduler, "schedule", rushed)
     out = tmp_path / "out"
     assert main(_all_emissions([SEC2, "--latency", "3", "--out", str(out)])) == 1
     assert not out.exists()
@@ -275,18 +278,50 @@ def test_a_schedule_that_fails_verification_exits_one(tmp_path, capsys, monkeypa
     assert "C1: cycle 1 outside window [2, 2]" in captured.err
 
 
+class KeyedTable(AssertionError):
+    """A pass named a bit by ``(op, bit)``."""
+
+
+def _refuse_keyed_tables(monkeypatch) -> None:
+    """Make ``bit_arrivals``, ``bit_deps`` and ``BitView.ref`` raise
+    KeyedTable, ``bit_deps`` under every module's own binding of it."""
+    def refuse(*args):
+        raise KeyedTable
+
+    monkeypatch.setattr(cli, "bit_arrivals", refuse)
+    for module in (dfg, scheduler, timing):
+        monkeypatch.setattr(module, "bit_deps", refuse)
+    monkeypatch.setattr(BitView, "ref", refuse)
+
+
+def test_the_refusal_patches_every_binding_of_bit_deps():
+    modules = [importlib.import_module(f"bitfrag.{m.name}")
+               for m in pkgutil.iter_modules(bitfrag.__path__)]
+    bound = {m for m in modules if getattr(m, "bit_deps", None) is dfg.bit_deps}
+    assert bound == {dfg, scheduler, timing}
+
+
+@pytest.mark.parametrize("module", [scheduler, timing])
+def test_the_refusal_catches_a_bit_deps_call_inside_the_library(module, tmp_path, monkeypatch):
+    """A checker that builds ``bit_deps`` through ``module``'s own
+    binding, as a call written in that module does, fails the run."""
+    source = compile("def mutant(sched):\n    bit_deps(sched.graph)\n    return []\n",
+                     module.__file__, "exec")
+    code = next(c for c in source.co_consts if isinstance(c, types.CodeType))
+    monkeypatch.setattr(cli, "verify_schedule", types.FunctionType(code, vars(module)))
+    assert main([SEC2, "--latency", "3", "--out", str(tmp_path)]) == 0
+    _refuse_keyed_tables(monkeypatch)
+    with pytest.raises(KeyedTable):
+        main([SEC2, "--latency", "3", "--out", str(tmp_path)])
+
+
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_the_pipeline_builds_no_slot_and_no_keyed_table(name, tmp_path, monkeypatch):
     """From parse to emit every pass table is a list by bit number, and
     no bit is named by ``(op, bit)``: with no ``--emit arrivals`` the run
     reaches neither ``bit_arrivals`` nor ``bit_deps``, the only builders
     of a dict by ``(op, bit)``, nor ``BitView.ref``."""
-    def refuse(*args):
-        raise AssertionError("a pass named a bit by (op, bit)")
-
-    monkeypatch.setattr(cli, "bit_arrivals", refuse)
-    monkeypatch.setattr(dfg, "bit_deps", refuse)
-    monkeypatch.setattr(BitView, "ref", refuse)
+    _refuse_keyed_tables(monkeypatch)
     emissions = ["--emit", "report", "--emit", "transformed", "--emit", "schedule"]
     path = str(DESIGN_DIR / f"{name}.dfg")
     args = [path, "--latency", "3", "--check-equiv", "--out", str(tmp_path), *emissions]
@@ -306,9 +341,8 @@ def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
     kernel, _ = extract_kernel(design)
     critical_path(kernel)
     lam = 3
-    n_bits = estimate_cycle(kernel, lam)
-    fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
-    sched = schedule(transformed, fragments, lam, n_bits)
+    sched = schedule_kernel(kernel, lam)
+    transformed = sched.graph
     assert verify_schedule(sched) == []
     costs(sched)
     assert check_equiv(design, sched)
@@ -317,7 +351,7 @@ def test_a_compile_to_costs_derives_no_keys(name, tmp_path):
             "base", "carried", "producers", "msb_reads"
         )
 
-    slots, problems = realized_slots(transformed, n_bits, sched.cycle_of)
+    slots, problems = realized_slots(transformed, sched.n_bits, sched.cycle_of)
     assert problems == []
     assert list(slots) == list(eager_keys(transformed)[: len(slots)])
     arrivals = bit_arrivals(kernel)
@@ -363,10 +397,7 @@ def test_cli_never_raises_on_random_designs(make, seed, lam, nbits):
     assert json.loads(out)["equiv"]["equivalent"] is True
 
     kernel, _ = extract_kernel(parse(text))
-    if nbits is None:
-        nbits = estimate_cycle(kernel, lam)
-    fragments, transformed = fragment(kernel, analyze(kernel, nbits, lam))
-    assert verify_schedule(schedule(transformed, fragments, lam, nbits)) == []
+    assert verify_schedule(schedule_kernel(kernel, lam, nbits)) == []
 
 
 @st.composite

@@ -10,15 +10,11 @@ from bitfrag.cost import costs, stored_bits
 from bitfrag.dfg import CarryBit, OpBit
 from bitfrag.fragmenter import (
     InfeasibleError,
-    analyze,
-    bucket_fragment,
     bucket_runs,
-    fragment,
     op_runs,
     whole_runs,
 )
-from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
-from bitfrag.timing import estimate_cycle
+from bitfrag.scheduler import ScheduleError, schedule_kernel, verify_schedule
 from conftest import (
     DESIGN_MAKERS,
     bit_name,
@@ -37,7 +33,7 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def sec2_cost(request):
-    return costs(run_pipeline(request.getfixturevalue("sec2"), 3).sched)
+    return costs(run_pipeline(request.getfixturevalue("sec2"), 3))
 
 
 def test_one_lane_per_original_add(sec2_cost):
@@ -102,9 +98,9 @@ def test_original_schedule_comparison(sec2):
     whole = smallest_pipeline(sec2, 3, whole_runs)
     assert whole.n_bits == 16
     assert smallest_pipeline(sec2, 3).n_bits == 6
-    assert whole.sched.cycle_of == {"C": 1, "E": 2, "G": 3}
-    assert verify_schedule(whole.sched) == []
-    o = costs(whole.sched)
+    assert whole.cycle_of == {"C": 1, "E": 2, "G": 3}
+    assert verify_schedule(whole) == []
+    o = costs(whole)
     assert [(l.parent, l.width, l.fragment_ids) for l in o.lanes] == [
         ("C", 16, ("C",)),
         ("E", 16, ("E",)),
@@ -122,7 +118,7 @@ def test_original_schedule_comparison(sec2):
 
 
 def test_fig3_lane_widths(fig3):
-    report = costs(run_pipeline(fig3, 3).sched)
+    report = costs(run_pipeline(fig3, 3))
     assert [(l.parent, l.width) for l in report.lanes] == [
         ("A", 3),
         ("B", 2),
@@ -139,7 +135,7 @@ def test_fig3_lane_widths(fig3):
 
 
 def test_cores_are_separate_units(mixed):
-    report = costs(run_pipeline(mixed, 6).sched)
+    report = costs(run_pipeline(mixed, 6))
     assert report.cores == (("P", 8),)
     assert [(l.parent, l.width) for l in report.lanes] == [
         ("Q", 2),
@@ -150,7 +146,7 @@ def test_cores_are_separate_units(mixed):
 
 
 def test_stored_bits_hold_only_crossing_reads(sec2):
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     held = stored_bits(sched)
     assert set(held) == {1, 2}
     for bits in held.values():
@@ -172,13 +168,11 @@ def test_stored_bits_hold_only_crossing_reads(sec2):
 )
 def test_stored_bits_are_the_reads_that_cross_each_boundary(make, seed, lam, bucket):
     kernel, _ = extract_kernel(make(seed))
-    tile = bucket_fragment if bucket else fragment
-    n = estimate_cycle(kernel, lam)
     try:
-        fragments, graph = tile(kernel, analyze(kernel, n, lam))
-        sched = schedule(graph, fragments, lam, n)
+        sched = schedule_kernel(kernel, lam, runs=bucket_runs if bucket else op_runs)
     except (InfeasibleError, ScheduleError):
         return
+    graph, n = sched.graph, sched.n_bits
     position = {op.id: k for k, op in enumerate(graph.ops)}
     realized = realized_slots(graph, n, sched.cycle_of)[0]
 
@@ -219,7 +213,7 @@ def test_stored_bits_match_the_keyed_oracle(make, seed, lam, tiling, data):
     every schedule, and on schedules with units moved anywhere or
     dropped, as the latch check may be handed."""
     try:
-        sched = run_pipeline(make(seed), lam, runs=tiling).sched
+        sched = run_pipeline(make(seed), lam, runs=tiling)
     except (InfeasibleError, ScheduleError):
         return
     assert stored_bits(sched) == keyed_stored_bits(sched)
@@ -248,7 +242,7 @@ def test_report_names_the_keyed_refs(make, seed, lam, tiling):
     ``bit_name`` and binds them slot by slot, data bits then carries,
     a carry by the lane its fragment belongs to."""
     try:
-        sched = run_pipeline(make(seed), lam, runs=tiling).sched
+        sched = run_pipeline(make(seed), lam, runs=tiling)
     except (InfeasibleError, ScheduleError):
         return
     report, refs = costs(sched), keyed_refs(sched.graph)
@@ -281,10 +275,10 @@ def test_report_names_the_keyed_refs(make, seed, lam, tiling):
 
 def test_lane_width_bounds_every_fragment(sat, fig3):
     for graph in (sat, fig3):
-        p = run_pipeline(graph, 3)
-        report = costs(p.sched)
+        sched = run_pipeline(graph, 3)
+        report = costs(sched)
         by_parent = {l.parent: l for l in report.lanes}
-        for parent, parts in p.fragments.items():
+        for parent, parts in sched.fragments.items():
             lane = by_parent[parent]
             assert lane.width == max(f.hi - f.lo + 1 for f in parts)
             assert all(f.hi - f.lo + 1 <= lane.width for f in parts)

@@ -32,12 +32,11 @@ from bitfrag.fragmenter import (
     analyze,
     apply_runs,
     bucket_runs,
-    fragment,
     op_runs,
     whole_runs,
 )
 from bitfrag.kernel import extract_kernel
-from bitfrag.scheduler import ScheduleError, schedule
+from bitfrag.scheduler import ScheduleError, schedule_kernel
 from bitfrag.timing import bit_arrivals, estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
@@ -236,8 +235,7 @@ def _view_graphs(case: str) -> list[DataFlowGraph]:
         graph = parse(TIE_SOURCE)
     else:
         graph = load_design(case)
-    pipe = feasible_pipeline(graph, 3)
-    return [graph, pipe.kernel, pipe.transformed]
+    return [graph, extract_kernel(graph)[0], feasible_pipeline(graph, 3).graph]
 
 
 @pytest.mark.parametrize(
@@ -410,12 +408,11 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
     graphs = [design, kernel]
     n_bits = estimate_cycle(kernel, lam)
     try:
-        fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
-        sched = schedule(transformed, fragments, lam, n_bits)
+        sched = schedule_kernel(kernel, lam, n_bits)
     except (InfeasibleError, ScheduleError):
         sched = None
     else:
-        graphs.append(transformed)
+        graphs.append(sched.graph)
     for g in graphs:
         view = g.bit_view
         size = len(view.producers)
@@ -436,8 +433,8 @@ def test_bits_are_numbered_in_definition_order_and_passes_keep_it(seed, lam):
         except InfeasibleError:
             pass
     if sched is not None:
-        realized = realized_slots(transformed, n_bits, sched.cycle_of)[0]
-        assert list(realized) == list(eager_keys(transformed)[: len(realized)])
+        realized = realized_slots(sched.graph, n_bits, sched.cycle_of)[0]
+        assert list(realized) == list(eager_keys(sched.graph)[: len(realized)])
 
 
 def _diag_messages(graph) -> str:

@@ -34,7 +34,7 @@ from bitfrag.fragmenter import (
     op_runs,
     whole_runs,
 )
-from bitfrag.scheduler import ScheduleError, schedule, verify_schedule
+from bitfrag.scheduler import ScheduleError, schedule, schedule_kernel, verify_schedule
 from bitfrag.cli import main
 from bitfrag.simulator import check_equiv
 from bitfrag.timing import TimingError, critical_path, estimate_cycle
@@ -425,10 +425,10 @@ def test_bucket_fragment_covers_every_adder_bit():
     """The bucket tiling of sat at latency 3 schedules all 30 of its
     adder bits, verifies clean and proves equivalent to the design."""
     design = parse(SAT_SOURCE)
-    p = run_pipeline(design, 3, runs=bucket_runs)
-    assert verify_schedule(p.sched) == []
-    assert sum(p.sched.loads().values()) == 30
-    assert check_equiv(design, p.sched).equivalent
+    sched = run_pipeline(design, 3, runs=bucket_runs)
+    assert verify_schedule(sched) == []
+    assert sum(sched.loads().values()) == 30
+    assert check_equiv(design, sched).equivalent
 
 
 def _bucket_fill(start: int, stop: int, width: int, n_bits: int) -> list[tuple[int, int]]:
@@ -507,9 +507,7 @@ def test_whole_adds_narrower_cycles_fail_with_a_typed_error(name):
     for lam in (1, 2, 3, 4, 6, 11, 40):
         for n_bits in range(1, widest):
             with pytest.raises((ScheduleError, InfeasibleError)):
-                mobility = analyze(kernel, n_bits, lam)
-                fragments, graph = apply_runs(kernel, whole_runs(kernel, mobility))
-                schedule(graph, fragments, lam, n_bits)
+                schedule_kernel(kernel, lam, n_bits, whole_runs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -526,12 +524,12 @@ def test_whole_op_baseline_against_fragments_at_their_smallest_cycles(make, seed
     if split is None:
         return
     assert all(
-        [(f.id, f.lo, f.hi) for f in parts] == [(parent, 0, whole.kernel.op(parent).width - 1)]
+        [(f.id, f.lo, f.hi) for f in parts] == [(parent, 0, whole.graph.op(parent).width - 1)]
         for parent, parts in whole.fragments.items()
     )
-    for p in (split, whole):
-        assert verify_schedule(p.sched) == []
-        res = check_equiv(graph, p.sched, samples=200, seed=seed)
+    for sched in (split, whole):
+        assert verify_schedule(sched) == []
+        res = check_equiv(graph, sched, samples=200, seed=seed)
         assert res.equivalent, res.counterexample
     assert split.n_bits <= whole.n_bits
 
@@ -961,7 +959,7 @@ def _count_reads(monkeypatch) -> list:
     return derived
 
 
-@pytest.mark.parametrize("tile", [fragment, bucket_fragment])
+@pytest.mark.parametrize("tile", [op_runs, bucket_runs])
 @pytest.mark.parametrize(
     "text",
     [(DESIGN_DIR / f"{name}.dfg").read_text() for name in ("sec2", "fig3", "elliptic", "diffeq")]
@@ -984,8 +982,7 @@ def test_one_bit_view_is_built_from_parse_to_costs(monkeypatch, text, tile):
     low = estimate_cycle(kernel, lam)
     for n_bits in range(low, low + 64):  # upward to a cycle that schedules
         try:
-            fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
-            sched = schedule(transformed, fragments, lam, n_bits)
+            sched = schedule_kernel(kernel, lam, n_bits, tile)
             break
         except (InfeasibleError, ScheduleError):
             continue
@@ -995,8 +992,8 @@ def test_one_bit_view_is_built_from_parse_to_costs(monkeypatch, text, tile):
     assert derived == []
     costs(sched)
     assert len(built) == 1 and built[0] is kernel
-    assert derived == [transformed]
-    assert transformed.bit_view.producers is kernel.bit_view.producers
+    assert derived == [sched.graph]
+    assert sched.graph.bit_view.producers is kernel.bit_view.producers
 
 
 def test_reads_are_derived_only_once_a_schedule_needs_them(monkeypatch, tmp_path):
@@ -1007,11 +1004,10 @@ def test_reads_are_derived_only_once_a_schedule_needs_them(monkeypatch, tmp_path
     kernel, _ = extract_kernel(parse(MIXED_SOURCE))
     critical_path(kernel)
     with pytest.raises(InfeasibleError):
-        analyze(kernel, estimate_cycle(kernel, 3), 3)
+        schedule_kernel(kernel, 3)
     kernel, _ = extract_kernel(parse((DESIGN_DIR / "sec2.dfg").read_text()))
-    fragments, transformed = bucket_fragment(kernel, analyze(kernel, 6, 3))
     with pytest.raises(ScheduleError):
-        schedule(transformed, fragments, 3, 6)
+        schedule_kernel(kernel, 3, 6, bucket_runs)
     assert derived == []
 
     args = [str(DESIGN_DIR / "sec2.dfg"), "--latency", "3", "--check-equiv",

@@ -6,28 +6,32 @@ keeps behaviour must keep every digest.
 
 The bucket tiling is no longer a command line option, but the
 benchmark's mixed workload still runs ``bucket_fragment``; its digests
-are the bytes ``main`` prints with ``bucket_fragment`` in place of
-``fragment``, as the removed ``--bucket-fill`` printed them.
+are the bytes ``main`` prints with the adds tiled along ``bucket_runs``,
+as the removed ``--bucket-fill`` printed them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 
 from bitfrag import cli, extract_kernel
 from bitfrag.cli import EMISSIONS, _arrivals_text, main
-from bitfrag.fragmenter import InfeasibleError, bucket_fragment, bucket_runs, op_runs
-from bitfrag.scheduler import ScheduleError
+from bitfrag.fragmenter import InfeasibleError, bucket_runs, op_runs
+from bitfrag.scheduler import ScheduleError, schedule_kernel
 from bitfrag.timing import critical_path
 
-from conftest import DESIGN_DIR, carried_full_design, random_full_design, run_pipeline
+from conftest import DESIGN_DIR, TESTS_DIR, carried_full_design, random_full_design, run_pipeline
 
 MODES = {
     "plain": [],
-    "bucket": [],  # with ``bucket_fragment`` as the CLI's tiler
+    "bucket": [],  # with ``bucket_runs`` as the CLI's tiling
     "equiv": ["--check-equiv", "--seed", "7"],
 }
 
@@ -158,7 +162,7 @@ def _run(capsys, args: list[str]) -> str:
 def test_bundled_run_is_byte_identical(case, capsys, monkeypatch):
     design, lam, mode = case.split("-")
     if mode == "bucket":
-        monkeypatch.setattr(cli, "fragment", bucket_fragment)
+        monkeypatch.setattr(cli, "schedule_kernel", partial(schedule_kernel, runs=bucket_runs))
     args = [str(DESIGN_DIR / f"{design}.dfg"), "--latency", lam[1:], *MODES[mode]]
     assert _run(capsys, args) == GOLDEN[case]
 
@@ -290,3 +294,54 @@ def test_glue_design_outputs_are_frozen(case):
     maker, seed = case.rsplit("-", 1)
     graph = {"full": random_full_design, "carried": carried_full_design}[maker](int(seed))
     assert _glue_design_digest(graph) == GLUE_GOLDEN[case]
+
+
+# Each benchmark case through ``bench/pipeline.compile_case``, which
+# calls every stage on its own so a traced run can time it, and through
+# ``schedule_kernel``; ``bench/`` is only read.
+_BENCH_MIRROR_PROBE = """
+import sys
+from pathlib import Path
+
+from bitfrag import emit, extract_kernel, parse, schedule_kernel
+from bitfrag.fragmenter import bucket_runs, op_runs
+
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "bench"))
+from pipeline import TYPED_ERRORS, Untraced, compile_case
+from workloads import CASE_SETS
+
+for name, make_cases in CASE_SETS.items():
+    cases = make_cases(1, root / "src" / "bitfrag" / "designs")
+    refused = 0
+    for case in cases:
+        out = compile_case(case, Untraced())
+        try:
+            kernel, _ = extract_kernel(parse(case.text))
+            sched = schedule_kernel(kernel, case.lam, runs=bucket_runs if case.bucket else op_runs)
+        except TYPED_ERRORS as exc:
+            refused += 1
+            assert out.sched is None and out.cause == type(exc).__name__, (case.id, out.cause, exc)
+            continue
+        assert out.sched is not None, (case.id, out.cause, out.detail)
+        assert out.n_bits == sched.n_bits, case.id
+        assert list(out.sched.cycle_of.items()) == list(sched.cycle_of.items()), case.id
+        assert out.emitted == emit(sched.graph), case.id
+    print(name, len(cases), refused > 0, refused < len(cases))
+"""
+
+
+def test_the_benchmark_compiles_each_case_as_schedule_kernel_does():
+    """The benchmark times its own copy of the stage sequence; on every
+    case of its three workloads that copy refuses with the same error
+    type, or picks the same n_bits, places every unit in the same cycle
+    in the same order and emits the same transformed text."""
+    run = subprocess.run(
+        [sys.executable, "-c", _BENCH_MIRROR_PROBE, str(TESTS_DIR.parent)],
+        env=dict(os.environ, PYTHONPATH=str(TESTS_DIR.parent / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "ladder 6 False True", "equiv 6 False True", "mixed 480 True True",
+    ]

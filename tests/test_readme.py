@@ -21,5 +21,5 @@ def test_library_example_runs_as_written():
     names: dict = {}
     exec(compile(code, "README.md", "exec"), names)
     assert names["trace"] == {}  # sec2 is all unsigned adds
-    assert names["n"] == 6 and names["sched"].lam == 3
+    assert names["sched"].n_bits == 6 and names["sched"].lam == 3
     assert isinstance(names["report"], CostReport)

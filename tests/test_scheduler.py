@@ -1,5 +1,6 @@
 """List scheduling of fragments: placement, loads, verification."""
 
+import types
 from math import ceil
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bitfrag import extract_kernel, parse
+from bitfrag import extract_kernel, parse, scheduler
 from bitfrag.dfg import OpKind
 from bitfrag.fragmenter import (
     InfeasibleError,
@@ -27,11 +28,12 @@ from bitfrag.scheduler import (
     _ranked,
     _realized_table,
     schedule,
+    schedule_kernel,
     unit_windows,
     verify_schedule,
 )
 from bitfrag.simulator import check_equiv
-from bitfrag.timing import estimate_cycle
+from bitfrag.timing import critical_path, estimate_cycle
 from conftest import (
     DESIGN_MAKERS,
     GLUE_CORE_SOURCE,
@@ -55,19 +57,19 @@ from conftest import (
 
 
 def test_prescheduled_fragments_are_pinned(sec2):
-    p = run_pipeline(sec2, 3)
-    assert p.n_bits == 6
-    for parts in p.fragments.values():
+    sched = run_pipeline(sec2, 3)
+    assert sched.n_bits == 6
+    for parts in sched.fragments.values():
         for f in parts:
             assert f.asap_cycle == f.alap_cycle
-            assert p.sched.cycle_of[f.id] == f.asap_cycle
-    assert p.sched.loads() == {1: 15, 2: 18, 3: 15}
-    assert verify_schedule(p.sched) == []
+            assert sched.cycle_of[f.id] == f.asap_cycle
+    assert sched.loads() == {1: 15, 2: 18, 3: 15}
+    assert verify_schedule(sched) == []
 
 
 def test_sec2_realized_ripple_slots(sec2):
-    p = run_pipeline(sec2, 3)
-    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
+    sched = run_pipeline(sec2, 3)
+    realized = realized_slots(sched.graph, sched.n_bits, sched.cycle_of)[0]
     assert realized[("C0", 0)] == Slot(1, 1)
     assert realized[("C0", 5)] == Slot(1, 6)
     assert realized[("C1", 0)] == Slot(2, 1)
@@ -77,46 +79,46 @@ def test_sec2_realized_ripple_slots(sec2):
 
 
 def test_fig3_schedule_within_windows(fig3):
-    p = run_pipeline(fig3, 3)
-    assert p.n_bits == 3
-    assert verify_schedule(p.sched) == []
-    for parts in p.fragments.values():
+    sched = run_pipeline(fig3, 3)
+    assert sched.n_bits == 3
+    assert verify_schedule(sched) == []
+    for parts in sched.fragments.values():
         for f in parts:
-            assert f.asap_cycle <= p.sched.cycle_of[f.id] <= f.alap_cycle
-    assert sum(p.sched.loads().values()) == 53
-    assert max(p.sched.loads().values()) <= 18
+            assert f.asap_cycle <= sched.cycle_of[f.id] <= f.alap_cycle
+    assert sum(sched.loads().values()) == 53
+    assert max(sched.loads().values()) <= 18
 
 
 def test_balancing_splits_across_nonconsecutive_cycles(sat):
-    p = run_pipeline(sat, 3)
-    assert p.n_bits == 3
+    sched = run_pipeline(sat, 3)
+    assert sched.n_bits == 3
     # Cycle 2 is saturated by the chain, so the standalone add splits
     # around it: low half in cycle 1, high half in cycle 3.
-    assert [(f.id, f.lo, f.hi) for f in p.fragments["X"]] == [
+    assert [(f.id, f.lo, f.hi) for f in sched.fragments["X"]] == [
         ("X0", 0, 2),
         ("X1", 3, 5),
     ]
-    assert p.sched.cycle_of["X0"] == 1
-    assert p.sched.cycle_of["X1"] == 3
-    assert p.sched.loads() == {1: 11, 2: 9, 3: 10}
-    assert verify_schedule(p.sched) == []
+    assert sched.cycle_of["X0"] == 1
+    assert sched.cycle_of["X1"] == 3
+    assert sched.loads() == {1: 11, 2: 9, 3: 10}
+    assert verify_schedule(sched) == []
 
 
 def test_core_occupies_a_full_cycle(mixed):
-    p = run_pipeline(mixed, 6)
-    assert p.sched.cycle_of["P"] == 1
-    assert p.sched.loads()[1] == 0
-    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
-    assert realized[("P", 0)] == Slot(1, p.n_bits)
-    assert verify_schedule(p.sched) == []
+    sched = run_pipeline(mixed, 6)
+    assert sched.cycle_of["P"] == 1
+    assert sched.loads()[1] == 0
+    realized = realized_slots(sched.graph, sched.n_bits, sched.cycle_of)[0]
+    assert realized[("P", 0)] == Slot(1, sched.n_bits)
+    assert verify_schedule(sched) == []
 
 
 def test_core_fed_through_glue_runs_in_the_first_cycle():
     design = parse(GLUE_CORE_SOURCE)
-    p = run_pipeline(design, 2, 8)
-    assert p.sched.cycle_of == {"P": 1, "Q": 2}
-    assert verify_schedule(p.sched) == []
-    assert check_equiv(design, p.sched).equivalent
+    sched = run_pipeline(design, 2, 8)
+    assert sched.cycle_of == {"P": 1, "Q": 2}
+    assert verify_schedule(sched) == []
+    assert check_equiv(design, sched).equivalent
 
 
 def test_an_add_over_glue_fed_only_by_inputs_chains_from_depth_one():
@@ -126,23 +128,23 @@ def test_an_add_over_glue_fed_only_by_inputs_chains_from_depth_one():
         "design g; input A : u4; input B : u4;"
         " N: not u4 = A; X: add u4 = N + B; output X;"
     )
-    p = run_pipeline(design, 2)
-    realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
+    sched = run_pipeline(design, 2)
+    realized = realized_slots(sched.graph, sched.n_bits, sched.cycle_of)[0]
     assert ("N", 0) not in realized
     assert realized[("X0", 0)] == Slot(1, 1)
 
 
 def test_every_add_needs_its_fragment_record(sec2):
-    p = run_pipeline(sec2, 3)
+    sched = run_pipeline(sec2, 3)
     with pytest.raises(ScheduleError, match="C0: add has no fragment record"):
-        schedule(p.transformed, {}, 3, p.n_bits)
-    partial = {k: v for k, v in p.fragments.items() if k != "E"}
+        schedule(sched.graph, {}, 3, sched.n_bits)
+    partial = {k: v for k, v in sched.fragments.items() if k != "E"}
     with pytest.raises(ScheduleError, match="E0: add has no fragment record"):
-        schedule(p.transformed, partial, 3, p.n_bits)
-    first, *rest = p.fragments["E"]
-    empty = dict(p.fragments, E=[replace(first, alap_cycle=0), *rest])
+        schedule(sched.graph, partial, 3, sched.n_bits)
+    first, *rest = sched.fragments["E"]
+    empty = dict(sched.fragments, E=[replace(first, alap_cycle=0), *rest])
     with pytest.raises(ScheduleError, match=r"E0: empty cycle window \[1, 0\]"):
-        schedule(p.transformed, empty, 3, p.n_bits)
+        schedule(sched.graph, empty, 3, sched.n_bits)
 
 
 @pytest.mark.parametrize("lam, n_bits, message", [
@@ -151,14 +153,14 @@ def test_every_add_needs_its_fragment_record(sec2):
     (3, 0, "cycle must hold at least one bit, got 0"),
 ])
 def test_schedule_refuses_a_latency_or_cycle_below_one(sec2, lam, n_bits, message):
-    p = run_pipeline(sec2, 3)
+    sched = run_pipeline(sec2, 3)
     with pytest.raises(ScheduleError, match=f"^{message}$"):
-        schedule(p.transformed, p.fragments, lam, n_bits)
+        schedule(sched.graph, sched.fragments, lam, n_bits)
 
 
 def test_determinism(fig3):
-    a = run_pipeline(fig3, 3).sched
-    b = run_pipeline(fig3, 3).sched
+    a = run_pipeline(fig3, 3)
+    b = run_pipeline(fig3, 3)
     assert list(a.cycle_of.items()) == list(b.cycle_of.items())
     assert a == b
 
@@ -173,10 +175,7 @@ def test_unit_windows_prefer_fragment_records(fig3):
 
 
 def test_bucket_tiles_schedule_when_decoupled(sat):
-    kernel, _ = extract_kernel(sat)
-    mobility = analyze(kernel, 3, 3)
-    frags, transformed = bucket_fragment(kernel, mobility)
-    sched = schedule(transformed, frags, 3, 3)
+    sched = run_pipeline(sat, 3, 3, bucket_runs)
     assert verify_schedule(sched) == []
     from bitfrag.simulator import check_equiv
 
@@ -186,11 +185,47 @@ def test_bucket_tiles_schedule_when_decoupled(sat):
 def test_bucket_tiles_fail_honestly_on_coupled_chains(fig3):
     # Whole-cycle tiles cannot interleave the chained bits of this
     # design; the window intersection empties out and scheduling stops.
-    kernel, _ = extract_kernel(fig3)
-    mobility = analyze(kernel, 3, 3)
-    frags, transformed = bucket_fragment(kernel, mobility)
     with pytest.raises(ScheduleError):
-        schedule(transformed, frags, 3, 3)
+        run_pipeline(fig3, 3, 3, bucket_runs)
+
+
+def _cycle_sizes(kernel, lam: int) -> range:
+    """Every n_bits from the estimate up to the kernel's critical time,
+    past which no larger cycle helps."""
+    low = estimate_cycle(kernel, lam)
+    return range(low, max(low, critical_path(kernel).time) + 1)
+
+
+# The next two properties are the premise for finding the smallest
+# feasible n_bits by bisecting on ALAP alone.
+@deep_settings(100)
+@given(st.sampled_from(DESIGN_MAKERS), st.integers(0, 10_000), st.integers(2, 4), st.data())
+def test_a_per_bit_tiling_schedules_wherever_alap_holds(make, seed, lam, data):
+    """Wherever ``analyze`` succeeds, ``schedule_kernel`` with the
+    per-bit tiling succeeds and its schedule verifies clean."""
+    kernel, _ = extract_kernel(make(seed))
+    n_bits = data.draw(st.sampled_from(_cycle_sizes(kernel, lam)))
+    try:
+        analyze(kernel, n_bits, lam)
+    except InfeasibleError:
+        return
+    assert verify_schedule(schedule_kernel(kernel, lam, n_bits)) == []
+
+
+@deep_settings(100)
+@given(st.sampled_from(DESIGN_MAKERS), st.integers(0, 10_000), st.integers(2, 4))
+def test_alap_feasibility_is_monotone_in_n_bits(make, seed, lam):
+    """Once ALAP fits at some n_bits, it fits at every larger one."""
+    kernel, _ = extract_kernel(make(seed))
+    feasible = []
+    for n_bits in _cycle_sizes(kernel, lam):
+        try:
+            alap_table(kernel, n_bits, lam)
+        except InfeasibleError:
+            feasible.append(False)
+        else:
+            feasible.append(True)
+    assert feasible == sorted(feasible)
 
 
 def _tampered(sched: Schedule, **moves) -> Schedule:
@@ -199,27 +234,27 @@ def _tampered(sched: Schedule, **moves) -> Schedule:
 
 
 def test_verify_flags_window_escape(sat):
-    p = run_pipeline(sat, 3)
-    bad = _tampered(p.sched, X1=1, X0=1)
+    sched = run_pipeline(sat, 3)
+    bad = _tampered(sched, X1=1, X0=1)
     msgs = "; ".join(verify_schedule(bad))
     assert "X1: cycle 1 outside window [2, 3]" in msgs
 
 
 def test_verify_flags_sibling_order(fig3):
-    p = run_pipeline(fig3, 3)
-    first, second = (f.id for f in p.fragments["A"][:2])
+    sched = run_pipeline(fig3, 3)
+    first, second = (f.id for f in sched.fragments["A"][:2])
     bad = _tampered(
-        p.sched,
-        **{first: p.sched.cycle_of[second] + 1, second: p.sched.cycle_of[second]},
+        sched,
+        **{first: sched.cycle_of[second] + 1, second: sched.cycle_of[second]},
     )
     msgs = "; ".join(verify_schedule(bad))
     assert f"A: fragment {first} after its higher half {second}" in msgs
 
 
 def test_verify_flags_depth_overflow(sec2):
-    p = run_pipeline(sec2, 3)
+    sched = run_pipeline(sec2, 3)
     # Forcing two chained fragments into one cycle exceeds six slots.
-    bad = _tampered(p.sched, C1=1)
+    bad = _tampered(sched, C1=1)
     msgs = verify_schedule(bad)
     assert "C1: cycle 1 outside window [2, 2]" in msgs
     assert "C1[0]: chain depth 7 exceeds 6 bits per cycle" in msgs
@@ -228,7 +263,7 @@ def test_verify_flags_depth_overflow(sec2):
 def test_verify_reports_a_budget_too_small_for_mobility(sec2):
     # The scheduled graph's own mobility analysis cannot meet the shrunk
     # budget; the units it cannot hold are reported by their cycles.
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     assert verify_schedule(replace(sched, lam=2)) == [
         "C2: cycle 3 outside 1..2",
         "E2: cycle 3 outside 1..2",
@@ -245,7 +280,7 @@ def test_verify_reports_a_budget_too_small_for_mobility(sec2):
 
 
 def test_verify_reports_a_missing_unit_and_still_checks_the_rest(sec2):
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
     assert verify_schedule(replace(sched, cycle_of=cycle_of)) == [
@@ -270,7 +305,7 @@ def test_verify_schedule_reports_and_never_raises_on_tampered_schedules(make, se
     returns its problems as a list, empty only for the schedule as
     built, and raises nothing."""
     try:
-        sched = run_pipeline(make(seed), 3).sched
+        sched = run_pipeline(make(seed), 3)
     except (InfeasibleError, ScheduleError):
         return
     # A name no unit has stands in when the design has no unit at all.
@@ -326,6 +361,39 @@ def _verify_with_full_analysis(sched: Schedule) -> list[str]:
     return problems
 
 
+def _global_names_reached(fn) -> set[str]:
+    """Every global name ``fn``'s code reads, nested code included, and
+    the names read by each package function it reaches through them."""
+    names: set[str] = set()
+    seen, todo = {fn}, [fn]
+    while todo:
+        f = todo.pop()
+        codes, own = [f.__code__], set()
+        while codes:
+            code = codes.pop()
+            own.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        names |= own
+        for name in own:
+            target = f.__globals__.get(name)
+            if (isinstance(target, types.FunctionType) and target not in seen
+                    and target.__module__.startswith("bitfrag.")):
+                seen.add(target)
+                todo.append(target)
+    return names
+
+
+def test_the_checker_reaches_no_mobility_analysis():
+    # ``schedule_kernel`` shares the checker's module and calls
+    # ``analyze``; no function ``verify_schedule`` runs names it or
+    # ``alap_table``, whatever the schedule (the property below counts
+    # their calls on drawn ones).
+    reached = _global_names_reached(verify_schedule)
+    assert "_realized_table" in reached
+    assert not {"analyze", "alap_table", "schedule_kernel"} & reached
+    assert "analyze" in _global_names_reached(scheduler.schedule_kernel)
+
+
 @deep_settings(200)
 @given(st.integers(0, 299), st.sampled_from([op_runs, bucket_runs]), st.data())
 def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
@@ -335,19 +403,18 @@ def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
     the oracle refuses, and reports the same problems but for budget
     and window lines."""
     try:
-        p = run_pipeline(random_full_design(seed), 3, runs=runs)
+        sched = run_pipeline(random_full_design(seed), 3, runs=runs)
     except (InfeasibleError, ScheduleError):
         return
-    sched = p.sched
     units = st.sampled_from(sorted(sched.cycle_of) or [""])
     cycle_of = dict(sched.cycle_of)
     cycle_of.update(data.draw(st.dictionaries(units, st.integers(-1, sched.lam + 2), max_size=3)))
     for uid in data.draw(st.sets(units, max_size=2)):
         cycle_of.pop(uid, None)
-    cores = [op for op in p.transformed.ops if op.kind is OpKind.MULT_CORE]
+    cores = [op for op in sched.graph.ops if op.kind is OpKind.MULT_CORE]
     if cores and data.draw(st.booleans()):
         core = data.draw(st.sampled_from(cores))
-        early, late = analyze(p.transformed, p.n_bits, sched.lam).window(core)
+        early, late = analyze(sched.graph, sched.n_bits, sched.lam).window(core)
         cycle_of[core.id] = data.draw(st.sampled_from([early - 1, late + 1]))
     fragments = dict(sched.fragments)
     if fragments and data.draw(st.booleans()):
@@ -366,7 +433,6 @@ def test_verify_schedule_matches_the_full_analysis_oracle(seed, runs, data):
             mock.patch("bitfrag.fragmenter.alap_table", wraps=alap_table) as latest:
         problems = verify_schedule(tampered)
     assert derived.call_count == latest.call_count == 0
-    assert not {"analyze", "alap_table"} & verify_schedule.__globals__.keys()
     want = _verify_with_full_analysis(tampered)
     assert bool(problems) == bool(want)
     assert _without_budget_or_windows(problems) == _without_budget_or_windows(want)
@@ -467,8 +533,8 @@ def test_verify_reports_a_budget_below_1_with_no_unit_to_check():
     """Bundled schedules verify clean; glue alone has no unit to report
     a problem, so a budget below 1 is the only line."""
     for name in ("sec2", "fig3", "elliptic", "diffeq"):
-        assert verify_schedule(feasible_pipeline(load_design(name), 3).sched) == []
-    glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1).sched
+        assert verify_schedule(feasible_pipeline(load_design(name), 3)) == []
+    glue = run_pipeline(parse(GLUE_ONLY_SOURCE), 1)
     assert verify_schedule(glue) == []
     assert verify_schedule(replace(glue, n_bits=0)) == [
         "cycle must hold at least one bit, got 0"
@@ -479,22 +545,22 @@ def test_verify_reports_a_budget_below_1_with_no_unit_to_check():
 
 
 def test_realized_slots_report_unready_operands(sec2):
-    p = run_pipeline(sec2, 3)
-    cycle_of = dict(p.sched.cycle_of, E0=1, E1=1, E2=1)
-    _, problems = realized_slots(p.sched.graph, p.sched.n_bits, cycle_of)
+    sched = run_pipeline(sec2, 3)
+    cycle_of = dict(sched.cycle_of, E0=1, E1=1, E2=1)
+    _, problems = realized_slots(sched.graph, sched.n_bits, cycle_of)
     assert "E1[1]: operand ready in cycle 2, read in 1" in problems
     assert any("chain depth" in m and "exceeds" in m for m in problems)
 
 
 def test_execution_never_exceeds_the_chaining_budget(sec2, fig3, sat):
     for graph in (sec2, fig3, sat):
-        p = run_pipeline(graph, 3)
-        realized = realized_slots(p.transformed, p.n_bits, p.sched.cycle_of)[0]
-        for op in p.transformed.ops:
+        sched = run_pipeline(graph, 3)
+        realized = realized_slots(sched.graph, sched.n_bits, sched.cycle_of)[0]
+        for op in sched.graph.ops:
             if op.kind is OpKind.ADD:
                 for i in range(op.width):
                     slot = realized[(op.id, i)]
-                    assert 1 <= slot.depth <= p.n_bits
+                    assert 1 <= slot.depth <= sched.n_bits
 
 
 def _slot_tables(graph, lam: int) -> dict[str, dict]:
@@ -507,13 +573,12 @@ def _slot_tables(graph, lam: int) -> dict[str, dict]:
     tables = {"bit_asap": bit_asap(kernel, n_bits)}
     try:
         tables["bit_alap"] = bit_alap(kernel, n_bits, lam)
-        fragments, transformed = fragment(kernel, analyze(kernel, n_bits, lam))
-        sched = schedule(transformed, fragments, lam, n_bits)
+        sched = schedule_kernel(kernel, lam, n_bits)
     except (InfeasibleError, ScheduleError):
         return tables
-    tables["realized_slots"] = realized_slots(transformed, n_bits, sched.cycle_of)[0]
+    tables["realized_slots"] = realized_slots(sched.graph, n_bits, sched.cycle_of)[0]
     rushed = dict.fromkeys(sched.cycle_of, 1)
-    tables["realized_slots, all in cycle 1"] = realized_slots(transformed, n_bits, rushed)[0]
+    tables["realized_slots, all in cycle 1"] = realized_slots(sched.graph, n_bits, rushed)[0]
     return tables
 
 
@@ -549,23 +614,22 @@ def test_every_public_slot_is_a_slot_on_random_designs(make, seed, lam):
     st.sampled_from([random_add_design, random_full_design]),
     st.integers(0, 10_000),
     st.integers(2, 4),
-    st.sampled_from([fragment, bucket_fragment]),
+    st.sampled_from([op_runs, bucket_runs]),
 )
-def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, tile):
+def test_completion_of_a_schedule_is_its_realized_slot_table(make, seed, lam, tiling):
     """A schedule keeps only ``cycle_of``, so the time table the scheduler
     ends on must be the one ``realized_slots`` derives from it, in its
     own ``(cycle, depth)`` pairs: the completion with every unit placed
     at its cycle, in number order, with no problem reported."""
-    kernel, _ = extract_kernel(make(seed))
-    n_bits = estimate_cycle(kernel, lam)
     try:
-        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
-        sched = schedule(transformed, fragments, lam, n_bits)
+        sched = run_pipeline(make(seed), lam, runs=tiling)
     except (InfeasibleError, ScheduleError):
         return
-    windows = {f.id: (f.asap_cycle, f.alap_cycle) for parts in fragments.values() for f in parts}
-    plan = _Plan(transformed, lam, n_bits, windows, dict(sched.cycle_of))
-    realized, problems = realized_slots(transformed, n_bits, sched.cycle_of)
+    n_bits = sched.n_bits
+    windows = {f.id: (f.asap_cycle, f.alap_cycle)
+               for parts in sched.fragments.values() for f in parts}
+    plan = _Plan(sched.graph, lam, n_bits, windows, dict(sched.cycle_of))
+    realized, problems = realized_slots(sched.graph, n_bits, sched.cycle_of)
     assert problems == []
     assert plan.base == [slot_time(slot, n_bits) for slot in realized.values()]
 
@@ -790,19 +854,17 @@ def test_completion_of_the_pins_is_the_earliest_any_placement_allows(make, lam, 
             assert accepted(op.id)[:1] == [ceil(base[transformed.bit_view.base[op.id]] / n_bits)]
 
 
-@pytest.mark.parametrize("tile", [fragment, bucket_fragment], ids=["asap", "bucket"])
+@pytest.mark.parametrize("tiling", [op_runs, bucket_runs], ids=["asap", "bucket"])
 @pytest.mark.parametrize("make,lam", _ORACLE_CASES)
-def test_accepted_assignments_are_never_earlier_than_asap(make, lam, tile):
+def test_accepted_assignments_are_never_earlier_than_asap(make, lam, tiling):
     """``bit_asap`` is a lower bound on every assignment ``realized_slots``
     accepts: the schedule's own, and the one with each core moved to its
     earliest accepted cycle."""
-    kernel, _ = extract_kernel(make())
-    n_bits = estimate_cycle(kernel, lam)
     try:
-        fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
-        sched = schedule(transformed, fragments, lam, n_bits)
+        sched = run_pipeline(make(), lam, runs=tiling)
     except (InfeasibleError, ScheduleError):
         return
+    transformed, n_bits = sched.graph, sched.n_bits
     earliest = dict(sched.cycle_of)
     for op in transformed.ops:
         if op.kind is OpKind.MULT_CORE:
@@ -920,30 +982,27 @@ def test_ranked_cycles_vet_as_the_whole_window_does(data):
     assert ranked == [k for k in full if k in loads or k == empty]
 
 
-@pytest.mark.parametrize("make,seed,lam,tile", [
-    (random_add_design, 1, 3, fragment),
-    (random_add_design, 1, 4, bucket_fragment),
-    (random_add_design, 6, 4, fragment),
-    (random_add_design, 12, 3, fragment),
-    (random_add_design, 14, 2, bucket_fragment),
-    (random_full_design, 8, 4, fragment),
-    (random_full_design, 9, 4, fragment),
-    (random_full_design, 11, 3, fragment),
-    (random_full_design, 15, 3, bucket_fragment),
-    (random_full_design, 16, 4, bucket_fragment),
-    (random_full_design, 17, 3, fragment),
-    (random_full_design, 39, 3, fragment),
+@pytest.mark.parametrize("make,seed,lam,tiling", [
+    (random_add_design, 1, 3, op_runs),
+    (random_add_design, 1, 4, bucket_runs),
+    (random_add_design, 6, 4, op_runs),
+    (random_add_design, 12, 3, op_runs),
+    (random_add_design, 14, 2, bucket_runs),
+    (random_full_design, 8, 4, op_runs),
+    (random_full_design, 9, 4, op_runs),
+    (random_full_design, 11, 3, op_runs),
+    (random_full_design, 15, 3, bucket_runs),
+    (random_full_design, 16, 4, bucket_runs),
+    (random_full_design, 17, 3, op_runs),
+    (random_full_design, 39, 3, op_runs),
 ], ids=lambda v: getattr(v, "__name__", v))
 def test_greedy_placement_is_feasible_and_never_beats_the_exact_oracle(
-    make, seed, lam, tile
+    make, seed, lam, tiling
 ):
     """The greedy schedule is one of the assignments the exhaustive
     oracle accepts, and its peak is never below the smallest peak among
     them.  Several of these cases sit above it."""
-    kernel, _ = extract_kernel(make(seed))
-    n_bits = estimate_cycle(kernel, lam)
-    fragments, transformed = tile(kernel, analyze(kernel, n_bits, lam))
-    sched = schedule(transformed, fragments, lam, n_bits)
+    sched = run_pipeline(make(seed), lam, runs=tiling)
     assert 1 < placement_count(sched) <= 2000
     feasible = feasible_placements(sched)
     assert sched.cycle_of in feasible

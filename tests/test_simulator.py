@@ -141,7 +141,7 @@ def test_missing_input_raises():
 
 def test_schedule_replay_matches_direct_evaluation(sec2, fig3, sat):
     for graph in (sec2, fig3, sat):
-        sched = run_pipeline(graph, 3).sched
+        sched = run_pipeline(graph, 3)
         inputs = {
             p.name: (0x9E37 * (i + 1)) & ((1 << p.width) - 1)
             for i, p in enumerate(graph.inputs)
@@ -153,7 +153,7 @@ def test_schedule_replay_matches_direct_evaluation(sec2, fig3, sat):
 
 
 def test_trace_reports_execution_and_latching(sec2):
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     inputs = {p.name: 0xFFFF for p in sec2.inputs}
     _, trace = eval_schedule(sched, inputs)
     assert trace[0].executed == ("C0", "E0", "G0")
@@ -170,10 +170,10 @@ def test_trace_reports_execution_and_latching(sec2):
 
 def test_replay_rejects_missing_unit():
     g = parse("design d;\ninput a : u4; input b : u4;\nX: add u4 = a + b;\noutput X;")
-    p = run_pipeline(g, 2, n_bits=4)
+    sched = run_pipeline(g, 2, n_bits=4)
     from bitfrag.scheduler import Schedule
 
-    broken = Schedule(p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.fragments)
+    broken = Schedule(sched.graph, sched.lam, sched.n_bits, {}, sched.fragments)
     with pytest.raises(SimulationError, match="unscheduled operations"):
         eval_schedule(broken, {"a": 1, "b": 2})
 
@@ -181,7 +181,7 @@ def test_replay_rejects_missing_unit():
 def test_unscheduled_reader_is_named_not_a_lookup_failure(sec2):
     # C1 reads C0's top bit and carry; with C1 unscheduled nothing holds
     # them for it, and the check names C1 instead of failing to find it.
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C1"]
     with pytest.raises(SimulationError, match="^unscheduled operations: C1$"):
@@ -195,7 +195,7 @@ def test_unscheduled_producer_holds_nothing_and_is_named(sec2):
     # C1 reads C0's top bit and carry across boundary 1; with C0
     # unscheduled they are produced in no cycle, so nothing holds them
     # and no latch fails before the check names C0.
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     cycle_of = dict(sched.cycle_of)
     del cycle_of["C0"]
     broken = replace(sched, cycle_of=cycle_of)
@@ -209,7 +209,7 @@ def test_replay_insists_on_latched_crossings(sec2, monkeypatch):
     # Dropping one stored bit from the cost model must be caught by the
     # replay, proving the discipline check is wired to real reads.  The
     # schedule computes its held bits on first use, so after the patch.
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     real = cost.stored_bits
     dropped = eager_keys(sched.graph).index(("C0", 5))
 
@@ -232,7 +232,7 @@ from conftest import load_design, run_pipeline
 cost.stored_bits = lambda sched: {}
 elliptic = load_design("elliptic")
 try:
-    simulator.check_equiv(elliptic, run_pipeline(elliptic, 2).sched)
+    simulator.check_equiv(elliptic, run_pipeline(elliptic, 2))
 except simulator.SimulationError as exc:
     print(exc)
 """
@@ -262,7 +262,7 @@ sys.path.insert(0, str(Path(sys.argv[1]) / "bench"))
 from workloads import equiv_cases
 
 cases = equiv_cases(0, DESIGN_DIR)
-scheds = [run_pipeline(parse(case.text), case.lam).sched for case in cases]
+scheds = [run_pipeline(parse(case.text), case.lam) for case in cases]
 profile = cProfile.Profile()
 profile.enable()
 for case, sched in zip(cases, scheds):
@@ -294,10 +294,10 @@ def test_a_schedule_computes_its_held_bits_once():
 
 def test_check_equiv_rejects_missing_unit():
     g = parse("design d;\ninput a : u4; input b : u4;\nX: add u4 = a + b;\noutput X;")
-    p = run_pipeline(g, 2, n_bits=4)
+    sched = run_pipeline(g, 2, n_bits=4)
     from bitfrag.scheduler import Schedule
 
-    broken = Schedule(p.sched.graph, p.sched.lam, p.sched.n_bits, {}, p.sched.fragments)
+    broken = Schedule(sched.graph, sched.lam, sched.n_bits, {}, sched.fragments)
     with pytest.raises(SimulationError, match="unscheduled operations"):
         check_equiv(g, broken)
 
@@ -306,7 +306,7 @@ def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
     # The latch check reads no input values: check_equiv runs it once
     # per schedule, the schedule keeps the held bits it reads, and a
     # dropped stored bit still stops the proof of a fresh schedule.
-    sched = run_pipeline(sec2, 3).sched
+    sched = run_pipeline(sec2, 3)
     real = cost.stored_bits
     calls = []
 
@@ -338,8 +338,8 @@ def test_check_equiv_insists_on_latched_crossings_once(sec2, monkeypatch):
 def test_glue_between_fragmented_adds_replays(mixed):
     # The multiply lowering leaves a select between fragmented adds; a
     # consumer may chain off its low fragments in the same cycle.
-    p = run_pipeline(mixed, 6)
-    eq = check_equiv(mixed, p.sched, samples=200)
+    sched = run_pipeline(mixed, 6)
+    eq = check_equiv(mixed, sched, samples=200)
     assert eq.strategy == "random" and eq.equivalent
 
 
@@ -522,7 +522,7 @@ def _pipeline_graphs(graph: DataFlowGraph) -> list[DataFlowGraph]:
     """The design, its kernel and, where it schedules, its fragmented graph."""
     kernel, _ = extract_kernel(graph)
     try:
-        transformed = run_pipeline(graph, 3).transformed
+        transformed = run_pipeline(graph, 3).graph
     except (InfeasibleError, ScheduleError):
         return [graph, kernel]
     return [graph, kernel, transformed]
@@ -602,7 +602,7 @@ def test_empty_design_proves_on_its_one_vector():
     assert simulator._stride(graph) == 8
     want = EquivResult("exhaustive", 1, True)
     assert check_equiv(graph, graph) == want
-    assert check_equiv(graph, run_pipeline(graph, 2).sched) == want
+    assert check_equiv(graph, run_pipeline(graph, 2)) == want
 
 
 def test_signed_compares_of_unequal_widths():
@@ -1012,7 +1012,7 @@ def test_check_equiv_matches_the_vector_scan_on_flipped_candidates(make, seed):
 @pytest.mark.parametrize("name", ["sec2", "fig3", "elliptic", "diffeq"])
 def test_check_equiv_matches_the_vector_scan_on_schedules(name):
     graph = load_design(name)
-    sched = run_pipeline(graph, 3).sched
+    sched = run_pipeline(graph, 3)
     assert check_equiv(graph, sched, samples=150, seed=5) == _per_vector_check_equiv(
         graph, sched, samples=150, seed=5
     )
